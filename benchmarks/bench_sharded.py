@@ -2,7 +2,7 @@
 
 PR 4 made every compiled batch trigger a set of independent per-key folds;
 PR 5 hash-partitions the map tables into N shards and runs the folds per
-shard on a thread pool (``repro.compiler.sharding``).  This benchmark
+shard on a thread pool (``repro.compiler.partition``).  This benchmark
 measures two things at batch size >= 1000:
 
 * **End-to-end batch application** on the self-join and grouped-sum
@@ -15,10 +15,10 @@ measures two things at batch size >= 1000:
 
 The >=1.5x assertion at N=4 only runs where per-shard dict folds *can*
 scale: pure-Python folds need a free-threaded interpreter and >= 4 cores
-(``repro.compiler.sharding.parallel_fold_capable``).  On a GIL build or a
+(``repro.compiler.partition.parallel_fold_capable``).  On a GIL build or a
 smaller host the table is still printed and correctness is still asserted —
 claiming a thread speedup the platform cannot deliver would just institutionalize
-a flaky benchmark.  ``REPRO_SHARD_PARALLEL=0`` additionally shows the
+a flaky benchmark.  The ``inline`` shard backend additionally shows the
 serial per-shard overhead, which is asserted to stay small everywhere.
 
 Run standalone::
@@ -38,8 +38,7 @@ import pytest
 
 from repro.compiler.runtime import TriggerRuntime
 from repro.compiler.compile import compile_query
-from repro.compiler.partition.backends import process_fold_capable
-from repro.compiler.sharding import parallel_fold_capable
+from repro.compiler.partition import parallel_fold_capable, process_fold_capable
 from repro.core.parser import parse
 from repro.ivm.recursive import RecursiveIVM
 from repro.workloads.schemas import UNARY_SCHEMA
@@ -122,7 +121,7 @@ def _fold_workload(distinct_keys, batches, seed=9):
     return increments
 
 
-def measure_fold_throughput(batches=None, distinct_keys=50_000, repeats=3):
+def measure_fold_throughput(batches=None, distinct_keys=50_000, repeats=3, shard_backend=None):
     """Pure fold throughput (keys folded per second) per shard count.
 
     Each measurement replays the same increment sequence into a fresh map
@@ -140,12 +139,14 @@ def measure_fold_throughput(batches=None, distinct_keys=50_000, repeats=3):
     for shards in SHARD_COUNTS:
         best = float("inf")
         for _ in range(repeats):
-            runtime = TriggerRuntime(program, shards=shards)
+            runtime = TriggerRuntime(program, shards=shards, shard_backend=shard_backend)
             target = runtime.program.result_map
             started = time.perf_counter()
             for increment in increments:
                 runtime._fold_increments(target, increment, None, None)
             best = min(best, time.perf_counter() - started)
+            if runtime.shard_backend is not None:
+                runtime.shard_backend.close()
         final = dict(runtime.maps[target].items()) if shards > 1 else dict(runtime.maps[target])
         if reference is None:
             reference = final
@@ -293,11 +294,10 @@ def test_process_backend_beats_threads_where_capable():
 
 
 @pytest.mark.parametrize("shards", [2, 4])
-def test_serial_sharded_fold_overhead_is_bounded(shards, monkeypatch):
-    """With the pool disabled, per-shard folds are the same dict loops split
+def test_serial_sharded_fold_overhead_is_bounded(shards):
+    """On the inline backend, per-shard folds are the same dict loops split
     N ways — they must stay within 2x of the unsharded fold."""
-    monkeypatch.setenv("REPRO_SHARD_PARALLEL", "0")
-    record = measure_fold_throughput(batches=smoke_scaled(20, 4))
+    record = measure_fold_throughput(batches=smoke_scaled(20, 4), shard_backend="inline")
     serial = record["per_shards"][shards]["seconds"]
     baseline = record["per_shards"][1]["seconds"]
     if SMOKE:

@@ -258,17 +258,17 @@ def experiment_e8(sizes=(100, 1000, 5000)) -> None:
 
 
 def experiment_e9():
-    _header("E9  Batch triggers (relation-valued deltas) vs grouped per-tuple replay")
+    _header("E9  Batch triggers (relation-valued deltas) vs per-tuple triggers")
     import bench_batch_updates
 
     smoke = bool(os.environ.get("REPRO_BENCH_SMOKE"))
     length = 4_000 if smoke else 20_000
     speedups = bench_batch_updates.measure_batch_trigger_speedups(stream_length=length)
-    table = Table(["backend", "query", "replay (s)", "batch (s)", "speedup"])
+    table = Table(["backend", "query", "per-tuple (s)", "batch (s)", "speedup"])
     for backend, per_query in speedups.items():
         for query_name, row in per_query.items():
             table.add_row(
-                backend, query_name, row["replay_s"], row["batch_s"],
+                backend, query_name, row["per_tuple_s"], row["batch_s"],
                 f"{row['speedup']:.2f}x" + ("*" if row["asserted"] else ""),
             )
     print(table.render())

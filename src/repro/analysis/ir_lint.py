@@ -47,7 +47,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import Table
 from repro.compiler.compile import compile_query
-from repro.compiler.cost import batch_specialization_class, statement_cost_class
+from repro.compiler.cost import statement_cost_class
+from repro.compiler.plan import lower_batch_plan
 from repro.compiler.indexes import compute_index_specs, iter_partial_reads
 from repro.compiler.normal_form import is_normalized
 from repro.compiler.triggers import TriggerProgram
@@ -187,9 +188,9 @@ def lint_program(
                 )
 
     # -- bare counts stuck on the generic batch path -------------------------
-    for batch_trigger in program.batch_triggers.values():
-        for statement in batch_trigger.statements:
-            if batch_specialization_class(statement, batch_trigger) == "generic-bare-count":
+    for event in lower_batch_plan(program).events:
+        for statement, label in zip(getattr(event.batch_trigger, "statements", ()), event.labels):
+            if label == "generic-bare-count":
                 findings.append(
                     LintFinding(
                         "generic-bare-count",
@@ -277,9 +278,8 @@ def specialization_summary(program: TriggerProgram) -> str:
     program with no batch triggers.
     """
     counts: Dict[str, int] = {}
-    for batch_trigger in program.batch_triggers.values():
-        for statement in batch_trigger.statements:
-            kind = batch_specialization_class(statement, batch_trigger)
+    for event in lower_batch_plan(program).events:
+        for kind in event.labels:
             counts[kind] = counts.get(kind, 0) + 1
     if not counts:
         return "-"

@@ -4,13 +4,18 @@
 * :mod:`repro.compiler.triggers` — the trigger IR (statements, triggers, programs);
 * :mod:`repro.compiler.compile` — the recursive compiler (delta → simplify →
   factorize → materialize);
+* :mod:`repro.compiler.plan` — the lowered batch plan both executors decode
+  (specialization kinds, gates, arities — every batch-path decision, once);
+* :mod:`repro.compiler.kernels` — the query-independent execution steps (fold,
+  change capture, index upkeep, recompute write-back, generic batch loop);
 * :mod:`repro.compiler.runtime` — interpreted trigger execution;
 * :mod:`repro.compiler.codegen` — generation of straight-line Python trigger code
   (the paper's NC⁰C target, retargeted);
+* :mod:`repro.compiler.executor` — the host gluing a runtime to its generated module;
 * :mod:`repro.compiler.indexes` — secondary hash indexes for partially-bound
   map slices (keeps per-update cost proportional to matching entries);
-* :mod:`repro.compiler.sharding` — hash-partitioned map tables and the
-  parallel per-shard batch folds;
+* :mod:`repro.compiler.partition` — hash-partitioned map tables and the
+  pluggable backends running the per-shard batch folds;
 * :mod:`repro.compiler.cost` — operation counting for the constant-work claims;
 * :mod:`repro.compiler.normal_form` — ring normal form and AC-canonical
   identities for compiled statements and map definitions;
@@ -36,7 +41,7 @@ from repro.compiler.normal_form import (
     normalizes_to_zero,
 )
 from repro.compiler.runtime import TriggerRuntime
-from repro.compiler.sharding import ShardedMapTable, partition_map, shard_of
+from repro.compiler.partition import ShardedMapTable, partition_map, shard_of
 from repro.compiler.triggers import RecomputeStatement, Statement, Trigger, TriggerProgram
 from repro.compiler.verify import (
     IRVerificationError,

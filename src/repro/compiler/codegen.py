@@ -45,18 +45,18 @@ Three properties of the generated module matter for the paper's cost claims:
   the delta map joined against the existing maps, applied with one
   read-modify-write per distinct target key, and recompute statements run
   once per group.  Statements that are pure key projections of ``∆R`` (the
-  base-copy shape) skip expression evaluation entirely.  The pre-batch-trigger
-  path — grouped per-tuple replay with hoisted table lookups — is kept as
-  ``apply_batch_replay``, the reference baseline the batch benchmark compares
-  against and the fallback for events without a batch trigger.
+  base-copy shape) skip expression evaluation entirely.
 
-* **Sharded folds.**  The shared ``_fold`` helper detects hash-partitioned
-  tables (:class:`~repro.compiler.sharding.ShardedMapTable`) and delegates to
-  a per-shard fold (``_fold_sharded``, injected at module construction):
-  increments split by target-key hash, shard dicts folded concurrently,
-  slice-index maintenance journalled by the workers.  Plain-dict map
-  environments never reach the branch, so unsharded sessions keep the exact
-  in-line fold loops.
+* **Only the query-dependent part is generated.**  What is emitted is the
+  statement bodies (``on_*`` / ``batch_on_*`` / ``total_batch_*``) and, for a
+  specialized program, the unrolled ``apply_batch`` *printed from* the lowered
+  :class:`~repro.compiler.plan.BatchPlan`.  The query-independent steps — the
+  fold itself (change capture, tracked keys, sharded dispatch, slice-index
+  upkeep), the recompute write-back, the compensated float total and the
+  generic batch grouping loop — are the plain-Python
+  :mod:`repro.compiler.kernels`, injected into the module namespace
+  (``_fold``, ``_rwrite``, ``_fold_total``, …) exactly as the interpreted
+  runtime calls them.
 
 In addition, the generated functions thread an optional change-collection
 hook (``_CH``): a mapping from *watched* map names to accumulator dicts into
@@ -77,16 +77,11 @@ from collections import Counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
-from repro.compiler.cost import (
-    MAX_SPECIALIZED_EVENTS,
-    specialization_enabled,
-    trigger_specialization,
-)
-from repro.compiler.indexes import IndexSpecs, SliceIndexes, compute_index_specs
+from repro.compiler.indexes import IndexedMaps, IndexSpecs, SliceIndexes
+from repro.compiler.kernels import FoldKernels, make_generic_apply_batch, recompute_pairs
 from repro.compiler.partition.backends import generated_rmap_groups
-from repro.compiler.sharding import ShardedMapTable, make_generated_fold_sharded
+from repro.compiler.plan import BatchPlan, lower_batch_plan
 from repro.compiler.triggers import BatchTrigger, Statement, Trigger, TriggerProgram
-from repro.core.delta import DELTA_POOL_LIMIT
 from repro.core.ast import (
     Add,
     AggSum,
@@ -108,9 +103,9 @@ _PYTHON_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="
 
 #: Internal identifiers the name allocator must never hand out to AGCA variables.
 _RESERVED_NAMES = (
-    "maps", "values", "values_list", "relation", "sign", "updates",
-    "_new", "_fkey", "_chm", "_CH", "_IDX", "_TRK", "_sk", "_key", "_old",
-    "_delta", "_dk", "_dv", "_vals", "_rval", "_rmap_groups", "_total", "_y",
+    "maps", "values", "relation", "sign", "updates",
+    "_new", "_fkey", "_chm", "_CH", "_IDX", "_TRK", "_sk",
+    "_delta", "_dk", "_dv", "_total", "_ent",
 )
 
 
@@ -212,11 +207,6 @@ class _EmitContext:
             return f"{left} + {right}"
         return f"_add({left}, {right})"
 
-    def folded_sub(self, left: str, right: str) -> str:
-        if self.native:
-            return f"{left} - {right}"
-        return f"_sub({left}, {right})"
-
     def nonzero_guard(self, expression: str) -> str:
         if self.native:
             return f"if {expression} != 0:"
@@ -278,57 +268,59 @@ class GeneratedTriggers:
 
     The module's arithmetic is fixed to the ``ring`` used at generation time;
     :class:`~repro.ivm.recursive.RecursiveIVM` regenerates when constructed
-    over a different coefficient structure.  ``index_specs`` describes the
-    secondary slice indexes the generated code expects (and maintains); when
-    the caller does not supply a :class:`SliceIndexes` — directly or attached
-    to the map environment (:class:`~repro.compiler.indexes.IndexedMaps`) —
-    one is built and kept per map environment automatically.
+    over a different coefficient structure.  ``plan`` is the lowered
+    :class:`~repro.compiler.plan.BatchPlan` the source was printed from; its
+    ``index_specs`` describe the secondary slice indexes the generated code
+    expects (and maintains) — when the caller does not supply a
+    :class:`SliceIndexes`, directly or attached to the map environment
+    (:class:`~repro.compiler.indexes.IndexedMaps`), one is built and kept per
+    map environment automatically.
     """
 
-    def __init__(
-        self,
-        program: TriggerProgram,
-        source: str,
-        ring: Semiring = INTEGER_RING,
-        index_specs: Optional[IndexSpecs] = None,
-    ):
+    def __init__(self, program: TriggerProgram, source: str, ring: Semiring, plan: BatchPlan):
         self.program = program
         self.source = source
         self.ring = ring
-        self.index_specs: IndexSpecs = dict(index_specs or {})
+        self.plan = plan
+        self.index_specs: IndexSpecs = plan.index_specs
         self._required_signatures = {
             (name, positions)
             for name, all_positions in self.index_specs.items()
             for positions in all_positions
         }
+        kernels = FoldKernels(ring)
         self._namespace: Dict[str, Any] = {
             "_RING": ring,
-            # Sharded map tables (repro.compiler.sharding): the generated
-            # _fold delegates to _fold_sharded when its target table is
-            # hash-partitioned; plain-dict environments never hit the branch.
-            "_SHARDED": ShardedMapTable,
-            "_fold_sharded": make_generated_fold_sharded(ring),
-            # Counter maps of a semiring maintenance plan fold over ℤ on
-            # coordinator shards regardless of the session ring or the
-            # partition tier's backend (process workers fold with the
-            # session ring); unused by pure-ring modules.
-            "_fold_sharded_int": make_generated_fold_sharded(INTEGER_RING, local=True),
+            # The query-independent steps (repro.compiler.kernels), shared
+            # with the interpreted runtime: statement folds (``_fold_int`` for
+            # a semiring plan's ℤ-valued counter maps), the recompute
+            # write-back and the Kahan-compensated float total.
+            "_fold": kernels.fold,
+            "_fold_int": kernels.fold_int,
+            "_rwrite": kernels.write_back,
+            "_rpairs": recompute_pairs,
+            "_fold_total": kernels.fold_total,
             # Recompute fan-out over the partition tier: tracked
             # nested-aggregate groups are re-evaluated through the target
             # table's shard backend when one is attached (serially otherwise).
             "_rmap_groups": generated_rmap_groups,
-            # The specialized apply_batch groups the whole batch with one
-            # C-level Counter.update over (relation, sign, values) triples.
+            # The specialized apply_batch counts each event's value tuples
+            # with one C-level Counter.update.
             "_Counter": Counter,
         }
         exec(compile(source, f"<generated triggers for {program.result_map}>", "exec"), self._namespace)
         self._stats: Dict[str, int] = self._namespace["_STATS"]
         self._apply_update = self._namespace["apply_update"]
-        self._apply_batch = self._namespace["apply_batch"]
-        self._apply_batch_replay = self._namespace["apply_batch_replay"]
+        # A specialized plan prints its unrolled apply_batch; every other
+        # program runs the shared generic loop over the emitted triggers.
+        self._apply_batch = self._namespace.get("apply_batch") or make_generic_apply_batch(
+            self._namespace["TRIGGERS"], self._namespace["BATCH_TRIGGERS"], ring
+        )
         self._own_indexes: Optional[SliceIndexes] = None
         self._own_maps: Optional[Dict[str, Dict[Tuple[Any, ...], Any]]] = None
         self._own_counts: Dict[str, int] = {}
+        #: ``(plain dict, its IndexedMaps wrapper)`` — see :meth:`_compensated`.
+        self._own_environment: Tuple[Any, Any] = (None, None)
 
     # -- update application ---------------------------------------------------
 
@@ -357,43 +349,39 @@ class GeneratedTriggers:
         updates: Iterable[Any],
         indexes: Optional[SliceIndexes] = None,
         changes: Optional[Dict[str, Dict[Tuple[Any, ...], Any]]] = None,
-    ) -> Optional[int]:
+    ) -> int:
         """Apply a batch of updates through the generated batch triggers.
 
         The batch is grouped by ``(relation, sign)``, each group is
         pre-aggregated into a delta map, and the group's batch trigger folds
         it once — one read-modify-write per distinct target key.  Equivalent
         to applying the updates one at a time (the batch statements include
-        the delta's higher-order interaction terms); events without a batch
-        trigger fall back to grouped per-tuple replay.  ``changes`` collects
-        per-key deltas of watched maps across the whole batch, as in
-        :meth:`apply`.
+        the delta's higher-order interaction terms); an event without a batch
+        trigger is applied per tuple.  ``changes`` collects per-key deltas of
+        watched maps across the whole batch, as in :meth:`apply`.
 
-        Returns the batch's logical tuple count (``sum(update.count)``) when
-        the specialized batch path computed it anyway, ``None`` from the
-        generic loop — callers needing the count then sum it themselves.
+        Returns the batch's logical tuple count (``sum(update.count)``), which
+        both batch loops compute anyway.
         """
         data = self._index_data(maps, indexes)
-        count = self._apply_batch(maps, updates, data, changes)
+        environment = self._compensated(maps) if self.plan.kahan else maps
+        count = self._apply_batch(environment, updates, data, changes)
         self._note_own_counts(maps, data)
         return count
 
-    def apply_batch_replay(
-        self,
-        maps: Dict[str, Dict[Tuple[Any, ...], Any]],
-        updates: Iterable[Any],
-        indexes: Optional[SliceIndexes] = None,
-        changes: Optional[Dict[str, Dict[Tuple[Any, ...], Any]]] = None,
-    ) -> None:
-        """Apply a batch by grouped per-tuple replay (the pre-batch-trigger path).
-
-        One full trigger execution per tuple with dispatch and table lookups
-        amortized per ``(relation, sign)`` group — the reference baseline the
-        batch-update benchmark compares the batch triggers against.
-        """
-        data = self._index_data(maps, indexes)
-        self._apply_batch_replay(maps, updates, data, changes)
-        self._note_own_counts(maps, data)
+    def _compensated(self, maps):
+        """The map environment of a Kahan plan, which carries the compensation
+        store of its fused totals: an :class:`IndexedMaps` as is; a plain dict
+        (a module driven standalone) wrapped in one — sharing its tables —
+        kept for as long as the caller keeps passing the same dict."""
+        if isinstance(maps, IndexedMaps):
+            return maps
+        source, wrapper = self._own_environment
+        if source is not maps:
+            wrapper = IndexedMaps()
+            self._own_environment = (maps, wrapper)
+        wrapper.update(maps)  # the caller may have rebound a table since
+        return wrapper
 
     def _index_data(self, maps, indexes: Optional[SliceIndexes]):
         """The raw index storage to hand the generated code (``None`` if unneeded)."""
@@ -448,55 +436,36 @@ class GeneratedTriggers:
     def trigger_function_names(self) -> List[str]:
         return [name for name in self._namespace if name.startswith("on_")]
 
-    def reset_compensation(self) -> None:
-        """Clear the Kahan compensation state of the fused float totals.
-
-        Called by the engine whenever tables are rewritten wholesale
-        (restore / re-bootstrap): the compensation terms describe rounding
-        error of sums that no longer exist.  A no-op for modules without the
-        float fused-total specialization.
-        """
-        compensation = self._namespace.get("_KC")
-        if compensation:
-            compensation.clear()
-
     @property
     def specializations(self) -> Dict[Tuple[str, int], str]:
         """Per-event specialization classes of the emitted batch path.
 
-        ``(relation, sign) -> "total" | "counter"`` for every batch trigger
-        when the module was generated with specialization on; empty when the
-        generic grouping loop was emitted instead.
+        ``(relation, sign) -> "total" | "counter"`` for every event of a
+        specialized plan; empty when the module runs the generic loop.
         """
-        return dict(self._namespace.get("_SPECIALIZED", {}))
+        return self.plan.specializations
 
 
 def generate_python(
     program: TriggerProgram,
     ring: Semiring = INTEGER_RING,
-    specialize: Optional[bool] = None,
+    specialize: bool = True,
 ) -> GeneratedTriggers:
     """Generate a Python module implementing the program's triggers over ``ring``.
 
-    ``specialize`` controls the hot-loop batch specialization (``None``
-    defers to ``REPRO_SPECIALIZE``, default on): over the integer ring the
-    emitted ``apply_batch`` unrolls into one statically-addressed slice per
-    trigger event — all-total events (every statement a bare-count fold) sum
-    their net tuple count with a C-level filtered comprehension and dispatch
-    a fused ``total_batch_*`` function with no delta table at all, the rest
-    count their value tuples with a C-level ``Counter.update``.  Programs
-    wider than :data:`~repro.compiler.cost.MAX_SPECIALIZED_EVENTS` events
-    keep the generic single-pass grouping loop (one filtered pass per event
-    would walk the batch too often).
-
-    Over the float field a restricted specialization applies: when *every*
-    trigger event of the program fuses to an all-total batch trigger (each
-    statement a bare-count fold onto a nullary key), the fused path is
-    emitted with Kahan-compensated accumulation — a per-target running
-    compensation term (``_KC``) recovers the low-order bits each ``+=``
-    drops, so long streams of fused totals track ``math.fsum`` accuracy at
-    straight accumulation speed.  Any non-total float event keeps the
-    generic grouping loop, whose accumulation order is fixed.
+    The module is printed from the program's lowered
+    :class:`~repro.compiler.plan.BatchPlan`
+    (:func:`~repro.compiler.plan.lower_batch_plan` — where the ring gate, the
+    program-width gate and the float whole-program rule live): for a
+    specialized plan the emitted ``apply_batch`` unrolls into one
+    statically-addressed slice per trigger event — ``total`` events sum their
+    net tuple count with a C-level filtered comprehension and dispatch a fused
+    ``total_batch_*`` function with no delta table at all (Kahan-compensated
+    through ``_fold_total`` when the plan says so), ``counter`` events count
+    their value tuples with a C-level ``Counter.update``.  Every other program
+    emits no ``apply_batch``: its triggers run under the shared generic loop
+    (:func:`repro.compiler.kernels.make_generic_apply_batch`).
+    ``specialize=False`` pins the generic loop.
 
     Raises
     ------
@@ -509,8 +478,8 @@ def generate_python(
     """
     semiring_mode = not ring.is_ring
     if semiring_mode:
-        plan = program.maintenance
-        if plan is None:
+        maintenance = program.maintenance
+        if maintenance is None:
             raise CompilationError(
                 f"the generated backend requires a coefficient ring with additive "
                 f"inverses, but {ring.name!r} is a proper semiring and the program "
@@ -518,302 +487,86 @@ def generate_python(
                 f"ring={ring.name!r} so deletions lower to counter updates and "
                 f"recomputes (or use the interpreted backend the same way)"
             )
-        if plan.ring_name != ring.name:
+        if maintenance.ring_name != ring.name:
             raise CompilationError(
                 f"the program's maintenance plan was compiled for ring "
-                f"{plan.ring_name!r}; cannot generate {ring.name!r} triggers from it"
+                f"{maintenance.ring_name!r}; cannot generate {ring.name!r} triggers from it"
             )
     native = ring is INTEGER_RING or ring is FLOAT_FIELD
-    # Specialization is an int-multiplicity optimization: Counter counting
-    # and fused integer totals are exact over ℤ; other rings keep the
-    # generic grouping loop — except the float field's all-total programs,
-    # which fuse with Kahan compensation (checked below once the batch
-    # triggers are known).
-    specialized = ring is INTEGER_RING and specialization_enabled(specialize)
-    specs = compute_index_specs(program)
+    plan = lower_batch_plan(program, ring, specialize)
 
     writer = _Writer()
-    context = _EmitContext(writer, ring, native, specs)
+    context = _EmitContext(writer, ring, native, plan.index_specs)
     if semiring_mode:
         counter_maps = frozenset(program.maintenance.counter_maps)
         context.semiring = True
         context.counter_maps = counter_maps
         context.int_sources = counter_maps
-        int_context = _EmitContext(writer, INTEGER_RING, True, specs)
+        int_context = _EmitContext(writer, INTEGER_RING, True, plan.index_specs)
         int_context.semiring = True
         int_context.counter_maps = counter_maps
         context.int_context = int_context
-
-    ordered_triggers = sorted(program.triggers.items(), key=lambda item: (item[0][0], -item[0][1]))
-    ordered_batch = sorted(
-        program.batch_triggers.items(), key=lambda item: (item[0][0], -item[0][1])
-    )
-    replay_only = [
-        (event, trigger)
-        for event, trigger in ordered_triggers
-        if event not in program.batch_triggers
-    ]
-    # Float fused totals: specialize only when the whole program fuses —
-    # every event an all-total batch trigger — so the sole accumulation
-    # order in play is the Kahan-compensated scalar sum, which is strictly
-    # more accurate than the generic loop's left-to-right folds.
-    kahan = False
-    if ring is FLOAT_FIELD and specialization_enabled(specialize):
-        kahan = (
-            bool(ordered_batch)
-            and not replay_only
-            and len(ordered_batch) <= MAX_SPECIALIZED_EVENTS
-            and all(
-                trigger_specialization(batch_trigger) == "total"
-                and all(
-                    specs.get(statement.target) is None
-                    for statement in batch_trigger.statements
-                )
-                for _event, batch_trigger in ordered_batch
-            )
-        )
-        specialized = kahan
 
     writer.emit('"""Generated trigger code — see repro.compiler.codegen."""')
     writer.emit("")
     writer.emit('_STATS = {"statements": 0, "entries": 0}')
     writer.emit("_NO_KEYS = ()")
-    writer.emit("# Cleared per-group delta-map scratch dicts, reused across apply_batch")
-    writer.emit("# calls so a streaming flush loop does not rebuild one dict per group")
-    writer.emit("# per flush.  Safe: batch triggers never retain their _delta argument")
-    writer.emit("# (the base-copy fast path takes dict(_delta)).")
-    writer.emit("_DELTA_POOL = []")
-    if kahan:
-        writer.emit("# Per-target Kahan compensation for the fused float totals; cleared")
-        writer.emit("# by the engine when tables are rewritten wholesale (restore/bootstrap).")
-        writer.emit("_KC = {}")
     if not native:
         writer.emit("_ZERO = _RING.zero")
         writer.emit("_ONE = _RING.one")
         writer.emit("_add = _RING.add")
-        writer.emit("_sub = _RING.sub")
         writer.emit("_mul = _RING.mul")
         writer.emit("_neg = _RING.neg")
         writer.emit("_coerce = _RING.coerce")
         writer.emit("_is_zero = _RING.is_zero")
         writer.emit("_from_int = _RING.from_int")
     writer.emit("")
-    _emit_index_helpers(writer)
-    _emit_fold(context)
-    if semiring_mode:
-        # The companion fold for ℤ-valued counter maps: native arithmetic,
-        # sharded dispatch pinned to coordinator shards (_fold_sharded_int).
-        _emit_fold(context.int_context, name="_fold_int", sharded="_fold_sharded_int")
-    if any(trigger.recomputes for trigger in program.triggers.values()):
-        _emit_recompute_apply(context)
 
-    dispatch_entries = []
-    replay_entries = []
-    batch_entries = []
-    for (relation, sign), trigger in ordered_triggers:
-        dispatch_entries.append(f"    ({relation!r}, {sign}): {trigger.event_name},")
-        replay_entries.append(f"    ({relation!r}, {sign}): replay_{trigger.event_name},")
-        _generate_trigger(context, trigger)
+    tables = {"TRIGGERS": [], "BATCH_TRIGGERS": []}
+    for event in plan.events:
+        if event.trigger is not None:
+            tables["TRIGGERS"].append((event.event, event.trigger.event_name))
+            _generate_trigger(context, event.trigger, event.tracked)
+            writer.emit("")
+    for event in plan.events:
+        batch_trigger = event.batch_trigger
+        if batch_trigger is None:
+            continue
+        tables["BATCH_TRIGGERS"].append((event.event, f"batch_{batch_trigger.event_name}"))
+        _generate_batch_delta_trigger(context, batch_trigger, event.batch_tracked)
         writer.emit("")
-        _generate_replay_trigger(context, trigger)
+        if event.kind == "total":
+            _generate_total_batch_trigger(context, batch_trigger, kahan=plan.kahan)
+            writer.emit("")
+    for table, entries in tables.items():
+        writer.emit(f"{table} = {{")
+        for key, function in entries:
+            writer.emit(f"    {key!r}: {function},")
+        writer.emit("}")
         writer.emit("")
-    if specialized and len(ordered_batch) + len(replay_only) > MAX_SPECIALIZED_EVENTS:
-        specialized = False
-    total_entries = []
-    specialized_entries = []
-    batch_plan = []
-    for (relation, sign), batch_trigger in ordered_batch:
-        batch_entries.append(f"    ({relation!r}, {sign}): batch_{batch_trigger.event_name},")
-        _generate_batch_delta_trigger(context, batch_trigger)
-        writer.emit("")
-        if specialized:
-            # An event fuses to pure integer accumulation only when every
-            # statement is a bare-count fold onto an unindexed scalar entry
-            # (nullary target keys can't carry slice indexes, but stay
-            # defensive) and nothing needs the delta table afterwards.
-            fusable = trigger_specialization(batch_trigger) == "total" and all(
-                context.specs.get(statement.target) is None
-                for statement in batch_trigger.statements
-            )
-            if fusable:
-                total_entries.append(
-                    f"    ({relation!r}, {sign}): total_batch_{batch_trigger.event_name},"
-                )
-                specialized_entries.append(f"    ({relation!r}, {sign}): 'total',")
-                _generate_total_batch_trigger(context, batch_trigger, kahan=kahan)
-                writer.emit("")
-                batch_plan.append(
-                    ("total", (relation, sign), f"total_batch_{batch_trigger.event_name}")
-                )
-            else:
-                specialized_entries.append(f"    ({relation!r}, {sign}): 'counter',")
-                batch_plan.append(
-                    ("counter", (relation, sign), f"batch_{batch_trigger.event_name}")
-                )
-    if specialized:
-        for event, trigger in replay_only:
-            batch_plan.append(("replay", event, f"replay_{trigger.event_name}"))
-
-    writer.emit("TRIGGERS = {")
-    for entry in dispatch_entries:
-        writer.emit(entry)
-    writer.emit("}")
-    writer.emit("")
-    writer.emit("REPLAY_TRIGGERS = {")
-    for entry in replay_entries:
-        writer.emit(entry)
-    writer.emit("}")
-    writer.emit("")
-    writer.emit("BATCH_TRIGGERS = {")
-    for entry in batch_entries:
-        writer.emit(entry)
-    writer.emit("}")
-    writer.emit("")
-    writer.emit("TOTAL_TRIGGERS = {")
-    for entry in total_entries:
-        writer.emit(entry)
-    writer.emit("}")
-    writer.emit("")
-    writer.emit("_SPECIALIZED = {")
-    for entry in specialized_entries:
-        writer.emit(entry)
-    writer.emit("}")
-    writer.emit("")
-    writer.emit(f"_INDEX_SPECS = {specs!r}")
-    writer.emit("")
     writer.emit("def apply_update(maps, relation, sign, values, _IDX=None, _CH=None):")
     writer.emit("    _trigger = TRIGGERS.get((relation, sign))")
     writer.emit("    if _trigger is not None:")
     writer.emit("        _trigger(maps, values, _IDX, _CH)")
     writer.emit("")
-    writer.emit("def _group_by_event(updates):")
-    writer.emit("    # Net multiplicities (Update.count > 1, the coalesced compact")
-    writer.emit("    # form) expand back into repeats here: replay triggers run one")
-    writer.emit("    # full trigger execution per logical tuple.")
-    writer.emit("    _groups = {}")
-    writer.emit("    for _update in updates:")
-    writer.emit("        _event = (_update.relation, _update.sign)")
-    writer.emit("        _group = _groups.get(_event)")
-    writer.emit("        if _group is None:")
-    writer.emit("            _group = _groups[_event] = []")
-    writer.emit("        if _update.count == 1:")
-    writer.emit("            _group.append(_update.values)")
-    writer.emit("        else:")
-    writer.emit("            _group.extend((_update.values,) * _update.count)")
-    writer.emit("    return _groups")
-    writer.emit("")
-    if specialized:
-        _emit_specialized_apply_batch(writer, batch_plan)
-    else:
-        # Semiring maintenance builds ℤ-count delta maps (ring statements
-        # read them through _from_int), so the native pre-aggregation applies.
-        _emit_generic_apply_batch(writer, native or semiring_mode, semiring=semiring_mode)
-    writer.emit("def apply_batch_replay(maps, updates, _IDX=None, _CH=None):")
-    if semiring_mode:
-        writer.emit("    # Insert groups replay before delete groups (see apply_batch).")
-        writer.emit("    _ordered = sorted(_group_by_event(updates).items(), key=lambda _g: -_g[0][1])")
-        writer.emit("    for _event, _values_list in _ordered:")
-    else:
-        writer.emit("    for _event, _values_list in _group_by_event(updates).items():")
-    writer.emit("        _trigger = REPLAY_TRIGGERS.get(_event)")
-    writer.emit("        if _trigger is not None:")
-    writer.emit("            _trigger(maps, _values_list, _IDX, _CH)")
-    writer.emit("")
+    if plan.specialized:
+        _emit_specialized_apply_batch(writer, plan)
     context.emit_constant_definitions()
     source = "\n".join(writer.lines) + "\n"
-    return GeneratedTriggers(program, source, ring=ring, index_specs=specs)
+    return GeneratedTriggers(program, source, ring, plan)
 
 
-# ---------------------------------------------------------------------------
-# Module-level runtime helpers (emitted once per generated module)
-# ---------------------------------------------------------------------------
+def _emit_specialized_apply_batch(writer: _Writer, plan: BatchPlan) -> None:
+    """The specialized batch loop: one statically-unrolled slice per plan event.
 
-
-def _emit_generic_apply_batch(writer: _Writer, native: bool, semiring: bool = False) -> None:
-    """The generic grouping loop: one Python-level fold per update tuple.
-
-    In semiring mode every insert event — batch fold or replay — processes
-    before any delete event: a batch may delete a row the same batch
-    inserts, and delete-event recomputes read the ℤ counter maps through
-    ``from_int``, which has no image for transiently negative counts.  Over
-    a ring the event order cannot be observed, so the first-seen order is
-    kept there.
-    """
-    writer.emit("def apply_batch(maps, updates, _IDX=None, _CH=None):")
-    writer.emit("    # Pre-aggregate straight into per-event delta maps; only events")
-    writer.emit("    # without a batch trigger keep a values list for replay.")
-    writer.emit("    _groups = {}")
-    writer.emit("    _replays = {}")
-    writer.emit("    for _update in updates:")
-    writer.emit("        _event = (_update.relation, _update.sign)")
-    writer.emit("        if _event in BATCH_TRIGGERS:")
-    writer.emit("            _delta = _groups.get(_event)")
-    writer.emit("            if _delta is None:")
-    writer.emit(
-        "                _delta = _groups[_event] = "
-        "_DELTA_POOL.pop() if _DELTA_POOL else {}"
-    )
-    writer.emit("            _vals = _update.values")
-    if native:
-        writer.emit("            _delta[_vals] = _delta.get(_vals, 0) + _update.count")
-    else:
-        writer.emit("            _count = _update.count")
-        writer.emit(
-            "            _delta[_vals] = _add(_delta.get(_vals, _ZERO), "
-            "_ONE if _count == 1 else _from_int(_count))"
-        )
-    writer.emit("        else:")
-    writer.emit("            _group = _replays.get(_event)")
-    writer.emit("            if _group is None:")
-    writer.emit("                _group = _replays[_event] = []")
-    writer.emit("            if _update.count == 1:")
-    writer.emit("                _group.append(_update.values)")
-    writer.emit("            else:")
-    writer.emit("                _group.extend((_update.values,) * _update.count)")
-    phase_indent = ""
-    if semiring:
-        writer.emit("    for _phase_sign in (1, -1):")
-        phase_indent = "    "
-    writer.emit(f"    {phase_indent}for _event, _delta in _groups.items():")
-    if semiring:
-        writer.emit(f"        {phase_indent}if _event[1] != _phase_sign:")
-        writer.emit(f"            {phase_indent}continue")
-    if not native:
-        # Drop ring-zero entries in place so the pooled buffer identity
-        # survives filtering (within one same-sign group ℤ/float counts can
-        # never cancel, but a finite ring's from_int can wrap to zero).
-        writer.emit(f"        {phase_indent}_dead = [_k for _k, _v in _delta.items() if _is_zero(_v)]")
-        writer.emit(f"        {phase_indent}for _k in _dead:")
-        writer.emit(f"            {phase_indent}del _delta[_k]")
-    writer.emit(f"        {phase_indent}if _delta:")
-    writer.emit(f"            {phase_indent}BATCH_TRIGGERS[_event](maps, _delta, _IDX, _CH)")
-    writer.emit(f"        {phase_indent}_delta.clear()")
-    writer.emit(f"        {phase_indent}if len(_DELTA_POOL) < {DELTA_POOL_LIMIT}:")
-    writer.emit(f"            {phase_indent}_DELTA_POOL.append(_delta)")
-    writer.emit(f"    {phase_indent}for _event, _values_list in _replays.items():")
-    if semiring:
-        writer.emit(f"        {phase_indent}if _event[1] != _phase_sign:")
-        writer.emit(f"            {phase_indent}continue")
-    writer.emit(f"        {phase_indent}_trigger = REPLAY_TRIGGERS.get(_event)")
-    writer.emit(f"        {phase_indent}if _trigger is not None:")
-    writer.emit(f"            {phase_indent}_trigger(maps, _values_list, _IDX, _CH)")
-    writer.emit("")
-
-
-def _emit_specialized_apply_batch(writer: _Writer, batch_plan) -> None:
-    """The ℤ-specialized batch loop: one statically-unrolled slice per event.
-
-    ``batch_plan`` lists every trigger event of the program with its
-    specialization kind and dispatch function, so the emitted ``apply_batch``
-    carries no per-update Python loop at all: each event slices the batch
-    with one C-level filtered comprehension — a fused total sums net tuple
-    counts, a counter event counts value tuples through ``Counter.update``,
-    a replay-only event collects its values list.  Compact updates
-    (``count > 1``) cost a fix-up pass only when actually present.  Events
-    execute in static plan order rather than the generic loop's first-seen
-    batch order, which cannot be observed: each event's fold is exact
-    against the state it sees, so the final state and the CDC net deltas are
-    the same under any event order.
+    The emitted ``apply_batch`` carries no per-update Python loop at all:
+    each event slices the batch with one C-level filtered comprehension — a
+    ``total`` event sums net tuple counts, a ``counter`` event counts value
+    tuples through ``Counter.update``.  Compact updates (``count > 1``) cost
+    a fix-up pass only when actually present.  Events execute in the plan's
+    static order rather than first-seen batch order, which cannot be
+    observed: each event's fold is exact against the state it sees, so the
+    final state and the CDC net deltas are the same under any event order.
     """
     writer.emit("def apply_batch(maps, updates, _IDX=None, _CH=None):")
     writer.emit("    if type(updates) is not list:")
@@ -823,16 +576,17 @@ def _emit_specialized_apply_batch(writer: _Writer, batch_plan) -> None:
     writer.emit("    # Returned so the engine layer reuses the tuple count for its")
     writer.emit("    # statistics instead of walking the batch again.")
     writer.emit("    _n = sum([_u.count for _u in updates])")
-    if any(kind != "total" for kind, _, _ in batch_plan):
+    if any(event.kind != "total" for event in plan.events):
         # Fused totals sum ``count`` directly and never need the flag.
         writer.emit("    _compact = _n != len(updates)")
-    for kind, (relation, sign), function in batch_plan:
-        cond = f"_u.sign == {sign} and _u.relation == {relation!r}"
-        if kind == "total":
+    for event in plan.events:
+        cond = f"_u.sign == {event.sign} and _u.relation == {event.relation!r}"
+        function = f"batch_{event.batch_trigger.event_name}"
+        if event.kind == "total":
             writer.emit(f"    _t = sum([_u.count for _u in updates if {cond}])")
             writer.emit("    if _t:")
-            writer.emit(f"        {function}(maps, _t, _IDX, _CH)")
-        elif kind == "counter":
+            writer.emit(f"        total_{function}(maps, _t, _IDX, _CH)")
+        else:
             writer.emit("    _d = _Counter()")
             writer.emit(f"    _d.update([_u.values for _u in updates if {cond}])")
             writer.emit("    if _compact:")
@@ -841,150 +595,7 @@ def _emit_specialized_apply_batch(writer: _Writer, batch_plan) -> None:
             writer.emit("                _d[_u.values] += _u.count - 1")
             writer.emit("    if _d:")
             writer.emit(f"        {function}(maps, _d, _IDX, _CH)")
-        else:  # replay-only event: expand to a per-tuple values list
-            writer.emit("    if _compact:")
-            writer.emit("        _lst = []")
-            writer.emit("        for _u in updates:")
-            writer.emit(f"            if {cond}:")
-            writer.emit("                _c = _u.count")
-            writer.emit("                if _c == 1:")
-            writer.emit("                    _lst.append(_u.values)")
-            writer.emit("                else:")
-            writer.emit("                    _lst.extend((_u.values,) * _c)")
-            writer.emit("    else:")
-            writer.emit(f"        _lst = [_u.values for _u in updates if {cond}]")
-            writer.emit("    if _lst:")
-            writer.emit(f"        {function}(maps, _lst, _IDX, _CH)")
     writer.emit("    return _n")
-    writer.emit("")
-
-
-def _emit_index_helpers(writer: _Writer) -> None:
-    writer.emit("def _index_add(_IDX, _specs, _name, _key):")
-    writer.emit("    for _positions in _specs:")
-    writer.emit("        _bucket = _IDX[(_name, _positions)]")
-    writer.emit("        _prefix = tuple(_key[_i] for _i in _positions)")
-    writer.emit("        _entry = _bucket.get(_prefix)")
-    writer.emit("        if _entry is None:")
-    writer.emit("            _bucket[_prefix] = {_key}")
-    writer.emit("        else:")
-    writer.emit("            _entry.add(_key)")
-    writer.emit("")
-    writer.emit("def _index_discard(_IDX, _specs, _name, _key):")
-    writer.emit("    for _positions in _specs:")
-    writer.emit("        _bucket = _IDX[(_name, _positions)]")
-    writer.emit("        _prefix = tuple(_key[_i] for _i in _positions)")
-    writer.emit("        _entry = _bucket.get(_prefix)")
-    writer.emit("        if _entry is not None:")
-    writer.emit("            _entry.discard(_key)")
-    writer.emit("            if not _entry:")
-    writer.emit("                del _bucket[_prefix]")
-    writer.emit("")
-
-
-def _emit_fold(
-    context: _EmitContext, name: str = "_fold", sharded: str = "_fold_sharded"
-) -> None:
-    """The shared fold step: apply one statement's accumulated increments.
-
-    In semiring mode the change-capture accumulator receives *post-update*
-    values (``old ⊕ delta``, read before the fold mutates the table — each
-    key folds exactly once per call, so that is the value the fold stores);
-    differences are undefined without subtraction, and the session layer's
-    subscribers treat ring zero as "key removed".
-    """
-    writer = context.writer
-    zero = context.zero_literal()
-    new_value = context.folded_add("_table.get(_key, " + zero + ")", "_delta")
-    if context.semiring:
-        change_value = new_value
-    else:
-        change_value = context.folded_add("_chm.get(_key, " + zero + ")", "_delta")
-    if context.native:
-        is_zero = "_new == 0"
-        delta_nonzero = "_delta != 0"
-    else:
-        is_zero = "_is_zero(_new)"
-        delta_nonzero = "not _is_zero(_delta)"
-    writer.emit(f"def {name}(_table, _acc, _name, _specs, _IDX, _CH=None, _trk=None, _serial=False):")
-    writer.emit("    if not _acc:")
-    writer.emit("        return")
-    writer.emit('    _STATS["entries"] += len(_acc)')
-    writer.emit("    if _CH is not None:")
-    writer.emit("        _chm = _CH.get(_name)")
-    writer.emit("        if _chm is not None:")
-    writer.emit("            for _key, _delta in _acc.items():")
-    writer.emit(f"                _chm[_key] = {change_value}")
-    writer.emit("    if _trk is not None:")
-    writer.emit("        for _key, _delta in _acc.items():")
-    writer.emit(f"            if {delta_nonzero}:")
-    writer.emit("                _trk.add(_key)")
-    writer.emit("    if type(_table) is _SHARDED:")
-    writer.emit("        # Hash-partitioned table: per-shard folds (parallel when")
-    writer.emit("        # large, unless the shard-race detector forced this")
-    writer.emit("        # statement serial), index maintenance journalled by the workers.")
-    writer.emit(f"        {sharded}(_table, _acc, _name, _specs, _IDX, _serial)")
-    writer.emit("        return")
-    writer.emit("    if _IDX is None or _specs is None:")
-    writer.emit("        for _key, _delta in _acc.items():")
-    writer.emit(f"            _new = {new_value}")
-    writer.emit(f"            if {is_zero}:")
-    writer.emit("                _table.pop(_key, None)")
-    writer.emit("            else:")
-    writer.emit("                _table[_key] = _new")
-    writer.emit("        return")
-    writer.emit("    for _key, _delta in _acc.items():")
-    writer.emit(f"        _new = {new_value}")
-    writer.emit(f"        if {is_zero}:")
-    writer.emit("            if _table.pop(_key, None) is not None:")
-    writer.emit("                _index_discard(_IDX, _specs, _name, _key)")
-    writer.emit("        else:")
-    writer.emit("            if _key not in _table:")
-    writer.emit("                _index_add(_IDX, _specs, _name, _key)")
-    writer.emit("            _table[_key] = _new")
-    writer.emit("")
-
-
-def _emit_recompute_apply(context: _EmitContext) -> None:
-    """The per-entry diff fold used by recompute statements.
-
-    ``_new`` is the freshly re-evaluated value of one target entry; the helper
-    compares it with the stored value and, when they differ, maintains the
-    table, the slice indexes, the change-capture accumulator (with the
-    *difference*, so subscribers see deltas) and the tracked-change set read
-    by shallower recomputes of the same event.
-    """
-    writer = context.writer
-    zero = context.zero_literal()
-    if context.semiring:
-        # Post-update value CDC (recomputes target ring maps only); the zero
-        # is the "group removed" marker for subscribers.
-        change_value = "_new"
-    else:
-        delta = context.folded_sub("_new", "_old")
-        change_value = context.folded_add("_chm.get(_key, " + zero + ")", delta)
-    if context.native:
-        is_zero = "_new == 0"
-    else:
-        is_zero = "_is_zero(_new)"
-    writer.emit("def _rapply(_table, _key, _new, _name, _specs, _IDX, _CH, _trk):")
-    writer.emit(f"    _old = _table.get(_key, {zero})")
-    writer.emit("    if _new == _old:")
-    writer.emit("        return")
-    writer.emit('    _STATS["entries"] += 1')
-    writer.emit("    if _CH is not None:")
-    writer.emit("        _chm = _CH.get(_name)")
-    writer.emit("        if _chm is not None:")
-    writer.emit(f"            _chm[_key] = {change_value}")
-    writer.emit("    if _trk is not None:")
-    writer.emit("        _trk.add(_key)")
-    writer.emit(f"    if {is_zero}:")
-    writer.emit("        if _table.pop(_key, None) is not None and _IDX is not None and _specs is not None:")
-    writer.emit("            _index_discard(_IDX, _specs, _name, _key)")
-    writer.emit("    else:")
-    writer.emit("        if _key not in _table and _IDX is not None and _specs is not None:")
-    writer.emit("            _index_add(_IDX, _specs, _name, _key)")
-    writer.emit("        _table[_key] = _new")
     writer.emit("")
 
 
@@ -993,28 +604,28 @@ def _emit_recompute_apply(context: _EmitContext) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _emit_work_counters(writer: _Writer, statements: int) -> None:
+    """The statistics prologue of a trigger function: statements are counted
+    up front, entries accumulate in the local ``_ent`` (each kernel returns
+    the number it touched) and land in ``_STATS`` on the way out."""
+    writer.emit(f'_STATS["statements"] += {statements}')
+    writer.emit("_ent = 0")
+
+
 def _spec_literal(context: _EmitContext, map_name: str) -> str:
     positions = context.specs.get(map_name)
     return repr(positions) if positions else "None"
 
 
-def _tracked_source_maps(trigger: Trigger) -> Tuple[str, ...]:
-    """Maps whose per-event changed keys the trigger's recomputes consume."""
-    names: Dict[str, None] = {}
-    for recompute in trigger.recomputes:
-        for source, _positions in recompute.source_projections or ():
-            names[source] = None
-    return tuple(names)
-
-
-def _generate_trigger(context: _EmitContext, trigger: Trigger) -> None:
+def _generate_trigger(
+    context: _EmitContext, trigger: Trigger, tracked_maps: Tuple[str, ...]
+) -> None:
     writer = context.writer
     names = _NameAllocator()
     counter = [0]
-    tracked_maps = _tracked_source_maps(trigger)
     writer.emit(f"def {trigger.event_name}(maps, values, _IDX=None, _CH=None):")
     writer.block()
-    writer.emit(f'_STATS["statements"] += {len(trigger.statements) + len(trigger.recomputes)}')
+    _emit_work_counters(writer, len(trigger.statements) + len(trigger.recomputes))
     if trigger.argument_names:
         unpack = ", ".join(names(argument) for argument in trigger.argument_names)
         trailing = "," if len(trigger.argument_names) == 1 else ""
@@ -1024,6 +635,7 @@ def _generate_trigger(context: _EmitContext, trigger: Trigger) -> None:
     table_ref = lambda name: f"maps[{name!r}]"  # noqa: E731
     _generate_trigger_body(context, trigger, names, table_ref, tracked_maps, counter)
     _generate_recomputes(context, trigger, names, table_ref, tracked_maps, counter)
+    writer.emit('_STATS["entries"] += _ent')
     writer.dedent()
 
 
@@ -1049,67 +661,25 @@ def _collect_table_locals(
     return table_locals, touched
 
 
-def _generate_replay_trigger(context: _EmitContext, trigger: Trigger) -> None:
-    """A per-group replay trigger: table lookups hoisted, one dispatch per group.
-
-    This is the pre-batch-trigger path (one full trigger execution per tuple,
-    amortizing only dispatch and table lookups); it remains the reference
-    baseline for the batch benchmark and the fallback for events without a
-    compiled batch trigger.  Recompute statements run once per batch group,
-    after every tuple's ordinary statements have been folded — re-deriving an
-    entry is a sync to the current source state, so deferring it to the end
-    of the group yields the same final state as per-tuple recomputation
-    (ordinary statements never read a map that the same trigger recomputes).
-    """
-    writer = context.writer
-    names = _NameAllocator()
-    counter = [0]
-    tracked_maps = _tracked_source_maps(trigger)
-    table_locals, touched = _collect_table_locals(trigger, names)
-    writer.emit(f"def replay_{trigger.event_name}(maps, values_list, _IDX=None, _CH=None):")
-    writer.block()
-    writer.emit(
-        f'_STATS["statements"] += {len(trigger.statements)} * len(values_list)'
-        + (f" + {len(trigger.recomputes)}" if trigger.recomputes else "")
-    )
-    for name in touched:
-        writer.emit(f"{table_locals[name]} = maps[{name!r}]")
-    if tracked_maps:
-        writer.emit(f"_TRK = {{_n: set() for _n in {tracked_maps!r}}}")
-    table_ref = lambda name: table_locals[name]  # noqa: E731
-    if trigger.statements:
-        if trigger.argument_names:
-            unpack = ", ".join(names(argument) for argument in trigger.argument_names)
-            writer.emit(f"for ({unpack},) in values_list:")
-        else:
-            writer.emit("for values in values_list:")
-        writer.block()
-        _generate_trigger_body(context, trigger, names, table_ref, tracked_maps, counter)
-        writer.dedent()
-    _generate_recomputes(context, trigger, names, table_ref, tracked_maps, counter)
-    writer.dedent()
-
-
-def _generate_batch_delta_trigger(context: _EmitContext, trigger: BatchTrigger) -> None:
+def _generate_batch_delta_trigger(
+    context: _EmitContext, trigger: BatchTrigger, tracked_maps: Tuple[str, ...]
+) -> None:
     """A relation-valued batch trigger: one fold over the delta map per statement.
 
     ``_delta`` is the pre-aggregated batch ``values → multiplicity``.  The
     statement bodies were compiled from the delta with respect to the whole
     delta relation, so a single evaluation per group — accumulators keyed by
     target key, folded once per distinct key — produces exactly the state
-    per-tuple replay would, including the within-batch interaction terms.
-    Recomputes run once per group after the folds, as in replay mode.
+    per-tuple application would, including the within-batch interaction
+    terms.  Recomputes run once per group after the folds.
     """
     writer = context.writer
     names = _NameAllocator()
     counter = [0]
-    tracked_maps = _tracked_source_maps(trigger)
     table_locals, touched = _collect_table_locals(trigger, names, skip=(trigger.delta_map,))
     writer.emit(f"def batch_{trigger.event_name}(maps, _delta, _IDX=None, _CH=None):")
     writer.block()
-    writer.emit(
-        f'_STATS["statements"] += {len(trigger.statements) + len(trigger.recomputes)}'
-    )
+    _emit_work_counters(writer, len(trigger.statements) + len(trigger.recomputes))
     for name in touched:
         writer.emit(f"{table_locals[name]} = maps[{name!r}]")
     if tracked_maps:
@@ -1128,6 +698,7 @@ def _generate_batch_delta_trigger(context: _EmitContext, trigger: BatchTrigger) 
         _generate_recomputes(context, trigger, names, table_ref, tracked_maps, counter)
     finally:
         context.int_sources = saved_int_sources
+    writer.emit('_STATS["entries"] += _ent')
     writer.dedent()
 
 
@@ -1142,15 +713,15 @@ def _generate_total_batch_trigger(
     event's delta table — it passes the batch's net tuple count ``_total``
     and each statement becomes one multiplication plus one scalar fold.
 
-    ``kahan`` (float-field programs only) replaces the plain scalar fold with
-    a Kahan-compensated one: ``_KC`` keeps each target's running compensation
-    term, recovering the low-order bits a bare ``+=`` drops so a long stream
-    of fused float totals tracks ``math.fsum`` accuracy.
+    ``kahan`` (the plan's flag, float-field programs only) replaces the plain
+    scalar fold with the Kahan-compensated ``_fold_total`` kernel, whose
+    per-target compensation term recovers the low-order bits a bare ``+=``
+    drops so a long stream of fused float totals tracks ``math.fsum`` accuracy.
     """
     writer = context.writer
     writer.emit(f"def total_batch_{trigger.event_name}(maps, _total, _IDX=None, _CH=None):")
     writer.block()
-    writer.emit(f'_STATS["statements"] += {len(trigger.statements)}')
+    _emit_work_counters(writer, len(trigger.statements))
     for index, statement in enumerate(trigger.statements):
         accumulator = f"_acc{index}"
         coefficient = statement.coefficient
@@ -1161,28 +732,14 @@ def _generate_total_batch_trigger(
         else:
             writer.emit(f"{accumulator} = {coefficient!r} * _total")
     table_ref = lambda name: f"maps[{name!r}]"  # noqa: E731
-    if not kahan:
-        for index, statement in enumerate(trigger.statements):
-            _emit_scalar_fold(context, statement, {}, f"_acc{index}", table_ref)
-        writer.dedent()
-        return
     for index, statement in enumerate(trigger.statements):
-        accumulator = f"_acc{index}"
-        target = statement.target
-        table = table_ref(target)
-        writer.emit("if _CH is not None:")
-        writer.emit(f"    _chm = _CH.get({target!r})")
-        writer.emit("    if _chm is not None:")
-        writer.emit(f"        _chm[()] = _chm.get((), 0.0) + {accumulator}")
-        writer.emit(f"_old = {table}.get((), 0.0)")
-        writer.emit(f"_y = {accumulator} - _KC.get({target!r}, 0.0)")
-        writer.emit("_new = _old + _y")
-        writer.emit(f"_KC[{target!r}] = (_new - _old) - _y")
-        writer.emit('_STATS["entries"] += 1')
-        writer.emit("if _new == 0.0:")
-        writer.emit(f"    {table}.pop((), None)")
-        writer.emit("else:")
-        writer.emit(f"    {table}[()] = _new")
+        if kahan:
+            writer.emit(f"_fold_total(maps, {statement.target!r}, _acc{index}, _CH)")
+        else:
+            _emit_scalar_fold(context, statement, {}, f"_acc{index}", table_ref)
+    if kahan:
+        writer.emit(f"_ent += {len(trigger.statements)}")
+    writer.emit('_STATS["entries"] += _ent')
     writer.dedent()
 
 
@@ -1203,8 +760,8 @@ def _generate_trigger_body(
     A statement whose target keys are all bound to trigger arguments produces
     exactly one key per update, so its accumulator degenerates to a scalar and
     its fold inlines to a single guarded table update (skipped when the target
-    map carries slice indexes or feeds a tracked recompute, where the shared
-    ``_fold`` handles maintenance).
+    map carries slice indexes or feeds a tracked recompute, where the ``_fold``
+    kernel handles maintenance).
     """
     writer = context.writer
     if counter is None:
@@ -1212,7 +769,7 @@ def _generate_trigger_body(
     argument_set = set(trigger.argument_names)
     # The scalar fast path is disabled wholesale in semiring mode: its inline
     # fold emits delta-style change capture, and semiring CDC carries
-    # post-update values (the shared _fold/_fold_int handle that uniformly).
+    # post-update values (the _fold/_fold_int kernels handle that uniformly).
     scalar_flags = [
         set(statement.target_keys) <= argument_set
         and context.specs.get(statement.target) is None
@@ -1251,9 +808,9 @@ def _generate_trigger_body(
             )
         else:
             trk = f", _TRK[{statement.target!r}]" if statement.target in tracked_maps else ""
-            serial = ", _serial=True" if getattr(statement, "serial_fold", False) else ""
+            serial = ", serial=True" if getattr(statement, "serial_fold", False) else ""
             writer.emit(
-                f"{context.fold_name(statement.target)}("
+                f"_ent += {context.fold_name(statement.target)}("
                 f"{table_ref(statement.target)}, {accumulator}, {statement.target!r}, "
                 f"{_spec_literal(context, statement.target)}, _IDX, _CH{trk}{serial})"
             )
@@ -1298,8 +855,8 @@ def _generate_recomputes(
             # The per-group re-evaluation as a nested function: evaluation is
             # read-only (the body never consults its own target), so
             # _rmap_groups may fan the calls out over the target table's shard
-            # backend; every diff is applied serially afterwards — identical
-            # state and CDC at any backend.
+            # backend; the _rwrite kernel applies every diff serially
+            # afterwards — identical state and CDC at any backend.
             writer.emit(f"def {body}({group_key}):")
             writer.block()
             key_locals = [names(key) for key in recompute.target_keys]
@@ -1312,23 +869,17 @@ def _generate_recomputes(
             )
             writer.emit(f"return {accumulator}")
             writer.dedent()
-            writer.emit(
-                f"for {group_key}, _rval in _rmap_groups({target_table}, {affected}, {body}):"
-            )
-            writer.emit(
-                f"    _rapply({target_table}, {group_key}, _rval, "
-                f"{recompute.target!r}, {spec}, _IDX, _CH, {trk_expr})"
-            )
+            new_values = f"_rmap_groups({target_table}, {affected}, {body})"
         else:
             writer.emit(f"{accumulator} = {{}}")
             _generate_statement(
                 context, statement, (), accumulator, names, counter, table_ref, scalar=False,
             )
-            writer.emit(f"for _key in set({accumulator}) | set({target_table}):")
-            writer.emit(
-                f"    _rapply({target_table}, _key, {accumulator}.get(_key, {zero}), "
-                f"{recompute.target!r}, {spec}, _IDX, _CH, {trk_expr})"
-            )
+            new_values = f"_rpairs({accumulator}, {target_table}, {zero})"
+        writer.emit(
+            f"_ent += _rwrite({target_table}, {new_values}, "
+            f"{recompute.target!r}, {spec}, _IDX, _CH, {trk_expr})"
+        )
 
 
 def _emit_projection_accumulation(
@@ -1421,7 +972,7 @@ def _emit_scalar_fold(
     change_read = f"_chm.get({key_expression}, {context.zero_literal()})"
     writer.emit(f"        _chm[{key_expression}] = {context.folded_add(change_read, accumulator)}")
     writer.emit(f"_new = {context.folded_add(f'{table}.get({key_expression}, {context.zero_literal()})', accumulator)}")
-    writer.emit('_STATS["entries"] += 1')
+    writer.emit("_ent += 1")
     if context.native:
         writer.emit("if _new == 0:")
     else:

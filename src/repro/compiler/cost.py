@@ -11,7 +11,6 @@ entry updates.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -172,28 +171,12 @@ def statement_cost_class(
 # Batch-trigger specialization classes
 # ---------------------------------------------------------------------------
 
-#: Environment knob for the hot-loop trigger specialization (default on;
-#: set ``REPRO_SPECIALIZE=0`` to pin both compiled executors to the generic
-#: grouping/fold path, e.g. for A/B benchmarking).
-SPECIALIZE_ENV = "REPRO_SPECIALIZE"
-
 #: The specialized executors unroll ``apply_batch`` into one C-level filtered
 #: pass per statically-known trigger event; each pass walks the whole batch,
-#: so past this many events the generic single-pass grouping loop wins and
-#: both executors fall back to it.  Shared by codegen and ``TriggerRuntime``
-#: so the two hot paths flip at the same program width.
+#: so past this many events the generic single-pass grouping loop wins.  Read
+#: by :func:`repro.compiler.plan.lower_batch_plan` only — both executors
+#: decode its verdict, so they flip at the same program width.
 MAX_SPECIALIZED_EVENTS = 4
-
-
-def specialization_enabled(value: Optional[bool] = None) -> bool:
-    """Resolve a ``specialize`` argument against the ``REPRO_SPECIALIZE`` env.
-
-    An explicit ``True``/``False`` wins; ``None`` defers to the environment,
-    which defaults to enabled.
-    """
-    if value is not None:
-        return bool(value)
-    return os.environ.get(SPECIALIZE_ENV, "1") != "0"
 
 
 def trigger_specialization(batch_trigger) -> str:

@@ -21,14 +21,14 @@ This module restores the per-update cost bound:
 
 Both execution backends (:class:`~repro.compiler.runtime.TriggerRuntime` and
 the generated module of :mod:`repro.compiler.codegen`) keep the indexes in
-sync inside their apply loops, so the two can even be mixed over one runtime.
+sync through the same fold kernels (:mod:`repro.compiler.kernels`), so the
+two can even be mixed over one runtime.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Mapping, Optional, Set, Tuple
 
-from repro.compiler.sharding import apply_index_journal
 from repro.compiler.triggers import TriggerProgram
 from repro.core.ast import Assign, MapRef
 from repro.core.delta import is_delta_map
@@ -158,6 +158,35 @@ def journal_from_wire(payload: Tuple[list, list]):
     return [tuple(key) for key in added], [tuple(key) for key in removed]
 
 
+def apply_index_journal(index_data, specs, name: str, added, removed) -> None:
+    """Insert/remove keys in raw slice-index storage — the one bucket upkeep.
+
+    ``index_data`` is the ``(map, positions) -> {prefix -> keys}`` dict of
+    :class:`SliceIndexes` (``.data``), which generated trigger modules address
+    directly; ``specs`` are the map's bound-position signatures.  Every fold
+    kernel (:mod:`repro.compiler.kernels`) journals the keys it inserted into
+    / removed from its table and replays them here — serially, after any
+    shard workers joined: buckets are keyed by bound *prefix*, so two shards'
+    keys can share one and must not be mutated concurrently.
+    """
+    for positions in specs:
+        bucket = index_data[(name, positions)]
+        for key in added:
+            prefix = tuple(key[index] for index in positions)
+            entry = bucket.get(prefix)
+            if entry is None:
+                bucket[prefix] = {key}
+            else:
+                entry.add(key)
+        for key in removed:
+            prefix = tuple(key[index] for index in positions)
+            entry = bucket.get(prefix)
+            if entry is not None:
+                entry.discard(key)
+                if not entry:
+                    del bucket[prefix]
+
+
 class SliceIndexes:
     """Secondary hash indexes: ``(map, positions) -> {bound prefix -> set of keys}``.
 
@@ -185,39 +214,15 @@ class SliceIndexes:
 
     def add(self, name: str, key: Tuple[Any, ...]) -> None:
         """Register a key that was just inserted into map ``name``."""
-        for positions in self.specs.get(name, ()):
-            bucket = self.data[(name, positions)]
-            prefix = tuple(key[index] for index in positions)
-            entry = bucket.get(prefix)
-            if entry is None:
-                bucket[prefix] = {key}
-            else:
-                entry.add(key)
+        self.apply_journal(name, (key,), ())
 
     def discard(self, name: str, key: Tuple[Any, ...]) -> None:
         """Forget a key that was just removed from map ``name``."""
-        for positions in self.specs.get(name, ()):
-            bucket = self.data[(name, positions)]
-            prefix = tuple(key[index] for index in positions)
-            entry = bucket.get(prefix)
-            if entry is not None:
-                entry.discard(key)
-                if not entry:
-                    del bucket[prefix]
+        self.apply_journal(name, (), (key,))
 
     def apply_journal(self, name: str, added: Iterable[Tuple[Any, ...]],
                       removed: Iterable[Tuple[Any, ...]]) -> None:
-        """Replay a shard fold's inserted/removed keys (serial, post-join).
-
-        The sharded batch folds of :mod:`repro.compiler.sharding` run one
-        worker per key-hash shard, but these indexes bucket keys by bound
-        *prefix* — two shards' keys can land in one bucket, so the workers
-        must not mutate them concurrently.  Each worker therefore journals
-        the keys it inserted into / removed from its shard dict, and the
-        coordinator replays the journals here after the workers join.
-        Delegates to the one raw implementation shared with the generated
-        trigger modules (:func:`repro.compiler.sharding.apply_index_journal`).
-        """
+        """Register ``added`` and forget ``removed`` keys of map ``name``."""
         apply_index_journal(self.data, self.specs.get(name, ()), name, added, removed)
 
     def rebuild(self, maps: Mapping[str, Mapping[Tuple[Any, ...], Any]]) -> None:
@@ -226,10 +231,8 @@ class SliceIndexes:
             bucket.clear()
         for name in self.specs:
             table = maps.get(name)
-            if not table:
-                continue
-            for key in table:
-                self.add(name, key)
+            if table:
+                self.apply_journal(name, table, ())
 
     # -- lookups -------------------------------------------------------------
 
@@ -273,10 +276,15 @@ class IndexedMaps(dict):
     AGCA evaluator and the generated trigger module; the evaluator discovers
     the attached :class:`SliceIndexes` via ``getattr(maps, "indexes", None)``
     and uses them to avoid full-table scans for partially-bound references.
+    ``compensation`` is the Kahan compensation store of the fused float totals
+    (target map -> running low-order term): it lives with the tables, so
+    whoever replaces table contents wholesale clears it, and whoever backs
+    them up for a rollback copies it, in the same place.
     """
 
-    __slots__ = ("indexes",)
+    __slots__ = ("indexes", "compensation")
 
     def __init__(self, tables: Mapping[str, Dict] = (), indexes: Optional[SliceIndexes] = None):
         super().__init__(tables)
         self.indexes = indexes if indexes is not None else SliceIndexes()
+        self.compensation: Dict[str, float] = {}

@@ -1,0 +1,329 @@
+"""The query-independent steps of executing a compiled trigger, each written once.
+
+A compiled trigger is a list of statements ``foreach k: m[k] += rhs``
+(Equation (1) of the paper).  Only the right-hand side depends on the query;
+everything around it — the ``+=`` itself, change capture, tracked-key
+collection, slice-index upkeep, sharded dispatch, the recompute write-back,
+the compensated float total, grouping a batch into ``∆R`` — is the same for
+every program.  This module holds those steps as plain Python functions,
+specialized once per coefficient ring by :class:`FoldKernels`.
+:class:`~repro.compiler.runtime.TriggerRuntime` calls them directly; generated
+trigger modules (:mod:`repro.compiler.codegen`) receive the same functions
+through their namespace, so the two executors cannot drift apart.
+
+Three ring variants are chosen here and nowhere else: native ``+``/``== 0``
+arithmetic for ℤ and ℝ, ``ring.add``/``ring.is_zero`` for every other ring,
+and — for proper semirings — change capture of *post-update values* instead
+of deltas (differences are undefined without subtraction; ``ring.zero``
+marks a removed key).
+
+Kernels keep no statistics: each returns the number of entries it touched
+and the caller counts.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, Tuple
+
+from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
+from repro.compiler.indexes import apply_index_journal
+from repro.compiler.partition.backends import fold_on_coordinator
+from repro.compiler.partition.tables import MIN_PARALLEL_KEYS, ShardedMapTable
+from repro.core.delta import DELTA_POOL_LIMIT
+
+MapTable = Dict[Tuple[Any, ...], Any]
+
+
+def make_shard_fold(ring: Semiring) -> Callable:
+    """The read-modify-write loop of a fold over one plain dict:
+    ``fold_shard(shard, part, added, removed)``.
+
+    ``shard[k] += part[k]`` per key, annihilated entries removed.  The keys
+    it inserts / removes are *journalled* into the ``added`` / ``removed``
+    lists (``None``: no slice index watches the map) rather than applied to
+    the indexes — buckets are keyed by bound prefix, which does not respect
+    the key-hash partition, so the caller applies the journal serially.  A
+    key is mutated strictly after the arithmetic that can fail, so the
+    journal matches the dict's contents even when the fold raises.  This is
+    the per-shard job of the partition tier (threads and process workers) and
+    the tail of :func:`make_fold` on an unsharded table.
+    """
+    native = ring is INTEGER_RING or ring is FLOAT_FIELD
+    add, zero, is_zero = ring.add, ring.zero, ring.is_zero
+
+    def fold_shard(shard, part, added=None, removed=None):
+        if native:
+            for key, delta in part.items():
+                new = shard.get(key, 0) + delta
+                if new == 0:
+                    if shard.pop(key, None) is not None and removed is not None:
+                        removed.append(key)
+                else:
+                    if added is not None and key not in shard:
+                        added.append(key)
+                    shard[key] = new
+        else:
+            for key, delta in part.items():
+                new = add(shard.get(key, zero), delta)
+                if is_zero(new):
+                    if shard.pop(key, None) is not None and removed is not None:
+                        removed.append(key)
+                else:
+                    if added is not None and key not in shard:
+                        added.append(key)
+                    shard[key] = new
+
+    return fold_shard
+
+
+def make_fold(ring: Semiring, post_values: bool = False, local: bool = False) -> Callable:
+    """The fold step of one statement: ``fold(table, acc, name, specs, index_data,
+    changes=None, touched=None, serial=False) -> entries``.
+
+    Folds the statement's accumulated increments ``acc`` into ``table`` (map
+    ``name``) — one read-modify-write ``table[k] += acc[k]`` per key
+    (:func:`make_shard_fold`) — with everything that rides on it: change
+    capture into ``changes[name]`` when the map is watched, non-zero keys
+    into ``touched`` when a recompute of the same event tracks the map, and
+    slice-index upkeep for the signatures ``specs`` in the raw index storage
+    ``index_data``.  A :class:`ShardedMapTable` dispatches one job per shard
+    through its shard backend (pinned to the calling thread by ``serial``,
+    the shard-race detector's verdict); capture and tracking depend only on
+    ``acc`` and the pre-fold table, so they run serially up front and every
+    shard configuration emits identical payloads.
+
+    ``post_values`` selects semiring change capture; ``local`` keeps sharded
+    folds on coordinator shards whatever backend the table carries (the
+    ℤ-valued counter maps of a semiring plan: process workers fold with the
+    session ring, so these maps never gain a worker mirror).
+    """
+    native = ring is INTEGER_RING or ring is FLOAT_FIELD
+    add, zero, is_zero = ring.add, ring.zero, ring.is_zero
+    fold_shard = make_shard_fold(ring)
+
+    def fold(
+        table, acc, name, specs=None, index_data=None, changes=None, touched=None, serial=False
+    ):
+        if not acc:
+            return 0
+        if changes is not None:
+            collector = changes.get(name)
+            if collector is not None:
+                if post_values:
+                    # Each key folds exactly once per call, so old + delta is
+                    # the value the loop below stores.
+                    for key, delta in acc.items():
+                        collector[key] = add(table.get(key, zero), delta)
+                elif native:
+                    for key, delta in acc.items():
+                        collector[key] = collector.get(key, 0) + delta
+                else:
+                    for key, delta in acc.items():
+                        collector[key] = add(collector.get(key, zero), delta)
+        if touched is not None:
+            if native:
+                touched.update([key for key, delta in acc.items() if delta != 0])
+            else:
+                touched.update([key for key, delta in acc.items() if not is_zero(delta)])
+        indexed = specs is not None and index_data is not None
+        if type(table) is ShardedMapTable:
+            # (A partial, not a nested def: closing over this frame's arguments
+            # would turn them into cells, allocated on *every* fold call.)
+            sink = partial(apply_index_journal, index_data, specs, name) if indexed else None
+            backend = table.backend
+            if local or backend is None:
+                parallel = not serial and len(acc) >= MIN_PARALLEL_KEYS
+                fold_on_coordinator(table, acc, indexed, fold_shard, sink, parallel)
+            else:
+                backend.fold_table(
+                    table, acc, indexed, fold_shard, sink, force_inline=serial, name=name
+                )
+        elif indexed:
+            added: list = []
+            removed: list = []
+            try:
+                fold_shard(table, acc, added, removed)
+            finally:
+                if added or removed:
+                    apply_index_journal(index_data, specs, name, added, removed)
+        else:
+            fold_shard(table, acc)
+        return len(acc)
+
+    return fold
+
+
+def make_write_back(ring: Semiring, post_values: bool = False) -> Callable:
+    """The recompute write-back: ``write_back(table, new_values, name, specs,
+    index_data, changes=None, touched=None) -> entries``.
+
+    ``new_values`` yields ``(key, freshly re-evaluated value)`` pairs of map
+    ``name``; every entry whose stored value differs is overwritten, with the
+    *difference* (or, under ``post_values``, the new value) captured into
+    ``changes[name]``, the key recorded in ``touched`` for shallower
+    recomputes of the same event, and the slice indexes kept in sync.
+    Returns the number of entries that changed.
+    """
+    add, zero, is_zero = ring.add, ring.zero, ring.is_zero
+    sub = None if post_values else ring.sub
+
+    def write_back(table, new_values, name, specs, index_data, changes=None, touched=None):
+        collector = None if changes is None else changes.get(name)
+        added: list = []
+        removed: list = []
+        entries = 0
+        try:
+            for key, new in new_values:
+                old = table.get(key, zero)
+                if new == old:
+                    continue
+                entries += 1
+                if collector is not None:
+                    if post_values:
+                        collector[key] = new
+                    else:
+                        collector[key] = add(collector.get(key, zero), sub(new, old))
+                if touched is not None:
+                    touched.add(key)
+                if is_zero(new):
+                    if table.pop(key, None) is not None:
+                        removed.append(key)
+                else:
+                    if key not in table:
+                        added.append(key)
+                    table[key] = new
+        finally:
+            if specs and index_data is not None:
+                apply_index_journal(index_data, specs, name, added, removed)
+        return entries
+
+    return write_back
+
+
+def fold_total(maps, name, increment, changes=None):
+    """The Kahan-compensated fold of a fused float total.
+
+    One ``+=`` into the nullary-key entry of map ``name`` whose running
+    compensation term recovers the low-order bits the addition drops, so a
+    long stream of fused totals tracks ``math.fsum`` accuracy at straight
+    accumulation speed.  The compensation store lives with the tables
+    (``maps`` is an :class:`~repro.compiler.indexes.IndexedMaps`), so
+    whatever backs up, restores or rewrites the tables handles it in the
+    same place.
+    """
+    table = maps[name]
+    if changes is not None:
+        collector = changes.get(name)
+        if collector is not None:
+            collector[()] = collector.get((), 0.0) + increment
+    compensation = maps.compensation
+    old = table.get((), 0.0)
+    adjusted = increment - compensation.get(name, 0.0)
+    new = old + adjusted
+    compensation[name] = (new - old) - adjusted
+    if new == 0.0:
+        table.pop((), None)
+    else:
+        table[()] = new
+
+
+class FoldKernels:
+    """The kernel set of one executor, specialized to its coefficient ring."""
+
+    __slots__ = ("fold", "fold_int", "write_back", "fold_total")
+
+    def __init__(self, ring: Semiring):
+        semiring = not ring.is_ring
+        self.fold = make_fold(ring, post_values=semiring)
+        #: The fold of a semiring plan's ℤ-valued counter maps (``None`` over
+        #: a ring, which has none).
+        self.fold_int = (
+            make_fold(INTEGER_RING, post_values=True, local=True) if semiring else None
+        )
+        self.write_back = make_write_back(ring, post_values=semiring)
+        self.fold_total = fold_total if ring is FLOAT_FIELD else None
+
+
+def make_generic_apply_batch(
+    triggers: Dict[Tuple[str, int], Callable],
+    batch_triggers: Dict[Tuple[str, int], Callable],
+    ring: Semiring,
+) -> Callable:
+    """The generic batch loop: ``apply_batch(maps, updates, index_data=None,
+    changes=None) -> tuple count``.
+
+    One pass groups the batch by ``(relation, sign)`` event, pre-aggregating
+    each group straight into its delta map ``∆R : values → multiplicity``
+    (pooled scratch dicts — batch triggers never retain their delta), then
+    every group's batch trigger ``batch_triggers[event](maps, delta,
+    index_data, changes)`` folds it once.  An event without a batch trigger
+    (hand-built programs only) falls back to its per-tuple trigger
+    ``triggers[event](maps, values, index_data, changes)``, once per logical
+    tuple — the reference semantics.
+
+    Over a proper semiring the delta maps count tuples in ℤ (ring statements
+    read them through ``from_int``), and every insert event runs before any
+    delete event: a batch may delete a row it also inserts, and delete-event
+    recomputes read the ℤ counter maps through ``from_int``, which has no
+    image for transiently negative counts.  Over a ring the event order
+    cannot be observed and first-seen order is kept.
+    """
+    semiring = not ring.is_ring
+    delta_ring = INTEGER_RING if semiring else ring
+    native = delta_ring is INTEGER_RING or delta_ring is FLOAT_FIELD
+    add, one, from_int, is_zero = (
+        delta_ring.add, delta_ring.one, delta_ring.from_int, delta_ring.is_zero
+    )
+    pool: list = []
+
+    def apply_batch(maps, updates, index_data=None, changes=None):
+        deltas: Dict[Tuple[str, int], MapTable] = {}
+        tuples: Dict[Tuple[str, int], list] = {}
+        total = 0
+        for update in updates:
+            event = (update.relation, update.sign)
+            count = update.count
+            total += count
+            if event in batch_triggers:
+                delta = deltas.get(event)
+                if delta is None:
+                    delta = deltas[event] = pool.pop() if pool else {}
+                values = update.values
+                if native:
+                    delta[values] = delta.get(values, 0) + count
+                else:
+                    increment = one if count == 1 else from_int(count)
+                    existing = delta.get(values)
+                    delta[values] = increment if existing is None else add(existing, increment)
+            elif event in triggers:
+                tuples.setdefault(event, []).extend((update.values,) * count)
+        events = list(deltas) + list(tuples)
+        if semiring:
+            events.sort(key=lambda event: -event[1])
+        for event in events:
+            delta = deltas.get(event)
+            if delta is None:
+                trigger = triggers[event]
+                for values in tuples[event]:
+                    trigger(maps, values, index_data, changes)
+                continue
+            if not native:
+                # A finite ring's from_int can wrap to zero; ℤ/ℝ counts of one
+                # same-sign group never cancel.
+                for values in [values for values, count in delta.items() if is_zero(count)]:
+                    del delta[values]
+            if delta:
+                batch_triggers[event](maps, delta, index_data, changes)
+            delta.clear()
+            if len(pool) < DELTA_POOL_LIMIT:
+                pool.append(delta)
+        return total
+
+    return apply_batch
+
+
+def recompute_pairs(accumulator: MapTable, table: Iterable, zero: Any) -> list:
+    """The ``(key, new value)`` pairs of a full recompute for ``write_back``:
+    every re-derived key plus every stored key the re-derivation dropped."""
+    return [(key, accumulator.get(key, zero)) for key in set(accumulator) | set(table)]

@@ -1,11 +1,12 @@
 """The distributed-ready partition tier: pluggable shard backends.
 
-``backends`` defines the :class:`~repro.compiler.partition.backends.ShardBackend`
-protocol and its three placements (inline / thread / process); ``worker``
-is the per-shard worker-process loop the process backend drives.  The
-partitioner itself (key→shard hashing, :class:`ShardedMapTable`) stays in
-:mod:`repro.compiler.sharding` — this package only decides where the
-per-shard work runs.
+``tables`` is the partitioner (key→shard hashing, :class:`ShardedMapTable`,
+the coordinator's thread pool); ``backends`` defines the
+:class:`~repro.compiler.partition.backends.ShardBackend` protocol and its
+three placements (inline / thread / process); ``worker`` is the per-shard
+worker-process loop the process backend drives; ``dispatch`` the per-batch
+mode-selection policies; ``env`` the one reader of the ``REPRO_*`` defaults.
+The per-key fold the shard jobs run is :mod:`repro.compiler.kernels`.
 """
 
 from repro.compiler.partition.backends import (
@@ -21,10 +22,24 @@ from repro.compiler.partition.backends import (
     process_fold_capable,
     resolve_shard_backend,
 )
+from repro.compiler.partition.tables import (
+    MIN_PARALLEL_KEYS,
+    ShardedMapTable,
+    parallel_fold_capable,
+    partition_map,
+    resolve_shard_count,
+    shard_of,
+)
 
 __all__ = [
     "BACKEND_NAMES",
     "MIN_PARALLEL_GROUPS",
+    "MIN_PARALLEL_KEYS",
+    "ShardedMapTable",
+    "parallel_fold_capable",
+    "partition_map",
+    "resolve_shard_count",
+    "shard_of",
     "InlineShardBackend",
     "ProcessShardBackend",
     "ShardBackend",

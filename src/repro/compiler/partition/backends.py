@@ -1,15 +1,14 @@
 """Pluggable shard backends: who runs the per-shard folds, and where.
 
-PR 5's sharding baked one execution strategy into the fold path — a
-process-wide thread pool.  This module lifts that choice into a narrow
-:class:`ShardBackend` protocol so the partition tier can place shard state
+A narrow :class:`ShardBackend` protocol decides where the per-shard fold jobs
+of a hash-partitioned table run, so the partition tier can place shard state
 and shard work independently of the coordinator:
 
 ``inline``
-    Every fold runs serially on the calling thread, routed per key.  Zero
+    Every per-shard fold runs serially on the calling thread.  Zero
     dispatch overhead; the baseline the others must match bit-for-bit.
 ``thread``
-    The PR 5 strategy: per-shard fold jobs on a lazily created thread pool.
+    Per-shard fold jobs on a lazily created thread pool.
     Scales only on free-threaded builds, but costs nothing when it cannot
     (small folds stay inline) — the default.
 ``process``
@@ -25,7 +24,7 @@ and shard work independently of the coordinator:
 
 Staleness between the coordinator's tables and the process workers' mirrors
 is tracked with per-shard version counters on
-:class:`~repro.compiler.sharding.ShardedMapTable`: facade writes (recompute
+:class:`~repro.compiler.partition.tables.ShardedMapTable`: facade writes (recompute
 applies, restores, scalar folds) bump them, and the backend re-ships a
 shard's contents before the next fold that touches it.  The fold path itself
 keeps both sides in lockstep without bumps.
@@ -50,13 +49,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.algebra.semirings import BUILTIN_SEMIRINGS, Semiring
 from repro.compiler.indexes import journal_from_wire
 from repro.compiler.partition.dispatch import make_dispatch_policy
-from repro.compiler.sharding import (
-    MIN_PARALLEL_KEYS,
-    ShardedMapTable,
-    fold_shards_threaded,
-    get_executor,
-    parallel_enabled,
-)
+from repro.compiler.partition.env import env_default
+from repro.compiler.partition.tables import MIN_PARALLEL_KEYS, ShardedMapTable, get_executor
 
 MapTable = Dict[Tuple[Any, ...], Any]
 
@@ -69,7 +63,7 @@ BACKEND_NAMES = ("inline", "thread", "process")
 
 def default_shard_backend() -> str:
     """The process-wide default backend (the ``REPRO_SHARD_BACKEND`` knob)."""
-    value = os.environ.get("REPRO_SHARD_BACKEND", "thread").strip().lower()
+    value = env_default("REPRO_SHARD_BACKEND")
     return value if value in BACKEND_NAMES else "thread"
 
 
@@ -88,12 +82,12 @@ def resolve_shard_backend(name: Optional[str]) -> str:
 def process_fold_capable(workers: int) -> bool:
     """Whether process workers can *speed up* folds on this host.
 
-    Unlike :func:`~repro.compiler.sharding.parallel_fold_capable` this does
-    not require a free-threaded build — separate processes sidestep the GIL —
-    only enough cores and parallel dispatch not being forced off.
-    Correctness never depends on it; it gates throughput assertions.
+    Unlike :func:`~repro.compiler.partition.tables.parallel_fold_capable`
+    this does not require a free-threaded build — separate processes sidestep
+    the GIL — only enough cores.  Correctness never depends on it; it gates
+    throughput assertions.
     """
-    return parallel_enabled() and (os.cpu_count() or 1) >= workers
+    return (os.cpu_count() or 1) >= workers
 
 
 def make_shard_backend(
@@ -116,6 +110,60 @@ def make_shard_backend(
         "process": ProcessShardBackend,
     }[resolved]
     return cls(shards, ring, dispatch=dispatch)
+
+
+def run_fold_job(fold: Callable, shard: MapTable, part: MapTable, journal: bool):
+    """One shard's fold as a pool/worker job: ``(added, removed, error)``.
+
+    ``fold`` is the ring's per-shard fold loop
+    (:func:`repro.compiler.kernels.make_shard_fold`).  Jobs never raise: an
+    arithmetic failure mid-fold is handed back alongside the journal built so
+    far (which always matches the shard's actual contents; ``None`` with
+    ``journal`` off).
+    """
+    added: Optional[List[Tuple[Any, ...]]] = [] if journal else None
+    removed: Optional[List[Tuple[Any, ...]]] = [] if journal else None
+    try:
+        fold(shard, part, added, removed)
+    except Exception as exc:
+        return added, removed, exc
+    return added, removed, None
+
+
+def fold_on_coordinator(
+    table: ShardedMapTable,
+    acc: Mapping[Tuple[Any, ...], Any],
+    journal: bool,
+    fold: Callable,
+    sink: Optional[Callable],
+    parallel: bool,
+) -> None:
+    """Fold ``acc`` into ``table``'s coordinator shards, one job per shard.
+
+    ``acc`` is split by key hash; the jobs run on the shared thread pool when
+    ``parallel`` (callers gate on size and on the shard-race detector's
+    ``serial_fold`` verdict) and serially on the calling thread otherwise.
+    Every job's journal is handed to ``sink`` (slice-index upkeep) *before*
+    the first captured error is re-raised, so a failed fold leaves the
+    indexes consistent with whatever the shards actually contain.
+    """
+    jobs = [
+        (fold, shard, part, journal)
+        for shard, part in zip(table.shards, table.partition(acc))
+        if part
+    ]
+    if parallel:
+        results = get_executor(table.shard_count).run(run_fold_job, jobs)
+    else:
+        results = [run_fold_job(*job) for job in jobs]
+    error: Optional[BaseException] = None
+    for added, removed, exc in results:
+        if journal and (added or removed):
+            sink(added, removed)
+        if exc is not None and error is None:
+            error = exc
+    if error is not None:
+        raise error
 
 
 class ShardBackend:
@@ -166,12 +214,18 @@ class ShardBackend:
         table: ShardedMapTable,
         acc: Mapping[Tuple[Any, ...], Any],
         journal: bool,
-        fold_shard: Callable,
-        fold_inline: Callable,
-        sink: Callable,
+        fold: Callable,
+        sink: Optional[Callable],
         force_inline: bool = False,
         name: Optional[str] = None,
     ) -> None:
+        """Fold ``acc`` into ``table`` (``fold``: the ring's per-shard fold loop).
+
+        ``force_inline`` is the shard-race detector's verdict
+        (:func:`repro.compiler.verify.mark_serial_folds`): the fold must stay
+        on the calling thread whatever its size.  ``name`` addresses
+        off-process mirrors of the map.
+        """
         raise NotImplementedError
 
     # -- the recompute path -------------------------------------------------
@@ -206,60 +260,41 @@ class InlineShardBackend(ShardBackend):
     name = "inline"
 
     def fold_table(
-        self, table, acc, journal, fold_shard, fold_inline, sink,
-        force_inline=False, name=None,
+        self, table, acc, journal, fold, sink, force_inline=False, name=None,
     ) -> None:
         self.dispatch.record("forced-inline" if force_inline else "inline")
-        added, removed, error = fold_inline(table.shards, table.shard_count, acc, journal)
-        if journal and (added or removed):
-            sink(added, removed)
-        if error is not None:
-            raise error
+        fold_on_coordinator(table, acc, journal, fold, sink, parallel=False)
 
 
 class ThreadShardBackend(ShardBackend):
-    """Per-shard fold jobs on the shared lazy thread pool (the PR 5 strategy)."""
+    """Per-shard fold jobs on the shared lazy thread pool."""
 
     name = "thread"
 
     def fold_table(
-        self, table, acc, journal, fold_shard, fold_inline, sink,
-        force_inline=False, name=None,
+        self, table, acc, journal, fold, sink, force_inline=False, name=None,
     ) -> None:
-        if force_inline:
-            self.dispatch.record("forced-inline")
-        elif not self.adaptive:
-            # The PR 8 static gate, verbatim (fold_shards_threaded inlines
-            # below the threshold itself) — recorded, never changed.
+        if force_inline or not self.adaptive:
+            # The static gate: parallel from ``min_parallel_keys`` keys up.
+            parallel = not force_inline and len(acc) >= self.min_parallel_keys
             self.dispatch.record(
-                "thread" if len(acc) >= self.min_parallel_keys else "inline"
+                "forced-inline" if force_inline else "thread" if parallel else "inline"
             )
-        else:
-            modes = ("inline", "thread") if parallel_enabled() else ("inline",)
-            mode = self.dispatch.choose(name, len(acc), modes)
-            self.dispatch.record(mode)
-            started = time.perf_counter()
-            fold_shards_threaded(
-                table, acc, journal, fold_shard, fold_inline, sink,
-                force_inline=(mode == "inline"), min_parallel_keys=0,
-            )
-            self.dispatch.observe(name, mode, len(acc), time.perf_counter() - started)
+            fold_on_coordinator(table, acc, journal, fold, sink, parallel)
             return
-        fold_shards_threaded(
-            table, acc, journal, fold_shard, fold_inline, sink,
-            force_inline=force_inline, min_parallel_keys=self.min_parallel_keys,
-        )
+        mode = self.dispatch.choose(name, len(acc), ("inline", "thread"))
+        self.dispatch.record(mode)
+        started = time.perf_counter()
+        fold_on_coordinator(table, acc, journal, fold, sink, mode == "thread")
+        self.dispatch.observe(name, mode, len(acc), time.perf_counter() - started)
 
     def map_groups(self, fn, groups):
         groups = list(groups)
         if not self.adaptive:
-            if len(groups) < max(2, self.min_parallel_groups) or not parallel_enabled():
+            if len(groups) < max(2, self.min_parallel_groups):
                 return [fn(group) for group in groups]
             return self._map_groups_threaded(fn, groups)
-        if len(groups) < 2 or not parallel_enabled():
-            modes = ("inline",)
-        else:
-            modes = ("inline", "thread")
+        modes = ("inline",) if len(groups) < 2 else ("inline", "thread")
         mode = self.dispatch.choose("·groups", len(groups), modes)
         self.dispatch.record(mode)
         started = time.perf_counter()
@@ -388,7 +423,7 @@ class ProcessShardBackend(ThreadShardBackend):
         return synced[1]
 
     def _mark_dirty(self, name: Optional[str], table: ShardedMapTable, acc) -> None:
-        """Inline folds bypass the workers; their shards' mirrors go stale."""
+        """Mark the mirrors of the shards a coordinator-side fold touched stale."""
         if name is None:
             # Anonymous fold: no way to address the mirror — invalidate all.
             self._synced.clear()
@@ -403,50 +438,31 @@ class ProcessShardBackend(ThreadShardBackend):
     # -- the fold path ------------------------------------------------------
 
     def fold_table(
-        self, table, acc, journal, fold_shard, fold_inline, sink,
-        force_inline=False, name=None,
+        self, table, acc, journal, fold, sink, force_inline=False, name=None,
     ) -> None:
-        if self.adaptive and not force_inline:
-            # Worker dispatch needs an addressable mirror: a named map whose
-            # facade shard count matches the worker pool.  Thread folds run
-            # on coordinator shards, so they (like inline) go stale-mark.
-            modes = ["inline"]
-            if parallel_enabled():
-                modes.append("thread")
-                if name is not None and table.shard_count == self.shards:
-                    modes.append("process")
-            mode = self.dispatch.choose(name, len(acc), tuple(modes))
-            self.dispatch.record(mode)
-            started = time.perf_counter()
-            if mode == "process":
-                self._fold_on_workers(table, name, acc, journal, sink)
-            else:
-                fold_shards_threaded(
-                    table, acc, journal, fold_shard, fold_inline, sink,
-                    force_inline=(mode == "inline"), min_parallel_keys=0,
-                )
+        # Worker dispatch needs an addressable mirror: a named map whose
+        # facade shard count matches the worker pool.
+        addressable = name is not None and table.shard_count == self.shards
+        if force_inline:
+            mode = "forced-inline"
+        elif not self.adaptive:
+            large = len(acc) >= self.min_parallel_keys
+            mode = "process" if addressable and large else "inline"
+        else:
+            modes = ("inline", "thread", "process") if addressable else ("inline", "thread")
+            mode = self.dispatch.choose(name, len(acc), modes)
+        self.dispatch.record(mode)
+        started = time.perf_counter()
+        if mode == "process":
+            self._fold_on_workers(table, name, acc, journal, sink)
+        else:
+            # Coordinator-side folds bypass the workers: their mirrors go stale.
+            try:
+                fold_on_coordinator(table, acc, journal, fold, sink, mode == "thread")
+            finally:
                 self._mark_dirty(name, table, acc)
+        if self.adaptive and not force_inline:
             self.dispatch.observe(name, mode, len(acc), time.perf_counter() - started)
-            return
-        if (
-            force_inline
-            or name is None
-            or len(acc) < self.min_parallel_keys
-            or not parallel_enabled()
-            or table.shard_count != self.shards
-        ):
-            self.dispatch.record("forced-inline" if force_inline else "inline")
-            added, removed, error = fold_inline(
-                table.shards, table.shard_count, acc, journal
-            )
-            self._mark_dirty(name, table, acc)
-            if journal and (added or removed):
-                sink(added, removed)
-            if error is not None:
-                raise error
-            return
-        self.dispatch.record("process")
-        self._fold_on_workers(table, name, acc, journal, sink)
 
     def _fold_on_workers(self, table, name, acc, journal, sink) -> None:
         workers = self._ensure_workers()

@@ -26,8 +26,9 @@ for).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Sequence, Tuple
+
+from repro.compiler.partition.env import env_default
 
 #: Environment knob naming the process-wide default dispatch policy.
 DISPATCH_ENV = "REPRO_SHARD_DISPATCH"
@@ -40,7 +41,7 @@ _MODE_RANK = {"inline": 0, "thread": 1, "process": 2}
 
 def default_dispatch() -> str:
     """The process-wide default dispatch policy (the ``REPRO_SHARD_DISPATCH`` knob)."""
-    value = os.environ.get(DISPATCH_ENV, "static").strip().lower()
+    value = env_default(DISPATCH_ENV)
     return value if value in DISPATCH_MODES else "static"
 
 

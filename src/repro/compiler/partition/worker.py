@@ -62,13 +62,12 @@ def wire_error(error):
 
 def worker_main(conn, ring_payload) -> None:
     """The worker process entry point: serve fold requests until told to stop."""
-    # Imported here (not at module top) only for clarity of what the worker
-    # actually needs; under the spawn start method this module is re-imported
-    # in the child anyway.
-    from repro.compiler.sharding import make_shard_fold
+    # Imported here, not at module top: the kernels module itself imports the
+    # partition package (its fold dispatches through the shard backends).
+    from repro.compiler.kernels import make_shard_fold
+    from repro.compiler.partition.backends import run_fold_job
 
-    ring = resolve_ring_payload(ring_payload)
-    fold_shard = make_shard_fold(ring)
+    fold = make_shard_fold(resolve_ring_payload(ring_payload))
     mirrors: Dict[str, MapTable] = {}
     try:
         while True:
@@ -80,7 +79,7 @@ def worker_main(conn, ring_payload) -> None:
             if op == "fold":
                 _op, name, part, _journal = message
                 mirror = mirrors.setdefault(name, {})
-                added, removed, error = fold_shard(mirror, part, True)
+                added, removed, error = run_fold_job(fold, mirror, part, True)
                 # Post-fold values of the delta's keys; a key the fold
                 # annihilated (or never created) is simply absent.  Keys an
                 # error left unprocessed report their unchanged value, which

@@ -25,20 +25,22 @@ evaluated once per group with the delta map bound in the environment, then
 folded with one read-modify-write per distinct target key.  Recompute
 statements run once per group over the union of affected groups.  Because the
 statements include the delta's higher-order terms in ``∆R``, the final state
-equals one-at-a-time application exactly; the PR-1-era grouped per-tuple
-replay is kept as :meth:`TriggerRuntime.apply_batch_replay` — the reference
-semantics the property tests compare against, and the fallback for events
-without a compiled batch trigger.
+equals one-at-a-time application exactly — per-tuple :meth:`TriggerRuntime.apply`
+is the reference semantics the property tests compare against.
+
+What is interpreted here is only the right-hand sides (``evaluate`` over the
+statement bodies).  Which path a batch takes is decided once, by the lowered
+:class:`~repro.compiler.plan.BatchPlan` this runtime walks (and generated
+modules are printed from); the fold itself, change capture, slice-index
+upkeep and the recompute write-back are the shared
+:mod:`repro.compiler.kernels`.
 
 With ``shards=N`` (N > 1) the map tables are hash-partitioned
-(:class:`~repro.compiler.sharding.ShardedMapTable`) and every batch fold
-splits its increments by target-key hash, folding the shards concurrently on
-a thread pool — folds into different keys are independent, so the partition
-gives each worker a disjoint slice of the table.  CDC and tracked-source
-accumulation run serially before the workers (they depend only on the
-increment map), and slice-index maintenance is journalled by the workers and
-replayed after the join.  ``shards=1`` (the default) keeps plain dict tables
-and exactly the unsharded code path.
+(:class:`~repro.compiler.partition.tables.ShardedMapTable`) and every batch
+fold splits its increments by target-key hash, folding the shards through the
+partition tier's backend — folds into different keys are independent, so the
+partition gives each worker a disjoint slice of the table.  ``shards=1`` (the
+default) keeps plain dict tables and exactly the unsharded code path.
 
 Both entry points accept an optional ``changes`` argument — a mapping from
 *watched* map names to accumulator dicts — used for change-data-capture: every
@@ -52,35 +54,19 @@ observe result deltas without diffing map states.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.algebra.lattices import SupportTier
-from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
-from repro.compiler.cost import (
-    MAX_SPECIALIZED_EVENTS,
-    RuntimeStatistics,
-    specialization_enabled,
-    trigger_specialization,
-)
-from repro.compiler.indexes import IndexedMaps, SliceIndexes, compute_index_specs
+from repro.algebra.semirings import INTEGER_RING, Semiring
+from repro.compiler.cost import RuntimeStatistics
+from repro.compiler.indexes import IndexedMaps, SliceIndexes
+from repro.compiler.kernels import FoldKernels, make_generic_apply_batch, recompute_pairs
 from repro.compiler.maps import dependency_depths
 from repro.compiler.partition.backends import ShardBackend, make_shard_backend
-from repro.compiler.sharding import (
-    ShardedMapTable,
-    fold_sharded_table,
-    fold_shards_threaded,
-    make_inline_shard_fold,
-    make_shard_fold,
-    resolve_shard_count,
-)
-from repro.compiler.triggers import (
-    BatchTrigger,
-    RecomputeStatement,
-    Trigger,
-    TriggerProgram,
-)
+from repro.compiler.partition.tables import ShardedMapTable, resolve_shard_count
+from repro.compiler.plan import BatchPlan, lower_batch_plan
+from repro.compiler.triggers import BatchTrigger, RecomputeStatement, Trigger, TriggerProgram
 from repro.core.ast import AggSum
-from repro.core.delta import DELTA_POOL_LIMIT, build_delta_table
 from repro.core.semantics import evaluate
 from repro.core.simplify import make_safe
 from repro.gmr.database import Database, Update
@@ -89,6 +75,12 @@ from repro.gmr.records import Record
 MapTable = Dict[Tuple[Any, ...], Any]
 
 _MISSING = object()
+
+
+def _arity_error(update: Update) -> ValueError:
+    return ValueError(
+        f"update {update!r} does not match the arity of relation {update.relation!r}"
+    )
 
 
 class _FromIntView:
@@ -143,7 +135,7 @@ class TriggerRuntime:
         ring: Semiring = INTEGER_RING,
         shards: Optional[int] = None,
         shard_backend=None,
-        specialize: Optional[bool] = None,
+        specialize: bool = True,
     ):
         self.program = program
         self.ring = ring
@@ -169,27 +161,10 @@ class TriggerRuntime:
             self._support_relations = frozenset(
                 plan.relation for plan in maintenance.supports.values()
             )
-        # Hot-loop batch specialization (the interpreted mirror of the
-        # codegen fast paths): Counter-counted delta tables and fused
-        # bare-count totals are an int-multiplicity optimization, so they
-        # gate on the integer ring — plus the float field, whose only fast
-        # path is the Kahan-compensated fused total (order-preserving);
-        # ``specialize=None`` defers to ``REPRO_SPECIALIZE`` (default on).
-        self._specialize = (
-            ring is INTEGER_RING or ring is FLOAT_FIELD
-        ) and specialization_enabled(specialize)
-        #: Per-target Kahan compensation for the float fused-total path;
-        #: ``None`` outside the float field.  Carried across batches so a
-        #: long stream of totals keeps full compensated accuracy.
-        self._kahan: Optional[Dict[str, float]] = (
-            {} if ring is FLOAT_FIELD and self._specialize else None
-        )
-        self._specializations: Dict[Tuple[str, int], str] = {}
-        #: Lazily-built per-program batch plan: ``None`` until first use, a
-        #: ``_BatchPlan`` once built, ``False`` when the program is too wide
-        #: to specialize (one filtered pass per event would walk every batch
-        #: too often) — then ``apply_batch`` keeps the generic loop.
-        self._specialized_plan: Any = None
+        #: The lowered batch plan this runtime walks — the same decisions a
+        #: generated module for this program is printed from (specialization
+        #: kinds, Kahan flag, arities, tracked sources, index signatures).
+        self.plan: BatchPlan = lower_batch_plan(program, ring, specialize)
         #: Hash-partition count of the map tables; 1 (the default) keeps the
         #: plain-dict tables and exactly the pre-sharding code path.
         self.shards = resolve_shard_count(shards)
@@ -202,22 +177,41 @@ class TriggerRuntime:
             self.shard_backend: Optional[ShardBackend] = shard_backend
         else:
             self.shard_backend = make_shard_backend(shard_backend, self.shards, ring)
-        self.index_specs = compute_index_specs(program)
+        self.index_specs = self.plan.index_specs
         self.indexes = SliceIndexes(self.index_specs)
+        #: The tables, their slice indexes and the Kahan compensation store
+        #: travel together — whatever rewrites table contents wholesale
+        #: (:meth:`restore_tables`, :meth:`bootstrap`) resets the other two.
         self.maps: Dict[str, MapTable] = IndexedMaps(
             {name: self.make_table() for name in program.maps}, indexes=self.indexes
         )
         self.statistics = RuntimeStatistics()
-        #: Cleared per-group delta-map scratch dicts, reused across batches so
-        #: a streaming flush loop does not rebuild (and re-grow) one dict per
-        #: ``(relation, sign)`` group per flush (ROADMAP "hot-loop constants").
-        self._delta_buffers: List[MapTable] = []
-        if self.shards > 1:
-            self._shard_fold = make_shard_fold(ring)
-            self._shard_fold_inline = make_inline_shard_fold(ring)
-            # Counter maps fold in ℤ whatever the session ring is.
-            self._shard_fold_int = make_shard_fold(INTEGER_RING)
-            self._shard_fold_inline_int = make_inline_shard_fold(INTEGER_RING)
+        self._kernels = FoldKernels(ring)
+        self._events = {event.event: event for event in self.plan.events}
+        # The generic batch loop, shared with generated modules; here its
+        # per-event callables interpret the triggers.
+
+        def interpret(method, trigger, tracked):
+            return lambda _maps, payload, _index_data, changes: method(
+                trigger, tracked, payload, changes
+            )
+
+        events = self.plan.events
+        self._generic_batch = make_generic_apply_batch(
+            {
+                event.event: interpret(self._apply_trigger, event.trigger, event.tracked)
+                for event in events
+                if event.trigger is not None
+            },
+            {
+                event.event: interpret(
+                    self._apply_batch_trigger, event.batch_trigger, event.batch_tracked
+                )
+                for event in events
+                if event.batch_trigger is not None
+            },
+            ring,
+        )
         # The evaluator needs a Database only for its coefficient structure and
         # declared schema; compiled right-hand sides never read base relations.
         self._environment = Database(schema=program.schema, ring=ring)
@@ -282,11 +276,12 @@ class TriggerRuntime:
             else:
                 # A backup taken before the tier existed (or from another
                 # backend): rebuild the sidecars from the restored counters.
-                self._support_tier.bootstrap(self._counter_rows)
-        if self._kahan is not None:
-            # Compensation terms refer to the replaced table values; dropping
-            # them is always sound (it only forgoes accumulated accuracy).
-            self._kahan.clear()
+                self.rebuild_supports()
+        # Compensation terms refer to the replaced table values.  Dropping
+        # them is always sound (it only forgoes accumulated accuracy); a
+        # rollback, which knows the terms that belong to the backup, puts
+        # them back (CompiledExecutor.restore).
+        self.maps.compensation.clear()
 
     def writable_maps_for(self, updates: Iterable[Update]) -> set:
         """The map names the given updates' triggers can write.
@@ -294,7 +289,7 @@ class TriggerRuntime:
         The union of statement and recompute targets over every
         ``(relation, sign)`` event in the batch, across both the per-tuple
         and the batch triggers — a superset of what any execution path
-        (batch fold, replay fallback) mutates.  Reads never mutate, so
+        (batch fold, per-tuple fallback) mutates.  Reads never mutate, so
         backing these up suffices for exact rollback.
         """
         program = self.program
@@ -356,10 +351,8 @@ class TriggerRuntime:
             self.maps[name] = self.make_table(table) if self.shards > 1 else table
         self.indexes.rebuild(self.maps)
         self._ring_view = None
-        if self._support_tier is not None:
-            self._support_tier.bootstrap(self._counter_rows)
-        if self._kahan is not None:
-            self._kahan.clear()
+        self.rebuild_supports()
+        self.maps.compensation.clear()
 
     # -- update processing -----------------------------------------------------------
 
@@ -369,20 +362,16 @@ class TriggerRuntime:
         ``changes`` optionally maps watched map names to accumulators that
         receive the per-key deltas this update causes in those maps.
         """
+        event = self._events.get((update.relation, update.sign))
+        if event is not None and event.arity not in (None, len(update.values)):
+            raise _arity_error(update)
         self.statistics.updates_processed += update.count
-        trigger = self.program.trigger_for(update.relation, update.sign)
-        if trigger is not None:
-            self._check_arity(trigger, update)
+        if event is not None and event.trigger is not None:
             for _ in range(update.count):
-                self._apply_trigger(trigger, update.values, changes)
-        if self._support_tier is not None and update.relation in self._support_relations:
-            # Fed after the triggers: an exhausted support's rebuild must see
-            # the post-update counter map.
-            diffs = self._support_tier.collect(
-                ((update.relation, update.values, update.sign, update.count),),
-                self._counter_rows,
-            )
-            self._apply_support_changes(diffs, changes)
+                self._apply_trigger(event.trigger, event.tracked, update.values, changes)
+        # Fed after the triggers: an exhausted support's rebuild must see the
+        # post-update counter map.
+        self.feed_supports((update,), changes)
 
     def apply_batch(
         self, updates: Iterable[Update], changes: Optional[Dict[str, MapTable]] = None
@@ -395,97 +384,34 @@ class TriggerRuntime:
         against the pre-group state, increments folded per distinct key, and
         recomputes re-derived once over the union of affected groups.  The
         final map state equals one-at-a-time application (the batch
-        statements carry the delta's higher-order interaction terms).  Events
-        without a batch trigger fall back to grouped per-tuple replay.
+        statements carry the delta's higher-order interaction terms).  An
+        event without a batch trigger is applied per tuple.
 
-        Over the integer ring with specialization enabled (the default) the
-        grouping itself is specialized: the batch is sliced once per
-        statically-known trigger event with C-level filtered comprehensions
-        — fused totals never build a delta table, the rest count value
-        tuples through ``collections.Counter`` — instead of the generic
-        per-update Python loop.
+        The whole batch is arity-validated before any map is touched, so a
+        malformed update cannot leave the hierarchy partially advanced.  How
+        the grouping runs is the plan's verdict: a specialized plan slices
+        the batch once per statically-known event with C-level filtered
+        comprehensions — fused totals never build a delta table, the rest
+        count value tuples through ``collections.Counter`` — otherwise the
+        shared generic loop groups it in one Python-level pass.
         """
-        if self._specialize:
-            plan = self._batch_plan()
-            if plan:
-                if type(updates) is not list:
-                    updates = list(updates)
-                if updates:
-                    self._apply_batch_specialized(plan, updates, changes)
-                return
-        # Under a semiring the delta tables count tuples in ℤ (counter folds
-        # consume them directly; ring statements see a ``from_int`` overlay).
-        delta_ring = INTEGER_RING if self._semiring else self.ring
-        groups = self._validated_groups(updates)
-        ordered = groups.items()
-        if self._semiring:
-            # Insert groups fold before delete groups: a batch may delete a
-            # row the same batch inserts, and a delete-event recompute reads
-            # the ℤ counter maps through ``from_int``, which has no image for
-            # transiently negative counts.  Over a ring the order cannot be
-            # observed, so the first-seen order is kept there.
-            ordered = sorted(groups.items(), key=lambda item: -item[0][1])
-        for (relation, sign), group in ordered:
-            tuple_count = sum(update.count for update in group)
-            self.statistics.updates_processed += tuple_count
-            batch_trigger = self.program.batch_trigger_for(relation, sign)
-            if batch_trigger is not None:
-                delta_table = build_delta_table(
-                    group, delta_ring, table=self._acquire_delta_buffer()
-                )
-                if delta_table:
-                    self._apply_batch_trigger(batch_trigger, delta_table, changes)
-                self._release_delta_buffer(delta_table)
-                continue
-            trigger = self.program.trigger_for(relation, sign)
-            if trigger is None:
-                continue
-            for update in group:
-                for _ in range(update.count):
-                    self._apply_trigger(trigger, update.values, changes)
-        self._feed_supports(groups, changes)
-
-    def _batch_plan(self):
-        """The cached specialized batch plan (``False`` when ineligible)."""
-        plan = self._specialized_plan
-        if plan is None:
-            plan = self._specialized_plan = _BatchPlan.build(self)
-        return plan
-
-    def _apply_batch_specialized(
-        self,
-        plan: "_BatchPlan",
-        updates: List[Update],
-        changes: Optional[Dict[str, MapTable]] = None,
-    ) -> None:
-        """Apply one batch through the statically-unrolled event plan.
-
-        Mirrors the generic path's observable behavior exactly: the whole
-        batch is arity-validated before any map is touched, the processed-
-        update count includes triggerless events, and every fold runs through
-        the shared increment machinery.  Events execute in static plan order
-        rather than first-seen batch order, which cannot be observed — each
-        event's fold is exact against the state it sees, so the final state
-        and the CDC net deltas agree under any event order.
-        """
+        if type(updates) is not list:
+            updates = list(updates)
+        if not updates:
+            return
+        self._check_arities(updates)
+        if not self.plan.specialized:
+            self.statistics.updates_processed += self._generic_batch(
+                self.maps, updates, self.indexes.data, changes
+            )
+            self.feed_supports(updates, changes)
+            return
         counted = sum([update.count for update in updates])
         compact = counted != len(updates)
-        for relation, sign, arity in plan.validations:
-            if sign is None:
-                lengths = {
-                    len(update.values) for update in updates if update.relation == relation
-                }
-            else:
-                lengths = {
-                    len(update.values)
-                    for update in updates
-                    if update.sign == sign and update.relation == relation
-                }
-            if not lengths <= {arity}:
-                self._raise_first_arity_error(updates)
         self.statistics.updates_processed += counted
-        for relation, sign, verdict, batch_trigger in plan.batch_events:
-            if verdict == "total":
+        for event in self.plan.events:
+            relation, sign = event.relation, event.sign
+            if event.kind == "total":
                 # Every statement is a bare-count fold: the event's net
                 # tuple count is the whole delta — no table.
                 total = sum(
@@ -496,7 +422,7 @@ class TriggerRuntime:
                     ]
                 )
                 if total:
-                    self._apply_total_trigger(batch_trigger, total, changes)
+                    self._apply_total_trigger(event.batch_trigger, total, changes)
                 continue
             # Counter fast path: count the value tuples in C, then fix up
             # compact updates (count > 1) only when present.  Counts are
@@ -519,52 +445,31 @@ class TriggerRuntime:
                     ):
                         delta_table[update.values] += update.count - 1
             if delta_table:
-                self._apply_batch_trigger(batch_trigger, delta_table, changes)
-        for relation, sign, trigger in plan.replay_events:
-            if compact:
-                values_list = []
-                for update in updates:
-                    if update.sign == sign and update.relation == relation:
-                        if update.count == 1:
-                            values_list.append(update.values)
-                        else:
-                            values_list.extend((update.values,) * update.count)
+                self._apply_batch_trigger(
+                    event.batch_trigger, event.batch_tracked, delta_table, changes
+                )
+        self.feed_supports(updates, changes)
+
+    def _check_arities(self, updates: Iterable[Update]) -> None:
+        """Validate a batch against the plan's arity checks, one C-level
+        filtered pass each; rejects the first offender in batch order."""
+        for relation, sign, arity in self.plan.validations:
+            if sign is None:
+                lengths = {
+                    len(update.values) for update in updates if update.relation == relation
+                }
             else:
-                values_list = [
-                    update.values
+                lengths = {
+                    len(update.values)
                     for update in updates
                     if update.sign == sign and update.relation == relation
-                ]
-            for values in values_list:
-                self._apply_trigger(trigger, values, changes)
-
-    def _raise_first_arity_error(self, updates: List[Update]) -> None:
-        """Re-raise the exact error the generic validation pass would have."""
-        for update in updates:
-            trigger = self.program.trigger_for(update.relation, update.sign)
-            if trigger is not None:
-                self._check_arity(trigger, update)
-        raise AssertionError("arity mismatch detected but not reproduced")
-
-    def _specialization_for(
-        self, event: Tuple[str, int], batch_trigger: BatchTrigger
-    ) -> str:
-        """The cached specialization verdict for one batch event.
-
-        ``"total"`` demotes to ``"counter"`` when a target map carries slice
-        indexes (nullary-key targets never do, but stay defensive): the
-        shared fold must see a delta table to journal index maintenance.
-        """
-        verdict = self._specializations.get(event)
-        if verdict is None:
-            verdict = trigger_specialization(batch_trigger)
-            if verdict == "total" and any(
-                self.index_specs.get(statement.target)
-                for statement in batch_trigger.statements
-            ):
-                verdict = "counter"
-            self._specializations[event] = verdict
-        return verdict
+                }
+            if not lengths <= {arity}:
+                events = self._events
+                for update in updates:
+                    event = events.get((update.relation, update.sign))
+                    if event is not None and event.arity not in (None, len(update.values)):
+                        raise _arity_error(update)
 
     def _apply_total_trigger(
         self,
@@ -574,131 +479,21 @@ class TriggerRuntime:
     ) -> None:
         """The fused fold of an all-total batch trigger (no delta table).
 
-        Mirrors :meth:`_apply_batch_trigger` for the bare-count shape: each
-        statement's whole-batch increment is ``coefficient * total`` at the
-        empty key, folded through the shared increment path so CDC, stats and
-        sharded-table handling stay identical to the generic route.  Over the
-        float field the fold is Kahan-compensated: the per-target running
-        compensation term recovers the low-order bits each ``+=`` drops, so a
-        long stream of fused totals tracks ``math.fsum`` accuracy at straight
-        accumulation speed.
+        Each statement's whole-batch increment is ``coefficient * total`` at
+        the empty key — folded through the shared kernels, Kahan-compensated
+        over the float field (the plan's ``kahan`` flag).
         """
-        if self._kahan is not None:
-            for statement in batch_trigger.statements:
-                self.statistics.statements_executed += 1
-                self._fold_total_compensated(
-                    statement.target, statement.coefficient * total, changes
-                )
-            return
+        fold_total = self._kernels.fold_total if self.plan.kahan else None
         for statement in batch_trigger.statements:
             self.statistics.statements_executed += 1
-            self._fold_increments(
-                statement.target,
-                {(): statement.coefficient * total},
-                changes,
-                None,
-                serial=statement.serial_fold,
-            )
-
-    def _fold_total_compensated(
-        self,
-        target: str,
-        increment: float,
-        changes: Optional[Dict[str, MapTable]],
-    ) -> None:
-        """One Kahan-compensated fold into a nullary-key float total."""
-        table = self.maps[target]
-        key = ()
-        if changes is not None:
-            collector = changes.get(target)
-            if collector is not None:
-                collector[key] = collector.get(key, 0.0) + increment
-        compensation = self._kahan
-        old = table.get(key, 0.0)
-        adjusted = increment - compensation.get(target, 0.0)
-        new = old + adjusted
-        compensation[target] = (new - old) - adjusted
-        self.statistics.entries_updated += 1
-        if new == 0.0:
-            if table.pop(key, None) is not None:
-                self.indexes.discard(target, key)
-        else:
-            if key not in table:
-                self.indexes.add(target, key)
-            table[key] = new
-
-    #: Upper bound on pooled delta buffers — one per concurrently live
-    #: ``(relation, sign)`` group is plenty; anything beyond is leaked churn.
-    #: Shared with the generated modules via :data:`repro.core.delta.DELTA_POOL_LIMIT`.
-    _DELTA_POOL_LIMIT = DELTA_POOL_LIMIT
-
-    def _acquire_delta_buffer(self) -> MapTable:
-        """A cleared scratch dict for one batch group's delta map."""
-        return self._delta_buffers.pop() if self._delta_buffers else {}
-
-    def _release_delta_buffer(self, table: MapTable) -> None:
-        """Return a delta buffer to the pool once its batch trigger finished.
-
-        Safe because nothing retains the table past
-        :meth:`_apply_batch_trigger`: the overlay under the reserved delta-map
-        name is popped in its ``finally`` and every increment/CDC structure is
-        a fresh dict.  On an exception the buffer is simply not released —
-        dropping it is always correct.
-        """
-        if len(self._delta_buffers) < self._DELTA_POOL_LIMIT:
-            table.clear()
-            self._delta_buffers.append(table)
-
-    def apply_batch_replay(
-        self, updates: Iterable[Update], changes: Optional[Dict[str, MapTable]] = None
-    ) -> None:
-        """Grouped per-tuple replay of a batch (the pre-batch-trigger path).
-
-        Each trigger is resolved once per ``(relation, sign)`` group and every
-        tuple's statements are evaluated and folded one tuple at a time.  This
-        is the reference semantics batch triggers are checked against and the
-        baseline the batch-update benchmark compares with.
-        """
-        groups = self._validated_groups(updates)
-        ordered = groups.items()
-        if self._semiring:
-            # Insert groups replay before delete groups (see apply_batch):
-            # delete-event recomputes read counter maps through from_int.
-            ordered = sorted(groups.items(), key=lambda item: -item[0][1])
-        for (relation, sign), group in ordered:
-            self.statistics.updates_processed += sum(update.count for update in group)
-            trigger = self.program.trigger_for(relation, sign)
-            if trigger is None:
-                continue
-            for update in group:
-                for _ in range(update.count):
-                    self._apply_trigger(trigger, update.values, changes)
-        self._feed_supports(groups, changes)
-
-    def _validated_groups(
-        self, updates: Iterable[Update]
-    ) -> Dict[Tuple[str, int], List[Update]]:
-        """Group a batch by ``(relation, sign)``, arity-checking every update first.
-
-        Validation of the whole batch happens before any map is touched, so a
-        malformed update cannot leave the hierarchy partially advanced
-        mid-batch; shared by the batch-trigger and replay entry points.  The
-        grouped updates keep their net multiplicities (``Update.count``, the
-        compact form :func:`repro.gmr.database.coalesce_updates` emits).
-        """
-        groups: Dict[Tuple[str, int], List[Update]] = {}
-        for update in updates:
-            trigger = self.program.trigger_for(update.relation, update.sign)
-            if trigger is not None:
-                self._check_arity(trigger, update)
-            groups.setdefault((update.relation, update.sign), []).append(update)
-        return groups
-
-    def _check_arity(self, trigger: Trigger, update: Update) -> None:
-        if len(trigger.argument_names) != len(update.values):
-            raise ValueError(
-                f"update {update!r} does not match the arity of relation {update.relation!r}"
-            )
+            increment = statement.coefficient * total
+            if fold_total is not None:
+                fold_total(self.maps, statement.target, increment, changes)
+                self.statistics.entries_updated += 1
+            else:
+                self._fold_increments(
+                    statement.target, {(): increment}, changes, None, statement.serial_fold
+                )
 
     # -- support-structure maintenance ------------------------------------------------
 
@@ -732,10 +527,10 @@ class TriggerRuntime:
     ) -> None:
         """Feed raw updates into the support sidecars (post-trigger).
 
-        The engine-level hook for the generated backend, which shares this
-        runtime's maps and tier but applies triggers through its own module;
-        the interpreted entry points feed internally.  Must run *after* the
-        triggers so an exhausted support's rebuild sees post-update counters.
+        Called by the interpreted entry points themselves and by the pair
+        host after a generated module applied the triggers (it shares this
+        runtime's maps and tier).  Must run *after* the triggers so an
+        exhausted support's rebuild sees post-update counters.
         """
         if self._support_tier is None:
             return
@@ -744,24 +539,6 @@ class TriggerRuntime:
             for update in updates
             if update.relation in self._support_relations
         ]
-        if feed:
-            diffs = self._support_tier.collect(feed, self._counter_rows)
-            self._apply_support_changes(diffs, changes)
-
-    def _feed_supports(
-        self,
-        groups: Dict[Tuple[str, int], List[Update]],
-        changes: Optional[Dict[str, MapTable]],
-    ) -> None:
-        """Feed a validated batch into the support sidecars (post-triggers)."""
-        if self._support_tier is None:
-            return
-        feed = []
-        for (relation, sign), group in groups.items():
-            if relation in self._support_relations:
-                feed.extend(
-                    (relation, update.values, sign, update.count) for update in group
-                )
         if feed:
             diffs = self._support_tier.collect(feed, self._counter_rows)
             self._apply_support_changes(diffs, changes)
@@ -798,14 +575,13 @@ class TriggerRuntime:
     def _apply_trigger(
         self,
         trigger: Trigger,
+        tracked: Tuple[str, ...],
         values: Tuple[Any, ...],
         changes: Optional[Dict[str, MapTable]] = None,
     ) -> None:
         bindings = Record.from_values(trigger.argument_names, values)
-
-        # Maps whose per-event changed keys the recompute statements need for
-        # their affected-group analysis (tracked mode).
-        tracked_sources = self._tracked_sources_for(trigger.recomputes)
+        # Per-event changed-key sets of the maps the recomputes track.
+        tracked_sources = {name: set() for name in tracked} if tracked else None
 
         # Evaluate every statement against the pre-update state ...
         pending = []
@@ -834,11 +610,7 @@ class TriggerRuntime:
         # ... then apply all increments, keeping the slice indexes in sync.
         for statement, increments in pending:
             self._fold_increments(
-                statement.target,
-                increments,
-                changes,
-                tracked_sources,
-                serial=statement.serial_fold,
+                statement.target, increments, changes, tracked_sources, statement.serial_fold
             )
 
         # Finally re-derive the nested-aggregate readers, inner maps first;
@@ -846,22 +618,28 @@ class TriggerRuntime:
         for recompute in trigger.recomputes:
             self._run_recompute(recompute, changes, tracked_sources)
 
-    def _tracked_sources_for(
-        self, recomputes: Tuple[RecomputeStatement, ...]
-    ) -> Optional[Dict[str, set]]:
-        """Fresh per-event changed-key sets for the recomputes' tracked sources."""
-        if not recomputes:
-            return None
-        tracked_sources: Dict[str, set] = {}
-        for recompute in recomputes:
-            if recompute.source_projections:
-                for source, _positions in recompute.source_projections:
-                    tracked_sources.setdefault(source, set())
-        return tracked_sources
+    def _projection_lift(self, statement, is_counter: bool):
+        """``multiplicity -> increment`` for a key-projection batch statement."""
+        coefficient = statement.coefficient
+        if is_counter:
+            return lambda multiplicity: coefficient * multiplicity
+        ring = self.ring
+        if not self._semiring:
+            scale = ring.coerce(coefficient)
+            return lambda multiplicity: ring.mul(scale, multiplicity)
+        # The delta counts tuples in ℤ: a count maps to its ``from_int``
+        # image, and a coefficient of 1 stays out of the product entirely —
+        # ``coerce(1)`` need not be the multiplicative identity outside a
+        # ring (min-plus coerces 1 to the value 1.0, but its ``one`` is 0.0).
+        if coefficient == 1:
+            return ring.from_int
+        scale = ring.coerce(coefficient)
+        return lambda multiplicity: ring.mul(scale, ring.from_int(multiplicity))
 
     def _apply_batch_trigger(
         self,
         batch_trigger: BatchTrigger,
+        tracked: Tuple[str, ...],
         delta_table: MapTable,
         changes: Optional[Dict[str, MapTable]] = None,
     ) -> None:
@@ -877,7 +655,7 @@ class TriggerRuntime:
         """
         ring = self.ring
         semiring = self._semiring
-        tracked_sources = self._tracked_sources_for(batch_trigger.recomputes)
+        tracked_sources = {name: set() for name in tracked} if tracked else None
         pending = []
         #: Lazily-built ring view for evaluate statements in semiring mode:
         #: counter maps wrapped, plus the delta's ``from_int`` image under
@@ -890,61 +668,32 @@ class TriggerRuntime:
                 increments: MapTable = {}
                 is_counter = semiring and statement.target in self._counter_maps
                 if statement.projection is not None:
-                    if is_counter:
-                        coefficient = statement.coefficient
-                        for key, multiplicity in delta_table.items():
-                            target_key = tuple(
-                                key[position] for position in statement.projection
-                            )
-                            increments[target_key] = (
-                                increments.get(target_key, 0) + coefficient * multiplicity
-                            )
-                    elif semiring:
-                        # The delta counts tuples in ℤ: a count maps to its
-                        # ``from_int`` image, and a coefficient of 1 stays out
-                        # of the product entirely — ``coerce(1)`` need not be
-                        # the multiplicative identity outside a ring (min-plus
-                        # coerces 1 to the value 1.0, but its ``one`` is 0.0).
-                        coefficient = statement.coefficient
-                        for key, multiplicity in delta_table.items():
-                            target_key = tuple(
-                                key[position] for position in statement.projection
-                            )
-                            value = ring.from_int(multiplicity)
-                            if coefficient != 1:
-                                value = ring.mul(ring.coerce(coefficient), value)
-                            existing = increments.get(target_key)
-                            increments[target_key] = (
-                                value if existing is None else ring.add(existing, value)
-                            )
-                    else:
-                        coefficient = ring.coerce(statement.coefficient)
-                        for key, multiplicity in delta_table.items():
-                            target_key = tuple(
-                                key[position] for position in statement.projection
-                            )
-                            value = ring.mul(coefficient, multiplicity)
-                            existing = increments.get(target_key)
-                            increments[target_key] = (
-                                value if existing is None else ring.add(existing, value)
-                            )
+                    projection = statement.projection
+                    lift = self._projection_lift(statement, is_counter)
+                    add = INTEGER_RING.add if is_counter else ring.add
+                    for key, multiplicity in delta_table.items():
+                        target_key = tuple(key[position] for position in projection)
+                        value = lift(multiplicity)
+                        existing = increments.get(target_key)
+                        increments[target_key] = (
+                            value if existing is None else add(existing, value)
+                        )
                 else:
                     environment = self._environment
                     maps = self.maps
-                    if semiring:
-                        if is_counter:
-                            environment = self._count_env
-                        else:
-                            if ring_view is None:
-                                from_int = ring.from_int
-                                ring_view = IndexedMaps(
-                                    self._evaluation_maps(), indexes=self.indexes
-                                )
-                                ring_view[batch_trigger.delta_map] = {
-                                    key: from_int(multiplicity)
-                                    for key, multiplicity in delta_table.items()
-                                }
-                            maps = ring_view
+                    if is_counter:
+                        environment = self._count_env
+                    elif semiring:
+                        if ring_view is None:
+                            from_int = ring.from_int
+                            ring_view = IndexedMaps(
+                                self._evaluation_maps(), indexes=self.indexes
+                            )
+                            ring_view[batch_trigger.delta_map] = {
+                                key: from_int(multiplicity)
+                                for key, multiplicity in delta_table.items()
+                            }
+                        maps = ring_view
                     result = evaluate(
                         statement.as_aggregate(), environment, maps=maps
                     )
@@ -955,11 +704,7 @@ class TriggerRuntime:
             self.maps.pop(batch_trigger.delta_map, None)
         for statement, increments in pending:
             self._fold_increments(
-                statement.target,
-                increments,
-                changes,
-                tracked_sources,
-                serial=statement.serial_fold,
+                statement.target, increments, changes, tracked_sources, statement.serial_fold
             )
         for recompute in batch_trigger.recomputes:
             self._run_recompute(recompute, changes, tracked_sources)
@@ -972,132 +717,36 @@ class TriggerRuntime:
         tracked_sources: Optional[Dict[str, set]],
         serial: bool = False,
     ) -> None:
-        """Fold per-key increments into one map, maintaining indexes/CDC/tracking.
+        """Fold per-key increments into one map through the shared fold kernel.
 
-        ``serial`` is the shard-race detector's verdict
-        (:attr:`~repro.compiler.triggers.Statement.serial_fold`): a flagged
-        statement's fold must stay on the inline path even for large
-        increment maps over a sharded table.
+        Counter maps of a semiring plan fold in ℤ; ``serial`` is the
+        shard-race detector's verdict
+        (:attr:`~repro.compiler.triggers.Statement.serial_fold`).
         """
-        ring = self.ring
-        semiring = self._semiring
-        if semiring and target in self._counter_maps:
-            ring = INTEGER_RING
-        table = self.maps[target]
-        if type(table) is ShardedMapTable:
-            self._fold_increments_sharded(
-                table, target, increments, changes, tracked_sources, serial
-            )
-            return
-        indexes = self.indexes
-        collector = None if changes is None else changes.get(target)
-        touched = None if tracked_sources is None else tracked_sources.get(target)
-        for key, value in increments.items():
-            new_value = ring.add(table.get(key, ring.zero), value)
-            if collector is not None:
-                if semiring:
-                    # Semiring CDC carries post-update values (differences
-                    # are undefined without subtraction); zero = key gone.
-                    collector[key] = new_value
-                else:
-                    collector[key] = ring.add(collector.get(key, ring.zero), value)
-            if touched is not None and not ring.is_zero(value):
-                touched.add(key)
-            self.statistics.entries_updated += 1
-            if ring.is_zero(new_value):
-                if table.pop(key, None) is not None:
-                    indexes.discard(target, key)
-            else:
-                if key not in table:
-                    indexes.add(target, key)
-                table[key] = new_value
-
-    def _fold_increments_sharded(
-        self,
-        table: "ShardedMapTable",
-        target: str,
-        increments: MapTable,
-        changes: Optional[Dict[str, MapTable]],
-        tracked_sources: Optional[Dict[str, set]],
-        serial: bool = False,
-    ) -> None:
-        """The sharded fold: split increments by key hash, fold shards concurrently.
-
-        Change-data-capture and tracked-source accumulation depend only on
-        the increment map, so they are folded serially up front — sharded and
-        unsharded sessions emit identical ``on_change`` payloads.  The slice
-        indexes are bucketed by bound *prefix* (which does not respect the
-        key-hash partition), so each worker journals its inserted/removed
-        keys and the journal replays into the shared index after the join.
-        """
-        if not increments:
-            return
-        ring = self.ring
-        semiring = self._semiring
-        counter = semiring and target in self._counter_maps
-        if counter:
-            ring = INTEGER_RING
-        collector = None if changes is None else changes.get(target)
-        touched = None if tracked_sources is None else tracked_sources.get(target)
-        if collector is not None:
-            if semiring:
-                # Post-update values, read before the fold mutates the table
-                # (each key folds exactly once per call, so old + increment
-                # is the value the fold will store).
-                zero = ring.zero
-                for key, value in increments.items():
-                    collector[key] = ring.add(table.get(key, zero), value)
-            else:
-                for key, value in increments.items():
-                    collector[key] = ring.add(collector.get(key, ring.zero), value)
-        if touched is not None:
-            for key, value in increments.items():
-                if not ring.is_zero(value):
-                    touched.add(key)
-        self.statistics.entries_updated += len(increments)
-        journal = self.indexes.specs.get(target) is not None
-        indexes = self.indexes
-        sink = lambda added, removed: indexes.apply_journal(target, added, removed)  # noqa: E731
-        if counter:
-            # Counter folds run in ℤ whatever the session ring is.  The
-            # process backend's workers fold with the session ring, so counter
-            # maps stay on coordinator shards (thread pool / inline) and never
-            # gain a worker mirror — no staleness to track.
-            fold_shards_threaded(
-                table,
-                increments,
-                journal,
-                self._shard_fold_int,
-                self._shard_fold_inline_int,
-                sink,
-                force_inline=serial,
-            )
-            return
-        fold_sharded_table(
-            table,
+        kernels = self._kernels
+        fold = kernels.fold_int if target in self._counter_maps else kernels.fold
+        self.statistics.entries_updated += fold(
+            self.maps[target],
             increments,
-            journal,
-            self._shard_fold,
-            self._shard_fold_inline,
-            sink,
-            force_inline=serial,
-            name=target,
+            target,
+            self.indexes.specs.get(target),
+            self.indexes.data,
+            changes,
+            None if tracked_sources is None else tracked_sources.get(target),
+            serial,
         )
 
     def _run_recompute(
         self,
         recompute: RecomputeStatement,
         changes: Optional[Dict[str, MapTable]],
-        tracked_sources: Dict[str, set],
+        tracked_sources: Optional[Dict[str, set]],
     ) -> None:
-        """Execute one recompute statement: re-evaluate affected groups, fold diffs."""
+        """Execute one recompute statement: re-evaluate affected groups, write back."""
         self.statistics.statements_executed += 1
         ring = self.ring
-        semiring = self._semiring
         table = self.maps[recompute.target]
         maps = self._evaluation_maps()
-        new_values: Dict[Tuple[Any, ...], Any] = {}
-        affected: Iterable[Tuple[Any, ...]]
         if recompute.tracked:
             groups = set()
             for source, positions in recompute.source_projections:
@@ -1117,50 +766,34 @@ class TriggerRuntime:
             # Affected groups are per-group independent (they only read source
             # maps, never the target), so large sets fan out over the shard
             # backend — the same tier the batch folds dispatch through.  All
-            # values are computed before any diff is applied either way, so
-            # the fold below sees identical state at every backend.
+            # values are computed before any diff is written back either way,
+            # so the write-back sees identical state at every backend.
             group_list = list(groups)
             backend = self.shard_backend
             if backend is not None and backend.wants_groups(len(group_list)):
                 values = backend.map_groups(evaluate_group, group_list)
             else:
                 values = [evaluate_group(group) for group in group_list]
-            new_values = dict(zip(group_list, values))
-            affected = group_list
+            new_values = list(zip(group_list, values))
         else:
+            accumulator: Dict[Tuple[Any, ...], Any] = {}
             result = evaluate(recompute.as_aggregate(), self._environment, maps=maps)
             for record, value in result.items():
                 key = record.values_for(recompute.target_keys)
-                if key in new_values:
-                    new_values[key] = ring.add(new_values[key], value)
+                if key in accumulator:
+                    accumulator[key] = ring.add(accumulator[key], value)
                 else:
-                    new_values[key] = value
-            affected = set(new_values) | set(table)
-
-        indexes = self.indexes
-        collector = None if changes is None else changes.get(recompute.target)
-        touched = None if tracked_sources is None else tracked_sources.get(recompute.target)
-        for key in affected:
-            new_value = new_values.get(key, ring.zero)
-            old_value = table.get(key, ring.zero)
-            if new_value == old_value:
-                continue
-            self.statistics.entries_updated += 1
-            if collector is not None:
-                if semiring:
-                    collector[key] = new_value
-                else:
-                    delta = ring.sub(new_value, old_value)
-                    collector[key] = ring.add(collector.get(key, ring.zero), delta)
-            if touched is not None:
-                touched.add(key)
-            if ring.is_zero(new_value):
-                if table.pop(key, None) is not None:
-                    indexes.discard(recompute.target, key)
-            else:
-                if key not in table:
-                    indexes.add(recompute.target, key)
-                table[key] = new_value
+                    accumulator[key] = value
+            new_values = recompute_pairs(accumulator, table, ring.zero)
+        self.statistics.entries_updated += self._kernels.write_back(
+            table,
+            new_values,
+            recompute.target,
+            self.indexes.specs.get(recompute.target),
+            self.indexes.data,
+            changes,
+            None if tracked_sources is None else tracked_sources.get(recompute.target),
+        )
 
     def _evaluation_maps(self):
         """The ring evaluator's view of the map environment.
@@ -1223,68 +856,3 @@ class TriggerRuntime:
             f"TriggerRuntime(result={self.program.result_map!r}, "
             f"maps={len(self.maps)}, entries={self.total_map_entries()})"
         )
-
-
-class _BatchPlan:
-    """The statically-unrolled batch schedule of one specialized runtime.
-
-    Built once per program: every batch event with its specialization verdict
-    (``"total"`` / ``"counter"``), every replay-only event, and the arity
-    validations the generic grouping pass would have performed — collapsed to
-    one check per relation when both signs carry per-tuple triggers, so the
-    hot path validates with set-comprehension passes instead of a per-update
-    function call.
-    """
-
-    __slots__ = ("batch_events", "replay_events", "validations")
-
-    def __init__(self, batch_events, replay_events, validations):
-        self.batch_events = batch_events
-        self.replay_events = replay_events
-        self.validations = validations
-
-    def __bool__(self) -> bool:
-        return True
-
-    @staticmethod
-    def build(runtime: "TriggerRuntime"):
-        """The plan for ``runtime``'s program, or ``False`` when ineligible."""
-        program = runtime.program
-        order = lambda item: (item[0][0], -item[0][1])  # noqa: E731
-        batch_items = sorted(program.batch_triggers.items(), key=order)
-        replay_items = [
-            (event, trigger)
-            for event, trigger in sorted(program.triggers.items(), key=order)
-            if event not in program.batch_triggers
-        ]
-        if len(batch_items) + len(replay_items) > MAX_SPECIALIZED_EVENTS:
-            return False
-        batch_events = [
-            (relation, sign, runtime._specialization_for((relation, sign), batch_trigger), batch_trigger)
-            for (relation, sign), batch_trigger in batch_items
-        ]
-        replay_events = [
-            (relation, sign, trigger) for (relation, sign), trigger in replay_items
-        ]
-        if runtime.ring is FLOAT_FIELD and (
-            replay_events
-            or any(verdict != "total" for _r, _s, verdict, _t in batch_events)
-        ):
-            # Float accumulation is order-sensitive: only the compensated
-            # fused-total shape (nullary keys, one += per statement) is safe
-            # to specialize — Counter grouping and replay reorder the adds.
-            return False
-        arities = {
-            event: len(trigger.argument_names) for event, trigger in program.triggers.items()
-        }
-        validations = []
-        relation_covered = set()
-        for (relation, sign), arity in sorted(arities.items()):
-            if relation in relation_covered:
-                continue
-            if arities.get((relation, -sign)) == arity:
-                validations.append((relation, None, arity))
-                relation_covered.add(relation)
-            else:
-                validations.append((relation, sign, arity))
-        return _BatchPlan(batch_events, replay_events, validations)

@@ -357,8 +357,8 @@ class TriggerProgram:
     ``triggers`` hold the per-tuple programs (the paper's single-tuple
     ``±R(~u)`` events); ``batch_triggers`` hold, for the same events, the
     relation-valued variants whose parameter is a whole delta map.  Programs
-    without batch triggers (hand-built ones) still execute — the runtimes
-    fall back to grouped per-tuple replay for events lacking one.
+    without batch triggers (hand-built ones) still execute — the executors
+    apply events lacking one per tuple.
     """
 
     result_map: str
@@ -399,28 +399,31 @@ class TriggerProgram:
 
         With ``costs`` (the default) every statement line carries its static
         per-update cost class (:func:`repro.compiler.cost.statement_cost_class`)
-        derived from the program's slice-index signatures.  Cost annotation is
+        derived from the program's slice-index signatures; batch statements
+        also carry the ``[spec:…]`` class of the lowered batch plan
+        (:func:`repro.compiler.plan.lower_batch_plan`).  Annotation is
         best-effort: programs whose statements fall outside the static
         analysis (hand-built IR with exotic right-hand sides) print without
         annotations instead of failing.
         """
-        annotator = None
-        if costs:
-            # Imported here: the indexes module imports this one at module level.
-            from repro.compiler.cost import statement_cost_class
-            from repro.compiler.indexes import compute_index_specs
+        # Imported here: the plan module imports this one at module level.
+        from repro.compiler.cost import statement_cost_class
+        from repro.compiler.plan import lower_batch_plan
 
+        # The plan carries the slice-index signatures the cost classes are
+        # graded against and the per-statement ``[spec:…]`` classes.
+        try:
+            plan = lower_batch_plan(self)
+        except Exception:
+            plan = None
+
+        def cost(statement, argument_names):
+            if plan is None or not costs:
+                return ""
             try:
-                specs = compute_index_specs(self)
+                return f"-- {statement_cost_class(statement, plan.index_specs, argument_names)}"
             except Exception:
-                specs = None
-            if specs is not None:
-
-                def annotator(statement, argument_names):
-                    try:
-                        return f"-- {statement_cost_class(statement, specs, argument_names)}"
-                    except Exception:
-                        return ""
+                return ""
 
         lines = ["MAPS:"]
         for definition in sorted(self.maps.values(), key=lambda d: (d.level, d.name)):
@@ -430,29 +433,29 @@ class TriggerProgram:
                 if strategy:
                     maint = f"  [maint:{strategy}]"
             lines.append(f"  [level {definition.level}] {definition.describe()}{maint}")
+        order = lambda pair: (pair[0], -pair[1])  # noqa: E731
         lines.append("TRIGGERS:")
-        for key in sorted(self.triggers, key=lambda pair: (pair[0], -pair[1])):
+        for key in sorted(self.triggers, key=order):
             trigger = self.triggers[key]
-            annotate = None
-            if annotator is not None:
-                annotate = lambda s, args=trigger.argument_names: annotator(s, args)  # noqa: E731
-            lines.append(trigger.describe(annotate=annotate))
+            lines.append(
+                trigger.describe(
+                    annotate=lambda s, args=trigger.argument_names: cost(s, args)
+                )
+            )
         if self.batch_triggers:
-            from repro.compiler.cost import batch_specialization_class
-
             lines.append("BATCH TRIGGERS:")
-            for key in sorted(self.batch_triggers, key=lambda pair: (pair[0], -pair[1])):
+            events = {event.event: event for event in plan.events} if plan is not None else {}
+            for key in sorted(self.batch_triggers, key=order):
                 batch_trigger = self.batch_triggers[key]
+                # Recomputes have no projection analysis — only batch
+                # statements carry a specialization class.
+                labels = {}
+                if key in events:
+                    labels = dict(zip(map(id, batch_trigger.statements), events[key].labels))
 
-                def annotate(s, _trigger=batch_trigger):
-                    parts = []
-                    if annotator is not None:
-                        parts.append(annotator(s, ()))
-                    # Recomputes have no projection analysis — only batch
-                    # statements carry a specialization class.
-                    if hasattr(s, "projection_class"):
-                        parts.append(f"[spec:{batch_specialization_class(s, _trigger)}]")
-                    return " ".join(part for part in parts if part)
+                def annotate(s, _labels=labels):
+                    label = f"[spec:{_labels[id(s)]}]" if id(s) in _labels else ""
+                    return " ".join(part for part in (cost(s, ()), label) if part)
 
                 lines.append(batch_trigger.describe(annotate=annotate))
         return "\n".join(lines)

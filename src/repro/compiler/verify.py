@@ -19,7 +19,7 @@ The module also hosts the **shard-race detector**
 (:func:`mark_serial_folds`): within one event dispatch, a statement whose
 fold writes a map that *another* statement of the same dispatch reads (or
 that another statement also writes) may not use the parallel per-shard fold
-path of :mod:`repro.compiler.sharding` — an executor overlapping that fold
+path of :mod:`repro.compiler.partition` — an executor overlapping that fold
 with its neighbour's evaluation would observe half-written state.  Both
 runtimes execute folds behind a join barrier today, which makes such pairs
 safe *dynamically*; the detector makes the guarantee static by forcing the

@@ -54,9 +54,8 @@ from repro.gmr.database import Update
 DELTA_MAP_PREFIX = "__delta__"
 
 #: How many cleared per-group delta-table buffers the compiled executors keep
-#: pooled between ``apply_batch`` calls.  Shared by ``TriggerRuntime`` and the
-#: generated trigger modules (codegen interpolates it into the emitted source)
-#: so the two hot paths can never drift apart.
+#: pooled between ``apply_batch`` calls (the generic batch loop of
+#: :mod:`repro.compiler.kernels`, which both executors run).
 DELTA_POOL_LIMIT = 8
 
 
@@ -68,37 +67,6 @@ def delta_map_name(relation: str) -> str:
 def is_delta_map(name: str) -> bool:
     """True for the transient delta-map names produced by :func:`delta_map_name`."""
     return name.startswith(DELTA_MAP_PREFIX)
-
-
-def build_delta_table(updates: Iterable[Update], ring, table=None):
-    """Pre-aggregate one ``(relation, sign)`` batch group into a delta map.
-
-    The result is the concrete gmr ``∆R : values → multiplicity`` the batch
-    triggers read — duplicate tuples add up and compact updates
-    (``Update.count > 1``, the coalesced form) fold in O(log n) via
-    ``ring.from_int`` instead of expanding into repeats.  Entries whose
-    multiplicity lands on the ring's zero (possible in finite rings where
-    ``from_int`` wraps) are dropped before the table is returned, so callers
-    can treat emptiness as "this group nets to nothing".
-
-    ``table``, when given, is a cleared scratch dict to fill in place — the
-    executors pool these buffers across batches so the per-flush allocation
-    cost of a streaming workload stays constant (see ``TriggerRuntime``).
-    """
-    if table is None:
-        table = {}
-    add, one, from_int = ring.add, ring.one, ring.from_int
-    for update in updates:
-        values = update.values
-        count = update.count
-        increment = one if count == 1 else from_int(count)
-        existing = table.get(values)
-        table[values] = increment if existing is None else add(existing, increment)
-    is_zero = ring.is_zero
-    dead = [values for values, multiplicity in table.items() if is_zero(multiplicity)]
-    for values in dead:
-        del table[values]
-    return table
 
 
 @dataclass(frozen=True)

@@ -183,22 +183,13 @@ class IVMEngine(ABC):
         per group instead of once per tuple.  Intermediate results between the
         batch's updates are not observable.
         """
-        self._drive_batch(updates, self._apply_batch)
-
-    def _drive_batch(self, updates: Iterable[Update], runner) -> None:
-        """The shared batch driver: change collection, timing, stats, dispatch.
-
-        ``runner`` receives the materialized update list; alternative batch
-        entry points (the recursive engine's replay path) route through this
-        so the CDC/timing protocol lives in one place.  A runner that already
-        knows the batch's logical tuple count returns it (the specialized
-        batch paths compute it anyway); ``None`` means count here.
-        """
         updates = updates if isinstance(updates, (list, tuple)) else list(updates)
         if self._change_callbacks:
             self._pending_changes = {}
         started = time.perf_counter()
-        counted = runner(updates)
+        # An engine that already knows the batch's logical tuple count
+        # returns it (the compiled batch paths compute it anyway).
+        counted = self._apply_batch(updates)
         self.statistics.seconds_in_updates += time.perf_counter() - started
         if counted is None:
             # Net multiplicities count as the tuples they stand for.

@@ -21,6 +21,7 @@ from typing import Any, Mapping, Optional, Sequence
 from repro.algebra.semirings import INTEGER_RING, Semiring
 from repro.compiler.codegen import GeneratedTriggers, generate_python
 from repro.compiler.compile import compile_query
+from repro.compiler.executor import CompiledExecutor
 from repro.compiler.runtime import TriggerRuntime
 from repro.compiler.triggers import TriggerProgram
 from repro.core.ast import Expr
@@ -44,7 +45,7 @@ class RecursiveIVM(IVMEngine):
         shard_backend: Optional[str] = None,
         normalize: Optional[bool] = None,
         verify: bool = True,
-        specialize: Optional[bool] = None,
+        specialize: bool = True,
     ):
         super().__init__(query, schema)
         if backend not in ("interpreted", "generated"):
@@ -63,14 +64,13 @@ class RecursiveIVM(IVMEngine):
             ring=ring,
         )
         # shards > 1 hash-partitions the map tables so batch folds run per
-        # shard (repro.compiler.sharding); the default (None -> REPRO_SHARDS
+        # shard (repro.compiler.partition); the default (None -> REPRO_SHARDS
         # -> 1) keeps plain dict tables and the pre-sharding code path.
         # shard_backend picks the partition tier's execution backend
         # ("inline"/"thread"/"process", None -> REPRO_SHARD_BACKEND).
-        # specialize controls the hot-loop batch fast paths (Counter-counted
-        # grouping + fused bare-count totals) on both compiled executors;
-        # None defers to REPRO_SPECIALIZE (default on), and non-integer rings
-        # keep the generic path regardless.
+        # specialize=False pins both compiled executors to the generic batch
+        # loop; otherwise the lowered batch plan (repro.compiler.plan) decides
+        # per program — non-integer rings keep the generic path regardless.
         self.runtime = TriggerRuntime(
             self.program, ring=ring, shards=shards, shard_backend=shard_backend,
             specialize=specialize,
@@ -80,34 +80,30 @@ class RecursiveIVM(IVMEngine):
             # The generated module's arithmetic is specialized to the ring
             # (native +/*/0 for the built-in integer and float structures,
             # ring.add/ring.mul/ring.zero otherwise); proper semirings
-            # compile through their maintenance plan.  The module handles
-            # counter maps and recomputes itself; support sidecars are fed
-            # at this engine layer after each apply (the runtime owns the
-            # tier and the maps both backends share).
+            # compile through their maintenance plan.  It executes the
+            # triggers over the runtime's state; the executor pair host
+            # does the gluing (support feeds, statistics, restore).
             self._generated = generate_python(self.program, ring=ring, specialize=specialize)
+        self._executor = CompiledExecutor(self.runtime, self._generated)
 
     # -- initialization from an existing database --------------------------------------
 
     def bootstrap(self, db: Database) -> None:
         """Compute initial values of every map from an already-populated database."""
         self.runtime.bootstrap(db)
-        if self._generated is not None:
-            self._generated.reset_compensation()
 
     def state_backup(self):
-        """Plain-dict copies of every map table (sharded tables are merged)."""
-        return self.runtime.backup_tables()
+        """Plain-dict copies of every map table (sharded tables are merged),
+        plus the work counters and the Kahan compensation store."""
+        return self._executor.backup()
 
     def state_restore(self, backup) -> None:
-        self.runtime.restore_tables(backup)
-        if self._generated is not None:
-            self._generated.reset_compensation()
+        self._executor.restore(backup)
         self._pending_changes = None
 
     def close(self) -> None:
         """Shut the partition-tier backend down (stops process workers)."""
-        if self.runtime.shard_backend is not None:
-            self.runtime.shard_backend.close()
+        self._executor.close()
 
     # -- engine interface -----------------------------------------------------------------
 
@@ -123,22 +119,9 @@ class RecursiveIVM(IVMEngine):
         return {self.program.result_map: self._pending_changes}
 
     def _apply(self, update: Update) -> None:
-        if self._generated is not None:
-            changes = self._change_hook()
-            self._generated.apply(
-                self.runtime.maps,
-                update.relation,
-                update.sign,
-                update.values,
-                indexes=self.runtime.indexes,
-                changes=changes,
-            )
-            self.runtime.feed_supports((update,), changes)
-            self._absorb_generated_statistics(1)
-        else:
-            self.runtime.apply(update, changes=self._change_hook())
+        self._executor.apply(update, self._change_hook())
 
-    def _apply_batch(self, updates) -> None:
+    def _apply_batch(self, updates) -> Optional[int]:
         """Batched application through the compiled batch triggers.
 
         See :meth:`repro.ivm.base.IVMEngine.apply_batch` for the contract.
@@ -146,53 +129,7 @@ class RecursiveIVM(IVMEngine):
         folded by the group's batch trigger — per-batch cost scales with the
         number of distinct keys touched, not the number of tuples.
         """
-        if self._generated is not None:
-            changes = self._change_hook()
-            if self.runtime.has_supports and type(updates) is not list:
-                updates = list(updates)
-            count = self._generated.apply_batch(
-                self.runtime.maps, updates, indexes=self.runtime.indexes,
-                changes=changes,
-            )
-            self.runtime.feed_supports(updates, changes)
-            if count is None:
-                count = sum([update.count for update in updates])
-            self._absorb_generated_statistics(count)
-            return count
-        self.runtime.apply_batch(updates, changes=self._change_hook())
-        return None
-
-    def apply_batch_replay(self, updates) -> None:
-        """Apply a batch by grouped per-tuple replay (the pre-batch-trigger path).
-
-        Semantically identical to :meth:`apply_batch` but executes every
-        tuple's trigger in full, amortizing only dispatch and table lookups
-        per group.  Kept as the reference baseline the batch-update benchmark
-        measures the batch triggers against.
-        """
-        self._drive_batch(updates, self._replay_batch)
-
-    def _replay_batch(self, updates) -> None:
-        if self._generated is not None:
-            changes = self._change_hook()
-            if self.runtime.has_supports and type(updates) is not list:
-                updates = list(updates)
-            self._generated.apply_batch_replay(
-                self.runtime.maps, updates, indexes=self.runtime.indexes,
-                changes=changes,
-            )
-            self.runtime.feed_supports(updates, changes)
-            self._absorb_generated_statistics(sum(update.count for update in updates))
-        else:
-            self.runtime.apply_batch_replay(updates, changes=self._change_hook())
-
-    def _absorb_generated_statistics(self, update_count: int) -> None:
-        """Fold the generated module's work counters into the runtime statistics."""
-        statements, entries = self._generated.drain_statistics()
-        statistics = self.runtime.statistics
-        statistics.updates_processed += update_count
-        statistics.statements_executed += statements
-        statistics.entries_updated += entries
+        return self._executor.apply_batch(updates, self._change_hook())
 
     def result(self) -> Any:
         return self.runtime.result()

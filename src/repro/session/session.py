@@ -34,9 +34,13 @@ from repro.algebra.semirings import INTEGER_RING, Semiring, resolve_semiring
 from repro.compiler.codegen import GeneratedTriggers, generate_python
 from repro.compiler.compile import compile_query
 from repro.compiler.cost import RuntimeStatistics
-from repro.compiler.partition.backends import make_shard_backend, resolve_shard_backend
+from repro.compiler.executor import CompiledExecutor
+from repro.compiler.partition import (
+    make_shard_backend,
+    resolve_shard_backend,
+    resolve_shard_count,
+)
 from repro.compiler.runtime import TriggerRuntime
-from repro.compiler.sharding import resolve_shard_count
 from repro.core.ast import AggSum, Expr
 from repro.core.errors import SchemaError
 from repro.core.parser import parse, to_string
@@ -73,9 +77,10 @@ class _CompiledGroup:
     The group owns a :class:`MapCatalog` and one executable artifact built
     from the catalog's combined program: a :class:`TriggerRuntime` (and, for
     the generated flavor, a :class:`GeneratedTriggers` module over the same
-    map environment).  Registration rebuilds the artifacts; map *contents*
-    are carried over, so registering a view never disturbs already-maintained
-    state.
+    map environment), driven through their
+    :class:`~repro.compiler.executor.CompiledExecutor` host.  Registration
+    rebuilds the artifacts; map *contents* are carried over, so registering a
+    view never disturbs already-maintained state.
     """
 
     def __init__(
@@ -98,6 +103,10 @@ class _CompiledGroup:
         # AC canonicalization reorders products, which is only an equivalence
         # over commutative coefficient structures.
         self.catalog = MapCatalog(schema, ac_dedup=ring.commutative)
+        #: Set by the first successful registration (a group is only reachable
+        #: from its session after one); ``runtime``/``generated`` alias the
+        #: executor's pair — plain attributes, they sit on the read path.
+        self.executor: Optional[CompiledExecutor] = None
         self.runtime: Optional[TriggerRuntime] = None
         self.generated: Optional[GeneratedTriggers] = None
         #: Persistent across rebuilds (a rebuild replaces the runtime object).
@@ -136,13 +145,11 @@ class _CompiledGroup:
             ring=self.ring,
         )
         state = self.catalog.checkpoint()
-        previous_runtime, previous_generated = self.runtime, self.generated
         result_map, new_maps = self.catalog.absorb(view_name, program)
         try:
             self._rebuild(new_maps, bootstrap_source)
         except BaseException:
             self.catalog.rollback(state)
-            self.runtime, self.generated = previous_runtime, previous_generated
             raise
         return result_map
 
@@ -167,10 +174,12 @@ class _CompiledGroup:
             # A rebuild replaces the runtime object (and with it the support
             # tier); re-derive the sidecars from the carried-over counters.
             runtime.rebuild_supports()
-        self.runtime = runtime
-        self.generated = (
+        generated = (
             generate_python(combined, ring=self.ring) if self.backend == "generated" else None
         )
+        # Installed last: a failed rebuild leaves the previous pair in place.
+        self.executor = CompiledExecutor(runtime, generated)
+        self.runtime, self.generated = runtime, generated
 
     # -- update processing ---------------------------------------------------------
 
@@ -180,85 +189,13 @@ class _CompiledGroup:
             return None
         return {name: {} for name in self.watched}
 
-    def apply(self, update: Update, changes=None) -> None:
-        if self.generated is not None:
-            self.generated.apply(
-                self.runtime.maps,
-                update.relation,
-                update.sign,
-                update.values,
-                indexes=self.runtime.indexes,
-                changes=changes,
-            )
-            # Support sidecars (semiring top-k/min/max) are fed at this layer
-            # — the generated module owns the triggers, the runtime owns the
-            # tier; must run post-trigger so rebuilds see updated counters.
-            self.runtime.feed_supports((update,), changes)
-            self._absorb_generated_statistics(1)
-        else:
-            self.runtime.apply(update, changes=changes)
-
-    def apply_batch(self, updates: Sequence[Update], changes=None) -> None:
-        if self.generated is not None:
-            count = self.generated.apply_batch(
-                self.runtime.maps, updates, indexes=self.runtime.indexes, changes=changes
-            )
-            self.runtime.feed_supports(updates, changes)
-            if count is None:
-                count = sum([update.count for update in updates])
-            self._absorb_generated_statistics(count)
-        else:
-            self.runtime.apply_batch(updates, changes=changes)
-
-    # -- transactional support ----------------------------------------------------
-
-    def backup_tables(self, updates: Optional[Sequence[Update]] = None):
-        """Copies of the map tables a batch could write (all tables if ``None``).
-
-        Restricting the capture to the batch's writable maps keeps the
-        transactional overhead proportional to the state *at risk*, not the
-        whole hierarchy.  The work counters ride along so a rolled-back
-        batch's partial work does not leak into the statistics (the
-        generated module's pending counters are drained on restore for the
-        same reason).
-        """
-        if self.runtime is None:
-            return {}, ()
-        names = None if updates is None else self.runtime.writable_maps_for(updates)
-        counters = (
-            self.statistics.updates_processed,
-            self.statistics.statements_executed,
-            self.statistics.entries_updated,
-        )
-        return self.runtime.backup_tables(names), counters
-
-    def restore_tables(self, backup) -> None:
-        """Reinstall backed-up tables/counters and rebuild the slice indexes."""
-        if self.runtime is None:
-            return
-        tables, counters = backup
-        self.runtime.restore_tables(tables)
-        (
-            self.statistics.updates_processed,
-            self.statistics.statements_executed,
-            self.statistics.entries_updated,
-        ) = counters
-        if self.generated is not None:
-            self.generated.drain_statistics()
-
-    def _absorb_generated_statistics(self, update_count: int) -> None:
-        statements, entries = self.generated.drain_statistics()
-        self.statistics.updates_processed += update_count
-        self.statistics.statements_executed += statements
-        self.statistics.entries_updated += entries
-
     # -- introspection ------------------------------------------------------------
 
     def total_map_entries(self) -> int:
-        return self.runtime.total_map_entries() if self.runtime is not None else 0
+        return self.runtime.total_map_entries()
 
     def map_sizes(self) -> Dict[str, int]:
-        return self.runtime.map_sizes() if self.runtime is not None else {}
+        return self.runtime.map_sizes()
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -287,8 +224,8 @@ class Session:
         the submitted updates, without the cancelled churn.
     shards:
         Hash-partition count of the compiled views' map tables
-        (:mod:`repro.compiler.sharding`).  With ``shards=N`` (N > 1) the
-        batch folds split per shard and run on a thread pool; ``None``
+        (:mod:`repro.compiler.partition`).  With ``shards=N`` (N > 1) the
+        batch folds split per shard and run on the shard backend; ``None``
         defers to the ``REPRO_SHARDS`` environment variable, and the
         default of 1 keeps plain dict tables and exactly the unsharded
         code path.  Results and ``on_change`` payloads are identical for
@@ -501,7 +438,7 @@ class Session:
         notifications = []
         for group in self._groups.values():
             changes = group.changes_accumulator()
-            group.apply(update, changes)
+            group.executor.apply(update, changes)
             if changes:
                 notifications.append((group, changes))
         for view in self._engine_views:
@@ -559,7 +496,7 @@ class Session:
         try:
             for group in self._groups.values():
                 changes = group.changes_accumulator()
-                group.apply_batch(effective, changes)
+                group.executor.apply_batch(effective, changes)
                 if changes:
                     notifications.append((group, changes))
             for view in self._engine_views:
@@ -578,14 +515,14 @@ class Session:
         immutable-gmr) database plus materialized result.
         """
         return (
-            [(group, group.backup_tables(updates)) for group in self._groups.values()],
+            [(group, group.executor.backup(updates)) for group in self._groups.values()],
             [(view, view._engine.state_backup()) for view in self._engine_views],
         )
 
     def _restore_rollback_state(self, rollback) -> None:
         group_backups, engine_backups = rollback
         for group, backup in group_backups:
-            group.restore_tables(backup)
+            group.executor.restore(backup)
         for view, backup in engine_backups:
             view._engine.state_restore(backup)
 
@@ -734,7 +671,6 @@ class Session:
                 for name, table in group.runtime.maps.items()
             }
             for backend, group in self._groups.items()
-            if group.runtime is not None
         }
         engines: Dict[str, Dict[str, list]] = {}
         for view in self._engine_views:
@@ -810,14 +746,14 @@ class Session:
             session.view(spec["name"], parse(spec["query"]), backend=spec["backend"])
 
         for backend, tables in snapshot["maps"].items():
-            group = session._groups[backend]
-            for name, entries in tables.items():
-                group.runtime.maps[name] = group.runtime.make_table(
-                    {tuple(key): value for key, value in entries}
-                )
-            group.runtime.indexes.rebuild(group.runtime.maps)
-            # Support sidecars are a function of the restored counter maps.
-            group.runtime.rebuild_supports()
+            # Re-partitions under the session's shard count, rebuilds the slice
+            # indexes and re-derives the support sidecars from the counter maps.
+            session._groups[backend].runtime.restore_tables(
+                {
+                    name: {tuple(key): value for key, value in entries}
+                    for name, entries in tables.items()
+                }
+            )
         for view_name, relations in snapshot["engine_databases"].items():
             engine = session._views[view_name]._engine
             db = Database(schema=schema, ring=ring)

@@ -54,6 +54,34 @@ def rst_db() -> Database:
 
 
 # ---------------------------------------------------------------------------
+# The per-tuple reference semantics of a batch
+# ---------------------------------------------------------------------------
+
+
+def _apply_per_tuple(executor, batch, maps=None, changes=None):
+    """Apply ``batch`` one full trigger execution per logical tuple.
+
+    This *is* the reference semantics batch triggers are checked against
+    (Equation (1) of the paper, once per update).  ``executor`` is a
+    ``TriggerRuntime`` (``maps`` omitted) or a ``GeneratedTriggers`` module
+    driven over the map environment ``maps``.
+    """
+    for update in batch:
+        if maps is None:
+            executor.apply(update, changes=changes)
+            continue
+        for _ in range(update.count):
+            executor.apply(maps, update.relation, update.sign, update.values, changes=changes)
+
+
+@pytest.fixture
+def apply_per_tuple():
+    """The per-tuple reference helper (a fixture: ``benchmarks/`` has a
+    ``conftest`` module of its own, so importing this one by name is fragile)."""
+    return _apply_per_tuple
+
+
+# ---------------------------------------------------------------------------
 # Hypothesis strategies
 # ---------------------------------------------------------------------------
 

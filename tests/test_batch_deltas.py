@@ -10,8 +10,8 @@ whose parameter is a whole delta map ``∆R : key → multiplicity``
   key-projection analysis);
 * batch-vs-sequential equivalence of ``apply_batch`` on all four backends,
   randomized, including a nested-aggregate query and a snapshot/restore
-  round-trip mid-trace — with the PR-1 grouped replay path
-  (``apply_batch_replay``) as the reference semantics;
+  round-trip mid-trace — with per-tuple application
+  (the ``apply_per_tuple`` fixture) as the reference semantics;
 * the ``Session.apply_batch`` cancellation of insert/delete pairs before any
   trigger runs.
 """
@@ -123,16 +123,16 @@ def test_delta_maps_are_never_slice_indexed():
 
 
 @pytest.mark.parametrize("query_name", list(PROPERTY_QUERIES))
-def test_runtime_batch_matches_replay_reference(query_name):
-    """Interpreted backend: apply_batch (batch triggers) against
-    apply_batch_replay (grouped per-tuple replay, the reference)."""
+def test_runtime_batch_matches_per_tuple_reference(query_name, apply_per_tuple):
+    """Interpreted backend: apply_batch (batch triggers) against per-tuple
+    application (the reference)."""
     text, schema = PROPERTY_QUERIES[query_name]
     program = compile_query(parse(text), schema, name="q")
     stream = StreamGenerator(schema, seed=11, default_domain_size=4).generate(260)
     reference = TriggerRuntime(program)
     batched = TriggerRuntime(program)
     for batch in stream.batches(21):
-        reference.apply_batch_replay(batch)
+        apply_per_tuple(reference, batch)
         batched.apply_batch(batch)
     assert {name: dict(table) for name, table in reference.maps.items()} == {
         name: dict(table) for name, table in batched.maps.items()
@@ -140,7 +140,7 @@ def test_runtime_batch_matches_replay_reference(query_name):
 
 
 @pytest.mark.parametrize("query_name", list(PROPERTY_QUERIES))
-def test_generated_batch_matches_replay_reference(query_name):
+def test_generated_batch_matches_per_tuple_reference(query_name, apply_per_tuple):
     text, schema = PROPERTY_QUERIES[query_name]
     program = compile_query(parse(text), schema, name="q")
     generated = generate_python(program)
@@ -150,7 +150,7 @@ def test_generated_batch_matches_replay_reference(query_name):
     changes_reference = {"q": {}}
     changes_batched = {"q": {}}
     for batch in stream.batches(19):
-        generated.apply_batch_replay(reference, batch, changes=changes_reference)
+        apply_per_tuple(generated, batch, maps=reference, changes=changes_reference)
         generated.apply_batch(batched, batch, changes=changes_batched)
     assert reference == batched
     # Change-data-capture accumulates identical per-key deltas on both paths.

@@ -1,5 +1,7 @@
 """Tests for the generated straight-line Python triggers (the NC⁰C analogue)."""
 
+import dataclasses
+
 import pytest
 
 from repro.compiler.codegen import generate_python
@@ -24,8 +26,6 @@ def test_generated_module_shape():
     assert "def on_delete_R(maps, values, _IDX=None, _CH=None):" in generated.source
     assert "def apply_update(maps, relation, sign, values, _IDX=None, _CH=None):" in generated.source
     assert "def apply_batch(maps, updates, _IDX=None, _CH=None):" in generated.source
-    assert "def apply_batch_replay(maps, updates, _IDX=None, _CH=None):" in generated.source
-    assert "def replay_on_insert_R(maps, values_list, _IDX=None, _CH=None):" in generated.source
     assert "def batch_on_insert_R(maps, _delta, _IDX=None, _CH=None):" in generated.source
     assert set(generated.trigger_function_names()) == {"on_insert_R", "on_delete_R"}
     # The generated code never mentions joins, relations or the evaluator.
@@ -33,6 +33,58 @@ def test_generated_module_shape():
     assert "Rel(" not in generated.source
     # The default integer ring compiles to native arithmetic, not ring calls.
     assert "_RING" not in generated.source
+
+
+#: (query text, schema, ring name): a ℤ program (counter kinds), a float
+#: all-total program (Kahan-fused totals) and a min-plus program (generic).
+PLAN_PROGRAMS = [
+    ("Sum(R(x) * R(y) * (x = y))", UNARY_SCHEMA, "Z"),
+    ("Sum(R(x))", UNARY_SCHEMA, "R-float"),
+    ("Sum(R(x) * x)", UNARY_SCHEMA, "min-plus"),
+]
+
+
+@pytest.mark.parametrize("text,schema,ring_name", PLAN_PROGRAMS, ids=[p[2] for p in PLAN_PROGRAMS])
+def test_both_executors_decode_the_same_plan(text, schema, ring_name):
+    """The generated module is printed from the plan the runtime walks, and
+    contains only query-dependent code: the fold, index upkeep, recompute
+    write-back and replay are not emitted text."""
+    from repro.algebra.semirings import resolve_semiring
+    from repro.compiler.plan import lower_batch_plan
+
+    ring = resolve_semiring(ring_name)
+    program = compile_query(parse(text), schema, name="q", ring=ring)
+    generated = generate_python(program, ring=ring)
+    runtime = TriggerRuntime(program, ring=ring)
+    assert runtime.plan == generated.plan == lower_batch_plan(program, ring)
+    assert generated.specializations == runtime.plan.specializations
+    kinds = {event.kind for event in runtime.plan.events}
+    assert kinds == {"Z": {"counter"}, "R-float": {"total"}, "min-plus": {"generic"}}[ring_name]
+    assert runtime.plan.kahan == (ring_name == "R-float")
+    for emitted in ("def _fold", "def _index_add", "def _rapply", "replay_", "REPLAY"):
+        assert emitted not in generated.source, emitted
+
+
+@pytest.mark.parametrize("specialize", [True, False])
+def test_hand_built_program_without_batch_triggers_applies_batches(specialize, apply_per_tuple):
+    """An event without a batch trigger falls back to its per-tuple trigger —
+    on both executors, under the generic loop (such a program never
+    specializes)."""
+    compiled = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), UNARY_SCHEMA, name="q")
+    program = dataclasses.replace(compiled, batch_triggers={})
+    stream = StreamGenerator(UNARY_SCHEMA, seed=3, default_domain_size=4).generate(90)
+    reference = TriggerRuntime(compiled)
+    apply_per_tuple(reference, stream)
+    interpreted = TriggerRuntime(program, specialize=specialize)
+    generated = generate_python(program, specialize=specialize)
+    assert not interpreted.plan.specialized and generated.specializations == {}
+    maps = fresh_maps(program)
+    for batch in stream.batches(17):
+        interpreted.apply_batch(batch)
+        assert generated.apply_batch(maps, batch) == len(batch)
+    assert interpreted.maps == reference.maps
+    assert maps == {name: dict(table) for name, table in reference.maps.items()}
+    assert interpreted.statistics.updates_processed == len(stream.updates)
 
 
 def test_generated_code_reproduces_example_1_2():

@@ -678,6 +678,45 @@ def test_poisoned_batch_leaves_all_views_unchanged(shards):
     assert payloads == [{(): 1}]
 
 
+def test_rolled_back_batch_does_not_leave_stale_float_compensation():
+    """Regression: the generated module's Kahan compensation of a fused float
+    total survived a batch rollback (the tables were restored, the low-order
+    term the abandoned fold had accumulated was not), so the next good batch
+    folded a correction for an addition that never happened."""
+    from repro.algebra.semirings import FLOAT_FIELD
+    from repro.gmr.database import Update
+
+    def float_session():
+        session = Session({"R": ("A",), "W": ("K", "V")}, ring=FLOAT_FIELD)
+        session.view("total", "Sum(R(x))", backend="generated")  # all-total: Kahan-fused
+        session.view("weighted", "AggSum([k], W(k, v) * v)", backend="interpreted")
+        session.apply_batch([Update(1, "R", (0,), 10**16)])
+        return session
+
+    clean, poisoned = float_session(), float_session()
+    # The R fold advances the generated group (1e16 + 1 rounds back to 1e16,
+    # leaving compensation -1) before the interpreted view chokes on "x".
+    with pytest.raises((TypeError, ValueError)):
+        poisoned.apply_batch([insert("R", 1), insert("W", "k1", "x")])
+    for session in (clean, poisoned):
+        session.apply_batch([insert("R", 2)])
+    assert poisoned.results() == clean.results()
+    assert poisoned["total"].result() == 1e16
+
+    # The other direction: a compensation term earned *before* the rolled-back
+    # batch survives it.  The good R insert leaves -1; the poisoned batch only
+    # touches W; the next R insert must still recover the carried bit.
+    clean, poisoned = float_session(), float_session()
+    for session in (clean, poisoned):
+        session.apply_batch([insert("R", 1)])
+    with pytest.raises((TypeError, ValueError)):
+        poisoned.apply_batch([insert("W", "k1", "x")])
+    for session in (clean, poisoned):
+        session.apply_batch([insert("R", 2)])
+    assert poisoned.results() == clean.results()
+    assert poisoned["total"].result() == 1.0000000000000002e16
+
+
 def test_poisoned_single_update_on_engine_is_isolated():
     """Engine-backend state restores byte-for-byte after a failed batch."""
     schema = {"W": ("K", "V")}

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.compiler.sharding import (
+from repro.compiler.partition import (
     MIN_PARALLEL_KEYS,
     ShardedMapTable,
     partition_map,
@@ -494,8 +494,7 @@ def test_worker_death_raises_clean_error():
     """A killed worker surfaces as a RuntimeError, not a hang or corruption."""
     from repro.compiler.partition.backends import ProcessShardBackend
     from repro.algebra.semirings import INTEGER_RING
-    from repro.compiler.indexes import SliceIndexes
-    from repro.compiler.sharding import make_inline_shard_fold, make_shard_fold
+    from repro.compiler.kernels import make_shard_fold
 
     # Pin static dispatch: this test probes the process-worker machinery, so
     # the fold must actually take the worker path regardless of the
@@ -503,20 +502,15 @@ def test_worker_death_raises_clean_error():
     backend = ProcessShardBackend(2, INTEGER_RING, min_parallel_keys=1, dispatch="static")
     table = ShardedMapTable(2, {(i,): 1 for i in range(10)})
     table.backend = backend
-    indexes = SliceIndexes()
-    sink = lambda added, removed: indexes  # noqa: E731 - journal ignored here
     fold = make_shard_fold(INTEGER_RING)
-    inline = make_inline_shard_fold(INTEGER_RING)
     try:
-        backend.fold_table(table, {(i,): 1 for i in range(10)}, False, fold, inline, None, name="m")
+        backend.fold_table(table, {(i,): 1 for i in range(10)}, False, fold, None, name="m")
         assert table == {(i,): 2 for i in range(10)}
         for process, _conn in backend._workers:
             process.terminate()
             process.join()
         with pytest.raises(RuntimeError, match="worker"):
-            backend.fold_table(
-                table, {(i,): 1 for i in range(10)}, False, fold, inline, None, name="m"
-            )
+            backend.fold_table(table, {(i,): 1 for i in range(10)}, False, fold, None, name="m")
     finally:
         backend.close()
 
@@ -664,33 +658,25 @@ class _FragileRing:
         return value == 0
 
 
+@pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize("size", [10, MIN_PARALLEL_KEYS * 4])
-def test_failed_fold_applies_completed_journals(size):
-    """Workers hand their journals back even when one raises: after a failed
-    fold (inline or parallel), the slice indexes must exactly match the
-    tables' actual contents — the unsharded per-key loop's guarantee."""
+def test_failed_fold_applies_completed_journals(size, shards):
+    """Fold jobs hand their journals back even when one raises: after a
+    failed fold (unsharded, serial or parallel), the slice indexes must
+    exactly match the tables' actual contents."""
     from repro.compiler.indexes import SliceIndexes
-    from repro.compiler.sharding import (
-        fold_sharded_table,
-        make_inline_shard_fold,
-        make_shard_fold,
-    )
+    from repro.compiler.kernels import make_fold
 
     ring = _FragileRing()
-    table = ShardedMapTable(4, {(i, i): 1 for i in range(5)})
+    table = {(i, i): 1 for i in range(5)}
+    if shards > 1:
+        table = ShardedMapTable(shards, table)
     indexes = SliceIndexes({"m": [(0,)]})
     indexes.rebuild({"m": table})
     acc = {(i, i): 1 for i in range(size)}
     acc[(3, 3)] = "boom"
     with pytest.raises(RuntimeError):
-        fold_sharded_table(
-            table,
-            acc,
-            True,
-            make_shard_fold(ring),
-            make_inline_shard_fold(ring),
-            lambda added, removed: indexes.apply_journal("m", added, removed),
-        )
+        make_fold(ring)(table, acc, "m", indexes.specs["m"], indexes.data)
     indexed = set()
     for bucket in indexes.data.values():
         for keys in bucket.values():

@@ -19,9 +19,9 @@ from repro.algebra.semirings import FLOAT_FIELD
 from repro.compiler.cost import (
     MAX_SPECIALIZED_EVENTS,
     batch_specialization_class,
-    specialization_enabled,
     trigger_specialization,
 )
+from repro.compiler.indexes import IndexedMaps
 from repro.core.parser import parse
 from repro.gmr.database import Update
 from repro.ivm.recursive import RecursiveIVM
@@ -172,9 +172,9 @@ def test_wide_programs_fall_back_to_generic(backend):
     assert events > MAX_SPECIALIZED_EVENTS
     if backend == "generated":
         assert engine._generated.specializations == {}
-        assert "def apply_batch" in engine._generated.source
-    else:
-        assert engine.runtime._batch_plan() is False
+        # The generic loop is the shared kernel, not emitted text.
+        assert "def apply_batch" not in engine._generated.source
+    assert not engine.runtime.plan.specialized
     generic = RecursiveIVM(parse(WIDE_QUERY), WIDE_SCHEMA, backend=backend, specialize=False)
     trace = _random_trace(random.Random(3), WIDE_SCHEMA, 250, domain=5)
     engine.apply_batch(trace)
@@ -224,19 +224,6 @@ def test_arity_error_parity(backend):
         assert outcomes[True][0] is not str and outcomes[True][0] != "ok"
 
 
-def test_specialize_env_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_SPECIALIZE", raising=False)
-    assert specialization_enabled(None) is True
-    monkeypatch.setenv("REPRO_SPECIALIZE", "0")
-    assert specialization_enabled(None) is False
-    assert specialization_enabled(True) is True  # explicit argument wins
-    engine = RecursiveIVM(parse("Sum(R(x))"), {"R": ("A",)}, backend="generated")
-    assert engine._generated.specializations == {}
-    monkeypatch.setenv("REPRO_SPECIALIZE", "1")
-    engine = RecursiveIVM(parse("Sum(R(x))"), {"R": ("A",)}, backend="generated")
-    assert engine._generated.specializations
-
-
 # ---------------------------------------------------------------------------
 # Kahan-compensated fused float totals (PR 10)
 # ---------------------------------------------------------------------------
@@ -250,8 +237,9 @@ def test_float_all_total_programs_fuse_with_kahan_compensation():
         parse("Sum(R(x))"), {"R": ("A",)},
         ring=FLOAT_FIELD, backend="generated", specialize=True,
     )
-    assert "_KC" in engine.generated_source()
+    assert "_fold_total(" in engine.generated_source()
     assert engine._generated.specializations
+    assert engine.runtime.plan.kahan
 
 
 def test_kahan_fused_totals_accuracy_no_worse_than_fsum():
@@ -281,19 +269,31 @@ def test_kahan_fused_totals_accuracy_no_worse_than_fsum():
     assert results["kahan"] == exact
 
 
-def test_kahan_compensation_resets_with_the_tables():
-    """``reset_compensation`` clears the carried low-order bits, so a restore
-    to wholly different tables does not replay a stale compensation term."""
+def test_kahan_compensation_lives_with_the_tables():
+    """The carried low-order bits are stored on the map environment, so a
+    wholly different environment does not replay a stale compensation term —
+    and the runtime clears them whenever it rewrites tables wholesale."""
     from repro.compiler.codegen import generate_python
     from repro.compiler.compile import compile_query
+    from repro.compiler.runtime import TriggerRuntime
     from repro.gmr.database import insert
 
     program = compile_query(parse("Sum(R(x))"), {"R": ("A",)}, name="q")
     generated = generate_python(program, ring=FLOAT_FIELD, specialize=True)
-    maps = {name: {} for name in program.maps}
+    maps = IndexedMaps({name: {} for name in program.maps})
     maps["q"][()] = 1e16
     generated.apply_batch(maps, [insert("R", 0)])
-    generated.reset_compensation()
-    fresh = {name: {} for name in program.maps}
+    assert maps.compensation == {"q": -1.0}
+    fresh = IndexedMaps({name: {} for name in program.maps})
     generated.apply_batch(fresh, [insert("R", 1), insert("R", 2)])
     assert fresh["q"][()] == 2.0
+    for backend_generated in (None, generated):
+        runtime = TriggerRuntime(program, ring=FLOAT_FIELD)
+        runtime.restore_tables({"q": {(): 1e16}})
+        if backend_generated is None:
+            runtime.apply_batch([insert("R", 0)])
+        else:
+            generated.apply_batch(runtime.maps, [insert("R", 0)])
+        assert runtime.maps.compensation == {"q": -1.0}
+        runtime.restore_tables({"q": {(): 1e16}})
+        assert runtime.maps.compensation == {}
