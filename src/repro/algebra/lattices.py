@@ -226,6 +226,15 @@ class SupportStructure:
 
     # -- snapshot ------------------------------------------------------------
 
+    def copy(self) -> "SupportStructure":
+        """An independent structure in exactly this state (the undo journal's
+        prior value of a group about to be fed)."""
+        clone = object.__new__(SupportStructure)
+        clone._key, clone.capacity, clone.needed = self._key, self.capacity, self.needed
+        clone.entries = [list(entry) for entry in self.entries]
+        clone.truncated, clone.threshold, clone._dirty = self.truncated, self.threshold, self._dirty
+        return clone
+
     def serialize(self) -> Dict[str, Any]:
         return {
             "entries": [[entry[1], entry[2]] for entry in self.entries],
@@ -439,15 +448,21 @@ class SupportTier:
 
     # -- maintenance ---------------------------------------------------------
 
-    def collect(self, updates, counter_rows) -> Dict[str, Dict[Tuple[Any, ...], Any]]:
+    def collect(
+        self, updates, counter_rows, journal=None
+    ) -> Dict[str, Dict[Tuple[Any, ...], Any]]:
         """Fold raw ``(relation, row, sign, count)`` updates into the supports.
 
         Inserts only feed the sidecars (the normal insert-side ring folds
         already wrote the tables).  Deletions additionally produce the new
         group value; exhausted supports rebuild from the post-update counter
-        map via ``counter_rows(relation)``.
+        map via ``counter_rows(relation)``.  ``journal`` is the undo journal
+        of a transactional batch (:class:`repro.compiler.kernels.UndoJournal`):
+        a copy of a group's structure is recorded on its first touch, so
+        rollback costs the groups fed.
         """
         ring = self.ring
+        journalled: set = set()
         deleted: Dict[Tuple[str, Tuple[Any, ...]], SupportPlan] = {}
         for relation, row, sign, count in updates:
             plans = self._by_relation.get(relation)
@@ -460,6 +475,10 @@ class SupportTier:
                 group = plan.group_key(row)
                 table = self.groups[plan.map_name]
                 support = table.get(group)
+                if journal is not None and (plan.map_name, group) not in journalled:
+                    journalled.add((plan.map_name, group))
+                    prior = None if support is None else support.copy()
+                    journal.record(table, plan.map_name, None, (group,), (prior,))
                 if support is None:
                     support = table[group] = SupportStructure(ring)
                 if sign >= 0:
@@ -487,7 +506,7 @@ class SupportTier:
                 changes.setdefault(map_name, {})[group] = support.value(ring)
         return changes
 
-    # -- snapshot / backup ---------------------------------------------------
+    # -- state copy (RecursiveIVM.state_backup) --------------------------------
 
     def serialize(self) -> Dict[str, Any]:
         return {
@@ -505,6 +524,3 @@ class SupportTier:
                 for group, serialized in payload["groups"]:
                     table[tuple(group)] = SupportStructure.restore(serialized, self.ring)
             self.groups[name] = table
-
-    def backup(self) -> Dict[str, Any]:
-        return self.serialize()

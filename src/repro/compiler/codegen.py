@@ -63,7 +63,9 @@ hook (``_CH``): a mapping from *watched* map names to accumulator dicts into
 which every fold also ring-adds its increments.  This powers the
 change-data-capture of ``on_change`` subscriptions (engine- and session-level)
 at zero cost when no subscriber is attached — the hook is ``None`` and every
-guard short-circuits.
+guard short-circuits.  The undo journal of the transactional batch path
+(``_J``) travels the same way: one more trailing argument handed to the
+kernels, ``None`` outside a batch.
 
 The generated module is also useful practically: it is considerably faster
 than interpreting trigger statements through the AGCA evaluator (see
@@ -104,7 +106,7 @@ _PYTHON_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="
 #: Internal identifiers the name allocator must never hand out to AGCA variables.
 _RESERVED_NAMES = (
     "maps", "values", "relation", "sign", "updates",
-    "_new", "_fkey", "_chm", "_CH", "_IDX", "_TRK", "_sk",
+    "_new", "_fkey", "_chm", "_CH", "_J", "_IDX", "_TRK", "_sk",
     "_delta", "_dk", "_dv", "_total", "_ent",
 )
 
@@ -349,6 +351,7 @@ class GeneratedTriggers:
         updates: Iterable[Any],
         indexes: Optional[SliceIndexes] = None,
         changes: Optional[Dict[str, Dict[Tuple[Any, ...], Any]]] = None,
+        journal=None,
     ) -> int:
         """Apply a batch of updates through the generated batch triggers.
 
@@ -358,14 +361,16 @@ class GeneratedTriggers:
         to applying the updates one at a time (the batch statements include
         the delta's higher-order interaction terms); an event without a batch
         trigger is applied per tuple.  ``changes`` collects per-key deltas of
-        watched maps across the whole batch, as in :meth:`apply`.
+        watched maps across the whole batch, as in :meth:`apply`; ``journal``
+        (an :class:`~repro.compiler.kernels.UndoJournal`) receives the prior
+        value of every entry written.
 
         Returns the batch's logical tuple count (``sum(update.count)``), which
         both batch loops compute anyway.
         """
         data = self._index_data(maps, indexes)
         environment = self._compensated(maps) if self.plan.kahan else maps
-        count = self._apply_batch(environment, updates, data, changes)
+        count = self._apply_batch(environment, updates, data, changes, journal)
         self._note_own_counts(maps, data)
         return count
 
@@ -568,7 +573,7 @@ def _emit_specialized_apply_batch(writer: _Writer, plan: BatchPlan) -> None:
     observed: each event's fold is exact against the state it sees, so the
     final state and the CDC net deltas are the same under any event order.
     """
-    writer.emit("def apply_batch(maps, updates, _IDX=None, _CH=None):")
+    writer.emit("def apply_batch(maps, updates, _IDX=None, _CH=None, _J=None):")
     writer.emit("    if type(updates) is not list:")
     writer.emit("        updates = list(updates)")
     writer.emit("    if not updates:")
@@ -585,7 +590,7 @@ def _emit_specialized_apply_batch(writer: _Writer, plan: BatchPlan) -> None:
         if event.kind == "total":
             writer.emit(f"    _t = sum([_u.count for _u in updates if {cond}])")
             writer.emit("    if _t:")
-            writer.emit(f"        total_{function}(maps, _t, _IDX, _CH)")
+            writer.emit(f"        total_{function}(maps, _t, _IDX, _CH, _J)")
         else:
             writer.emit("    _d = _Counter()")
             writer.emit(f"    _d.update([_u.values for _u in updates if {cond}])")
@@ -594,7 +599,7 @@ def _emit_specialized_apply_batch(writer: _Writer, plan: BatchPlan) -> None:
             writer.emit(f"            if {cond} and _u.count != 1:")
             writer.emit("                _d[_u.values] += _u.count - 1")
             writer.emit("    if _d:")
-            writer.emit(f"        {function}(maps, _d, _IDX, _CH)")
+            writer.emit(f"        {function}(maps, _d, _IDX, _CH, _J)")
     writer.emit("    return _n")
     writer.emit("")
 
@@ -623,7 +628,7 @@ def _generate_trigger(
     writer = context.writer
     names = _NameAllocator()
     counter = [0]
-    writer.emit(f"def {trigger.event_name}(maps, values, _IDX=None, _CH=None):")
+    writer.emit(f"def {trigger.event_name}(maps, values, _IDX=None, _CH=None, _J=None):")
     writer.block()
     _emit_work_counters(writer, len(trigger.statements) + len(trigger.recomputes))
     if trigger.argument_names:
@@ -677,7 +682,7 @@ def _generate_batch_delta_trigger(
     names = _NameAllocator()
     counter = [0]
     table_locals, touched = _collect_table_locals(trigger, names, skip=(trigger.delta_map,))
-    writer.emit(f"def batch_{trigger.event_name}(maps, _delta, _IDX=None, _CH=None):")
+    writer.emit(f"def batch_{trigger.event_name}(maps, _delta, _IDX=None, _CH=None, _J=None):")
     writer.block()
     _emit_work_counters(writer, len(trigger.statements) + len(trigger.recomputes))
     for name in touched:
@@ -719,7 +724,9 @@ def _generate_total_batch_trigger(
     drops so a long stream of fused float totals tracks ``math.fsum`` accuracy.
     """
     writer = context.writer
-    writer.emit(f"def total_batch_{trigger.event_name}(maps, _total, _IDX=None, _CH=None):")
+    writer.emit(
+        f"def total_batch_{trigger.event_name}(maps, _total, _IDX=None, _CH=None, _J=None):"
+    )
     writer.block()
     _emit_work_counters(writer, len(trigger.statements))
     for index, statement in enumerate(trigger.statements):
@@ -734,7 +741,7 @@ def _generate_total_batch_trigger(
     table_ref = lambda name: f"maps[{name!r}]"  # noqa: E731
     for index, statement in enumerate(trigger.statements):
         if kahan:
-            writer.emit(f"_fold_total(maps, {statement.target!r}, _acc{index}, _CH)")
+            writer.emit(f"_fold_total(maps, {statement.target!r}, _acc{index}, _CH, _J)")
         else:
             _emit_scalar_fold(context, statement, {}, f"_acc{index}", table_ref)
     if kahan:
@@ -812,7 +819,7 @@ def _generate_trigger_body(
             writer.emit(
                 f"_ent += {context.fold_name(statement.target)}("
                 f"{table_ref(statement.target)}, {accumulator}, {statement.target!r}, "
-                f"{_spec_literal(context, statement.target)}, _IDX, _CH{trk}{serial})"
+                f"{_spec_literal(context, statement.target)}, _IDX, _CH, _J{trk}{serial})"
             )
 
 
@@ -878,7 +885,7 @@ def _generate_recomputes(
             new_values = f"_rpairs({accumulator}, {target_table}, {zero})"
         writer.emit(
             f"_ent += _rwrite({target_table}, {new_values}, "
-            f"{recompute.target!r}, {spec}, _IDX, _CH, {trk_expr})"
+            f"{recompute.target!r}, {spec}, _IDX, _CH, _J, {trk_expr})"
         )
 
 
@@ -956,7 +963,8 @@ def _emit_scalar_fold(
     accumulator: str,
     table_ref,
 ) -> None:
-    """The single-key fold for a scalar accumulator (target map unindexed)."""
+    """The single-key fold for a scalar accumulator (target map unindexed) —
+    the one table write emitted inline, so it appends its own undo record."""
     writer = context.writer
     key_expression = _key_tuple(statement.target_keys, environment)
     table = table_ref(statement.target)
@@ -973,6 +981,8 @@ def _emit_scalar_fold(
     writer.emit(f"        _chm[{key_expression}] = {context.folded_add(change_read, accumulator)}")
     writer.emit(f"_new = {context.folded_add(f'{table}.get({key_expression}, {context.zero_literal()})', accumulator)}")
     writer.emit("_ent += 1")
+    writer.emit("if _J is not None:")
+    writer.emit(f"    _J.record({table}, {statement.target!r}, None, ({key_expression},))")
     if context.native:
         writer.emit("if _new == 0:")
     else:

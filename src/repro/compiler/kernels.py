@@ -19,6 +19,13 @@ marks a removed key).
 
 Kernels keep no statistics: each returns the number of entries it touched
 and the caller counts.
+
+Every kernel that writes takes an optional trailing ``journal`` — the
+:class:`UndoJournal` of the transactional batch path, ``None`` everywhere
+else.  Before it writes, a kernel records the keys it is about to touch with
+their stored values.  Committing a batch drops the journal;
+:meth:`UndoJournal.rollback` replays it backwards.  A transaction therefore
+costs O(keys the batch touches), whatever the tables hold.
 """
 
 from __future__ import annotations
@@ -33,6 +40,59 @@ from repro.compiler.partition.tables import MIN_PARALLEL_KEYS, ShardedMapTable
 from repro.core.delta import DELTA_POOL_LIMIT
 
 MapTable = Dict[Tuple[Any, ...], Any]
+
+
+class UndoJournal:
+    """The prior values of every entry a transaction wrote, in write order.
+
+    One record ``(table, name, specs, keys, priors)`` per kernel call: the
+    values ``keys`` had in ``table`` before the call wrote (``None``: absent).
+    ``table`` is any dict-like store whose entries are never ``None`` — a map
+    table (``name`` / ``specs`` then address its slice indexes), the Kahan
+    compensation store, a support tier's group table.
+    """
+
+    __slots__ = ("records",)
+
+    def __init__(self):
+        self.records: list = []
+
+    def record(self, table, name, specs, keys, priors=None) -> None:
+        """Note that ``keys`` of ``table`` are about to be written.  ``priors``
+        defaults to the stored values; pass copies when the values mutate in
+        place, or two lists the caller fills as it goes."""
+        if priors is None:
+            priors = list(map(table.get, keys))
+        self.records.append((table, name, specs, keys, priors))
+
+    def rollback(self, index_data) -> int:
+        """Undo every recorded write, newest first; returns the number of
+        entries restored.
+
+        Replayed backwards, every key ends at the value its *earliest* record
+        saw.  The inverse slice-index journal is derived from membership — a
+        key present now but absent before leaves its buckets, and the reverse
+        — and goes through the same :func:`apply_index_journal` the forward
+        path uses.  Sharded tables are restored through the facade, whose
+        writes bump the shard versions, so process-worker mirrors reload
+        before their next fold.
+        """
+        undone = 0
+        for table, name, specs, keys, priors in reversed(self.records):
+            entries = list(zip(keys, priors))
+            if specs and index_data is not None:
+                added = [key for key, prior in entries if prior is not None and key not in table]
+                removed = [key for key, prior in entries if prior is None and key in table]
+                if added or removed:
+                    apply_index_journal(index_data, specs, name, added, removed)
+            for key, prior in entries:
+                if prior is None:
+                    table.pop(key, None)
+                else:
+                    table[key] = prior
+            undone += len(entries)
+        self.records.clear()
+        return undone
 
 
 def make_shard_fold(ring: Semiring) -> Callable:
@@ -79,7 +139,7 @@ def make_shard_fold(ring: Semiring) -> Callable:
 
 def make_fold(ring: Semiring, post_values: bool = False, local: bool = False) -> Callable:
     """The fold step of one statement: ``fold(table, acc, name, specs, index_data,
-    changes=None, touched=None, serial=False) -> entries``.
+    changes=None, journal=None, touched=None, serial=False) -> entries``.
 
     Folds the statement's accumulated increments ``acc`` into ``table`` (map
     ``name``) — one read-modify-write ``table[k] += acc[k]`` per key
@@ -91,7 +151,9 @@ def make_fold(ring: Semiring, post_values: bool = False, local: bool = False) ->
     through its shard backend (pinned to the calling thread by ``serial``,
     the shard-race detector's verdict); capture and tracking depend only on
     ``acc`` and the pre-fold table, so they run serially up front and every
-    shard configuration emits identical payloads.
+    shard configuration emits identical payloads.  With a ``journal`` the
+    prior values of *all* of ``acc``'s keys are recorded up front, so a fold
+    that raises midway is covered (restoring an unmodified key is a no-op).
 
     ``post_values`` selects semiring change capture; ``local`` keeps sharded
     folds on coordinator shards whatever backend the table carries (the
@@ -103,10 +165,13 @@ def make_fold(ring: Semiring, post_values: bool = False, local: bool = False) ->
     fold_shard = make_shard_fold(ring)
 
     def fold(
-        table, acc, name, specs=None, index_data=None, changes=None, touched=None, serial=False
+        table, acc, name, specs=None, index_data=None, changes=None, journal=None,
+        touched=None, serial=False,
     ):
         if not acc:
             return 0
+        if journal is not None:
+            journal.record(table, name, specs, list(acc))
         if changes is not None:
             collector = changes.get(name)
             if collector is not None:
@@ -156,23 +221,31 @@ def make_fold(ring: Semiring, post_values: bool = False, local: bool = False) ->
 
 def make_write_back(ring: Semiring, post_values: bool = False) -> Callable:
     """The recompute write-back: ``write_back(table, new_values, name, specs,
-    index_data, changes=None, touched=None) -> entries``.
+    index_data, changes=None, journal=None, touched=None) -> entries``.
 
     ``new_values`` yields ``(key, freshly re-evaluated value)`` pairs of map
     ``name``; every entry whose stored value differs is overwritten, with the
     *difference* (or, under ``post_values``, the new value) captured into
     ``changes[name]``, the key recorded in ``touched`` for shallower
-    recomputes of the same event, and the slice indexes kept in sync.
-    Returns the number of entries that changed.
+    recomputes of the same event, and the slice indexes kept in sync.  With
+    a ``journal`` each overwritten entry's prior value is recorded just before
+    the write (one record, filled as the loop advances).  Returns the number
+    of entries that changed.
     """
     add, zero, is_zero = ring.add, ring.zero, ring.is_zero
     sub = None if post_values else ring.sub
 
-    def write_back(table, new_values, name, specs, index_data, changes=None, touched=None):
+    def write_back(
+        table, new_values, name, specs, index_data, changes=None, journal=None, touched=None
+    ):
         collector = None if changes is None else changes.get(name)
         added: list = []
         removed: list = []
         entries = 0
+        if journal is not None:
+            keys: list = []
+            priors: list = []
+            journal.record(table, name, specs, keys, priors)
         try:
             for key, new in new_values:
                 old = table.get(key, zero)
@@ -186,6 +259,9 @@ def make_write_back(ring: Semiring, post_values: bool = False) -> Callable:
                         collector[key] = add(collector.get(key, zero), sub(new, old))
                 if touched is not None:
                     touched.add(key)
+                if journal is not None:
+                    keys.append(key)
+                    priors.append(table.get(key))
                 if is_zero(new):
                     if table.pop(key, None) is not None:
                         removed.append(key)
@@ -201,7 +277,7 @@ def make_write_back(ring: Semiring, post_values: bool = False) -> Callable:
     return write_back
 
 
-def fold_total(maps, name, increment, changes=None):
+def fold_total(maps, name, increment, changes=None, journal=None):
     """The Kahan-compensated fold of a fused float total.
 
     One ``+=`` into the nullary-key entry of map ``name`` whose running
@@ -210,7 +286,9 @@ def fold_total(maps, name, increment, changes=None):
     accumulation speed.  The compensation store lives with the tables
     (``maps`` is an :class:`~repro.compiler.indexes.IndexedMaps`), so
     whatever backs up, restores or rewrites the tables handles it in the
-    same place.
+    same place — and the undo ``journal`` records the term like a table entry,
+    so a rolled-back batch neither keeps the abandoned fold's term nor forgets
+    one earned before it.
     """
     table = maps[name]
     if changes is not None:
@@ -218,6 +296,9 @@ def fold_total(maps, name, increment, changes=None):
         if collector is not None:
             collector[()] = collector.get((), 0.0) + increment
     compensation = maps.compensation
+    if journal is not None:
+        journal.record(table, name, None, ((),))
+        journal.record(compensation, name, None, (name,))
     old = table.get((), 0.0)
     adjusted = increment - compensation.get(name, 0.0)
     new = old + adjusted
@@ -251,16 +332,16 @@ def make_generic_apply_batch(
     ring: Semiring,
 ) -> Callable:
     """The generic batch loop: ``apply_batch(maps, updates, index_data=None,
-    changes=None) -> tuple count``.
+    changes=None, journal=None) -> tuple count``.
 
     One pass groups the batch by ``(relation, sign)`` event, pre-aggregating
     each group straight into its delta map ``∆R : values → multiplicity``
     (pooled scratch dicts — batch triggers never retain their delta), then
     every group's batch trigger ``batch_triggers[event](maps, delta,
-    index_data, changes)`` folds it once.  An event without a batch trigger
+    index_data, changes, journal)`` folds it once.  An event without a batch trigger
     (hand-built programs only) falls back to its per-tuple trigger
-    ``triggers[event](maps, values, index_data, changes)``, once per logical
-    tuple — the reference semantics.
+    ``triggers[event](maps, values, index_data, changes, journal)``, once per
+    logical tuple — the reference semantics.
 
     Over a proper semiring the delta maps count tuples in ℤ (ring statements
     read them through ``from_int``), and every insert event runs before any
@@ -277,7 +358,7 @@ def make_generic_apply_batch(
     )
     pool: list = []
 
-    def apply_batch(maps, updates, index_data=None, changes=None):
+    def apply_batch(maps, updates, index_data=None, changes=None, journal=None):
         deltas: Dict[Tuple[str, int], MapTable] = {}
         tuples: Dict[Tuple[str, int], list] = {}
         total = 0
@@ -306,7 +387,7 @@ def make_generic_apply_batch(
             if delta is None:
                 trigger = triggers[event]
                 for values in tuples[event]:
-                    trigger(maps, values, index_data, changes)
+                    trigger(maps, values, index_data, changes, journal)
                 continue
             if not native:
                 # A finite ring's from_int can wrap to zero; ℤ/ℝ counts of one
@@ -314,7 +395,7 @@ def make_generic_apply_batch(
                 for values in [values for values, count in delta.items() if is_zero(count)]:
                     del delta[values]
             if delta:
-                batch_triggers[event](maps, delta, index_data, changes)
+                batch_triggers[event](maps, delta, index_data, changes, journal)
             delta.clear()
             if len(pool) < DELTA_POOL_LIMIT:
                 pool.append(delta)

@@ -17,7 +17,10 @@ could ride a socket instead of a :class:`multiprocessing.Pipe`:
 ``("load", name, contents)``
     Replace the mirror of map ``name`` with ``contents`` (no reply).  Sent
     when the coordinator's version counters say the mirror went stale —
-    facade writes, rollback restores and re-bootstraps bump them.
+    every facade write bumps them: recompute write-backs, a batch rollback
+    (which puts the journalled prior values back through the facade, so only
+    the shards the failed batch touched reload), snapshot restores and
+    re-bootstraps (which replace the table, invalidating every shard).
 ``("fold", name, part, journal)``
     Fold the delta ``part`` into the mirror; reply
     ``(journal_wire, changed, error)`` where ``changed`` maps each delta key

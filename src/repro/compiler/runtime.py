@@ -49,6 +49,11 @@ so after the call each accumulator holds exactly the per-key delta the
 update (or batch) caused in that map.  This is how ``on_change`` subscriptions
 of :class:`repro.ivm.base.IVMEngine` and :class:`repro.session.Session` views
 observe result deltas without diffing map states.
+
+:meth:`TriggerRuntime.apply_batch` also accepts a ``journal`` — the undo
+journal of a transactional batch (:class:`repro.compiler.kernels.UndoJournal`),
+threaded to every kernel call and support-tier write exactly like ``changes``
+and ``None`` everywhere else.
 """
 
 from __future__ import annotations
@@ -60,7 +65,12 @@ from repro.algebra.lattices import SupportTier
 from repro.algebra.semirings import INTEGER_RING, Semiring
 from repro.compiler.cost import RuntimeStatistics
 from repro.compiler.indexes import IndexedMaps, SliceIndexes
-from repro.compiler.kernels import FoldKernels, make_generic_apply_batch, recompute_pairs
+from repro.compiler.kernels import (
+    FoldKernels,
+    UndoJournal,
+    make_generic_apply_batch,
+    recompute_pairs,
+)
 from repro.compiler.maps import dependency_depths
 from repro.compiler.partition.backends import ShardBackend, make_shard_backend
 from repro.compiler.partition.tables import ShardedMapTable, resolve_shard_count
@@ -192,8 +202,8 @@ class TriggerRuntime:
         # per-event callables interpret the triggers.
 
         def interpret(method, trigger, tracked):
-            return lambda _maps, payload, _index_data, changes: method(
-                trigger, tracked, payload, changes
+            return lambda _maps, payload, _index_data, changes, journal: method(
+                trigger, tracked, payload, changes, journal
             )
 
         events = self.plan.events
@@ -236,31 +246,28 @@ class TriggerRuntime:
         table.backend = self.shard_backend
         return table
 
-    def backup_tables(self, names: Optional[Iterable[str]] = None) -> Dict[str, MapTable]:
-        """Plain-dict copies of map tables (sharded tables merged).
+    def backup_tables(self) -> Dict[str, MapTable]:
+        """Plain-dict copies of every map table (sharded tables merged).
 
-        ``names`` restricts the copy to a subset — the transactional batch
-        path backs up only the maps its events can write.  Cost is
-        O(entries of the copied tables).
+        The wholesale state copy behind :meth:`RecursiveIVM.state_backup
+        <repro.ivm.recursive.RecursiveIVM.state_backup>`; cost is O(stored
+        entries).  The transactional batch path does not come here — it keeps
+        an undo journal of the keys it touches instead.
         """
-        targets = self.maps if names is None else names
         backup = {
-            name: (
-                table.copy() if type(table) is ShardedMapTable else dict(table)
-            )
-            for name, table in ((name, self.maps[name]) for name in targets)
+            name: table.copy() if type(table) is ShardedMapTable else dict(table)
+            for name, table in self.maps.items()
         }
         if self._support_tier is not None:
             # The support sidecars ride the table backup under a reserved key
             # (map names never collide with it — they are identifiers).
-            backup["__supports__"] = self._support_tier.backup()
+            backup["__supports__"] = self._support_tier.serialize()
         return backup
 
     def restore_tables(self, backup: Dict[str, MapTable]) -> None:
         """Reinstall backed-up table contents and rebuild the slice indexes.
 
-        Only the maps present in ``backup`` are replaced (a partial backup
-        covers exactly the maps that could have been written).
+        Only the maps present in ``backup`` are replaced.
         """
         supports = None
         for name, contents in backup.items():
@@ -279,34 +286,9 @@ class TriggerRuntime:
                 self.rebuild_supports()
         # Compensation terms refer to the replaced table values.  Dropping
         # them is always sound (it only forgoes accumulated accuracy); a
-        # rollback, which knows the terms that belong to the backup, puts
-        # them back (CompiledExecutor.restore).
+        # state restore, which knows the terms that belong to the backup,
+        # puts them back (CompiledExecutor.restore).
         self.maps.compensation.clear()
-
-    def writable_maps_for(self, updates: Iterable[Update]) -> set:
-        """The map names the given updates' triggers can write.
-
-        The union of statement and recompute targets over every
-        ``(relation, sign)`` event in the batch, across both the per-tuple
-        and the batch triggers — a superset of what any execution path
-        (batch fold, per-tuple fallback) mutates.  Reads never mutate, so
-        backing these up suffices for exact rollback.
-        """
-        program = self.program
-        touched: set = set()
-        events = {(update.relation, update.sign) for update in updates}
-        for event in events:
-            for trigger in (program.triggers.get(event), program.batch_triggers.get(event)):
-                if trigger is None:
-                    continue
-                touched.update(statement.target for statement in trigger.statements)
-                touched.update(recompute.target for recompute in trigger.recomputes)
-        if self._support_tier is not None:
-            relations = {relation for relation, _sign in events}
-            for name, plan in self._maintenance.supports.items():
-                if plan.relation in relations:
-                    touched.add(name)
-        return touched
 
     # -- initialization -----------------------------------------------------------
 
@@ -374,7 +356,10 @@ class TriggerRuntime:
         self.feed_supports((update,), changes)
 
     def apply_batch(
-        self, updates: Iterable[Update], changes: Optional[Dict[str, MapTable]] = None
+        self,
+        updates: Iterable[Update],
+        changes: Optional[Dict[str, MapTable]] = None,
+        journal: Optional[UndoJournal] = None,
     ) -> None:
         """Apply a batch of updates through the compiled batch triggers.
 
@@ -402,9 +387,9 @@ class TriggerRuntime:
         self._check_arities(updates)
         if not self.plan.specialized:
             self.statistics.updates_processed += self._generic_batch(
-                self.maps, updates, self.indexes.data, changes
+                self.maps, updates, self.indexes.data, changes, journal
             )
-            self.feed_supports(updates, changes)
+            self.feed_supports(updates, changes, journal)
             return
         counted = sum([update.count for update in updates])
         compact = counted != len(updates)
@@ -422,7 +407,7 @@ class TriggerRuntime:
                     ]
                 )
                 if total:
-                    self._apply_total_trigger(event.batch_trigger, total, changes)
+                    self._apply_total_trigger(event.batch_trigger, total, changes, journal)
                 continue
             # Counter fast path: count the value tuples in C, then fix up
             # compact updates (count > 1) only when present.  Counts are
@@ -446,9 +431,9 @@ class TriggerRuntime:
                         delta_table[update.values] += update.count - 1
             if delta_table:
                 self._apply_batch_trigger(
-                    event.batch_trigger, event.batch_tracked, delta_table, changes
+                    event.batch_trigger, event.batch_tracked, delta_table, changes, journal
                 )
-        self.feed_supports(updates, changes)
+        self.feed_supports(updates, changes, journal)
 
     def _check_arities(self, updates: Iterable[Update]) -> None:
         """Validate a batch against the plan's arity checks, one C-level
@@ -476,6 +461,7 @@ class TriggerRuntime:
         batch_trigger: BatchTrigger,
         total: int,
         changes: Optional[Dict[str, MapTable]] = None,
+        journal: Optional[UndoJournal] = None,
     ) -> None:
         """The fused fold of an all-total batch trigger (no delta table).
 
@@ -488,11 +474,12 @@ class TriggerRuntime:
             self.statistics.statements_executed += 1
             increment = statement.coefficient * total
             if fold_total is not None:
-                fold_total(self.maps, statement.target, increment, changes)
+                fold_total(self.maps, statement.target, increment, changes, journal)
                 self.statistics.entries_updated += 1
             else:
                 self._fold_increments(
-                    statement.target, {(): increment}, changes, None, statement.serial_fold
+                    statement.target, {(): increment}, changes, None, statement.serial_fold,
+                    journal,
                 )
 
     # -- support-structure maintenance ------------------------------------------------
@@ -524,6 +511,7 @@ class TriggerRuntime:
         self,
         updates: Iterable[Update],
         changes: Optional[Dict[str, MapTable]] = None,
+        journal: Optional[UndoJournal] = None,
     ) -> None:
         """Feed raw updates into the support sidecars (post-trigger).
 
@@ -540,13 +528,14 @@ class TriggerRuntime:
             if update.relation in self._support_relations
         ]
         if feed:
-            diffs = self._support_tier.collect(feed, self._counter_rows)
-            self._apply_support_changes(diffs, changes)
+            diffs = self._support_tier.collect(feed, self._counter_rows, journal)
+            self._apply_support_changes(diffs, changes, journal)
 
     def _apply_support_changes(
         self,
         diffs: Dict[str, Dict[Tuple[Any, ...], Any]],
         changes: Optional[Dict[str, MapTable]],
+        journal: Optional[UndoJournal] = None,
     ) -> None:
         """Install the support tier's per-group new values into the tables.
 
@@ -558,6 +547,8 @@ class TriggerRuntime:
         for name, group_values in diffs.items():
             table = self.maps[name]
             collector = None if changes is None else changes.get(name)
+            if journal is not None:
+                journal.record(table, name, indexes.specs.get(name), list(group_values))
             for key, value in group_values.items():
                 self.statistics.entries_updated += 1
                 if value is None or ring.is_zero(value):
@@ -578,6 +569,7 @@ class TriggerRuntime:
         tracked: Tuple[str, ...],
         values: Tuple[Any, ...],
         changes: Optional[Dict[str, MapTable]] = None,
+        journal: Optional[UndoJournal] = None,
     ) -> None:
         bindings = Record.from_values(trigger.argument_names, values)
         # Per-event changed-key sets of the maps the recomputes track.
@@ -610,13 +602,14 @@ class TriggerRuntime:
         # ... then apply all increments, keeping the slice indexes in sync.
         for statement, increments in pending:
             self._fold_increments(
-                statement.target, increments, changes, tracked_sources, statement.serial_fold
+                statement.target, increments, changes, tracked_sources, statement.serial_fold,
+                journal,
             )
 
         # Finally re-derive the nested-aggregate readers, inner maps first;
         # each recompute sees the post-update sources and the pre-update target.
         for recompute in trigger.recomputes:
-            self._run_recompute(recompute, changes, tracked_sources)
+            self._run_recompute(recompute, changes, tracked_sources, journal)
 
     def _projection_lift(self, statement, is_counter: bool):
         """``multiplicity -> increment`` for a key-projection batch statement."""
@@ -642,6 +635,7 @@ class TriggerRuntime:
         tracked: Tuple[str, ...],
         delta_table: MapTable,
         changes: Optional[Dict[str, MapTable]] = None,
+        journal: Optional[UndoJournal] = None,
     ) -> None:
         """Run one batch trigger over a pre-aggregated delta map.
 
@@ -704,10 +698,11 @@ class TriggerRuntime:
             self.maps.pop(batch_trigger.delta_map, None)
         for statement, increments in pending:
             self._fold_increments(
-                statement.target, increments, changes, tracked_sources, statement.serial_fold
+                statement.target, increments, changes, tracked_sources, statement.serial_fold,
+                journal,
             )
         for recompute in batch_trigger.recomputes:
-            self._run_recompute(recompute, changes, tracked_sources)
+            self._run_recompute(recompute, changes, tracked_sources, journal)
 
     def _fold_increments(
         self,
@@ -716,6 +711,7 @@ class TriggerRuntime:
         changes: Optional[Dict[str, MapTable]],
         tracked_sources: Optional[Dict[str, set]],
         serial: bool = False,
+        journal: Optional[UndoJournal] = None,
     ) -> None:
         """Fold per-key increments into one map through the shared fold kernel.
 
@@ -732,6 +728,7 @@ class TriggerRuntime:
             self.indexes.specs.get(target),
             self.indexes.data,
             changes,
+            journal,
             None if tracked_sources is None else tracked_sources.get(target),
             serial,
         )
@@ -741,6 +738,7 @@ class TriggerRuntime:
         recompute: RecomputeStatement,
         changes: Optional[Dict[str, MapTable]],
         tracked_sources: Optional[Dict[str, set]],
+        journal: Optional[UndoJournal] = None,
     ) -> None:
         """Execute one recompute statement: re-evaluate affected groups, write back."""
         self.statistics.statements_executed += 1
@@ -792,6 +790,7 @@ class TriggerRuntime:
             self.indexes.specs.get(recompute.target),
             self.indexes.data,
             changes,
+            journal,
             None if tracked_sources is None else tracked_sources.get(recompute.target),
         )
 

@@ -17,8 +17,10 @@ latency watermark
     flushing — what deterministic tests use together with :meth:`flush`).
 
 A flush that raises is *quarantined*, not fatal: ``apply_batch`` has already
-rolled every view back to the pre-flush state (the PR-5 transactional batch
-contract), so the pipeline parks the offending batch plus the exception on
+rolled every view back to the pre-flush state (its transactional contract: an
+undo journal of the entries the flush wrote, replayed backwards — a flush and
+a quarantine both cost O(keys touched), never O(stored state)), so the
+pipeline parks the offending batch plus the exception on
 :attr:`IngestPipeline.dead_letters` and keeps serving the next flush.
 
 Cross-batch CDC coalescing: :meth:`IngestPipeline.subscribe` attaches a

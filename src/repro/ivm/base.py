@@ -144,10 +144,12 @@ class IVMEngine(ABC):
     def state_backup(self) -> Any:
         """An opaque, cheap copy of the engine's materialized state.
 
-        :meth:`repro.session.Session.apply_batch` captures one per engine
-        before driving a batch and calls :meth:`state_restore` if any view's
-        trigger raises mid-batch, so a poisoned batch cannot leave some views
-        advanced and others not.
+        :meth:`repro.session.Session.apply_batch` captures one per
+        engine-backed (``classical``/``naive``) view before driving a batch
+        and calls :meth:`state_restore` if any view's trigger raises
+        mid-batch, so a poisoned batch cannot leave some views advanced and
+        others not.  (Compiled views do not come here: their batches run
+        inside an undo-journal transaction.)
         """
         raise NotImplementedError(f"{type(self).__name__} does not support state backup")
 

@@ -27,6 +27,7 @@ whole materializer state).
 
 from __future__ import annotations
 
+import logging
 import time
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -69,6 +70,8 @@ from repro.sql.frontend import is_sql, parse_sql, required_ring_name, translate
 #: :meth:`Session.restore` still accepts version-1 snapshots.
 SNAPSHOT_FORMAT = "repro-session/2"
 _ACCEPTED_SNAPSHOT_FORMATS = ("repro-session/1", SNAPSHOT_FORMAT)
+
+_LOG = logging.getLogger("repro.session")
 
 
 class _CompiledGroup:
@@ -420,12 +423,13 @@ class Session:
         """Apply one single-tuple :class:`Update` to all views.
 
         Unlike :meth:`apply_batch`, the single-update fast path is *not*
-        transactional across views: it skips the pre-batch table snapshot
-        (which would cost O(touched map entries) on every streamed tuple),
-        so an exception raised by one view's trigger propagates with the
-        earlier views already advanced.  Wrap risky updates as
-        ``apply_batch([update])`` when the all-or-nothing contract matters
-        more than the per-update constant.
+        transactional across views: it skips the transaction bookkeeping
+        (opening an undo journal per group and recording the prior value of
+        every entry written — O(touched keys), a constant that matters at
+        one tuple per call), so an exception raised by one view's trigger
+        propagates with the earlier views already advanced.  Wrap risky
+        updates as ``apply_batch([update])`` when the all-or-nothing contract
+        matters more than the per-update constant.
         """
         if update.count != 1:
             # A net-multiplicity update (e.g. replayed from a coalesced
@@ -466,18 +470,21 @@ class Session:
         pass — the streaming ingestion flusher uses this, its queue having
         coalesced online at enqueue time.
 
-        An *empty or fully-cancelled* batch short-circuits here: no rollback
-        snapshot is captured, no trigger runs, nothing is appended to the
+        An *empty or fully-cancelled* batch short-circuits here: no
+        transaction is opened, no trigger runs, nothing is appended to the
         history, and no ``on_change`` callback fires — only the submitted
         counters advance.
 
-        The batch is transactional across views: every view's tables are
-        snapshotted before any trigger runs, and an exception raised
-        mid-batch (e.g. a ring arithmetic error on one view) rolls all views
-        back to the pre-batch state before propagating — a poisoned batch
-        can never leave some views advanced and others not.  Nothing is
-        appended to the history and no ``on_change`` callback fires for a
-        rolled-back batch.
+        The batch is transactional across views: while it runs, every write
+        to a compiled view's tables records the entry's prior value in an
+        undo journal (O(keys the batch touches), independent of how much
+        state the views hold), and an exception raised mid-batch (e.g. a
+        ring arithmetic error on one view) replays the journals backwards —
+        again O(touched keys) — so all views are back at the pre-batch state
+        before it propagates: a poisoned batch can never leave some views
+        advanced and others not.  Nothing is appended to the history and no
+        ``on_change`` callback fires for a rolled-back batch; the rollback is
+        logged at WARNING on the ``repro.session`` logger.
         """
         updates = updates if isinstance(updates, (list, tuple)) else list(updates)
         # Validate the whole batch up front so a malformed update cannot leave
@@ -492,39 +499,35 @@ class Session:
             self._note_applied((), started, submitted=len(updates))
             return
         notifications = []
-        rollback = self._capture_rollback_state(effective)
+        groups = list(self._groups.values())
+        engine_states = [(view._engine, view._engine.state_backup()) for view in self._engine_views]
+        for group in groups:
+            group.executor.begin()
         try:
-            for group in self._groups.values():
+            for group in groups:
                 changes = group.changes_accumulator()
                 group.executor.apply_batch(effective, changes)
                 if changes:
                     notifications.append((group, changes))
             for view in self._engine_views:
                 view._engine.apply_batch(effective)
-        except BaseException:
-            self._restore_rollback_state(rollback)
+        except BaseException as error:
+            undone = sum([group.executor.rollback() for group in groups])
+            for engine, state in engine_states:
+                engine.state_restore(state)
+            _LOG.warning(
+                "rolled back a batch of %d updates after %s: %d journalled entries restored "
+                "across groups %s",
+                len(effective),
+                type(error).__name__,
+                undone,
+                [group.backend for group in groups],
+            )
             raise
+        for group in groups:
+            group.executor.commit()
         self._note_applied(effective, started, submitted=len(updates))
         self._dispatch(notifications)
-
-    def _capture_rollback_state(self, updates: Sequence[Update]):
-        """Pre-batch table/engine snapshots for the all-or-nothing batch contract.
-
-        Compiled groups copy only the maps the batch's events can write
-        (O(entries of those maps)); engine views copy their (shallow,
-        immutable-gmr) database plus materialized result.
-        """
-        return (
-            [(group, group.executor.backup(updates)) for group in self._groups.values()],
-            [(view, view._engine.state_backup()) for view in self._engine_views],
-        )
-
-    def _restore_rollback_state(self, rollback) -> None:
-        group_backups, engine_backups = rollback
-        for group, backup in group_backups:
-            group.executor.restore(backup)
-        for view, backup in engine_backups:
-            view._engine.state_restore(backup)
 
     def apply_all(self, updates: Iterable[Update]) -> None:
         """Apply a stream of updates one at a time."""

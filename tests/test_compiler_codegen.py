@@ -22,11 +22,11 @@ def fresh_maps(program):
 def test_generated_module_shape():
     program = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), UNARY_SCHEMA, name="q")
     generated = generate_python(program)
-    assert "def on_insert_R(maps, values, _IDX=None, _CH=None):" in generated.source
-    assert "def on_delete_R(maps, values, _IDX=None, _CH=None):" in generated.source
+    assert "def on_insert_R(maps, values, _IDX=None, _CH=None, _J=None):" in generated.source
+    assert "def on_delete_R(maps, values, _IDX=None, _CH=None, _J=None):" in generated.source
     assert "def apply_update(maps, relation, sign, values, _IDX=None, _CH=None):" in generated.source
-    assert "def apply_batch(maps, updates, _IDX=None, _CH=None):" in generated.source
-    assert "def batch_on_insert_R(maps, _delta, _IDX=None, _CH=None):" in generated.source
+    assert "def apply_batch(maps, updates, _IDX=None, _CH=None, _J=None):" in generated.source
+    assert "def batch_on_insert_R(maps, _delta, _IDX=None, _CH=None, _J=None):" in generated.source
     assert set(generated.trigger_function_names()) == {"on_insert_R", "on_delete_R"}
     # The generated code never mentions joins, relations or the evaluator.
     assert "evaluate" not in generated.source
