@@ -20,6 +20,14 @@ compile error), this module *reports* on the quality of a compiled program:
   take the fused-total hot path (sibling statements or recomputes force the
   delta table), so a shape the specializer exists for still pays the generic
   grouping loop; ``--fail-on generic-bare-count`` promotes these;
+* **scanning recomputes** — recompute statements the lowered batch plan
+  classes ``scan`` rather than ``pointwise``
+  (:func:`repro.compiler.cost.recompute_scan_reason`): the body walks a slice
+  of a map — a base copy that stayed correlated with a nested aggregate —
+  per changed group, or re-derives every group.  Legitimate for correlated
+  subqueries; for a ``HAVING`` view it means the factoring pass of
+  :mod:`repro.compiler.compile` stopped firing, so CI promotes it with
+  ``--fail-on recompute-scan``;
 * **untracked non-invertible maps** — maps of a semiring-compiled program
   whose :class:`repro.compiler.triggers.MaintenancePlan` leaves them without
   a deletion story: no declared strategy, a tracked-recompute map with no
@@ -47,7 +55,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import Table
 from repro.compiler.compile import compile_query
-from repro.compiler.cost import statement_cost_class
+from repro.compiler.cost import recompute_scan_reason, statement_cost_class
 from repro.compiler.plan import lower_batch_plan
 from repro.compiler.indexes import compute_index_specs, iter_partial_reads
 from repro.compiler.normal_form import is_normalized
@@ -187,8 +195,22 @@ def lint_program(
                     )
                 )
 
+    # -- recomputes that still walk a slice (or every group) per event --------
+    plan = lower_batch_plan(program)
+    scanning: Dict[str, LintFinding] = {}
+    for event in plan.events:
+        for recompute, kind in zip(event.recomputes, event.recompute_kinds):
+            if kind == "scan" and recompute.target not in scanning:
+                scanning[recompute.target] = LintFinding(
+                    "recompute-scan",
+                    f"recompute of {recompute.target!r} is not a pointwise lookup: "
+                    + recompute_scan_reason(recompute),
+                    recompute.describe(),
+                )
+    findings.extend(scanning.values())
+
     # -- bare counts stuck on the generic batch path -------------------------
-    for event in lower_batch_plan(program).events:
+    for event in plan.events:
         for statement, label in zip(getattr(event.batch_trigger, "statements", ()), event.labels):
             if label == "generic-bare-count":
                 findings.append(
@@ -314,11 +336,24 @@ _EXAMPLE_VIEWS: Tuple[Tuple[str, str], ...] = (
         "SELECT SUM(l.price * l.qty) FROM Customer c, Orders o, Lineitem l "
         "WHERE c.ck = o.ck AND o.ok = l.ok2",
     ),
+    # The README's and the end-to-end benchmark's HAVING views: both must
+    # compile to pointwise recomputes (``--fail-on recompute-scan``).
+    (
+        "busy_stores",
+        "SELECT store, SUM(amount) FROM Sales GROUP BY store HAVING COUNT(*) > 2",
+    ),
+    (
+        "hot_communities",
+        "SELECT p.community, SUM(p.score) FROM P p GROUP BY p.community "
+        "HAVING SUM(p.score) > 1000",
+    ),
 )
 
 _EXAMPLE_SCHEMAS: Dict[str, Mapping[str, Tuple[str, ...]]] = {
     "quickstart_selfjoin": {"R": ("A",)},
     "social_same_nation": {"C": ("cid", "nation")},
+    "busy_stores": {"Sales": ("store", "amount")},
+    "hot_communities": {"P": ("community", "post", "score")},
 }
 
 
@@ -362,6 +397,7 @@ _FAIL_ON_KINDS = {
     "scan": "scan",
     "generic-bare-count": "generic-bare-count",
     "untracked-noninvertible": "untracked-noninvertible",
+    "recompute-scan": "recompute-scan",
 }
 
 
@@ -389,7 +425,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="append",
         choices=sorted(_FAIL_ON_KINDS),
         default=None,
-        metavar="{dead-maps,serial-folds,scan,generic-bare-count,untracked-noninvertible}",
+        metavar="{" + ",".join(sorted(_FAIL_ON_KINDS)) + "}",
         help="promote a finding kind to a hard failure (exit 1); repeatable",
     )
     options = parser.parse_args(argv)

@@ -23,9 +23,14 @@ relations, the compiler produces a :class:`~repro.compiler.triggers.TriggerProgr
      ``x < M'[k]`` is not linear in ``M'`` — and the compiler emits a
      :class:`~repro.compiler.triggers.RecomputeStatement` instead: after the
      inner hierarchy's own triggers have fired, the affected groups of ``M``
-     are re-evaluated from materialized maps only (every base-relation atom
-     of the definition is replaced by a *base-copy* map, itself maintained by
-     ordinary triggers) and the differences are folded in;
+     are re-evaluated from materialized maps only and the differences are
+     folded in.  The definition is factorized first (Example 1.3 again): a
+     relation-bearing component that shares only key variables with the
+     map-reading guard beside it — SQL ``HAVING`` — becomes an aggregate
+     child map, so the recompute is lookups at the group key; a relation
+     that stays correlated with a nested map (``x < M'[k]``) is instead
+     replaced by a *base-copy* map, itself maintained by ordinary triggers,
+     whose slice the recompute walks per group;
 
 4. steps 3 recurses on the newly created maps.  Termination is guaranteed by
    Theorem 6.4 for the closed-form part (child degrees strictly decrease) and
@@ -39,6 +44,7 @@ references never appear in user queries.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import defaultdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -57,6 +63,7 @@ from repro.core.ast import (
     is_zero_literal,
     map_references,
     mul,
+    relations_mentioned,
     walk,
 )
 from repro.core.delta import BatchUpdateEvent, UpdateEvent, delta, delta_map_name, is_delta_map
@@ -149,9 +156,7 @@ class Compiler:
         self._counter = 0
         self._base_name = name
         self._normalize = normalize
-        # Like-term merging rewrites m + m as 2·m — only sound when integer
-        # coefficients act ℤ-linearly, which idempotent semirings break.
-        self._combine_terms = not semiring_mode
+        self._semiring_mode = semiring_mode
 
         worklist: List[MapDefinition] = []
         simplified = simplify(body, needed_vars=set(keys) | all_variables(body))
@@ -366,6 +371,10 @@ class Compiler:
         recompute_relations = set()
         for source in source_maps:
             recompute_relations |= self._map_trigger_relations(source)
+        if recompute_relations and not self._semiring_mode:
+            definition = self._factor_guarded_components(
+                definition, recompute_relations, worklist
+            )
         closed_relations = set(definition.relations) - recompute_relations
 
         if recompute_relations:
@@ -413,11 +422,13 @@ class Compiler:
                 self._compile_batch_statement(definition, relation, arity, sign, worklist)
 
     #: Overridden per-compile; class default keeps hand-driven uses working.
-    _combine_terms = True
+    _semiring_mode = False
 
     def _normal_form(self, rhs: Expr, bound_vars) -> Expr:
         """Statement-RHS cleanup: ring normal form, or plain like-term merging."""
-        if not self._combine_terms:
+        if self._semiring_mode:
+            # Like-term merging rewrites m + m as 2·m — only sound when integer
+            # coefficients act ℤ-linearly, which idempotent semirings break.
             return rhs
         if self._normalize:
             return normalize_rhs(rhs, bound_vars=bound_vars)
@@ -735,6 +746,60 @@ class Compiler:
             cached = frozenset(relations)
             self._trigger_relations_cache[name] = cached
         return cached
+
+    def _factor_guarded_components(
+        self,
+        definition: MapDefinition,
+        recompute_relations: "set[str]",
+        worklist: List[MapDefinition],
+    ) -> MapDefinition:
+        """Example 1.3 applied to a map definition that reads other maps.
+
+        ``Sum`` distributes over factors that share no variable beyond the
+        map's keys, so in ``P(c, p, s) * s * (m[c] > 1000)`` — SQL ``HAVING``
+        — the relation part is an aggregate of its own, guarded by a
+        condition on the group key alone.  Such a component (no map read, next
+        to a relation-free component that reads one) becomes a child map
+        through the ordinary component registry, which deduplicates it against
+        the inner aggregate; the definition keeps only lookups, and the
+        recompute needs no base copy.  Only relations whose events recompute
+        this map anyway are factored away, so no closed-form trigger is lost.
+        Ring mode only: a support-structure map must not gain a reader.
+        """
+        separator = frozenset(definition.key_vars)
+        rewritten: List[Monomial] = []
+        changed = False
+        for monomial in to_polynomial(definition.definition):
+            components = connected_components(monomial.factors, separator)
+            reads_maps = [bool(map_references(c.to_expr())) for c in components]
+            guarded = any(
+                reads and not component.has_relations
+                for component, reads in zip(components, reads_maps)
+            )
+            factors: List[Expr] = []
+            for component, reads in zip(components, reads_maps):
+                if (
+                    guarded
+                    and component.has_relations
+                    and not reads
+                    and relations_mentioned(component.to_expr()) <= recompute_relations
+                ):
+                    reference, deferred = self._materialize_component(
+                        component, separator, definition, worklist
+                    )
+                    factors.append(reference)
+                    factors.extend(deferred)
+                    changed = True
+                else:
+                    factors.extend(component.factors)
+            rewritten.append(Monomial(monomial.coefficient, tuple(factors)))
+        if not changed:
+            return definition
+        factored = dataclasses.replace(
+            definition, definition=make_safe(from_polynomial(rewritten))
+        )
+        self._maps[definition.name] = factored
+        return factored
 
     def _build_recompute(
         self, definition: MapDefinition, worklist: List[MapDefinition]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.semirings import INTEGER_RING, Semiring
-from repro.core.ast import Assign, Expr, MapRef
+from repro.core.ast import AggSum, Assign, Expr, MapRef, Rel, Var, walk
 from repro.core.delta import is_delta_map
 from repro.core.normalization import to_polynomial
 from repro.core.simplify import order_for_safety
@@ -149,7 +149,11 @@ def statement_cost_class(
     """
     specs = specs or {}
     if hasattr(statement, "tracked"):
-        return "O(changed groups)" if statement.tracked else "O(all groups)"
+        if not statement.tracked:
+            return "O(all groups)"
+        if recompute_class(statement) == "pointwise":
+            return "O(changed groups)"
+        return "O(changed groups × indexed slice)"
     if hasattr(statement, "projection"):
         if statement.projection is not None:
             return "O(|Δ| keys)"
@@ -165,6 +169,46 @@ def statement_cost_class(
         )
         worst = max(worst, _monomial_read_class(ordered, argument_names, specs))
     return ("O(1)", "O(indexed slice)", "O(map scan)")[worst]
+
+
+def recompute_scan_reason(recompute) -> Optional[str]:
+    """Why re-deriving one group takes more than lookups — ``None`` if it doesn't.
+
+    A tracked recompute is *pointwise* when its body only looks things up at
+    the group key: every map reference and variable is bound by the target
+    keys and nothing iterates or binds (no relation, aggregate or
+    assignment) — O(1) per changed group, the shape SQL ``HAVING`` compiles
+    to.  Everything else is a *scan*, for the reason returned (the text of
+    ``repro-lint``'s ``recompute-scan`` note): the body walks a slice of some
+    map per group (a base copy correlated with a nested aggregate), or the
+    recompute is untracked and re-derives every group.
+    """
+    if not recompute.tracked:
+        return "a source map lacks a group key, so every group is re-derived"
+    bound = set(recompute.target_keys)
+    nodes = list(walk(recompute.body))
+    sliced = dict.fromkeys(
+        str(node)
+        for node in nodes
+        if isinstance(node, MapRef) and not bound.issuperset(node.key_vars)
+    )
+    if sliced:
+        return (
+            f"{', '.join(sliced)} stays correlated with a nested map and is "
+            "walked per changed group"
+        )
+    if any(
+        isinstance(node, (Rel, AggSum, Assign))
+        or (isinstance(node, Var) and node.name not in bound)
+        for node in nodes
+    ):
+        return "the body binds or aggregates beyond the group key"
+    return None
+
+
+def recompute_class(recompute) -> str:
+    """``"pointwise"`` or ``"scan"`` (:func:`recompute_scan_reason`)."""
+    return "pointwise" if recompute_scan_reason(recompute) is None else "scan"
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ costs O(keys the batch touches), whatever the tables hold.
 
 from __future__ import annotations
 
+import operator
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, Tuple
 
@@ -37,7 +38,9 @@ from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
 from repro.compiler.indexes import apply_index_journal
 from repro.compiler.partition.backends import fold_on_coordinator
 from repro.compiler.partition.tables import MIN_PARALLEL_KEYS, ShardedMapTable
+from repro.core.ast import Add, Compare, Const, Expr, MapRef, Mul, Neg, Var
 from repro.core.delta import DELTA_POOL_LIMIT
+from repro.core.semantics import COMPARATORS
 
 MapTable = Dict[Tuple[Any, ...], Any]
 
@@ -402,6 +405,82 @@ def make_generic_apply_batch(
         return total
 
     return apply_batch
+
+
+def lower_pointwise(body: Expr, target_keys: Tuple[str, ...], ring: Semiring) -> Callable:
+    """A pointwise recompute body as a closure ``(tables, group) -> value``.
+
+    ``body`` is classed ``"pointwise"`` by
+    :func:`~repro.compiler.cost.recompute_class`: constants, target-key
+    variables, fully-bound map reads and comparisons of those under ``+``,
+    ``*`` and negation.  The closure computes what
+    :func:`~repro.core.semantics.evaluate` folds for one group — a product
+    is zero at its first zero factor, comparison operands are data values in
+    native arithmetic, everything else is in the ring — without building a
+    record or a relation.
+    """
+    position = {key: index for index, key in enumerate(target_keys)}
+    zero, one, is_zero, times = ring.zero, ring.one, ring.is_zero, ring.mul
+    identity = tuple(range(len(target_keys)))
+
+    def fold(children, combine, start):
+        def run(tables, group):
+            result = start
+            for child in children:
+                result = combine(result, child(tables, group))
+            return result
+
+        return run
+
+    def lower(expr: Expr, as_value: bool) -> Callable:
+        # as_value: the data-value position of a comparison operand.
+        if isinstance(expr, Const):
+            constant = expr.value if as_value else ring.coerce(expr.value)
+            return lambda tables, group: constant
+        if isinstance(expr, Var):
+            place = position[expr.name]
+            if as_value:
+                return lambda tables, group: group[place]
+            return lambda tables, group: ring.coerce(group[place])
+        if isinstance(expr, MapRef):
+            name = expr.name
+            places = tuple(position[key] for key in expr.key_vars)
+            if places == identity:
+                return lambda tables, group: tables[name].get(group, zero)
+            return lambda tables, group: tables[name].get(
+                tuple([group[place] for place in places]), zero
+            )
+        if isinstance(expr, Compare):
+            holds = COMPARATORS[expr.op]
+            left, right = lower(expr.left, True), lower(expr.right, True)
+            return lambda tables, group: (
+                one if holds(left(tables, group), right(tables, group)) else zero
+            )
+        if isinstance(expr, Neg):
+            inner = lower(expr.expr, as_value)
+            negate = operator.neg if as_value else ring.neg
+            return lambda tables, group: negate(inner(tables, group))
+        if isinstance(expr, Add):
+            terms = [lower(term, as_value) for term in expr.terms]
+            return fold(terms, operator.add, 0) if as_value else fold(terms, ring.add, zero)
+        if isinstance(expr, Mul):
+            factors = [lower(factor, as_value) for factor in expr.factors]
+            if as_value:
+                return fold(factors, operator.mul, 1)
+
+            def product(tables, group):
+                result = one
+                for factor in factors:
+                    value = factor(tables, group)
+                    if is_zero(value):
+                        return zero
+                    result = times(result, value)
+                return result
+
+            return product
+        raise TypeError(f"not a pointwise recompute body: {expr!r}")
+
+    return lower(body, False)
 
 
 def recompute_pairs(accumulator: MapTable, table: Iterable, zero: Any) -> list:

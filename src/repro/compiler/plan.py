@@ -4,10 +4,10 @@
 (plus the coefficient ring and the ``specialize`` switch) into an explicit
 per-event schedule.  :class:`~repro.compiler.runtime.TriggerRuntime` walks it,
 :func:`~repro.compiler.codegen.generate_python` prints it, and
-``GeneratedTriggers.specializations``, ``explain()``'s ``[spec:…]`` labels
-and ``repro-lint``'s tally read it — so the two compiled executors agree on
-every fork of the batch path because they decode the same object, not because
-two copies of the rules are kept equal by hand.
+``GeneratedTriggers.specializations``, ``explain()``'s ``[spec:…]`` and
+``[recompute:…]`` labels and ``repro-lint``'s tally read it — so the two
+compiled executors agree on every fork of the batch path because they decode
+the same object, not because two copies of the rules are kept equal by hand.
 
 The gates evaluated here and nowhere else:
 
@@ -36,10 +36,16 @@ from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
 from repro.compiler.cost import (
     MAX_SPECIALIZED_EVENTS,
     batch_specialization_class,
+    recompute_class,
     trigger_specialization,
 )
 from repro.compiler.indexes import IndexSpecs, compute_index_specs
-from repro.compiler.triggers import BatchTrigger, Trigger, TriggerProgram
+from repro.compiler.triggers import (
+    BatchTrigger,
+    RecomputeStatement,
+    Trigger,
+    TriggerProgram,
+)
 
 
 @dataclass(frozen=True)
@@ -64,10 +70,19 @@ class EventPlan:
     batch_tracked: Tuple[str, ...] = ()
     #: Per batch statement, the ``[spec:…]`` class shown by ``explain()``.
     labels: Tuple[str, ...] = ()
+    #: Per entry of :attr:`recomputes`, ``"pointwise"`` — the interpreted
+    #: executor runs the body as a lowered closure of lookups at the group
+    #: key — or ``"scan"`` (:func:`~repro.compiler.cost.recompute_class`).
+    recompute_kinds: Tuple[str, ...] = ()
 
     @property
     def event(self) -> Tuple[str, int]:
         return (self.relation, self.sign)
+
+    @property
+    def recomputes(self) -> Tuple[RecomputeStatement, ...]:
+        """The event's recomputes (its per-tuple and batch trigger share them)."""
+        return (self.trigger or self.batch_trigger).recomputes
 
 
 @dataclass(frozen=True)
@@ -149,6 +164,10 @@ def lower_batch_plan(
                 labels=tuple(
                     batch_specialization_class(statement, batch_trigger)
                     for statement in (batch_trigger.statements if batch_trigger else ())
+                ),
+                recompute_kinds=tuple(
+                    recompute_class(recompute)
+                    for recompute in (trigger or batch_trigger).recomputes
                 ),
             )
         )

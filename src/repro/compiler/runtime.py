@@ -68,6 +68,7 @@ from repro.compiler.indexes import IndexedMaps, SliceIndexes
 from repro.compiler.kernels import (
     FoldKernels,
     UndoJournal,
+    lower_pointwise,
     make_generic_apply_batch,
     recompute_pairs,
 )
@@ -198,6 +199,17 @@ class TriggerRuntime:
         self.statistics = RuntimeStatistics()
         self._kernels = FoldKernels(ring)
         self._events = {event.event: event for event in self.plan.events}
+        #: The plan's pointwise recomputes, each lowered once to a closure
+        #: ``(tables, group) -> value`` (keyed by statement identity: the
+        #: plan keeps the statements alive).
+        self._pointwise: Dict[int, Any] = {}
+        for event in self.plan.events:
+            for recompute, kind in zip(event.recomputes, event.recompute_kinds):
+                # (One statement object serves both signs of a relation.)
+                if kind == "pointwise" and id(recompute) not in self._pointwise:
+                    self._pointwise[id(recompute)] = lower_pointwise(
+                        recompute.body, recompute.target_keys, ring
+                    )
         # The generic batch loop, shared with generated modules; here its
         # per-event callables interpret the triggers.
 
@@ -750,6 +762,11 @@ class TriggerRuntime:
             for source, positions in recompute.source_projections:
                 for key in tracked_sources.get(source, ()):
                     groups.add(tuple(key[position] for position in positions))
+        pointwise = self._pointwise.get(id(recompute))
+        if pointwise is not None:
+            # O(1) per group — lookups at the group key: nothing to fan out.
+            new_values = [(group, pointwise(maps, group)) for group in groups]
+        elif recompute.tracked:
 
             def evaluate_group(group):
                 group_bindings = Record.from_values(recompute.target_keys, group)

@@ -400,7 +400,8 @@ class TriggerProgram:
         With ``costs`` (the default) every statement line carries its static
         per-update cost class (:func:`repro.compiler.cost.statement_cost_class`)
         derived from the program's slice-index signatures; batch statements
-        also carry the ``[spec:…]`` class of the lowered batch plan
+        also carry the ``[spec:…]`` class and recomputes the
+        ``[recompute:pointwise|scan]`` class of the lowered batch plan
         (:func:`repro.compiler.plan.lower_batch_plan`).  Annotation is
         best-effort: programs whose statements fall outside the static
         analysis (hand-built IR with exotic right-hand sides) print without
@@ -425,6 +426,20 @@ class TriggerProgram:
             except Exception:
                 return ""
 
+        # Per statement (by identity) the plan's label: ``[spec:…]`` for batch
+        # statements, ``[recompute:pointwise|scan]`` for recomputes.
+        labels = {}
+        for event in plan.events if plan is not None else ():
+            if event.batch_trigger is not None:
+                for statement, label in zip(event.batch_trigger.statements, event.labels):
+                    labels[id(statement)] = f"[spec:{label}]"
+            for recompute, kind in zip(event.recomputes, event.recompute_kinds):
+                labels[id(recompute)] = f"[recompute:{kind}]"
+
+        def annotate(statement, argument_names=()):
+            parts = (cost(statement, argument_names), labels.get(id(statement), ""))
+            return " ".join(part for part in parts if part)
+
         lines = ["MAPS:"]
         for definition in sorted(self.maps.values(), key=lambda d: (d.level, d.name)):
             maint = ""
@@ -439,25 +454,13 @@ class TriggerProgram:
             trigger = self.triggers[key]
             lines.append(
                 trigger.describe(
-                    annotate=lambda s, args=trigger.argument_names: cost(s, args)
+                    annotate=lambda s, args=trigger.argument_names: annotate(s, args)
                 )
             )
         if self.batch_triggers:
             lines.append("BATCH TRIGGERS:")
-            events = {event.event: event for event in plan.events} if plan is not None else {}
             for key in sorted(self.batch_triggers, key=order):
-                batch_trigger = self.batch_triggers[key]
-                # Recomputes have no projection analysis — only batch
-                # statements carry a specialization class.
-                labels = {}
-                if key in events:
-                    labels = dict(zip(map(id, batch_trigger.statements), events[key].labels))
-
-                def annotate(s, _labels=labels):
-                    label = f"[spec:{_labels[id(s)]}]" if id(s) in _labels else ""
-                    return " ".join(part for part in (cost(s, ()), label) if part)
-
-                lines.append(batch_trigger.describe(annotate=annotate))
+                lines.append(self.batch_triggers[key].describe(annotate=annotate))
         return "\n".join(lines)
 
     def __repr__(self) -> str:

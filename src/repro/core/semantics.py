@@ -46,7 +46,7 @@ from repro.gmr.parametrized import PGMR
 from repro.gmr.records import EMPTY_RECORD, Record
 from repro.gmr.relation import GMR
 
-_COMPARATORS = {
+COMPARATORS = {
     "=": operator.eq,
     "!=": operator.ne,
     "<": operator.lt,
@@ -209,7 +209,7 @@ def _evaluate_comparison(
         right = evaluate_value(expr.right, db, bindings, maps)
     except UnboundVariableError:
         return GMR.zero(ring=ring)
-    if _COMPARATORS[expr.op](left, right):
+    if COMPARATORS[expr.op](left, right):
         return GMR.one(ring=ring)
     return GMR.zero(ring=ring)
 

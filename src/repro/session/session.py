@@ -74,6 +74,30 @@ _ACCEPTED_SNAPSHOT_FORMATS = ("repro-session/1", SNAPSHOT_FORMAT)
 _LOG = logging.getLogger("repro.session")
 
 
+def _check_snapshot_maps(backend: str, definitions: Mapping[str, Any], tables) -> None:
+    """Reject snapshot tables that do not fit the recompiled map hierarchy."""
+    problems = []
+    unknown = sorted(set(tables) - set(definitions))
+    if unknown:
+        problems.append(f"maps the recompiled views do not define: {unknown}")
+    missing = sorted(set(definitions) - set(tables))
+    if missing:
+        problems.append(f"maps the snapshot lacks: {missing}")
+    misshapen = sorted(
+        name
+        for name, entries in tables.items()
+        if name in definitions
+        and any(len(key) != definitions[name].arity for key, _value in entries)
+    )
+    if misshapen:
+        problems.append(f"maps whose keys do not match the defined arity: {misshapen}")
+    if problems:
+        raise ValueError(
+            f"session snapshot does not match the compiled {backend!r} views "
+            f"(taken by another version of the compiler?) — " + "; ".join(problems)
+        )
+
+
 class _CompiledGroup:
     """All views of one compiled backend flavor, sharing maps and triggers.
 
@@ -748,6 +772,18 @@ class Session:
         for spec in snapshot["views"]:
             session.view(spec["name"], parse(spec["query"]), backend=spec["backend"])
 
+        # The views were just recompiled by *this* compiler: a snapshot whose
+        # hierarchy another version laid out differently must not be poured
+        # into it (restore_tables would keep unknown names as orphan tables
+        # and leave missing ones empty).
+        try:
+            for backend, tables in snapshot["maps"].items():
+                _check_snapshot_maps(
+                    backend, session._groups[backend].runtime.program.maps, tables
+                )
+        except ValueError:
+            session.close()
+            raise
         for backend, tables in snapshot["maps"].items():
             # Re-partitions under the session's shard count, rebuilds the slice
             # indexes and re-derives the support sidecars from the counter maps.

@@ -11,14 +11,20 @@ import random
 
 import pytest
 
+from repro.algebra.lattices import top_k
+from repro.algebra.semirings import MIN_PLUS
 from repro.compiler.compile import compile_query
+from repro.compiler.plan import lower_batch_plan
 from repro.compiler.runtime import TriggerRuntime
-from repro.core.ast import MapRef, relation_atoms, walk
+from repro.core.ast import MapRef, Rel, relation_atoms, walk
 from repro.core.errors import CompilationError
 from repro.core.parser import parse
+from repro.core.semantics import evaluate
 from repro.gmr.database import Database, delete, insert
 from repro.ivm.naive import NaiveReevaluation
 from repro.ivm.recursive import RecursiveIVM
+from repro.session import Session
+from repro.sql.frontend import sql_to_agca
 
 GROUPED_SCHEMA = {"R": ("G", "X")}
 TWO_RELATIONS = {"R": ("G", "X"), "S": ("G", "Y")}
@@ -124,6 +130,104 @@ def test_multi_level_nesting_orders_recomputes_by_depth():
 def test_bare_relation_in_operand_rejected():
     with pytest.raises(CompilationError):
         compile_query(parse("Sum(R(g, x) * (x < R(g, y)))"), GROUPED_SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# HAVING: the relation part factors away from the guard (Example 1.3)
+# ---------------------------------------------------------------------------
+
+SALES = {"Sales": ("store", "amount")}
+#: (SQL text, the same query hand-factored in AGCA) — one program for both.
+HAVING_SPELLINGS = {
+    "sum": (
+        "SELECT store, SUM(amount) FROM Sales GROUP BY store HAVING SUM(amount) > 20",
+        "AggSum([g], AggSum([g], Sales(g, x) * x) * (Sum(Sales(g, y) * y) > 20))",
+    ),
+    "count": (
+        "SELECT store, SUM(amount) FROM Sales GROUP BY store HAVING COUNT(*) > 2",
+        "AggSum([g], AggSum([g], Sales(g, x) * x) * (Sum(Sales(g, y)) > 2))",
+    ),
+    "two-conditions": (
+        "SELECT store, SUM(amount) FROM Sales GROUP BY store "
+        "HAVING COUNT(*) > 2 AND SUM(amount) < 100",
+        "AggSum([g], AggSum([g], Sales(g, x) * x) * (Sum(Sales(g, y)) > 2) "
+        "* (Sum(Sales(g, z) * z) < 100))",
+    ),
+}
+
+
+def recompute_kinds(program, ring=None):
+    """target -> the plan's ``pointwise``/``scan`` class, over every event."""
+    plan = lower_batch_plan(program) if ring is None else lower_batch_plan(program, ring)
+    kinds = {}
+    for event in plan.events:
+        for recompute, kind in zip(event.recomputes, event.recompute_kinds):
+            kinds.setdefault(recompute.target, set()).add(kind)
+    return kinds
+
+
+def base_copies(program):
+    """Maps that copy a base relation: a bare atom keyed by all its columns
+    (``Sum_[k0] Sales(k0, v0)``, a COUNT, is an aggregate — not a copy)."""
+    return [
+        definition.name
+        for definition in program.maps.values()
+        if isinstance(definition.definition, Rel)
+        and definition.key_vars == definition.definition.columns
+    ]
+
+
+@pytest.mark.parametrize("spelling", sorted(HAVING_SPELLINGS))
+def test_sql_having_compiles_to_the_hand_factored_program(spelling):
+    sql, agca = HAVING_SPELLINGS[spelling]
+    from_sql = compile_query(sql_to_agca(sql, SALES), SALES, name="q")
+    by_hand = compile_query(parse(agca), SALES, name="q")
+    for program in (from_sql, by_hand):
+        assert not base_copies(program), program.explain()
+        assert not relation_atoms(program.result_definition.definition)
+        assert recompute_kinds(program) == {"q": {"pointwise"}}
+    assert len(from_sql.maps) == len(by_hand.maps)
+    assert "[recompute:pointwise]" in from_sql.explain()
+    assert "-- O(changed groups) [recompute:pointwise]" in from_sql.explain()
+
+
+def test_factoring_leaves_correlated_and_scalar_inner_shapes_alone():
+    """A relation that stays correlated with the nested map (``x < M[g]``)
+    is one component with it: the base copy and the scan recompute remain."""
+    for text, schema in ((CORRELATED, TWO_RELATIONS), (GLOBAL_TOTAL, GROUPED_SCHEMA)):
+        program = compile_query(parse(text), schema, name="q")
+        assert relation_atoms(program.result_definition.definition), text
+        assert base_copies(program), text
+        assert recompute_kinds(program) == {"q": {"scan"}}, text
+        assert "[recompute:scan]" in program.explain()
+    correlated = compile_query(parse(CORRELATED), TWO_RELATIONS, name="q")
+    assert "O(changed groups × indexed slice)" in correlated.explain()
+    scalar = compile_query(parse(GLOBAL_TOTAL), GROUPED_SCHEMA, name="q")
+    assert "O(all groups)" in scalar.explain()
+
+
+def test_factoring_never_costs_a_closed_form_trigger():
+    """``R`` is not a recompute relation of ``R(g,x) * AggSum([g,s], S…)``:
+    its component stays in the definition, so ±R keep their closed form."""
+    schema = {"R": ("G", "X"), "S": ("G", "S", "Y")}
+    query = parse("AggSum([g], R(g, x) * AggSum([g, s], S(g, s, y) * y))")
+    program = compile_query(query, schema, name="q")
+    assert relation_atoms(program.result_definition.definition)
+    r_trigger = program.trigger_for("R", 1)
+    assert not r_trigger.recomputes
+    assert any(statement.target == "q" for statement in r_trigger.statements)
+
+
+@pytest.mark.parametrize("ring", [MIN_PLUS, top_k(3)], ids=lambda ring: ring.name)
+def test_factoring_is_ring_mode_only(ring):
+    """Under a proper semiring a factored child would be read by its parent
+    and lose its support-structure eligibility; the definition stays whole."""
+    sql_shaped = parse("AggSum([g], R(g, x) * (Sum(R(g, y)) > 2) * x)")
+    program = compile_query(sql_shaped, GROUPED_SCHEMA, name="q", ring=ring)
+    assert relation_atoms(program.result_definition.definition)
+    assert recompute_kinds(program, ring) == {"q": {"scan"}}
+    over_z = compile_query(sql_shaped, GROUPED_SCHEMA, name="q")
+    assert recompute_kinds(over_z) == {"q": {"pointwise"}}
 
 
 # ---------------------------------------------------------------------------
@@ -253,3 +357,54 @@ def test_closed_form_statements_bind_keys_before_nested_map_reads():
     r_trigger = engine.generated_source().split("def on_insert_R")[1].split("def ")[0]
     assert ".items()" not in r_trigger
     assert "_IDX[" in r_trigger
+
+
+# ---------------------------------------------------------------------------
+# Structural guard (counts, no timing): HAVING never evaluates per group
+# ---------------------------------------------------------------------------
+
+
+def test_having_batch_recomputes_by_lookup_only(monkeypatch):
+    """At ~5k rows a 200-update batch over a HAVING view re-tests its guard
+    with lookups at the changed group keys: ``_run_recompute`` never calls
+    the generic evaluator, and no map is keyed by all of ``P``'s columns (the
+    base copy a rescanning recompute would read)."""
+    schema = {"P": ("community", "post", "score")}
+    session = Session(schema)
+    view = session.view(
+        "hot",
+        "SELECT p.community, SUM(p.score) FROM P p GROUP BY p.community "
+        "HAVING SUM(p.score) > 1000",
+        backend="interpreted",
+    )
+    rng = random.Random(9)
+    rows = [(rng.randrange(200), post, rng.randrange(100)) for post in range(5_000)]
+    session.apply_batch([insert("P", *row) for row in rows])
+    runtime = session._groups["interpreted"].runtime
+    assert all(definition.arity < 3 for definition in runtime.program.maps.values())
+    assert session.total_map_entries() < 500  # two maps of <= 200 groups
+
+    recomputes, evaluations = [], []
+    run_recompute = TriggerRuntime._run_recompute
+
+    def tracking(self, *arguments, **keywords):
+        recomputes.append(len(evaluations))
+        run_recompute(self, *arguments, **keywords)
+        recomputes[-1] = len(evaluations) - recomputes[-1]
+
+    def counting(*arguments, **keywords):
+        evaluations.append(1)
+        return evaluate(*arguments, **keywords)
+
+    monkeypatch.setattr(TriggerRuntime, "_run_recompute", tracking)
+    monkeypatch.setattr("repro.compiler.runtime.evaluate", counting)
+    batch = [delete("P", *rows.pop(rng.randrange(len(rows)))) for _ in range(80)]
+    fresh = [(rng.randrange(200), 5_000 + post, rng.randrange(100)) for post in range(120)]
+    batch += [insert("P", *row) for row in fresh]
+    session.apply_batch(batch)
+    assert recomputes and not any(recomputes), recomputes
+
+    totals = {}
+    for community, _post, score in rows + fresh:
+        totals[community] = totals.get(community, 0) + score
+    assert view.result() == {(c,): total for c, total in totals.items() if total > 1000}

@@ -9,17 +9,20 @@ populated one, and across a session snapshot/restore cycle.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
+from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING
 from repro.core.parser import parse
 from repro.core.semantics import evaluate
-from repro.gmr.database import Database, delete, insert
+from repro.gmr.database import Database, Update, delete, insert
 from repro.ivm.base import result_as_mapping, results_agree
 from repro.ivm.classical import ClassicalIVM
 from repro.ivm.naive import NaiveReevaluation
 from repro.ivm.recursive import RecursiveIVM
 from repro.session import Session
+from repro.sql.frontend import sql_to_agca
 
 NESTED_PROPERTY_QUERIES = [
     # Per-group sales strictly below the global total (paper-style decision support).
@@ -179,3 +182,92 @@ def test_streams_with_batches_agree_with_sequential_naive():
             engine.apply_batch(stream[position : position + size])
             position += size
         assert results_agree(reference.result(), engine.result()), name
+
+
+# ---------------------------------------------------------------------------
+# SQL HAVING: the factored (lookup-only) recompute against the oracle
+# ---------------------------------------------------------------------------
+
+HAVING_SCHEMA = {"R": ("g", "x")}
+HAVING_SQL = {
+    # Crossed upward by inserts and downward by deletes (group sums reach ~40).
+    "sum-above": "SELECT g, SUM(x) FROM R GROUP BY g HAVING SUM(x) > 12",
+    "count-above": "SELECT g, SUM(x) FROM R GROUP BY g HAVING COUNT(*) > 2",
+    # True at the empty group: an emptied group must still drop out.
+    "sum-below": "SELECT g, SUM(x) FROM R GROUP BY g HAVING SUM(x) < 10",
+    "two-conditions": "SELECT g, SUM(x) FROM R GROUP BY g HAVING COUNT(*) > 1 AND SUM(x) < 15",
+}
+
+
+def having_trace(ring, seed):
+    """Three phases: mixed churn, group 0 deleted down to nothing, a refill.
+
+    Float traces carry multiples of 1.5 — dyadic, so sums and CDC deltas
+    stay exact.
+    """
+    scale = 1.5 if ring is FLOAT_FIELD else 1
+    churn = [
+        Update(update.sign, "R", (update.values[0], update.values[1] * scale))
+        for update in mixed_stream(HAVING_SCHEMA, 140, seed=seed, delete_fraction=0.4)
+    ]
+    live = Counter()
+    for update in churn:
+        live[update.values] += update.sign
+    emptied = [delete("R", *values) for values in live.elements() if values[0] == 0]
+    assert emptied, "group 0 must hold rows to delete"
+    refill = [insert("R", 0, value * scale) for value in (3, 11, 2)]
+    return churn, emptied, refill
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["per-tuple", "batch"])
+@pytest.mark.parametrize("ring", [INTEGER_RING, FLOAT_FIELD], ids=["Z", "float"])
+@pytest.mark.parametrize("spelling", sorted(HAVING_SQL))
+def test_sql_having_matches_direct_evaluation_and_cdc(spelling, ring, batched):
+    """Both compiled executors, per tuple and in batches: the view equals
+    direct evaluation after every step, the CDC shadow reconstructs it, and
+    the two executors emit identical change payloads."""
+    sql = HAVING_SQL[spelling]
+    query = sql_to_agca(sql, HAVING_SCHEMA)
+    session = Session(HAVING_SCHEMA, ring=ring)
+    views, shadows, payloads = {}, {}, {}
+    for backend in ("generated", "interpreted"):
+        views[backend] = session.view(backend, sql, backend=backend)
+        shadows[backend], payloads[backend] = {}, []
+
+        def capture(changes, backend=backend):
+            payloads[backend].append(dict(changes))
+            shadow = shadows[backend]
+            for key, delta in changes.items():
+                total = shadow.get(key, 0) + delta
+                if total == 0:
+                    shadow.pop(key, None)
+                else:
+                    shadow[key] = total
+
+        views[backend].on_change(capture)
+
+    db = Database(schema=HAVING_SCHEMA, ring=ring)
+    rng = random.Random(3)
+    present, entered, left = set(), set(), set()
+    for phase, trace in zip(("churn", "emptied", "refill"), having_trace(ring, len(spelling))):
+        position = 0
+        while position < len(trace):
+            step = trace[position : position + (rng.randint(2, 25) if batched else 1)]
+            position += len(step)
+            if batched:
+                session.apply_batch(step)
+            else:
+                session.apply(step[0])
+            for update in step:
+                db.apply(update)
+            expected = direct_result(query, db)
+            entered |= set(expected) - present
+            left |= present - set(expected)
+            present = set(expected)
+            for backend, view in views.items():
+                assert result_as_mapping(view.result()) == expected, (backend, phase, position)
+                assert shadows[backend] == expected, (backend, phase, position)
+            assert payloads["generated"] == payloads["interpreted"], (phase, position)
+        if phase == "emptied":
+            assert (0,) not in present
+    assert entered and left, "the trace must cross the threshold both ways"

@@ -262,16 +262,26 @@ class FoldFault(Scenario):
 
 
 class WriteBackFault(Scenario):
-    """In ``write_back``: a HAVING recompute dies with half its groups written."""
+    """In ``write_back``: a recompute dies with half its groups written —
+    the pointwise HAVING recompute, or a scan recompute whose base copy stays
+    correlated with the nested map (``kind`` is the plan's label)."""
 
     schema = POSTS_SCHEMA
-
-    def views(self):
-        having = (
+    QUERIES = {
+        "pointwise": (
             "SELECT p.community, SUM(p.score) FROM P p GROUP BY p.community "
             "HAVING SUM(p.score) > 10"
-        )
-        return {"hot": (having, self.backend)}
+        ),
+        # Per community, the scores below the community's own total.
+        "scan": "AggSum([c], P(c, p, s) * (s < Sum(P(c, p2, s2) * s2)) * s)",
+    }
+
+    def __init__(self, backend: str, kind: str):
+        super().__init__(backend)
+        self.kind = kind
+
+    def views(self):
+        return {"hot": (self.QUERIES[self.kind], self.backend)}
 
     def batches(self):
         setup = [insert("P", f"c{community}", post, 4) for community in range(6) for post in range(2)]
@@ -280,9 +290,10 @@ class WriteBackFault(Scenario):
         return setup, poisoned, followup
 
     def arm(self, session, monkeypatch, dry_run):
-        Injector(at_call=1).install(
-            session._groups[self.backend], {"write_back": "_rwrite"}, _poison_write_back
-        )
+        group = session._groups[self.backend]
+        kinds = {kind for event in group.runtime.plan.events for kind in event.recompute_kinds}
+        assert kinds == {self.kind}
+        Injector(at_call=1).install(group, {"write_back": "_rwrite"}, _poison_write_back)
 
 
 class FoldTotalFault(Scenario):
@@ -393,7 +404,8 @@ class LaterGroupFault(Scenario):
 
 SITES = {
     "fold_shard": FoldFault,
-    "write_back": WriteBackFault,
+    "write_back": lambda backend: WriteBackFault(backend, "pointwise"),
+    "write_back_scan": lambda backend: WriteBackFault(backend, "scan"),
     "fold_total": FoldTotalFault,
     "inline_total": InlineTotalFault,
     "support_collect_min": lambda backend: SupportCollectFault(backend, "min-plus"),

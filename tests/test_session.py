@@ -462,6 +462,70 @@ def test_restore_rejects_unknown_format_and_ring():
         Session.restore({**snapshot, "ring": "martian"})
 
 
+SALES_SCHEMA = {"Sales": ("store", "amount")}
+BUSY_STORES = "SELECT store, SUM(amount) FROM Sales GROUP BY store HAVING COUNT(*) > 2"
+
+
+def busy_stores_session(seed, **layout):
+    session = Session(SALES_SCHEMA, **layout)
+    session.view("busy_stores", BUSY_STORES)
+    rng = random.Random(seed)
+    session.apply_batch([insert("Sales", rng.randrange(6), rng.randrange(1, 30)) for _ in range(40)])
+    return session
+
+
+def _with_extra_map(tables):
+    # What a snapshot taken before the HAVING factoring pass carries: the
+    # base copy of Sales the recompute used to rescan.
+    tables["busy_stores_m9"] = [[[1, 10], 1]]
+
+
+def _without_a_map(tables):
+    del tables["busy_stores_m1"]
+
+
+def _with_a_misshapen_key(tables):
+    tables["busy_stores_m1"][0][0].append(7)
+
+
+@pytest.mark.parametrize(
+    "doctor,named",
+    [
+        (_with_extra_map, "busy_stores_m9"),
+        (_without_a_map, "busy_stores_m1"),
+        (_with_a_misshapen_key, "busy_stores_m1"),
+    ],
+)
+def test_restore_rejects_a_snapshot_of_another_map_hierarchy(doctor, named):
+    """The restored views are recompiled; a snapshot whose map set or key
+    arities differ from that program must fail loudly, naming the maps —
+    not restore orphan tables beside empty ones."""
+    import copy
+
+    snapshot = copy.deepcopy(busy_stores_session(seed=5).snapshot())
+    assert Session.restore(snapshot)["busy_stores"].result()  # intact: accepted
+    doctor(snapshot["maps"]["generated"])
+    with pytest.raises(ValueError, match=named):
+        Session.restore(snapshot)
+
+
+@pytest.mark.parametrize("layout", [(1, None), (4, "inline"), (3, "process")])
+def test_having_session_round_trips_across_shard_layouts(layout):
+    shards, shard_backend = layout
+    origin = busy_stores_session(seed=6, shards=4, shard_backend="thread")
+    revived = Session.restore(origin.snapshot(), shards=shards, shard_backend=shard_backend)
+    try:
+        assert revived["busy_stores"].result() == origin["busy_stores"].result()
+        more = [insert("Sales", 6, 3), insert("Sales", 6, 4), insert("Sales", 6, 5)]
+        origin.apply_batch(more)
+        revived.apply_batch(more)
+        assert revived["busy_stores"].result() == origin["busy_stores"].result()
+        assert (6,) in revived["busy_stores"].result()
+    finally:
+        origin.close()
+        revived.close()
+
+
 def test_snapshot_plus_replayed_deltas_reproduce_final_result():
     """The acceptance-criteria flow: snapshot mid-stream, subscribe, replay."""
     session = Session(RS_SCHEMA)

@@ -353,6 +353,13 @@ def test_tracked_recomputes_dispatch_per_backend(shard_backend, executor):
     sharded = Session(NESTED_SCHEMA, shards=4, shard_backend=shard_backend)
     sharded.view("nested", NESTED_QUERY, backend=executor)
     _force_dispatch(sharded)
+    # The query must keep a *scan* recompute (its R atom stays correlated with
+    # the nested map): pointwise recomputes never fan out, and this matrix
+    # would go vacuous.
+    backend = sharded._groups[executor].shard_backend
+    fanned_out = []
+    map_groups = backend.map_groups
+    backend.map_groups = lambda fn, groups: fanned_out.append(len(groups)) or map_groups(fn, groups)
     try:
         for step in range(5):
             batch = []
@@ -368,6 +375,7 @@ def test_tracked_recomputes_dispatch_per_backend(shard_backend, executor):
             base.apply_batch(batch)
             sharded.apply_batch(batch)
             assert sharded.results() == base.results(), (shard_backend, executor, step)
+        assert fanned_out, "no tracked recompute reached map_groups"
     finally:
         sharded.close()
 

@@ -315,6 +315,25 @@ class TestLint:
         assert lint_main(["--fail-on", "dead-maps", "--fail-on", "scan"]) == 0
         capsys.readouterr()
 
+    def test_scanning_recompute_is_reported_with_the_component_that_kept_it(self):
+        correlated = compile_query(
+            parse("AggSum([g], R(g, x) * (x < Sum(S(g, y) * y)) * x)"),
+            {"R": ("G", "X"), "S": ("G", "Y")},
+            name="q",
+        )
+        (finding,) = [f for f in lint_program(correlated) if f.kind == "recompute-scan"]
+        assert "q_m2[g, x]" in finding.message and "recompute[tracked]" in finding.context
+        having = compile_query(
+            parse("AggSum([g], R(g, x) * (Sum(R(g, y)) > 2) * x)"), {"R": ("G", "X")}, name="q"
+        )
+        assert not [f for f in lint_program(having) if f.kind == "recompute-scan"]
+
+    def test_lint_gates_the_having_views_on_pointwise_recomputes(self, capsys):
+        # busy_stores / hot_communities are lint targets; the gate CI passes.
+        assert lint_main(["--fail-on", "recompute-scan"]) == 0
+        out = capsys.readouterr().out
+        assert "busy_stores" in out and "hot_communities" in out
+
     def test_lint_fail_on_rejects_unknown_kind(self):
         with pytest.raises(SystemExit):
             lint_main(["--fail-on", "bogus"])
