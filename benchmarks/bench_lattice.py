@@ -13,6 +13,15 @@ incremental executors sustain at least **10x** the naive per-update
 throughput.  Naive cost grows with the live database, so it is measured on a
 sample against the fully warmed database both engines reached.
 
+The state-scaling row prices the paper's size-independence claim on the
+support tier: one churn stream that keeps running groups' supports dry,
+applied to a relation of ``SCALING_GROUPS[0]`` groups and to one ten times
+larger (the extra groups are ballast the stream never touches).  Exhaustion
+recovery reads the exhausted group through the counter map's slice index, so
+the throughput ratio is ≈ 1; a recovery that rescans the relation makes it
+grow with the ballast.  Asserted only loosely (≤ 2) — the exact claim is
+counted, not timed, in ``tests/test_support_tier.py``.
+
 Run standalone for a quick table::
 
     PYTHONPATH=src python benchmarks/bench_lattice.py [--smoke]
@@ -22,6 +31,7 @@ or through pytest::
     PYTHONPATH=src python -m pytest benchmarks/bench_lattice.py
 """
 
+import random
 import sys
 import time
 
@@ -29,7 +39,7 @@ import pytest
 
 from repro.algebra.semirings import MIN_PLUS, resolve_semiring
 from repro.core.parser import parse
-from repro.gmr.database import Database
+from repro.gmr.database import Database, delete, insert
 from repro.ivm.base import result_as_mapping
 from repro.ivm.naive import NaiveReevaluation
 from repro.ivm.recursive import RecursiveIVM
@@ -51,6 +61,12 @@ GROUPS = 40
 SCORES = [float(value) for value in range(1, 100)]
 #: Naive re-evaluates the whole view per update; a sample suffices.
 NAIVE_SAMPLE = smoke_scaled(120, 30)
+#: State scaling: churned groups / groups of the 10x relation, rows per group
+#: at the start, churn length, and the loose ceiling on small/large throughput.
+SCALING_SMOKE = ((40, 400), 1_500)
+SCALING_GROUPS, SCALING_CHURN = smoke_scaled(((200, 2_000), 6_000), SCALING_SMOKE)
+SCALING_GROUP_SIZE = 25
+SCALING_CEILING = 2.0
 
 
 def make_stream(length=STREAM_LENGTH, seed=5):
@@ -121,6 +137,72 @@ def measure_min_maintenance(stream_length=None, repeats=1):
     return record
 
 
+def scaling_stream(groups, churn, seed=7):
+    """A warm-up of ``SCALING_GROUP_SIZE`` rows per group, then ``churn``
+    updates over those groups: ``DELETE_FRACTION`` deletions, every other one
+    of a group's current minimum (so supports keep running dry)."""
+    rng = random.Random(seed)
+    live = {
+        group: [rng.choice(SCORES) for _ in range(SCALING_GROUP_SIZE)] for group in range(groups)
+    }
+    warm = [insert("P", group, score) for group, scores in live.items() for score in scores]
+    updates = []
+    for _ in range(churn):
+        group = rng.randrange(groups)
+        scores = live[group]
+        if scores and rng.random() < DELETE_FRACTION:
+            score = min(scores) if rng.random() < 0.5 else rng.choice(scores)
+            scores.remove(score)
+            updates.append(delete("P", group, score))
+        else:
+            score = rng.choice(SCORES)
+            scores.append(score)
+            updates.append(insert("P", group, score))
+    rows = [(group, score) for group, scores in live.items() for score in scores]
+    return warm, updates, rows
+
+
+def measure_state_scaling(groups=SCALING_GROUPS, churn=SCALING_CHURN, repeats=3):
+    """One churn stream against a small relation and a 10x larger one.
+
+    Returns, per executor, the per-tuple churn throughput at both sizes and
+    their ratio (small / large; ≈ 1 when recovery costs the group).
+    """
+    small, large = groups
+    warm, updates, rows = scaling_stream(small, churn)
+    rng = random.Random(11)
+    ballast = [
+        (group, rng.choice(SCORES))
+        for group in range(small, large)
+        for _ in range(SCALING_GROUP_SIZE)
+    ]
+    record = {
+        "groups": [small, large],
+        "group_size": SCALING_GROUP_SIZE,
+        "churn": churn,
+        "engines": {},
+    }
+    for backend in ("generated", "interpreted"):
+        rates = []
+        for extra in ([], ballast):
+            expected = direct_min(rows + extra)
+            best = float("inf")
+            for _ in range(repeats):
+                engine = RecursiveIVM(QUERY, SCHEMA, ring=MIN_PLUS, backend=backend)
+                engine.apply_batch(warm + [insert("P", *row) for row in extra])
+                started = time.perf_counter()
+                engine.apply_all(updates)
+                best = min(best, time.perf_counter() - started)
+                assert result_as_mapping(engine.result(), MIN_PLUS) == expected, backend
+            rates.append(len(updates) / best)
+        record["engines"][backend] = {
+            "small_updates_per_s": rates[0],
+            "large_updates_per_s": rates[1],
+            "state_scaling_ratio": rates[0] / rates[1],
+        }
+    return record
+
+
 # ---------------------------------------------------------------------------
 # pytest entry points
 # ---------------------------------------------------------------------------
@@ -157,6 +239,17 @@ def test_min_maintenance_beats_naive_by_10x():
         )
 
 
+def test_support_recovery_does_not_scale_with_the_relation():
+    """The E15 state-scaling row: the same churn at 10x the groups costs the
+    same (loose ceiling — the exact claim is counted in the tier-1 suite)."""
+    record = measure_state_scaling()
+    for backend, row in record["engines"].items():
+        assert row["state_scaling_ratio"] <= SCALING_CEILING, (
+            f"MIN churn on the {backend} backend is {row['state_scaling_ratio']:.2f}x slower "
+            f"at {record['groups'][1]} groups than at {record['groups'][0]}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Standalone mode (CI smoke + quick local table)
 # ---------------------------------------------------------------------------
@@ -185,6 +278,20 @@ def main(argv):
         worst = min(row["speedup_vs_naive"] for row in record["engines"].values())
         print(f"worst incremental speedup: {worst:.1f}x (asserted >= {SPEEDUP_FLOOR}x)")
         assert worst >= SPEEDUP_FLOOR
+    scaling = measure_state_scaling(*SCALING_SMOKE) if smoke else measure_state_scaling()
+    small, large = scaling["groups"]
+    print(
+        f"state scaling: the same {scaling['churn']}-update churn at {small} and {large} "
+        f"groups of {scaling['group_size']}"
+    )
+    print(f"{'engine':24s} {f'{small} groups':>14s} {f'{large} groups':>14s} {'ratio':>8s}")
+    for backend, row in scaling["engines"].items():
+        print(
+            f"recursive-{backend:14s} {row['small_updates_per_s']:12.0f}/s "
+            f"{row['large_updates_per_s']:12.0f}/s {row['state_scaling_ratio']:7.2f}x"
+        )
+    worst = max(row["state_scaling_ratio"] for row in scaling["engines"].values())
+    assert worst <= SCALING_CEILING, worst
     return 0
 
 

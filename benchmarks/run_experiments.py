@@ -453,6 +453,22 @@ def experiment_e15():
         print(f"(asserted >= {bench_lattice.SPEEDUP_FLOOR}x at "
               f"{record['stream_length']} updates; worst {worst:.1f}x)")
         assert worst >= bench_lattice.SPEEDUP_FLOOR
+    scaling = bench_lattice.measure_state_scaling()
+    small, large = scaling["groups"]
+    table = Table(["engine", f"{small} groups (upd/s)", f"{large} groups (upd/s)", "small/large"])
+    for backend, row in scaling["engines"].items():
+        table.add_row(
+            f"recursive-{backend}", f"{row['small_updates_per_s']:.0f}",
+            f"{row['large_updates_per_s']:.0f}", f"{row['state_scaling_ratio']:.2f}x",
+        )
+    print(table.render())
+    print(f"(the same {scaling['churn']}-update churn, groups of {scaling['group_size']}; "
+          f"asserted <= {bench_lattice.SCALING_CEILING}x)")
+    assert all(
+        row["state_scaling_ratio"] <= bench_lattice.SCALING_CEILING
+        for row in scaling["engines"].values()
+    )
+    record["state_scaling"] = scaling
     return record
 
 

@@ -14,22 +14,29 @@ the maintenance-strategy contract needs beyond plain recomputation:
   that most deletions are O(log capacity): the support stores the best
   ``capacity`` distinct per-row contributions together with multiplicities.
   Only when enough of the stored prefix has been deleted that the fold can no
-  longer be trusted (``exhausted``) does the maintainer fall back to a
-  per-group rescan of the base counter map.
+  longer be trusted (``exhausted``) does the maintainer fall back to
+  re-reading the group's rows — through the slice index the base counter map
+  carries at the plan's key positions, so recovery costs the group, not the
+  relation.
 
 The trust argument: the structure only ever rejects or evicts *worst*
 entries, and records ``threshold`` — the best sort key ever rejected.  Every
 base row strictly better than ``threshold`` is therefore still stored, so
 folding the stored entries strictly better than ``threshold`` equals the true
 group fold whenever their total multiplicity covers ``support_needed``
-(1 for MIN/MAX, ``k`` for top-k).
+(1 for MIN/MAX, ``k`` for top-k).  The same argument stops the fold early:
+once a best-first prefix covers ``support_needed``, every entry strictly
+worse than the prefix's last sort key is as irrelevant as an evicted one, so
+:meth:`SupportStructure.value` reads one entry for MIN/MAX and at most ``k``
+(plus sort-key ties) for top-k, whatever ``capacity`` is.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.ast import (
     AggSum,
@@ -111,10 +118,10 @@ class SupportStructure:
 
     Entries are ``[sort_key, value, count]`` sorted best (smallest key)
     first.  At most ``capacity`` distinct values are stored; overflow evicts
-    the worst entry and records its key in ``threshold``.  ``value(ring)``
-    folds only the *trusted* prefix — entries strictly better than
-    ``threshold`` — which equals the true group fold while their total
-    multiplicity covers ``needed`` (see the module docstring).
+    the worst entry and records its key in ``threshold``.  The *trusted*
+    entries — strictly better than ``threshold`` — are a prefix of the list;
+    ``value(ring)`` folds as much of it as covers ``needed``, which equals
+    the true group fold unless ``exhausted`` (see the module docstring).
     """
 
     __slots__ = ("_key", "capacity", "needed", "entries", "truncated", "threshold", "_dirty")
@@ -194,11 +201,6 @@ class SupportStructure:
 
     # -- inspection ----------------------------------------------------------
 
-    def _trusted(self):
-        if self.threshold is None:
-            return self.entries
-        return [entry for entry in self.entries if entry[0] < self.threshold]
-
     @property
     def exhausted(self) -> bool:
         """True when the stored prefix can no longer prove the group fold."""
@@ -206,10 +208,12 @@ class SupportStructure:
             return True
         if not self.truncated:
             return False
-        needed = self.needed
+        threshold, needed = self.threshold, self.needed
         total = 0
-        for entry in self._trusted():
-            total += entry[2]
+        for key, _value, count in self.entries:
+            if threshold is not None and key >= threshold:
+                break
+            total += count
             if total >= needed:
                 return False
         return True
@@ -219,10 +223,22 @@ class SupportStructure:
         return not self.entries and not self.truncated and not self._dirty
 
     def value(self, ring: Semiring) -> Any:
-        """Fold the trusted prefix (the true group fold unless ``exhausted``)."""
-        return ring.sum(
-            ring.mul(ring.from_int(entry[2]), entry[1]) for entry in self._trusted()
-        )
+        """Fold the trusted prefix that covers ``needed``, up to the end of
+        its last sort key (the true group fold unless ``exhausted``)."""
+        threshold, needed = self.threshold, self.needed
+        result = boundary = None
+        covered = 0
+        for key, value, count in self.entries:
+            if threshold is not None and key >= threshold:
+                break
+            if covered >= needed and key != boundary:
+                break
+            # from_int(1) is the ring's one: a single row contributes itself.
+            term = value if count == 1 else ring.mul(ring.from_int(count), value)
+            result = term if result is None else ring.add(result, term)
+            covered += count
+            boundary = key
+        return ring.zero if result is None else result
 
     # -- snapshot ------------------------------------------------------------
 
@@ -265,7 +281,11 @@ class SupportPlan:
     Derived from a *direct-shape* map definition
     ``AggSum(group, Rel(R, cols) * value-and-condition factors)``: every
     update row binds ``cols`` directly, so group key, WHERE conditions and
-    the per-row contribution can all be computed without the evaluator.
+    the per-row contribution can all be computed without the evaluator
+    (:meth:`lower`).  An exhausted group is re-read from the relation's base
+    counter map sliced at :attr:`slice_positions`
+    (:func:`repro.compiler.indexes.iter_partial_reads` reports that read, so
+    the map carries the slice index).
     """
 
     map_name: str
@@ -274,67 +294,69 @@ class SupportPlan:
     key_vars: Tuple[str, ...]
     conditions: Tuple[Compare, ...]
     value_factors: Tuple[Expr, ...]
+    #: The group key's column positions, in ``key_vars`` order.
     key_positions: Tuple[int, ...] = field(init=False)
+    #: The same positions ascending — a slice-index signature.
+    slice_positions: Tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         positions = tuple(self.columns.index(var) for var in self.key_vars)
         object.__setattr__(self, "key_positions", positions)
+        object.__setattr__(self, "slice_positions", tuple(sorted(positions)))
 
-    def group_key(self, row: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        return tuple(row[position] for position in self.key_positions)
+    def slice_prefix(self, group: Tuple[Any, ...]) -> Tuple[Any, ...]:
+        """``group`` reordered to match :attr:`slice_positions`."""
+        positions = self.key_positions
+        if positions == self.slice_positions:
+            return group
+        return tuple(value for _position, value in sorted(zip(positions, group)))
 
-    def contribution(self, row: Tuple[Any, ...], ring: Semiring) -> Optional[Any]:
-        """The row's semiring contribution, or ``None`` when a condition fails."""
-        bindings = dict(zip(self.columns, row))
-        for condition in self.conditions:
-            if not _holds(condition, bindings):
-                return None
-        return ring.product(_eval_value(factor, bindings, ring) for factor in self.value_factors)
+    @property
+    def recovery(self) -> str:
+        """How an exhausted group's rows are found: ``index(…)`` — a bucket
+        of the counter map's slice index; ``lookup`` — the group key is the
+        whole row; ``scan`` — no group key, the relation is the group."""
+        if not self.slice_positions:
+            return "scan"
+        if len(self.slice_positions) == len(self.columns):
+            return "lookup"
+        return f"index({','.join(map(str, self.slice_positions))})"
 
+    def describe(self) -> str:
+        keys = ", ".join(self.key_vars)
+        return f"support of {self.map_name}[{keys}] recovers from {self.relation} by {self.recovery}"
 
-_COMPARISONS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+    def lower(self, ring: Semiring) -> Callable[[Tuple[Any, ...]], Tuple[Tuple[Any, ...], Any]]:
+        """The plan as a closure ``row -> (group, contribution | None)``.
 
+        Column positions are resolved and ring operations bound once; the
+        contribution is the product of the conditions and value factors as
+        :func:`repro.compiler.kernels.lower_pointwise` computes it with the
+        row's columns for variables.  ``None`` stands for the ring's zero — a
+        failed condition or a zero factor — which no fold can observe.
+        """
+        # Imported here: repro.compiler imports this module.
+        from repro.compiler.kernels import lower_pointwise
 
-def _eval_raw(expr: Expr, bindings: Dict[str, Any]) -> Any:
-    """Evaluate a data-level expression (comparison operand) on plain values."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        return bindings[expr.name]
-    if isinstance(expr, Add):
-        return sum(_eval_raw(term, bindings) for term in expr.terms)
-    if isinstance(expr, Mul):
-        product = 1
-        for factor in expr.factors:
-            product *= _eval_raw(factor, bindings)
-        return product
-    raise TypeError(f"not a data expression: {expr!r}")
+        positions = self.key_positions
+        if len(positions) == 1:
+            (place,) = positions
+            group_of = lambda row: (row[place],)  # noqa: E731
+        elif positions:
+            group_of = itemgetter(*positions)
+        else:
+            group_of = lambda row: ()  # noqa: E731
+        factors = self.conditions + self.value_factors
+        # (No factors at all: the empty product, the ring's one.)
+        body = factors[0] if len(factors) == 1 else Mul(factors)
+        value = lower_pointwise(body, self.columns, ring)
+        is_zero = ring.is_zero
 
+        def feed(row):
+            contribution = value(None, row)
+            return group_of(row), (None if is_zero(contribution) else contribution)
 
-def _holds(condition: Compare, bindings: Dict[str, Any]) -> bool:
-    left = _eval_raw(condition.left, bindings)
-    right = _eval_raw(condition.right, bindings)
-    return _COMPARISONS[condition.op](left, right)
-
-
-def _eval_value(expr: Expr, bindings: Dict[str, Any], ring: Semiring) -> Any:
-    """Evaluate a value factor under the ring (Vars bound to coerced row values)."""
-    if isinstance(expr, Const):
-        return ring.coerce(expr.value)
-    if isinstance(expr, Var):
-        return ring.coerce(bindings[expr.name])
-    if isinstance(expr, Mul):
-        return ring.product(_eval_value(factor, bindings, ring) for factor in expr.factors)
-    if isinstance(expr, Add):
-        return ring.sum(_eval_value(term, bindings, ring) for term in expr.terms)
-    raise TypeError(f"not a value expression: {expr!r}")
+        return feed
 
 
 def _data_only(expr: Expr) -> bool:
@@ -411,6 +433,11 @@ class SupportTier:
     ``{map: {group: new_value_or_None}}`` diff to the tables with the
     executor's own index/CDC machinery (``None`` means the group emptied and
     the key must be removed).
+
+    The tier reads the base counter maps through one callable,
+    ``counter_rows(relation, positions=(), prefix=())``: the ``(row, count)``
+    pairs of the relation whose columns at the ascending ``positions`` equal
+    ``prefix`` — all of them by default.
     """
 
     def __init__(self, ring: Semiring, plans: Dict[str, "SupportPlan"]):
@@ -419,32 +446,37 @@ class SupportTier:
         self.groups: Dict[str, Dict[Tuple[Any, ...], SupportStructure]] = {
             name: {} for name in self.plans
         }
-        self._by_relation: Dict[str, List[SupportPlan]] = {}
-        for plan in self.plans.values():
-            self._by_relation.setdefault(plan.relation, []).append(plan)
+        #: Every plan lowered once (:meth:`SupportPlan.lower`).
+        self._feeds: Dict[str, Callable] = {
+            name: plan.lower(ring) for name, plan in self.plans.items()
+        }
+        self._by_relation: Dict[str, List[Tuple[str, Callable]]] = {}
+        for name, plan in self.plans.items():
+            self._by_relation.setdefault(plan.relation, []).append((name, self._feeds[name]))
+
+    def _contributions(self, name: str, rows: Iterable) -> Dict[Tuple[Any, ...], list]:
+        """Per group, the ``(contribution, count)`` pairs of ``(row, count)`` pairs."""
+        feed = self._feeds[name]
+        grouped: Dict[Tuple[Any, ...], list] = {}
+        for row, count in rows:
+            if count <= 0:
+                continue
+            group, contribution = feed(row)
+            if contribution is not None:
+                grouped.setdefault(group, []).append((contribution, count))
+        return grouped
 
     # -- lifecycle -----------------------------------------------------------
 
     def bootstrap(self, counter_rows) -> None:
-        """(Re)build every support from scratch.
-
-        ``counter_rows(relation)`` yields ``(row, count)`` pairs of the
-        relation's current contents (the base counter map).
-        """
+        """(Re)build every support from scratch — the one whole-relation read."""
         for name, plan in self.plans.items():
-            grouped: Dict[Tuple[Any, ...], List[Tuple[Any, int]]] = {}
-            for row, count in counter_rows(plan.relation):
-                if count <= 0:
-                    continue
-                contribution = plan.contribution(row, self.ring)
-                if contribution is None:
-                    continue
-                grouped.setdefault(plan.group_key(row), []).append((contribution, count))
-            tables = self.groups[name] = {}
-            for group, contributions in grouped.items():
-                support = SupportStructure(self.ring)
+            table = self.groups[name] = {}
+            for group, contributions in self._contributions(
+                name, counter_rows(plan.relation)
+            ).items():
+                support = table[group] = SupportStructure(self.ring)
                 support.reload(contributions)
-                tables[group] = support
 
     # -- maintenance ---------------------------------------------------------
 
@@ -453,57 +485,69 @@ class SupportTier:
     ) -> Dict[str, Dict[Tuple[Any, ...], Any]]:
         """Fold raw ``(relation, row, sign, count)`` updates into the supports.
 
+        Three phases.  The batch's contributions are bucketed by
+        ``(map, group)``; each touched structure is then looked up once and
+        fed its bucket in batch order; finally every group that saw a
+        deletion yields its new value, an exhausted one first reloading from
+        its own rows of the post-update counter map (``counter_rows`` sliced
+        at the plan's key positions) — so a batch costs the rows fed plus the
+        rows of the groups that ran dry, whatever the relation holds.
         Inserts only feed the sidecars (the normal insert-side ring folds
-        already wrote the tables).  Deletions additionally produce the new
-        group value; exhausted supports rebuild from the post-update counter
-        map via ``counter_rows(relation)``.  ``journal`` is the undo journal
-        of a transactional batch (:class:`repro.compiler.kernels.UndoJournal`):
-        a copy of a group's structure is recorded on its first touch, so
-        rollback costs the groups fed.
+        already wrote the tables).  ``journal`` is the undo journal of a
+        transactional batch (:class:`repro.compiler.kernels.UndoJournal`): a
+        copy of every structure about to be fed is recorded, one record per
+        map, so rollback costs the groups fed.
         """
         ring = self.ring
-        journalled: set = set()
-        deleted: Dict[Tuple[str, Tuple[Any, ...]], SupportPlan] = {}
+        by_relation = self._by_relation
+        fed: Dict[str, Dict[Tuple[Any, ...], list]] = {}
         for relation, row, sign, count in updates:
-            plans = self._by_relation.get(relation)
-            if not plans or count <= 0:
+            feeds = by_relation.get(relation)
+            if not feeds or count <= 0:
                 continue
-            for plan in plans:
-                contribution = plan.contribution(row, ring)
+            for name, feed in feeds:
+                group, contribution = feed(row)
                 if contribution is None:
                     continue
-                group = plan.group_key(row)
-                table = self.groups[plan.map_name]
-                support = table.get(group)
-                if journal is not None and (plan.map_name, group) not in journalled:
-                    journalled.add((plan.map_name, group))
-                    prior = None if support is None else support.copy()
-                    journal.record(table, plan.map_name, None, (group,), (prior,))
+                groups = fed.get(name)
+                if groups is None:
+                    groups = fed[name] = {}
+                steps = groups.get(group)
+                if steps is None:
+                    groups[group] = [(contribution, sign, count)]
+                else:
+                    steps.append((contribution, sign, count))
+        shrunk: List[Tuple[str, Tuple[Any, ...], SupportStructure]] = []
+        for name, groups in fed.items():
+            table = self.groups[name]
+            supports = list(map(table.get, groups))
+            if journal is not None:
+                priors = [None if support is None else support.copy() for support in supports]
+                journal.record(table, name, None, list(groups), priors)
+            for (group, steps), support in zip(groups.items(), supports):
                 if support is None:
                     support = table[group] = SupportStructure(ring)
-                if sign >= 0:
-                    support.insert(contribution, count)
-                else:
-                    support.remove(contribution, count)
-                    deleted[(plan.map_name, group)] = plan
+                deleted = False
+                for contribution, sign, count in steps:
+                    if sign >= 0:
+                        support.insert(contribution, count)
+                    else:
+                        support.remove(contribution, count)
+                        deleted = True
+                if deleted:
+                    shrunk.append((name, group, support))
         changes: Dict[str, Dict[Tuple[Any, ...], Any]] = {}
-        for (map_name, group), plan in deleted.items():
-            table = self.groups[map_name]
-            support = table[group]
+        for name, group, support in shrunk:
             if support.exhausted:
-                contributions = []
-                for row, count in counter_rows(plan.relation):
-                    if count <= 0 or plan.group_key(row) != group:
-                        continue
-                    contribution = plan.contribution(row, ring)
-                    if contribution is not None:
-                        contributions.append((contribution, count))
-                support.reload(contributions)
+                plan = self.plans[name]
+                rows = counter_rows(plan.relation, plan.slice_positions, plan.slice_prefix(group))
+                support.reload(self._contributions(name, rows).get(group, ()))
             if support.empty:
-                del table[group]
-                changes.setdefault(map_name, {})[group] = None
+                del self.groups[name][group]
+                value = None
             else:
-                changes.setdefault(map_name, {})[group] = support.value(ring)
+                value = support.value(ring)
+            changes.setdefault(name, {})[group] = value
         return changes
 
     # -- state copy (RecursiveIVM.state_backup) --------------------------------

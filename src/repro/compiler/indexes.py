@@ -50,7 +50,10 @@ def iter_partial_reads(program: TriggerProgram):
     bound, assignments bind their target, and a map reference binds its free
     key variables for the factors to its right.  A map reference whose key
     variables are *partially* bound at that point is reported once per
-    occurrence, tagged with the statement (or recompute) performing it.
+    occurrence, tagged with the statement (or recompute) performing it.  A
+    semiring program's support plans read too: an exhausted group reloads
+    from its relation's base counter map, bound at the plan's key positions
+    (tagged with the :class:`~repro.algebra.lattices.SupportPlan`).
 
     This is the single source of truth shared by :func:`compute_index_specs`
     (which turns the reads into index signatures) and the static verifier
@@ -124,6 +127,12 @@ def iter_partial_reads(program: TriggerProgram):
                     ),
                     (),
                 )
+    maintenance = program.maintenance
+    if maintenance is not None:
+        for plan in maintenance.supports.values():
+            counter = maintenance.relation_counters.get(plan.relation)
+            if counter is not None and 0 < len(plan.slice_positions) < len(plan.columns):
+                yield plan, counter, plan.slice_positions
 
 
 def compute_index_specs(program: TriggerProgram) -> IndexSpecs:

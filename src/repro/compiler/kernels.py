@@ -38,9 +38,8 @@ from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
 from repro.compiler.indexes import apply_index_journal
 from repro.compiler.partition.backends import fold_on_coordinator
 from repro.compiler.partition.tables import MIN_PARALLEL_KEYS, ShardedMapTable
-from repro.core.ast import Add, Compare, Const, Expr, MapRef, Mul, Neg, Var
+from repro.core.ast import COMPARATORS, Add, Compare, Const, Expr, MapRef, Mul, Neg, Var
 from repro.core.delta import DELTA_POOL_LIMIT
-from repro.core.semantics import COMPARATORS
 
 MapTable = Dict[Tuple[Any, ...], Any]
 

@@ -496,13 +496,22 @@ class TriggerRuntime:
 
     # -- support-structure maintenance ------------------------------------------------
 
-    def _counter_rows(self, relation: str):
-        """The relation's current ``(row, count)`` pairs from its counter map
-        (the support tier's bootstrap and exhaustion-recovery source)."""
+    def _counter_rows(self, relation: str, positions: Tuple[int, ...] = (), prefix=()):
+        """The relation's current ``(row, count)`` pairs from its counter map:
+        every row (the support tier's bootstrap source), or the rows whose
+        columns at the ascending ``positions`` equal ``prefix`` — one bucket
+        of the map's slice index (exhaustion recovery)."""
         name = self._maintenance.relation_counters.get(relation)
         if name is None:
             return ()
-        return self.maps[name].items()
+        table = self.maps[name]
+        if not positions:
+            return table.items()
+        if len(positions) == self.program.maps[name].arity:  # the whole row is bound
+            count = table.get(prefix)
+            return () if count is None else ((prefix, count),)
+        rows = self.indexes.data[(name, positions)].get(prefix, ())
+        return [(row, table[row]) for row in rows]
 
     @property
     def has_supports(self) -> bool:

@@ -402,7 +402,9 @@ class TriggerProgram:
         derived from the program's slice-index signatures; batch statements
         also carry the ``[spec:…]`` class and recomputes the
         ``[recompute:pointwise|scan]`` class of the lowered batch plan
-        (:func:`repro.compiler.plan.lower_batch_plan`).  Annotation is
+        (:func:`repro.compiler.plan.lower_batch_plan`); a support-structure
+        map's ``[maint:…]`` label names its exhaustion-recovery read
+        (``recover:index(0)`` | ``lookup`` | ``scan``).  Annotation is
         best-effort: programs whose statements fall outside the static
         analysis (hand-built IR with exotic right-hand sides) print without
         annotations instead of failing.
@@ -445,6 +447,10 @@ class TriggerProgram:
             maint = ""
             if self.maintenance is not None:
                 strategy = self.maintenance.strategy_for(definition.name)
+                support = self.maintenance.supports.get(definition.name)
+                if support is not None:
+                    # How an exhausted group finds its rows again.
+                    strategy = f"{strategy} recover:{support.recovery}"
                 if strategy:
                     maint = f"  [maint:{strategy}]"
             lines.append(f"  [level {definition.level}] {definition.describe()}{maint}")

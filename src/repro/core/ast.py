@@ -25,11 +25,24 @@ Expressions support Python operator overloading (``+``, ``-``, ``*``, unary
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Iterable, Tuple, Union
 
+#: The comparison operators θ of :class:`Compare` as functions of two data
+#: values — the one table the evaluator, the simplifier's constant folding and
+#: the lowered closures all decode.
+COMPARATORS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
 #: Comparison operator symbols accepted by :class:`Compare`.
-COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
+COMPARISON_OPS = tuple(COMPARATORS)
 
 #: The complement θ̄ of each comparison operator (used by the condition delta rule).
 COMPLEMENT_OP = {

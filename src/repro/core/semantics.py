@@ -24,10 +24,10 @@ Design notes
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.ast import (
+    COMPARATORS,
     Add,
     AggSum,
     Assign,
@@ -45,15 +45,6 @@ from repro.gmr.database import Database
 from repro.gmr.parametrized import PGMR
 from repro.gmr.records import EMPTY_RECORD, Record
 from repro.gmr.relation import GMR
-
-COMPARATORS = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
 
 #: Type of the optional materialized-map environment: name -> {key tuple: value}.
 MapEnvironment = Mapping[str, Mapping[Tuple[Any, ...], Any]]

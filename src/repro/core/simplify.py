@@ -20,7 +20,19 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.ast import AggSum, Assign, Compare, Const, Expr, MapRef, Mul, Neg, Rel, Var
+from repro.core.ast import (
+    COMPARATORS,
+    AggSum,
+    Assign,
+    Compare,
+    Const,
+    Expr,
+    MapRef,
+    Mul,
+    Neg,
+    Rel,
+    Var,
+)
 from repro.core.delta import is_delta_map
 from repro.core.normalization import (
     Monomial,
@@ -29,15 +41,6 @@ from repro.core.normalization import (
     to_polynomial,
 )
 from repro.core.variables import all_variables, binding_analysis
-
-_COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 Substitution = Dict[str, Expr]
 
@@ -156,7 +159,7 @@ def rename_variables(expr: Expr, renaming: Dict[str, str]) -> Expr:
 def _static_comparison(factor: Compare) -> Optional[bool]:
     """Evaluate a comparison statically when possible (literal operands or x θ x)."""
     if isinstance(factor.left, Const) and isinstance(factor.right, Const):
-        return _COMPARATORS[factor.op](factor.left.value, factor.right.value)
+        return COMPARATORS[factor.op](factor.left.value, factor.right.value)
     if factor.left == factor.right:
         # Reflexive comparisons of identical expressions fold without evaluation.
         if factor.op in ("=", "<=", ">="):
