@@ -38,7 +38,9 @@ compile error), this module *reports* on the quality of a compiled program:
 
 The report also shows each program's batch-statement specialization classes
 (:func:`repro.compiler.cost.batch_specialization_class`), the same labels
-``explain()`` prints per statement.
+``explain()`` prints per statement, and the size of its generated module —
+source lines, and passes over ``∆R`` summed over its batch triggers
+(:class:`repro.compiler.plan.RowReads`) — diffable from PR to PR.
 
 The module doubles as the ``repro-lint`` console entry point: it compiles
 every canonical workload query and the example-program views, runs the
@@ -53,7 +55,9 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.algebra.semirings import INTEGER_RING
 from repro.analysis.reporting import Table
+from repro.compiler.codegen import generate_python
 from repro.compiler.compile import compile_query
 from repro.compiler.cost import recompute_scan_reason, statement_cost_class
 from repro.compiler.plan import lower_batch_plan
@@ -308,6 +312,13 @@ def specialization_summary(program: TriggerProgram) -> str:
     return ", ".join(f"{kind}:{count}" for kind, count in sorted(counts.items()))
 
 
+def emitted_size(program: TriggerProgram, ring=None) -> Tuple[int, int]:
+    """``(emitted source lines, Δ scans)`` of the program's generated module."""
+    generated = generate_python(program, ring if ring is not None else INTEGER_RING)
+    scans = sum(event.batch_reads.scans for event in generated.plan.events)
+    return len(generated.source.splitlines()), scans
+
+
 # ---------------------------------------------------------------------------
 # The repro-lint entry point
 # ---------------------------------------------------------------------------
@@ -434,7 +445,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     lines: List[str] = []
     table = Table(
         headers=["query", "maps", "statements", "verified", "findings",
-                 "serial folds", "specialization"],
+                 "serial folds", "specialization", "emitted lines", "Δ scans"],
         title="Trigger-IR verification & lint report",
     )
     details: List[str] = []
@@ -444,12 +455,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             program = compile_query(aggregate, schema, name=name, ring=ring)
         except IRVerificationError as error:
             failed += 1
-            table.add_row(name, "-", "-", "FAIL", len(error.violations), "-", "-")
+            table.add_row(name, "-", "-", "FAIL", len(error.violations), "-", "-", "-", "-")
             details.append(f"== {name}: VERIFICATION FAILED ==\n{error}")
             continue
         except Exception as error:  # compilation crash: report, keep linting
             failed += 1
-            table.add_row(name, "-", "-", "ERROR", "-", "-", "-")
+            table.add_row(name, "-", "-", "ERROR", "-", "-", "-", "-", "-")
             details.append(f"== {name}: COMPILATION ERROR ==\n{error!r}")
             continue
         violations = iter_violations(program)
@@ -474,6 +485,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             len(findings),
             serial,
             specialization_summary(program),
+            *emitted_size(program, ring),
         )
         if violations or findings:
             section = [f"== {name} =="]

@@ -41,11 +41,11 @@ Three properties of the generated module matter for the paper's cost claims:
   updates by ``(relation, sign)``, pre-aggregates each group into a delta map
   ``∆R : values → multiplicity``, and dispatches it to a generated *batch
   trigger* compiled from the relation-valued delta of each map's definition
-  (``repro.core.delta.BatchUpdateEvent``): every statement is one fold over
-  the delta map joined against the existing maps, applied with one
-  read-modify-write per distinct target key, and recompute statements run
-  once per group.  Statements that are pure key projections of ``∆R`` (the
-  base-copy shape) skip expression evaluation entirely.
+  (``repro.core.delta.BatchUpdateEvent``).  A batch trigger scans ``∆R``
+  once: one loop unpacks each row, reads what the row alone addresses once
+  for all statements (the plan's :class:`~repro.compiler.plan.RowReads`) and
+  runs every statement's remaining factors; the folds follow, one
+  read-modify-write per distinct target key, then recomputes, once per group.
 
 * **Only the query-dependent part is generated.**  What is emitted is the
   statement bodies (``on_*`` / ``batch_on_*`` / ``total_batch_*``) and, for a
@@ -79,10 +79,11 @@ from collections import Counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
+from repro.compiler.cost import whole_batch_fold
 from repro.compiler.indexes import IndexedMaps, IndexSpecs, SliceIndexes
 from repro.compiler.kernels import FoldKernels, make_generic_apply_batch, recompute_pairs
 from repro.compiler.partition.backends import generated_rmap_groups
-from repro.compiler.plan import BatchPlan, lower_batch_plan
+from repro.compiler.plan import BatchPlan, RowReads, lower_batch_plan, ordered_monomials
 from repro.compiler.triggers import BatchTrigger, Statement, Trigger, TriggerProgram
 from repro.core.ast import (
     Add,
@@ -98,8 +99,6 @@ from repro.core.ast import (
     Var,
 )
 from repro.core.errors import CompilationError
-from repro.core.normalization import to_polynomial
-from repro.core.simplify import order_for_safety
 
 _PYTHON_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
@@ -107,7 +106,7 @@ _PYTHON_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="
 _RESERVED_NAMES = (
     "maps", "values", "relation", "sign", "updates",
     "_new", "_fkey", "_chm", "_CH", "_J", "_IDX", "_TRK", "_sk",
-    "_delta", "_dk", "_dv", "_total", "_ent",
+    "_delta", "_k", "_v", "_total", "_ent",
 )
 
 
@@ -154,6 +153,63 @@ class _Writer:
 
     def dedent(self, levels: int = 1) -> None:
         self.indent -= levels
+
+
+class _Row:
+    """What one emitted block computes once per update row, printed where the
+    block began.  ``columns`` are the locals holding the row's columns (none:
+    a block that sees no row); a key made only of those is *row-bound*.
+    :meth:`local` names an expression on first request and :meth:`flush`
+    inserts the assignments at the mark in request order — key tuples, the
+    reads ``shared`` by several statements
+    (:attr:`~repro.compiler.plan.RowReads.shared`), common coefficient
+    prefixes; at function level, slice-index handles."""
+
+    def __init__(self, writer: _Writer, columns=(), shared=frozenset(), row_key=None):
+        self.writer, self.mark, self.indent = writer, len(writer.lines), writer.indent
+        self.columns: Dict[str, int] = {local: at for at, local in enumerate(columns)}
+        self.shared = shared
+        #: The local holding the whole row as a tuple (a batch loop's ``_k``).
+        self.row_key = row_key
+        self.locals: Dict[str, str] = {}
+
+    def local(self, prefix: str, expression: str) -> str:
+        return self.locals.setdefault(expression, f"{prefix}{len(self.locals)}")
+
+    def key(self, key_vars, environment: Dict[str, str]) -> str:
+        """A key-tuple expression; a row-bound one is built once per row."""
+        literal = _key_tuple(key_vars, environment)
+        columns = [self.columns.get(environment[key]) for key in key_vars]
+        if not columns or None in columns:
+            return literal
+        if self.row_key is not None and columns == list(range(len(self.columns))):
+            return self.row_key
+        return self.local("_kt", literal)
+
+    def read(self, name, positions, key_vars, environment, expression: str) -> Optional[str]:
+        """The per-row local of a read the plan shares across statements."""
+        columns = tuple(self.columns.get(environment[key_vars[p]]) for p in positions)
+        if (name, positions, columns) in self.shared:
+            return self.local("_r", expression)
+        return None
+
+    def flush(self) -> None:
+        pad = "    " * self.indent
+        self.writer.lines[self.mark : self.mark] = [
+            f"{pad}{name} = {expression}" for expression, name in self.locals.items()
+        ]
+
+
+class _Frame:
+    """One emitted trigger function: its table names, its function-level
+    ``prologue`` (``_idxN = _IDX[(map, positions)]``) and the :class:`_Row` of
+    the block being emitted — a per-tuple trigger's body, a batch trigger's
+    one loop over ``∆R``; a row without columns elsewhere."""
+
+    def __init__(self, writer: _Writer, table, delta_map: Optional[str] = None):
+        self.table = table
+        self.delta_map = delta_map
+        self.prologue = self.row = _Row(writer)
 
 
 class _EmitContext:
@@ -231,17 +287,22 @@ class _EmitContext:
             self._constants[key] = name
         return name
 
-    def value_product(self, coefficient: Any, value_terms: List[str]) -> str:
-        """The increment expression ``coefficient * t1 * ... * tn``."""
+    def value_product(self, coefficient: Any, value_terms: List[str], row: _Row) -> str:
+        """The increment expression ``coefficient * t1 * ... * tn``.  Native
+        products associate left, so a leading run of per-row terms (``_v``,
+        row columns) is a subexpression: ``row`` computes it once, and floats
+        round exactly as in the unshared text."""
         if self.native:
             if not value_terms:
                 return repr(coefficient)
-            product = " * ".join(value_terms)
-            if coefficient == 1:
-                return product
-            if coefficient == -1:
-                return f"-({product})"
-            return f"{coefficient!r} * {product}"
+            terms = value_terms if coefficient in (1, -1) else [repr(coefficient)] + value_terms
+            run = len(terms) - len(value_terms)
+            while run < len(terms) and (terms[run] == "_v" or terms[run] in row.columns):
+                run += 1
+            if run > 1:
+                terms = [row.local("_c", " * ".join(terms[:run]))] + terms[run:]
+            product = " * ".join(terms)
+            return f"-({product})" if coefficient == -1 else product
         if not value_terms:
             if self.semiring:
                 # A bare multiplicity: n identical tuples contribute
@@ -531,14 +592,14 @@ def generate_python(
     for event in plan.events:
         if event.trigger is not None:
             tables["TRIGGERS"].append((event.event, event.trigger.event_name))
-            _generate_trigger(context, event.trigger, event.tracked)
+            _generate_trigger(context, event.trigger, event.tracked, event.reads)
             writer.emit("")
     for event in plan.events:
         batch_trigger = event.batch_trigger
         if batch_trigger is None:
             continue
         tables["BATCH_TRIGGERS"].append((event.event, f"batch_{batch_trigger.event_name}"))
-        _generate_batch_delta_trigger(context, batch_trigger, event.batch_tracked)
+        _generate_batch_delta_trigger(context, batch_trigger, event.batch_tracked, event.batch_reads)
         writer.emit("")
         if event.kind == "total":
             _generate_total_batch_trigger(context, batch_trigger, kahan=plan.kahan)
@@ -623,7 +684,7 @@ def _spec_literal(context: _EmitContext, map_name: str) -> str:
 
 
 def _generate_trigger(
-    context: _EmitContext, trigger: Trigger, tracked_maps: Tuple[str, ...]
+    context: _EmitContext, trigger: Trigger, tracked_maps: Tuple[str, ...], reads: RowReads
 ) -> None:
     writer = context.writer
     names = _NameAllocator()
@@ -637,9 +698,10 @@ def _generate_trigger(
         writer.emit(f"{unpack}{trailing} = values")
     if tracked_maps:
         writer.emit(f"_TRK = {{_n: set() for _n in {tracked_maps!r}}}")
-    table_ref = lambda name: f"maps[{name!r}]"  # noqa: E731
-    _generate_trigger_body(context, trigger, names, table_ref, tracked_maps, counter)
-    _generate_recomputes(context, trigger, names, table_ref, tracked_maps, counter)
+    frame = _Frame(writer, lambda name: f"maps[{name!r}]")
+    _generate_trigger_body(context, trigger, names, frame, reads, tracked_maps, counter)
+    _generate_recomputes(context, trigger, names, frame, tracked_maps, counter)
+    frame.prologue.flush()
     writer.emit('_STATS["entries"] += _ent')
     writer.dedent()
 
@@ -667,9 +729,9 @@ def _collect_table_locals(
 
 
 def _generate_batch_delta_trigger(
-    context: _EmitContext, trigger: BatchTrigger, tracked_maps: Tuple[str, ...]
+    context: _EmitContext, trigger: BatchTrigger, tracked_maps: Tuple[str, ...], reads: RowReads
 ) -> None:
-    """A relation-valued batch trigger: one fold over the delta map per statement.
+    """A relation-valued batch trigger: one scan of the delta map, then the folds.
 
     ``_delta`` is the pre-aggregated batch ``values → multiplicity``.  The
     statement bodies were compiled from the delta with respect to the whole
@@ -690,19 +752,22 @@ def _generate_batch_delta_trigger(
     if tracked_maps:
         writer.emit(f"_TRK = {{_n: set() for _n in {tracked_maps!r}}}")
 
-    def table_ref(name: str) -> str:
-        return "_delta" if name == trigger.delta_map else table_locals[name]
-
+    frame = _Frame(
+        writer,
+        lambda name: "_delta" if name == trigger.delta_map else table_locals[name],
+        trigger.delta_map,
+    )
     saved_int_sources = context.int_sources
     if context.semiring:
         # The pre-aggregated delta map holds ℤ counts even in semiring mode;
         # ring statements reading it must pass through _from_int.
         context.int_sources = saved_int_sources | {trigger.delta_map}
     try:
-        _generate_trigger_body(context, trigger, names, table_ref, tracked_maps, counter)
-        _generate_recomputes(context, trigger, names, table_ref, tracked_maps, counter)
+        _generate_trigger_body(context, trigger, names, frame, reads, tracked_maps, counter)
+        _generate_recomputes(context, trigger, names, frame, tracked_maps, counter)
     finally:
         context.int_sources = saved_int_sources
+    frame.prologue.flush()
     writer.emit('_STATS["entries"] += _ent')
     writer.dedent()
 
@@ -754,15 +819,23 @@ def _generate_trigger_body(
     context: _EmitContext,
     trigger: Trigger,
     names: _NameAllocator,
-    table_ref,
+    frame: _Frame,
+    reads: RowReads,
     tracked_maps: Tuple[str, ...] = (),
     counter: Optional[List[int]] = None,
 ) -> None:
-    """Emit statement evaluation into accumulators, then the fold steps.
+    """Emit the evaluation of every statement into accumulators, then the folds.
 
     All right-hand sides are evaluated before any increment is applied — the
     snapshot semantics of Equation (1): within one update event every read
-    sees the pre-update state.
+    sees the pre-update state.  So every statement of a batch trigger is a
+    function of the same ``∆R`` row and the same old state, and the trigger
+    is one loop: a single ``for _k, _v in _delta.items()`` unpacks the row
+    once and runs each statement's remaining factors against one per-row
+    table (:class:`_Row`) of key tuples, the reads ``reads`` marks shared and
+    common coefficient prefixes.  Only a statement folding the whole batch
+    with one C-level call (:func:`~repro.compiler.cost.whole_batch_fold`)
+    stays outside; a per-tuple trigger gets the same table at function level.
 
     A statement whose target keys are all bound to trigger arguments produces
     exactly one key per update, so its accumulator degenerates to a scalar and
@@ -773,6 +846,7 @@ def _generate_trigger_body(
     writer = context.writer
     if counter is None:
         counter = [0]
+    delta_map = frame.delta_map
     argument_set = set(trigger.argument_names)
     # The scalar fast path is disabled wholesale in semiring mode: its inline
     # fold emits delta-style change capture, and semiring CDC carries
@@ -784,41 +858,70 @@ def _generate_trigger_body(
         and not context.semiring
         for statement in trigger.statements
     ]
+    evaluated = []  # what still needs its right-hand side evaluated
+    arity = None  # of ∆R, once a monomial holds a ∆R atom
     for index, statement in enumerate(trigger.statements):
         statement_context = context.for_target(statement.target)
         accumulator = f"_acc{index}"
         names.reserve(accumulator)
-        if scalar_flags[index]:
-            writer.emit(f"{accumulator} = {statement_context.zero_literal()}")
+        scalar = scalar_flags[index]
+        whole = delta_map and whole_batch_fold(statement, statement_context.native)
+        if whole == "copy":
+            # The delta map is per-group scratch, never reused after the trigger.
+            writer.emit(f"{accumulator} = dict(_delta)")
+        elif whole == "total":
+            total = ("" if statement.coefficient == 1 else "-") + "sum(_delta.values())"
+            writer.emit(f"{accumulator} = {total if scalar else '{(): ' + total + '}'}")
         else:
-            writer.emit(f"{accumulator} = {{}}")
-        if getattr(statement, "projection", None) is not None:
-            # Key-projection fast path (batch statements only): the rhs is a
-            # pure projection of the pre-aggregated delta map, so fill the
-            # accumulator in one tight loop without expression machinery.
-            _emit_projection_accumulation(
-                statement_context, statement, accumulator, table_ref,
-                scalar=scalar_flags[index],
+            writer.emit(f"{accumulator} = {statement_context.zero_literal() if scalar else '{}'}")
+            split = ([], [])  # monomials evaluated once / once per row of ∆R
+            for monomial in reads.monomials[index]:
+                atoms = [f for f in monomial[1] if isinstance(f, MapRef) and f.name == delta_map]
+                split[bool(atoms)].append(monomial)
+                if atoms:
+                    arity = len(atoms[0].key_vars)
+            evaluated.append((statement_context, statement, accumulator, scalar, split))
+
+    def evaluate(row: _Row, per_row: bool) -> None:
+        frame.row = row
+        for statement_context, statement, accumulator, scalar, split in evaluated:
+            _generate_statement(
+                statement_context, statement, trigger.argument_names, accumulator, names,
+                counter, frame, scalar, split[per_row],
             )
-            continue
-        _generate_statement(
-            statement_context, statement, trigger.argument_names, accumulator, names,
-            counter, table_ref, scalar=scalar_flags[index],
-        )
+        row.flush()
+        frame.row = frame.prologue
+
+    if delta_map is None:
+        arguments = [names(argument) for argument in trigger.argument_names]
+        evaluate(_Row(writer, arguments, reads.shared), per_row=False)
+    else:
+        # A monomial without a ∆R atom (no compiled delta has one) sees no row.
+        evaluate(_Row(writer), per_row=False)
+        if arity is not None:
+            writer.emit("for _k, _v in _delta.items():")
+            writer.block()
+            columns = [f"_d{position}" for position in range(arity)]
+            for column in columns:
+                names.reserve(column)
+            unpack = ", ".join(columns) + ("," if len(columns) == 1 else "") + " = "
+            writer.emit((unpack if columns else "") + "_k")
+            evaluate(_Row(writer, columns, reads.shared, "_k"), per_row=True)
+            writer.dedent()
     for index, statement in enumerate(trigger.statements):
         accumulator = f"_acc{index}"
         if scalar_flags[index]:
             environment = {argument: names(argument) for argument in trigger.argument_names}
             _emit_scalar_fold(
                 context.for_target(statement.target), statement, environment,
-                accumulator, table_ref,
+                accumulator, frame.table,
             )
         else:
             trk = f", _TRK[{statement.target!r}]" if statement.target in tracked_maps else ""
             serial = ", serial=True" if getattr(statement, "serial_fold", False) else ""
             writer.emit(
                 f"_ent += {context.fold_name(statement.target)}("
-                f"{table_ref(statement.target)}, {accumulator}, {statement.target!r}, "
+                f"{frame.table(statement.target)}, {accumulator}, {statement.target!r}, "
                 f"{_spec_literal(context, statement.target)}, _IDX, _CH, _J{trk}{serial})"
             )
 
@@ -827,7 +930,7 @@ def _generate_recomputes(
     context: _EmitContext,
     trigger: Trigger,
     names: _NameAllocator,
-    table_ref,
+    frame: _Frame,
     tracked_maps: Tuple[str, ...],
     counter: List[int],
 ) -> None:
@@ -841,7 +944,7 @@ def _generate_recomputes(
     writer = context.writer
     zero = context.zero_literal()
     for rindex, recompute in enumerate(trigger.recomputes):
-        target_table = table_ref(recompute.target)
+        target_table = frame.table(recompute.target)
         spec = _spec_literal(context, recompute.target)
         trk_expr = f"_TRK[{recompute.target!r}]" if recompute.target in tracked_maps else "None"
         statement = Statement(recompute.target, recompute.target_keys, recompute.body)
@@ -872,7 +975,7 @@ def _generate_recomputes(
             writer.emit(f"{accumulator} = {zero}")
             _generate_statement(
                 context, statement, recompute.target_keys, accumulator, names, counter,
-                table_ref, scalar=True,
+                frame, scalar=True,
             )
             writer.emit(f"return {accumulator}")
             writer.dedent()
@@ -880,80 +983,13 @@ def _generate_recomputes(
         else:
             writer.emit(f"{accumulator} = {{}}")
             _generate_statement(
-                context, statement, (), accumulator, names, counter, table_ref, scalar=False,
+                context, statement, (), accumulator, names, counter, frame, scalar=False,
             )
             new_values = f"_rpairs({accumulator}, {target_table}, {zero})"
         writer.emit(
             f"_ent += _rwrite({target_table}, {new_values}, "
             f"{recompute.target!r}, {spec}, _IDX, _CH, _J, {trk_expr})"
         )
-
-
-def _emit_projection_accumulation(
-    context: _EmitContext,
-    statement,
-    accumulator: str,
-    table_ref,
-    scalar: bool,
-) -> None:
-    """One tight loop over the delta map for a pure key-projection statement.
-
-    ``statement`` is a :class:`~repro.compiler.triggers.BatchStatement` whose
-    right-hand side is ``coefficient · ∆R(k…)``: each delta entry contributes
-    ``coefficient * multiplicity`` at the projection of its key onto the
-    target keys (a marginal when some delta key positions are dropped, the
-    total when all are — the scalar case).
-    """
-    writer = context.writer
-    delta_table = table_ref(statement.delta_map)
-    coefficient = statement.coefficient
-    identity = statement.delta_arity is not None and statement.projection == tuple(
-        range(statement.delta_arity)
-    )
-    if scalar and context.native and coefficient in (1, -1):
-        # The whole-batch total at native speed (the Sum(R(...)) shape).
-        total = f"sum({delta_table}.values())"
-        writer.emit(f"{accumulator} = {total if coefficient == 1 else '-' + total}")
-        return
-    if not scalar and identity and context.native and coefficient == 1:
-        # A verbatim copy of the pre-aggregated batch (the base-copy shape);
-        # the delta map is per-group scratch, never reused after the trigger.
-        writer.emit(f"{accumulator} = dict({delta_table})")
-        return
-    if not context.native and statement.delta_map in context.int_sources:
-        # Ring-target projection over an ℤ-count delta: each entry contributes
-        # from_int(count) — the coefficient multiplies only when it is not the
-        # literal 1 (coerce(1) need not equal ring.one, e.g. min-plus).
-        term = "_from_int(_dv)"
-        if coefficient == 1:
-            value = term
-        elif coefficient == -1:
-            value = f"_neg({term})"
-        else:
-            value = f"_mul({context.constant(coefficient)}, {term})"
-    else:
-        value = context.value_product(coefficient, ["_dv"])
-    writer.emit(f"for _dk, _dv in {delta_table}.items():")
-    writer.block()
-    if scalar:
-        writer.emit(f"{accumulator} = {context.folded_add(accumulator, value)}")
-        writer.dedent()
-        return
-    if not statement.projection:
-        key_expression = "()"
-    elif identity:
-        key_expression = "_dk"
-    else:
-        parts = ", ".join(f"_dk[{position}]" for position in statement.projection)
-        writer.emit(f"_fkey = ({parts},)")
-        key_expression = "_fkey"
-    writer.emit(
-        f"{accumulator}[{key_expression}] = "
-        + context.folded_add(
-            f"{accumulator}.get({key_expression}, {context.zero_literal()})", value
-        )
-    )
-    writer.dedent()
 
 
 def _emit_scalar_fold(
@@ -1000,39 +1036,64 @@ def _generate_statement(
     accumulator: str,
     names: _NameAllocator,
     counter: List[int],
-    table_ref,
+    frame: _Frame,
     scalar: bool = False,
+    monomials=None,
 ) -> None:
+    """Emit the evaluation of ``monomials`` (default: all of the statement's)
+    into ``accumulator``.  Inside a batch trigger's row loop each monomial's
+    first ``∆R`` atom is the row in hand: no scan — its free key variables name
+    the column locals (a bound one must equal its column), its value is ``_v``."""
     writer = context.writer
-    for monomial in to_polynomial(statement.rhs):
+    row = frame.row
+    in_loop = row.row_key is not None
+    # A projection that permutes all of the row's columns yields each target
+    # key once per batch: a plain store, no read-modify-write.
+    projection = getattr(statement, "projection", None) if in_loop else None
+    distinct = projection is not None and sorted(projection) == list(range(len(row.columns)))
+    if monomials is None:
+        monomials = ordered_monomials(statement, argument_names)
+    for coefficient, factors in monomials:
         base_indent = writer.indent
         environment = {argument: names(argument) for argument in argument_names}
-        factors = order_for_safety(
-            monomial.factors, bound_vars=argument_names, eager_assignments=True
-        )
-        coefficient = monomial.coefficient
         value_terms: List[str] = []
+        row_pending = in_loop
         for factor in factors:
+            if row_pending and isinstance(factor, MapRef) and factor.name == frame.delta_map:
+                row_pending = False
+                for position, key in enumerate(factor.key_vars):
+                    if key in environment:
+                        writer.emit(f"if _d{position} == {environment[key]}:")
+                        writer.block()
+                    else:
+                        environment[key] = f"_d{position}"
+                # A ring statement reads the batch's ℤ counts through from_int.
+                ring_read = not context.native and factor.name in context.int_sources
+                value_terms.append(row.local("_c", "_from_int(_v)") if ring_read else "_v")
+                continue
             coefficient = _generate_factor(
-                context, factor, environment, value_terms, coefficient, counter, names, table_ref
+                context, factor, environment, value_terms, coefficient, counter, names, frame
             )
             if coefficient is None:
                 break
         if coefficient is not None and coefficient != 0:
-            value_expression = context.value_product(coefficient, value_terms)
+            value_expression = context.value_product(coefficient, value_terms, row)
             if scalar:
                 writer.emit(
                     f"{accumulator} = " + context.folded_add(accumulator, value_expression)
                 )
             else:
-                key_expression = _key_tuple(statement.target_keys, environment)
-                writer.emit(
-                    f"{accumulator}[{key_expression}] = "
-                    + context.folded_add(
+                key_expression = row.key(statement.target_keys, environment)
+                if not distinct:
+                    if not key_expression.isidentifier() and key_expression != "()":
+                        # Not row-bound: still built once for the read and the write.
+                        writer.emit(f"_fkey = {key_expression}")
+                        key_expression = "_fkey"
+                    value_expression = context.folded_add(
                         f"{accumulator}.get({key_expression}, {context.zero_literal()})",
                         value_expression,
                     )
-                )
+                writer.emit(f"{accumulator}[{key_expression}] = {value_expression}")
         writer.indent = base_indent
 
 
@@ -1044,7 +1105,7 @@ def _generate_factor(
     coefficient: Any,
     counter: List[int],
     names: _NameAllocator,
-    table_ref,
+    frame: _Frame,
 ):
     """Emit code for one monomial factor; returns the (possibly folded) coefficient.
 
@@ -1073,19 +1134,21 @@ def _generate_factor(
 
     if isinstance(factor, Assign):
         target = factor.var
-        source = _value_expression(factor.expr, environment, context, table_ref)
+        source = _value_expression(factor.expr, environment, context, frame.table)
         if target in environment:
             writer.emit(f"if {environment[target]} == {source}:")
             writer.block()
-            return coefficient
-        local = names(target)
-        writer.emit(f"{local} = {source}")
-        environment[target] = local
+        elif isinstance(factor.expr, Var):
+            environment[target] = source  # a second name for a bound local: no code
+        else:
+            local = names(target)
+            writer.emit(f"{local} = {source}")
+            environment[target] = local
         return coefficient
 
     if isinstance(factor, Compare):
-        left = _value_expression(factor.left, environment, context, table_ref)
-        right = _value_expression(factor.right, environment, context, table_ref)
+        left = _value_expression(factor.left, environment, context, frame.table)
+        right = _value_expression(factor.right, environment, context, frame.table)
         writer.emit(f"if {left} {_PYTHON_OPS[factor.op]} {right}:")
         writer.block()
         return coefficient
@@ -1094,69 +1157,60 @@ def _generate_factor(
         counter[0] += 1
         index = counter[0]
         value_name = f"_v{index}"
+        table = frame.table(factor.name)
+        keys = factor.key_vars
         # An integer-valued source (counter map / batch delta) read from a
         # ring statement: test the raw count, then map it into the ring.
         int_source = not context.native and factor.name in context.int_sources
         bound_positions = tuple(
-            position for position, key in enumerate(factor.key_vars) if key in environment
+            position for position, key in enumerate(keys) if key in environment
         )
-        if len(bound_positions) == len(factor.key_vars):
-            # Fully bound: one hash lookup.
-            key_expression = _key_tuple(factor.key_vars, environment)
+        if len(bound_positions) == len(keys):
+            # Fully bound: one hash lookup (once per row when the plan shares it).
+            zero = "0" if int_source else context.zero_literal()
+            lookup = f"{table}.get({frame.row.key(keys, environment)}, {zero})"
+            value = frame.row.read(factor.name, bound_positions, keys, environment, lookup)
+            if value is None:
+                value = value_name
+                writer.emit(f"{value_name} = {lookup}")
             if int_source:
-                writer.emit(
-                    f"{value_name} = {table_ref(factor.name)}.get({key_expression}, 0)"
-                )
-                writer.emit(f"if {value_name}:")
+                writer.emit(f"if {value}:")
                 writer.block()
-                writer.emit(f"{value_name} = _from_int({value_name})")
+                writer.emit(f"{value_name} = _from_int({value})")
+                value = value_name
             else:
-                writer.emit(
-                    f"{value_name} = {table_ref(factor.name)}.get({key_expression}, "
-                    f"{context.zero_literal()})"
-                )
-                writer.emit(context.nonzero_guard(value_name))
+                writer.emit(context.nonzero_guard(value))
                 writer.block()
-        elif bound_positions and bound_positions in context.specs.get(factor.name, ()):
+            value_terms.append(value)
+            return coefficient
+        key_name = f"_k{index}"
+        indexed = bool(bound_positions) and bound_positions in context.specs.get(factor.name, ())
+        if indexed:
             # Partially bound: iterate only the matching keys via the slice index.
-            key_name = f"_k{index}"
-            prefix = "(" + ", ".join(
-                environment[factor.key_vars[position]] for position in bound_positions
-            ) + ",)"
-            writer.emit(
-                f"for {key_name} in _IDX[({factor.name!r}, {bound_positions!r})]"
-                f".get({prefix}, _NO_KEYS):"
-            )
+            prefix = frame.row.key([keys[position] for position in bound_positions], environment)
+            handle = frame.prologue.local("_idx", f"_IDX[({factor.name!r}, {bound_positions!r})]")
+            bucket = f"{handle}.get({prefix}, _NO_KEYS)"
+            shared = frame.row.read(factor.name, bound_positions, keys, environment, bucket)
+            writer.emit(f"for {key_name} in {shared or bucket}:")
             writer.block()
-            writer.emit(f"{value_name} = {table_ref(factor.name)}[{key_name}]")
-            if int_source:
-                writer.emit(f"{value_name} = _from_int({value_name})")
-            for position, key in enumerate(factor.key_vars):
-                if position in bound_positions:
-                    continue
-                if key in environment:
-                    # A repeated free variable: later occurrences become tests.
-                    writer.emit(f"if {key_name}[{position}] == {environment[key]}:")
-                    writer.block()
-                else:
-                    local = names(key)
-                    writer.emit(f"{local} = {key_name}[{position}]")
-                    environment[key] = local
+            writer.emit(f"{value_name} = {table}[{key_name}]")
         else:
             # No key bound (or no index available): scan the whole table.
-            key_name = f"_k{index}"
-            writer.emit(f"for {key_name}, {value_name} in {table_ref(factor.name)}.items():")
+            writer.emit(f"for {key_name}, {value_name} in {table}.items():")
             writer.block()
-            if int_source:
-                writer.emit(f"{value_name} = _from_int({value_name})")
-            for position, key in enumerate(factor.key_vars):
-                if key in environment:
-                    writer.emit(f"if {key_name}[{position}] == {environment[key]}:")
-                    writer.block()
-                else:
-                    local = names(key)
-                    writer.emit(f"{local} = {key_name}[{position}]")
-                    environment[key] = local
+        if int_source:
+            writer.emit(f"{value_name} = _from_int({value_name})")
+        for position, key in enumerate(keys):
+            if indexed and position in bound_positions:
+                continue
+            if key in environment:
+                # Bound, or a repeated free variable: occurrences become tests.
+                writer.emit(f"if {key_name}[{position}] == {environment[key]}:")
+                writer.block()
+            else:
+                local = names(key)
+                writer.emit(f"{local} = {key_name}[{position}]")
+                environment[key] = local
         value_terms.append(value_name)
         return coefficient
 

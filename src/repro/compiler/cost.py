@@ -268,6 +268,15 @@ def batch_specialization_class(statement, trigger=None) -> str:
     return f"fused-{projection}"
 
 
+def whole_batch_fold(statement, native: bool) -> Optional[str]:
+    """``"copy"`` / ``"total"`` when the generated executor folds all of ``∆R``
+    with one C-level call — ``dict(∆R)``, ``±sum(∆R.values())`` — instead of
+    in its trigger's row loop (``native``: the target folds with ``+``)."""
+    kind = getattr(statement, "projection_class", lambda: "general")() if native else None
+    signs = {"copy": (1,), "total": (1, -1)}.get(kind, ())
+    return kind if statement.coefficient in signs else None
+
+
 @dataclass
 class RuntimeStatistics:
     """Per-engine counters collected while processing an update stream."""

@@ -167,6 +167,14 @@ def journal_from_wire(payload: Tuple[list, list]):
     return [tuple(key) for key in added], [tuple(key) for key in removed]
 
 
+def _prefixes(keys, positions: Positions) -> list:
+    """The bound prefix of every key, built without a generator per key."""
+    if len(positions) == 1:
+        (position,) = positions
+        return [(key[position],) for key in keys]
+    return [tuple([key[index] for index in positions]) for key in keys]
+
+
 def apply_index_journal(index_data, specs, name: str, added, removed) -> None:
     """Insert/remove keys in raw slice-index storage — the one bucket upkeep.
 
@@ -176,19 +184,18 @@ def apply_index_journal(index_data, specs, name: str, added, removed) -> None:
     kernel (:mod:`repro.compiler.kernels`) journals the keys it inserted into
     / removed from its table and replays them here — serially, after any
     shard workers joined: buckets are keyed by bound *prefix*, so two shards'
-    keys can share one and must not be mutated concurrently.
+    keys can share one and must not be mutated concurrently.  ``added`` and
+    ``removed`` are walked twice (sequences or dicts, not iterators).
     """
     for positions in specs:
         bucket = index_data[(name, positions)]
-        for key in added:
-            prefix = tuple(key[index] for index in positions)
+        for key, prefix in zip(added, _prefixes(added, positions)):
             entry = bucket.get(prefix)
             if entry is None:
                 bucket[prefix] = {key}
             else:
                 entry.add(key)
-        for key in removed:
-            prefix = tuple(key[index] for index in positions)
+        for key, prefix in zip(removed, _prefixes(removed, positions)):
             entry = bucket.get(prefix)
             if entry is not None:
                 entry.discard(key)

@@ -5,7 +5,8 @@
 per-event schedule.  :class:`~repro.compiler.runtime.TriggerRuntime` walks it,
 :func:`~repro.compiler.codegen.generate_python` prints it, and
 ``GeneratedTriggers.specializations``, ``explain()``'s ``[spec:…]`` and
-``[recompute:…]`` labels and ``repro-lint``'s tally read it — so the two
+``[recompute:…]`` labels, its ``-- 1 scan of Δ, N reads, M shared`` trigger
+notes (:class:`RowReads`) and ``repro-lint``'s tally read it — so the two
 compiled executors agree on every fork of the batch path because they decode
 the same object, not because two copies of the rules are kept equal by hand.
 
@@ -29,7 +30,8 @@ The gates evaluated here and nowhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
@@ -38,14 +40,102 @@ from repro.compiler.cost import (
     batch_specialization_class,
     recompute_class,
     trigger_specialization,
+    whole_batch_fold,
 )
-from repro.compiler.indexes import IndexSpecs, compute_index_specs
+from repro.compiler.indexes import IndexSpecs, Positions, compute_index_specs
 from repro.compiler.triggers import (
     BatchTrigger,
     RecomputeStatement,
     Trigger,
     TriggerProgram,
 )
+from repro.core.ast import Assign, MapRef, Var
+from repro.core.normalization import to_polynomial
+from repro.core.simplify import order_for_safety
+
+@dataclass(frozen=True)
+class RowReads:
+    """What one trigger reads as a function of its update row alone — a
+    per-tuple trigger's arguments, one entry of a batch trigger's ``∆R``.
+
+    Every statement of an event sees the same row and the same pre-update
+    state (Equation (1)), so such a read has one value per row however many
+    statements, under whatever zero-guards, consume it: the generated executor
+    evaluates the :attr:`shared` ones once, atop its single loop over ``∆R``.
+    """
+
+    #: ``((map, bound key positions, row column bound at each), uses)`` in
+    #: first-use order: full-key lookups and slice-index buckets.
+    reads: Tuple[Tuple[Tuple[str, Positions, Tuple[int, ...]], int], ...] = ()
+    #: Python-level passes over ``∆R``: the fused statement loop (none if every
+    #: statement is a ``whole_batch_fold``) plus each nested second-order scan.
+    scans: int = 0
+    #: Per statement, its :func:`ordered_monomials` (``None``: a whole-batch
+    #: fold) — kept so the generator does not order them a second time.
+    monomials: tuple = field(default=(), compare=False, repr=False)
+
+    @property
+    def shared(self) -> frozenset:
+        return frozenset(read for read, uses in self.reads if uses > 1)
+
+    def describe(self) -> str:
+        scans = f"{self.scans} scan{'' if self.scans == 1 else 's'} of Δ"
+        return f"-- {scans}, {len(self.reads)} reads, {len(self.shared)} shared"
+
+
+def ordered_monomials(statement, bound_vars=()) -> list:
+    """``(coefficient, factors)`` per monomial of ``statement.rhs``, the factors
+    in the generator's binding order (safety-ordered, eager assignments)."""
+    return [
+        (m.coefficient, order_for_safety(m.factors, bound_vars=bound_vars, eager_assignments=True))
+        for m in to_polynomial(statement.rhs)
+    ]
+
+
+def analyze_row_reads(trigger, specs: IndexSpecs, native: Optional[frozenset]) -> RowReads:
+    """The :class:`RowReads` of a per-tuple or batch trigger (or of none).
+
+    Replays the generator's binding discipline (safety-ordered monomials, left
+    to right) tracking which variables name a *row column*: trigger arguments,
+    the keys of a batch monomial's first ``∆R`` atom (the row in hand) and
+    plain ``(v := column)`` aliases.  ``native``: see :class:`EventPlan`.
+    """
+    delta_map = getattr(trigger, "delta_map", None)
+    uses: Dict[tuple, int] = {}
+    monomials = []
+    looped = nested = 0
+    for statement in trigger.statements if trigger is not None else ():
+        whole = delta_map and whole_batch_fold(statement, native is None or statement.target in native)
+        monomials.append(None if whole else ordered_monomials(statement, trigger.argument_names))
+        for _coefficient, factors in monomials[-1] or ():
+            row = delta_map  # the first ∆R atom still to come, if any
+            if row and not any(isinstance(f, MapRef) and f.name == row for f in factors):
+                continue  # evaluated once, before the loop
+            column = {name: index for index, name in enumerate(trigger.argument_names)}
+            bound = set(column)
+            for factor in factors:
+                if isinstance(factor, Assign):
+                    source = factor.expr
+                    if factor.var not in bound and isinstance(source, Var) and source.name in column:
+                        column[factor.var] = column[source.name]
+                    bound.add(factor.var)
+                elif isinstance(factor, MapRef) and factor.name == row:
+                    row, looped = None, 1
+                    for index, key in enumerate(factor.key_vars):
+                        if key not in bound:
+                            column[key] = index
+                            bound.add(key)
+                elif isinstance(factor, MapRef):
+                    keys = factor.key_vars
+                    positions = tuple(i for i, key in enumerate(keys) if key in bound)
+                    if factor.name == delta_map and len(positions) < len(keys):
+                        nested += 1
+                    served = len(positions) == len(keys) or positions in specs.get(factor.name, ())
+                    if positions and served and all(keys[i] in column for i in positions):
+                        read = (factor.name, positions, tuple(column[keys[i]] for i in positions))
+                        uses[read] = uses.get(read, 0) + 1
+                    bound.update(keys)
+    return RowReads(tuple(uses.items()), looped + nested, tuple(monomials))
 
 
 @dataclass(frozen=True)
@@ -74,6 +164,20 @@ class EventPlan:
     #: executor runs the body as a lowered closure of lookups at the group
     #: key — or ``"scan"`` (:func:`~repro.compiler.cost.recompute_class`).
     recompute_kinds: Tuple[str, ...] = ()
+    #: Analysis inputs: index signatures, natively folding targets (``None``: all).
+    specs: IndexSpecs = field(default_factory=dict, compare=False, repr=False)
+    native: Optional[frozenset] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def reads(self) -> RowReads:
+        """What the per-tuple trigger (:attr:`batch_reads`: the batch trigger)
+        reads per update row.  Analysed on first use: the generator prints from
+        it, ``explain()`` and ``repro-lint`` report it, the runtime never asks."""
+        return analyze_row_reads(self.trigger, self.specs, self.native)
+
+    @cached_property
+    def batch_reads(self) -> RowReads:
+        return analyze_row_reads(self.batch_trigger, self.specs, self.native)
 
     @property
     def event(self) -> Tuple[str, int]:
@@ -129,6 +233,12 @@ def lower_batch_plan(
     static order instead of first-seen batch order cannot be observed.
     """
     specs = compute_index_specs(program)
+    # Targets folding with Python arithmetic: all of a native ring's (None),
+    # else a semiring plan's ℤ-valued counter maps.
+    native = None
+    if ring is not INTEGER_RING and ring is not FLOAT_FIELD:
+        semiring_plan = program.maintenance if not ring.is_ring else None
+        native = frozenset(semiring_plan.counter_maps if semiring_plan else ())
     keys = sorted(
         set(program.triggers) | set(program.batch_triggers), key=lambda key: (key[0], -key[1])
     )
@@ -169,6 +279,8 @@ def lower_batch_plan(
                     recompute_class(recompute)
                     for recompute in (trigger or batch_trigger).recomputes
                 ),
+                specs=specs,
+                native=native,
             )
         )
     arities = {event.event: event.arity for event in events if event.arity is not None}

@@ -268,10 +268,11 @@ class BatchTrigger:
         sign = "insert" if self.sign == 1 else "delete"
         return f"on_{sign}_{self.relation}"
 
-    def describe(self, annotate=None) -> str:
-        """The trigger as text; ``annotate`` maps a statement to a suffix string."""
+    def describe(self, annotate=None, note: str = "") -> str:
+        """The trigger as text; ``annotate`` maps a statement to a suffix
+        string, ``note`` is appended to the header line."""
         sign = "+" if self.sign == 1 else "-"
-        header = f"ON BATCH {sign}{self.relation} AS {self.delta_map}:"
+        header = f"ON BATCH {sign}{self.relation} AS {self.delta_map}:" + (note and f"  {note}")
         lines = [
             f"  {statement.describe()}{_suffix(annotate, statement)}"
             for statement in self.statements
@@ -402,7 +403,9 @@ class TriggerProgram:
         derived from the program's slice-index signatures; batch statements
         also carry the ``[spec:…]`` class and recomputes the
         ``[recompute:pointwise|scan]`` class of the lowered batch plan
-        (:func:`repro.compiler.plan.lower_batch_plan`); a support-structure
+        (:func:`repro.compiler.plan.lower_batch_plan`), and every batch
+        trigger's header what the generator fused — ``-- 1 scan of Δ, N reads,
+        M shared`` (:class:`repro.compiler.plan.RowReads`); a support-structure
         map's ``[maint:…]`` label names its exhaustion-recovery read
         (``recover:index(0)`` | ``lookup`` | ``scan``).  Annotation is
         best-effort: programs whose statements fall outside the static
@@ -431,8 +434,10 @@ class TriggerProgram:
         # Per statement (by identity) the plan's label: ``[spec:…]`` for batch
         # statements, ``[recompute:pointwise|scan]`` for recomputes.
         labels = {}
+        fused = {}
         for event in plan.events if plan is not None else ():
             if event.batch_trigger is not None:
+                fused[event.event] = event.batch_reads.describe()
                 for statement, label in zip(event.batch_trigger.statements, event.labels):
                     labels[id(statement)] = f"[spec:{label}]"
             for recompute, kind in zip(event.recomputes, event.recompute_kinds):
@@ -466,7 +471,7 @@ class TriggerProgram:
         if self.batch_triggers:
             lines.append("BATCH TRIGGERS:")
             for key in sorted(self.batch_triggers, key=order):
-                lines.append(self.batch_triggers[key].describe(annotate=annotate))
+                lines.append(self.batch_triggers[key].describe(annotate, fused.get(key, "")))
         return "\n".join(lines)
 
     def __repr__(self) -> str:

@@ -296,3 +296,145 @@ def test_reserved_runtime_identifiers_survive_as_query_variables():
         generated.apply(maps, "S", 1, (1, 3))
         generated.apply(maps, "R", 1, (1, 2))
         assert maps["q"] == {(1,): 6}, variable
+
+
+# ---------------------------------------------------------------------------
+# The shape of a fused trigger: one scan of ∆R, every row-bound thing once
+# ---------------------------------------------------------------------------
+
+SALES_SCHEMA = {
+    "Customer": ("ck", "nation"),
+    "Orders": ("ok", "ck"),
+    "Lineitem": ("ok2", "price", "qty"),
+    "Probe": ("pid",),
+}
+_SALES_JOIN = "FROM Customer c, Orders o, Lineitem l WHERE c.ck = o.ck AND o.ok = l.ok2"
+#: The flagship 4-view dashboard, the 16-key ``counter``-kind program and a
+#: HAVING program (tracked recompute) — the e2e benchmark's generated shapes.
+FUSED_PROGRAMS = {
+    "dashboard": (SALES_SCHEMA, (
+        ("revenue", f"SELECT c.nation, SUM(l.price * l.qty) {_SALES_JOIN} GROUP BY c.nation"),
+        ("revenue_by_customer", f"SELECT c.ck, SUM(l.price * l.qty) {_SALES_JOIN} GROUP BY c.ck"),
+        ("orders", "SELECT c.ck, SUM(1) FROM Customer c, Orders o WHERE c.ck = o.ck GROUP BY c.ck"),
+        ("total_revenue", f"SELECT SUM(l.price * l.qty) {_SALES_JOIN}"),
+        ("probe_seen", "SELECT p.pid, SUM(1) FROM Probe p GROUP BY p.pid"),
+    )),
+    "hotkey": ({"R": ("a", "b"), "Probe": ("pid",)}, (
+        ("total", "SELECT SUM(r.b) FROM R r"),
+        ("by_a", "SELECT r.a, SUM(r.b) FROM R r GROUP BY r.a"),
+        ("probe_seen", "SELECT p.pid, SUM(1) FROM Probe p GROUP BY p.pid"),
+    )),
+    "having": ({"P": ("community", "post", "score")}, (
+        ("hot", "SELECT p.community, SUM(p.score) FROM P p GROUP BY p.community "
+                "HAVING SUM(p.score) > 1000"),
+    )),
+}
+
+
+def _fused(name):
+    """``(program, generated module)`` of a session over ``FUSED_PROGRAMS[name]``."""
+    from repro.session import Session
+
+    schema, views = FUSED_PROGRAMS[name]
+    with Session(schema) as session:
+        for view, sql in views:
+            session.view(view, sql)
+        group = session._groups["generated"]
+        return group.catalog.program(), group.generated
+
+
+def _functions(source):
+    """``{function name: its lines}`` of an emitted module."""
+    functions, current = {}, None
+    for line in source.splitlines():
+        if line.startswith("def "):
+            current = functions.setdefault(line[4 : line.index("(")], [])
+        elif current is not None and line.startswith(" "):
+            current.append(line)
+    return functions
+
+
+def _loop_bodies(lines):
+    """Each ``for`` block of a function as ``(header, [lines of its own body])``
+    — a nested loop's lines belong to the nested loop only."""
+    blocks, open_loops = [], []
+    for line in lines:
+        indent = len(line) - len(line.lstrip())
+        while open_loops and indent <= open_loops[-1][0]:
+            open_loops.pop()
+        if open_loops:
+            open_loops[-1][1].append(line)
+        if line.lstrip().startswith("for "):
+            block = (indent, [])
+            blocks.append((line.strip(), block[1]))
+            open_loops.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_PROGRAMS))
+def test_batch_trigger_scans_the_delta_once(name):
+    import re
+
+    program, generated = _fused(name)
+    source = generated.source
+    assert generate_python(program).source == source == generate_python(program).source
+    table_read = re.compile(r"(_tbl\d+|_idx\d+|_delta)\.get\((\([^)]*\)|\w+), ")
+    scans = {event.batch_trigger.event_name: event.batch_reads.scans
+             for event in generated.plan.events}
+    for function, lines in _functions(source).items():
+        loops = _loop_bodies(lines)
+        for header, body in loops:
+            # No slice-index handle is looked up per row ...
+            assert "_IDX[(" not in header and not any("_IDX[(" in line for line in body), function
+            # ... and no table is read twice at one key inside one loop body.
+            reads = [match.group(1, 2) for line in body for match in table_read.finditer(line)]
+            assert len(reads) == len(set(reads)), (function, header, reads)
+        if function.startswith("batch_on_"):
+            text = "\n".join(lines)
+            # One pass over ∆R, none at all when every statement folds the whole
+            # batch with one C-level call — and the plan's count is the text's.
+            assert text.count("in _delta.items()") == scans[function[len("batch_"):]] <= 1
+            whole_batch = all("dict(_delta)" in line or "sum(_delta.values())" in line
+                              for line in lines if re.match(r"\s+_acc\d+ = ", line))
+            assert (text.count("in _delta.items()") == 0) == whole_batch, function
+            # Every accumulator is initialised exactly once (no dead ``= {}``).
+            inits = re.findall(r"^    (_acc\d+) = ", text, flags=re.M)
+            assert len(inits) == len(set(inits)), function
+    # The -1 identity projection is a plain store per row, not a get/add loop.
+    assert not re.search(r"_acc\d+\[_k\] = _acc\d+\.get\(_k", source)
+    assert "_dk" not in source and "_dv" not in source
+
+
+def test_dashboard_module_is_fused_and_smaller():
+    program, generated = _fused("dashboard")
+    source = generated.source
+    assert len(source.splitlines()) < 1026  # the per-statement-loop generator's module
+    orders = "\n".join(_functions(source)["batch_on_insert_Orders"])
+    # revenue_m4[ok] feeds four statements, the revenue_m3 bucket two: read once,
+    # at the top of the loop, through a handle fetched once per call.
+    import re
+
+    assert len(re.findall(r"        _r\d+ = (?:_tbl|_idx)\d+\.get\(_kt", orders)) == 4
+    assert len(re.findall(r"(?:_tbl|_idx)\d+\.get\(_kt", orders)) == 4
+    assert orders.count("_IDX[(") == 1 and orders.index("_IDX[(") < orders.index("for _k, _v")
+    assert "_acc8 = dict(_delta)" in orders and "_acc8 = {}" not in orders
+    deletes = "\n".join(_functions(source)["batch_on_delete_Orders"])
+    assert "_acc8[_k] = -(_v)" in deletes
+    # The coefficient _v * price * qty of all five ±Lineitem statements is one product.
+    lineitem = "\n".join(_functions(source)["batch_on_insert_Lineitem"])
+    assert lineitem.count("_v * _d1 * _d2") == 1
+    explain = program.explain()
+    assert "ON BATCH +Orders AS __delta__Orders:  -- 1 scan of Δ, 4 reads, 4 shared" in explain
+    assert "ON BATCH +Probe AS __delta__Probe:  -- 0 scans of Δ, 0 reads, 0 shared" in explain
+
+
+def test_lint_report_carries_emitted_size(capsys):
+    from repro.analysis.ir_lint import emitted_size, main
+
+    program, generated = _fused("dashboard")
+    lines, scans = emitted_size(program)
+    assert lines == len(generated.source.splitlines())
+    assert scans == generated.source.count("in _delta.items()") == 7
+    assert main([]) == 0
+    header = capsys.readouterr().out.splitlines()[1]
+    assert header.split()[-4:] == ["emitted", "lines", "Δ", "scans"]

@@ -53,6 +53,55 @@ def test_slice_indexes_rebuild():
     assert set(indexes.lookup("m", (0,), (3,))) == {(3, "z")}
 
 
+@pytest.mark.parametrize(
+    "specs", [((0,),), ((1, 2),), ((0,), (0, 2), (1,))], ids=["one-position", "multi", "mixed"]
+)
+def test_apply_index_journal_matches_a_rebuild(specs):
+    """The one bucket upkeep — adds, removes, the last key of a bucket, and
+    the inverse journal a rollback derives — against ``rebuild`` of the table
+    each step leaves behind."""
+    from repro.compiler.indexes import apply_index_journal
+    from repro.compiler.kernels import UndoJournal
+
+    def rebuilt(table):
+        fresh = SliceIndexes({"m": specs})
+        fresh.rebuild({"m": table})
+        return fresh.data
+
+    indexes = SliceIndexes({"m": specs})
+    table = {}
+    keys = [(a, b, c) for a in (1, 2) for b in ("x", "y") for c in (True, None)]
+    apply_index_journal(indexes.data, specs, "m", keys, [])
+    table.update(dict.fromkeys(keys, 1))
+    assert indexes.data == rebuilt(table)
+    removed = keys[:3] + keys[5:6]
+    added = [(3, "x", True), (1, "z", None)]
+    apply_index_journal(indexes.data, specs, "m", added, removed)
+    for key in removed:
+        del table[key]
+    table.update(dict.fromkeys(added, 1))
+    assert indexes.data == rebuilt(table)
+    # Removing every key sharing a prefix deletes the bucket, not just empties it.
+    gone = [key for key in table if key[0] == 2]
+    apply_index_journal(indexes.data, specs, "m", (), gone)
+    for key in gone:
+        del table[key]
+    assert indexes.data == rebuilt(table)
+    assert all(bucket for buckets in indexes.data.values() for bucket in buckets.values())
+    # A rollback's inverse journal: the recorded priors say which keys the
+    # transaction inserted (absent before) and which it removed.
+    before = dict(table)
+    journal = UndoJournal()
+    touched = [(1, "y", None), (7, "q", True), (1, "z", None)]
+    journal.record(table, "m", specs, touched)
+    apply_index_journal(indexes.data, specs, "m", [(7, "q", True)], [(1, "y", None), (1, "z", None)])
+    del table[(1, "y", None)], table[(1, "z", None)]
+    table[(7, "q", True)] = 1
+    assert indexes.data == rebuilt(table)
+    assert journal.rollback(indexes.data) == 3
+    assert table == before and indexes.data == rebuilt(before)
+
+
 def test_indexed_maps_is_a_dict_with_indexes():
     indexes = SliceIndexes({"m": [(0,)]})
     maps = IndexedMaps({"m": {}}, indexes=indexes)
