@@ -6,6 +6,11 @@ compile error), this module *reports* on the quality of a compiled program:
 * **dead maps** — auxiliary maps that statements write but nothing ever
   reads (not a statement right-hand side, not a recompute body, not another
   map's definition, not a view result): pure maintenance overhead;
+* **duplicate maps** — two maps storing one function, equal modulo key
+  order, binding spelling and factor order
+  (:func:`repro.compiler.normal_form.sharing_key`), where one could be read
+  in place of the other: the sharing registries exist so that this never
+  happens, so CI promotes it with ``--fail-on duplicate-map``;
 * **scan-class statements** — statements whose static cost class
   (:func:`repro.compiler.cost.statement_cost_class`) degenerates to a whole
   map scan or a full-group recompute, the shapes that break the paper's
@@ -62,7 +67,7 @@ from repro.compiler.compile import compile_query
 from repro.compiler.cost import recompute_scan_reason, statement_cost_class
 from repro.compiler.plan import lower_batch_plan
 from repro.compiler.indexes import compute_index_specs, iter_partial_reads
-from repro.compiler.normal_form import is_normalized
+from repro.compiler.normal_form import is_normalized, sharing_key
 from repro.compiler.triggers import TriggerProgram
 from repro.compiler.verify import IRVerificationError, iter_violations
 from repro.core.ast import MapRef, walk
@@ -108,6 +113,7 @@ def lint_program(
     """
     findings: List[LintFinding] = []
     keep = set(result_maps) if result_maps is not None else {program.result_map}
+    findings.extend(_duplicate_map_findings(program, keep))
     if program.maintenance is not None:
         # Integer base counters are read outside the statement lists: tracked
         # recomputes re-derive from them and the support tier bootstraps its
@@ -230,6 +236,33 @@ def lint_program(
     # -- untracked non-invertible maps ---------------------------------------
     findings.extend(_maintenance_findings(program))
     return findings
+
+
+def _duplicate_map_findings(program: TriggerProgram, results: Iterable[str]) -> List[LintFinding]:
+    """Maps storing one function, each group but one a wasted copy.
+
+    Two view results storing one function in different key orders are
+    legitimate (each view keeps its user's key order) and not reported.
+    """
+    results = set(results)
+    semiring = program.maintenance is not None
+    groups: Dict[object, List[str]] = {}
+    for name in sorted(program.maps):
+        definition = program.maps[name]
+        identity, _order = sharing_key(
+            definition.definition, definition.key_vars, semiring=semiring
+        )
+        groups.setdefault(identity, []).append(name)
+    return [
+        LintFinding(
+            "duplicate-map",
+            f"maps {names} store one function (equal modulo key order, binding "
+            "spelling and factor order); one of them could be read in place of the others",
+            "; ".join(program.maps[name].describe() for name in names),
+        )
+        for names in groups.values()
+        if len(names) > 1 and not set(names) <= results
+    ]
 
 
 def _maintenance_findings(program: TriggerProgram) -> List[LintFinding]:
@@ -404,6 +437,7 @@ def _lint_targets():
 #: ``--fail-on`` choices: the CLI name → the :class:`LintFinding` kind it gates.
 _FAIL_ON_KINDS = {
     "dead-maps": "dead-map",
+    "duplicate-map": "duplicate-map",
     "serial-folds": "serial-fold",
     "scan": "scan",
     "generic-bare-count": "generic-bare-count",

@@ -81,7 +81,7 @@ from repro.core.variables import all_variables, check_safety
 from repro.algebra.lattices import direct_shape_plan
 from repro.algebra.semirings import SUPPORT_STRUCTURE, TRACKED_RECOMPUTE, Semiring
 from repro.compiler.maps import MapDefinition, dependency_depths
-from repro.compiler.normal_form import ac_canonical_identity, normalize_rhs
+from repro.compiler.normal_form import normalize_rhs, read_positions, sharing_key
 from repro.compiler.triggers import (
     BatchStatement,
     BatchTrigger,
@@ -147,11 +147,13 @@ class Compiler:
 
         semiring_mode = ring is not None and not ring.is_ring
         self._maps: Dict[str, MapDefinition] = {}
-        self._registry: Dict[Tuple[Expr, Tuple[str, ...]], str] = {}
+        #: Sharing key -> (map name, its key order); see :meth:`_shared_map`.
+        self._registry: Dict[object, Tuple[str, Tuple[int, ...]]] = {}
         self._statements: Dict[Tuple[str, int], List[Statement]] = defaultdict(list)
         self._batch_statements: Dict[Tuple[str, int], List[BatchStatement]] = defaultdict(list)
         self._recomputes: Dict[Tuple[str, int], List[RecomputeStatement]] = defaultdict(list)
-        self._base_copies: Dict[str, str] = {}
+        #: Relation -> its base-copy map, read at the columns ``k0, k1, ...``.
+        self._base_copies: Dict[str, MapRef] = {}
         self._trigger_relations_cache: Dict[str, frozenset] = {}
         self._counter = 0
         self._base_name = name
@@ -345,22 +347,7 @@ class Compiler:
                 fresh += 1
         canonical_expr = make_safe(rename_variables(inner_body, renaming))
         canonical_keys = tuple(f"k{index}" for index in range(len(original_keys)))
-
-        registry_key = self._registry_key(canonical_expr, canonical_keys)
-        map_name = self._registry.get(registry_key)
-        if map_name is None:
-            self._counter += 1
-            map_name = f"{self._base_name}_m{self._counter}"
-            definition = MapDefinition(
-                name=map_name,
-                key_vars=canonical_keys,
-                definition=canonical_expr,
-                level=level,
-            )
-            self._registry[registry_key] = map_name
-            self._maps[map_name] = definition
-            worklist.append(definition)
-        return MapRef(map_name, original_keys)
+        return self._shared_map(canonical_expr, canonical_keys, original_keys, level, worklist)
 
     # -- per-map trigger generation ---------------------------------------------------
 
@@ -434,19 +421,40 @@ class Compiler:
             return normalize_rhs(rhs, bound_vars=bound_vars)
         return from_polynomial(combine_like_terms(to_polynomial(rhs)))
 
-    def _registry_key(
-        self, canonical_expr: Expr, canonical_keys: Tuple[str, ...]
-    ) -> Tuple[Expr, Tuple[str, ...]]:
-        """The structural-sharing key for one candidate child map.
+    def _shared_map(
+        self,
+        canonical_expr: Expr,
+        canonical_keys: Tuple[str, ...],
+        original_keys: Tuple[str, ...],
+        level: int,
+        worklist: List[MapDefinition],
+    ) -> MapRef:
+        """A reference at ``original_keys`` to the map ``AggSum(canonical_keys, canonical_expr)``.
 
-        Under normalization the key is AC-canonical
-        (:func:`repro.compiler.normal_form.ac_canonical_identity`), so
-        commuted spellings of one component share a single materialized map;
-        the *stored* definition keeps its safety-ordered spelling either way.
+        The registry is keyed by the map's identity as a function
+        (:func:`repro.compiler.normal_form.sharing_key`: modulo bindings, key
+        order and — under normalization — commutativity), so a commuted,
+        binding-spelled or transposed spelling of a registered map reads it,
+        its keys permuted; otherwise a new map is registered.  The *stored*
+        definition keeps its safety-ordered spelling either way.
         """
-        if self._normalize:
-            return ac_canonical_identity(canonical_expr, canonical_keys)
-        return canonical_expr, canonical_keys
+        identity, order = sharing_key(
+            canonical_expr, canonical_keys, self._normalize, self._semiring_mode
+        )
+        entry = self._registry.get(identity)
+        if entry is None:
+            self._counter += 1
+            name = f"{self._base_name}_m{self._counter}"
+            definition = MapDefinition(
+                name=name, key_vars=canonical_keys, definition=canonical_expr, level=level
+            )
+            self._registry[identity] = (name, order)
+            self._maps[name] = definition
+            worklist.append(definition)
+            return MapRef(name, original_keys)
+        name, registered = entry
+        positions = read_positions(registered, order)
+        return MapRef(name, tuple(original_keys[position] for position in positions))
 
     # -- batch (relation-valued) trigger statements -------------------------------------
 
@@ -636,7 +644,7 @@ class Compiler:
             strategies=strategies,
             counter_maps=counter_maps,
             supports=supports,
-            relation_counters=dict(self._base_copies),
+            relation_counters={relation: copy.name for relation, copy in self._base_copies.items()},
         )
 
     def _maps_read_elsewhere(self) -> frozenset:
@@ -822,7 +830,7 @@ class Compiler:
         recompute never needs the base relations the runtime does not store.
         """
         if isinstance(expr, Rel):
-            return MapRef(self._base_copy(expr.name, parent, worklist), expr.columns)
+            return self._base_copy(expr.name, parent, worklist, expr.columns)
         if isinstance(expr, Add):
             return Add(tuple(self._replace_relations(t, parent, worklist) for t in expr.terms))
         if isinstance(expr, Mul):
@@ -842,35 +850,26 @@ class Compiler:
         return expr
 
     def _base_copy(
-        self, relation: str, parent: MapDefinition, worklist: List[MapDefinition]
-    ) -> str:
-        """The name of the materialized copy of one base relation (created on demand).
+        self,
+        relation: str,
+        parent: MapDefinition,
+        worklist: List[MapDefinition],
+        columns: Sequence[str] = (),
+    ) -> MapRef:
+        """A read of the materialized copy of one base relation (created on demand).
 
         The copy is keyed by all columns and holds the relation's
         multiplicities; it is an ordinary leaf of the hierarchy, maintained by
-        the closed-form trigger ``B[~u] += ±1``.
+        the closed-form trigger ``B[~u] += ±1``.  The reference reads the
+        relation's columns as ``columns`` (a transposed copy shared with
+        another map reads them permuted).
         """
-        name = self._base_copies.get(relation)
-        if name is not None:
-            return name
-        columns = tuple(f"k{index}" for index in range(len(self.schema[relation])))
-        canonical_expr: Expr = Rel(relation, columns)
-        registry_key = self._registry_key(canonical_expr, columns)
-        name = self._registry.get(registry_key)
-        if name is None:
-            self._counter += 1
-            name = f"{self._base_name}_m{self._counter}"
-            definition = MapDefinition(
-                name=name,
-                key_vars=columns,
-                definition=canonical_expr,
-                level=parent.level + 1,
-            )
-            self._registry[registry_key] = name
-            self._maps[name] = definition
-            worklist.append(definition)
-        self._base_copies[relation] = name
-        return name
+        keys = tuple(f"k{index}" for index in range(len(self.schema[relation])))
+        copy = self._base_copies.get(relation)
+        if copy is None:
+            copy = self._shared_map(Rel(relation, keys), keys, keys, parent.level + 1, worklist)
+            self._base_copies[relation] = copy
+        return rename_variables(copy, dict(zip(keys, columns)))
 
     def _recompute_depth(self, name: str) -> int:
         """Nesting depth of a map's sources; orders recomputes within one event."""
@@ -967,22 +966,10 @@ class Compiler:
         canonical_factors = order_for_safety(canonical_factors, bound_vars=())
         canonical_keys = tuple(f"k{index}" for index in range(len(child_keys_original)))
         canonical_expr = mul(*canonical_factors)
-
-        registry_key = self._registry_key(canonical_expr, canonical_keys)
-        map_name = self._registry.get(registry_key)
-        if map_name is None:
-            self._counter += 1
-            map_name = f"{self._base_name}_m{self._counter}"
-            definition = MapDefinition(
-                name=map_name,
-                key_vars=canonical_keys,
-                definition=canonical_expr,
-                level=parent.level + 1,
-            )
-            self._registry[registry_key] = map_name
-            self._maps[map_name] = definition
-            worklist.append(definition)
-        return MapRef(map_name, child_keys_original), deferred
+        reference = self._shared_map(
+            canonical_expr, canonical_keys, child_keys_original, parent.level + 1, worklist
+        )
+        return reference, deferred
 
     @staticmethod
     def _defer_boundary_conditions(
@@ -1188,11 +1175,6 @@ def compile_query(
     )
 
 
-# ---------------------------------------------------------------------------
-# Cross-program structural identity (used by the multi-view map catalog)
-# ---------------------------------------------------------------------------
-
-
 def ordered_variables(expr: Expr) -> List[str]:
     """All variable names of an expression in first-appearance (walk) order.
 
@@ -1223,28 +1205,3 @@ def ordered_variables(expr: Expr) -> List[str]:
         elif isinstance(node, Assign):
             note(node.var)
     return seen
-
-
-def canonical_map_key(definition: MapDefinition) -> Tuple[Expr, Tuple[str, ...]]:
-    """The alpha-renamed identity of a map definition.
-
-    Key variables are renamed positionally to ``k0, k1, ...`` and every other
-    variable to ``v0, v1, ...`` in first-appearance order, so two map
-    definitions that differ only in variable naming produce the same key.
-    This is the cross-view generalization of the per-query deduplication the
-    compiler already performs in :meth:`Compiler._materialize_component`: the
-    multi-view :class:`repro.session.MapCatalog` uses it to share one
-    materialized map (and its triggers and slice indexes) between views whose
-    hierarchies contain structurally identical subviews.
-    """
-    renaming: Dict[str, str] = {
-        name: f"k{index}" for index, name in enumerate(definition.key_vars)
-    }
-    fresh = 0
-    for name in ordered_variables(definition.definition):
-        if name not in renaming:
-            renaming[name] = f"v{fresh}"
-            fresh += 1
-    canonical_expr = rename_variables(definition.definition, renaming)
-    canonical_keys = tuple(f"k{index}" for index in range(len(definition.key_vars)))
-    return canonical_expr, canonical_keys

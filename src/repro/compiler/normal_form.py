@@ -19,23 +19,35 @@ Two distinct services are built on that order:
   sort first, so batch statements keep their delta reference in the leading
   position the key-projection analysis expects.
 
-* :func:`ac_canonical_map_key` — the *identity* used for map deduplication.
-  It extends :func:`repro.compiler.compile.canonical_map_key` (which only
-  alpha-renames) with AC sorting: the definition body is recursively sorted
-  with a name-blind structural key, alpha-renamed (key variables
-  positionally to ``k0, k1, ...``, everything else to ``v0, v1, ...`` in
-  walk order), then re-sorted and re-renamed until the naming is stable.
-  Two definitions equal modulo commutativity *and* variable naming collapse
-  onto one key.  The construction is sound (keys are equal only when the
-  renamed definitions are literally identical, hence denote the same
-  function of their positional keys) but not complete: pathological
-  symmetric definitions may fail to merge, costing only a missed sharing
-  opportunity.
+* :func:`ac_canonical_identity` — the *identity* of a map as a function of
+  its keys, the one key both sharing registries use (the compiler's
+  component registry and the multi-view
+  :class:`~repro.session.catalog.MapCatalog`).  A map is a function, so its
+  identity sees through everything that does not change the function:
+
+  - *binding spelling*: ``(a := b)`` between two variables is the indicator
+    ``a = b``, so it is substituted away first (``Customer(v0, v1) * (k0 :=
+    v0)`` is ``Customer(k0, v1)``) — AutoGnP's "equations simplified" step;
+  - *commutativity* (over commutative rings): every product and sum is
+    sorted with a name-blind structural key;
+  - *variable naming and key order*: keys are renamed ``k0, k1, ...`` by
+    their first occurrence in the sorted body — not by their position — and
+    everything else ``v0, v1, ...``; sort and rename repeat until the naming
+    settles.
+
+  It returns the canonical ``(body, keys)`` plus the *key order*: canonical
+  key ``i`` is the caller's key ``order[i]``.  Two definitions with equal
+  identities are one function up to that permutation, so the second is read
+  as the first with its keys permuted (:func:`read_positions`) — a transposed
+  read is just a read bound at other positions.  The construction is sound
+  (identities are equal only when the renamed definitions are literally
+  identical) but not complete: pathological symmetric definitions may fail to
+  merge, costing only a missed sharing opportunity.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Tuple
 
 from repro.core.ast import (
     Add,
@@ -49,6 +61,7 @@ from repro.core.ast import (
     Neg,
     Rel,
     Var,
+    walk,
 )
 from repro.core.delta import is_delta_map
 from repro.core.normalization import combine_sorted, to_polynomial, from_polynomial
@@ -258,43 +271,141 @@ def _ordered_variables(expr: Expr) -> List[str]:
     return seen
 
 
-def _positional_rename(expr: Expr, key_vars: Tuple[str, ...]) -> Tuple[Expr, Tuple[str, ...]]:
-    """Rename key variables positionally to ``k0...``, the rest to ``v0...``.
+def _eliminate_bindings(expr: Expr, keys: FrozenSet[str]) -> Expr:
+    """Substitute every variable-to-variable assignment ``(a := b)`` away.
 
-    The renaming is injective and applied simultaneously
+    Under the sum-over-valuations semantics of ``AggSum(keys, body)`` the
+    factor ``(a := b)`` is the indicator ``a = b``, so dropping it and
+    renaming one side to the other denotes the same function.  The summed
+    side goes: a key is never renamed, and ``(k0 := k1)`` between two keys (a
+    diagonal) stays.  Each monomial is rewritten on its own (a sum sums its
+    terms' variables separately); a monomial with nested relational structure
+    — a sum, product or negation as a factor, or an aggregate anywhere, whose
+    variable scope depends on evaluation order — is left as it is.
+    """
+    if isinstance(expr, Add):
+        return Add(tuple(_eliminate_bindings(term, keys) for term in expr.terms))
+    if isinstance(expr, Neg):
+        return Neg(_eliminate_bindings(expr.expr, keys))
+    factors = list(expr.factors) if isinstance(expr, Mul) else [expr]
+
+    def next_binding():
+        for factor in factors:
+            if (
+                isinstance(factor, Assign)
+                and isinstance(factor.expr, Var)
+                and factor.var != factor.expr.name
+                and not (factor.var in keys and factor.expr.name in keys)
+            ):
+                return factor
+        return None
+
+    binding = next_binding()
+    if binding is None or any(
+        isinstance(factor, (Add, Mul, Neg))
+        or any(isinstance(node, AggSum) for node in walk(factor))
+        for factor in factors
+    ):
+        return expr
+    while binding is not None:
+        target, source = binding.var, binding.expr.name
+        renaming = {source: target} if target in keys else {target: source}
+        factors.remove(binding)
+        factors = [rename_variables(factor, renaming) for factor in factors]
+        binding = next_binding()
+    if not factors:
+        return Const(1)
+    return factors[0] if len(factors) == 1 else Mul(tuple(factors))
+
+
+def _canonical_rename(
+    expr: Expr, key_vars: Tuple[str, ...]
+) -> Tuple[Expr, Tuple[int, ...]]:
+    """Rename keys to ``k0...`` by first occurrence, the rest to ``v0...``.
+
+    Returns the renamed body and the key order: ``k{i}`` is ``key_vars[order[i]]``.
+    Keys the body never mentions keep their relative order, last.  The
+    renaming is injective and applied simultaneously
     (:func:`repro.core.simplify.rename_variables`), so it is capture-free
     even when the source names overlap the target alphabet.
     """
-    renaming = {name: f"k{position}" for position, name in enumerate(key_vars)}
-    counter = 0
-    for name in _ordered_variables(expr):
+    occurrence = _ordered_variables(expr)
+    key_set = set(key_vars)
+    ranked = [name for name in occurrence if name in key_set]
+    ranked += [name for name in key_vars if name not in ranked]
+    renaming = {name: f"k{rank}" for rank, name in enumerate(ranked)}
+    fresh = 0
+    for name in occurrence:
         if name not in renaming:
-            renaming[name] = f"v{counter}"
-            counter += 1
-    canonical_keys = tuple(f"k{position}" for position in range(len(key_vars)))
-    return rename_variables(expr, renaming), canonical_keys
+            renaming[name] = f"v{fresh}"
+            fresh += 1
+    return rename_variables(expr, renaming), tuple(key_vars.index(name) for name in ranked)
 
 
-def ac_canonical_identity(expr: Expr, key_vars: Iterable[str]) -> Tuple[Expr, Tuple[str, ...]]:
-    """The AC + alpha canonical identity of a map body with the given keys.
+def _unsorted(expr: Expr, key_fn: Callable[[Expr], SortKey]) -> Expr:
+    return expr
 
-    Name-blind sort, positional rename, then two name-sensitive
-    sort-and-rename rounds to let the fresh names settle into a stable
-    order.  Equal results guarantee the definitions denote the same function
-    of their positional key tuples.
+
+def ac_canonical_identity(
+    expr: Expr, key_vars: Iterable[str], commutative: bool = True
+) -> Tuple[Tuple[Expr, Tuple[str, ...]], Tuple[int, ...]]:
+    """The identity of ``AggSum(key_vars, expr)`` as a function, and its key order.
+
+    Bindings substituted away, then a name-blind sort and a
+    first-occurrence rename, then two name-sensitive sort-and-rename rounds
+    to let the fresh names settle.  Returns ``((body, keys), order)``:
+    canonical key ``k{i}`` is ``key_vars[order[i]]``.  Equal identities
+    guarantee the definitions denote the same function of their keys taken
+    in canonical order.  ``commutative=False`` skips the sorting (reordering
+    a product is not an equivalence over a non-commutative ring); bindings
+    and key order are canonicalized either way.
     """
     key_vars = tuple(key_vars)
-    canonical = _ac_sorted(expr, _skeleton_factor_key)
-    canonical, keys = _positional_rename(canonical, key_vars)
+    sort = _ac_sorted if commutative else _unsorted
+    canonical = _eliminate_bindings(expr, frozenset(key_vars))
+    canonical, order = _canonical_rename(sort(canonical, _skeleton_factor_key), key_vars)
+    keys = tuple(f"k{rank}" for rank in range(len(key_vars)))
     for _ in range(2):
-        canonical = _ac_sorted(canonical, factor_sort_key)
-        canonical, keys = _positional_rename(canonical, keys)
-    return _ac_sorted(canonical, factor_sort_key), keys
+        renamed, settled = _canonical_rename(sort(canonical, factor_sort_key), keys)
+        if renamed == canonical:
+            break  # a fixed point: another round would change nothing
+        canonical = renamed
+        order = tuple(order[rank] for rank in settled)
+    return (sort(canonical, factor_sort_key), keys), order
 
 
-def ac_canonical_map_key(definition) -> Tuple[Expr, Tuple[str, ...]]:
-    """The AC-canonical registry key of a :class:`MapDefinition`."""
+def ac_canonical_map_key(definition):
+    """:func:`ac_canonical_identity` of a :class:`MapDefinition`."""
     return ac_canonical_identity(definition.definition, definition.key_vars)
+
+
+def sharing_key(
+    expr: Expr, key_vars: Iterable[str], commutative: bool = True, semiring: bool = False
+):
+    """The registry key of a map definition, and its key order.
+
+    Both sharing registries key on this.  Over a ring it is the
+    :func:`ac_canonical_identity`.  Under a semiring maintenance plan the
+    key also carries the key order — support plans and tracked recomputes
+    read a counter map at fixed positions, so transposes are not shared — and
+    whether the body is a bare relation atom, which makes the map an
+    ℤ-valued counter rather than a ring-valued function of the same spelling.
+    """
+    identity, order = ac_canonical_identity(expr, key_vars, commutative)
+    if semiring:
+        return (identity, order, isinstance(expr, Rel)), order
+    return identity, order
+
+
+def read_positions(registered: Tuple[int, ...], order: Tuple[int, ...]) -> Tuple[int, ...]:
+    """How to read a registered map in place of an equal definition.
+
+    ``registered`` is the key order of the map in the registry, ``order``
+    that of a definition with the same identity.  Position ``j`` of the
+    registered map is read with the definition's key ``positions[j]``.
+    """
+    rank = {position: canonical for canonical, position in enumerate(registered)}
+    return tuple(order[rank[position]] for position in range(len(registered)))
 
 
 __all__ = [
@@ -304,5 +415,7 @@ __all__ = [
     "is_normalized",
     "ac_canonical_identity",
     "ac_canonical_map_key",
+    "sharing_key",
+    "read_positions",
     "order_for_safety",
 ]

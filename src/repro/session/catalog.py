@@ -1,21 +1,25 @@
 """Cross-view deduplication of materialized maps (the shared map catalog).
 
-The compiler already deduplicates structurally identical maps *within* one
-query (``Compiler._materialize_component`` canonicalizes each component's
-variable naming before materializing it).  The :class:`MapCatalog` lifts the
-same idea across queries: every map definition of every compiled view is
-keyed by its canonical identity — by default the AC-normal form
-(:func:`repro.compiler.normal_form.ac_canonical_map_key`, which also merges
-commuted spellings of one product), falling back to the alpha-renaming-only
-:func:`repro.compiler.compile.canonical_map_key` for non-commutative rings —
-and when two views' hierarchies contain the same subview the catalog keeps a
-single map: its triggers run once per update and its slice indexes are
-maintained once, instead of once per view.
+A materialized map is a function of its keys, and the paper's factorization
+(Example 1.3) exists so that each such function is stored once and read
+wherever it is needed.  The compiler already shares maps *within* one query
+(``Compiler._shared_map``).  The :class:`MapCatalog` lifts the same idea
+across queries, with the same identity
+(:func:`repro.compiler.normal_form.sharing_key`): every map definition of
+every compiled view is keyed by its definition modulo binding spelling
+(``(k := v)`` substituted away), key order, variable naming and — over
+commutative rings — factor order.  When two views' hierarchies contain the
+same function the catalog keeps a single map: its triggers run once per
+update and its slice indexes are maintained once, instead of once per view.
+A map equal to a shared one up to key order is read as that map with its
+keys permuted (:func:`rename_map_references`), so a transposed read is a
+read bound at other positions, served by an ordinary slice index.
 
 A view's *result* map participates too: registering the same query twice (a
 common dashboard pattern) makes the second view a zero-cost alias of the
 first, and a view whose whole query equals an auxiliary map of another view
-simply reads that map.
+simply reads that map — unless only a transposed map exists: a view result
+keeps the user's key order.
 
 The catalog accumulates the merged map set and trigger statements of all
 absorbed views and can emit them as one combined
@@ -26,11 +30,11 @@ the sharing is invisible to the execution layer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from repro.compiler.compile import build_batch_trigger, canonical_map_key
+from repro.compiler.compile import build_batch_trigger
 from repro.compiler.maps import MapDefinition, dependency_depths
-from repro.compiler.normal_form import ac_canonical_map_key
+from repro.compiler.normal_form import read_positions, sharing_key
 from repro.compiler.verify import mark_serial_folds
 from repro.compiler.triggers import (
     BatchStatement,
@@ -45,27 +49,40 @@ from repro.core.ast import Add, AggSum, Assign, Compare, Expr, MapRef, Mul, Neg
 from repro.core.delta import UpdateEvent
 
 
-def rename_map_references(expr: Expr, renaming: Dict[str, str]) -> Expr:
-    """Rewrite map-reference *names* throughout an expression (keys unchanged)."""
+def rename_map_references(
+    expr: Expr,
+    renaming: Dict[str, str],
+    permutations: Mapping[str, Tuple[int, ...]] = {},
+) -> Expr:
+    """Rewrite map references throughout an expression: rename, and permute keys.
+
+    A reference to ``name`` becomes one to ``renaming[name]``; when
+    ``permutations`` holds ``name`` (the shared map stores the same function
+    with its keys in another order), key ``j`` of the new reference is key
+    ``permutations[name][j]`` of the old one.
+    """
     if isinstance(expr, MapRef):
         new_name = renaming.get(expr.name, expr.name)
+        permutation = permutations.get(expr.name)
+        if permutation is not None:
+            return MapRef(new_name, tuple(expr.key_vars[p] for p in permutation))
         return expr if new_name == expr.name else MapRef(new_name, expr.key_vars)
     if isinstance(expr, Add):
-        return Add(tuple(rename_map_references(term, renaming) for term in expr.terms))
+        return Add(tuple(rename_map_references(t, renaming, permutations) for t in expr.terms))
     if isinstance(expr, Mul):
-        return Mul(tuple(rename_map_references(factor, renaming) for factor in expr.factors))
+        return Mul(tuple(rename_map_references(f, renaming, permutations) for f in expr.factors))
     if isinstance(expr, Neg):
-        return Neg(rename_map_references(expr.expr, renaming))
+        return Neg(rename_map_references(expr.expr, renaming, permutations))
     if isinstance(expr, AggSum):
-        return AggSum(expr.group_vars, rename_map_references(expr.expr, renaming))
+        return AggSum(expr.group_vars, rename_map_references(expr.expr, renaming, permutations))
     if isinstance(expr, Compare):
         return Compare(
-            rename_map_references(expr.left, renaming),
+            rename_map_references(expr.left, renaming, permutations),
             expr.op,
-            rename_map_references(expr.right, renaming),
+            rename_map_references(expr.right, renaming, permutations),
         )
     if isinstance(expr, Assign):
-        return Assign(expr.var, rename_map_references(expr.expr, renaming))
+        return Assign(expr.var, rename_map_references(expr.expr, renaming, permutations))
     # Const, Var, Rel carry no map references.
     return expr
 
@@ -79,24 +96,25 @@ class MapCatalog:
     eliminated (each deduplicated statement would have run on every matching
     update of every additional view).
 
-    With ``ac_dedup`` (the default) the identity key is the ring-normal-form
-    canonicalization :func:`repro.compiler.normal_form.ac_canonical_map_key`,
-    which also merges definitions equal modulo commutativity — two views
-    spelling one join in different factor orders share their maps.  Pass
-    ``ac_dedup=False`` for the plain alpha-renaming identity (required for
+    The identity key is the compiler's
+    (:func:`repro.compiler.normal_form.sharing_key`): a map is a function of
+    its keys, so definitions equal modulo binding spelling and key order
+    share one map, read with permuted keys; with ``ac_dedup`` (the default)
+    also modulo commutativity — two views spelling one join in different
+    factor orders share their maps.  Pass ``ac_dedup=False`` for
     non-commutative coefficient rings, where reordering a product is not an
-    equivalence).
+    equivalence.
     """
 
     def __init__(self, schema, ac_dedup: bool = True):
         self.schema: Dict[str, Tuple[str, ...]] = {
             name: tuple(columns) for name, columns in schema.items()
         }
-        self._identity = ac_canonical_map_key if ac_dedup else canonical_map_key
+        self._commutative = ac_dedup
         #: Shared map name -> definition (the union hierarchy).
         self.maps: Dict[str, MapDefinition] = {}
-        #: Canonical (definition, keys) -> shared map name.
-        self._registry: Dict[Tuple[Expr, Tuple[str, ...]], str] = {}
+        #: Sharing key -> (shared map name, its key order).
+        self._registry: Dict[object, Tuple[str, Tuple[int, ...]]] = {}
         #: Merged per-event statements, in absorption order.
         self._statements: Dict[Tuple[str, int], List[Statement]] = {}
         #: Merged per-event batch (relation-valued) statements.
@@ -113,6 +131,8 @@ class MapCatalog:
         #: How many trigger statements were dropped because their target map
         #: is already maintained.
         self.statements_deduplicated = 0
+        #: How many of the deduplicated maps are read with their keys permuted.
+        self.maps_transposed = 0
 
     # -- transactional support -------------------------------------------------
 
@@ -138,6 +158,7 @@ class MapCatalog:
             # renamed({}) deep-copies the plan's dicts, so a later merge into
             # the live plan cannot leak into the checkpoint.
             self.maintenance.renamed({}) if self.maintenance is not None else None,
+            self.maps_transposed,
         )
 
     def rollback(self, state) -> None:
@@ -162,6 +183,7 @@ class MapCatalog:
             {event: list(statements) for event, statements in state[7].items()},
         )
         self.maintenance = state[8]
+        self.maps_transposed = state[9]
 
     # -- registration ---------------------------------------------------------
 
@@ -183,17 +205,22 @@ class MapCatalog:
         # of the same program — extracted nested aggregates, base-relation
         # copies); rewriting those references to their shared names *before*
         # computing the canonical identity is what lets two views' nested
-        # hierarchies deduplicate level by level.
+        # hierarchies deduplicate level by level.  A map equal to a shared one
+        # up to key order is read as it with its keys permuted
+        # (``permutations``) — except a view's result map, which keeps the
+        # user's key order.
         renaming: Dict[str, str] = {}
+        permutations: Dict[str, Tuple[int, ...]] = {}
         added_maps: Dict[str, MapDefinition] = {}
-        added_registry: Dict[Tuple[Expr, Tuple[str, ...]], str] = {}
+        added_registry: Dict[object, Tuple[str, Tuple[int, ...]]] = {}
         deduplicated = 0
+        semiring = program.maintenance is not None
         depths = dependency_depths(program.maps)
         ordered = sorted(
             program.maps.items(), key=lambda item: (depths[item[0]], item[1].level, item[0])
         )
         for name, definition in ordered:
-            rewritten = rename_map_references(definition.definition, renaming)
+            rewritten = rename_map_references(definition.definition, renaming, permutations)
             if rewritten is not definition.definition:
                 definition = MapDefinition(
                     name=definition.name,
@@ -201,25 +228,33 @@ class MapCatalog:
                     definition=rewritten,
                     level=definition.level,
                 )
-            identity = self._identity(definition)
+            identity, order = sharing_key(
+                definition.definition, definition.key_vars, self._commutative, semiring
+            )
             shared = self._registry.get(identity) or added_registry.get(identity)
-            if shared is None:
+            positions = read_positions(shared[1], order) if shared is not None else ()
+            transposed = positions != tuple(range(len(positions)))
+            if shared is None or (transposed and name == program.result_map):
                 if name in self.maps or name in added_maps:
                     raise ValueError(
                         f"map name {name!r} collides with a map of a previously "
                         f"registered view; choose a different view name"
                     )
-                added_registry[identity] = name
+                added_registry.setdefault(identity, (name, order))
                 added_maps[name] = definition
                 renaming[name] = name
             else:
                 deduplicated += 1
-                renaming[name] = shared
+                renaming[name] = shared[0]
+                if transposed:
+                    permutations[name] = positions
 
         # Nothing below can fail: commit the staged maps, then the statements.
-        self._registry.update(added_registry)
+        for identity, entry in added_registry.items():
+            self._registry.setdefault(identity, entry)
         self.maps.update(added_maps)
         self.maps_deduplicated += deduplicated
+        self.maps_transposed += len(permutations)
         new_names = list(added_maps)
         new_set = set(new_names)
         for (relation, sign), trigger in program.triggers.items():
@@ -235,7 +270,7 @@ class MapCatalog:
                     Statement(
                         target=target,
                         target_keys=statement.target_keys,
-                        rhs=rename_map_references(statement.rhs, renaming),
+                        rhs=rename_map_references(statement.rhs, renaming, permutations),
                     )
                 )
             batch_bucket = self._batch_statements.setdefault((relation, sign), [])
@@ -250,7 +285,7 @@ class MapCatalog:
                     BatchStatement(
                         target=target,
                         target_keys=statement.target_keys,
-                        rhs=rename_map_references(statement.rhs, renaming),
+                        rhs=rename_map_references(statement.rhs, renaming, permutations),
                         delta_map=statement.delta_map,
                         projection=statement.projection,
                         coefficient=statement.coefficient,
@@ -266,14 +301,17 @@ class MapCatalog:
                 projections = recompute.source_projections
                 if projections is not None:
                     projections = tuple(
-                        (renaming.get(source, source), positions)
+                        (
+                            renaming.get(source, source),
+                            _permuted(positions, permutations.get(source)),
+                        )
                         for source, positions in projections
                     )
                 recompute_bucket.append(
                     RecomputeStatement(
                         target=target,
                         target_keys=recompute.target_keys,
-                        body=rename_map_references(recompute.body, renaming),
+                        body=rename_map_references(recompute.body, renaming, permutations),
                         depth=recompute.depth,
                         source_projections=projections,
                     )
@@ -364,6 +402,7 @@ class MapCatalog:
             "maps": len(self.maps),
             "maps_deduplicated": self.maps_deduplicated,
             "statements_deduplicated": self.statements_deduplicated,
+            "maps_transposed": self.maps_transposed,
         }
 
     def __repr__(self) -> str:
@@ -371,3 +410,10 @@ class MapCatalog:
             f"MapCatalog(views={len(self.result_maps)}, maps={len(self.maps)}, "
             f"deduplicated={self.maps_deduplicated})"
         )
+
+
+def _permuted(positions: Tuple[int, ...], permutation) -> Tuple[int, ...]:
+    """Key positions of a map, re-expressed after its keys were permuted."""
+    if permutation is None:
+        return positions
+    return tuple(permutation.index(position) for position in positions)

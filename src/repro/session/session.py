@@ -83,12 +83,13 @@ def _check_snapshot_maps(backend: str, definitions: Mapping[str, Any], tables) -
     missing = sorted(set(definitions) - set(tables))
     if missing:
         problems.append(f"maps the snapshot lacks: {missing}")
-    misshapen = sorted(
-        name
-        for name, entries in tables.items()
-        if name in definitions
-        and any(len(key) != definitions[name].arity for key, _value in entries)
-    )
+    misshapen = []
+    for name, entries in tables.items():
+        if name in definitions:
+            arity = definitions[name].arity
+            if any(len(key) != arity for key, _value in entries):
+                misshapen.append(name)
+    misshapen.sort()
     if misshapen:
         problems.append(f"maps whose keys do not match the defined arity: {misshapen}")
     if problems:
@@ -164,6 +165,21 @@ class _CompiledGroup:
         catalog and the runtime are restored to their pre-registration state
         and the view name stays available.
         """
+        state = self.catalog.checkpoint()
+        result_map = self.absorb(view_name, query)
+        try:
+            self.rebuild(bootstrap_source)
+        except BaseException:
+            self.catalog.rollback(state)
+            raise
+        return result_map
+
+    def absorb(self, view_name: str, query: AggSum) -> str:
+        """Compile ``query`` into the catalog without rebuilding the artifacts.
+
+        For registering several views at once (a snapshot restore): one
+        :meth:`rebuild` afterwards serves them all.
+        """
         # Passing the ring attaches the semiring maintenance plan (counter
         # maps, tracked recomputes, support structures) that both compiled
         # executors dispatch on; rings with inverses compile exactly as before.
@@ -171,20 +187,14 @@ class _CompiledGroup:
             query, self.catalog.schema, name=view_name, normalize=self.ring.commutative,
             ring=self.ring,
         )
-        state = self.catalog.checkpoint()
-        result_map, new_maps = self.catalog.absorb(view_name, program)
-        try:
-            self._rebuild(new_maps, bootstrap_source)
-        except BaseException:
-            self.catalog.rollback(state)
-            raise
-        return result_map
+        return self.catalog.absorb(view_name, program)[0]
 
-    def _rebuild(
-        self,
-        new_maps: Tuple[str, ...],
-        bootstrap_source: Optional[Callable[[], Database]],
-    ) -> None:
+    def rebuild(self, bootstrap_source: Optional[Callable[[], Database]]) -> None:
+        """Rebuild the execution artifacts from the catalog's current program.
+
+        Map contents carry over by name; the maps new to the program are
+        bootstrapped from ``bootstrap_source`` (when given).
+        """
         combined = self.catalog.program()
         previous = self.runtime.maps if self.runtime is not None else {}
         runtime = TriggerRuntime(
@@ -194,8 +204,9 @@ class _CompiledGroup:
         for name in combined.maps:
             if name in previous:
                 runtime.maps[name] = previous[name]
-        if bootstrap_source is not None and new_maps:
-            runtime.bootstrap(bootstrap_source(), names=new_maps)
+        fresh = tuple(name for name in combined.maps if name not in previous)
+        if bootstrap_source is not None and fresh:
+            runtime.bootstrap(bootstrap_source(), names=fresh)
         else:
             runtime.indexes.rebuild(runtime.maps)
             # A rebuild replaces the runtime object (and with it the support
@@ -310,6 +321,18 @@ class Session:
         ``track_history=True`` — the new view is bootstrapped from the
         replayed history.
         """
+        return self._add_view(name, query, backend, group_vars)
+
+    def _add_view(
+        self,
+        name: str,
+        query,
+        backend: str,
+        group_vars: Optional[Sequence[str]] = None,
+        rebuild: bool = True,
+    ) -> MaterializedView:
+        """:meth:`view`; ``rebuild=False`` only absorbs a compiled view into its
+        group's catalog, for a caller that rebuilds every group afterwards."""
         if not isinstance(name, str) or not name:
             raise ValueError("view name must be a non-empty string")
         if name in self._views:
@@ -333,7 +356,10 @@ class Session:
                     shard_backend=self.shard_backend,
                 )
             view._group = group
-            view._map_name = group.register(name, query_expr, bootstrap_source)
+            if rebuild:
+                view._map_name = group.register(name, query_expr, bootstrap_source)
+            else:
+                view._map_name = group.absorb(name, query_expr)
             self._groups[backend] = group
         else:
             engine_class = ClassicalIVM if backend == "classical" else NaiveReevaluation
@@ -659,7 +685,10 @@ class Session:
 
     def sharing_report(self) -> Dict[str, int]:
         """Aggregated :meth:`MapCatalog.sharing_report` over all compiled groups."""
-        totals = {"views": 0, "maps": 0, "maps_deduplicated": 0, "statements_deduplicated": 0}
+        totals = dict.fromkeys(
+            ("views", "maps", "maps_deduplicated", "statements_deduplicated", "maps_transposed"),
+            0,
+        )
         for group in self._groups.values():
             for key, value in group.catalog.sharing_report().items():
                 totals[key] += value
@@ -769,19 +798,24 @@ class Session:
             shards=shards,
             shard_backend=shard_backend,
         )
-        for spec in snapshot["views"]:
-            session.view(spec["name"], parse(spec["query"]), backend=spec["backend"])
-
-        # The views were just recompiled by *this* compiler: a snapshot whose
-        # hierarchy another version laid out differently must not be poured
-        # into it (restore_tables would keep unknown names as orphan tables
-        # and leave missing ones empty).
         try:
+            # Every view joins its group's catalog first; each group then
+            # builds its program, runtime and module once, not once per view.
+            for spec in snapshot["views"]:
+                session._add_view(
+                    spec["name"], parse(spec["query"]), spec["backend"], rebuild=False
+                )
+            for group in session._groups.values():
+                group.rebuild(None)
+            # The views were just recompiled by *this* compiler: a snapshot
+            # whose hierarchy another version laid out differently must not be
+            # poured into it (restore_tables would keep unknown names as orphan
+            # tables and leave missing ones empty).
             for backend, tables in snapshot["maps"].items():
                 _check_snapshot_maps(
                     backend, session._groups[backend].runtime.program.maps, tables
                 )
-        except ValueError:
+        except BaseException:
             session.close()
             raise
         for backend, tables in snapshot["maps"].items():

@@ -21,6 +21,7 @@ from repro.compiler.normal_form import (
     is_normalized,
     normalize_rhs,
     normalizes_to_zero,
+    read_positions,
 )
 from repro.compiler.triggers import Statement, Trigger, TriggerProgram
 from repro.compiler.verify import (
@@ -147,11 +148,21 @@ class TestNormalForm:
         assert ac_canonical_map_key(forward) == ac_canonical_map_key(commuted)
 
     def test_ac_canonical_map_key_keeps_key_positions(self):
-        # Key ORDER is storage layout: [k0, k1] vs [k1, k0] must NOT unify,
-        # because the catalog rewrites map references by name only.
+        # Key ORDER is storage layout: [k0, k1] and [k1, k0] store one
+        # function, so they unify — but each keeps its key positions in the
+        # returned order, which is how a reference to one is rewritten into a
+        # read of the other with its keys permuted.
         ab = _map("a", ("k0", "k1"), Rel("R", ("k0", "k1")))
         ba = _map("b", ("k1", "k0"), Rel("R", ("k0", "k1")))
-        assert ac_canonical_map_key(ab) != ac_canonical_map_key(ba)
+        (ab_identity, ab_order), (ba_identity, ba_order) = (
+            ac_canonical_map_key(ab), ac_canonical_map_key(ba)
+        )
+        assert ab_identity == ba_identity
+        assert (ab_order, ba_order) == ((0, 1), (1, 0))
+        assert read_positions(ab_order, ba_order) == (1, 0)
+        # A genuinely different function of the same keys still differs.
+        diagonal = _map("c", ("k0", "k1"), Mul((Rel("R", ("k0", "k0")), Rel("S", ("k1",)))))
+        assert ac_canonical_map_key(diagonal)[0] != ab_identity
 
 
 class TestShardRaceDetector:
