@@ -370,31 +370,22 @@ def experiment_e13():
 
 
 def experiment_e14():
-    _header("E14 specialized hot-loop folds + cost-adaptive shard dispatch")
+    _header("E14 fused bare-count totals + cost-adaptive shard dispatch")
     import bench_batch_updates
 
     smoke = bool(os.environ.get("REPRO_BENCH_SMOKE"))
     length = 4_000 if smoke else 20_000
     speedups = bench_batch_updates.measure_specialization_speedups(stream_length=length)
-    table = Table(["backend", "query", "generic (s)", "specialized (s)", "speedup", "floor"])
+    table = Table(["backend", "query", "unfused (s)", "fused (s)", "speedup"])
     for backend, per_query in speedups.items():
         for query_name, row in per_query.items():
             table.add_row(
                 backend, query_name, f"{row['generic_s']:.4f}",
                 f"{row['specialized_s']:.4f}", f"{row['speedup']:.2f}x",
-                f"{row['floor']}x",
             )
     print(table.render())
-    if smoke:
-        print("(smoke run: per-query floors not asserted)")
-    else:
-        worst = min(
-            row["speedup"] / row["floor"]
-            for per_query in speedups.values() for row in per_query.values()
-        )
-        print(f"(per-query floors asserted at batch size "
-              f"{bench_batch_updates.DELTA_BATCH_SIZE}; tightest margin {worst:.2f})")
-        assert worst >= 1.0
+    print("(reported, not asserted: batches reach the executors already grouped, "
+          "so only the fused total is left to compare)")
 
     # A small adaptive-dispatch sample rides along: fold a sharded stream with
     # the cost model active and record where the dispatcher sent the batches.
@@ -402,7 +393,7 @@ def experiment_e14():
     from repro.ivm.recursive import RecursiveIVM
     from repro.workloads.streams import StreamGenerator
 
-    query, schema, domain, _ring_tag, _floor = bench_batch_updates.SPECIALIZED_QUERIES["group_count"]
+    query, schema, domain = bench_batch_updates.DISPATCH_QUERY
     policy = AdaptiveDispatch()
     engine = RecursiveIVM(query, schema, backend="generated",
                           shards=4, shard_backend="thread")

@@ -11,7 +11,7 @@ __version__ = "1.1.0"
 
 from repro.session import MapCatalog, MaterializedView, Session
 
-from repro.gmr import GMR, PGMR, Database, Record, Update, coalesce_updates, delete, insert
+from repro.gmr import GMR, PGMR, Database, Delta, Record, Update, coalesce_updates, delete, insert
 from repro.core import (
     AggSum,
     Assign,
@@ -71,6 +71,7 @@ __all__ = [
     "GMR",
     "PGMR",
     "Database",
+    "Delta",
     "Record",
     "Update",
     "insert",

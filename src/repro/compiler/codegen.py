@@ -37,26 +37,26 @@ Three properties of the generated module matter for the paper's cost claims:
   matching entries.  The generated apply loop maintains those indexes as
   entries are inserted and removed.
 
-* **A batch-update path.**  ``apply_batch`` groups a batch of single-tuple
-  updates by ``(relation, sign)``, pre-aggregates each group into a delta map
-  ``∆R : values → multiplicity``, and dispatches it to a generated *batch
-  trigger* compiled from the relation-valued delta of each map's definition
-  (``repro.core.delta.BatchUpdateEvent``).  A batch trigger scans ``∆R``
-  once: one loop unpacks each row, reads what the row alone addresses once
-  for all statements (the plan's :class:`~repro.compiler.plan.RowReads`) and
-  runs every statement's remaining factors; the folds follow, one
-  read-modify-write per distinct target key, then recomputes, once per group.
+* **A batch-update path.**  ``apply_batch`` takes a batch as a
+  :class:`~repro.gmr.database.Delta` — one delta map
+  ``∆R : values → multiplicity`` per ``(relation, sign)`` event — and hands
+  each map to a generated *batch trigger* compiled from the relation-valued
+  delta of each map's definition (``repro.core.delta.BatchUpdateEvent``).  A
+  batch trigger scans ``∆R`` once: one loop unpacks each row, reads what the
+  row alone addresses once for all statements (the plan's
+  :class:`~repro.compiler.plan.RowReads`) and runs every statement's
+  remaining factors; the folds follow, one read-modify-write per distinct
+  target key, then recomputes, once per group.
 
 * **Only the query-dependent part is generated.**  What is emitted is the
-  statement bodies (``on_*`` / ``batch_on_*`` / ``total_batch_*``) and, for a
-  specialized program, the unrolled ``apply_batch`` *printed from* the lowered
-  :class:`~repro.compiler.plan.BatchPlan`.  The query-independent steps — the
-  fold itself (change capture, tracked keys, sharded dispatch, slice-index
-  upkeep), the recompute write-back, the compensated float total and the
-  generic batch grouping loop — are the plain-Python
-  :mod:`repro.compiler.kernels`, injected into the module namespace
-  (``_fold``, ``_rwrite``, ``_fold_total``, …) exactly as the interpreted
-  runtime calls them.
+  statement bodies (``on_*`` / ``batch_on_*`` / ``total_batch_*``), printed
+  from the lowered :class:`~repro.compiler.plan.BatchPlan`.  The
+  query-independent steps — the fold itself (change capture, tracked keys,
+  sharded dispatch, slice-index upkeep), the recompute write-back, the
+  compensated float total and the batch loop over a ``Delta``'s events — are
+  the plain-Python :mod:`repro.compiler.kernels`, injected into the module
+  namespace (``_fold``, ``_rwrite``, ``_fold_total``, …) exactly as the
+  interpreted runtime calls them.
 
 In addition, the generated functions thread an optional change-collection
 hook (``_CH``): a mapping from *watched* map names to accumulator dicts into
@@ -75,15 +75,15 @@ than interpreting trigger statements through the AGCA evaluator (see
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
 from repro.compiler.cost import whole_batch_fold
 from repro.compiler.indexes import IndexedMaps, IndexSpecs, SliceIndexes
-from repro.compiler.kernels import FoldKernels, make_generic_apply_batch, recompute_pairs
+from repro.compiler.kernels import FoldKernels, make_apply_batch, recompute_pairs
 from repro.compiler.partition.backends import generated_rmap_groups
 from repro.compiler.plan import BatchPlan, RowReads, lower_batch_plan, ordered_monomials
+from repro.gmr.database import Delta
 from repro.compiler.triggers import BatchTrigger, Statement, Trigger, TriggerProgram
 from repro.core.ast import (
     Add,
@@ -367,17 +367,22 @@ class GeneratedTriggers:
             # nested-aggregate groups are re-evaluated through the target
             # table's shard backend when one is attached (serially otherwise).
             "_rmap_groups": generated_rmap_groups,
-            # The specialized apply_batch counts each event's value tuples
-            # with one C-level Counter.update.
-            "_Counter": Counter,
         }
-        exec(compile(source, f"<generated triggers for {program.result_map}>", "exec"), self._namespace)
-        self._stats: Dict[str, int] = self._namespace["_STATS"]
-        self._apply_update = self._namespace["apply_update"]
-        # A specialized plan prints its unrolled apply_batch; every other
-        # program runs the shared generic loop over the emitted triggers.
-        self._apply_batch = self._namespace.get("apply_batch") or make_generic_apply_batch(
-            self._namespace["TRIGGERS"], self._namespace["BATCH_TRIGGERS"], ring
+        namespace = self._namespace
+        exec(compile(source, f"<generated triggers for {program.result_map}>", "exec"), namespace)
+        self._stats: Dict[str, int] = namespace["_STATS"]
+        self._apply_update = namespace["apply_update"]
+        # The shared batch loop (repro.compiler.kernels) over the emitted triggers.
+        self._apply_batch = make_apply_batch(
+            plan,
+            ring,
+            namespace["BATCH_TRIGGERS"],
+            {
+                event.event: namespace[f"total_batch_{event.batch_trigger.event_name}"]
+                for event in plan.events
+                if event.kind == "total"
+            },
+            namespace["TRIGGERS"],
         )
         self._own_indexes: Optional[SliceIndexes] = None
         self._own_maps: Optional[Dict[str, Dict[Tuple[Any, ...], Any]]] = None
@@ -409,29 +414,29 @@ class GeneratedTriggers:
     def apply_batch(
         self,
         maps: Dict[str, Dict[Tuple[Any, ...], Any]],
-        updates: Iterable[Any],
+        delta: Delta,
         indexes: Optional[SliceIndexes] = None,
         changes: Optional[Dict[str, Dict[Tuple[Any, ...], Any]]] = None,
         journal=None,
     ) -> int:
-        """Apply a batch of updates through the generated batch triggers.
+        """Apply a batch ``∆D`` through the generated batch triggers.
 
-        The batch is grouped by ``(relation, sign)``, each group is
-        pre-aggregated into a delta map, and the group's batch trigger folds
-        it once — one read-modify-write per distinct target key.  Equivalent
-        to applying the updates one at a time (the batch statements include
-        the delta's higher-order interaction terms); an event without a batch
-        trigger is applied per tuple.  ``changes`` collects per-key deltas of
-        watched maps across the whole batch, as in :meth:`apply`; ``journal``
-        (an :class:`~repro.compiler.kernels.UndoJournal`) receives the prior
+        Each event's delta map goes to its batch trigger, which folds it once
+        — one read-modify-write per distinct target key — or, for a fused
+        event, its net tuple count to the ``total_batch_*`` function.
+        Equivalent to applying the updates one at a time (the batch
+        statements include the delta's higher-order interaction terms); an
+        event without a batch trigger is applied per tuple.  ``changes``
+        collects per-key deltas of watched maps across the whole batch, as in
+        :meth:`apply`; ``journal`` (an
+        :class:`~repro.compiler.kernels.UndoJournal`) receives the prior
         value of every entry written.
 
-        Returns the batch's logical tuple count (``sum(update.count)``), which
-        both batch loops compute anyway.
+        Returns the batch's logical tuple count, which the loop sums anyway.
         """
         data = self._index_data(maps, indexes)
         environment = self._compensated(maps) if self.plan.kahan else maps
-        count = self._apply_batch(environment, updates, data, changes, journal)
+        count = self._apply_batch(environment, delta, data, changes, journal)
         self._note_own_counts(maps, data)
         return count
 
@@ -504,11 +509,9 @@ class GeneratedTriggers:
 
     @property
     def specializations(self) -> Dict[Tuple[str, int], str]:
-        """Per-event specialization classes of the emitted batch path.
-
-        ``(relation, sign) -> "total" | "counter"`` for every event of a
-        specialized plan; empty when the module runs the generic loop.
-        """
+        """Per-event specialization classes of the emitted batch path:
+        ``(relation, sign) -> "total"`` for every event whose fused
+        ``total_batch_*`` function runs instead of its batch trigger."""
         return self.plan.specializations
 
 
@@ -521,17 +524,14 @@ def generate_python(
 
     The module is printed from the program's lowered
     :class:`~repro.compiler.plan.BatchPlan`
-    (:func:`~repro.compiler.plan.lower_batch_plan` — where the ring gate, the
-    program-width gate and the float whole-program rule live): for a
-    specialized plan the emitted ``apply_batch`` unrolls into one
-    statically-addressed slice per trigger event — ``total`` events sum their
-    net tuple count with a C-level filtered comprehension and dispatch a fused
-    ``total_batch_*`` function with no delta table at all (Kahan-compensated
-    through ``_fold_total`` when the plan says so), ``counter`` events count
-    their value tuples with a C-level ``Counter.update``.  Every other program
-    emits no ``apply_batch``: its triggers run under the shared generic loop
-    (:func:`repro.compiler.kernels.make_generic_apply_batch`).
-    ``specialize=False`` pins the generic loop.
+    (:func:`~repro.compiler.plan.lower_batch_plan` — where the ring gate and
+    the float whole-program rule live): every event gets its batch trigger,
+    and a ``total`` event also a fused ``total_batch_*`` function, which
+    folds the event's net tuple count with no delta map at all
+    (Kahan-compensated through ``_fold_total`` when the plan says so).  The
+    batch loop that runs them is the shared
+    :func:`repro.compiler.kernels.make_apply_batch`.  ``specialize=False``
+    fuses nothing.
 
     Raises
     ------
@@ -615,54 +615,9 @@ def generate_python(
     writer.emit("    if _trigger is not None:")
     writer.emit("        _trigger(maps, values, _IDX, _CH)")
     writer.emit("")
-    if plan.specialized:
-        _emit_specialized_apply_batch(writer, plan)
     context.emit_constant_definitions()
     source = "\n".join(writer.lines) + "\n"
     return GeneratedTriggers(program, source, ring, plan)
-
-
-def _emit_specialized_apply_batch(writer: _Writer, plan: BatchPlan) -> None:
-    """The specialized batch loop: one statically-unrolled slice per plan event.
-
-    The emitted ``apply_batch`` carries no per-update Python loop at all:
-    each event slices the batch with one C-level filtered comprehension — a
-    ``total`` event sums net tuple counts, a ``counter`` event counts value
-    tuples through ``Counter.update``.  Compact updates (``count > 1``) cost
-    a fix-up pass only when actually present.  Events execute in the plan's
-    static order rather than first-seen batch order, which cannot be
-    observed: each event's fold is exact against the state it sees, so the
-    final state and the CDC net deltas are the same under any event order.
-    """
-    writer.emit("def apply_batch(maps, updates, _IDX=None, _CH=None, _J=None):")
-    writer.emit("    if type(updates) is not list:")
-    writer.emit("        updates = list(updates)")
-    writer.emit("    if not updates:")
-    writer.emit("        return 0")
-    writer.emit("    # Returned so the engine layer reuses the tuple count for its")
-    writer.emit("    # statistics instead of walking the batch again.")
-    writer.emit("    _n = sum([_u.count for _u in updates])")
-    if any(event.kind != "total" for event in plan.events):
-        # Fused totals sum ``count`` directly and never need the flag.
-        writer.emit("    _compact = _n != len(updates)")
-    for event in plan.events:
-        cond = f"_u.sign == {event.sign} and _u.relation == {event.relation!r}"
-        function = f"batch_{event.batch_trigger.event_name}"
-        if event.kind == "total":
-            writer.emit(f"    _t = sum([_u.count for _u in updates if {cond}])")
-            writer.emit("    if _t:")
-            writer.emit(f"        total_{function}(maps, _t, _IDX, _CH, _J)")
-        else:
-            writer.emit("    _d = _Counter()")
-            writer.emit(f"    _d.update([_u.values for _u in updates if {cond}])")
-            writer.emit("    if _compact:")
-            writer.emit("        for _u in updates:")
-            writer.emit(f"            if {cond} and _u.count != 1:")
-            writer.emit("                _d[_u.values] += _u.count - 1")
-            writer.emit("    if _d:")
-            writer.emit(f"        {function}(maps, _d, _IDX, _CH, _J)")
-    writer.emit("    return _n")
-    writer.emit("")
 
 
 # ---------------------------------------------------------------------------
@@ -779,9 +734,9 @@ def _generate_total_batch_trigger(
 
     Every statement of the trigger is a bare-count fold (``projection_class()
     == "total"``: the right-hand side is exactly ``coefficient · ∆R(k…)``
-    summed over all keys), so the specialized ``apply_batch`` never builds the
-    event's delta table — it passes the batch's net tuple count ``_total``
-    and each statement becomes one multiplication plus one scalar fold.
+    summed over all keys), so the batch loop never hands it the event's
+    delta map — it passes the net tuple count ``_total = Σ∆R`` and each
+    statement becomes one multiplication plus one scalar fold.
 
     ``kahan`` (the plan's flag, float-field programs only) replaces the plain
     scalar fold with the Kahan-compensated ``_fold_total`` kernel, whose

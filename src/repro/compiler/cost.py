@@ -215,24 +215,14 @@ def recompute_class(recompute) -> str:
 # Batch-trigger specialization classes
 # ---------------------------------------------------------------------------
 
-#: The specialized executors unroll ``apply_batch`` into one C-level filtered
-#: pass per statically-known trigger event; each pass walks the whole batch,
-#: so past this many events the generic single-pass grouping loop wins.  Read
-#: by :func:`repro.compiler.plan.lower_batch_plan` only — both executors
-#: decode its verdict, so they flip at the same program width.
-MAX_SPECIALIZED_EVENTS = 4
-
-
 def trigger_specialization(batch_trigger) -> str:
     """The specialization class of one compiled batch trigger.
 
     ``"total"`` — every statement is a bare-count fold (nullary projection:
     the batch's total multiplicity feeds one scalar entry each) and there are
-    no recomputes, so the executor can skip building a delta table entirely
-    and accumulate a single integer per event.  ``"counter"`` — the trigger
-    still needs a per-key delta table, but it can be built with the
-    :class:`collections.Counter` C fast path instead of a Python-level
-    accumulation loop.  Recognized structurally (duck-typed) so hand-built IR
+    no recomputes, so the executor can fold the event's net tuple count
+    ``Σ∆R`` instead of running the trigger on the delta map.  ``"generic"``
+    — everything else.  Recognized structurally (duck-typed) so hand-built IR
     prices the same as compiled programs.
     """
     statements = getattr(batch_trigger, "statements", ())
@@ -243,20 +233,21 @@ def trigger_specialization(batch_trigger) -> str:
             for statement in statements
         ):
             return "total"
-    return "counter"
+    return "generic"
 
 
 def batch_specialization_class(statement, trigger=None) -> str:
     """The specialization class of one batch statement, for explain/lint.
 
-    ``"fused-total"`` — a bare-count statement inside an all-total trigger:
-    the whole event fuses to integer accumulation, no delta dict at all.
-    ``"generic-bare-count"`` — a bare-count statement whose event *cannot*
-    fully fuse (sibling statements or recomputes force the delta table), the
-    shape ``repro-lint --fail-on generic-bare-count`` promotes to an error.
-    ``"fused-copy"`` / ``"fused-marginal"`` — projection fast paths that fold
-    the Counter-built delta table without expression evaluation.
-    ``"generic"`` — the right-hand side must be evaluated per distinct key.
+    ``"fused-total"`` — a bare-count statement inside an all-total trigger
+    (passed as ``trigger`` when its event fuses): the whole event folds one
+    integer, no delta map read at all.  ``"generic-bare-count"`` — a
+    bare-count statement whose event does *not* fuse (sibling statements,
+    recomputes or a ring gate keep the delta map), the shape ``repro-lint
+    --fail-on generic-bare-count`` promotes to an error.  ``"fused-copy"`` /
+    ``"fused-marginal"`` — projection fast paths that fold the delta map
+    without expression evaluation.  ``"generic"`` — the right-hand side must
+    be evaluated per distinct key.
     """
     projection = getattr(statement, "projection_class", lambda: "general")()
     if projection == "general":

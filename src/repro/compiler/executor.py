@@ -20,12 +20,12 @@ nothing on the batch path calls them.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.compiler.codegen import GeneratedTriggers
 from repro.compiler.kernels import UndoJournal
 from repro.compiler.runtime import TriggerRuntime
-from repro.gmr.database import Update
+from repro.gmr.database import Delta, Update, group_updates
 
 Changes = Optional[Dict[str, Dict[Tuple[Any, ...], Any]]]
 
@@ -57,38 +57,37 @@ class CompiledExecutor:
             indexes=runtime.indexes,
             changes=changes,
         )
-        self._after_generated((update,), changes, 1)
+        self._after_generated(group_updates((update,)) if runtime.has_supports else None, changes, 1)
 
-    def apply_batch(self, updates: Sequence[Update], changes: Changes = None) -> Optional[int]:
-        """Apply a batch; returns its tuple count when the executor computed it."""
+    def apply_batch(self, delta: Delta, changes: Changes = None) -> int:
+        """Apply a batch ``∆D``; returns its tuple count."""
         runtime = self.runtime
         journal = self._journal
         if self.generated is None:
-            runtime.apply_batch(updates, changes=changes, journal=journal)
-            return None
-        if runtime.has_supports and type(updates) is not list:
-            updates = list(updates)  # iterated twice: triggers, then supports
+            return runtime.apply_batch(delta, changes=changes, journal=journal)
         count = self.generated.apply_batch(
-            runtime.maps, updates, indexes=runtime.indexes, changes=changes, journal=journal
+            runtime.maps, delta, indexes=runtime.indexes, changes=changes, journal=journal
         )
-        self._after_generated(updates, changes, count, journal)
+        self._after_generated(delta, changes, count, journal)
         return count
 
     def _after_generated(
         self,
-        updates: Iterable[Update],
+        delta: Optional[Delta],
         changes: Changes,
         count: int,
         journal: Optional[UndoJournal] = None,
     ) -> None:
         """What the runtime's own entry points do after their triggers ran.
 
-        The support sidecars (semiring top-k/min/max) are fed here — the
-        module owns the triggers, the runtime owns the tier; post-trigger, so
-        an exhausted support's rebuild sees the updated counters — and the
-        module's work counters fold into the runtime's statistics.
+        The support sidecars (semiring top-k/min/max) are fed ``delta`` here
+        (``None``: the runtime keeps no supports) — the module owns the
+        triggers, the runtime owns the tier; post-trigger, so an exhausted
+        support's rebuild sees the updated counters — and the module's work
+        counters fold into the runtime's statistics.
         """
-        self.runtime.feed_supports(updates, changes, journal)
+        if delta is not None:
+            self.runtime.feed_supports(delta, changes, journal)
         statements, entries = self.generated.drain_statistics()
         statistics = self.runtime.statistics
         statistics.updates_processed += count

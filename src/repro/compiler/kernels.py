@@ -4,7 +4,7 @@ A compiled trigger is a list of statements ``foreach k: m[k] += rhs``
 (Equation (1) of the paper).  Only the right-hand side depends on the query;
 everything around it — the ``+=`` itself, change capture, tracked-key
 collection, slice-index upkeep, sharded dispatch, the recompute write-back,
-the compensated float total, grouping a batch into ``∆R`` — is the same for
+the compensated float total, running a batch's events — is the same for
 every program.  This module holds those steps as plain Python functions,
 specialized once per coefficient ring by :class:`FoldKernels`.
 :class:`~repro.compiler.runtime.TriggerRuntime` calls them directly; generated
@@ -39,7 +39,7 @@ from repro.compiler.indexes import apply_index_journal
 from repro.compiler.partition.backends import fold_on_coordinator
 from repro.compiler.partition.tables import MIN_PARALLEL_KEYS, ShardedMapTable
 from repro.core.ast import COMPARATORS, Add, Compare, Const, Expr, MapRef, Mul, Neg, Var
-from repro.core.delta import DELTA_POOL_LIMIT
+from repro.gmr.database import Delta, Update
 
 MapTable = Dict[Tuple[Any, ...], Any]
 
@@ -328,80 +328,78 @@ class FoldKernels:
         self.fold_total = fold_total if ring is FLOAT_FIELD else None
 
 
-def make_generic_apply_batch(
-    triggers: Dict[Tuple[str, int], Callable],
-    batch_triggers: Dict[Tuple[str, int], Callable],
-    ring: Semiring,
-) -> Callable:
-    """The generic batch loop: ``apply_batch(maps, updates, index_data=None,
-    changes=None, journal=None) -> tuple count``.
+def semiring_order(delta: Delta) -> list:
+    """``delta``'s ``(event, delta map)`` pairs, every insert event first.
 
-    One pass groups the batch by ``(relation, sign)`` event, pre-aggregating
-    each group straight into its delta map ``∆R : values → multiplicity``
-    (pooled scratch dicts — batch triggers never retain their delta), then
-    every group's batch trigger ``batch_triggers[event](maps, delta,
-    index_data, changes, journal)`` folds it once.  An event without a batch trigger
-    (hand-built programs only) falls back to its per-tuple trigger
-    ``triggers[event](maps, values, index_data, changes, journal)``, once per
-    logical tuple — the reference semantics.
-
-    Over a proper semiring the delta maps count tuples in ℤ (ring statements
-    read them through ``from_int``), and every insert event runs before any
-    delete event: a batch may delete a row it also inserts, and delete-event
-    recomputes read the ℤ counter maps through ``from_int``, which has no
-    image for transiently negative counts.  Over a ring the event order
-    cannot be observed and first-seen order is kept.
+    The event order of a proper semiring's executors: a batch may delete a
+    row it also inserts, and delete-event recomputes read the ℤ counter maps
+    through ``from_int``, which has no image for transiently negative counts.
     """
-    semiring = not ring.is_ring
-    delta_ring = INTEGER_RING if semiring else ring
-    native = delta_ring is INTEGER_RING or delta_ring is FLOAT_FIELD
-    add, one, from_int, is_zero = (
-        delta_ring.add, delta_ring.one, delta_ring.from_int, delta_ring.is_zero
-    )
-    pool: list = []
+    return sorted(delta.events.items(), key=lambda item: -item[0][1])
 
-    def apply_batch(maps, updates, index_data=None, changes=None, journal=None):
-        deltas: Dict[Tuple[str, int], MapTable] = {}
-        tuples: Dict[Tuple[str, int], list] = {}
-        total = 0
-        for update in updates:
-            event = (update.relation, update.sign)
-            count = update.count
-            total += count
-            if event in batch_triggers:
-                delta = deltas.get(event)
-                if delta is None:
-                    delta = deltas[event] = pool.pop() if pool else {}
-                values = update.values
-                if native:
-                    delta[values] = delta.get(values, 0) + count
-                else:
-                    increment = one if count == 1 else from_int(count)
-                    existing = delta.get(values)
-                    delta[values] = increment if existing is None else add(existing, increment)
-            elif event in triggers:
-                tuples.setdefault(event, []).extend((update.values,) * count)
-        events = list(deltas) + list(tuples)
-        if semiring:
-            events.sort(key=lambda event: -event[1])
-        for event in events:
-            delta = deltas.get(event)
-            if delta is None:
-                trigger = triggers[event]
-                for values in tuples[event]:
-                    trigger(maps, values, index_data, changes, journal)
+
+def arity_error(update: Update) -> ValueError:
+    """The error of an update whose values do not fit its relation's arity."""
+    return ValueError(
+        f"update {update!r} does not match the arity of relation {update.relation!r}"
+    )
+
+
+def make_apply_batch(plan, ring: Semiring, batch_triggers, totals, triggers) -> Callable:
+    """The batch loop of both executors: ``apply_batch(maps, delta,
+    index_data=None, changes=None, journal=None) -> tuple count``.
+
+    ``delta`` is a :class:`~repro.gmr.database.Delta`, the batch already
+    grouped into one delta map ``∆R : values → count`` per ``(relation,
+    sign)`` event, and each event runs as the lowered ``plan`` says: a
+    ``total`` event's fused trigger ``totals[event](maps, Σ∆R, index_data,
+    changes, journal)`` (no table at all), any other event's batch trigger
+    ``batch_triggers[event](maps, ∆R, …)`` on the delta map itself, and an
+    event without a batch trigger (hand-built programs only) its per-tuple
+    trigger ``triggers[event](maps, values, …)`` once per logical tuple — the
+    reference semantics.  Every event's keys are checked against the plan's
+    arity, one pass per event, before any trigger runs.
+
+    Over a ring the events run in first-seen order; under a proper semiring
+    in :func:`semiring_order`, their delta maps left as ℤ counts (ring
+    statements read them through ``from_int``).  Any other non-native ring's
+    batch triggers read each map's ``from_int`` image, zero images dropped (a
+    finite ring's ``from_int`` can wrap to zero).
+    """
+    arities = {event.event: event.arity for event in plan.events if event.arity is not None}
+    semiring = not ring.is_ring
+    lifted = not semiring and ring is not INTEGER_RING and ring is not FLOAT_FIELD
+    one, from_int, is_zero = ring.one, ring.from_int, ring.is_zero
+
+    def apply_batch(maps, delta, index_data=None, changes=None, journal=None):
+        events = delta.events
+        for event, rows in events.items():
+            arity = arities.get(event)
+            if arity is not None and not set(map(len, rows)) <= {arity}:
+                values = next(key for key in rows if len(key) != arity)
+                raise arity_error(Update(event[1], event[0], values, rows[values]))
+        tuples = 0
+        for event, rows in semiring_order(delta) if semiring else events.items():
+            count = sum(rows.values())
+            tuples += count
+            trigger = totals.get(event)
+            if trigger is not None:
+                trigger(maps, count, index_data, changes, journal)
                 continue
-            if not native:
-                # A finite ring's from_int can wrap to zero; ℤ/ℝ counts of one
-                # same-sign group never cancel.
-                for values in [values for values, count in delta.items() if is_zero(count)]:
-                    del delta[values]
-            if delta:
-                batch_triggers[event](maps, delta, index_data, changes, journal)
-            delta.clear()
-            if len(pool) < DELTA_POOL_LIMIT:
-                pool.append(delta)
-        return total
+            trigger = batch_triggers.get(event)
+            if trigger is not None:
+                if lifted:
+                    rows = {values: one if n == 1 else from_int(n) for values, n in rows.items()}
+                    rows = {values: value for values, value in rows.items() if not is_zero(value)}
+                if rows:
+                    trigger(maps, rows, index_data, changes, journal)
+                continue
+            trigger = triggers.get(event)
+            if trigger is not None:
+                for values, n in rows.items():
+                    for _ in range(n):
+                        trigger(maps, values, index_data, changes, journal)
+        return tuples
 
     return apply_batch
 

@@ -10,22 +10,21 @@ notes (:class:`RowReads`) and ``repro-lint``'s tally read it — so the two
 compiled executors agree on every fork of the batch path because they decode
 the same object, not because two copies of the rules are kept equal by hand.
 
-The gates evaluated here and nowhere else:
+A batch reaches the executors already grouped — a
+:class:`~repro.gmr.database.Delta`, one delta map per event — so the one
+per-event choice left is whether an all-bare-count trigger (``total``) folds
+the event's net tuple count ``Σ∆R`` through its fused ``total_batch_*``
+function instead of running its batch trigger on the map.  The gates
+evaluated here and nowhere else:
 
-* **ring** — unrolling ``apply_batch`` per event (``Counter``-counted delta
-  tables, fused bare-count totals) is an int-multiplicity optimization, exact
-  over ℤ.  Over the float field accumulation order is observable, so only a
-  *whole program* of fused totals specializes — with Kahan-compensated folds
-  (``kahan``), strictly more accurate than the generic loop's left-to-right
-  sums.  Every other ring keeps the generic loop.
-* **width** — each unrolled event is one filtered pass over the whole batch,
-  so past :data:`~repro.compiler.cost.MAX_SPECIALIZED_EVENTS` events the
-  generic single-pass grouping loop wins.
+* **ring** — the fused total is an int-multiplicity optimization, exact over
+  ℤ.  Over the float field accumulation order is observable, so only a
+  *whole program* of fused totals fuses — with Kahan-compensated folds
+  (``kahan``), strictly more accurate than left-to-right sums.  Every other
+  ring runs every event's batch trigger.
 * **index demotion** — a ``total`` event whose target carries slice indexes
-  becomes ``counter``: the fold must see a delta table to journal index
-  upkeep (nullary-key targets never do; this stays defensive).
-* an event without a batch trigger (hand-built programs only) keeps the
-  whole program on the generic loop, which applies it per tuple.
+  stays ``generic``: the fold must see a delta table to journal index upkeep
+  (nullary-key targets never do; this stays defensive).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
 from repro.compiler.cost import (
-    MAX_SPECIALIZED_EVENTS,
     batch_specialization_class,
     recompute_class,
     trigger_specialization,
@@ -144,12 +142,11 @@ class EventPlan:
 
     relation: str
     sign: int
-    #: ``"total"`` — every statement is a bare-count fold: sum the event's net
-    #: tuple count, no delta table.  ``"counter"`` — build the delta table
-    #: with one C-level ``Counter.update``.  ``"generic"`` — the event rides
-    #: the generic grouping loop (all events of an unspecialized program).
+    #: ``"total"`` — every statement is a bare-count fold: the fused trigger
+    #: folds the event's net tuple count ``Σ∆R``.  ``"generic"`` — the batch
+    #: trigger runs on the event's delta map.
     kind: str
-    #: The arity check: length every update's ``values`` must have (``None``
+    #: The arity check: length of every key of the event's delta map (``None``
     #: when no per-tuple trigger declares the relation's arguments).
     arity: Optional[int]
     trigger: Optional[Trigger]
@@ -195,18 +192,12 @@ class BatchPlan:
 
     events: Tuple[EventPlan, ...]
     index_specs: IndexSpecs
-    #: The events' arity checks as ``(relation, sign, arity)`` filters over a
-    #: batch — ``sign`` is ``None`` where both signs of a relation agree, so
-    #: a batch validates with one C-level filtered pass per relation.
-    validations: Tuple[Tuple[str, Optional[int], int], ...]
-    #: ``apply_batch`` is unrolled per event (every kind is total/counter).
-    specialized: bool
     #: Fused totals fold Kahan-compensated (float-field programs only).
     kahan: bool
 
     @property
     def specializations(self) -> Dict[Tuple[str, int], str]:
-        """``(relation, sign) -> "total" | "counter"``; empty when generic."""
+        """``(relation, sign) -> "total"`` for every event that fuses."""
         return {event.event: event.kind for event in self.events if event.kind != "generic"}
 
 
@@ -226,11 +217,10 @@ def lower_batch_plan(
 ) -> BatchPlan:
     """Lower ``program`` into its :class:`BatchPlan` over ``ring``.
 
-    ``specialize=False`` pins every event to the generic loop (A/B
-    benchmarking); otherwise events specialize wherever the gates in the
-    module docstring allow.  Events are ordered ``(relation, -sign)`` — each
-    event's fold is exact against the state it sees, so executing in this
-    static order instead of first-seen batch order cannot be observed.
+    ``specialize=False`` keeps every event ``generic`` (A/B benchmarking);
+    otherwise ``total`` events fuse wherever the gates in the module
+    docstring allow.  Events are listed ``(relation, -sign)``; the executors
+    run a batch's events in its own order (:func:`~repro.compiler.kernels.make_apply_batch`).
     """
     specs = compute_index_specs(program)
     # Targets folding with Python arithmetic: all of a native ring's (None),
@@ -242,28 +232,25 @@ def lower_batch_plan(
     keys = sorted(
         set(program.triggers) | set(program.batch_triggers), key=lambda key: (key[0], -key[1])
     )
-    kinds: Dict[Tuple[str, int], str] = {}
-    for key, batch_trigger in program.batch_triggers.items():
-        kind = trigger_specialization(batch_trigger)
-        if kind == "total" and any(specs.get(s.target) for s in batch_trigger.statements):
-            kind = "counter"
-        kinds[key] = kind
-    all_total = all(kind == "total" for kind in kinds.values())
-    specialized = (
-        specialize
-        and (ring is INTEGER_RING or (ring is FLOAT_FIELD and all_total))
-        and 0 < len(keys) <= MAX_SPECIALIZED_EVENTS
-        and len(kinds) == len(keys)
-    )
+    totals = {
+        key
+        for key, batch_trigger in program.batch_triggers.items()
+        if trigger_specialization(batch_trigger) == "total"
+        and not any(specs.get(s.target) for s in batch_trigger.statements)
+    }
+    all_total = bool(keys) and totals.issuperset(keys)
+    if not (specialize and (ring is INTEGER_RING or (ring is FLOAT_FIELD and all_total))):
+        totals = set()
     events = []
     for key in keys:
         trigger = program.triggers.get(key)
         batch_trigger = program.batch_triggers.get(key)
+        fused = key in totals
         events.append(
             EventPlan(
                 relation=key[0],
                 sign=key[1],
-                kind=kinds[key] if specialized else "generic",
+                kind="total" if fused else "generic",
                 arity=len(trigger.argument_names) if trigger is not None else None,
                 trigger=trigger,
                 batch_trigger=batch_trigger,
@@ -272,7 +259,7 @@ def lower_batch_plan(
                     tracked_source_maps(batch_trigger) if batch_trigger is not None else ()
                 ),
                 labels=tuple(
-                    batch_specialization_class(statement, batch_trigger)
+                    batch_specialization_class(statement, batch_trigger if fused else None)
                     for statement in (batch_trigger.statements if batch_trigger else ())
                 ),
                 recompute_kinds=tuple(
@@ -283,17 +270,8 @@ def lower_batch_plan(
                 native=native,
             )
         )
-    arities = {event.event: event.arity for event in events if event.arity is not None}
-    validations = []
-    for (relation, sign), arity in arities.items():
-        if arities.get((relation, -sign)) != arity:
-            validations.append((relation, sign, arity))
-        elif (relation, None, arity) not in validations:
-            validations.append((relation, None, arity))
     return BatchPlan(
         events=tuple(events),
         index_specs=specs,
-        validations=tuple(validations),
-        specialized=specialized,
-        kahan=specialized and ring is FLOAT_FIELD,
+        kahan=bool(totals) and ring is FLOAT_FIELD,
     )

@@ -16,17 +16,17 @@ so the AGCA evaluator (and the generated backend, which shares the same
 environment inside :class:`~repro.ivm.recursive.RecursiveIVM`) slices maps by
 bound prefix instead of scanning them.
 
-Batches of updates are applied with :meth:`TriggerRuntime.apply_batch`, which
-executes the program's *batch triggers*: the batch is grouped by
-``(relation, sign)``, each group is pre-aggregated into a delta map
-``∆R : key → multiplicity`` (duplicate tuples add up), and every batch
-statement — the relation-valued delta of its target's definition — is
-evaluated once per group with the delta map bound in the environment, then
-folded with one read-modify-write per distinct target key.  Recompute
-statements run once per group over the union of affected groups.  Because the
-statements include the delta's higher-order terms in ``∆R``, the final state
-equals one-at-a-time application exactly — per-tuple :meth:`TriggerRuntime.apply`
-is the reference semantics the property tests compare against.
+Batches are applied with :meth:`TriggerRuntime.apply_batch`, which executes
+the program's *batch triggers* on a :class:`~repro.gmr.database.Delta` — the
+batch as one delta map ``∆R : key → multiplicity`` per ``(relation, sign)``
+event: every batch statement — the relation-valued delta of its target's
+definition — is evaluated once per event with the delta map bound in the
+environment, then folded with one read-modify-write per distinct target key.
+Recompute statements run once per event over the union of affected groups.
+Because the statements include the delta's higher-order terms in ``∆R``, the
+final state equals one-at-a-time application exactly — per-tuple
+:meth:`TriggerRuntime.apply` is the reference semantics the property tests
+compare against.
 
 What is interpreted here is only the right-hand sides (``evaluate`` over the
 statement bodies).  Which path a batch takes is decided once, by the lowered
@@ -58,7 +58,6 @@ and ``None`` everywhere else.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.algebra.lattices import SupportTier
@@ -68,9 +67,11 @@ from repro.compiler.indexes import IndexedMaps, SliceIndexes
 from repro.compiler.kernels import (
     FoldKernels,
     UndoJournal,
+    arity_error,
     lower_pointwise,
-    make_generic_apply_batch,
+    make_apply_batch,
     recompute_pairs,
+    semiring_order,
 )
 from repro.compiler.maps import dependency_depths
 from repro.compiler.partition.backends import ShardBackend, make_shard_backend
@@ -80,18 +81,12 @@ from repro.compiler.triggers import BatchTrigger, RecomputeStatement, Trigger, T
 from repro.core.ast import AggSum
 from repro.core.semantics import evaluate
 from repro.core.simplify import make_safe
-from repro.gmr.database import Database, Update
+from repro.gmr.database import Database, Delta, Update, group_updates
 from repro.gmr.records import Record
 
 MapTable = Dict[Tuple[Any, ...], Any]
 
 _MISSING = object()
-
-
-def _arity_error(update: Update) -> ValueError:
-    return ValueError(
-        f"update {update!r} does not match the arity of relation {update.relation!r}"
-    )
 
 
 class _FromIntView:
@@ -210,21 +205,18 @@ class TriggerRuntime:
                     self._pointwise[id(recompute)] = lower_pointwise(
                         recompute.body, recompute.target_keys, ring
                     )
-        # The generic batch loop, shared with generated modules; here its
-        # per-event callables interpret the triggers.
+        # The batch loop, shared with generated modules; here its per-event
+        # callables interpret the triggers.
 
-        def interpret(method, trigger, tracked):
+        def interpret(method, *trigger):
             return lambda _maps, payload, _index_data, changes, journal: method(
-                trigger, tracked, payload, changes, journal
+                *trigger, payload, changes, journal
             )
 
         events = self.plan.events
-        self._generic_batch = make_generic_apply_batch(
-            {
-                event.event: interpret(self._apply_trigger, event.trigger, event.tracked)
-                for event in events
-                if event.trigger is not None
-            },
+        self._apply_batch = make_apply_batch(
+            self.plan,
+            ring,
             {
                 event.event: interpret(
                     self._apply_batch_trigger, event.batch_trigger, event.batch_tracked
@@ -232,7 +224,16 @@ class TriggerRuntime:
                 for event in events
                 if event.batch_trigger is not None
             },
-            ring,
+            {
+                event.event: interpret(self._apply_total_trigger, event.batch_trigger)
+                for event in events
+                if event.kind == "total"
+            },
+            {
+                event.event: interpret(self._apply_trigger, event.trigger, event.tracked)
+                for event in events
+                if event.trigger is not None
+            },
         )
         # The evaluator needs a Database only for its coefficient structure and
         # declared schema; compiled right-hand sides never read base relations.
@@ -358,115 +359,39 @@ class TriggerRuntime:
         """
         event = self._events.get((update.relation, update.sign))
         if event is not None and event.arity not in (None, len(update.values)):
-            raise _arity_error(update)
+            raise arity_error(update)
         self.statistics.updates_processed += update.count
         if event is not None and event.trigger is not None:
             for _ in range(update.count):
                 self._apply_trigger(event.trigger, event.tracked, update.values, changes)
         # Fed after the triggers: an exhausted support's rebuild must see the
         # post-update counter map.
-        self.feed_supports((update,), changes)
+        if self._support_tier is not None:
+            self.feed_supports(group_updates((update,)), changes)
 
     def apply_batch(
         self,
-        updates: Iterable[Update],
+        delta: Delta,
         changes: Optional[Dict[str, MapTable]] = None,
         journal: Optional[UndoJournal] = None,
-    ) -> None:
-        """Apply a batch of updates through the compiled batch triggers.
+    ) -> int:
+        """Apply a batch ``∆D`` through the compiled batch triggers.
 
-        The batch is grouped by ``(relation, sign)`` and each group is
-        pre-aggregated into a delta map ``∆R : values → multiplicity``; the
-        group's batch trigger then runs once — every statement evaluated
-        against the pre-group state, increments folded per distinct key, and
-        recomputes re-derived once over the union of affected groups.  The
-        final map state equals one-at-a-time application (the batch
+        Each event's batch trigger runs once on its delta map — every
+        statement evaluated against the pre-event state, increments folded
+        per distinct key, and recomputes re-derived once over the union of
+        affected groups; a fused event folds its net tuple count instead.
+        The final map state equals one-at-a-time application (the batch
         statements carry the delta's higher-order interaction terms).  An
-        event without a batch trigger is applied per tuple.
-
-        The whole batch is arity-validated before any map is touched, so a
-        malformed update cannot leave the hierarchy partially advanced.  How
-        the grouping runs is the plan's verdict: a specialized plan slices
-        the batch once per statically-known event with C-level filtered
-        comprehensions — fused totals never build a delta table, the rest
-        count value tuples through ``collections.Counter`` — otherwise the
-        shared generic loop groups it in one Python-level pass.
+        event without a batch trigger is applied per tuple.  Every event's
+        keys are arity-checked before any map is touched, so a malformed
+        batch cannot leave the hierarchy partially advanced.  Returns the
+        batch's logical tuple count.
         """
-        if type(updates) is not list:
-            updates = list(updates)
-        if not updates:
-            return
-        self._check_arities(updates)
-        if not self.plan.specialized:
-            self.statistics.updates_processed += self._generic_batch(
-                self.maps, updates, self.indexes.data, changes, journal
-            )
-            self.feed_supports(updates, changes, journal)
-            return
-        counted = sum([update.count for update in updates])
-        compact = counted != len(updates)
-        self.statistics.updates_processed += counted
-        for event in self.plan.events:
-            relation, sign = event.relation, event.sign
-            if event.kind == "total":
-                # Every statement is a bare-count fold: the event's net
-                # tuple count is the whole delta — no table.
-                total = sum(
-                    [
-                        update.count
-                        for update in updates
-                        if update.sign == sign and update.relation == relation
-                    ]
-                )
-                if total:
-                    self._apply_total_trigger(event.batch_trigger, total, changes, journal)
-                continue
-            # Counter fast path: count the value tuples in C, then fix up
-            # compact updates (count > 1) only when present.  Counts are
-            # positive within one same-sign event, so no entry can land on
-            # zero.
-            delta_table: MapTable = Counter()
-            delta_table.update(
-                [
-                    update.values
-                    for update in updates
-                    if update.sign == sign and update.relation == relation
-                ]
-            )
-            if compact:
-                for update in updates:
-                    if (
-                        update.sign == sign
-                        and update.relation == relation
-                        and update.count != 1
-                    ):
-                        delta_table[update.values] += update.count - 1
-            if delta_table:
-                self._apply_batch_trigger(
-                    event.batch_trigger, event.batch_tracked, delta_table, changes, journal
-                )
-        self.feed_supports(updates, changes, journal)
-
-    def _check_arities(self, updates: Iterable[Update]) -> None:
-        """Validate a batch against the plan's arity checks, one C-level
-        filtered pass each; rejects the first offender in batch order."""
-        for relation, sign, arity in self.plan.validations:
-            if sign is None:
-                lengths = {
-                    len(update.values) for update in updates if update.relation == relation
-                }
-            else:
-                lengths = {
-                    len(update.values)
-                    for update in updates
-                    if update.sign == sign and update.relation == relation
-                }
-            if not lengths <= {arity}:
-                events = self._events
-                for update in updates:
-                    event = events.get((update.relation, update.sign))
-                    if event is not None and event.arity not in (None, len(update.values)):
-                        raise _arity_error(update)
+        count = self._apply_batch(self.maps, delta, self.indexes.data, changes, journal)
+        self.statistics.updates_processed += count
+        self.feed_supports(delta, changes, journal)
+        return count
 
     def _apply_total_trigger(
         self,
@@ -530,23 +455,26 @@ class TriggerRuntime:
 
     def feed_supports(
         self,
-        updates: Iterable[Update],
+        delta: Delta,
         changes: Optional[Dict[str, MapTable]] = None,
         journal: Optional[UndoJournal] = None,
     ) -> None:
-        """Feed raw updates into the support sidecars (post-trigger).
+        """Feed a batch's rows into the support sidecars (post-trigger).
 
         Called by the interpreted entry points themselves and by the pair
         host after a generated module applied the triggers (it shares this
         runtime's maps and tier).  Must run *after* the triggers so an
-        exhausted support's rebuild sees post-update counters.
+        exhausted support's rebuild sees post-update counters.  Rows are fed
+        in the triggers' event order, inserts first.
         """
         if self._support_tier is None:
             return
+        relations = self._support_relations
         feed = [
-            (update.relation, update.values, update.sign, update.count)
-            for update in updates
-            if update.relation in self._support_relations
+            (relation, values, sign, count)
+            for (relation, sign), rows in semiring_order(delta)
+            if relation in relations
+            for values, count in rows.items()
         ]
         if feed:
             diffs = self._support_tier.collect(feed, self._counter_rows, journal)

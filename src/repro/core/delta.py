@@ -53,11 +53,6 @@ from repro.gmr.database import Update
 #: indexes never index it, and the runtimes overlay/remove it per batch group.
 DELTA_MAP_PREFIX = "__delta__"
 
-#: How many cleared per-group delta-table buffers the compiled executors keep
-#: pooled between ``apply_batch`` calls (the generic batch loop of
-#: :mod:`repro.compiler.kernels`, which both executors run).
-DELTA_POOL_LIMIT = 8
-
 
 def delta_map_name(relation: str) -> str:
     """The reserved name of the delta map ``∆R`` for one base relation."""

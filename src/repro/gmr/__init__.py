@@ -9,7 +9,8 @@
 * :class:`repro.gmr.parametrized.PGMR` — parametrized gmrs ``=>A[T]``
   (Section 3.2), the carrier of AGCA query meanings.
 * :class:`repro.gmr.database.Database` / :class:`repro.gmr.database.Update` —
-  named relations and single-tuple update events ``±R(t)``.
+  named relations and single-tuple update events ``±R(t)``;
+  :class:`repro.gmr.database.Delta` — a batch as one ``∆D``.
 * :mod:`repro.gmr.algebra_bridge` — the classical multiset relational algebra
   operators (σ, π, ρ, ⋈, ∪) expressed on top of gmrs (Section 5).
 """
@@ -17,9 +18,9 @@
 from repro.gmr.records import Record
 from repro.gmr.relation import GMR
 from repro.gmr.parametrized import PGMR
-from repro.gmr.database import Database, Update, coalesce_updates, insert, delete
+from repro.gmr.database import Database, Delta, Update, coalesce_updates, insert, delete
 
 __all__ = [
-    "Record", "GMR", "PGMR", "Database", "Update", "insert", "delete",
+    "Record", "GMR", "PGMR", "Database", "Delta", "Update", "insert", "delete",
     "coalesce_updates",
 ]

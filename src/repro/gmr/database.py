@@ -4,13 +4,15 @@ A :class:`Database` is a finite collection of named gmrs, each with a declared
 column order (needed to interpret positional relation atoms ``R(x1, ..., xk)``
 in AGCA).  A :class:`Update` is the paper's single-tuple insertion/deletion
 event; applying it adds ``±{t}`` to the named relation — precisely the ``D + u``
-of the introduction.
+of the introduction.  A :class:`Delta` is a whole batch as one element of the
+ring of databases: per ``(relation, sign)`` event, the delta map ``∆R`` the
+batch triggers read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.semirings import INTEGER_RING, Semiring
 from repro.gmr.records import Record
@@ -28,8 +30,7 @@ class Update:
     tuple's data values in the relation's declared column order.  ``count``
     (default 1) is a positive net multiplicity: ``Update(1, "R", t, count=3)``
     denotes three insertions of the same tuple in one event — the compact
-    form :func:`coalesce_updates` emits, which the batch delta-map builders
-    fold in O(1) instead of round-tripping ``count`` identical objects.
+    form :meth:`Delta.updates` materializes.
     """
 
     sign: int
@@ -101,15 +102,17 @@ def delete(relation: str, *values: Any) -> Update:
 #: state stays O(distinct keys) no matter how many updates were submitted.
 NetAccumulator = Dict[Tuple[str, Tuple[Any, ...]], int]
 
+#: One ``(relation, sign)`` update event.
+Event = Tuple[str, int]
+
 
 def accumulate_update(net: NetAccumulator, update: Update) -> int:
     """Ring-add one update into a net accumulator, dropping net-zero entries.
 
     Returns the entry's new net count (0 means the update cancelled pending
     work and the key was removed).  A key is *never* left in the accumulator
-    with net 0: :func:`updates_from_net` relies on this to never see — let
-    alone emit — a ``count=0`` update, and the ingestion queue relies on it
-    to keep its pending-key watermark honest under insert/delete churn.
+    with net 0: the ingestion queue relies on it to keep its pending-key
+    watermark honest under insert/delete churn.
     """
     key = (update.relation, update.values)
     count = net.get(key, 0) + update.sign * update.count
@@ -120,52 +123,111 @@ def accumulate_update(net: NetAccumulator, update: Update) -> int:
     return count
 
 
-def updates_from_net(net: NetAccumulator) -> "list[Update]":
-    """The compact batch a net accumulator denotes (first-seen key order).
+class Delta:
+    """A batch as one element of the ring of databases, ``∆D``.
 
-    One :class:`Update` per surviving key, carrying the net sign and
-    multiplicity.  Net-zero entries cannot occur when the accumulator was
-    built through :func:`accumulate_update`; entries that slipped in through
-    direct mutation are dropped here as a second line of defense (``count=0``
-    is not even representable on :class:`Update`).
+    ``events`` maps each ``(relation, sign)`` event to its delta map
+    ``∆R : values -> count`` (every count ``>= 1``), events and keys in
+    first-seen order.  This is the one form a batch takes below the public
+    entry points: the ingestion queue drains into it, :func:`coalesce_updates`
+    builds it, and both compiled executors run their batch triggers on its
+    delta maps as they are.  ``len()`` is the number of compact updates it
+    denotes; :meth:`updates` materializes them, for the readers that want
+    :class:`Update` objects (the history log, engine-backed views, dead
+    letters).  Consumers read the maps and never mutate them.
     """
-    return [
-        Update(INSERT if count > 0 else DELETE, relation, values, count=abs(count))
-        for (relation, values), count in net.items()
-        if count != 0
-    ]
+
+    __slots__ = ("events",)
+
+    def __init__(self, events: Dict[Event, Dict[Tuple[Any, ...], int]]):
+        self.events = events
+
+    @classmethod
+    def from_net(cls, net: NetAccumulator) -> "Delta":
+        """Split a net accumulator by sign: one delta map per event, net-zero
+        entries dropped (the accumulator never holds them when built through
+        :func:`accumulate_update`; this is the second line of defense)."""
+        events: Dict[Event, Dict[Tuple[Any, ...], int]] = {}
+        for (relation, values), count in net.items():
+            if count > 0:
+                event = (relation, INSERT)
+            elif count < 0:
+                event, count = (relation, DELETE), -count
+            else:
+                continue
+            rows = events.get(event)
+            if rows is None:
+                rows = events[event] = {}
+            rows[values] = count
+        return cls(events)
+
+    @property
+    def tuples(self) -> int:
+        """The logical tuples the batch carries (counts summed)."""
+        return sum([sum(rows.values()) for rows in self.events.values()])
+
+    def updates(self) -> List[Update]:
+        """The compact :class:`Update` form: one per ``(event, values)`` entry."""
+        return [
+            Update(sign, relation, values, count)
+            for (relation, sign), rows in self.events.items()
+            for values, count in rows.items()
+        ]
+
+    def __len__(self) -> int:
+        return sum(map(len, self.events.values()))
+
+    def __bool__(self) -> bool:
+        return any(self.events.values())
+
+    def __repr__(self) -> str:
+        return f"Delta({len(self)} updates in {len(self.events)} events)"
 
 
-def coalesce_updates(updates: Iterable[Update]) -> "list[Update]":
-    """Net out duplicate and opposing updates of the same tuple within one batch.
+def coalesce_updates(updates: Iterable[Update]) -> Delta:
+    """Net out duplicate and opposing updates of the same tuple: the batch's ``∆D``.
 
-    Returns an equivalent *compact* batch: every ``(relation, values)`` pair
-    appears at most once, as a single :class:`Update` carrying its net sign
-    and multiplicity (``count``) — an insert and a delete of the same tuple
-    annihilate, and 10k inserts of one tuple become one update with
-    ``count=10000`` instead of 10k objects that the delta-map builders would
-    only re-aggregate again.  Over a ring, applying the coalesced batch
-    yields exactly the state of applying the original one
-    (``D + u - u = D``), so net-zero churn (upserts, rollbacks, rapid
-    add/remove cycles) costs no trigger work at all.  First-seen order of
-    the surviving tuples is preserved.
+    One pass ring-adds every update into a net multiplicity per
+    ``(relation, values)`` pair — an insert and a delete of the same tuple
+    annihilate, and 10k inserts of one tuple become one entry with count
+    10000 — and the survivors split by sign into the :class:`Delta` the batch
+    triggers read.  Over a ring, applying the coalesced batch yields exactly
+    the state of applying the original one (``D + u - u = D``), so net-zero
+    churn (upserts, rollbacks, rapid add/remove cycles) costs no trigger work
+    at all.  Events and keys keep the first-seen order of the surviving
+    tuples.
 
-    This is the one-shot form of the incremental primitives
-    :func:`accumulate_update` / :func:`updates_from_net`, which the streaming
-    ingestion queue (:mod:`repro.ingest`) applies per enqueue.
+    This is the one-shot form of :func:`accumulate_update`, which the
+    streaming ingestion queue (:mod:`repro.ingest`) applies per enqueue.
     """
-    updates = updates if isinstance(updates, list) else list(updates)
     net: NetAccumulator = {}
-    distinct = True
     for update in updates:
-        if accumulate_update(net, update) == update.sign * update.count:
-            continue
-        distinct = False
-    if distinct and len(net) == len(updates):
-        # Every update already touches a distinct tuple: nothing coalesces,
-        # hand the original batch back without rebuilding it.
-        return updates
-    return updates_from_net(net)
+        key = (update.relation, update.values)
+        count = net.get(key, 0) + update.sign * update.count
+        if count:
+            net[key] = count
+        else:
+            del net[key]  # a zero sum means the key held the opposite count
+    return Delta.from_net(net)
+
+
+def group_updates(updates: Iterable[Update]) -> Delta:
+    """The batch grouped by event without netting across signs.
+
+    The engine-level ``apply_batch`` form: equivalent to applying the updates
+    one at a time, with duplicates of one event summed into its delta map and
+    an insert/delete pair of one tuple kept as two events — so an engine's
+    work counters still count every tuple it was handed.
+    """
+    events: Dict[Event, Dict[Tuple[Any, ...], int]] = {}
+    for update in updates:
+        event = (update.relation, update.sign)
+        rows = events.get(event)
+        if rows is None:
+            rows = events[event] = {}
+        values = update.values
+        rows[values] = rows.get(values, 0) + update.count
+    return Delta(events)
 
 
 class Database:

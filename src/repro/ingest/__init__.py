@@ -6,9 +6,10 @@ The subsystem decouples producers from trigger dispatch.  Many threads
 *online* into per-``(relation, values)`` net multiplicities — the pending
 state is O(distinct keys) and insert/delete churn annihilates before any
 trigger runs.  A flusher drains on a size or latency watermark and hands the
-pre-aggregated batch to ``Session.apply_batch(..., coalesced=True)``; a
-poisoned flush is rolled back transactionally and quarantined on a
-dead-letter list while the pipeline keeps running.  Backpressure is
+batch's ``∆D`` — a :class:`~repro.gmr.database.Delta`, coalesced once, at
+enqueue — to ``Session.apply_batch`` as it is; a poisoned flush is rolled
+back transactionally and quarantined on a dead-letter list while the
+pipeline keeps running.  Backpressure is
 explicit (:class:`BackpressurePolicy`), CDC subscribers can window
 consecutive flush deltas (:meth:`IngestPipeline.subscribe`), and everything
 is observable through :class:`IngestStats`.

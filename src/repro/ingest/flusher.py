@@ -3,9 +3,10 @@
 :class:`IngestPipeline` is the subsystem's front door: it owns an
 :class:`~repro.ingest.queue.IngestQueue`, a daemon flusher thread, the
 dead-letter list, and the pipeline's :class:`~repro.ingest.stats.IngestStats`.
-Producers on any thread ``submit()`` updates; the flusher drains the queue's
-pre-coalesced pending state into ``Session.apply_batch(..., coalesced=True)``
-whenever a watermark trips:
+Producers on any thread ``submit()`` updates; whenever a watermark trips the
+flusher drains the queue's pending state — coalesced once, at enqueue, into
+the batch's ``∆D`` (a :class:`~repro.gmr.database.Delta`) — and hands it to
+``Session.apply_batch`` as it is:
 
 size watermark
     ``max_pending`` distinct pending keys — the queue sets the wake event the
@@ -20,8 +21,9 @@ A flush that raises is *quarantined*, not fatal: ``apply_batch`` has already
 rolled every view back to the pre-flush state (its transactional contract: an
 undo journal of the entries the flush wrote, replayed backwards — a flush and
 a quarantine both cost O(keys touched), never O(stored state)), so the
-pipeline parks the offending batch plus the exception on
-:attr:`IngestPipeline.dead_letters` and keeps serving the next flush.
+pipeline parks the offending batch — materialized as compact updates only
+then — plus the exception on :attr:`IngestPipeline.dead_letters` and keeps
+serving the next flush.
 
 Cross-batch CDC coalescing: :meth:`IngestPipeline.subscribe` attaches a
 callback to a view through a *window* — consecutive per-flush deltas are
@@ -40,7 +42,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.gmr.database import DELETE, INSERT, Update, deserialize_update, serialize_update
+from repro.gmr.database import (
+    DELETE,
+    INSERT,
+    Delta,
+    Update,
+    coalesce_updates,
+    deserialize_update,
+    serialize_update,
+)
 from repro.ingest.backpressure import BackpressurePolicy, IngestClosedError
 from repro.ingest.queue import IngestQueue
 from repro.ingest.stats import IngestStats
@@ -225,13 +235,16 @@ class IngestPipeline:
             backpressure = BackpressurePolicy(high_water=4 * max_pending)
         self.backpressure = backpressure
         self.stats = IngestStats()
+        # The partition-tier dispatch report, read when a snapshot is taken
+        # (engine-level targets do not expose dispatch_statistics).
+        self.stats.dispatch_source = getattr(session, "dispatch_statistics", None)
         self._wake = threading.Event()
         self._queue = IngestQueue(
             backpressure=backpressure,
             watermark_keys=max_pending,
             wake=self._wake,
             stats=self.stats,
-            validate=session._validate_update,
+            validate=session._validate_updates,
         )
         #: Serializes the flusher thread against inline :meth:`flush` /
         #: :meth:`close` (re-entrant: close flushes while holding it).
@@ -283,41 +296,40 @@ class IngestPipeline:
 
     def _flush_once(self) -> int:
         staleness_ms = self._queue.oldest_age_s() * 1e3
-        batch = self._queue.drain()
-        if not batch:
+        delta = self._queue.drain()
+        if not delta:
             self._advance_windows()
             return 0
+        self._apply(delta, staleness_ms)
+        self._flush_index += 1
+        self._advance_windows()
+        return len(delta)
+
+    def _apply(self, delta: Delta, staleness_ms: float) -> bool:
+        """Hand one flush's ``∆D`` to the session; quarantine it if that raises."""
         started = time.perf_counter()
         try:
-            self.session.apply_batch(batch, coalesced=True)
+            self.session.apply_batch(delta)
         except Exception as error:  # noqa: BLE001 - quarantine is the contract
             # apply_batch already rolled every view back; park the batch and
             # keep the pipeline running.
             self._dead_letters.append(
                 DeadLetterBatch(
-                    updates=tuple(batch),
+                    updates=tuple(delta.updates()),
                     error=error,
                     flush_index=self._flush_index,
                     timestamp=time.time(),
                 )
             )
-            self.stats.record_quarantine(sum(update.count for update in batch))
-        else:
-            self.stats.record_flush(
-                updates=len(batch),
-                tuples=sum(update.count for update in batch),
-                latency_s=time.perf_counter() - started,
-                staleness_ms=staleness_ms,
-            )
-            # Refresh the partition-tier dispatch report so the monitoring
-            # snapshot shows where this flush's folds actually ran (guarded:
-            # engine-level targets do not expose dispatch_statistics).
-            dispatch_statistics = getattr(self.session, "dispatch_statistics", None)
-            if dispatch_statistics is not None:
-                self.stats.record_dispatch(dispatch_statistics())
-        self._flush_index += 1
-        self._advance_windows()
-        return len(batch)
+            self.stats.record_quarantine(delta.tuples)
+            return False
+        self.stats.record_flush(
+            updates=len(delta),
+            tuples=delta.tuples,
+            latency_s=time.perf_counter() - started,
+            staleness_ms=staleness_ms,
+        )
+        return True
 
     def _advance_windows(self, force: bool = False) -> None:
         now = time.monotonic()
@@ -365,32 +377,11 @@ class IngestPipeline:
         """
         if self._closed:
             raise IngestClosedError("cannot retry a dead letter on a closed pipeline")
-        batch = list(dead.updates)
-        if not batch:
+        delta = coalesce_updates(dead.updates)
+        if not delta:
             return 0
         with self._flush_lock:
-            started = time.perf_counter()
-            try:
-                self.session.apply_batch(batch, coalesced=True)
-            except Exception as error:  # noqa: BLE001 - quarantine is the contract
-                self._dead_letters.append(
-                    DeadLetterBatch(
-                        updates=tuple(batch),
-                        error=error,
-                        flush_index=self._flush_index,
-                        timestamp=time.time(),
-                    )
-                )
-                self.stats.record_quarantine(sum(update.count for update in batch))
-                applied = 0
-            else:
-                self.stats.record_flush(
-                    updates=len(batch),
-                    tuples=sum(update.count for update in batch),
-                    latency_s=time.perf_counter() - started,
-                    staleness_ms=0.0,
-                )
-                applied = len(batch)
+            applied = len(delta) if self._apply(delta, staleness_ms=0.0) else 0
             try:
                 self._dead_letters.remove(dead)
             except ValueError:

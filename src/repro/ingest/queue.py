@@ -11,20 +11,21 @@ without ever reaching a trigger.
 
 The queue knows nothing about sessions or flush scheduling.  A drainer (the
 :class:`~repro.ingest.flusher.IngestPipeline`) calls :meth:`drain` to take
-the pending state as a compact batch (``updates_from_net``) and signals
-waiting producers; the ``wake`` event handed to the constructor is set
-whenever the queue becomes non-empty (starting the staleness clock) or
-crosses ``watermark_keys`` (the size watermark), which is what wakes the
-flusher thread.
+the pending state as the batch's ``∆D`` (a
+:class:`~repro.gmr.database.Delta`) and signals waiting producers; the
+``wake`` event handed to the constructor is set when the queue becomes
+non-empty (starting the staleness clock) and when it crosses
+``watermark_keys`` (the size watermark) — the two transitions that wake the
+flusher thread, never once per key.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
-from repro.gmr.database import NetAccumulator, Update, accumulate_update, updates_from_net
+from repro.gmr.database import Delta, NetAccumulator, Update, accumulate_update
 from repro.ingest.backpressure import BackpressureError, BackpressurePolicy, IngestClosedError
 from repro.ingest.stats import IngestStats
 
@@ -45,10 +46,10 @@ class IngestQueue:
     stats:
         Shared :class:`IngestStats`; a private instance is created if omitted.
     validate:
-        Optional callable run against every update *before* it is accepted
-        (the pipeline passes the session's schema validation, so a malformed
-        update fails at the submitting producer instead of poisoning a
-        whole flush).
+        Optional callable run once per submitted chunk of updates *before*
+        any of it is accepted (the pipeline passes the session's schema
+        validation, so a malformed update fails at the submitting producer
+        instead of poisoning a whole flush).
     """
 
     def __init__(
@@ -57,7 +58,7 @@ class IngestQueue:
         watermark_keys: Optional[int] = None,
         wake: Optional[threading.Event] = None,
         stats: Optional[IngestStats] = None,
-        validate: Optional[Callable[[Update], None]] = None,
+        validate: Optional[Callable[[Sequence[Update]], None]] = None,
     ):
         self.backpressure = backpressure
         self.watermark_keys = watermark_keys
@@ -84,7 +85,7 @@ class IngestQueue:
         close happened.
         """
         if self._validate is not None:
-            self._validate(update)
+            self._validate((update,))
         with self._lock:
             return self._submit_locked(update, nowait)
 
@@ -92,15 +93,15 @@ class IngestQueue:
         """Submit a sequence under one lock acquisition; returns the new depth.
 
         The per-update semantics (validation, coalescing, backpressure)
-        match :meth:`submit` exactly, but the coalescing loop is inlined and
-        the stats are recorded once for the whole chunk — this is the
-        producer hot path, and per-update lock traffic is what it exists
-        to avoid.
+        match :meth:`submit` exactly, but validation runs once over the
+        chunk (a bad update anywhere rejects all of it), the coalescing loop
+        is inlined and the stats are recorded once for the whole chunk —
+        this is the producer hot path, and per-update lock traffic is what it
+        exists to avoid.
         """
         updates = updates if isinstance(updates, (list, tuple)) else list(updates)
         if self._validate is not None:
-            for update in updates:
-                self._validate(update)
+            self._validate(updates)
         tuples = coalesced_tuples = cancelled = 0
         with self._lock:
             if self._closed:
@@ -109,24 +110,24 @@ class IngestQueue:
             policy = self.backpressure
             high_water = None if policy is None else policy.high_water
             watermark = self.watermark_keys
-            wake = self._wake
             try:
                 for update in updates:
                     key = (update.relation, update.values)
                     existing = net.get(key)
                     if existing is None and high_water is not None and len(net) >= high_water:
                         self._stall(policy, nowait)
-                        existing = net.get(key)  # the flusher drained meanwhile
+                        net = self._net  # the flusher drained meanwhile
+                        existing = net.get(key)
                     count = update.count
                     tuples += count
                     if existing is None:
                         net[key] = update.sign * count  # count >= 1: never zero
-                        if len(net) == 1:
+                        depth = len(net)
+                        if depth == 1:
                             self._since = time.perf_counter()
-                            if wake is not None:
-                                wake.set()
-                        if watermark is not None and len(net) >= watermark and wake is not None:
-                            wake.set()
+                            self._wake_drainer()
+                        elif depth == watermark:
+                            self._wake_drainer()
                     else:
                         coalesced_tuples += count
                         remaining = existing + update.sign * count
@@ -144,13 +145,11 @@ class IngestQueue:
     def _submit_locked(self, update: Update, nowait: bool) -> int:
         if self._closed:
             raise IngestClosedError("ingestion queue is closed")
-        net = self._net
         key = (update.relation, update.values)
-        is_new_key = key not in net
         policy = self.backpressure
-        if is_new_key and policy is not None and len(net) >= policy.high_water:
+        if key not in self._net and policy is not None and len(self._net) >= policy.high_water:
             self._stall(policy, nowait)
-            is_new_key = key not in net  # the flusher drained while we waited
+        net = self._net  # (re-read: the flusher may have drained while we waited)
         before = len(net)
         accumulate_update(net, update)
         depth = len(net)
@@ -162,15 +161,16 @@ class IngestQueue:
         if depth > before:
             if before == 0:
                 self._since = time.perf_counter()
-                if self._wake is not None:
-                    self._wake.set()
-            if (
-                self.watermark_keys is not None
-                and depth >= self.watermark_keys
-                and self._wake is not None
-            ):
-                self._wake.set()
+                self._wake_drainer()
+            elif depth == self.watermark_keys:
+                self._wake_drainer()
         return depth
+
+    def _wake_drainer(self) -> None:
+        """Set ``wake`` unless it is already set: one wake per transition."""
+        wake = self._wake
+        if wake is not None and not wake.is_set():
+            wake.set()
 
     def _stall(self, policy: BackpressurePolicy, nowait: bool) -> None:
         """Wait at the high-water mark (or raise, per mode/nowait/timeout)."""
@@ -179,8 +179,7 @@ class IngestQueue:
                 f"ingestion queue is at its high-water mark "
                 f"({len(self._net)} >= {policy.high_water} pending keys)"
             )
-        if self._wake is not None:
-            self._wake.set()  # make sure the flusher is coming
+        self._wake_drainer()  # make sure the flusher is coming
         deadline = None if policy.timeout_s is None else time.monotonic() + policy.timeout_s
         started = time.perf_counter()
         try:
@@ -199,22 +198,22 @@ class IngestQueue:
 
     # -- drainer side ----------------------------------------------------------
 
-    def drain(self) -> List[Update]:
-        """Take the whole pending state as a compact batch and reset.
+    def drain(self) -> Delta:
+        """Take the whole pending state as the batch's ``∆D`` and reset.
 
-        The batch has at most one :class:`Update` per ``(relation, values)``
-        key (net sign and multiplicity, first-seen order) and contains no
-        net-zero entries — it is exactly what ``coalesce_updates`` would have
-        produced over everything submitted since the previous drain, so the
-        flusher hands it to ``Session.apply_batch(..., coalesced=True)``.
-        Wakes every producer blocked on backpressure.
+        The net accumulator is swapped out under the lock and split by sign
+        after it: one delta map per ``(relation, sign)`` event, at most one
+        entry per ``(relation, values)`` key, first-seen order, no net-zero
+        entries — exactly what ``coalesce_updates`` would have built over
+        everything submitted since the previous drain, so the flusher hands
+        it to ``Session.apply_batch`` as it is.  Wakes every producer blocked
+        on backpressure.
         """
         with self._lock:
-            batch = updates_from_net(self._net)
-            self._net.clear()
+            net, self._net = self._net, {}
             self._since = None
             self._not_full.notify_all()
-        return batch
+        return Delta.from_net(net)
 
     def close(self) -> None:
         """Reject further submits and wake any producer blocked on backpressure."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 #: How many recent flush latency / staleness samples the percentile window
 #: keeps.  A bounded window makes the percentiles reflect *current* behavior
@@ -78,9 +78,11 @@ class IngestStats:
         self.max_flush_staleness_ms = 0.0
         self._flush_latency_ms = deque(maxlen=LATENCY_WINDOW)
         self._flush_staleness_ms = deque(maxlen=LATENCY_WINDOW)
-        #: Latest partition-tier dispatch report (``Session.dispatch_statistics``
-        #: shape: group -> policy snapshot), refreshed after each flush.
-        self.shard_dispatch: Dict[str, Any] = {}
+        #: Where :meth:`snapshot` reads the partition-tier dispatch report
+        #: (``Session.dispatch_statistics`` shape: group -> policy snapshot;
+        #: the policies' tallies are cumulative, so reading on demand shows
+        #: every flush so far).  ``None``: no report.
+        self.dispatch_source: Optional[Callable[[], Dict[str, Any]]] = None
 
     # -- recording hooks (called by the queue / flusher / windows) -------------
 
@@ -117,12 +119,6 @@ class IngestStats:
             if staleness_ms > self.max_flush_staleness_ms:
                 self.max_flush_staleness_ms = staleness_ms
 
-    def record_dispatch(self, report: Dict[str, Any]) -> None:
-        """Refresh the partition-tier dispatch report (latest wins — the
-        policies' tallies are cumulative, so overwriting loses nothing)."""
-        with self._lock:
-            self.shard_dispatch = report
-
     def record_quarantine(self, updates: int) -> None:
         with self._lock:
             self.quarantined_batches += 1
@@ -153,6 +149,8 @@ class IngestStats:
 
     def snapshot(self, queue_depth: Optional[int] = None) -> Dict[str, Any]:
         """All counters plus latency percentiles as one plain (JSON-able) dict."""
+        source = self.dispatch_source
+        dispatch = source() if source is not None else {}
         with self._lock:
             latency = list(self._flush_latency_ms)
             staleness = list(self._flush_staleness_ms)
@@ -171,7 +169,7 @@ class IngestStats:
                 "cdc_windows_emitted": self.cdc_windows_emitted,
                 "cdc_flushes_coalesced": self.cdc_flushes_coalesced,
                 "max_flush_staleness_ms": self.max_flush_staleness_ms,
-                "shard_dispatch": dict(self.shard_dispatch),
+                "shard_dispatch": dispatch,
             }
         record["flush_latency"] = {
             "p50_ms": percentile(latency, 0.50),

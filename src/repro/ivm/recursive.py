@@ -25,7 +25,7 @@ from repro.compiler.executor import CompiledExecutor
 from repro.compiler.runtime import TriggerRuntime
 from repro.compiler.triggers import TriggerProgram
 from repro.core.ast import Expr
-from repro.gmr.database import Database, Update
+from repro.gmr.database import Database, Update, group_updates
 from repro.ivm.base import IVMEngine
 
 
@@ -68,9 +68,9 @@ class RecursiveIVM(IVMEngine):
         # -> 1) keeps plain dict tables and the pre-sharding code path.
         # shard_backend picks the partition tier's execution backend
         # ("inline"/"thread"/"process", None -> REPRO_SHARD_BACKEND).
-        # specialize=False pins both compiled executors to the generic batch
-        # loop; otherwise the lowered batch plan (repro.compiler.plan) decides
-        # per program — non-integer rings keep the generic path regardless.
+        # specialize=False runs every event's batch trigger on its delta map;
+        # otherwise the lowered batch plan (repro.compiler.plan) fuses the
+        # all-bare-count events to one folded tuple count where the ring allows.
         self.runtime = TriggerRuntime(
             self.program, ring=ring, shards=shards, shard_backend=shard_backend,
             specialize=specialize,
@@ -125,11 +125,12 @@ class RecursiveIVM(IVMEngine):
         """Batched application through the compiled batch triggers.
 
         See :meth:`repro.ivm.base.IVMEngine.apply_batch` for the contract.
-        Each ``(relation, sign)`` group is pre-aggregated into a delta map and
-        folded by the group's batch trigger — per-batch cost scales with the
-        number of distinct keys touched, not the number of tuples.
+        Each ``(relation, sign)`` group is pre-aggregated into a delta map
+        (:func:`~repro.gmr.database.group_updates`) and folded by the group's
+        batch trigger — per-batch cost scales with the number of distinct
+        keys touched, not the number of tuples.
         """
-        return self._executor.apply_batch(updates, self._change_hook())
+        return self._executor.apply_batch(group_updates(updates), self._change_hook())
 
     def result(self) -> Any:
         return self.runtime.result()

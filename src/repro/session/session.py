@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.algebra.semirings import INTEGER_RING, Semiring, resolve_semiring
 from repro.compiler.codegen import GeneratedTriggers, generate_python
@@ -47,6 +47,7 @@ from repro.core.errors import SchemaError
 from repro.core.parser import parse, to_string
 from repro.gmr.database import (
     Database,
+    Delta,
     Update,
     coalesce_updates,
     deserialize_update,
@@ -291,6 +292,8 @@ class Session:
         self.schema: Dict[str, Tuple[str, ...]] = {
             name: tuple(columns) for name, columns in schema.items()
         }
+        #: Relation -> arity: what update validation checks.
+        self._arities: Dict[str, int] = {name: len(columns) for name, columns in self.schema.items()}
         self.ring = ring
         self.shards = resolve_shard_count(shards)
         self.shard_backend = resolve_shard_backend(shard_backend)
@@ -445,29 +448,34 @@ class Session:
         """Delete one tuple; every registered view is maintained."""
         self.apply(Update(-1, relation, values))
 
-    def _validate_update(self, update: Update) -> None:
-        """Reject updates that do not match the declared schema.
+    def _validate_updates(self, updates: Sequence[Update]) -> None:
+        """Reject a chunk of updates unless all of them match the declared schema.
 
-        Catching a wrong arity here — e.g. ``insert("R", (1, 2))`` passing one
-        tuple instead of splat values — turns an opaque unpacking crash deep
-        inside generated trigger code into a :class:`SchemaError` that names
-        the relation and the expected columns.
+        One pass over the chunk; the message is built only on failure, for
+        the first offender.  Catching a wrong arity here — e.g.
+        ``insert("R", (1, 2))`` passing one tuple instead of splat values —
+        turns an opaque unpacking crash deep inside generated trigger code
+        into a :class:`SchemaError` that names the relation and the expected
+        columns.
         """
-        declared = self.schema.get(update.relation)
+        arities = self._arities
+        invalid = [update for update in updates if arities.get(update.relation) != len(update.values)]
+        if not invalid:
+            return
+        relation, values = invalid[0].relation, invalid[0].values
+        declared = self.schema.get(relation)
         if declared is None:
             raise SchemaError(
-                f"relation {update.relation!r} is not declared in the session schema "
+                f"relation {relation!r} is not declared in the session schema "
                 f"(declared: {sorted(self.schema)})"
             )
-        if len(update.values) != len(declared):
-            values = update.values
-            hint = ""
-            if len(values) == 1 and isinstance(values[0], (tuple, list)):
-                hint = "; pass values as separate arguments, not as one tuple"
-            raise SchemaError(
-                f"relation {update.relation!r} expects {len(declared)} values "
-                f"{tuple(declared)}, got {len(values)}: {values!r}{hint}"
-            )
+        hint = ""
+        if len(values) == 1 and isinstance(values[0], (tuple, list)):
+            hint = "; pass values as separate arguments, not as one tuple"
+        raise SchemaError(
+            f"relation {relation!r} expects {len(declared)} values "
+            f"{tuple(declared)}, got {len(values)}: {values!r}{hint}"
+        )
 
     def apply(self, update: Update) -> None:
         """Apply one single-tuple :class:`Update` to all views.
@@ -487,7 +495,8 @@ class Session:
             # count through the delta maps.
             self.apply_batch([update])
             return
-        self._validate_update(update)
+        if self._arities.get(update.relation) != len(update.values):
+            self._validate_updates((update,))  # raises the SchemaError
         started = time.perf_counter()
         notifications = []
         for group in self._groups.values():
@@ -497,28 +506,27 @@ class Session:
                 notifications.append((group, changes))
         for view in self._engine_views:
             view._engine.apply(update)
-        self._note_applied([update], started)
+        self._note_applied([update], 1, started)
         self._dispatch(notifications)
 
-    def apply_batch(self, updates: Iterable[Update], *, coalesced: bool = False) -> None:
+    def apply_batch(self, updates: Union[Iterable[Update], Delta]) -> None:
         """Apply a batch of updates to all views as one unit.
 
         Equivalent to applying the updates one at a time (ring updates
         commute) with per-batch amortized costs; ``on_change`` subscribers
         receive one consolidated delta per view for the whole batch.
 
-        Insert/delete pairs of the same tuple are cancelled *before* any
-        trigger runs (:func:`repro.gmr.database.coalesce_updates`), and
-        duplicate tuples collapse into one update carrying the net
-        multiplicity: over a ring a net-zero pair cannot change any view, so
-        upsert-style churn costs nothing.  The compiled views then execute
-        their batch triggers — one pre-aggregated delta map per
-        ``(relation, sign)`` group, one fold per distinct key — shared
-        across all views of a backend.  ``coalesced=True`` declares the batch
-        already compact (at most one update per ``(relation, values)`` pair,
-        net multiplicities in ``Update.count``) and skips the cancellation
-        pass — the streaming ingestion flusher uses this, its queue having
-        coalesced online at enqueue time.
+        The batch is the paper's ``∆D``, coalesced once: ``Update`` input is
+        validated against the schema and netted by
+        :func:`repro.gmr.database.coalesce_updates` — insert/delete pairs of
+        the same tuple cancel *before* any trigger runs and duplicates
+        collapse into one net multiplicity, so upsert-style churn costs
+        nothing — into a :class:`~repro.gmr.database.Delta`.  A ``Delta``
+        (what the streaming ingestion queue drains, already coalesced at
+        enqueue) is applied as it is.  The compiled views then run their
+        batch triggers on its delta maps — one per ``(relation, sign)``
+        event, one fold per distinct key — shared across all views of a
+        backend.
 
         An *empty or fully-cancelled* batch short-circuits here: no
         transaction is opened, no trigger runs, nothing is appended to the
@@ -536,18 +544,26 @@ class Session:
         ``on_change`` callback fires for a rolled-back batch; the rollback is
         logged at WARNING on the ``repro.session`` logger.
         """
-        updates = updates if isinstance(updates, (list, tuple)) else list(updates)
-        # Validate the whole batch up front so a malformed update cannot leave
-        # some views advanced and others not.
-        for update in updates:
-            self._validate_update(update)
         started = time.perf_counter()
-        effective = updates if coalesced else coalesce_updates(updates)
-        if not effective:
+        if isinstance(updates, Delta):
+            delta = updates
+            submitted = len(delta)
+        else:
+            updates = updates if isinstance(updates, (list, tuple)) else list(updates)
+            # Validate the whole batch up front so a malformed update cannot
+            # leave some views advanced and others not.
+            self._validate_updates(updates)
+            delta = coalesce_updates(updates)
+            submitted = len(updates)
+        if not delta:
             # Nothing survives cancellation: count the submitted churn, touch
             # nothing else (no history entry, no snapshot delta, no CDC).
-            self._note_applied((), started, submitted=len(updates))
+            self._note_applied((), submitted, started)
             return
+        # The compact Update form, only for the readers that want it.
+        effective = (
+            delta.updates() if self._engine_views or self._history is not None else ()
+        )
         notifications = []
         groups = list(self._groups.values())
         engine_states = [(view._engine, view._engine.state_backup()) for view in self._engine_views]
@@ -556,7 +572,7 @@ class Session:
         try:
             for group in groups:
                 changes = group.changes_accumulator()
-                group.executor.apply_batch(effective, changes)
+                group.executor.apply_batch(delta, changes)
                 if changes:
                     notifications.append((group, changes))
             for view in self._engine_views:
@@ -568,7 +584,7 @@ class Session:
             _LOG.warning(
                 "rolled back a batch of %d updates after %s: %d journalled entries restored "
                 "across groups %s",
-                len(effective),
+                len(delta),
                 type(error).__name__,
                 undone,
                 [group.backend for group in groups],
@@ -576,7 +592,7 @@ class Session:
             raise
         for group in groups:
             group.executor.commit()
-        self._note_applied(effective, started, submitted=len(updates))
+        self._note_applied(effective, submitted, started)
         self._dispatch(notifications)
 
     def apply_all(self, updates: Iterable[Update]) -> None:
@@ -604,21 +620,18 @@ class Session:
 
         return IngestPipeline(self, **kwargs)
 
-    def _note_applied(
-        self, updates: Sequence[Update], started: float, submitted: Optional[int] = None
-    ) -> None:
+    def _note_applied(self, updates: Sequence[Update], submitted: int, started: float) -> None:
         """Record an applied batch: ``updates`` is the *effective* (coalesced) form.
 
         The history therefore never replays cancelled churn —
         ``_replayed_database()`` (late-view bootstrap) and snapshots see the
         net batch, which is state-equivalent to the submitted one.  The
-        counters keep counting submitted updates.
+        counters count the ``submitted`` updates.
         """
         if self._history is not None:
             self._history.extend(updates)
-        count = len(updates) if submitted is None else submitted
-        self._updates_applied += count
-        self.statistics.updates_processed += count
+        self._updates_applied += submitted
+        self.statistics.updates_processed += submitted
         self.statistics.seconds_in_updates += time.perf_counter() - started
 
     def _dispatch(self, notifications) -> None:

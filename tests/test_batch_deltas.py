@@ -13,20 +13,30 @@ whose parameter is a whole delta map ``∆R : key → multiplicity``
   round-trip mid-trace — with per-tuple application
   (the ``apply_per_tuple`` fixture) as the reference semantics;
 * the ``Session.apply_batch`` cancellation of insert/delete pairs before any
-  trigger runs.
+  trigger runs;
+* the :class:`~repro.gmr.database.Delta` a batch becomes — the one form below
+  the public entry points — and the equivalence of every way to hand one in
+  (an ``Update`` list, a coalesced ``Delta``, a pipeline flush) with the
+  per-tuple oracle, over four coefficient structures and two shard layouts.
 """
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, resolve_semiring
 from repro.compiler.codegen import generate_python
 from repro.compiler.compile import compile_query
+from repro.compiler.executor import CompiledExecutor
 from repro.compiler.runtime import TriggerRuntime
 from repro.core.ast import MapRef, Neg
 from repro.core.delta import BatchUpdateEvent, delta, delta_map_name, is_delta_map
 from repro.core.parser import parse
-from repro.gmr.database import Update, coalesce_updates, delete, insert
+from repro.gmr.database import Delta, Update, coalesce_updates, delete, group_updates, insert
+from repro.ivm.base import result_as_mapping
 from repro.session import Session
 from repro.workloads.streams import StreamGenerator
 
@@ -133,7 +143,7 @@ def test_runtime_batch_matches_per_tuple_reference(query_name, apply_per_tuple):
     batched = TriggerRuntime(program)
     for batch in stream.batches(21):
         apply_per_tuple(reference, batch)
-        batched.apply_batch(batch)
+        batched.apply_batch(group_updates(batch))
     assert {name: dict(table) for name, table in reference.maps.items()} == {
         name: dict(table) for name, table in batched.maps.items()
     }
@@ -151,7 +161,7 @@ def test_generated_batch_matches_per_tuple_reference(query_name, apply_per_tuple
     changes_batched = {"q": {}}
     for batch in stream.batches(19):
         apply_per_tuple(generated, batch, maps=reference, changes=changes_reference)
-        generated.apply_batch(batched, batch, changes=changes_batched)
+        generated.apply_batch(batched, group_updates(batch), changes=changes_batched)
     assert reference == batched
     # Change-data-capture accumulates identical per-key deltas on both paths.
     assert changes_reference == changes_batched
@@ -165,7 +175,7 @@ def test_batch_with_duplicate_tuples_matches_sequential():
     sequential = TriggerRuntime(program)
     sequential.apply_all(batch)
     batched = TriggerRuntime(program)
-    batched.apply_batch(batch)
+    batched.apply_batch(group_updates(batch))
     assert sequential.result() == batched.result() == 25 + 9
 
 
@@ -249,23 +259,22 @@ def test_coalesce_updates_cancels_pairs_and_keeps_net_multiplicity():
         delete("R", 3),
     ]
     coalesced = coalesce_updates(batch)
-    # Compact form: one update per surviving tuple, net multiplicity in count.
-    assert coalesced == [Update(1, "R", (2,), count=2), delete("R", 3)]
-    assert coalesce_updates([insert("R", 1), delete("R", 1)]) == []
+    # One delta map per event, net multiplicity per surviving tuple.
+    assert coalesced.events == {("R", 1): {(2,): 2}, ("R", -1): {(3,): 1}}
+    assert coalesced.updates() == [Update(1, "R", (2,), count=2), delete("R", 3)]
+    assert not coalesce_updates([insert("R", 1), delete("R", 1)])
 
 
 def test_coalesce_updates_compacts_duplicates_without_object_churn():
-    """10k inserts of one tuple must become a single count-carrying update."""
+    """10k inserts of one tuple must become a single count-carrying entry."""
     batch = [insert("R", 7) for _ in range(10_000)]
     coalesced = coalesce_updates(batch)
-    assert coalesced == [Update(1, "R", (7,), count=10_000)]
-    # An already-compact batch is handed back as-is (no rebuild).
-    distinct = [insert("R", 1), delete("R", 2)]
-    assert coalesce_updates(distinct) is distinct
+    assert coalesced.events == {("R", 1): {(7,): 10_000}}
+    assert (len(coalesced), coalesced.tuples) == (1, 10_000)
     # Count-carrying inputs net correctly against singles.
     assert coalesce_updates(
         [Update(1, "R", (5,), count=3), delete("R", 5), delete("R", 5)]
-    ) == [Update(1, "R", (5,), count=1)]
+    ).updates() == [Update(1, "R", (5,), count=1)]
 
 
 def test_session_apply_batch_cancels_before_triggers_run():
@@ -305,7 +314,7 @@ def test_coalesce_updates_never_emits_count_zero():
             Update(rng.choice([1, -1]), "R", (rng.randrange(4),), count=rng.randrange(1, 4))
             for _ in range(rng.randrange(0, 30))
         ]
-        coalesced = coalesce_updates(batch)
+        coalesced = coalesce_updates(batch).updates()
         assert all(update.count >= 1 for update in coalesced)
         net = {}
         for update in batch:
@@ -346,3 +355,272 @@ def test_reserved_delta_prefix_is_rejected_as_a_program_name():
 
     with pytest.raises(CompilationError):
         compile_query(parse("Sum(R(x))"), UNARY_SCHEMA, name="__delta__R")
+
+
+# ---------------------------------------------------------------------------
+# The Delta: a batch as one ∆D
+# ---------------------------------------------------------------------------
+
+
+def _compact_reference(updates):
+    """A batch's compact update list, computed directly: one update per
+    surviving ``(relation, values)`` key, net sign and count, first-seen
+    order."""
+    net = {}
+    for update in updates:
+        key = (update.relation, update.values)
+        net[key] = net.get(key, 0) + update.sign * update.count
+    return [
+        Update(1 if count > 0 else -1, relation, values, abs(count))
+        for (relation, values), count in net.items()
+        if count
+    ]
+
+
+def test_delta_cancels_and_keeps_compact_counts():
+    delta = coalesce_updates(
+        [insert("R", 1), Update(1, "R", (2,), 3), delete("R", 1), delete("R", 2), insert("S", 9)]
+    )
+    assert delta.events == {("R", 1): {(2,): 2}, ("S", 1): {(9,): 1}}
+    assert (len(delta), delta.tuples, bool(delta)) == (2, 3, True)
+    empty = coalesce_updates([insert("R", 1), delete("R", 1)])
+    assert (empty.events, len(empty), empty.tuples, bool(empty)) == ({}, 0, 0, False)
+    assert empty.updates() == []
+
+
+def test_delta_keeps_first_seen_event_and_key_order():
+    delta = coalesce_updates(
+        [insert("S", 1), delete("R", 5), insert("R", 2), insert("S", 0), delete("S", 7),
+         insert("R", 1)]
+    )
+    assert list(delta.events) == [("S", 1), ("R", -1), ("R", 1), ("S", -1)]
+    assert list(delta.events[("S", 1)]) == [(1,), (0,)]
+    assert list(delta.events[("R", 1)]) == [(2,), (1,)]
+    # A key whose net sign flips lands in the event of its net sign, at the
+    # position of its first occurrence.
+    flipped = coalesce_updates([insert("R", 1), insert("R", 2), Update(-1, "R", (1,), 3)])
+    assert flipped.events == {("R", -1): {(1,): 2}, ("R", 1): {(2,): 1}}
+
+
+def test_delta_from_net_drops_zero_entries():
+    delta = Delta.from_net({("R", (1,)): 0, ("R", (2,)): -4, ("S", (3,)): 2})
+    assert delta.events == {("R", -1): {(2,): 4}, ("S", 1): {(3,): 2}}
+    assert all(count >= 1 for rows in delta.events.values() for count in rows.values())
+
+
+def test_group_updates_keeps_both_signs_and_sums_duplicates():
+    delta = group_updates([insert("R", 1), delete("R", 1), insert("R", 1), Update(1, "R", (2,), 4)])
+    assert delta.events == {("R", 1): {(1,): 2, (2,): 4}, ("R", -1): {(1,): 1}}
+    assert (len(delta), delta.tuples) == (3, 7)
+
+
+def test_delta_updates_equal_the_compact_reference_as_a_multiset():
+    rng = random.Random(5)
+    for _ in range(60):
+        batch = [
+            Update(rng.choice([1, -1]), rng.choice("RS"), (rng.randrange(4),), rng.randrange(1, 4))
+            for _ in range(rng.randrange(0, 40))
+        ]
+        delta = coalesce_updates(batch)
+        expected = _compact_reference(batch)
+        assert Counter(delta.updates()) == Counter(expected)
+        assert len(delta) == len(expected)
+        assert delta.tuples == sum(update.count for update in expected)
+        assert all(update.count >= 1 for update in delta.updates())
+
+
+# ---------------------------------------------------------------------------
+# Every way to hand in a batch ≡ the per-tuple oracle
+# ---------------------------------------------------------------------------
+
+#: ``P`` feeds every view; ``C`` feeds a bare count, whose events fuse on ℤ.
+DELTA_SCHEMA = {"P": ("G", "S"), "C": ("X",)}
+
+#: Per coefficient structure: the values ``s`` ranges over (floats that sum
+#: exactly, so batched and per-tuple folds agree bit for bit), the views
+#: registered up front, and the view registered late.
+RING_CASES = {
+    "Z": (
+        [1, 2, 3, 4],
+        {
+            "sum": "AggSum([g], P(g, s) * s)",
+            "pairs": "AggSum([g], P(g, s) * P(g, t))",
+            "count": "Sum(C(x))",
+        },
+        "AggSum([s], P(g, s))",
+    ),
+    "R-float": (
+        [0.5, 1.0, 1.5, 2.5],
+        {"sum": "AggSum([g], P(g, s) * s)", "count": "Sum(C(x))"},
+        "AggSum([s], P(g, s) * s)",
+    ),
+    "min-plus": (
+        [1.0, 2.0, 3.0, 5.0],
+        {"best": "AggSum([g], P(g, s) * s)"},
+        "AggSum([s], P(g, s) * s)",
+    ),
+    "top3": (
+        [1.0, 2.0, 3.0, 5.0],
+        {"best": "AggSum([g], P(g, s) * s)"},
+        "AggSum([s], P(g, s) * s)",
+    ),
+}
+
+
+def _ring(name):
+    return {"Z": INTEGER_RING, "R-float": FLOAT_FIELD}.get(name) or resolve_semiring(name)
+
+
+@st.composite
+def delta_traces(draw, max_length=50):
+    """Batches over ``DELTA_SCHEMA`` with compact counts, duplicates and
+    insert/delete churn, deleting only live rows (semirings need that)."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    length = draw(st.integers(min_value=0, max_value=max_length))
+    live = Counter()
+    trace = []
+    for _ in range(length):
+        row = ("C", (rng.randrange(3),)) if rng.random() < 0.25 else (
+            "P", (rng.randrange(3), rng.randrange(4))
+        )
+        if live[row] and rng.random() < 0.4:
+            count = rng.randint(1, live[row])
+            live[row] -= count
+            trace.append((-1, row, count))
+        else:
+            count = rng.choice([1, 1, 2])
+            live[row] += count
+            trace.append((1, row, count))
+    cuts = sorted(rng.sample(range(1, length), min(3, length - 1))) if length > 1 else []
+    return trace, [0] + cuts + [length]
+
+
+def _batches(trace_spec, pool):
+    """The trace as ``Update`` batches, ``P``'s value column drawn from ``pool``."""
+    trace, cuts = trace_spec
+    updates = [
+        Update(sign, relation, (row[0], pool[row[1]]) if relation == "P" else row, count)
+        for sign, (relation, row), count in trace
+    ]
+    return [updates[start:end] for start, end in zip(cuts, cuts[1:])]
+
+
+def _absorb(shadow, ring, payload):
+    """A CDC shadow: ring-add deltas (a ring) or overwrite-or-drop post-update
+    values (a proper semiring)."""
+    for key, value in payload.items():
+        if ring.is_ring:
+            value = ring.add(shadow.get(key, ring.zero), value)
+        if ring.is_zero(value):
+            shadow.pop(key, None)
+        else:
+            shadow[key] = value
+
+
+def _subscribe(view, ring, shadows):
+    shadow = shadows[view.name] = dict(result_as_mapping(view.result(), ring))
+    view.on_change(lambda payload: _absorb(shadow, ring, payload))
+
+
+@pytest.mark.parametrize("ring_name", list(RING_CASES))
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trace=delta_traces())
+def test_executors_on_a_delta_match_the_per_tuple_oracle(ring_name, trace, apply_per_tuple):
+    """Runtime level: the interpreted runtime and a generated module (with
+    the support tier fed by their pair host) applying ``coalesce_updates``
+    and ``group_updates`` Deltas end in the per-tuple oracle's maps, and their
+    CDC shadows equal the result."""
+    ring = _ring(ring_name)
+    pool, views, _late = RING_CASES[ring_name]
+    program = compile_query(
+        parse(next(iter(views.values()))), DELTA_SCHEMA, name="q",
+        normalize=ring.commutative, ring=ring,
+    )
+    reference = TriggerRuntime(program, ring=ring)
+    candidates = {
+        (backend, builder): CompiledExecutor(
+            TriggerRuntime(program, ring=ring),
+            generate_python(program, ring=ring) if backend == "generated" else None,
+        )
+        for backend in ("generated", "interpreted")
+        for builder in (coalesce_updates, group_updates)
+    }
+    shadows = {key: {} for key in candidates}
+    for batch in _batches(trace, pool):
+        apply_per_tuple(reference, batch)
+        for (backend, builder), executor in candidates.items():
+            changes = {"q": {}}
+            executor.apply_batch(builder(batch), changes)
+            _absorb(shadows[(backend, builder)], ring, changes["q"])
+    expected = {name: dict(table) for name, table in reference.maps.items()}
+    for key, executor in candidates.items():
+        assert {name: dict(table) for name, table in executor.runtime.maps.items()} == expected, key
+        assert shadows[key] == result_as_mapping(executor.runtime.result(), ring), key
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("ring_name", list(RING_CASES))
+@settings(max_examples=8, deadline=None)
+@given(trace=delta_traces(max_length=40))
+def test_every_batch_form_matches_the_per_tuple_session(ring_name, shards, trace):
+    """Session level: ``apply_batch(list)`` ≡ ``apply_batch(coalesce_updates
+    (list))`` ≡ a pipeline flush ≡ one ``apply`` per logical tuple — on the
+    generated and interpreted groups and a ``classical`` engine view, every
+    CDC shadow equal to its view, a late view bootstrapped from the history
+    equal to the same view registered up front."""
+    ring = _ring(ring_name)
+    pool, views, late = RING_CASES[ring_name]
+
+    def build(track_history=False, with_late=False):
+        session = Session(
+            DELTA_SCHEMA, ring=ring, track_history=track_history, shards=shards,
+            shard_backend="inline",
+        )
+        shadows = {}
+        for name, text in views.items():
+            for backend in ("generated", "interpreted"):
+                _subscribe(session.view(f"{name}_{backend}", text, backend=backend), ring, shadows)
+        _subscribe(session.view("engine", views[next(iter(views))], backend="classical"),
+                   ring, shadows)
+        if with_late:
+            _subscribe(session.view("late", late), ring, shadows)
+        return session, shadows
+
+    batches = _batches(trace, pool)
+    oracle, oracle_shadows = build(with_late=True)
+    listed, listed_shadows = build(track_history=True)
+    coalesced, coalesced_shadows = build()
+    flushed, flushed_shadows = build()
+    pipe = flushed.ingest(max_pending=1_000_000, max_staleness_ms=None)
+    try:
+        for index, batch in enumerate(batches):
+            for update in batch:
+                for _ in range(update.count):
+                    oracle.apply(Update(update.sign, update.relation, update.values))
+            listed.apply_batch(batch)
+            coalesced.apply_batch(coalesce_updates(batch))
+            pipe.submit_many(batch)
+            pipe.flush()
+            if index == len(batches) // 2:
+                _subscribe(listed.view("late", late), ring, listed_shadows)
+    finally:
+        pipe.close()
+    try:
+        expected = {
+            name: result_as_mapping(result, ring) for name, result in oracle.results().items()
+        }
+        assert oracle_shadows == expected
+        for session, shadows in (
+            (listed, listed_shadows), (coalesced, coalesced_shadows), (flushed, flushed_shadows)
+        ):
+            observed = {
+                name: result_as_mapping(result, ring)
+                for name, result in session.results().items()
+            }
+            assert observed == {name: expected[name] for name in observed}
+            assert shadows == observed
+        assert "late" in listed.views
+    finally:
+        for session in (oracle, listed, coalesced, flushed):
+            session.close()

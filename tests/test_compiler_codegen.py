@@ -10,6 +10,7 @@ from repro.compiler.runtime import TriggerRuntime
 from repro.core.ast import Rel
 from repro.core.errors import CompilationError
 from repro.core.parser import parse
+from repro.gmr.database import group_updates
 from repro.workloads.queries import CANONICAL_QUERIES
 from repro.workloads.schemas import UNARY_SCHEMA
 from repro.workloads.streams import StreamGenerator
@@ -25,7 +26,8 @@ def test_generated_module_shape():
     assert "def on_insert_R(maps, values, _IDX=None, _CH=None, _J=None):" in generated.source
     assert "def on_delete_R(maps, values, _IDX=None, _CH=None, _J=None):" in generated.source
     assert "def apply_update(maps, relation, sign, values, _IDX=None, _CH=None):" in generated.source
-    assert "def apply_batch(maps, updates, _IDX=None, _CH=None, _J=None):" in generated.source
+    # The batch loop over a Delta's events is a shared kernel, not emitted text.
+    assert "def apply_batch" not in generated.source
     assert "def batch_on_insert_R(maps, _delta, _IDX=None, _CH=None, _J=None):" in generated.source
     assert set(generated.trigger_function_names()) == {"on_insert_R", "on_delete_R"}
     # The generated code never mentions joins, relations or the evaluator.
@@ -35,8 +37,9 @@ def test_generated_module_shape():
     assert "_RING" not in generated.source
 
 
-#: (query text, schema, ring name): a ℤ program (counter kinds), a float
-#: all-total program (Kahan-fused totals) and a min-plus program (generic).
+#: (query text, schema, ring name): a ℤ program (a self-join: generic), a
+#: float all-total program (Kahan-fused totals) and a min-plus program
+#: (generic).
 PLAN_PROGRAMS = [
     ("Sum(R(x) * R(y) * (x = y))", UNARY_SCHEMA, "Z"),
     ("Sum(R(x))", UNARY_SCHEMA, "R-float"),
@@ -59,7 +62,7 @@ def test_both_executors_decode_the_same_plan(text, schema, ring_name):
     assert runtime.plan == generated.plan == lower_batch_plan(program, ring)
     assert generated.specializations == runtime.plan.specializations
     kinds = {event.kind for event in runtime.plan.events}
-    assert kinds == {"Z": {"counter"}, "R-float": {"total"}, "min-plus": {"generic"}}[ring_name]
+    assert kinds == {"Z": {"generic"}, "R-float": {"total"}, "min-plus": {"generic"}}[ring_name]
     assert runtime.plan.kahan == (ring_name == "R-float")
     for emitted in ("def _fold", "def _index_add", "def _rapply", "replay_", "REPLAY"):
         assert emitted not in generated.source, emitted
@@ -67,9 +70,9 @@ def test_both_executors_decode_the_same_plan(text, schema, ring_name):
 
 @pytest.mark.parametrize("specialize", [True, False])
 def test_hand_built_program_without_batch_triggers_applies_batches(specialize, apply_per_tuple):
-    """An event without a batch trigger falls back to its per-tuple trigger —
-    on both executors, under the generic loop (such a program never
-    specializes)."""
+    """An event without a batch trigger falls back to its per-tuple trigger,
+    once per logical tuple of its delta map — on both executors (such a
+    program fuses nothing)."""
     compiled = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), UNARY_SCHEMA, name="q")
     program = dataclasses.replace(compiled, batch_triggers={})
     stream = StreamGenerator(UNARY_SCHEMA, seed=3, default_domain_size=4).generate(90)
@@ -77,11 +80,11 @@ def test_hand_built_program_without_batch_triggers_applies_batches(specialize, a
     apply_per_tuple(reference, stream)
     interpreted = TriggerRuntime(program, specialize=specialize)
     generated = generate_python(program, specialize=specialize)
-    assert not interpreted.plan.specialized and generated.specializations == {}
+    assert interpreted.plan.specializations == generated.specializations == {}
     maps = fresh_maps(program)
     for batch in stream.batches(17):
-        interpreted.apply_batch(batch)
-        assert generated.apply_batch(maps, batch) == len(batch)
+        interpreted.apply_batch(group_updates(batch))
+        assert generated.apply_batch(maps, group_updates(batch)) == len(batch)
     assert interpreted.maps == reference.maps
     assert maps == {name: dict(table) for name, table in reference.maps.items()}
     assert interpreted.statistics.updates_processed == len(stream.updates)

@@ -7,7 +7,7 @@ from repro.compiler.compile import compile_query
 from repro.compiler.indexes import IndexedMaps, SliceIndexes, compute_index_specs
 from repro.compiler.runtime import TriggerRuntime
 from repro.core.parser import parse
-from repro.gmr.database import Database, insert
+from repro.gmr.database import Database, group_updates, insert
 from repro.workloads.streams import StreamGenerator
 
 RST_SCHEMA = {"R": ("A", "B"), "S": ("C", "D"), "T": ("E", "F")}
@@ -249,7 +249,7 @@ def test_runtime_apply_batch_validates_whole_batch_upfront():
     runtime = TriggerRuntime(program)
     bad_batch = [insert("R", 1), insert("R", 2, 3), insert("R", 4)]
     with pytest.raises(ValueError, match="arity"):
-        runtime.apply_batch(bad_batch)
+        runtime.apply_batch(group_updates(bad_batch))
     assert runtime.maps["q"] == {}, "no update of the invalid batch may be applied"
     assert runtime.statistics.updates_processed == 0
 

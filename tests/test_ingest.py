@@ -18,11 +18,11 @@ import time
 import pytest
 
 from repro.gmr.database import (
+    Delta,
     Update,
     accumulate_update,
     delete,
     insert,
-    updates_from_net,
 )
 from repro.ingest import (
     BackpressureError,
@@ -75,7 +75,7 @@ def test_accumulate_update_nets_signed_counts():
     # Hitting net zero removes the key entirely — never a count=0 entry.
     accumulate_update(net, Update(-1, "R", (1,), count=5))
     assert ("R", (1,)) not in net
-    compact = updates_from_net(net)
+    compact = Delta.from_net(net).updates()
     assert compact == [delete("R", 2)]
     assert all(update.count >= 1 for update in compact)
 
@@ -90,10 +90,10 @@ def test_queue_coalesces_online():
     queue.submit(insert("R", 2, 5))
     queue.submit(delete("R", 2, 5))  # annihilates in place
     assert queue.pending_keys == 1
-    [update] = queue.drain()
+    [update] = queue.drain().updates()
     assert update == Update(1, "R", (1, 10), count=99)
     assert queue.pending_keys == 0
-    assert queue.drain() == []
+    assert not queue.drain()
 
 
 def test_queue_submit_many_matches_one_at_a_time():
@@ -110,7 +110,7 @@ def test_queue_submit_many_matches_one_at_a_time():
         one_at_a_time.submit(update)
     bulk = IngestQueue()
     bulk.submit_many(updates)
-    assert sorted(map(repr, bulk.drain())) == sorted(map(repr, one_at_a_time.drain()))
+    assert bulk.drain().events == one_at_a_time.drain().events
     assert bulk.stats.submitted_updates == one_at_a_time.stats.submitted_updates == 12
     assert bulk.stats.coalesced_updates == one_at_a_time.stats.coalesced_updates
     assert bulk.stats.cancelled_keys == one_at_a_time.stats.cancelled_keys == 1
@@ -712,3 +712,218 @@ def test_pipeline_validates_on_submit_not_at_flush():
             pipe.submit(insert("S", 1, 2))  # unknown relation
     finally:
         pipe.close()
+
+
+# ---------------------------------------------------------------------------
+# A flush is a Delta: counts of the plumbing between queue and triggers
+# ---------------------------------------------------------------------------
+
+
+class CountingEvent(threading.Event):
+    """A ``threading.Event`` that counts its ``set()`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.sets = 0
+
+    def set(self):
+        self.sets += 1
+        super().set()
+
+
+def test_queue_drains_a_delta_split_by_sign():
+    queue = IngestQueue()
+    queue.submit_many(
+        [insert("R", 1, 1), delete("R", 2, 2), Update(1, "R", (3, 3), count=4), insert("R", 2, 2),
+         delete("R", 4, 4), delete("R", 2, 2)]
+    )
+    delta = queue.drain()
+    assert delta.events == {("R", 1): {(1, 1): 1, (3, 3): 4}, ("R", -1): {(2, 2): 1, (4, 4): 1}}
+    assert (len(delta), delta.tuples) == (4, 7)
+    assert queue.pending_keys == 0 and not queue.drain()
+
+
+def test_queue_sets_wake_on_the_two_transitions_only():
+    """Empty → non-empty and crossing the size watermark set the event; the
+    keys in between never do, and an already-set event is left alone."""
+    wake = CountingEvent()
+    queue = IngestQueue(watermark_keys=1024, wake=wake)
+    keys = [insert("R", value, 0) for value in range(4096)]
+    queue.submit_many(keys[:10])
+    assert wake.sets == 1
+    wake.clear()  # the drainer woke and went back to waiting
+    queue.submit_many(keys[10:])
+    assert wake.sets == 2  # the crossing at 1024, nothing for the other 3 071 new keys
+    queue.submit_many(keys)  # merges: no transition
+    assert wake.sets == 2
+    queue.drain()
+    wake.clear()
+    # The one-at-a-time path keeps the same two transitions.
+    queue.submit(keys[0])
+    assert wake.sets == 3
+    wake.clear()
+    for update in keys[1:1024]:
+        queue.submit(update)
+    assert wake.sets == 4
+
+
+def test_burst_wakes_the_flusher_at_most_twice_per_flush(monkeypatch):
+    """A 4 096-key burst against ``max_pending=1024`` costs at most two
+    ``wake.set()`` calls per flush cycle, not one per new key past the
+    watermark."""
+    monkeypatch.setattr(threading, "Event", CountingEvent)
+    session = make_session(track_history=False)
+    pipe = session.ingest(max_pending=1024, max_staleness_ms=None)
+    try:
+        wake = pipe._wake
+        assert isinstance(wake, CountingEvent)
+        pipe.submit_many([insert("R", value, 1) for value in range(4096)])
+        assert wait_until(lambda: pipe.queue_depth == 0 and pipe.stats.flushes >= 1)
+        assert wake.sets <= 2 * pipe.stats.flushes
+    finally:
+        pipe.close()
+    assert session["total"].result() == 4096
+
+
+def test_flush_builds_no_update_objects(monkeypatch):
+    """With history off, nothing between ``drain()`` and the triggers decodes
+    the Delta into ``Update`` objects: ``Update.__post_init__`` never runs."""
+    session = Session(SCHEMA, track_history=False)
+    for backend in ("generated", "interpreted"):
+        session.view(f"total_{backend}", "AggSum([], R(a, b) * b)", backend=backend)
+        session.view(f"by_a_{backend}", "AggSum([a], R(a, b) * b)", backend=backend)
+    pipe = manual_pipeline(session)
+    try:
+        pipe.submit_many([insert("R", value % 97, value) for value in range(2_000)])
+        constructed = []
+        original = Update.__post_init__
+
+        def counting(self):
+            constructed.append(self)
+            original(self)
+
+        monkeypatch.setattr(Update, "__post_init__", counting)
+        assert pipe.flush() == 2_000
+        assert constructed == []
+        monkeypatch.undo()
+    finally:
+        pipe.close()
+    assert session["total_generated"].result() == session["total_interpreted"].result()
+    assert session["total_generated"].result() == sum(range(2_000))
+
+
+def test_submit_many_validates_the_chunk_atomically():
+    """A bad update mid-chunk raises the session's typed error and nothing of
+    the chunk is accepted."""
+    from repro.core.errors import SchemaError
+
+    session = make_session()
+    pipe = manual_pipeline(session)
+    try:
+        chunk = [insert("R", 1, 1), insert("R", 2, 2), insert("R", 3), insert("R", 4, 4)]
+        with pytest.raises(SchemaError, match="expects 2 values"):
+            pipe.submit_many(chunk)
+        with pytest.raises(SchemaError, match="not declared"):
+            pipe.submit_many([insert("R", 1, 1), insert("S", 1, 2)])
+        assert pipe.queue_depth == 0
+        assert pipe.stats.submitted_updates == 0
+        pipe.submit_many(chunk[:2])
+        assert pipe.flush() == 2
+    finally:
+        pipe.close()
+    assert session["total"].result() == 3
+
+
+def test_poisoned_delta_flush_quarantines_round_trips_and_retries():
+    """A poisoned flush hands its Delta to ``apply_batch``, is rolled back and
+    parked with its compact updates; the dead letter survives a JSON round
+    trip, and once healed ``retry`` applies it as a regular flush."""
+    import json
+
+    from repro.ingest import DeadLetterBatch
+
+    session = make_poisonable_session()
+    pipe = manual_pipeline(session)
+    try:
+        pipe.submit_many([insert("W", "k1", 3), insert("W", "k1", 3), insert("W", "k2", "poison"),
+                          insert("W", "k3", 1), delete("W", "k3", 1)])
+        assert pipe.flush() == 2
+        [dead] = pipe.dead_letters
+        assert sorted(dead.updates, key=repr) == sorted(
+            [Update(1, "W", ("k1", 3), count=2), insert("W", "k2", "poison")], key=repr
+        )
+        assert pipe.stats.quarantined_updates == 3
+        assert session["w_sum"].result_mapping() == {}
+        revived = DeadLetterBatch.from_snapshot(json.loads(json.dumps(dead.to_snapshot())))
+        assert revived.updates == dead.updates
+        healed = DeadLetterBatch(
+            updates=tuple(u for u in revived.updates if u.values[1] != "poison"),
+            error=revived.error, flush_index=revived.flush_index, timestamp=revived.timestamp,
+        )
+        assert pipe.retry(healed) == 1
+        assert session["w_sum"].result_mapping() == {("k1",): 6}
+        assert pipe.stats.flushed_tuples == 2
+    finally:
+        pipe.close()
+
+
+def test_dispatch_report_is_read_with_the_snapshot_not_per_flush():
+    session = make_session()
+    calls = []
+    report = session.dispatch_statistics
+
+    def counted():
+        calls.append(1)
+        return report()
+
+    session.dispatch_statistics = counted
+    pipe = manual_pipeline(session)
+    try:
+        for value in range(5):
+            pipe.insert("R", value, 1)
+            pipe.flush()
+        assert calls == []
+        assert pipe.stats_snapshot()["shard_dispatch"] == report()
+        assert len(calls) == 1
+    finally:
+        pipe.close()
+
+
+def test_drain_swap_survives_producers_stalled_mid_chunk():
+    """Stress: more producer threads than cores, a tiny high-water mark and a
+    shortened switch interval, so ``drain()`` swaps the accumulator out from
+    under producers stalled inside ``submit_many`` over and over.  A producer
+    that kept writing into the drained accumulator would lose its updates."""
+    import sys
+
+    partitions = producer_streams(SCHEMA, producers=4, length=1_500, seed=29, domain_size=40)
+    serial = make_session()
+    for partition in partitions:
+        serial.apply_batch(list(partition))
+    session = make_session()
+    pipe = session.ingest(
+        max_pending=4, max_staleness_ms=1.0,
+        backpressure=BackpressurePolicy(high_water=6, mode="block"),
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(
+                target=lambda p=partition: [pipe.submit_many(batch) for batch in p.batches(25)],
+                daemon=True,
+            )
+            for partition in partitions
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        pipe.close(flush=True)
+    assert not pipe.dead_letters
+    assert pipe.stats.backpressure_stalls > 0
+    assert pipe.stats.submitted_updates == sum(len(p) for p in partitions)
+    assert session.results() == serial.results()

@@ -1,12 +1,15 @@
-"""Hot-loop batch specialization (PR 9).
+"""Fused bare-count totals: what survives of batch specialization.
 
-The contract under test: with ``specialize=True`` (the default) both compiled
-executors fold eligible Z-ring batches through statically-unrolled fast paths
-— fused scalar totals for bare counts, ``collections.Counter`` grouping for
-everything else — and are *indistinguishable* from the generic
-(pre-specialization) path: same states, same results, same ``on_change``
-payloads, same errors.  Ineligible programs (non-integer rings, too many
-trigger events) silently keep the generic path.
+A batch reaches both compiled executors as a :class:`~repro.gmr.database.Delta`
+— one delta map per ``(relation, sign)`` event — so there is no batch left to
+slice per event.  The one specialization left is the fused total: an event
+whose every statement is a bare-count fold folds its net tuple count
+``Σ∆R`` through ``total_batch_*`` instead of running its batch trigger on the
+map, Kahan-compensated over the float field.  The contract under test: with
+``specialize=True`` (the default) the fused path is *indistinguishable* from
+``specialize=False`` — same states, same results, same ``on_change``
+payloads, same errors — at any program width, and ineligible programs
+(non-integer rings with a non-total event) fuse nothing.
 """
 
 from __future__ import annotations
@@ -16,37 +19,29 @@ import random
 import pytest
 
 from repro.algebra.semirings import FLOAT_FIELD
-from repro.compiler.cost import (
-    MAX_SPECIALIZED_EVENTS,
-    batch_specialization_class,
-    trigger_specialization,
-)
+from repro.compiler.cost import batch_specialization_class, trigger_specialization
 from repro.compiler.indexes import IndexedMaps
 from repro.core.parser import parse
-from repro.gmr.database import Update
+from repro.gmr.database import Update, group_updates
 from repro.ivm.recursive import RecursiveIVM
 
 COMPILED_BACKENDS = ("generated", "interpreted")
 
-#: name -> (query text, schema, expected per-event codegen specializations).
-#: ``count`` compiles to all-total triggers (no delta table at all), the rest
-#: go through the Counter-built grouping path.
+#: name -> (query text, schema, expected per-event specialization classes).
+#: ``count`` and ``wide_count`` compile to all-total triggers (``wide_count``
+#: has six events: no width gate keeps it off the fused path), the rest run
+#: their batch triggers on the delta maps.
 QUERIES = {
-    "count": ("Sum(R(x))", {"R": ("A",)}, "total"),
-    "group_count": ("AggSum([a], R(a, b))", {"R": ("A", "B")}, "counter"),
-    "group_sum": ("AggSum([a], R(a, b) * b)", {"R": ("A", "B")}, "counter"),
-    "selfjoin": ("Sum(R(x) * R(y) * (x = y))", {"R": ("A",)}, "counter"),
-    "join": (
-        "AggSum([a], R(a, b) * S(b, c) * c)",
-        {"R": ("A", "B"), "S": ("B", "C")},
-        "counter",
+    "count": ("Sum(R(x))", {"R": ("A",)}, {"total"}),
+    "wide_count": (
+        "Sum(R(x) + S(y) + T(z))",
+        {"R": ("A",), "S": ("A",), "T": ("A",)},
+        {"total"},
     ),
+    "group_count": ("AggSum([a], R(a, b))", {"R": ("A", "B")}, set()),
+    "selfjoin": ("Sum(R(x) * R(y) * (x = y))", {"R": ("A",)}, set()),
+    "join": ("AggSum([a], R(a, b) * S(b, c) * c)", {"R": ("A", "B"), "S": ("B", "C")}, set()),
 }
-
-#: Three relations x two signs = six trigger events > MAX_SPECIALIZED_EVENTS,
-#: so this program must fall back to the generic single-pass grouping loop.
-WIDE_QUERY = "Sum(R(x) * S(x) * T(x))"
-WIDE_SCHEMA = {"R": ("A",), "S": ("A",), "T": ("A",)}
 
 
 def _random_trace(rng, schema, length, domain=9):
@@ -56,8 +51,7 @@ def _random_trace(rng, schema, length, domain=9):
         relation, arity = relations[rng.randrange(len(relations))]
         sign = 1 if rng.random() < 0.7 else -1
         values = tuple(rng.randint(0, domain) for _ in range(arity))
-        # Mix compact (count > 1) updates in so the specialized slices hit
-        # their multiplicity-expansion branches.
+        # Compact (count > 1) updates: the fused total sums counts, not rows.
         count = rng.choice([1, 1, 1, 3])
         updates.append(Update(sign, relation, values, count))
     return updates
@@ -73,136 +67,125 @@ def _engines(name, backend, specialize):
 
 @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
 @pytest.mark.parametrize("name", sorted(QUERIES))
-def test_specialized_matches_generic_state_and_cdc(name, backend):
-    """The acceptance property: on mixed per-tuple/batched traces with compact
-    multiplicities, the specialized executor is byte-identical to the generic
-    one — results, full map states, and CDC payloads — including across a
-    snapshot/restore taken mid-trace."""
+def test_fused_matches_unfused_state_and_cdc(name, backend):
+    """On mixed per-tuple/batched traces with compact multiplicities, the
+    fused executor is byte-identical to the unfused one — results, full map
+    states and CDC payloads — including across a snapshot/restore taken
+    mid-trace."""
     rng = random.Random(hash((name, backend)) & 0xFFFF)
     _, schema, _ = QUERIES[name]
-    generic, generic_cdc = _engines(name, backend, specialize=False)
-    special, special_cdc = _engines(name, backend, specialize=True)
+    plain, plain_cdc = _engines(name, backend, specialize=False)
+    fused, fused_cdc = _engines(name, backend, specialize=True)
     snapshots = None
     for step in range(10):
         if rng.random() < 0.3:
             update = _random_trace(rng, schema, 1)[0]
-            generic.apply(update)
-            special.apply(update)
+            plain.apply(update)
+            fused.apply(update)
         else:
             batch = _random_trace(rng, schema, rng.choice([4, 60, 150]))
-            generic.apply_batch(batch)
-            special.apply_batch(batch)
-        assert special.result() == generic.result(), (name, backend, step)
-        assert special_cdc == generic_cdc, (name, backend, step)
-        assert special.runtime.maps == generic.runtime.maps, (name, backend, step)
+            plain.apply_batch(batch)
+            fused.apply_batch(batch)
+        assert fused.result() == plain.result(), (name, backend, step)
+        assert fused_cdc == plain_cdc, (name, backend, step)
+        assert fused.runtime.maps == plain.runtime.maps, (name, backend, step)
         if step == 4:
-            snapshots = (generic.state_backup(), special.state_backup())
-    generic.state_restore(snapshots[0])
-    special.state_restore(snapshots[1])
+            snapshots = (plain.state_backup(), fused.state_backup())
+    plain.state_restore(snapshots[0])
+    fused.state_restore(snapshots[1])
     tail = _random_trace(random.Random(7), schema, 120)
-    generic.apply_batch(tail)
-    special.apply_batch(tail)
-    assert special.result() == generic.result()
-    assert special.runtime.maps == generic.runtime.maps
+    plain.apply_batch(tail)
+    fused.apply_batch(tail)
+    assert fused.result() == plain.result()
+    assert fused.runtime.maps == plain.runtime.maps
 
 
 @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-def test_specialized_batch_equals_per_tuple_replay(backend):
-    """Folding one batch specialized equals applying its tuples one at a time."""
+def test_fused_batch_equals_per_tuple_replay(backend):
+    """Folding one batch equals applying its tuples one at a time."""
     for name, (text, schema, _) in QUERIES.items():
         trace = _random_trace(random.Random(len(name)), schema, 200)
-        batched = RecursiveIVM(parse(text), schema, backend=backend, specialize=True)
+        batched = RecursiveIVM(parse(text), schema, backend=backend)
         batched.apply_batch(trace)
-        sequential = RecursiveIVM(parse(text), schema, backend=backend, specialize=True)
+        sequential = RecursiveIVM(parse(text), schema, backend=backend)
         sequential.apply_all(trace)
         assert batched.result() == sequential.result(), (name, backend)
 
 
 def test_codegen_reports_specialization_classes():
-    """The generated module exposes its per-event verdicts, and explain()
-    labels every batch statement with its specialization class."""
+    """The generated module names its fused events, the runtime decodes the
+    same plan, and explain() labels every batch statement."""
     for name, (text, schema, expected) in QUERIES.items():
-        engine = RecursiveIVM(parse(text), schema, backend="generated", specialize=True)
+        engine = RecursiveIVM(parse(text), schema, backend="generated")
         verdicts = engine._generated.specializations
-        assert verdicts, name
-        assert all(verdict == expected for verdict in verdicts.values()), (name, verdicts)
+        assert set(verdicts.values()) == expected, (name, verdicts)
+        assert verdicts == engine.runtime.plan.specializations, name
+        if expected:
+            # Every event fuses: no width gate.
+            assert len(verdicts) == len(engine.program.batch_triggers), name
         assert "[spec:" in engine.explain(), name
     disabled = RecursiveIVM(
-        parse(QUERIES["count"][0]), QUERIES["count"][1],
-        backend="generated", specialize=False,
+        parse(QUERIES["count"][0]), QUERIES["count"][1], backend="generated", specialize=False
     )
     assert disabled._generated.specializations == {}
+    # The module prints the statements only: no batch loop of its own.
+    assert "def apply_batch" not in disabled.generated_source()
 
 
 def test_specialization_classes_in_cost_model():
-    """The static classifier distinguishes fused totals from bare counts that
-    an unfusable event pins to the generic path."""
-    engine = RecursiveIVM(parse("Sum(R(x))"), {"R": ("A",)}, specialize=True)
+    """The static classifier distinguishes fused totals from bare counts whose
+    event does not fuse."""
+    engine = RecursiveIVM(parse("Sum(R(x))"), {"R": ("A",)})
     for trigger in engine.program.batch_triggers.values():
         assert trigger_specialization(trigger) == "total"
         for statement in trigger.statements:
             assert batch_specialization_class(statement, trigger) == "fused-total"
     joined = RecursiveIVM(
-        parse("AggSum([a], R(a, b) * S(b, c) * c)"),
-        {"R": ("A", "B"), "S": ("B", "C")},
-        specialize=True,
+        parse("AggSum([a], R(a, b) * S(b, c) * c)"), {"R": ("A", "B"), "S": ("B", "C")}
     )
+    assert {
+        trigger_specialization(trigger) for trigger in joined.program.batch_triggers.values()
+    } == {"generic"}
     classes = {
         batch_specialization_class(statement, trigger)
         for trigger in joined.program.batch_triggers.values()
         for statement in trigger.statements
     }
     assert "generic" in classes or "fused-copy" in classes or "fused-marginal" in classes
-    # A bare-count statement outside an all-total trigger is the lint shape.
+    # A bare-count statement whose event does not fuse is the lint shape —
+    # and the plan's label says so when the knob keeps the event unfused.
     bare = next(
         statement
         for trigger in engine.program.batch_triggers.values()
         for statement in trigger.statements
     )
     assert batch_specialization_class(bare, trigger=None) == "generic-bare-count"
+    unfused = RecursiveIVM(parse("Sum(R(x))"), {"R": ("A",)}, specialize=False)
+    assert {label for event in unfused.runtime.plan.events for label in event.labels} == {
+        "generic-bare-count"
+    }
 
 
 @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-def test_wide_programs_fall_back_to_generic(backend):
-    """Past MAX_SPECIALIZED_EVENTS trigger events the unrolled slices would
-    walk the batch too often: both executors keep the generic loop — and the
-    results still match a narrow reference trace."""
-    engine = RecursiveIVM(parse(WIDE_QUERY), WIDE_SCHEMA, backend=backend, specialize=True)
-    events = len(engine.program.triggers)
-    assert events > MAX_SPECIALIZED_EVENTS
-    if backend == "generated":
-        assert engine._generated.specializations == {}
-        # The generic loop is the shared kernel, not emitted text.
-        assert "def apply_batch" not in engine._generated.source
-    assert not engine.runtime.plan.specialized
-    generic = RecursiveIVM(parse(WIDE_QUERY), WIDE_SCHEMA, backend=backend, specialize=False)
-    trace = _random_trace(random.Random(3), WIDE_SCHEMA, 250, domain=5)
-    engine.apply_batch(trace)
-    generic.apply_batch(trace)
-    assert engine.result() == generic.result()
-
-
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-def test_non_integer_rings_stay_generic(backend):
-    """Specialization is gated on the Z ring: the float field keeps the
-    generic path (its accumulation order is pinned) yet still computes."""
+def test_non_integer_rings_fuse_only_whole_total_programs(backend):
+    """The float field pins its accumulation order: a program with a
+    non-total event fuses nothing, yet still computes."""
     engine = RecursiveIVM(
         parse("AggSum([a], R(a, b) * b)"), {"R": ("A", "B")},
-        ring=FLOAT_FIELD, backend=backend, specialize=True,
+        ring=FLOAT_FIELD, backend=backend,
     )
-    if backend == "generated":
-        assert engine._generated.specializations == {}
+    assert engine.runtime.plan.specializations == {}
+    assert not engine.runtime.plan.kahan
     engine.apply_batch([Update(1, "R", (1, 2.5)), Update(1, "R", (1, 0.5)), Update(-1, "R", (2, 1.0))])
     assert engine.result() == {(1,): 3.0, (2,): -1.0}
 
 
 @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
 def test_arity_error_parity(backend):
-    """A malformed tuple produces the identical outcome on both paths: the
-    interpreted runtime raises the same error (before any state changed —
-    poisoned batches stay atomic), the generated module tolerates it the same
-    way the generic path always has."""
-    text, schema, _ = QUERIES["group_sum"]
+    """A malformed tuple fails the same way on both paths and both executors:
+    the per-event arity check over the delta map's keys raises before any
+    state changed, so poisoned batches stay atomic."""
+    text, schema, _ = QUERIES["group_count"]
     good = [Update(1, "R", (value % 5, value % 3)) for value in range(40)]
     poisoned = good + [Update(1, "R", (1, 2, 3))] + good
     outcomes = {}
@@ -210,27 +193,21 @@ def test_arity_error_parity(backend):
         engine = RecursiveIVM(parse(text), schema, backend=backend, specialize=specialize)
         engine.apply_batch(good)
         before = engine.state_backup()
-        try:
+        with pytest.raises(ValueError, match="arity") as raised:
             engine.apply_batch(poisoned)
-        except Exception as error:
-            outcomes[specialize] = (type(error), str(error))
-            # Validation happens before any fold: the failed batch must not
-            # have moved the state.
-            assert engine.state_backup() == before, specialize
-        else:
-            outcomes[specialize] = ("ok", engine.state_backup())
+        assert engine.state_backup() == before, specialize
+        outcomes[specialize] = str(raised.value)
     assert outcomes[False] == outcomes[True]
-    if backend == "interpreted":
-        assert outcomes[True][0] is not str and outcomes[True][0] != "ok"
+    assert "+R(1, 2, 3)" in outcomes[True]
 
 
 # ---------------------------------------------------------------------------
-# Kahan-compensated fused float totals (PR 10)
+# Kahan-compensated fused float totals
 # ---------------------------------------------------------------------------
 
 
 def test_float_all_total_programs_fuse_with_kahan_compensation():
-    """The float field no longer keeps the generic path just to pin
+    """The float field does not keep the unfused path just to pin
     accumulation order: an all-total program fuses, with a per-target Kahan
     compensation term making the fused sum *more* accurate, not less."""
     engine = RecursiveIVM(
@@ -254,18 +231,18 @@ def test_kahan_fused_totals_accuracy_no_worse_than_fsum():
 
     program = compile_query(parse("Sum(R(x))"), {"R": ("A",)}, name="q")
     kahan = generate_python(program, ring=FLOAT_FIELD, specialize=True)
-    generic = generate_python(program, ring=FLOAT_FIELD, specialize=False)
+    plain = generate_python(program, ring=FLOAT_FIELD, specialize=False)
     contributions = [1e16] + [1.0] * 1000
     exact = math.fsum(contributions)
     results = {}
-    for label, generated in (("kahan", kahan), ("generic", generic)):
+    for label, generated in (("kahan", kahan), ("plain", plain)):
         maps = {name: {} for name in program.maps}
         maps["q"][()] = 1e16
         for step in range(1000):
-            generated.apply_batch(maps, [insert("R", step)])
+            generated.apply_batch(maps, group_updates([insert("R", step)]))
         results[label] = maps["q"][()]
-    assert results["generic"] == 1e16  # the baseline really does lose the tail
-    assert abs(results["kahan"] - exact) <= abs(results["generic"] - exact)
+    assert results["plain"] == 1e16  # the baseline really does lose the tail
+    assert abs(results["kahan"] - exact) <= abs(results["plain"] - exact)
     assert results["kahan"] == exact
 
 
@@ -282,18 +259,18 @@ def test_kahan_compensation_lives_with_the_tables():
     generated = generate_python(program, ring=FLOAT_FIELD, specialize=True)
     maps = IndexedMaps({name: {} for name in program.maps})
     maps["q"][()] = 1e16
-    generated.apply_batch(maps, [insert("R", 0)])
+    generated.apply_batch(maps, group_updates([insert("R", 0)]))
     assert maps.compensation == {"q": -1.0}
     fresh = IndexedMaps({name: {} for name in program.maps})
-    generated.apply_batch(fresh, [insert("R", 1), insert("R", 2)])
+    generated.apply_batch(fresh, group_updates([insert("R", 1), insert("R", 2)]))
     assert fresh["q"][()] == 2.0
     for backend_generated in (None, generated):
         runtime = TriggerRuntime(program, ring=FLOAT_FIELD)
         runtime.restore_tables({"q": {(): 1e16}})
         if backend_generated is None:
-            runtime.apply_batch([insert("R", 0)])
+            runtime.apply_batch(group_updates([insert("R", 0)]))
         else:
-            generated.apply_batch(runtime.maps, [insert("R", 0)])
+            generated.apply_batch(runtime.maps, group_updates([insert("R", 0)]))
         assert runtime.maps.compensation == {"q": -1.0}
         runtime.restore_tables({"q": {(): 1e16}})
         assert runtime.maps.compensation == {}
