@@ -1,4 +1,4 @@
-"""Trigger-IR lint: the non-failing companion of the static verifier.
+"""Lint of compiled trigger IR: the non-failing companion of the static verifier.
 
 Where :mod:`repro.compiler.verify` enforces invariants (a violation is a
 compile error), this module *reports* on the quality of a compiled program:
@@ -41,11 +41,12 @@ compile error), this module *reports* on the quality of a compiled program:
   silently corrupt the view, so CI promotes this kind with
   ``--fail-on untracked-noninvertible``.
 
-The report also shows each program's batch-statement specialization classes
+The report also shows each program's statement specialization classes
 (:func:`repro.compiler.cost.batch_specialization_class`), the same labels
-``explain()`` prints per statement, and the size of its generated module —
-source lines, and passes over ``∆R`` summed over its batch triggers
-(:class:`repro.compiler.plan.RowReads`) — diffable from PR to PR.
+``explain()`` prints per statement, its statement count (statements plus
+recomputes, one trigger per event), and the size of its generated module —
+source lines, and passes over ``∆R`` summed over its triggers
+(:class:`repro.compiler.plan.RowReads`) — diffable from change to change.
 
 The module doubles as the ``repro-lint`` console entry point: it compiles
 every canonical workload query and the example-program views, runs the
@@ -91,14 +92,11 @@ class LintFinding:
         return text
 
 
-def _statement_lists(program: TriggerProgram):
-    """Every (statement list, argument names) pair of the program's triggers."""
+def _statements(program: TriggerProgram):
+    """Every statement and recompute of the program's triggers."""
     for trigger in program.triggers.values():
-        yield trigger.statements, trigger.argument_names
-        yield trigger.recomputes, ()
-    for batch_trigger in program.batch_triggers.values():
-        yield batch_trigger.statements, ()
-        yield batch_trigger.recomputes, ()
+        yield from trigger.statements
+        yield from trigger.recomputes
 
 
 def lint_program(
@@ -122,9 +120,8 @@ def lint_program(
 
     # -- dead maps: written (or merely defined) but never read --------------
     read_maps = set()
-    for statements, _arguments in _statement_lists(program):
-        for statement in statements:
-            read_maps.update(statement.maps_read())
+    for statement in _statements(program):
+        read_maps.update(statement.maps_read())
     for definition in program.maps.values():
         for node in walk(definition.definition):
             if isinstance(node, MapRef):
@@ -145,21 +142,20 @@ def lint_program(
         specs = compute_index_specs(program)
     except TypeError:
         specs = {}
-    for statements, arguments in _statement_lists(program):
-        for statement in statements:
-            try:
-                cost = statement_cost_class(statement, specs, arguments)
-            except TypeError:
-                continue
-            if cost in _SCAN_CLASSES:
-                findings.append(
-                    LintFinding(
-                        "scan",
-                        f"statement costs {cost} per update — outside the "
-                        "constant-work guarantee",
-                        statement.describe(),
-                    )
+    for statement in _statements(program):
+        try:
+            cost = statement_cost_class(statement, specs)
+        except TypeError:
+            continue
+        if cost in _SCAN_CLASSES:
+            findings.append(
+                LintFinding(
+                    "scan",
+                    f"statement costs {cost} per update — outside the "
+                    "constant-work guarantee",
+                    statement.describe(),
                 )
+            )
 
     # -- unindexed slice reads (when handed a runtime's actual specs) -------
     try:
@@ -177,33 +173,31 @@ def lint_program(
         pass
 
     # -- unnormalized right-hand sides --------------------------------------
-    for statements, arguments in _statement_lists(program):
-        for statement in statements:
-            rhs = getattr(statement, "rhs", None)
-            if rhs is None:  # recomputes keep their make-safe body spelling
-                continue
-            if not is_normalized(rhs, arguments):
-                findings.append(
-                    LintFinding(
-                        "unnormalized",
-                        "right-hand side is not in ring normal form "
-                        "(recompile with normalize=True to merge/cancel terms)",
-                        statement.describe(),
-                    )
+    for statement in _statements(program):
+        rhs = getattr(statement, "rhs", None)
+        if rhs is None:  # recomputes keep their make-safe body spelling
+            continue
+        if not is_normalized(rhs):
+            findings.append(
+                LintFinding(
+                    "unnormalized",
+                    "right-hand side is not in ring normal form "
+                    "(recompile with normalize=True to merge/cancel terms)",
+                    statement.describe(),
                 )
+            )
 
     # -- serial-forced folds -------------------------------------------------
-    for statements, _arguments in _statement_lists(program):
-        for statement in statements:
-            if getattr(statement, "serial_fold", False):
-                findings.append(
-                    LintFinding(
-                        "serial-fold",
-                        f"shard-race detector pinned the fold of "
-                        f"{statement.target!r} to the serial path",
-                        statement.describe(),
-                    )
+    for statement in _statements(program):
+        if getattr(statement, "serial_fold", False):
+            findings.append(
+                LintFinding(
+                    "serial-fold",
+                    f"shard-race detector pinned the fold of "
+                    f"{statement.target!r} to the serial path",
+                    statement.describe(),
                 )
+            )
 
     # -- recomputes that still walk a slice (or every group) per event --------
     plan = lower_batch_plan(program)
@@ -221,7 +215,7 @@ def lint_program(
 
     # -- bare counts stuck on the generic batch path -------------------------
     for event in plan.events:
-        for statement, label in zip(getattr(event.batch_trigger, "statements", ()), event.labels):
+        for statement, label in zip(event.trigger.statements, event.labels):
             if label == "generic-bare-count":
                 findings.append(
                     LintFinding(
@@ -282,8 +276,6 @@ def _maintenance_findings(program: TriggerProgram) -> List[LintFinding]:
     recompute_targets = set()
     for trigger in program.triggers.values():
         recompute_targets.update(recompute.target for recompute in trigger.recomputes)
-    for batch_trigger in program.batch_triggers.values():
-        recompute_targets.update(recompute.target for recompute in batch_trigger.recomputes)
 
     for name in sorted(program.maps):
         strategy = plan.strategy_for(name)
@@ -348,7 +340,7 @@ def specialization_summary(program: TriggerProgram) -> str:
 def emitted_size(program: TriggerProgram, ring=None) -> Tuple[int, int]:
     """``(emitted source lines, Δ scans)`` of the program's generated module."""
     generated = generate_python(program, ring if ring is not None else INTEGER_RING)
-    scans = sum(event.batch_reads.scans for event in generated.plan.events)
+    scans = sum(event.reads.scans for event in generated.plan.events)
     return len(generated.source.splitlines()), scans
 
 
@@ -480,7 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     table = Table(
         headers=["query", "maps", "statements", "verified", "findings",
                  "serial folds", "specialization", "emitted lines", "Δ scans"],
-        title="Trigger-IR verification & lint report",
+        title="Compiled-trigger IR: verification & lint report",
     )
     details: List[str] = []
     failed = 0

@@ -1,13 +1,14 @@
 """Compilation of AGCA queries to trigger programs over a materialized-map hierarchy.
 
 * :mod:`repro.compiler.maps` — map (materialized view) definitions;
-* :mod:`repro.compiler.triggers` — the trigger IR (statements, triggers, programs);
+* :mod:`repro.compiler.triggers` — the trigger IR (statements over delta maps,
+  triggers, programs);
 * :mod:`repro.compiler.compile` — the recursive compiler (delta → simplify →
   factorize → materialize);
 * :mod:`repro.compiler.plan` — the lowered batch plan both executors decode
   (specialization kinds, gates, arities — every batch-path decision, once);
 * :mod:`repro.compiler.kernels` — the query-independent execution steps (fold,
-  change capture, index upkeep, recompute write-back, generic batch loop);
+  change capture, index upkeep, recompute write-back, the update loop);
 * :mod:`repro.compiler.runtime` — interpreted trigger execution;
 * :mod:`repro.compiler.codegen` — generation of straight-line Python trigger code
   (the paper's NC⁰C target, retargeted);
@@ -42,7 +43,7 @@ from repro.compiler.normal_form import (
 )
 from repro.compiler.runtime import TriggerRuntime
 from repro.compiler.partition import ShardedMapTable, partition_map, shard_of
-from repro.compiler.triggers import RecomputeStatement, Statement, Trigger, TriggerProgram
+from repro.compiler.triggers import RecomputeStatement, TriggerProgram
 from repro.compiler.verify import (
     IRVerificationError,
     Violation,
@@ -69,8 +70,6 @@ __all__ = [
     "compute_index_specs",
     "MapDefinition",
     "TriggerRuntime",
-    "Statement",
-    "Trigger",
     "TriggerProgram",
     "statement_cost_class",
     "ac_canonical_identity",

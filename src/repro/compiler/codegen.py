@@ -3,7 +3,8 @@
 The paper compiles update triggers to a tiny fragment of C whose statements
 only add and multiply fixed-size numbers and read/write individual map
 entries.  This module performs the same compilation step targeting Python
-source code: every trigger becomes a function of the update values that
+source code: every trigger becomes a function of the event's delta map
+``∆R : values → multiplicity`` (one row for a single-tuple update) that
 manipulates plain dictionaries with a bounded amount of arithmetic per entry
 touched.  The generated code contains no query operators — no joins, no
 aggregation — just lookups, loops over map slices, additions and
@@ -37,23 +38,24 @@ Three properties of the generated module matter for the paper's cost claims:
   matching entries.  The generated apply loop maintains those indexes as
   entries are inserted and removed.
 
-* **A batch-update path.**  ``apply_batch`` takes a batch as a
+* **One trigger form.**  ``apply_batch`` takes a batch as a
   :class:`~repro.gmr.database.Delta` — one delta map
   ``∆R : values → multiplicity`` per ``(relation, sign)`` event — and hands
-  each map to a generated *batch trigger* compiled from the relation-valued
-  delta of each map's definition (``repro.core.delta.BatchUpdateEvent``).  A
-  batch trigger scans ``∆R`` once: one loop unpacks each row, reads what the
-  row alone addresses once for all statements (the plan's
-  :class:`~repro.compiler.plan.RowReads`) and runs every statement's
+  each map to the event's generated trigger, compiled from the
+  relation-valued delta of each map's definition
+  (``repro.core.delta.BatchUpdateEvent``); ``apply`` hands it the one-row map
+  of a single update.  A trigger scans ``∆R`` once: one loop unpacks each
+  row, reads what the row alone addresses once for all statements (the
+  plan's :class:`~repro.compiler.plan.RowReads`) and runs every statement's
   remaining factors; the folds follow, one read-modify-write per distinct
   target key, then recomputes, once per group.
 
 * **Only the query-dependent part is generated.**  What is emitted is the
-  statement bodies (``on_*`` / ``batch_on_*`` / ``total_batch_*``), printed
-  from the lowered :class:`~repro.compiler.plan.BatchPlan`.  The
-  query-independent steps — the fold itself (change capture, tracked keys,
-  sharded dispatch, slice-index upkeep), the recompute write-back, the
-  compensated float total and the batch loop over a ``Delta``'s events — are
+  statement bodies (``batch_on_*`` / ``total_batch_*``), printed from the
+  lowered :class:`~repro.compiler.plan.BatchPlan`.  The query-independent
+  steps — the fold itself (change capture, tracked keys, sharded dispatch,
+  slice-index upkeep), the recompute write-back, the compensated float total
+  and the update loop over a ``Delta``'s events or one row — are
   the plain-Python :mod:`repro.compiler.kernels`, injected into the module
   namespace (``_fold``, ``_rwrite``, ``_fold_total``, …) exactly as the
   interpreted runtime calls them.
@@ -65,7 +67,7 @@ change-data-capture of ``on_change`` subscriptions (engine- and session-level)
 at zero cost when no subscriber is attached — the hook is ``None`` and every
 guard short-circuits.  The undo journal of the transactional batch path
 (``_J``) travels the same way: one more trailing argument handed to the
-kernels, ``None`` outside a batch.
+kernels, ``None`` outside a transaction.
 
 The generated module is also useful practically: it is considerably faster
 than interpreting trigger statements through the AGCA evaluator (see
@@ -84,7 +86,7 @@ from repro.compiler.kernels import FoldKernels, make_apply_batch, recompute_pair
 from repro.compiler.partition.backends import generated_rmap_groups
 from repro.compiler.plan import BatchPlan, RowReads, lower_batch_plan, ordered_monomials
 from repro.gmr.database import Delta
-from repro.compiler.triggers import BatchTrigger, Statement, Trigger, TriggerProgram
+from repro.compiler.triggers import BatchStatement, BatchTrigger, TriggerProgram
 from repro.core.ast import (
     Add,
     AggSum,
@@ -104,8 +106,7 @@ _PYTHON_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="
 
 #: Internal identifiers the name allocator must never hand out to AGCA variables.
 _RESERVED_NAMES = (
-    "maps", "values", "relation", "sign", "updates",
-    "_new", "_fkey", "_chm", "_CH", "_J", "_IDX", "_TRK", "_sk",
+    "maps", "_new", "_fkey", "_chm", "_CH", "_J", "_IDX", "_TRK", "_sk",
     "_delta", "_k", "_v", "_total", "_ent",
 )
 
@@ -156,7 +157,7 @@ class _Writer:
 
 
 class _Row:
-    """What one emitted block computes once per update row, printed where the
+    """What one emitted block computes once per ``∆R`` row, printed where the
     block began.  ``columns`` are the locals holding the row's columns (none:
     a block that sees no row); a key made only of those is *row-bound*.
     :meth:`local` names an expression on first request and :meth:`flush`
@@ -203,10 +204,10 @@ class _Row:
 class _Frame:
     """One emitted trigger function: its table names, its function-level
     ``prologue`` (``_idxN = _IDX[(map, positions)]``) and the :class:`_Row` of
-    the block being emitted — a per-tuple trigger's body, a batch trigger's
-    one loop over ``∆R``; a row without columns elsewhere."""
+    the block being emitted — the trigger's one loop over ``∆R``; a row
+    without columns elsewhere."""
 
-    def __init__(self, writer: _Writer, table, delta_map: Optional[str] = None):
+    def __init__(self, writer: _Writer, table, delta_map: str):
         self.table = table
         self.delta_map = delta_map
         self.prologue = self.row = _Row(writer)
@@ -371,18 +372,16 @@ class GeneratedTriggers:
         namespace = self._namespace
         exec(compile(source, f"<generated triggers for {program.result_map}>", "exec"), namespace)
         self._stats: Dict[str, int] = namespace["_STATS"]
-        self._apply_update = namespace["apply_update"]
-        # The shared batch loop (repro.compiler.kernels) over the emitted triggers.
-        self._apply_batch = make_apply_batch(
+        # The shared update loop (repro.compiler.kernels) over the emitted triggers.
+        self._apply_batch, self._apply_row = make_apply_batch(
             plan,
             ring,
             namespace["BATCH_TRIGGERS"],
             {
-                event.event: namespace[f"total_batch_{event.batch_trigger.event_name}"]
+                event.event: namespace[f"total_batch_{event.trigger.event_name}"]
                 for event in plan.events
                 if event.kind == "total"
             },
-            namespace["TRIGGERS"],
         )
         self._own_indexes: Optional[SliceIndexes] = None
         self._own_maps: Optional[Dict[str, Dict[Tuple[Any, ...], Any]]] = None
@@ -400,15 +399,19 @@ class GeneratedTriggers:
         values: Tuple[Any, ...],
         indexes: Optional[SliceIndexes] = None,
         changes: Optional[Dict[str, Dict[Tuple[Any, ...], Any]]] = None,
+        count: int = 1,
     ) -> None:
-        """Run the generated trigger for one update event against the given maps.
+        """Apply one update ``±relation(values)`` with multiplicity ``count``:
+        the event's generated trigger runs on the one-row delta map
+        ``{values: count}``.
 
         ``changes`` optionally maps watched map names to accumulators that
         receive the per-key deltas this update causes in those maps (the
         change-data-capture hook used by ``on_change`` subscriptions).
         """
         data = self._index_data(maps, indexes)
-        self._apply_update(maps, relation, sign, tuple(values), data, changes)
+        environment = self._compensated(maps) if self.plan.kahan else maps
+        self._apply_row(environment, relation, sign, tuple(values), count, data, changes)
         self._note_own_counts(maps, data)
 
     def apply_batch(
@@ -421,12 +424,11 @@ class GeneratedTriggers:
     ) -> int:
         """Apply a batch ``∆D`` through the generated batch triggers.
 
-        Each event's delta map goes to its batch trigger, which folds it once
-        — one read-modify-write per distinct target key — or, for a fused
+        Each event's delta map goes to its trigger, which folds it once —
+        one read-modify-write per distinct target key — or, for a fused
         event, its net tuple count to the ``total_batch_*`` function.
-        Equivalent to applying the updates one at a time (the batch
-        statements include the delta's higher-order interaction terms); an
-        event without a batch trigger is applied per tuple.  ``changes``
+        Equivalent to applying the updates one at a time (the statements
+        include the delta's higher-order interaction terms).  ``changes``
         collects per-key deltas of watched maps across the whole batch, as in
         :meth:`apply`; ``journal`` (an
         :class:`~repro.compiler.kernels.UndoJournal`) receives the prior
@@ -504,14 +506,11 @@ class GeneratedTriggers:
         stats["entries"] = 0
         return result
 
-    def trigger_function_names(self) -> List[str]:
-        return [name for name in self._namespace if name.startswith("on_")]
-
     @property
     def specializations(self) -> Dict[Tuple[str, int], str]:
-        """Per-event specialization classes of the emitted batch path:
+        """Per-event specialization classes of the emitted module:
         ``(relation, sign) -> "total"`` for every event whose fused
-        ``total_batch_*`` function runs instead of its batch trigger."""
+        ``total_batch_*`` function runs instead of its trigger."""
         return self.plan.specializations
 
 
@@ -525,11 +524,11 @@ def generate_python(
     The module is printed from the program's lowered
     :class:`~repro.compiler.plan.BatchPlan`
     (:func:`~repro.compiler.plan.lower_batch_plan` — where the ring gate and
-    the float whole-program rule live): every event gets its batch trigger,
-    and a ``total`` event also a fused ``total_batch_*`` function, which
-    folds the event's net tuple count with no delta map at all
-    (Kahan-compensated through ``_fold_total`` when the plan says so).  The
-    batch loop that runs them is the shared
+    the float whole-program rule live): every event gets its trigger, and a
+    ``total`` event also a fused ``total_batch_*`` function, which folds the
+    event's net tuple count with no delta map at all (Kahan-compensated
+    through ``_fold_total`` when the plan says so).  The update loop that
+    runs them — over a batch's events or one row — is the shared
     :func:`repro.compiler.kernels.make_apply_batch`.  ``specialize=False``
     fuses nothing.
 
@@ -588,32 +587,19 @@ def generate_python(
         writer.emit("_from_int = _RING.from_int")
     writer.emit("")
 
-    tables = {"TRIGGERS": [], "BATCH_TRIGGERS": []}
+    table = []
     for event in plan.events:
-        if event.trigger is not None:
-            tables["TRIGGERS"].append((event.event, event.trigger.event_name))
-            _generate_trigger(context, event.trigger, event.tracked, event.reads)
-            writer.emit("")
-    for event in plan.events:
-        batch_trigger = event.batch_trigger
-        if batch_trigger is None:
-            continue
-        tables["BATCH_TRIGGERS"].append((event.event, f"batch_{batch_trigger.event_name}"))
-        _generate_batch_delta_trigger(context, batch_trigger, event.batch_tracked, event.batch_reads)
+        trigger = event.trigger
+        table.append((event.event, f"batch_{trigger.event_name}"))
+        _generate_trigger(context, trigger, event.tracked, event.reads)
         writer.emit("")
         if event.kind == "total":
-            _generate_total_batch_trigger(context, batch_trigger, kahan=plan.kahan)
+            _generate_total_trigger(context, trigger, kahan=plan.kahan)
             writer.emit("")
-    for table, entries in tables.items():
-        writer.emit(f"{table} = {{")
-        for key, function in entries:
-            writer.emit(f"    {key!r}: {function},")
-        writer.emit("}")
-        writer.emit("")
-    writer.emit("def apply_update(maps, relation, sign, values, _IDX=None, _CH=None):")
-    writer.emit("    _trigger = TRIGGERS.get((relation, sign))")
-    writer.emit("    if _trigger is not None:")
-    writer.emit("        _trigger(maps, values, _IDX, _CH)")
+    writer.emit("BATCH_TRIGGERS = {")
+    for key, function in table:
+        writer.emit(f"    {key!r}: {function},")
+    writer.emit("}")
     writer.emit("")
     context.emit_constant_definitions()
     source = "\n".join(writer.lines) + "\n"
@@ -621,7 +607,7 @@ def generate_python(
 
 
 # ---------------------------------------------------------------------------
-# Trigger / statement generation
+# Emitting triggers and statements
 # ---------------------------------------------------------------------------
 
 
@@ -638,32 +624,7 @@ def _spec_literal(context: _EmitContext, map_name: str) -> str:
     return repr(positions) if positions else "None"
 
 
-def _generate_trigger(
-    context: _EmitContext, trigger: Trigger, tracked_maps: Tuple[str, ...], reads: RowReads
-) -> None:
-    writer = context.writer
-    names = _NameAllocator()
-    counter = [0]
-    writer.emit(f"def {trigger.event_name}(maps, values, _IDX=None, _CH=None, _J=None):")
-    writer.block()
-    _emit_work_counters(writer, len(trigger.statements) + len(trigger.recomputes))
-    if trigger.argument_names:
-        unpack = ", ".join(names(argument) for argument in trigger.argument_names)
-        trailing = "," if len(trigger.argument_names) == 1 else ""
-        writer.emit(f"{unpack}{trailing} = values")
-    if tracked_maps:
-        writer.emit(f"_TRK = {{_n: set() for _n in {tracked_maps!r}}}")
-    frame = _Frame(writer, lambda name: f"maps[{name!r}]")
-    _generate_trigger_body(context, trigger, names, frame, reads, tracked_maps, counter)
-    _generate_recomputes(context, trigger, names, frame, tracked_maps, counter)
-    frame.prologue.flush()
-    writer.emit('_STATS["entries"] += _ent')
-    writer.dedent()
-
-
-def _collect_table_locals(
-    trigger, names: _NameAllocator, skip: Tuple[str, ...] = ()
-) -> Tuple[Dict[str, str], List[str]]:
+def _collect_table_locals(trigger, names: _NameAllocator) -> Tuple[Dict[str, str], List[str]]:
     """Hoisted map-table locals for every map a trigger's statements touch."""
     table_locals: Dict[str, str] = {}
     touched: List[str] = []
@@ -673,9 +634,7 @@ def _collect_table_locals(
     for recompute in trigger.recomputes:
         reads.extend((recompute.target,) + recompute.maps_read())
     for name in reads:
-        if name in skip:
-            continue
-        if name not in table_locals:
+        if name != trigger.delta_map and name not in table_locals:
             local = f"_tbl{len(table_locals)}"
             names.reserve(local)
             table_locals[name] = local
@@ -683,22 +642,23 @@ def _collect_table_locals(
     return table_locals, touched
 
 
-def _generate_batch_delta_trigger(
+def _generate_trigger(
     context: _EmitContext, trigger: BatchTrigger, tracked_maps: Tuple[str, ...], reads: RowReads
 ) -> None:
-    """A relation-valued batch trigger: one scan of the delta map, then the folds.
+    """A relation-valued trigger: one scan of the delta map, then the folds.
 
-    ``_delta`` is the pre-aggregated batch ``values → multiplicity``.  The
-    statement bodies were compiled from the delta with respect to the whole
-    delta relation, so a single evaluation per group — accumulators keyed by
-    target key, folded once per distinct key — produces exactly the state
-    per-tuple application would, including the within-batch interaction
-    terms.  Recomputes run once per group after the folds.
+    ``_delta`` is the pre-aggregated update ``values → multiplicity`` — a
+    whole batch, or the one row of a single update.  The statement bodies
+    were compiled from the delta with respect to the whole delta relation, so
+    a single evaluation per event — accumulators keyed by target key, folded
+    once per distinct key — produces exactly the state one-at-a-time
+    application would, including the interaction terms between rows.
+    Recomputes run once per group after the folds.
     """
     writer = context.writer
     names = _NameAllocator()
     counter = [0]
-    table_locals, touched = _collect_table_locals(trigger, names, skip=(trigger.delta_map,))
+    table_locals, touched = _collect_table_locals(trigger, names)
     writer.emit(f"def batch_{trigger.event_name}(maps, _delta, _IDX=None, _CH=None, _J=None):")
     writer.block()
     _emit_work_counters(writer, len(trigger.statements) + len(trigger.recomputes))
@@ -727,14 +687,14 @@ def _generate_batch_delta_trigger(
     writer.dedent()
 
 
-def _generate_total_batch_trigger(
+def _generate_total_trigger(
     context: _EmitContext, trigger: BatchTrigger, kahan: bool = False
 ) -> None:
-    """The fused variant of an all-total batch trigger.
+    """The fused variant of an all-total trigger.
 
     Every statement of the trigger is a bare-count fold (``projection_class()
     == "total"``: the right-hand side is exactly ``coefficient · ∆R(k…)``
-    summed over all keys), so the batch loop never hands it the event's
+    summed over all keys), so the update loop never hands it the event's
     delta map — it passes the net tuple count ``_total = Σ∆R`` and each
     statement becomes one multiplication plus one scalar fold.
 
@@ -763,7 +723,7 @@ def _generate_total_batch_trigger(
         if kahan:
             writer.emit(f"_fold_total(maps, {statement.target!r}, _acc{index}, _CH, _J)")
         else:
-            _emit_scalar_fold(context, statement, {}, f"_acc{index}", table_ref)
+            _emit_scalar_fold(context, statement, f"_acc{index}", table_ref)
     if kahan:
         writer.emit(f"_ent += {len(trigger.statements)}")
     writer.emit('_STATS["entries"] += _ent')
@@ -772,42 +732,38 @@ def _generate_total_batch_trigger(
 
 def _generate_trigger_body(
     context: _EmitContext,
-    trigger: Trigger,
+    trigger: BatchTrigger,
     names: _NameAllocator,
     frame: _Frame,
     reads: RowReads,
-    tracked_maps: Tuple[str, ...] = (),
-    counter: Optional[List[int]] = None,
+    tracked_maps: Tuple[str, ...],
+    counter: List[int],
 ) -> None:
     """Emit the evaluation of every statement into accumulators, then the folds.
 
     All right-hand sides are evaluated before any increment is applied — the
     snapshot semantics of Equation (1): within one update event every read
-    sees the pre-update state.  So every statement of a batch trigger is a
-    function of the same ``∆R`` row and the same old state, and the trigger
-    is one loop: a single ``for _k, _v in _delta.items()`` unpacks the row
-    once and runs each statement's remaining factors against one per-row
-    table (:class:`_Row`) of key tuples, the reads ``reads`` marks shared and
-    common coefficient prefixes.  Only a statement folding the whole batch
-    with one C-level call (:func:`~repro.compiler.cost.whole_batch_fold`)
-    stays outside; a per-tuple trigger gets the same table at function level.
+    sees the pre-update state.  So every statement is a function of the same
+    ``∆R`` row and the same old state, and the trigger is one loop: a single
+    ``for _k, _v in _delta.items()`` unpacks the row once and runs each
+    statement's remaining factors against one per-row table (:class:`_Row`)
+    of key tuples, the reads ``reads`` marks shared and common coefficient
+    prefixes.  Only a statement folding the whole delta with one C-level call
+    (:func:`~repro.compiler.cost.whole_batch_fold`) stays outside.
 
-    A statement whose target keys are all bound to trigger arguments produces
-    exactly one key per update, so its accumulator degenerates to a scalar and
-    its fold inlines to a single guarded table update (skipped when the target
-    map carries slice indexes or feeds a tracked recompute, where the ``_fold``
-    kernel handles maintenance).
+    A statement with a nullary target produces exactly one key per event, so
+    its accumulator degenerates to a scalar and its fold inlines to a single
+    guarded table update (skipped when the target map carries slice indexes
+    or feeds a tracked recompute, where the ``_fold`` kernel handles
+    maintenance).
     """
     writer = context.writer
-    if counter is None:
-        counter = [0]
     delta_map = frame.delta_map
-    argument_set = set(trigger.argument_names)
     # The scalar fast path is disabled wholesale in semiring mode: its inline
     # fold emits delta-style change capture, and semiring CDC carries
     # post-update values (the _fold/_fold_int kernels handle that uniformly).
     scalar_flags = [
-        set(statement.target_keys) <= argument_set
+        not statement.target_keys
         and context.specs.get(statement.target) is None
         and statement.target not in tracked_maps
         and not context.semiring
@@ -820,9 +776,9 @@ def _generate_trigger_body(
         accumulator = f"_acc{index}"
         names.reserve(accumulator)
         scalar = scalar_flags[index]
-        whole = delta_map and whole_batch_fold(statement, statement_context.native)
+        whole = whole_batch_fold(statement, statement_context.native)
         if whole == "copy":
-            # The delta map is per-group scratch, never reused after the trigger.
+            # The delta map is per-event scratch, never reused after the trigger.
             writer.emit(f"{accumulator} = dict(_delta)")
         elif whole == "total":
             total = ("" if statement.coefficient == 1 else "-") + "sum(_delta.values())"
@@ -841,39 +797,33 @@ def _generate_trigger_body(
         frame.row = row
         for statement_context, statement, accumulator, scalar, split in evaluated:
             _generate_statement(
-                statement_context, statement, trigger.argument_names, accumulator, names,
-                counter, frame, scalar, split[per_row],
+                statement_context, statement.target_keys, split[per_row], accumulator,
+                names, counter, frame, scalar, projection=statement.projection,
             )
         row.flush()
         frame.row = frame.prologue
 
-    if delta_map is None:
-        arguments = [names(argument) for argument in trigger.argument_names]
-        evaluate(_Row(writer, arguments, reads.shared), per_row=False)
-    else:
-        # A monomial without a ∆R atom (no compiled delta has one) sees no row.
-        evaluate(_Row(writer), per_row=False)
-        if arity is not None:
-            writer.emit("for _k, _v in _delta.items():")
-            writer.block()
-            columns = [f"_d{position}" for position in range(arity)]
-            for column in columns:
-                names.reserve(column)
-            unpack = ", ".join(columns) + ("," if len(columns) == 1 else "") + " = "
-            writer.emit((unpack if columns else "") + "_k")
-            evaluate(_Row(writer, columns, reads.shared, "_k"), per_row=True)
-            writer.dedent()
+    # A monomial without a ∆R atom (no compiled delta has one) sees no row.
+    evaluate(_Row(writer), per_row=False)
+    if arity is not None:
+        writer.emit("for _k, _v in _delta.items():")
+        writer.block()
+        columns = [f"_d{position}" for position in range(arity)]
+        for column in columns:
+            names.reserve(column)
+        unpack = ", ".join(columns) + ("," if len(columns) == 1 else "") + " = "
+        writer.emit((unpack if columns else "") + "_k")
+        evaluate(_Row(writer, columns, reads.shared, "_k"), per_row=True)
+        writer.dedent()
     for index, statement in enumerate(trigger.statements):
         accumulator = f"_acc{index}"
         if scalar_flags[index]:
-            environment = {argument: names(argument) for argument in trigger.argument_names}
             _emit_scalar_fold(
-                context.for_target(statement.target), statement, environment,
-                accumulator, frame.table,
+                context.for_target(statement.target), statement, accumulator, frame.table
             )
         else:
             trk = f", _TRK[{statement.target!r}]" if statement.target in tracked_maps else ""
-            serial = ", serial=True" if getattr(statement, "serial_fold", False) else ""
+            serial = ", serial=True" if statement.serial_fold else ""
             writer.emit(
                 f"_ent += {context.fold_name(statement.target)}("
                 f"{frame.table(statement.target)}, {accumulator}, {statement.target!r}, "
@@ -883,7 +833,7 @@ def _generate_trigger_body(
 
 def _generate_recomputes(
     context: _EmitContext,
-    trigger: Trigger,
+    trigger: BatchTrigger,
     names: _NameAllocator,
     frame: _Frame,
     tracked_maps: Tuple[str, ...],
@@ -902,7 +852,6 @@ def _generate_recomputes(
         target_table = frame.table(recompute.target)
         spec = _spec_literal(context, recompute.target)
         trk_expr = f"_TRK[{recompute.target!r}]" if recompute.target in tracked_maps else "None"
-        statement = Statement(recompute.target, recompute.target_keys, recompute.body)
         accumulator = f"_racc{rindex}"
         names.reserve(accumulator)
         if recompute.tracked:
@@ -929,8 +878,9 @@ def _generate_recomputes(
             writer.emit(f"{unpack} = {group_key}")
             writer.emit(f"{accumulator} = {zero}")
             _generate_statement(
-                context, statement, recompute.target_keys, accumulator, names, counter,
-                frame, scalar=True,
+                context, recompute.target_keys,
+                ordered_monomials(recompute.body, recompute.target_keys), accumulator, names,
+                counter, frame, scalar=True, bound=recompute.target_keys,
             )
             writer.emit(f"return {accumulator}")
             writer.dedent()
@@ -938,7 +888,8 @@ def _generate_recomputes(
         else:
             writer.emit(f"{accumulator} = {{}}")
             _generate_statement(
-                context, statement, (), accumulator, names, counter, frame, scalar=False,
+                context, recompute.target_keys, ordered_monomials(recompute.body), accumulator,
+                names, counter, frame, scalar=False,
             )
             new_values = f"_rpairs({accumulator}, {target_table}, {zero})"
         writer.emit(
@@ -948,69 +899,63 @@ def _generate_recomputes(
 
 
 def _emit_scalar_fold(
-    context: _EmitContext,
-    statement: Statement,
-    environment: Dict[str, str],
-    accumulator: str,
-    table_ref,
+    context: _EmitContext, statement: BatchStatement, accumulator: str, table_ref
 ) -> None:
-    """The single-key fold for a scalar accumulator (target map unindexed) —
-    the one table write emitted inline, so it appends its own undo record."""
+    """The fold of a nullary-target statement's scalar accumulator (target
+    map unindexed) — the one table write emitted inline, so it appends its
+    own undo record."""
     writer = context.writer
-    key_expression = _key_tuple(statement.target_keys, environment)
     table = table_ref(statement.target)
     writer.emit(context.nonzero_guard(accumulator))
     writer.block()
-    if statement.target_keys:
-        # Build the key tuple once for the read and the write.
-        writer.emit(f"_fkey = {key_expression}")
-        key_expression = "_fkey"
     writer.emit("if _CH is not None:")
     writer.emit(f"    _chm = _CH.get({statement.target!r})")
     writer.emit("    if _chm is not None:")
-    change_read = f"_chm.get({key_expression}, {context.zero_literal()})"
-    writer.emit(f"        _chm[{key_expression}] = {context.folded_add(change_read, accumulator)}")
-    writer.emit(f"_new = {context.folded_add(f'{table}.get({key_expression}, {context.zero_literal()})', accumulator)}")
+    change_read = f"_chm.get((), {context.zero_literal()})"
+    writer.emit(f"        _chm[()] = {context.folded_add(change_read, accumulator)}")
+    writer.emit(f"_new = {context.folded_add(f'{table}.get((), {context.zero_literal()})', accumulator)}")
     writer.emit("_ent += 1")
     writer.emit("if _J is not None:")
-    writer.emit(f"    _J.record({table}, {statement.target!r}, None, ({key_expression},))")
+    writer.emit(f"    _J.record({table}, {statement.target!r}, None, ((),))")
     if context.native:
         writer.emit("if _new == 0:")
     else:
         writer.emit("if _is_zero(_new):")
-    writer.emit(f"    {table}.pop({key_expression}, None)")
+    writer.emit(f"    {table}.pop((), None)")
     writer.emit("else:")
-    writer.emit(f"    {table}[{key_expression}] = _new")
+    writer.emit(f"    {table}[()] = _new")
     writer.dedent()
 
 
 def _generate_statement(
     context: _EmitContext,
-    statement: Statement,
-    argument_names: Tuple[str, ...],
+    target_keys: Tuple[str, ...],
+    monomials,
     accumulator: str,
     names: _NameAllocator,
     counter: List[int],
     frame: _Frame,
     scalar: bool = False,
-    monomials=None,
+    bound: Tuple[str, ...] = (),
+    projection: Optional[Tuple[int, ...]] = None,
 ) -> None:
-    """Emit the evaluation of ``monomials`` (default: all of the statement's)
-    into ``accumulator``.  Inside a batch trigger's row loop each monomial's
-    first ``∆R`` atom is the row in hand: no scan — its free key variables name
-    the column locals (a bound one must equal its column), its value is ``_v``."""
+    """Emit the evaluation of ``monomials`` (:func:`ordered_monomials`, the
+    variables ``bound`` already bound to same-named locals) into
+    ``accumulator``, keyed by ``target_keys``.  Inside a trigger's row loop
+    each monomial's first ``∆R`` atom is the row in hand: no scan — its free
+    key variables name the column locals (a bound one must equal its column),
+    its value is ``_v``."""
     writer = context.writer
     row = frame.row
     in_loop = row.row_key is not None
     # A projection that permutes all of the row's columns yields each target
-    # key once per batch: a plain store, no read-modify-write.
-    projection = getattr(statement, "projection", None) if in_loop else None
-    distinct = projection is not None and sorted(projection) == list(range(len(row.columns)))
-    if monomials is None:
-        monomials = ordered_monomials(statement, argument_names)
+    # key once per event: a plain store, no read-modify-write.
+    distinct = (
+        in_loop and projection is not None and sorted(projection) == list(range(len(row.columns)))
+    )
     for coefficient, factors in monomials:
         base_indent = writer.indent
-        environment = {argument: names(argument) for argument in argument_names}
+        environment = {variable: names(variable) for variable in bound}
         value_terms: List[str] = []
         row_pending = in_loop
         for factor in factors:
@@ -1038,7 +983,7 @@ def _generate_statement(
                     f"{accumulator} = " + context.folded_add(accumulator, value_expression)
                 )
             else:
-                key_expression = row.key(statement.target_keys, environment)
+                key_expression = row.key(target_keys, environment)
                 if not distinct:
                     if not key_expression.isidentifier() and key_expression != "()":
                         # Not row-bound: still built once for the read and the write.

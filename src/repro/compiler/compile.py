@@ -10,14 +10,16 @@ relations, the compiler produces a :class:`~repro.compiler.triggers.TriggerProgr
    the materialization hierarchy of the paper's closure theorem (AGCA is
    closed under deltas even for nested aggregates);
 2. the query itself becomes the level-0 map;
-3. for every map ``M`` and every event kind ``±R(~u)``:
+3. for every map ``M`` and every event kind ``±∆R`` (a single-tuple update
+   ``±R(~u)`` is the one-row case):
 
    * when ``R`` cannot change any map that ``M``'s definition *reads*, the
-     delta of the definition is taken symbolically (Section 6), simplified,
-     expanded into monomials, factorized into variable-connected components
-     (Example 1.3) — relation-bearing components are materialized as child
-     maps, deduplicated structurally — and summed into one increment
-     statement ``M[keys] += rhs``;
+     delta of the definition with respect to the delta map ``∆R`` is taken
+     symbolically (Section 6), simplified, expanded into monomials,
+     factorized into variable-connected components (Example 1.3) —
+     relation-bearing components are materialized as child maps,
+     deduplicated structurally — and summed into one increment statement
+     ``M[keys] += Σ rhs`` folded over ``∆R``;
    * when ``R`` *can* change a map that ``M`` reads (a nested aggregate below
      it), no closed-form increment exists — the delta of a condition
      ``x < M'[k]`` is not linear in ``M'`` — and the compiler emits a
@@ -66,7 +68,7 @@ from repro.core.ast import (
     relations_mentioned,
     walk,
 )
-from repro.core.delta import BatchUpdateEvent, UpdateEvent, delta, delta_map_name, is_delta_map
+from repro.core.delta import BatchUpdateEvent, delta, delta_map_name, is_delta_map
 from repro.core.errors import CompilationError, SchemaError
 from repro.core.factorization import Component, connected_components
 from repro.core.normalization import (
@@ -87,8 +89,6 @@ from repro.compiler.triggers import (
     BatchTrigger,
     MaintenancePlan,
     RecomputeStatement,
-    Statement,
-    Trigger,
     TriggerProgram,
 )
 from repro.compiler.verify import mark_serial_folds, verify_program
@@ -149,8 +149,7 @@ class Compiler:
         self._maps: Dict[str, MapDefinition] = {}
         #: Sharing key -> (map name, its key order); see :meth:`_shared_map`.
         self._registry: Dict[object, Tuple[str, Tuple[int, ...]]] = {}
-        self._statements: Dict[Tuple[str, int], List[Statement]] = defaultdict(list)
-        self._batch_statements: Dict[Tuple[str, int], List[BatchStatement]] = defaultdict(list)
+        self._statements: Dict[Tuple[str, int], List[BatchStatement]] = defaultdict(list)
         self._recomputes: Dict[Tuple[str, int], List[RecomputeStatement]] = defaultdict(list)
         #: Relation -> its base-copy map, read at the columns ``k0, k1, ...``.
         self._base_copies: Dict[str, MapRef] = {}
@@ -177,13 +176,11 @@ class Compiler:
         if semiring_mode:
             maintenance = self._apply_semiring_maintenance(ring)
 
-        triggers, batch_triggers = self._assemble_triggers()
         program = TriggerProgram(
             result_map=name,
             maps=dict(self._maps),
-            triggers=triggers,
+            triggers=assemble_triggers(self._statements, self._recomputes, self._maps),
             schema=dict(self.schema),
-            batch_triggers=batch_triggers,
             maintenance=maintenance,
         )
         mark_serial_folds(program)
@@ -370,55 +367,26 @@ class Compiler:
                 for sign in (1, -1):
                     self._recomputes[(relation, sign)].append(recompute)
 
-        keys = set(definition.key_vars)
         for relation in sorted(closed_relations):
-            arity = len(self.schema[relation])
             for sign in (1, -1):
-                event = UpdateEvent.symbolic(sign, relation, arity)
-                event_args = event.argument_names
-                raw_delta = delta(definition.definition, event)
-                if is_zero_literal(raw_delta):
-                    continue
-                bound = keys | set(event_args)
-                simplified = simplify(raw_delta, bound_vars=bound, needed_vars=bound)
-                if is_zero_literal(simplified):
-                    continue
-                rhs_terms: List[Expr] = []
-                for monomial in monomials_of(simplified):
-                    compiled = self._compile_monomial(monomial, definition, event_args, worklist)
-                    if compiled is not None:
-                        rhs_terms.append(compiled)
-                if not rhs_terms:
-                    continue
-                rhs = rhs_terms[0] if len(rhs_terms) == 1 else Add(tuple(rhs_terms))
-                # Identical monomials can emerge only after component materialization
-                # (e.g. the two symmetric terms of a self-join delta); combine them so
-                # the trigger performs one lookup scaled by 2 instead of two lookups.
-                # The ring normal form additionally recognizes monomials equal
-                # modulo commutativity and can cancel the whole statement.
-                rhs = self._normal_form(rhs, event_args)
-                if is_zero_literal(rhs):
-                    self._compile_batch_statement(definition, relation, arity, sign, worklist)
-                    continue
-                statement = Statement(
-                    target=definition.name,
-                    target_keys=definition.key_vars,
-                    rhs=rhs,
-                )
-                self._statements[(relation, sign)].append(statement)
-                self._compile_batch_statement(definition, relation, arity, sign, worklist)
+                self._compile_statement(definition, relation, sign, worklist)
 
     #: Overridden per-compile; class default keeps hand-driven uses working.
     _semiring_mode = False
 
-    def _normal_form(self, rhs: Expr, bound_vars) -> Expr:
-        """Statement-RHS cleanup: ring normal form, or plain like-term merging."""
+    def _normal_form(self, rhs: Expr) -> Expr:
+        """Right-hand-side cleanup: ring normal form, or plain like-term merging.
+
+        Statements start with nothing bound — the delta references drive the
+        fold; the delta-first factor rank of the normal form keeps them in the
+        leading position the projection analysis needs.
+        """
         if self._semiring_mode:
             # Like-term merging rewrites m + m as 2·m — only sound when integer
             # coefficients act ℤ-linearly, which idempotent semirings break.
             return rhs
         if self._normalize:
-            return normalize_rhs(rhs, bound_vars=bound_vars)
+            return normalize_rhs(rhs)
         return from_polynomial(combine_like_terms(to_polynomial(rhs)))
 
     def _shared_map(
@@ -456,13 +424,12 @@ class Compiler:
         positions = read_positions(registered, order)
         return MapRef(name, tuple(original_keys[position] for position in positions))
 
-    # -- batch (relation-valued) trigger statements -------------------------------------
+    # -- trigger statements (relation-valued deltas) ----------------------------------
 
-    def _compile_batch_statement(
+    def _compile_statement(
         self,
         definition: MapDefinition,
         relation: str,
-        arity: int,
         sign: int,
         worklist: List[MapDefinition],
     ) -> None:
@@ -471,12 +438,14 @@ class Compiler:
         The delta is taken with respect to the *relation-valued* update
         ``±∆R`` (:class:`~repro.core.delta.BatchUpdateEvent`): matching atoms
         become references to the delta map, whose key variables stay free, so
-        the statement is a fold over the pre-aggregated batch joined against
-        the same materialized child maps the per-tuple statements use (the
-        component registry deduplicates them structurally).  Higher-degree
-        monomials in ``∆R`` — the product rule's ``∆α·∆β`` — carry the
-        within-batch interactions that per-tuple replay realizes sequentially.
+        the statement is a fold over the pre-aggregated delta joined against
+        materialized child maps (the component registry deduplicates them
+        structurally).  Higher-degree monomials in ``∆R`` — the product rule's
+        ``∆α·∆β`` — carry the interactions between rows of one delta that
+        one-at-a-time replay realizes sequentially; on a one-row delta they
+        are the single-tuple delta's self-join terms.
         """
+        arity = len(self.schema[relation])
         event = BatchUpdateEvent(sign, relation, arity)
         raw_delta = delta(definition.definition, event)
         if is_zero_literal(raw_delta):
@@ -487,7 +456,7 @@ class Compiler:
             return
         rhs_terms: List[Expr] = []
         for monomial in monomials_of(simplified):
-            compiled = self._compile_batch_monomial(monomial, definition, event, worklist)
+            compiled = self._compile_monomial(monomial, definition, event, worklist)
             if compiled is not None:
                 # Alpha-rename the monomial's free variables canonically so the
                 # symmetric terms of a self-join delta (∆R·M over x vs over y)
@@ -496,14 +465,11 @@ class Compiler:
         if not rhs_terms:
             return
         rhs = rhs_terms[0] if len(rhs_terms) == 1 else Add(tuple(rhs_terms))
-        # Batch statements start with nothing bound — the delta references
-        # drive the fold; the delta-first factor rank of the normal form
-        # keeps them in the leading position the projection analysis needs.
-        rhs = self._normal_form(rhs, ())
+        rhs = self._normal_form(rhs)
         if is_zero_literal(rhs):
             return
         projection, coefficient = _delta_projection(rhs, event.delta_map, definition.key_vars)
-        self._batch_statements[(relation, sign)].append(
+        self._statements[(relation, sign)].append(
             BatchStatement(
                 target=definition.name,
                 target_keys=definition.key_vars,
@@ -515,20 +481,19 @@ class Compiler:
             )
         )
 
-    def _compile_batch_monomial(
+    def _compile_monomial(
         self,
         monomial: Monomial,
         parent: MapDefinition,
         event: BatchUpdateEvent,
         worklist: List[MapDefinition],
     ) -> Optional[Expr]:
-        """Materialize one batch-delta monomial's relation-bearing components.
+        """Materialize one delta monomial's relation-bearing components.
 
         The separator — the variable set across which components must not be
         merged — is the parent's key variables plus every variable a delta-map
         reference binds: at execution time those are bound by iterating the
-        (small) delta map, exactly as the per-tuple separator's update
-        arguments are bound by the event.  Because all of a delta reference's
+        (small) delta map.  Because all of a delta reference's
         variables lie in the separator, delta references always form singleton
         components and are never swallowed into a materialized child map.
         """
@@ -612,7 +577,7 @@ class Compiler:
             if (
                 ring.maintenance == SUPPORT_STRUCTURE
                 and name not in read_elsewhere
-                and self._insert_folds_safe(name)
+                and not self._unsafe_insert_relations(name)
             ):
                 plan = direct_shape_plan(name, definition.key_vars, definition.definition)
             if plan is not None:
@@ -656,82 +621,45 @@ class Compiler:
         for statements in self._statements.values():
             for statement in statements:
                 reads.update(statement.maps_read())
-        for statements in self._batch_statements.values():
-            for statement in statements:
-                reads.update(statement.maps_read())
         for recomputes in self._recomputes.values():
             for recompute in recomputes:
                 reads.update(recompute.maps_read())
         return frozenset(reads)
 
-    def _insert_folds_safe(self, name: str) -> bool:
-        """True when none of the map's insert-side folds require negation."""
-        for (_, sign), statements in self._statements.items():
-            if sign != 1:
-                continue
-            for statement in statements:
-                if statement.target == name and _contains_negation(statement.rhs):
-                    return False
-        for (_, sign), statements in self._batch_statements.items():
-            if sign != 1:
-                continue
-            for statement in statements:
-                if statement.target == name and (
-                    _contains_negation(statement.rhs)
-                    or _is_negative_coefficient(statement.coefficient)
-                ):
-                    return False
-        return True
-
-    def _drop_folds(self, name: str, sign: int) -> None:
-        """Remove every fold statement targeting ``name`` for one event sign."""
-        for (relation, event_sign), statements in list(self._statements.items()):
-            if event_sign == sign:
-                self._statements[(relation, event_sign)] = [
-                    statement for statement in statements if statement.target != name
-                ]
-        for (relation, event_sign), statements in list(self._batch_statements.items()):
-            if event_sign == sign:
-                self._batch_statements[(relation, event_sign)] = [
-                    statement for statement in statements if statement.target != name
-                ]
-
-    def _drop_unsafe_insert_folds(self, name: str) -> List[str]:
-        """Drop negation-bearing insert folds of ``name``; the affected relations.
-
-        When one form (per-tuple or batch) of an event's fold is unsafe, both
-        forms are dropped — the recompute that replaces them runs in both
-        execution paths and must not double-count with a surviving fold.
-        """
-        unsafe = set()
-        for (relation, sign), statements in self._statements.items():
-            if sign == 1 and any(
-                statement.target == name and _contains_negation(statement.rhs)
-                for statement in statements
-            ):
-                unsafe.add(relation)
-        for (relation, sign), statements in self._batch_statements.items():
-            if sign == 1 and any(
+    def _unsafe_insert_relations(self, name: str) -> List[str]:
+        """Relations whose insert-side fold into ``name`` requires negation."""
+        return sorted(
+            relation
+            for (relation, sign), statements in self._statements.items()
+            if sign == 1
+            and any(
                 statement.target == name
                 and (
                     _contains_negation(statement.rhs)
                     or _is_negative_coefficient(statement.coefficient)
                 )
                 for statement in statements
-            ):
-                unsafe.add(relation)
-        for relation in unsafe:
-            self._statements[(relation, 1)] = [
-                statement
-                for statement in self._statements[(relation, 1)]
-                if statement.target != name
-            ]
-            self._batch_statements[(relation, 1)] = [
-                statement
-                for statement in self._batch_statements[(relation, 1)]
-                if statement.target != name
-            ]
-        return sorted(unsafe)
+            )
+        )
+
+    def _drop_folds(self, name: str, sign: int, relations=None) -> None:
+        """Remove every fold statement targeting ``name`` for one event sign
+        (of ``relations`` only, when given)."""
+        for (relation, event_sign), statements in list(self._statements.items()):
+            if event_sign == sign and (relations is None or relation in relations):
+                self._statements[(relation, event_sign)] = [
+                    statement for statement in statements if statement.target != name
+                ]
+
+    def _drop_unsafe_insert_folds(self, name: str) -> List[str]:
+        """Drop negation-bearing insert folds of ``name``; the affected relations.
+
+        The recompute that replaces them must not double-count with a
+        surviving fold.
+        """
+        unsafe = self._unsafe_insert_relations(name)
+        self._drop_folds(name, 1, unsafe)
+        return unsafe
 
     def _attach_recompute(
         self, relation: str, sign: int, recompute: RecomputeStatement
@@ -898,30 +826,6 @@ class Compiler:
             projections[(ref.name, positions)] = None
         return tuple(projections)
 
-    def _compile_monomial(
-        self,
-        monomial: Monomial,
-        parent: MapDefinition,
-        event_args: Tuple[str, ...],
-        worklist: List[MapDefinition],
-    ) -> Optional[Expr]:
-        if monomial.is_zero():
-            return None
-        separator = frozenset(parent.key_vars) | frozenset(event_args)
-        components = connected_components(monomial.factors, separator)
-        rhs_factors: List[Expr] = []
-        for component in components:
-            if component.has_relations:
-                map_reference, deferred = self._materialize_component(
-                    component, separator, parent, worklist
-                )
-                rhs_factors.append(map_reference)
-                rhs_factors.extend(deferred)
-            else:
-                rhs_factors.extend(component.factors)
-        ordered = order_for_safety(rhs_factors, bound_vars=event_args, eager_assignments=True)
-        return Monomial(monomial.coefficient, tuple(ordered)).to_expr()
-
     def _materialize_component(
         self,
         component: Component,
@@ -1000,71 +904,40 @@ class Compiler:
                     seen.append(name)
         return seen
 
-    # -- trigger assembly ------------------------------------------------------------
 
-    def _assemble_triggers(
-        self,
-    ) -> Tuple[Dict[Tuple[str, int], Trigger], Dict[Tuple[str, int], BatchTrigger]]:
-        triggers: Dict[Tuple[str, int], Trigger] = {}
-        batch_triggers: Dict[Tuple[str, int], BatchTrigger] = {}
-        for event in sorted(set(self._statements) | set(self._recomputes)):
+def assemble_triggers(
+    statements: Mapping[Tuple[str, int], Sequence[BatchStatement]],
+    recomputes: Mapping[Tuple[str, int], Sequence[RecomputeStatement]],
+    maps: Mapping[str, MapDefinition],
+) -> Dict[Tuple[str, int], BatchTrigger]:
+    """One :class:`BatchTrigger` per event with any work, in event order.
+
+    Statements are ordered parents-before-children: within one event all
+    reads use the pre-update state, so this ordering is presentational — it
+    mirrors Equation (1)'s increasing-j order.  Recomputes run after the
+    fold, inner hierarchies first, so each one reads post-update sources and
+    pre-update target values.  Shared between the single-query compiler and
+    the multi-view :class:`repro.session.MapCatalog` so both build identical
+    triggers for the same statement set.
+    """
+    triggers: Dict[Tuple[str, int], BatchTrigger] = {}
+    for event in sorted(set(statements) | set(recomputes)):
+        ordered = tuple(
+            sorted(statements.get(event, ()), key=lambda statement: maps[statement.target].level)
+        )
+        inner_first = tuple(
+            sorted(recomputes.get(event, ()), key=lambda statement: statement.depth)
+        )
+        if ordered or inner_first:
             relation, sign = event
-            # Parents before children: within one event all reads use the
-            # pre-update state (the runtime snapshots reads), so this ordering
-            # is presentational — it mirrors Equation (1)'s increasing-j order.
-            ordered = tuple(
-                sorted(
-                    self._statements.get(event, ()),
-                    key=lambda statement: self._maps[statement.target].level,
-                )
-            )
-            # Recomputes run after the fold, inner hierarchies first, so each
-            # one reads post-update sources and pre-update target values.
-            recomputes = tuple(
-                sorted(self._recomputes.get(event, ()), key=lambda statement: statement.depth)
-            )
-            argument_names = UpdateEvent.symbolic(sign, relation, len(self.schema[relation])).argument_names
-            triggers[event] = Trigger(
+            triggers[event] = BatchTrigger(
                 relation=relation,
                 sign=sign,
-                argument_names=argument_names,
+                delta_map=delta_map_name(relation),
                 statements=ordered,
-                recomputes=recomputes,
+                recomputes=inner_first,
             )
-            batch_trigger = build_batch_trigger(
-                relation, sign, self._batch_statements.get(event, ()), recomputes, self._maps
-            )
-            if batch_trigger is not None:
-                batch_triggers[event] = batch_trigger
-        return triggers, batch_triggers
-
-
-def build_batch_trigger(
-    relation: str,
-    sign: int,
-    batch_statements,
-    recomputes: Tuple[RecomputeStatement, ...],
-    maps: Mapping[str, MapDefinition],
-) -> Optional[BatchTrigger]:
-    """Assemble one event's :class:`BatchTrigger`, or ``None`` for a no-op event.
-
-    Statements are ordered parents-before-children (presentational, as for
-    per-tuple triggers); shared between the single-query compiler and the
-    multi-view :class:`repro.session.MapCatalog` so both build identical
-    batch triggers for the same statement set.
-    """
-    ordered = tuple(
-        sorted(batch_statements, key=lambda statement: maps[statement.target].level)
-    )
-    if not ordered and not recomputes:
-        return None
-    return BatchTrigger(
-        relation=relation,
-        sign=sign,
-        delta_map=delta_map_name(relation),
-        statements=ordered,
-        recomputes=recomputes,
-    )
+    return triggers
 
 
 def _canonicalize_free_variables(expr: Expr, fixed: "set[str] | frozenset") -> Expr:

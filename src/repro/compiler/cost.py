@@ -12,7 +12,7 @@ entry updates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterable, Mapping, Optional, Tuple
 
 from repro.algebra.semirings import INTEGER_RING, Semiring
 from repro.core.ast import AggSum, Assign, Expr, MapRef, Rel, Var, walk
@@ -104,12 +104,10 @@ _LOOKUP, _SLICE, _SCAN = 0, 1, 2
 
 
 def _monomial_read_class(
-    factors: Iterable[Expr],
-    initially_bound: Iterable[str],
-    specs: Mapping[str, Tuple[Tuple[int, ...], ...]],
+    factors: Iterable[Expr], specs: Mapping[str, Tuple[Tuple[int, ...], ...]]
 ) -> int:
     """Replay one monomial's binding discipline and grade its map reads."""
-    bound = set(initially_bound)
+    bound = set()
     worst = _LOOKUP
     for factor in factors:
         if isinstance(factor, Assign):
@@ -136,16 +134,16 @@ def _monomial_read_class(
 def statement_cost_class(
     statement,
     specs: Optional[Mapping[str, Tuple[Tuple[int, ...], ...]]] = None,
-    argument_names: Sequence[str] = (),
 ) -> str:
     """The static per-update cost class of one compiled trigger statement.
 
     ``specs`` are the program's slice-index signatures
     (:func:`repro.compiler.indexes.compute_index_specs`) — a partially-bound
     read covered by a signature costs one indexed slice, an uncovered one a
-    whole-map scan.  Statement kinds are recognized structurally so the
-    function prices :class:`~repro.compiler.triggers.Statement`,
-    ``BatchStatement`` and ``RecomputeStatement`` alike.
+    whole-map scan.  The kind of statement is recognized structurally so the
+    function prices :class:`~repro.compiler.triggers.BatchStatement` and
+    ``RecomputeStatement`` alike.  ``|Δ|`` is the number of rows in the delta
+    map: 1 for a single-tuple update.
     """
     specs = specs or {}
     if hasattr(statement, "tracked"):
@@ -154,21 +152,13 @@ def statement_cost_class(
         if recompute_class(statement) == "pointwise":
             return "O(changed groups)"
         return "O(changed groups × indexed slice)"
-    if hasattr(statement, "projection"):
-        if statement.projection is not None:
-            return "O(|Δ| keys)"
-        worst = _LOOKUP
-        for monomial in to_polynomial(statement.rhs):
-            ordered = order_for_safety(monomial.factors, bound_vars=(), eager_assignments=True)
-            worst = max(worst, _monomial_read_class(ordered, (), specs))
-        return ("O(|Δ| keys)", "O(|Δ| × indexed slice)", "O(|Δ| × map scan)")[worst]
+    if statement.projection is not None:
+        return "O(|Δ| keys)"
     worst = _LOOKUP
     for monomial in to_polynomial(statement.rhs):
-        ordered = order_for_safety(
-            monomial.factors, bound_vars=argument_names, eager_assignments=True
-        )
-        worst = max(worst, _monomial_read_class(ordered, argument_names, specs))
-    return ("O(1)", "O(indexed slice)", "O(map scan)")[worst]
+        ordered = order_for_safety(monomial.factors, bound_vars=(), eager_assignments=True)
+        worst = max(worst, _monomial_read_class(ordered, specs))
+    return ("O(|Δ| keys)", "O(|Δ| × indexed slice)", "O(|Δ| × map scan)")[worst]
 
 
 def recompute_scan_reason(recompute) -> Optional[str]:

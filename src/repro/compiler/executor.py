@@ -44,7 +44,8 @@ class CompiledExecutor:
     # -- update processing ---------------------------------------------------------
 
     def apply(self, update: Update, changes: Changes = None) -> None:
-        """Apply one single-tuple update on whichever executor owns the triggers."""
+        """Apply one update on whichever executor owns the triggers: its
+        event's trigger runs on the one-row delta map ``{values: count}``."""
         runtime = self.runtime
         if self.generated is None:
             runtime.apply(update, changes=changes)
@@ -56,8 +57,11 @@ class CompiledExecutor:
             update.values,
             indexes=runtime.indexes,
             changes=changes,
+            count=update.count,
         )
-        self._after_generated(group_updates((update,)) if runtime.has_supports else None, changes, 1)
+        self._after_generated(
+            group_updates((update,)) if runtime.has_supports else None, changes, update.count
+        )
 
     def apply_batch(self, delta: Delta, changes: Changes = None) -> int:
         """Apply a batch ``∆D``; returns its tuple count."""

@@ -46,11 +46,11 @@ def iter_partial_reads(program: TriggerProgram):
 
     The analysis replays exactly the binding discipline of the code generator
     (and of the interpreted evaluator, which evaluates the same
-    safety-ordered monomials left to right): trigger arguments start out
-    bound, assignments bind their target, and a map reference binds its free
-    key variables for the factors to its right.  A map reference whose key
-    variables are *partially* bound at that point is reported once per
-    occurrence, tagged with the statement (or recompute) performing it.  A
+    safety-ordered monomials left to right): a delta-map reference binds the
+    update's keys, assignments bind their target, and a map reference binds
+    its free key variables for the factors to its right.  A map reference
+    whose key variables are *partially* bound at that point is reported once
+    per occurrence, tagged with the statement (or recompute) performing it.  A
     semiring program's support plans read too: an exhausted group reloads
     from its relation's base counter map, bound at the plan's key positions
     (tagged with the :class:`~repro.algebra.lattices.SupportPlan`).
@@ -72,7 +72,7 @@ def iter_partial_reads(program: TriggerProgram):
                     for index, key_var in enumerate(factor.key_vars)
                     if key_var in bound
                 )
-                # Delta maps are transient per-batch tables: they bind their
+                # Delta maps are transient per-update tables: they bind their
                 # key variables by iteration but are never worth indexing.
                 if (
                     positions
@@ -83,49 +83,27 @@ def iter_partial_reads(program: TriggerProgram):
                 bound.update(factor.key_vars)
 
     for trigger in program.triggers.values():
-        for statement in trigger.statements:
-            for monomial in to_polynomial(statement.rhs):
+        # Statements start from no bound variables — the delta-map references
+        # bind the update's keys by iteration.  A tracked recompute
+        # re-evaluates its body per affected group, so its target keys are
+        # bound; a full recompute starts from nothing.  Every body is replayed
+        # both in its stored order (the interpreted evaluator's) and in the
+        # generator's safety reordering (eager assignments), so both backends
+        # find their slices.
+        bodies = [(statement, statement.rhs, ()) for statement in trigger.statements]
+        bodies += [
+            (recompute, recompute.body, recompute.target_keys if recompute.tracked else ())
+            for recompute in trigger.recomputes
+        ]
+        for statement, body, initially_bound in bodies:
+            for monomial in to_polynomial(body):
+                yield from replay(statement, monomial.factors, initially_bound)
                 yield from replay(
                     statement,
                     order_for_safety(
-                        monomial.factors,
-                        bound_vars=trigger.argument_names,
-                        eager_assignments=True,
-                    ),
-                    trigger.argument_names,
-                )
-        for recompute in trigger.recomputes:
-            # A tracked recompute re-evaluates its body per affected group, so
-            # the target keys are bound; a full recompute starts from nothing.
-            # The body is replayed both in its stored (make-safe) order — the
-            # interpreted evaluator's order — and in the generator's
-            # safety-reordered (eager-assignment) order, so both backends
-            # find their slices.
-            initially_bound = recompute.target_keys if recompute.tracked else ()
-            for monomial in to_polynomial(recompute.body):
-                yield from replay(recompute, monomial.factors, initially_bound)
-                yield from replay(
-                    recompute,
-                    order_for_safety(
-                        monomial.factors,
-                        bound_vars=initially_bound,
-                        eager_assignments=True,
+                        monomial.factors, bound_vars=initially_bound, eager_assignments=True
                     ),
                     initially_bound,
-                )
-    for batch_trigger in program.batch_triggers.values():
-        # Batch statements start from no bound variables — the delta-map
-        # references bind the batch keys by iteration; replayed in both the
-        # stored order and the generator's reordering, as for recomputes.
-        for statement in batch_trigger.statements:
-            for monomial in to_polynomial(statement.rhs):
-                yield from replay(statement, monomial.factors, ())
-                yield from replay(
-                    statement,
-                    order_for_safety(
-                        monomial.factors, bound_vars=(), eager_assignments=True
-                    ),
-                    (),
                 )
     maintenance = program.maintenance
     if maintenance is not None:

@@ -345,26 +345,30 @@ def arity_error(update: Update) -> ValueError:
     )
 
 
-def make_apply_batch(plan, ring: Semiring, batch_triggers, totals, triggers) -> Callable:
-    """The batch loop of both executors: ``apply_batch(maps, delta,
-    index_data=None, changes=None, journal=None) -> tuple count``.
+def make_apply_batch(plan, ring: Semiring, triggers, totals) -> Tuple[Callable, Callable]:
+    """The update loop of both executors: ``(apply_batch, apply_row)``.
 
-    ``delta`` is a :class:`~repro.gmr.database.Delta`, the batch already
-    grouped into one delta map ``∆R : values → count`` per ``(relation,
-    sign)`` event, and each event runs as the lowered ``plan`` says: a
-    ``total`` event's fused trigger ``totals[event](maps, Σ∆R, index_data,
-    changes, journal)`` (no table at all), any other event's batch trigger
-    ``batch_triggers[event](maps, ∆R, …)`` on the delta map itself, and an
-    event without a batch trigger (hand-built programs only) its per-tuple
-    trigger ``triggers[event](maps, values, …)`` once per logical tuple — the
-    reference semantics.  Every event's keys are checked against the plan's
-    arity, one pass per event, before any trigger runs.
+    ``apply_batch(maps, delta, index_data=None, changes=None, journal=None)
+    -> tuple count`` takes a :class:`~repro.gmr.database.Delta`, the batch
+    already grouped into one delta map ``∆R : values → count`` per
+    ``(relation, sign)`` event, and runs each event as the lowered ``plan``
+    says: a ``total`` event's fused trigger ``totals[event](maps, Σ∆R,
+    index_data, changes, journal)`` (no table at all), any other event's
+    trigger ``triggers[event](maps, ∆R, …)`` on the delta map itself.  Every
+    event's keys are checked against the plan's arity, one pass per event,
+    before any trigger runs.
+
+    ``apply_row(maps, relation, sign, values, count=1, index_data=None,
+    changes=None, journal=None) -> count`` is a single update ``±R(values)``
+    with multiplicity ``count``: the same tables, run on the one-row delta
+    map ``{values: count}`` — the paper's single-tuple delta is the
+    relation-valued one at ``|∆R| = 1``.
 
     Over a ring the events run in first-seen order; under a proper semiring
     in :func:`semiring_order`, their delta maps left as ℤ counts (ring
     statements read them through ``from_int``).  Any other non-native ring's
-    batch triggers read each map's ``from_int`` image, zero images dropped (a
-    finite ring's ``from_int`` can wrap to zero).
+    triggers read each map's ``from_int`` image, zero images dropped (a finite
+    ring's ``from_int`` can wrap to zero).
     """
     arities = {event.event: event.arity for event in plan.events if event.arity is not None}
     semiring = not ring.is_ring
@@ -386,22 +390,41 @@ def make_apply_batch(plan, ring: Semiring, batch_triggers, totals, triggers) -> 
             if trigger is not None:
                 trigger(maps, count, index_data, changes, journal)
                 continue
-            trigger = batch_triggers.get(event)
+            trigger = triggers.get(event)
             if trigger is not None:
                 if lifted:
                     rows = {values: one if n == 1 else from_int(n) for values, n in rows.items()}
                     rows = {values: value for values, value in rows.items() if not is_zero(value)}
                 if rows:
                     trigger(maps, rows, index_data, changes, journal)
-                continue
-            trigger = triggers.get(event)
-            if trigger is not None:
-                for values, n in rows.items():
-                    for _ in range(n):
-                        trigger(maps, values, index_data, changes, journal)
         return tuples
 
-    return apply_batch
+    #: Per event, what a single row needs: one lookup instead of three.
+    row_plan = {
+        event: (arities.get(event), totals.get(event), trigger)
+        for event, trigger in triggers.items()
+    }
+
+    def apply_row(
+        maps, relation, sign, values, count=1, index_data=None, changes=None, journal=None
+    ):
+        entry = row_plan.get((relation, sign))
+        if entry is None:
+            return count
+        arity, total, trigger = entry
+        if arity is not None and len(values) != arity:
+            raise arity_error(Update(sign, relation, values, count))
+        if total is not None:
+            total(maps, count, index_data, changes, journal)
+        elif not lifted:
+            trigger(maps, {values: count}, index_data, changes, journal)
+        else:
+            value = one if count == 1 else from_int(count)
+            if not is_zero(value):
+                trigger(maps, {values: value}, index_data, changes, journal)
+        return count
+
+    return apply_batch, apply_row
 
 
 def lower_pointwise(body: Expr, target_keys: Tuple[str, ...], ring: Semiring) -> Callable:

@@ -182,7 +182,8 @@ def normalize_rhs(expr: Expr, bound_vars: Iterable[str] = ()) -> Expr:
     :func:`factor_sort_key`, merges like terms (cancelling ``+dR``/``-dR``
     pairs whatever their original factor order), then re-orders every
     surviving monomial with ``order_for_safety(..., eager_assignments=True)``
-    under ``bound_vars`` (the trigger arguments) so the stored order stays a
+    under ``bound_vars`` (bound before the statement runs: none in a trigger
+    statement, whose delta map binds its keys) so the stored order stays a
     valid left-to-right evaluation plan.  Returns the literal constant 0
     when everything cancels.
     """

@@ -11,17 +11,18 @@ compiled executors agree on every fork of the batch path because they decode
 the same object, not because two copies of the rules are kept equal by hand.
 
 A batch reaches the executors already grouped — a
-:class:`~repro.gmr.database.Delta`, one delta map per event — so the one
-per-event choice left is whether an all-bare-count trigger (``total``) folds
-the event's net tuple count ``Σ∆R`` through its fused ``total_batch_*``
-function instead of running its batch trigger on the map.  The gates
+:class:`~repro.gmr.database.Delta`, one delta map per event; a single update
+is one event's one-row map — so the one per-event choice left is whether an
+all-bare-count trigger (``total``) folds the event's net tuple count ``Σ∆R``
+through its fused ``total_batch_*`` function instead of running its trigger
+on the map.  The gates
 evaluated here and nowhere else:
 
 * **ring** — the fused total is an int-multiplicity optimization, exact over
   ℤ.  Over the float field accumulation order is observable, so only a
   *whole program* of fused totals fuses — with Kahan-compensated folds
   (``kahan``), strictly more accurate than left-to-right sums.  Every other
-  ring runs every event's batch trigger.
+  ring runs every event's trigger.
 * **index demotion** — a ``total`` event whose target carries slice indexes
   stays ``generic``: the fold must see a delta table to journal index upkeep
   (nullary-key targets never do; this stays defensive).
@@ -41,20 +42,15 @@ from repro.compiler.cost import (
     whole_batch_fold,
 )
 from repro.compiler.indexes import IndexSpecs, Positions, compute_index_specs
-from repro.compiler.triggers import (
-    BatchTrigger,
-    RecomputeStatement,
-    Trigger,
-    TriggerProgram,
-)
+from repro.compiler.triggers import BatchTrigger, RecomputeStatement, TriggerProgram
 from repro.core.ast import Assign, MapRef, Var
 from repro.core.normalization import to_polynomial
 from repro.core.simplify import order_for_safety
 
+
 @dataclass(frozen=True)
 class RowReads:
-    """What one trigger reads as a function of its update row alone — a
-    per-tuple trigger's arguments, one entry of a batch trigger's ``∆R``.
+    """What one trigger reads as a function of one row of its ``∆R`` alone.
 
     Every statement of an event sees the same row and the same pre-update
     state (Equation (1)), so such a read has one value per row however many
@@ -81,36 +77,36 @@ class RowReads:
         return f"-- {scans}, {len(self.reads)} reads, {len(self.shared)} shared"
 
 
-def ordered_monomials(statement, bound_vars=()) -> list:
-    """``(coefficient, factors)`` per monomial of ``statement.rhs``, the factors
-    in the generator's binding order (safety-ordered, eager assignments)."""
+def ordered_monomials(expr, bound_vars=()) -> list:
+    """``(coefficient, factors)`` per monomial of ``expr``, the factors in the
+    generator's binding order (safety-ordered, eager assignments)."""
     return [
         (m.coefficient, order_for_safety(m.factors, bound_vars=bound_vars, eager_assignments=True))
-        for m in to_polynomial(statement.rhs)
+        for m in to_polynomial(expr)
     ]
 
 
-def analyze_row_reads(trigger, specs: IndexSpecs, native: Optional[frozenset]) -> RowReads:
-    """The :class:`RowReads` of a per-tuple or batch trigger (or of none).
+def analyze_row_reads(trigger: BatchTrigger, specs: IndexSpecs, native: Optional[frozenset]) -> RowReads:
+    """The :class:`RowReads` of one trigger.
 
     Replays the generator's binding discipline (safety-ordered monomials, left
-    to right) tracking which variables name a *row column*: trigger arguments,
-    the keys of a batch monomial's first ``∆R`` atom (the row in hand) and
-    plain ``(v := column)`` aliases.  ``native``: see :class:`EventPlan`.
+    to right) tracking which variables name a *row column*: the keys of a
+    monomial's first ``∆R`` atom (the row in hand) and plain
+    ``(v := column)`` aliases.  ``native``: see :class:`EventPlan`.
     """
-    delta_map = getattr(trigger, "delta_map", None)
+    delta_map = trigger.delta_map
     uses: Dict[tuple, int] = {}
     monomials = []
     looped = nested = 0
-    for statement in trigger.statements if trigger is not None else ():
-        whole = delta_map and whole_batch_fold(statement, native is None or statement.target in native)
-        monomials.append(None if whole else ordered_monomials(statement, trigger.argument_names))
+    for statement in trigger.statements:
+        whole = whole_batch_fold(statement, native is None or statement.target in native)
+        monomials.append(None if whole else ordered_monomials(statement.rhs))
         for _coefficient, factors in monomials[-1] or ():
-            row = delta_map  # the first ∆R atom still to come, if any
-            if row and not any(isinstance(f, MapRef) and f.name == row for f in factors):
+            if not any(isinstance(f, MapRef) and f.name == delta_map for f in factors):
                 continue  # evaluated once, before the loop
-            column = {name: index for index, name in enumerate(trigger.argument_names)}
-            bound = set(column)
+            row = delta_map  # the first ∆R atom, still to come
+            column: Dict[str, int] = {}
+            bound = set()
             for factor in factors:
                 if isinstance(factor, Assign):
                     source = factor.expr
@@ -143,19 +139,17 @@ class EventPlan:
     relation: str
     sign: int
     #: ``"total"`` — every statement is a bare-count fold: the fused trigger
-    #: folds the event's net tuple count ``Σ∆R``.  ``"generic"`` — the batch
+    #: folds the event's net tuple count ``Σ∆R``.  ``"generic"`` — the
     #: trigger runs on the event's delta map.
     kind: str
-    #: The arity check: length of every key of the event's delta map (``None``
-    #: when no per-tuple trigger declares the relation's arguments).
+    #: The arity check: length of every key of the event's delta map (the
+    #: relation's declared arity in ``program.schema``).
     arity: Optional[int]
-    trigger: Optional[Trigger]
-    batch_trigger: Optional[BatchTrigger]
-    #: Maps whose per-event changed keys the per-tuple / batch trigger's
-    #: tracked recomputes consume (their folds collect ``touched`` keys).
+    trigger: BatchTrigger
+    #: Maps whose per-event changed keys the trigger's tracked recomputes
+    #: consume (their folds collect ``touched`` keys).
     tracked: Tuple[str, ...] = ()
-    batch_tracked: Tuple[str, ...] = ()
-    #: Per batch statement, the ``[spec:…]`` class shown by ``explain()``.
+    #: Per statement, the ``[spec:…]`` class shown by ``explain()``.
     labels: Tuple[str, ...] = ()
     #: Per entry of :attr:`recomputes`, ``"pointwise"`` — the interpreted
     #: executor runs the body as a lowered closure of lookups at the group
@@ -167,14 +161,10 @@ class EventPlan:
 
     @cached_property
     def reads(self) -> RowReads:
-        """What the per-tuple trigger (:attr:`batch_reads`: the batch trigger)
-        reads per update row.  Analysed on first use: the generator prints from
-        it, ``explain()`` and ``repro-lint`` report it, the runtime never asks."""
+        """What the trigger reads per row of ``∆R``.  Analysed on first use:
+        the generator prints from it, ``explain()`` and ``repro-lint`` report
+        it, the runtime never asks."""
         return analyze_row_reads(self.trigger, self.specs, self.native)
-
-    @cached_property
-    def batch_reads(self) -> RowReads:
-        return analyze_row_reads(self.batch_trigger, self.specs, self.native)
 
     @property
     def event(self) -> Tuple[str, int]:
@@ -182,8 +172,7 @@ class EventPlan:
 
     @property
     def recomputes(self) -> Tuple[RecomputeStatement, ...]:
-        """The event's recomputes (its per-tuple and batch trigger share them)."""
-        return (self.trigger or self.batch_trigger).recomputes
+        return self.trigger.recomputes
 
 
 @dataclass(frozen=True)
@@ -229,43 +218,34 @@ def lower_batch_plan(
     if ring is not INTEGER_RING and ring is not FLOAT_FIELD:
         semiring_plan = program.maintenance if not ring.is_ring else None
         native = frozenset(semiring_plan.counter_maps if semiring_plan else ())
-    keys = sorted(
-        set(program.triggers) | set(program.batch_triggers), key=lambda key: (key[0], -key[1])
-    )
+    keys = sorted(program.triggers, key=lambda key: (key[0], -key[1]))
     totals = {
         key
-        for key, batch_trigger in program.batch_triggers.items()
-        if trigger_specialization(batch_trigger) == "total"
-        and not any(specs.get(s.target) for s in batch_trigger.statements)
+        for key, trigger in program.triggers.items()
+        if trigger_specialization(trigger) == "total"
+        and not any(specs.get(s.target) for s in trigger.statements)
     }
     all_total = bool(keys) and totals.issuperset(keys)
     if not (specialize and (ring is INTEGER_RING or (ring is FLOAT_FIELD and all_total))):
         totals = set()
     events = []
     for key in keys:
-        trigger = program.triggers.get(key)
-        batch_trigger = program.batch_triggers.get(key)
+        trigger = program.triggers[key]
         fused = key in totals
+        columns = program.schema.get(key[0])
         events.append(
             EventPlan(
                 relation=key[0],
                 sign=key[1],
                 kind="total" if fused else "generic",
-                arity=len(trigger.argument_names) if trigger is not None else None,
+                arity=None if columns is None else len(columns),
                 trigger=trigger,
-                batch_trigger=batch_trigger,
-                tracked=tracked_source_maps(trigger) if trigger is not None else (),
-                batch_tracked=(
-                    tracked_source_maps(batch_trigger) if batch_trigger is not None else ()
-                ),
+                tracked=tracked_source_maps(trigger),
                 labels=tuple(
-                    batch_specialization_class(statement, batch_trigger if fused else None)
-                    for statement in (batch_trigger.statements if batch_trigger else ())
+                    batch_specialization_class(statement, trigger if fused else None)
+                    for statement in trigger.statements
                 ),
-                recompute_kinds=tuple(
-                    recompute_class(recompute)
-                    for recompute in (trigger or batch_trigger).recomputes
-                ),
+                recompute_kinds=tuple(recompute_class(r) for r in trigger.recomputes),
                 specs=specs,
                 native=native,
             )

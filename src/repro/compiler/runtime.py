@@ -1,9 +1,9 @@
 """Interpreted execution of compiled trigger programs.
 
 The :class:`TriggerRuntime` holds the materialized map hierarchy and applies
-single-tuple updates by executing the compiled triggers.  Within one update
-event every statement's right-hand side is evaluated against the *pre-update*
-map state and all increments are applied afterwards — equivalent to the
+updates by executing the compiled triggers.  Within one update event every
+statement's right-hand side is evaluated against the *pre-update* map state
+and all increments are applied afterwards — equivalent to the
 increasing-``j`` in-place order of Equation (1) in the paper.
 
 The runtime never stores or consults the base relations themselves: once
@@ -16,24 +16,25 @@ so the AGCA evaluator (and the generated backend, which shares the same
 environment inside :class:`~repro.ivm.recursive.RecursiveIVM`) slices maps by
 bound prefix instead of scanning them.
 
-Batches are applied with :meth:`TriggerRuntime.apply_batch`, which executes
-the program's *batch triggers* on a :class:`~repro.gmr.database.Delta` — the
-batch as one delta map ``∆R : key → multiplicity`` per ``(relation, sign)``
-event: every batch statement — the relation-valued delta of its target's
-definition — is evaluated once per event with the delta map bound in the
-environment, then folded with one read-modify-write per distinct target key.
-Recompute statements run once per event over the union of affected groups.
-Because the statements include the delta's higher-order terms in ``∆R``, the
-final state equals one-at-a-time application exactly — per-tuple
-:meth:`TriggerRuntime.apply` is the reference semantics the property tests
-compare against.
+Every update runs the program's triggers on delta maps.
+:meth:`TriggerRuntime.apply_batch` takes a :class:`~repro.gmr.database.Delta`
+— the batch as one delta map ``∆R : key → multiplicity`` per ``(relation,
+sign)`` event — and :meth:`TriggerRuntime.apply` a single update, which is
+the one-row map ``{values: count}`` of its event.  Every statement — the
+relation-valued delta of its target's definition — is evaluated once per
+event with the delta map bound in the environment, then folded with one
+read-modify-write per distinct target key.  Recompute statements run once
+per event over the union of affected groups.  Because the statements include
+the delta's higher-order terms in ``∆R``, the final state equals
+one-at-a-time application exactly, the ``∆R·∆R`` term of a self-join
+included.
 
 What is interpreted here is only the right-hand sides (``evaluate`` over the
-statement bodies).  Which path a batch takes is decided once, by the lowered
-:class:`~repro.compiler.plan.BatchPlan` this runtime walks (and generated
-modules are printed from); the fold itself, change capture, slice-index
-upkeep and the recompute write-back are the shared
-:mod:`repro.compiler.kernels`.
+statement bodies).  Which path an event takes is decided once, by the
+lowered :class:`~repro.compiler.plan.BatchPlan` this runtime walks (and
+generated modules are printed from); the update loop, the fold itself,
+change capture, slice-index upkeep and the recompute write-back are the
+shared :mod:`repro.compiler.kernels`.
 
 With ``shards=N`` (N > 1) the map tables are hash-partitioned
 (:class:`~repro.compiler.partition.tables.ShardedMapTable`) and every batch
@@ -67,7 +68,6 @@ from repro.compiler.indexes import IndexedMaps, SliceIndexes
 from repro.compiler.kernels import (
     FoldKernels,
     UndoJournal,
-    arity_error,
     lower_pointwise,
     make_apply_batch,
     recompute_pairs,
@@ -77,7 +77,7 @@ from repro.compiler.maps import dependency_depths
 from repro.compiler.partition.backends import ShardBackend, make_shard_backend
 from repro.compiler.partition.tables import ShardedMapTable, resolve_shard_count
 from repro.compiler.plan import BatchPlan, lower_batch_plan
-from repro.compiler.triggers import BatchTrigger, RecomputeStatement, Trigger, TriggerProgram
+from repro.compiler.triggers import BatchTrigger, RecomputeStatement, TriggerProgram
 from repro.core.ast import AggSum
 from repro.core.semantics import evaluate
 from repro.core.simplify import make_safe
@@ -193,7 +193,6 @@ class TriggerRuntime:
         )
         self.statistics = RuntimeStatistics()
         self._kernels = FoldKernels(ring)
-        self._events = {event.event: event for event in self.plan.events}
         #: The plan's pointwise recomputes, each lowered once to a closure
         #: ``(tables, group) -> value`` (keyed by statement identity: the
         #: plan keeps the statements alive).
@@ -205,7 +204,7 @@ class TriggerRuntime:
                     self._pointwise[id(recompute)] = lower_pointwise(
                         recompute.body, recompute.target_keys, ring
                     )
-        # The batch loop, shared with generated modules; here its per-event
+        # The update loop, shared with generated modules; here its per-event
         # callables interpret the triggers.
 
         def interpret(method, *trigger):
@@ -214,25 +213,17 @@ class TriggerRuntime:
             )
 
         events = self.plan.events
-        self._apply_batch = make_apply_batch(
+        self._apply_batch, self._apply_row = make_apply_batch(
             self.plan,
             ring,
             {
-                event.event: interpret(
-                    self._apply_batch_trigger, event.batch_trigger, event.batch_tracked
-                )
+                event.event: interpret(self._apply_batch_trigger, event.trigger, event.tracked)
                 for event in events
-                if event.batch_trigger is not None
             },
             {
-                event.event: interpret(self._apply_total_trigger, event.batch_trigger)
+                event.event: interpret(self._apply_total_trigger, event.trigger)
                 for event in events
                 if event.kind == "total"
-            },
-            {
-                event.event: interpret(self._apply_trigger, event.trigger, event.tracked)
-                for event in events
-                if event.trigger is not None
             },
         )
         # The evaluator needs a Database only for its coefficient structure and
@@ -352,18 +343,16 @@ class TriggerRuntime:
     # -- update processing -----------------------------------------------------------
 
     def apply(self, update: Update, changes: Optional[Dict[str, MapTable]] = None) -> None:
-        """Apply one single-tuple update to the whole view hierarchy.
+        """Apply one update ``±R(values)`` (multiplicity ``update.count``) to
+        the whole view hierarchy: its event's trigger runs on the one-row
+        delta map ``{values: count}``.
 
         ``changes`` optionally maps watched map names to accumulators that
         receive the per-key deltas this update causes in those maps.
         """
-        event = self._events.get((update.relation, update.sign))
-        if event is not None and event.arity not in (None, len(update.values)):
-            raise arity_error(update)
-        self.statistics.updates_processed += update.count
-        if event is not None and event.trigger is not None:
-            for _ in range(update.count):
-                self._apply_trigger(event.trigger, event.tracked, update.values, changes)
+        self.statistics.updates_processed += self._apply_row(
+            self.maps, update.relation, update.sign, update.values, update.count, None, changes
+        )
         # Fed after the triggers: an exhausted support's rebuild must see the
         # post-update counter map.
         if self._support_tier is not None:
@@ -381,9 +370,8 @@ class TriggerRuntime:
         statement evaluated against the pre-event state, increments folded
         per distinct key, and recomputes re-derived once over the union of
         affected groups; a fused event folds its net tuple count instead.
-        The final map state equals one-at-a-time application (the batch
-        statements carry the delta's higher-order interaction terms).  An
-        event without a batch trigger is applied per tuple.  Every event's
+        The final map state equals one-at-a-time application (the statements
+        carry the delta's higher-order interaction terms).  Every event's
         keys are arity-checked before any map is touched, so a malformed
         batch cannot leave the hierarchy partially advanced.  Returns the
         batch's logical tuple count.
@@ -395,7 +383,7 @@ class TriggerRuntime:
 
     def _apply_total_trigger(
         self,
-        batch_trigger: BatchTrigger,
+        trigger: BatchTrigger,
         total: int,
         changes: Optional[Dict[str, MapTable]] = None,
         journal: Optional[UndoJournal] = None,
@@ -407,7 +395,7 @@ class TriggerRuntime:
         over the float field (the plan's ``kahan`` flag).
         """
         fold_total = self._kernels.fold_total if self.plan.kahan else None
-        for statement in batch_trigger.statements:
+        for statement in trigger.statements:
             self.statistics.statements_executed += 1
             increment = statement.coefficient * total
             if fold_total is not None:
@@ -512,54 +500,6 @@ class TriggerRuntime:
                     if collector is not None:
                         collector[key] = value
 
-    def _apply_trigger(
-        self,
-        trigger: Trigger,
-        tracked: Tuple[str, ...],
-        values: Tuple[Any, ...],
-        changes: Optional[Dict[str, MapTable]] = None,
-        journal: Optional[UndoJournal] = None,
-    ) -> None:
-        bindings = Record.from_values(trigger.argument_names, values)
-        # Per-event changed-key sets of the maps the recomputes track.
-        tracked_sources = {name: set() for name in tracked} if tracked else None
-
-        # Evaluate every statement against the pre-update state ...
-        pending = []
-        for statement in trigger.statements:
-            self.statistics.statements_executed += 1
-            environment = self._environment
-            maps = self.maps
-            if self._count_env is not None:
-                if statement.target in self._counter_maps:
-                    # Counter statements are ℤ-valued whatever the ring is.
-                    environment = self._count_env
-                else:
-                    # Ring statements can join against counter maps (base
-                    # copies of the other relations) — read them as ring
-                    # values through the from-int view.
-                    maps = self._evaluation_maps()
-            result = evaluate(
-                statement.as_aggregate(), environment, bindings, maps=maps
-            )
-            increments = {
-                record.values_for(statement.target_keys): value
-                for record, value in result.items()
-            }
-            pending.append((statement, increments))
-
-        # ... then apply all increments, keeping the slice indexes in sync.
-        for statement, increments in pending:
-            self._fold_increments(
-                statement.target, increments, changes, tracked_sources, statement.serial_fold,
-                journal,
-            )
-
-        # Finally re-derive the nested-aggregate readers, inner maps first;
-        # each recompute sees the post-update sources and the pre-update target.
-        for recompute in trigger.recomputes:
-            self._run_recompute(recompute, changes, tracked_sources, journal)
-
     def _projection_lift(self, statement, is_counter: bool):
         """``multiplicity -> increment`` for a key-projection batch statement."""
         coefficient = statement.coefficient
@@ -580,15 +520,16 @@ class TriggerRuntime:
 
     def _apply_batch_trigger(
         self,
-        batch_trigger: BatchTrigger,
+        trigger: BatchTrigger,
         tracked: Tuple[str, ...],
         delta_table: MapTable,
         changes: Optional[Dict[str, MapTable]] = None,
         journal: Optional[UndoJournal] = None,
     ) -> None:
-        """Run one batch trigger over a pre-aggregated delta map.
+        """Run one batch trigger over a pre-aggregated delta map — a whole
+        batch's, or the one row of a single update.
 
-        Statements are evaluated against the pre-group state with the delta
+        Statements are evaluated against the pre-update state with the delta
         map temporarily overlaid into the map environment (under its reserved
         name, so the evaluator reads it like any other map); a statement with
         a key projection skips evaluation entirely and folds the delta map
@@ -604,9 +545,9 @@ class TriggerRuntime:
         #: counter maps wrapped, plus the delta's ``from_int`` image under
         #: the reserved delta name.
         ring_view: Optional[IndexedMaps] = None
-        self.maps[batch_trigger.delta_map] = delta_table
+        self.maps[trigger.delta_map] = delta_table
         try:
-            for statement in batch_trigger.statements:
+            for statement in trigger.statements:
                 self.statistics.statements_executed += 1
                 increments: MapTable = {}
                 is_counter = semiring and statement.target in self._counter_maps
@@ -632,7 +573,7 @@ class TriggerRuntime:
                             ring_view = IndexedMaps(
                                 self._evaluation_maps(), indexes=self.indexes
                             )
-                            ring_view[batch_trigger.delta_map] = {
+                            ring_view[trigger.delta_map] = {
                                 key: from_int(multiplicity)
                                 for key, multiplicity in delta_table.items()
                             }
@@ -644,13 +585,13 @@ class TriggerRuntime:
                         increments[record.values_for(statement.target_keys)] = value
                 pending.append((statement, increments))
         finally:
-            self.maps.pop(batch_trigger.delta_map, None)
+            self.maps.pop(trigger.delta_map, None)
         for statement, increments in pending:
             self._fold_increments(
                 statement.target, increments, changes, tracked_sources, statement.serial_fold,
                 journal,
             )
-        for recompute in batch_trigger.recomputes:
+        for recompute in trigger.recomputes:
             self._run_recompute(recompute, changes, tracked_sources, journal)
 
     def _fold_increments(
@@ -666,7 +607,7 @@ class TriggerRuntime:
 
         Counter maps of a semiring plan fold in ℤ; ``serial`` is the
         shard-race detector's verdict
-        (:attr:`~repro.compiler.triggers.Statement.serial_fold`).
+        (:attr:`~repro.compiler.triggers.BatchStatement.serial_fold`).
         """
         kernels = self._kernels
         fold = kernels.fold_int if target in self._counter_maps else kernels.fold

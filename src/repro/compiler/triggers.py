@@ -1,12 +1,15 @@
-"""Trigger intermediate representation (the paper's "NC⁰C" programs).
+"""The trigger intermediate representation (the paper's "NC⁰C" programs).
 
 A compiled query becomes a :class:`TriggerProgram`: a set of map definitions
-plus, for every base relation ``R`` and every sign, a :class:`Trigger` —
-a list of increment statements executed when a tuple is inserted into or
-deleted from ``R``.  Each :class:`Statement` increments one map by the value
-of a right-hand-side expression that refers only to trigger arguments,
-constants, conditions and *other maps* (never to base relations), which is
-what makes per-value maintenance work constant.
+plus, for every base relation ``R`` and every sign, one :class:`BatchTrigger`
+— the increment statements executed when a delta ``±∆R`` reaches ``R``.  Each
+:class:`BatchStatement` increments one map by the value of a right-hand side
+that refers only to the delta map ``∆R : values → count``, constants,
+conditions and *other maps* (never to base relations), which is what makes
+per-value maintenance work constant.  A single-tuple update ``±R(t)`` is the
+one-row delta ``{t: 1}``: in the ring of databases it is just a small ``∆D``,
+and the relation-valued delta rule covers it exactly, the ``∆R·∆R`` term of a
+self-join included.
 """
 
 from __future__ import annotations
@@ -27,43 +30,6 @@ def _suffix(annotate, statement) -> str:
 
 
 @dataclass(frozen=True)
-class Statement:
-    """``target[target_keys] += rhs`` (for every key combination produced by ``rhs``).
-
-    The right-hand side is an AGCA expression over map references and
-    update-argument variables; evaluating ``AggSum(target_keys, rhs)`` under
-    the trigger-argument bindings yields the per-key increments to apply.
-    """
-
-    target: str
-    target_keys: Tuple[str, ...]
-    rhs: Expr
-    #: Set by the shard-race detector (:mod:`repro.compiler.verify`): this
-    #: statement's fold writes a map another statement of the same dispatch
-    #: reads, so it must never run on the parallel per-shard fold path.
-    serial_fold: bool = False
-
-    def as_aggregate(self) -> AggSum:
-        return AggSum(self.target_keys, self.rhs)
-
-    def maps_read(self) -> Tuple[str, ...]:
-        """Names of the maps referenced by the right-hand side."""
-        names = []
-        for node in walk(self.rhs):
-            if isinstance(node, MapRef) and node.name not in names:
-                names.append(node.name)
-        return tuple(names)
-
-    def describe(self) -> str:
-        keys = ", ".join(self.target_keys)
-        serial = " [serial fold]" if self.serial_fold else ""
-        return f"{self.target}[{keys}] += {self.rhs}{serial}"
-
-    def __repr__(self) -> str:
-        return f"Statement({self.describe()})"
-
-
-@dataclass(frozen=True)
 class BatchStatement:
     """``target[target_keys] += Σ rhs`` folded over a whole delta map ``∆R``.
 
@@ -75,7 +41,7 @@ class BatchStatement:
     key, the exact increment the whole batch causes — including the
     second-order interaction terms between tuples of the batch (the product
     rule's ``∆α·∆β``), which is what makes one evaluation per batch equal to
-    per-tuple replay.
+    one-at-a-time replay.
 
     ``projection``/``coefficient`` record the *key-projection analysis*: when
     the right-hand side is exactly ``coefficient · ∆R(k…)`` with distinct key
@@ -95,8 +61,9 @@ class BatchStatement:
     #: Key-tuple arity of the delta map (the relation's arity); lets the
     #: executors recognize an identity projection without re-walking the rhs.
     delta_arity: Optional[int] = None
-    #: Set by the shard-race detector (:mod:`repro.compiler.verify`); see
-    #: :attr:`Statement.serial_fold`.
+    #: Set by the shard-race detector (:mod:`repro.compiler.verify`): this
+    #: statement's fold writes a map another statement of the same trigger
+    #: reads, so it must never run on the parallel per-shard fold path.
     serial_fold: bool = False
 
     def as_aggregate(self) -> AggSum:
@@ -198,57 +165,15 @@ class RecomputeStatement:
 
 
 @dataclass(frozen=True)
-class Trigger:
-    """All statements to execute for one update event kind ``±R(args)``.
-
-    ``statements`` are evaluated against the pre-update map state and folded
-    in afterwards (Equation (1) snapshot semantics); ``recomputes`` — present
-    only for programs with nested aggregates — run after that fold, in
-    ``depth`` order, each reading the now-current source maps.
-    """
-
-    relation: str
-    sign: int
-    argument_names: Tuple[str, ...]
-    statements: Tuple[Statement, ...]
-    recomputes: Tuple[RecomputeStatement, ...] = ()
-
-    @property
-    def event_name(self) -> str:
-        sign = "insert" if self.sign == 1 else "delete"
-        return f"on_{sign}_{self.relation}"
-
-    def describe(self, annotate=None) -> str:
-        """The trigger as text; ``annotate`` maps a statement to a suffix string."""
-        sign = "+" if self.sign == 1 else "-"
-        header = f"ON {sign}{self.relation}({', '.join(self.argument_names)}):"
-        lines = [
-            f"  {statement.describe()}{_suffix(annotate, statement)}"
-            for statement in self.statements
-        ]
-        lines.extend(
-            f"  {recompute.describe()}{_suffix(annotate, recompute)}"
-            for recompute in self.recomputes
-        )
-        body = "\n".join(lines)
-        return f"{header}\n{body}" if body else f"{header}\n  (no-op)"
-
-    def __repr__(self) -> str:
-        return (
-            f"Trigger({self.event_name}, {len(self.statements)} statements, "
-            f"{len(self.recomputes)} recomputes)"
-        )
-
-
-@dataclass(frozen=True)
 class BatchTrigger:
-    """All work for one batch group ``±∆R``: statements folded once per batch.
+    """All work for one update event ``±∆R``: statements folded once per delta.
 
-    ``statements`` are evaluated against the pre-batch map state with the
+    ``statements`` are evaluated against the pre-update map state with the
     pre-aggregated delta map bound under ``delta_map``, then folded — the
-    batch generalization of Equation (1) snapshot semantics.  ``recomputes``
-    run once per batch after the fold, over the union of affected groups,
-    instead of once per tuple.
+    relation-valued form of Equation (1) snapshot semantics.  ``recomputes``
+    run once per delta after the fold, over the union of affected groups,
+    instead of once per tuple.  A single-tuple update runs the same trigger
+    on a one-row delta map.
     """
 
     relation: str
@@ -256,12 +181,6 @@ class BatchTrigger:
     delta_map: str
     statements: Tuple[BatchStatement, ...]
     recomputes: Tuple[RecomputeStatement, ...] = ()
-
-    #: Batch triggers take a delta map, not positional tuple arguments; the
-    #: empty tuple lets codegen treat them uniformly with per-tuple triggers.
-    @property
-    def argument_names(self) -> Tuple[str, ...]:
-        return ()
 
     @property
     def event_name(self) -> str:
@@ -355,26 +274,20 @@ class MaintenancePlan:
 class TriggerProgram:
     """A compiled query: the map hierarchy plus one trigger per event kind.
 
-    ``triggers`` hold the per-tuple programs (the paper's single-tuple
-    ``±R(~u)`` events); ``batch_triggers`` hold, for the same events, the
-    relation-valued variants whose parameter is a whole delta map.  Programs
-    without batch triggers (hand-built ones) still execute — the executors
-    apply events lacking one per tuple.
+    ``triggers`` maps every ``(relation, sign)`` event to its
+    :class:`BatchTrigger`, whose parameter is the event's delta map; a
+    single-tuple update runs it on a one-row map.
     """
 
     result_map: str
     maps: Dict[str, MapDefinition]
-    triggers: Dict[Tuple[str, int], Trigger]
+    triggers: Dict[Tuple[str, int], BatchTrigger]
     schema: Dict[str, Tuple[str, ...]]
-    batch_triggers: Dict[Tuple[str, int], BatchTrigger] = field(default_factory=dict)
     #: Semiring maintenance contract; ``None`` for ring-compiled programs.
     maintenance: Optional[MaintenancePlan] = None
 
-    def trigger_for(self, relation: str, sign: int) -> Optional[Trigger]:
+    def trigger_for(self, relation: str, sign: int) -> Optional[BatchTrigger]:
         return self.triggers.get((relation, sign))
-
-    def batch_trigger_for(self, relation: str, sign: int) -> Optional[BatchTrigger]:
-        return self.batch_triggers.get((relation, sign))
 
     @property
     def result_definition(self) -> MapDefinition:
@@ -400,11 +313,11 @@ class TriggerProgram:
 
         With ``costs`` (the default) every statement line carries its static
         per-update cost class (:func:`repro.compiler.cost.statement_cost_class`)
-        derived from the program's slice-index signatures; batch statements
-        also carry the ``[spec:…]`` class and recomputes the
+        derived from the program's slice-index signatures; statements also
+        carry the ``[spec:…]`` class and recomputes the
         ``[recompute:pointwise|scan]`` class of the lowered batch plan
-        (:func:`repro.compiler.plan.lower_batch_plan`), and every batch
-        trigger's header what the generator fused — ``-- 1 scan of Δ, N reads,
+        (:func:`repro.compiler.plan.lower_batch_plan`), and every trigger's
+        header what the generator fused — ``-- 1 scan of Δ, N reads,
         M shared`` (:class:`repro.compiler.plan.RowReads`); a support-structure
         map's ``[maint:…]`` label names its exhaustion-recovery read
         (``recover:index(0)`` | ``lookup`` | ``scan``).  Annotation is
@@ -423,28 +336,28 @@ class TriggerProgram:
         except Exception:
             plan = None
 
-        def cost(statement, argument_names):
+        def cost(statement):
             if plan is None or not costs:
                 return ""
             try:
-                return f"-- {statement_cost_class(statement, plan.index_specs, argument_names)}"
+                return f"-- {statement_cost_class(statement, plan.index_specs)}"
             except Exception:
                 return ""
 
-        # Per statement (by identity) the plan's label: ``[spec:…]`` for batch
-        # statements, ``[recompute:pointwise|scan]`` for recomputes.
+        # Per statement (by identity) the plan's label: ``[spec:…]`` for
+        # statements, ``[recompute:pointwise|scan]`` for recomputes; per
+        # trigger what the generator fused.
         labels = {}
         fused = {}
         for event in plan.events if plan is not None else ():
-            if event.batch_trigger is not None:
-                fused[event.event] = event.batch_reads.describe()
-                for statement, label in zip(event.batch_trigger.statements, event.labels):
-                    labels[id(statement)] = f"[spec:{label}]"
+            fused[event.event] = event.reads.describe()
+            for statement, label in zip(event.trigger.statements, event.labels):
+                labels[id(statement)] = f"[spec:{label}]"
             for recompute, kind in zip(event.recomputes, event.recompute_kinds):
                 labels[id(recompute)] = f"[recompute:{kind}]"
 
-        def annotate(statement, argument_names=()):
-            parts = (cost(statement, argument_names), labels.get(id(statement), ""))
+        def annotate(statement):
+            parts = (cost(statement), labels.get(id(statement), ""))
             return " ".join(part for part in parts if part)
 
         lines = ["MAPS:"]
@@ -459,19 +372,9 @@ class TriggerProgram:
                 if strategy:
                     maint = f"  [maint:{strategy}]"
             lines.append(f"  [level {definition.level}] {definition.describe()}{maint}")
-        order = lambda pair: (pair[0], -pair[1])  # noqa: E731
-        lines.append("TRIGGERS:")
-        for key in sorted(self.triggers, key=order):
-            trigger = self.triggers[key]
-            lines.append(
-                trigger.describe(
-                    annotate=lambda s, args=trigger.argument_names: annotate(s, args)
-                )
-            )
-        if self.batch_triggers:
-            lines.append("BATCH TRIGGERS:")
-            for key in sorted(self.batch_triggers, key=order):
-                lines.append(self.batch_triggers[key].describe(annotate, fused.get(key, "")))
+        lines.append("BATCH TRIGGERS:")
+        for key in sorted(self.triggers, key=lambda pair: (pair[0], -pair[1])):
+            lines.append(self.triggers[key].describe(annotate, fused.get(key, "")))
         return "\n".join(lines)
 
     def __repr__(self) -> str:

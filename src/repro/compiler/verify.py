@@ -1,13 +1,13 @@
 """Static verification of compiled trigger IR.
 
-The compiler's output is a small language — maps, increment statements, batch
-folds, recomputes — with invariants every later layer silently relies on:
-statements only read maps the program defines, with the declared arity; delta
-maps (the transient pre-aggregated batches) are read, never written; a
-statement's right-hand side is range-restricted once the trigger arguments
-are bound; recomputes run inner hierarchies first over an acyclic map
-dependency graph; and every partially-bound map read is covered by a slice
-index signature so the constant-work claim holds.
+The compiler's output is a small language — maps, increment statements folded
+over a delta map, recomputes — with invariants every later layer silently
+relies on: statements only read maps the program defines, with the declared
+arity; delta maps (the transient pre-aggregated updates) are read, never
+written; a statement's right-hand side is range-restricted once the delta
+map's rows bind its keys; recomputes run inner hierarchies first over an
+acyclic map dependency graph; and every partially-bound map read is covered
+by a slice index signature so the constant-work claim holds.
 
 :func:`verify_program` checks all of these *post-compile* and raises a single
 :class:`IRVerificationError` carrying every violation, each anchored to the
@@ -216,8 +216,7 @@ def _check_free_variables(statement, bound: Sequence[str]) -> Iterator[Violation
     if needed:
         yield Violation(
             "free-variable",
-            f"variables {sorted(needed)} are neither trigger arguments nor bound "
-            "by the right-hand side",
+            f"variables {sorted(needed)} are not bound by the right-hand side",
             statement.describe(),
         )
 
@@ -296,34 +295,19 @@ def iter_violations(
         # Depth/order diagnostics below assume an acyclic hierarchy; the
         # remaining statement-local checks still run.
 
-    # -- per-tuple triggers ------------------------------------------------
+    # -- triggers ----------------------------------------------------------
     for trigger in program.triggers.values():
         event = trigger.describe().splitlines()[0].rstrip(":")
-        for statement in trigger.statements:
-            violations.extend(_check_write(program, statement))
-            violations.extend(
-                _check_rhs_reads(program, statement, statement.rhs, None, None)
-            )
-            violations.extend(
-                _check_free_variables(statement, trigger.argument_names)
-            )
-        violations.extend(
-            _check_recomputes(event, trigger.recomputes, program)
-        )
-
-    # -- batch triggers ----------------------------------------------------
-    for batch_trigger in program.batch_triggers.values():
-        event = batch_trigger.describe().splitlines()[0].rstrip(":")
-        expected_delta = delta_map_name(batch_trigger.relation)
-        if batch_trigger.delta_map != expected_delta:
+        expected_delta = delta_map_name(trigger.relation)
+        if trigger.delta_map != expected_delta:
             violations.append(
                 Violation(
                     "delta-read",
-                    f"{event}: trigger binds {batch_trigger.delta_map!r}, but batches "
-                    f"of {batch_trigger.relation!r} arrive as {expected_delta!r}",
+                    f"{event}: trigger binds {trigger.delta_map!r}, but updates "
+                    f"of {trigger.relation!r} arrive as {expected_delta!r}",
                 )
             )
-        for statement in batch_trigger.statements:
+        for statement in trigger.statements:
             violations.extend(_check_write(program, statement))
             violations.extend(
                 _check_rhs_reads(
@@ -334,12 +318,12 @@ def iter_violations(
                     statement.delta_arity,
                 )
             )
-            if statement.delta_map != batch_trigger.delta_map:
+            if statement.delta_map != trigger.delta_map:
                 violations.append(
                     Violation(
                         "delta-read",
                         f"{event}: statement folds {statement.delta_map!r}, trigger "
-                        f"binds {batch_trigger.delta_map!r}",
+                        f"binds {trigger.delta_map!r}",
                         statement.describe(),
                     )
                 )
@@ -355,9 +339,7 @@ def iter_violations(
                         )
                     )
             violations.extend(_check_free_variables(statement, ()))
-        violations.extend(
-            _check_recomputes(event, batch_trigger.recomputes, program)
-        )
+        violations.extend(_check_recomputes(event, trigger.recomputes, program))
 
     # -- slice-index coverage ---------------------------------------------
     specs = dict(index_specs) if index_specs is not None else None
@@ -408,9 +390,7 @@ def detect_shard_races(program: TriggerProgram) -> Dict[Tuple[str, int], Tuple[s
     parallel shard folds over one table).
     """
     races: Dict[Tuple[str, int], Tuple[str, ...]] = {}
-    for event, trigger in list(program.triggers.items()) + list(
-        program.batch_triggers.items()
-    ):
+    for event, trigger in program.triggers.items():
         hazardous = _hazardous_targets(trigger.statements)
         if hazardous:
             races[event] = tuple(sorted(hazardous))
@@ -447,12 +427,6 @@ def mark_serial_folds(program: TriggerProgram) -> TriggerProgram:
         rebuilt = _mark_statements(trigger.statements)
         if rebuilt is not None:
             program.triggers[event] = dataclasses.replace(trigger, statements=rebuilt)
-    for event, batch_trigger in list(program.batch_triggers.items()):
-        rebuilt = _mark_statements(batch_trigger.statements)
-        if rebuilt is not None:
-            program.batch_triggers[event] = dataclasses.replace(
-                batch_trigger, statements=rebuilt
-            )
     return program
 
 

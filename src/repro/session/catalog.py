@@ -30,23 +30,20 @@ the sharing is invisible to the execution layer.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Mapping, Tuple
 
-from repro.compiler.compile import build_batch_trigger
+from repro.compiler.compile import assemble_triggers
 from repro.compiler.maps import MapDefinition, dependency_depths
 from repro.compiler.normal_form import read_positions, sharing_key
 from repro.compiler.verify import mark_serial_folds
 from repro.compiler.triggers import (
     BatchStatement,
-    BatchTrigger,
     MaintenancePlan,
     RecomputeStatement,
-    Statement,
-    Trigger,
     TriggerProgram,
 )
 from repro.core.ast import Add, AggSum, Assign, Compare, Expr, MapRef, Mul, Neg
-from repro.core.delta import UpdateEvent
 
 
 def rename_map_references(
@@ -116,9 +113,7 @@ class MapCatalog:
         #: Sharing key -> (shared map name, its key order).
         self._registry: Dict[object, Tuple[str, Tuple[int, ...]]] = {}
         #: Merged per-event statements, in absorption order.
-        self._statements: Dict[Tuple[str, int], List[Statement]] = {}
-        #: Merged per-event batch (relation-valued) statements.
-        self._batch_statements: Dict[Tuple[str, int], List[BatchStatement]] = {}
+        self._statements: Dict[Tuple[str, int], List[BatchStatement]] = {}
         #: Merged per-event recompute statements (nested-aggregate readers).
         self._recomputes: Dict[Tuple[str, int], List[RecomputeStatement]] = {}
         #: View name -> the shared map holding its result.
@@ -154,7 +149,6 @@ class MapCatalog:
             self.maps_deduplicated,
             self.statements_deduplicated,
             {event: list(statements) for event, statements in self._recomputes.items()},
-            {event: list(statements) for event, statements in self._batch_statements.items()},
             # renamed({}) deep-copies the plan's dicts, so a later merge into
             # the live plan cannot leak into the checkpoint.
             self.maintenance.renamed({}) if self.maintenance is not None else None,
@@ -171,7 +165,6 @@ class MapCatalog:
             self.maps_deduplicated,
             self.statements_deduplicated,
             self._recomputes,
-            self._batch_statements,
         ) = (
             dict(state[0]),
             dict(state[1]),
@@ -180,10 +173,9 @@ class MapCatalog:
             state[4],
             state[5],
             {event: list(statements) for event, statements in state[6].items()},
-            {event: list(statements) for event, statements in state[7].items()},
         )
-        self.maintenance = state[8]
-        self.maps_transposed = state[9]
+        self.maintenance = state[7]
+        self.maps_transposed = state[8]
 
     # -- registration ---------------------------------------------------------
 
@@ -257,8 +249,8 @@ class MapCatalog:
         self.maps_transposed += len(permutations)
         new_names = list(added_maps)
         new_set = set(new_names)
-        for (relation, sign), trigger in program.triggers.items():
-            bucket = self._statements.setdefault((relation, sign), [])
+        for event, trigger in program.triggers.items():
+            bucket = self._statements.setdefault(event, [])
             for statement in trigger.statements:
                 target = renaming[statement.target]
                 if target not in new_set:
@@ -267,32 +259,13 @@ class MapCatalog:
                     self.statements_deduplicated += 1
                     continue
                 bucket.append(
-                    Statement(
+                    dataclasses.replace(
+                        statement,
                         target=target,
-                        target_keys=statement.target_keys,
                         rhs=rename_map_references(statement.rhs, renaming, permutations),
                     )
                 )
-            batch_bucket = self._batch_statements.setdefault((relation, sign), [])
-            batch_trigger = program.batch_triggers.get((relation, sign))
-            for statement in () if batch_trigger is None else batch_trigger.statements:
-                target = renaming[statement.target]
-                if target not in new_set:
-                    # Mirrors the per-tuple dedup above; not double-counted in
-                    # ``statements_deduplicated`` (one logical statement).
-                    continue
-                batch_bucket.append(
-                    BatchStatement(
-                        target=target,
-                        target_keys=statement.target_keys,
-                        rhs=rename_map_references(statement.rhs, renaming, permutations),
-                        delta_map=statement.delta_map,
-                        projection=statement.projection,
-                        coefficient=statement.coefficient,
-                        delta_arity=statement.delta_arity,
-                    )
-                )
-            recompute_bucket = self._recomputes.setdefault((relation, sign), [])
+            recompute_bucket = self._recomputes.setdefault(event, [])
             for recompute in trigger.recomputes:
                 target = renaming[recompute.target]
                 if target not in new_set:
@@ -308,11 +281,10 @@ class MapCatalog:
                         for source, positions in projections
                     )
                 recompute_bucket.append(
-                    RecomputeStatement(
+                    dataclasses.replace(
+                        recompute,
                         target=target,
-                        target_keys=recompute.target_keys,
                         body=rename_map_references(recompute.body, renaming, permutations),
-                        depth=recompute.depth,
                         source_projections=projections,
                     )
                 )
@@ -343,44 +315,12 @@ class MapCatalog:
         """
         if not self.result_maps:
             raise ValueError("the catalog has no registered views")
-        triggers: Dict[Tuple[str, int], Trigger] = {}
-        batch_triggers: Dict[Tuple[str, int], BatchTrigger] = {}
-        for event in sorted(
-            {event for event in self._statements if self._statements[event]}
-            | {event for event in self._recomputes if self._recomputes[event]}
-        ):
-            relation, sign = event
-            ordered = tuple(
-                sorted(
-                    self._statements.get(event, ()),
-                    key=lambda statement: self.maps[statement.target].level,
-                )
-            )
-            recomputes = tuple(
-                sorted(self._recomputes.get(event, ()), key=lambda statement: statement.depth)
-            )
-            argument_names = UpdateEvent.symbolic(
-                sign, relation, len(self.schema[relation])
-            ).argument_names
-            triggers[event] = Trigger(
-                relation=relation,
-                sign=sign,
-                argument_names=argument_names,
-                statements=ordered,
-                recomputes=recomputes,
-            )
-            batch_trigger = build_batch_trigger(
-                relation, sign, self._batch_statements.get(event, ()), recomputes, self.maps
-            )
-            if batch_trigger is not None:
-                batch_triggers[event] = batch_trigger
         anchor = next(iter(self.result_maps.values()))
         combined = TriggerProgram(
             result_map=anchor,
             maps=dict(self.maps),
-            triggers=triggers,
+            triggers=assemble_triggers(self._statements, self._recomputes, self.maps),
             schema=dict(self.schema),
-            batch_triggers=batch_triggers,
             maintenance=self.maintenance.renamed({}) if self.maintenance is not None else None,
         )
         # Merging statement lists across views can create write-read pairs no

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.core.ast import AggSum, Compare, Const, Mul, Rel, Var
-from repro.gmr.database import Database, delete, insert
+from repro.gmr.database import Database, Update, delete, insert
 from repro.gmr.records import Record
 from repro.gmr.relation import GMR
 
@@ -54,31 +54,73 @@ def rst_db() -> Database:
 
 
 # ---------------------------------------------------------------------------
-# The per-tuple reference semantics of a batch
+# The one-at-a-time reference semantics of a batch, checked against direct
+# evaluation
 # ---------------------------------------------------------------------------
 
 
-def _apply_per_tuple(executor, batch, maps=None, changes=None):
-    """Apply ``batch`` one full trigger execution per logical tuple.
+def plain_tables(maps):
+    """Every map table of an environment as a plain dict (shards merged)."""
+    return {name: dict(table.items()) for name, table in maps.items()}
 
-    This *is* the reference semantics batch triggers are checked against
-    (Equation (1) of the paper, once per update).  ``executor`` is a
-    ``TriggerRuntime`` (``maps`` omitted) or a ``GeneratedTriggers`` module
-    driven over the map environment ``maps``.
+
+def direct_tables(program, db):
+    """Every map of ``program`` evaluated directly from its definition over
+    the database ``db`` (a fresh runtime's bootstrap), as plain dicts."""
+    from repro.compiler.runtime import TriggerRuntime
+
+    runtime = TriggerRuntime(program, ring=db.ring)
+    runtime.bootstrap(db)
+    return plain_tables(runtime.maps)
+
+
+class _PerTupleOracle:
+    """Apply a batch one logical tuple at a time, then check every map
+    against direct evaluation.
+
+    Each tuple is a one-row delta ``{values: 1}`` handed to the executor's
+    single-update entry point — the batch triggers on their smallest input,
+    so a batch checked against this is checked against a *sequence* of
+    single rows (Equation (1) once per update).  ``executor`` is a
+    ``TriggerRuntime`` or a ``CompiledExecutor`` (``maps`` omitted), or a
+    ``GeneratedTriggers`` module driven over the map environment ``maps``.
+
+    The same updates also go into a :class:`~repro.gmr.database.Database`
+    kept per map environment; after every call each table must equal its
+    map's definition evaluated directly over that database
+    (:func:`direct_tables`) — an oracle that shares no trigger with the
+    executors under test.
     """
-    for update in batch:
-        if maps is None:
-            executor.apply(update, changes=changes)
-            continue
-        for _ in range(update.count):
-            executor.apply(maps, update.relation, update.sign, update.values, changes=changes)
+
+    def __init__(self):
+        self._databases = {}
+
+    def __call__(self, executor, batch, maps=None, changes=None):
+        runtime = getattr(executor, "runtime", executor)
+        tables = runtime.maps if maps is None else maps
+        for update in batch:
+            single = Update(update.sign, update.relation, update.values)
+            for _ in range(update.count):
+                if maps is None:
+                    executor.apply(single, changes=changes)
+                else:
+                    executor.apply(maps, single.relation, single.sign, single.values, changes=changes)
+        entry = self._databases.get(id(tables))
+        if entry is None:
+            # (The tables are kept with their database, so the id stays theirs.)
+            entry = self._databases[id(tables)] = (
+                tables, Database(runtime.program.schema, ring=runtime.ring),
+            )
+        db = entry[1]
+        db.apply_all(batch)
+        assert plain_tables(tables) == direct_tables(runtime.program, db)
 
 
 @pytest.fixture
 def apply_per_tuple():
-    """The per-tuple reference helper (a fixture: ``benchmarks/`` has a
+    """The one-at-a-time reference helper (a fixture: ``benchmarks/`` has a
     ``conftest`` module of its own, so importing this one by name is fragile)."""
-    return _apply_per_tuple
+    return _PerTupleOracle()
 
 
 # ---------------------------------------------------------------------------

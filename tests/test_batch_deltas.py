@@ -1,8 +1,9 @@
-"""Relation-valued batch deltas: batch triggers vs per-tuple reference semantics.
+"""Relation-valued batch deltas: whole batches vs one row at a time.
 
-The compiler now emits, per ``(relation, sign)`` event, a *batch trigger*
+The compiler emits, per ``(relation, sign)`` event, one *batch trigger*
 whose parameter is a whole delta map ``∆R : key → multiplicity``
-(`repro.core.delta.BatchUpdateEvent`).  These tests pin down:
+(`repro.core.delta.BatchUpdateEvent`); a single update runs it on a one-row
+map.  These tests pin down:
 
 * the delta rules for relation-valued updates (delta-map references, the
   product rule's second-order terms);
@@ -10,8 +11,9 @@ whose parameter is a whole delta map ``∆R : key → multiplicity``
   key-projection analysis);
 * batch-vs-sequential equivalence of ``apply_batch`` on all four backends,
   randomized, including a nested-aggregate query and a snapshot/restore
-  round-trip mid-trace — with per-tuple application
-  (the ``apply_per_tuple`` fixture) as the reference semantics;
+  round-trip mid-trace — with one-row-at-a-time application (the
+  ``apply_per_tuple`` fixture, itself checked against direct evaluation of
+  every map over the database) as the reference semantics;
 * the ``Session.apply_batch`` cancellation of insert/delete pairs before any
   trigger runs;
 * the :class:`~repro.gmr.database.Delta` a batch becomes — the one form below
@@ -91,11 +93,12 @@ def test_batch_delta_of_non_matching_relation_is_zero():
 
 def test_compiled_program_has_one_batch_trigger_per_event():
     program = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), UNARY_SCHEMA, name="q")
-    assert set(program.batch_triggers) == set(program.triggers)
-    trigger = program.batch_trigger_for("R", 1)
+    assert set(program.triggers) == {("R", 1), ("R", -1)}
+    trigger = program.trigger_for("R", 1)
     assert trigger.delta_map == delta_map_name("R")
     assert trigger.statements  # q and the base component map
-    assert "BATCH TRIGGERS:" in program.explain()
+    explained = program.explain()
+    assert explained.count("TRIGGERS:") == 1 and "BATCH TRIGGERS:" in explained
 
 
 def test_key_projection_analysis_marks_base_copy_statements():
@@ -105,7 +108,7 @@ def test_key_projection_analysis_marks_base_copy_statements():
     program = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), UNARY_SCHEMA, name="q")
     by_target = {
         (statement.target, trigger.sign): statement
-        for trigger in program.batch_triggers.values()
+        for trigger in program.triggers.values()
         for statement in trigger.statements
     }
     [auxiliary] = [name for name in program.maps if name != "q"]
@@ -128,14 +131,14 @@ def test_delta_maps_are_never_slice_indexed():
 
 
 # ---------------------------------------------------------------------------
-# Batch triggers vs the per-tuple reference semantics (runtime level)
+# Whole batches vs one row at a time (runtime level)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("query_name", list(PROPERTY_QUERIES))
 def test_runtime_batch_matches_per_tuple_reference(query_name, apply_per_tuple):
-    """Interpreted backend: apply_batch (batch triggers) against per-tuple
-    application (the reference)."""
+    """Interpreted backend: apply_batch against one-row-at-a-time application
+    (the reference)."""
     text, schema = PROPERTY_QUERIES[query_name]
     program = compile_query(parse(text), schema, name="q")
     stream = StreamGenerator(schema, seed=11, default_domain_size=4).generate(260)
@@ -177,6 +180,36 @@ def test_batch_with_duplicate_tuples_matches_sequential():
     batched = TriggerRuntime(program)
     batched.apply_batch(group_updates(batch))
     assert sequential.result() == batched.result() == 25 + 9
+
+
+def test_a_counted_single_update_equals_repeated_single_updates():
+    """``count=3`` on a self-join is one one-row delta ``{t: 3}``: its ∆R·∆R
+    term makes it equal three single applies (and the definition evaluated
+    directly), on both executors' single-update entry points."""
+    from repro.gmr.database import Database
+
+    program = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), UNARY_SCHEMA, name="q")
+    trace = [Update(1, "R", ("c",), 3), Update(1, "R", ("d",), 2), Update(-1, "R", ("c",), 2)]
+    db = Database(UNARY_SCHEMA)
+    counted, single = TriggerRuntime(program), TriggerRuntime(program)
+    generated = generate_python(program)
+    counted_maps = {name: {} for name in program.maps}
+    single_maps = {name: {} for name in program.maps}
+    for update in trace:
+        db.apply(update)
+        counted.apply(update)
+        generated.apply(counted_maps, update.relation, update.sign, update.values, count=update.count)
+        for _ in range(update.count):
+            single.apply(Update(update.sign, update.relation, update.values))
+            generated.apply(single_maps, update.relation, update.sign, update.values)
+        direct = TriggerRuntime(program)
+        direct.bootstrap(db)
+        expected = {name: dict(table) for name, table in direct.maps.items()}
+        assert {name: dict(table) for name, table in counted.maps.items()} == expected
+        assert {name: dict(table) for name, table in single.maps.items()} == expected
+        assert counted_maps == single_maps == expected
+    assert counted.result() == 1 + 4  # c once, d twice: 1² + 2²
+    assert counted.statistics.updates_processed == 7
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +463,7 @@ def test_delta_updates_equal_the_compact_reference_as_a_multiset():
 
 
 # ---------------------------------------------------------------------------
-# Every way to hand in a batch ≡ the per-tuple oracle
+# Every way to hand in a batch ≡ the one-row-at-a-time oracle
 # ---------------------------------------------------------------------------
 
 #: ``P`` feeds every view; ``C`` feeds a bare count, whose events fuse on ℤ.
@@ -529,15 +562,22 @@ def _subscribe(view, ring, shadows):
 def test_executors_on_a_delta_match_the_per_tuple_oracle(ring_name, trace, apply_per_tuple):
     """Runtime level: the interpreted runtime and a generated module (with
     the support tier fed by their pair host) applying ``coalesce_updates``
-    and ``group_updates`` Deltas end in the per-tuple oracle's maps, and their
-    CDC shadows equal the result."""
+    and ``group_updates`` Deltas end in the maps both executors reach one row
+    at a time — which equal every definition evaluated directly over the
+    database — and their CDC shadows equal the result."""
     ring = _ring(ring_name)
     pool, views, _late = RING_CASES[ring_name]
     program = compile_query(
         parse(next(iter(views.values()))), DELTA_SCHEMA, name="q",
         normalize=ring.commutative, ring=ring,
     )
-    reference = TriggerRuntime(program, ring=ring)
+    references = [
+        CompiledExecutor(
+            TriggerRuntime(program, ring=ring),
+            generate_python(program, ring=ring) if backend == "generated" else None,
+        )
+        for backend in ("generated", "interpreted")
+    ]
     candidates = {
         (backend, builder): CompiledExecutor(
             TriggerRuntime(program, ring=ring),
@@ -548,12 +588,14 @@ def test_executors_on_a_delta_match_the_per_tuple_oracle(ring_name, trace, apply
     }
     shadows = {key: {} for key in candidates}
     for batch in _batches(trace, pool):
-        apply_per_tuple(reference, batch)
+        for reference in references:
+            apply_per_tuple(reference, batch)
         for (backend, builder), executor in candidates.items():
             changes = {"q": {}}
             executor.apply_batch(builder(batch), changes)
             _absorb(shadows[(backend, builder)], ring, changes["q"])
-    expected = {name: dict(table) for name, table in reference.maps.items()}
+    expected = {name: dict(table) for name, table in references[1].runtime.maps.items()}
+    assert {name: dict(table) for name, table in references[0].runtime.maps.items()} == expected
     for key, executor in candidates.items():
         assert {name: dict(table) for name, table in executor.runtime.maps.items()} == expected, key
         assert shadows[key] == result_as_mapping(executor.runtime.result(), ring), key

@@ -1,16 +1,15 @@
 """Tests for the generated straight-line Python triggers (the NC⁰C analogue)."""
 
-import dataclasses
-
 import pytest
 
+from repro.algebra.semirings import INTEGER_RING
 from repro.compiler.codegen import generate_python
 from repro.compiler.compile import compile_query
 from repro.compiler.runtime import TriggerRuntime
-from repro.core.ast import Rel
+from repro.core.ast import MapRef, Mul, Rel
+from repro.core.delta import delta_map_name
 from repro.core.errors import CompilationError
 from repro.core.parser import parse
-from repro.gmr.database import group_updates
 from repro.workloads.queries import CANONICAL_QUERIES
 from repro.workloads.schemas import UNARY_SCHEMA
 from repro.workloads.streams import StreamGenerator
@@ -23,13 +22,14 @@ def fresh_maps(program):
 def test_generated_module_shape():
     program = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), UNARY_SCHEMA, name="q")
     generated = generate_python(program)
-    assert "def on_insert_R(maps, values, _IDX=None, _CH=None, _J=None):" in generated.source
-    assert "def on_delete_R(maps, values, _IDX=None, _CH=None, _J=None):" in generated.source
-    assert "def apply_update(maps, relation, sign, values, _IDX=None, _CH=None):" in generated.source
-    # The batch loop over a Delta's events is a shared kernel, not emitted text.
-    assert "def apply_batch" not in generated.source
+    # One trigger per event, run on a whole batch's delta map or on a single
+    # update's one-row map; the loops over a Delta's events and the row entry
+    # are a shared kernel, not emitted text.
     assert "def batch_on_insert_R(maps, _delta, _IDX=None, _CH=None, _J=None):" in generated.source
-    assert set(generated.trigger_function_names()) == {"on_insert_R", "on_delete_R"}
+    assert "def batch_on_delete_R(maps, _delta, _IDX=None, _CH=None, _J=None):" in generated.source
+    functions = [line for line in generated.source.splitlines() if line.startswith("def ")]
+    assert len(functions) == 2
+    assert "def apply" not in generated.source
     # The generated code never mentions joins, relations or the evaluator.
     assert "evaluate" not in generated.source
     assert "Rel(" not in generated.source
@@ -66,28 +66,6 @@ def test_both_executors_decode_the_same_plan(text, schema, ring_name):
     assert runtime.plan.kahan == (ring_name == "R-float")
     for emitted in ("def _fold", "def _index_add", "def _rapply", "replay_", "REPLAY"):
         assert emitted not in generated.source, emitted
-
-
-@pytest.mark.parametrize("specialize", [True, False])
-def test_hand_built_program_without_batch_triggers_applies_batches(specialize, apply_per_tuple):
-    """An event without a batch trigger falls back to its per-tuple trigger,
-    once per logical tuple of its delta map — on both executors (such a
-    program fuses nothing)."""
-    compiled = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), UNARY_SCHEMA, name="q")
-    program = dataclasses.replace(compiled, batch_triggers={})
-    stream = StreamGenerator(UNARY_SCHEMA, seed=3, default_domain_size=4).generate(90)
-    reference = TriggerRuntime(compiled)
-    apply_per_tuple(reference, stream)
-    interpreted = TriggerRuntime(program, specialize=specialize)
-    generated = generate_python(program, specialize=specialize)
-    assert interpreted.plan.specializations == generated.specializations == {}
-    maps = fresh_maps(program)
-    for batch in stream.batches(17):
-        interpreted.apply_batch(group_updates(batch))
-        assert generated.apply_batch(maps, group_updates(batch)) == len(batch)
-    assert interpreted.maps == reference.maps
-    assert maps == {name: dict(table) for name, table in reference.maps.items()}
-    assert interpreted.statistics.updates_processed == len(stream.updates)
 
 
 def test_generated_code_reproduces_example_1_2():
@@ -139,18 +117,23 @@ def test_generated_source_is_idempotent_per_program():
 
 
 def test_codegen_rejects_base_relations_in_statements():
-    from repro.compiler.triggers import Statement, Trigger, TriggerProgram
     from repro.compiler.maps import MapDefinition
+    from repro.compiler.triggers import BatchStatement, BatchTrigger, TriggerProgram
 
+    delta_map = delta_map_name("R")
     bogus = TriggerProgram(
         result_map="q",
         maps={"q": MapDefinition("q", (), parse("R(x)"))},
         triggers={
-            ("R", 1): Trigger(
+            ("R", 1): BatchTrigger(
                 relation="R",
                 sign=1,
-                argument_names=("__d_R_0",),
-                statements=(Statement("q", (), Rel("R", ("x",))),),
+                delta_map=delta_map,
+                statements=(
+                    BatchStatement(
+                        "q", (), Mul((MapRef(delta_map, ("x",)), Rel("R", ("x",)))), delta_map
+                    ),
+                ),
             )
         },
         schema={"R": ("A",)},
@@ -382,8 +365,7 @@ def test_batch_trigger_scans_the_delta_once(name):
     source = generated.source
     assert generate_python(program).source == source == generate_python(program).source
     table_read = re.compile(r"(_tbl\d+|_idx\d+|_delta)\.get\((\([^)]*\)|\w+), ")
-    scans = {event.batch_trigger.event_name: event.batch_reads.scans
-             for event in generated.plan.events}
+    scans = {event.trigger.event_name: event.reads.scans for event in generated.plan.events}
     for function, lines in _functions(source).items():
         loops = _loop_bodies(lines)
         for header, body in loops:
@@ -411,9 +393,10 @@ def test_batch_trigger_scans_the_delta_once(name):
 def test_dashboard_module_is_fused_and_smaller():
     program, generated = _fused("dashboard")
     source = generated.source
-    # Below the fused generator's module before maps were shared modulo key
-    # order and binding spelling (910 lines; the per-statement-loop one had 1026).
-    assert len(source.splitlines()) < 910
+    # One trigger per event: a single update runs the batch trigger on a
+    # one-row delta map, so no event is emitted twice.
+    assert len(source.splitlines()) <= 480
+    assert len(_fused("hotkey")[1].source.splitlines()) <= 100
     orders = "\n".join(_functions(source)["batch_on_insert_Orders"])
     # revenue_m4[ok] and revenue_by_customer_m2[ck] feed four statements each,
     # the revenue_m3 bucket two: read once, at the top of the loop, through a
@@ -448,3 +431,16 @@ def test_lint_report_carries_emitted_size(capsys):
     assert main([]) == 0
     header = capsys.readouterr().out.splitlines()[1]
     assert header.split()[-4:] == ["emitted", "lines", "Δ", "scans"]
+
+
+def test_no_lint_target_module_emits_a_per_tuple_function():
+    """Every event compiles to one trigger: no lint target's module defines
+    an ``on_*`` function beside its ``batch_on_*`` ones, and ``explain()``
+    prints one trigger section."""
+    from repro.analysis.ir_lint import _lint_targets
+
+    for name, aggregate, schema, ring in _lint_targets():
+        program = compile_query(aggregate, schema, name=name, ring=ring)
+        source = generate_python(program, ring=ring or INTEGER_RING).source
+        assert "def on_" not in source, name
+        assert program.explain().count("TRIGGERS:") == 1, name

@@ -4,6 +4,7 @@ import pytest
 
 from repro.compiler.compile import Compiler, compile_query
 from repro.core.ast import Rel, walk
+from repro.core.delta import delta_map_name, is_delta_map
 from repro.core.errors import CompilationError, SchemaError, UnsafeQueryError
 from repro.core.parser import parse
 from repro.workloads.schemas import CUSTOMER_SCHEMA, RST_SCHEMA, UNARY_SCHEMA
@@ -34,7 +35,9 @@ def test_one_trigger_per_relation_and_sign():
     }
     for (relation, _sign), trigger in program.triggers.items():
         assert trigger.relation == relation
-        assert len(trigger.argument_names) == len(RST_SCHEMA[relation])
+        assert trigger.delta_map == delta_map_name(relation)
+        for statement in trigger.statements:
+            assert statement.delta_arity == len(RST_SCHEMA[relation])
 
 
 def test_example_1_3_produces_factorized_maps():
@@ -44,7 +47,7 @@ def test_example_1_3_produces_factorized_maps():
     )
     trigger = program.trigger_for("S", 1)
     [statement_for_q] = [s for s in trigger.statements if s.target == "q"]
-    referenced = statement_for_q.maps_read()
+    referenced = [name for name in statement_for_q.maps_read() if not is_delta_map(name)]
     assert len(referenced) == 2
     for name in referenced:
         assert program.maps[name].arity == 1
@@ -65,10 +68,10 @@ def test_degree_one_query_needs_no_auxiliary_maps():
     program = compile_query(parse("Sum(R(x) * x)"), UNARY_SCHEMA)
     assert len(program.maps) == 1
     assert program.auxiliary_maps() == ()
-    # Its triggers are pure functions of the update values.
+    # Its triggers are pure functions of the delta map.
     for trigger in program.triggers.values():
         for statement in trigger.statements:
-            assert statement.maps_read() == ()
+            assert statement.maps_read() == (trigger.delta_map,)
 
 
 def test_structurally_equal_components_are_deduplicated():
@@ -77,9 +80,10 @@ def test_structurally_equal_components_are_deduplicated():
     assert len(program.maps) == 2  # the result plus a single count-by-value map
     trigger = program.trigger_for("R", 1)
     [result_statement] = [s for s in trigger.statements if s.target == program.result_map]
-    # The combined statement reads the shared map once, scaled by 2.
-    assert len(result_statement.maps_read()) == 1
-    assert "2" in str(result_statement.rhs)
+    # The combined statement reads the shared map once, scaled by 2 (beside
+    # the ∆R·∆R term).
+    assert result_statement.maps_read() == (trigger.delta_map, "q_m1")
+    assert "2 * " in str(result_statement.rhs)
 
 
 def test_compiled_rhs_contains_no_base_relations():
@@ -108,7 +112,7 @@ def test_inequality_join_defers_boundary_condition():
     # The inequality stays in the statement; the referenced map is keyed by
     # the equality key plus the inequality's component variable.
     assert "<" in str(statement.rhs)
-    [map_name] = statement.maps_read()
+    [map_name] = [name for name in statement.maps_read() if not is_delta_map(name)]
     assert program.maps[map_name].arity == 2
 
 
@@ -154,8 +158,8 @@ def test_unsafe_queries_are_rejected():
 def test_explain_lists_maps_and_triggers():
     program = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), UNARY_SCHEMA, name="q")
     text = program.explain()
-    assert "MAPS:" in text and "TRIGGERS:" in text
-    assert "ON +R(" in text and "ON -R(" in text
+    assert "MAPS:" in text and text.count("TRIGGERS:") == 1
+    assert "ON BATCH +R AS __delta__R:" in text and "ON BATCH -R AS __delta__R:" in text
     assert "q[]" in text
     assert repr(program).startswith("TriggerProgram(")
 

@@ -2,7 +2,7 @@
 
 from repro.compiler.compile import compile_query
 from repro.compiler.maps import MapDefinition
-from repro.compiler.triggers import Statement, Trigger
+from repro.compiler.triggers import BatchStatement, BatchTrigger
 from repro.core.ast import MapRef, Mul, Var
 from repro.core.parser import parse
 from repro.workloads.schemas import CUSTOMER_SCHEMA, UNARY_SCHEMA
@@ -22,24 +22,25 @@ def test_map_definition_properties():
 
 
 def test_statement_maps_read_and_describe():
-    statement = Statement(
+    statement = BatchStatement(
         target="q",
         target_keys=("c",),
-        rhs=Mul((MapRef("m1", ("c",)), MapRef("m2", ("c",)), MapRef("m1", ("c",)), Var("x"))),
+        rhs=Mul((MapRef("__delta__R", ("c",)), MapRef("m1", ("c",)), MapRef("m1", ("c",)), Var("x"))),
+        delta_map="__delta__R",
     )
-    assert statement.maps_read() == ("m1", "m2")
+    assert statement.maps_read() == ("__delta__R", "m1")
     assert statement.as_aggregate().group_vars == ("c",)
-    assert statement.describe().startswith("q[c] += ")
-    assert "Statement" in repr(statement)
+    assert statement.describe().startswith("q[c] += fold(Δ=__delta__R)")
+    assert "BatchStatement" in repr(statement)
 
 
 def test_trigger_event_name_and_describe():
-    statement = Statement("q", (), parse("1"))
-    up = Trigger(relation="R", sign=1, argument_names=("__d_R_0",), statements=(statement,))
-    down = Trigger(relation="R", sign=-1, argument_names=("__d_R_0",), statements=())
+    statement = BatchStatement("q", (), MapRef("__delta__R", ("x",)), "__delta__R")
+    up = BatchTrigger(relation="R", sign=1, delta_map="__delta__R", statements=(statement,))
+    down = BatchTrigger(relation="R", sign=-1, delta_map="__delta__R", statements=())
     assert up.event_name == "on_insert_R"
     assert down.event_name == "on_delete_R"
-    assert "ON +R(__d_R_0):" in up.describe()
+    assert "ON BATCH +R AS __delta__R:" in up.describe()
     assert "(no-op)" in down.describe()
     assert "on_insert_R" in repr(up)
 

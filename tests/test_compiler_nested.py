@@ -348,14 +348,14 @@ def test_bootstrap_with_partially_bound_nested_reads():
 
 
 def test_closed_form_statements_bind_keys_before_nested_map_reads():
-    """Trigger-argument equalities become assignments *before* the map read,
-    so the generated code slices the nested map through the index instead of
+    """Keys bound by the ∆R row are bound *before* the map read, so the
+    generated code slices the nested map through the index instead of
     scanning it with a post-hoc filter."""
     schema = {"R": ("G", "X"), "S": ("G", "S", "Y")}
     query = parse("AggSum([g], R(g, x) * AggSum([g, s], S(g, s, y) * y))")
     engine = RecursiveIVM(query, schema, backend="generated")
-    r_trigger = engine.generated_source().split("def on_insert_R")[1].split("def ")[0]
-    assert ".items()" not in r_trigger
+    r_trigger = engine.generated_source().split("def batch_on_insert_R")[1].split("def ")[0]
+    assert r_trigger.count(".items()") == r_trigger.count("in _delta.items()") == 1
     assert "_IDX[" in r_trigger
 
 

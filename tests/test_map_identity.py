@@ -5,8 +5,8 @@ compiler's component registry and the session's ``MapCatalog``) key maps by
 ``repro.compiler.normal_form.sharing_key``, which sees through commuted
 factors, ``(k := v)`` bindings and the order of the keys — a transposed map is
 read as the shared one with its keys permuted.  These tests pin the identity,
-the flagship dashboard's map set, the executors against the per-tuple oracle
-on a trace with customer churn (where the transposed index is read), what
+the flagship dashboard's map set, the executors against the one-row-at-a-time
+oracle (checked against direct evaluation) on a trace with customer churn (where the transposed index is read), what
 semirings keep apart, view key order, late registration, snapshots and the
 ``duplicate-map`` lint rule.
 """
@@ -21,8 +21,9 @@ from repro.analysis.ir_lint import lint_program, main as lint_main
 from repro.compiler.maps import MapDefinition
 from repro.compiler.normal_form import ac_canonical_identity, read_positions
 from repro.compiler.runtime import TriggerRuntime
-from repro.compiler.triggers import Statement, Trigger, TriggerProgram
-from repro.core.ast import MapRef, Rel
+from repro.compiler.triggers import BatchStatement, BatchTrigger, TriggerProgram
+from repro.core.ast import MapRef, Mul, Rel
+from repro.core.delta import delta_map_name
 from repro.core.parser import parse
 from repro.gmr.database import Update
 from repro.session import MapCatalog, Session
@@ -428,7 +429,7 @@ def _hand_built(maps, statements):
     return TriggerProgram(
         result_map="q",
         maps={definition.name: definition for definition in maps},
-        triggers={("R", 1): Trigger("R", 1, ("__d_R_0", "__d_R_1"), tuple(statements))},
+        triggers={("R", 1): BatchTrigger("R", 1, delta_map_name("R"), tuple(statements))},
         schema={"R": ("A", "B")},
     )
 
@@ -439,8 +440,11 @@ def test_lint_reports_a_transposed_duplicate():
         MapDefinition("ab", ("k0", "k1"), Rel("R", ("k0", "k1")), level=1),
         MapDefinition("ba", ("k0", "k1"), Rel("R", ("k1", "k0")), level=1),
     ]
+    delta_map = delta_map_name("R")
     program = _hand_built(maps, [
-        Statement("q", (), MapRef("ba", ("__d_R_1", "__d_R_0"))),
+        BatchStatement(
+            "q", (), Mul((MapRef(delta_map, ("x", "y")), MapRef("ba", ("y", "x")))), delta_map
+        ),
     ])
     findings = [f for f in lint_program(program) if f.kind == "duplicate-map"]
     assert len(findings) == 1 and "'ab'" in findings[0].message and "'ba'" in findings[0].message

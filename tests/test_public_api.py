@@ -100,10 +100,10 @@ def test_compile_and_explain_through_top_level_namespace():
         repro.parse("Sum(R(a, b) * S(c, d) * (b = c) * a)"),
         {"R": ("A", "B"), "S": ("C", "D")},
     )
-    assert "TRIGGERS:" in program.explain()
+    assert program.explain().count("TRIGGERS:") == 1
     runtime = repro.TriggerRuntime(program)
     runtime.apply(repro.insert("R", 2, 7))
     runtime.apply(repro.insert("S", 7, 1))
     assert runtime.result() == 2
     generated = repro.generate_python(program)
-    assert "def apply_update" in generated.source
+    assert "def batch_on_insert_R" in generated.source and "def on_" not in generated.source

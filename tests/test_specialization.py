@@ -122,7 +122,7 @@ def test_codegen_reports_specialization_classes():
         assert verdicts == engine.runtime.plan.specializations, name
         if expected:
             # Every event fuses: no width gate.
-            assert len(verdicts) == len(engine.program.batch_triggers), name
+            assert len(verdicts) == len(engine.program.triggers), name
         assert "[spec:" in engine.explain(), name
     disabled = RecursiveIVM(
         parse(QUERIES["count"][0]), QUERIES["count"][1], backend="generated", specialize=False
@@ -136,7 +136,7 @@ def test_specialization_classes_in_cost_model():
     """The static classifier distinguishes fused totals from bare counts whose
     event does not fuse."""
     engine = RecursiveIVM(parse("Sum(R(x))"), {"R": ("A",)})
-    for trigger in engine.program.batch_triggers.values():
+    for trigger in engine.program.triggers.values():
         assert trigger_specialization(trigger) == "total"
         for statement in trigger.statements:
             assert batch_specialization_class(statement, trigger) == "fused-total"
@@ -144,11 +144,11 @@ def test_specialization_classes_in_cost_model():
         parse("AggSum([a], R(a, b) * S(b, c) * c)"), {"R": ("A", "B"), "S": ("B", "C")}
     )
     assert {
-        trigger_specialization(trigger) for trigger in joined.program.batch_triggers.values()
+        trigger_specialization(trigger) for trigger in joined.program.triggers.values()
     } == {"generic"}
     classes = {
         batch_specialization_class(statement, trigger)
-        for trigger in joined.program.batch_triggers.values()
+        for trigger in joined.program.triggers.values()
         for statement in trigger.statements
     }
     assert "generic" in classes or "fused-copy" in classes or "fused-marginal" in classes
@@ -156,7 +156,7 @@ def test_specialization_classes_in_cost_model():
     # and the plan's label says so when the knob keeps the event unfused.
     bare = next(
         statement
-        for trigger in engine.program.batch_triggers.values()
+        for trigger in engine.program.triggers.values()
         for statement in trigger.statements
     )
     assert batch_specialization_class(bare, trigger=None) == "generic-bare-count"

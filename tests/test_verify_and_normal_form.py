@@ -23,7 +23,7 @@ from repro.compiler.normal_form import (
     normalizes_to_zero,
     read_positions,
 )
-from repro.compiler.triggers import Statement, Trigger, TriggerProgram
+from repro.compiler.triggers import BatchStatement, BatchTrigger, TriggerProgram
 from repro.compiler.verify import (
     IRVerificationError,
     detect_shard_races,
@@ -32,6 +32,7 @@ from repro.compiler.verify import (
     verify_program,
 )
 from repro.core.ast import MapRef, Mul, Rel, Var
+from repro.core.delta import delta_map_name
 from repro.core.normalization import combine_sorted, to_polynomial
 from repro.core.parser import parse
 from repro.session.catalog import MapCatalog
@@ -52,11 +53,26 @@ def _map(name, keys, body, level=0):
     return MapDefinition(name=name, key_vars=tuple(keys), definition=body, level=level)
 
 
-def _trigger(relation, args, statements):
-    return Trigger(
+def _delta(*keys):
+    """A read of ``∆R`` binding ``keys``."""
+    return MapRef(delta_map_name("R"), keys)
+
+
+def _statement(target, keys, rhs, serial_fold=False):
+    return BatchStatement(
+        target=target,
+        target_keys=tuple(keys),
+        rhs=rhs,
+        delta_map=delta_map_name("R"),
+        serial_fold=serial_fold,
+    )
+
+
+def _trigger(relation, statements):
+    return BatchTrigger(
         relation=relation,
         sign=1,
-        argument_names=tuple(args),
+        delta_map=delta_map_name(relation),
         statements=tuple(statements),
     )
 
@@ -67,8 +83,8 @@ class TestVerifier:
             "q": _map("q", (), Rel("R", ("x",))),
             "q_m1": _map("q_m1", ("k0",), Rel("R", ("k0",)), level=1),
         }
-        bad = Statement(target="q", target_keys=(), rhs=MapRef("q_m1", ("__d_R_0", "extra")))
-        program = _program(maps, {("R", 1): _trigger("R", ("__d_R_0", "extra"), [bad])})
+        bad = _statement("q", (), Mul((_delta("x", "y"), MapRef("q_m1", ("x", "y")))))
+        program = _program(maps, {("R", 1): _trigger("R", [bad])})
         with pytest.raises(IRVerificationError) as excinfo:
             verify_program(program)
         message = str(excinfo.value)
@@ -78,8 +94,8 @@ class TestVerifier:
 
     def test_delta_map_write_raises(self):
         maps = {"q": _map("q", (), Rel("R", ("x",)))}
-        bad = Statement(target="__delta__R", target_keys=("k0",), rhs=Var("__d_R_0"))
-        program = _program(maps, {("R", 1): _trigger("R", ("__d_R_0",), [bad])})
+        bad = _statement(delta_map_name("R"), ("k0",), _delta("k0"))
+        program = _program(maps, {("R", 1): _trigger("R", [bad])})
         with pytest.raises(IRVerificationError) as excinfo:
             verify_program(program)
         assert "delta" in str(excinfo.value)
@@ -98,16 +114,16 @@ class TestVerifier:
 
     def test_free_variable_raises(self):
         maps = {"q": _map("q", (), Rel("R", ("x",)))}
-        # ``loose`` is neither a trigger argument nor a target key.
-        bad = Statement(target="q", target_keys=(), rhs=Var("loose"))
-        program = _program(maps, {("R", 1): _trigger("R", ("__d_R_0",), [bad])})
+        # ``loose`` is bound neither by the delta map nor by a map read.
+        bad = _statement("q", (), Mul((_delta("x"), Var("loose"))))
+        program = _program(maps, {("R", 1): _trigger("R", [bad])})
         violations = iter_violations(program)
         assert any(violation.kind == "free-variable" for violation in violations)
 
     def test_unknown_map_read_raises(self):
         maps = {"q": _map("q", (), Rel("R", ("x",)))}
-        bad = Statement(target="q", target_keys=(), rhs=MapRef("nowhere", ("__d_R_0",)))
-        program = _program(maps, {("R", 1): _trigger("R", ("__d_R_0",), [bad])})
+        bad = _statement("q", (), Mul((_delta("x"), MapRef("nowhere", ("x",)))))
+        program = _program(maps, {("R", 1): _trigger("R", [bad])})
         violations = iter_violations(program)
         assert any(violation.kind == "unknown-map" for violation in violations)
 
@@ -173,9 +189,9 @@ class TestShardRaceDetector:
         }
 
     def test_write_read_pair_marks_writer_serial(self):
-        read = Statement(target="q", target_keys=(), rhs=MapRef("aux", ("__d_R_0",)))
-        write = Statement(target="aux", target_keys=("k0",), rhs=Var("__d_R_0"))
-        program = _program(self._aux_maps(), {("R", 1): _trigger("R", ("__d_R_0",), [read, write])})
+        read = _statement("q", (), Mul((_delta("x"), MapRef("aux", ("x",)))))
+        write = _statement("aux", ("k0",), _delta("k0"))
+        program = _program(self._aux_maps(), {("R", 1): _trigger("R", [read, write])})
         races = detect_shard_races(program)
         assert races[("R", 1)] == ("aux",)
         marked = mark_serial_folds(program)
@@ -183,9 +199,9 @@ class TestShardRaceDetector:
         assert [s.serial_fold for s in statements] == [False, True]
 
     def test_write_write_pair_marks_both_serial(self):
-        first = Statement(target="aux", target_keys=("k0",), rhs=Var("__d_R_0"))
-        second = Statement(target="aux", target_keys=("k0",), rhs=Var("__d_R_0"))
-        program = _program(self._aux_maps(), {("R", 1): _trigger("R", ("__d_R_0",), [first, second])})
+        first = _statement("aux", ("k0",), _delta("k0"))
+        second = _statement("aux", ("k0",), _delta("k0"))
+        program = _program(self._aux_maps(), {("R", 1): _trigger("R", [first, second])})
         marked = mark_serial_folds(program)
         assert all(s.serial_fold for s in marked.triggers[("R", 1)].statements)
 
@@ -195,21 +211,21 @@ class TestShardRaceDetector:
             "aux": _map("aux", ("k0",), Rel("R", ("k0",)), level=1),
             "other": _map("other", ("k0",), Rel("S", ("k0",)), level=1),
         }
-        write = Statement(target="aux", target_keys=("k0",), rhs=Var("__d_R_0"))
-        read_other = Statement(target="q", target_keys=(), rhs=MapRef("other", ("__d_R_0",)))
-        program = _program(maps, {("R", 1): _trigger("R", ("__d_R_0",), [write, read_other])})
+        write = _statement("aux", ("k0",), _delta("k0"))
+        read_other = _statement("q", (), Mul((_delta("x"), MapRef("other", ("x",)))))
+        program = _program(maps, {("R", 1): _trigger("R", [write, read_other])})
         assert detect_shard_races(program) == {}
         marked = mark_serial_folds(program)
         assert not any(s.serial_fold for s in marked.triggers[("R", 1)].statements)
 
     def test_mark_serial_folds_clears_stale_flags(self):
-        write = Statement(target="aux", target_keys=("k0",), rhs=Var("__d_R_0"), serial_fold=True)
+        write = _statement("aux", ("k0",), _delta("k0"), serial_fold=True)
         maps = {
             "q": _map("q", (), MapRef("other", ("x",))),
             "aux": _map("aux", ("k0",), Rel("R", ("k0",)), level=1),
             "other": _map("other", ("k0",), Rel("S", ("k0",)), level=1),
         }
-        program = _program(maps, {("R", 1): _trigger("R", ("__d_R_0",), [write])})
+        program = _program(maps, {("R", 1): _trigger("R", [write])})
         marked = mark_serial_folds(program)
         assert not marked.triggers[("R", 1)].statements[0].serial_fold
 
@@ -254,8 +270,8 @@ class TestLint:
             "q": _map("q", (), Rel("R", ("x",))),
             "orphan": _map("orphan", ("k0",), Rel("R", ("k0",)), level=1),
         }
-        write = Statement(target="orphan", target_keys=("k0",), rhs=Var("__d_R_0"))
-        program = _program(maps, {("R", 1): _trigger("R", ("__d_R_0",), [write])})
+        write = _statement("orphan", ("k0",), _delta("k0"))
+        program = _program(maps, {("R", 1): _trigger("R", [write])})
         findings = lint_program(program)
         assert any(f.kind == "dead-map" and "orphan" in f.message for f in findings)
 
@@ -272,11 +288,11 @@ class TestLint:
         program = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), {"R": ("A",)}, name="q")
         specs = compute_index_specs(program)
         classes = {
-            statement_cost_class(statement, specs, trigger.argument_names)
+            statement_cost_class(statement, specs)
             for trigger in program.triggers.values()
             for statement in trigger.statements
         }
-        assert classes == {"O(1)"}
+        assert classes == {"O(|Δ| keys)"}
 
     def test_cost_aware_order_avoids_map_scans_on_sales_by_customer(self):
         # Regression for the cost-unaware safety order: the Lineitem triggers
@@ -295,25 +311,18 @@ class TestLint:
         program = compile_query(aggregate, SALES_SCHEMA, name="sales_revenue_by_customer")
         specs = compute_index_specs(program)
         classes = {
-            statement.describe(): statement_cost_class(statement, specs, trigger.argument_names)
+            statement.describe(): statement_cost_class(statement, specs)
             for trigger in program.triggers.values()
             for statement in trigger.statements
         }
         scans = {text for text, cls in classes.items() if "map scan" in cls}
         assert not scans, scans
-        batch_classes = {
-            statement.describe(): statement_cost_class(statement, specs, ())
-            for trigger in program.batch_triggers.values()
-            for statement in trigger.statements
-        }
-        batch_scans = {text for text, cls in batch_classes.items() if "map scan" in cls}
-        assert not batch_scans, batch_scans
 
     def test_lint_main_smoke(self, tmp_path, capsys):
         report_path = tmp_path / "report.txt"
         assert lint_main(["--output", str(report_path)]) == 0
         out = capsys.readouterr().out
-        assert "Trigger-IR verification & lint report" in out
+        assert "Compiled-trigger IR: verification & lint report" in out
         assert report_path.read_text().strip() == out.strip()
 
     def test_lint_fail_on_promotes_findings(self, capsys):
