@@ -77,8 +77,6 @@ SPECIALIZED_QUERIES = {
     "float_count": (parse("Sum(R(x))"), UNARY_SCHEMA, 50, "float"),
 }
 
-#: The adaptive-dispatch sample of E14: a single-key grouping.
-DISPATCH_QUERY = (parse("AggSum([a], R(a, b))"), GROUPED_SCHEMA, 12)
 
 ENGINES = {
     "recursive-generated": lambda query: RecursiveIVM(query, UNARY_SCHEMA, backend="generated"),

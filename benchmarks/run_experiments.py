@@ -281,7 +281,7 @@ def experiment_e9():
 
 
 def experiment_e12():
-    _header("E12 sharded map tables: batch-fold throughput across shard counts")
+    _header("E12 partition tier: sharded folds and the dashboard shards row")
     import bench_sharded
 
     smoke = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -294,37 +294,17 @@ def experiment_e12():
             f"{base / row['seconds']:.2f}x",
         )
     print(table.render())
-    if fold_record["asserted"]:
-        print(f"(asserted >= {bench_sharded.FOLD_SPEEDUP_BAR}x at N={bench_sharded.ASSERTED_SHARDS})")
-    else:
-        print(
-            f"(>= {bench_sharded.FOLD_SPEEDUP_BAR}x at N={bench_sharded.ASSERTED_SHARDS} "
-            "not asserted: needs a free-threaded interpreter with enough cores)"
-        )
-    backend_record = bench_sharded.measure_backend_fold_throughput(batches=8 if smoke else 60)
-    backend_table = Table(["backend", "fold (s)", "keys/s"])
-    for label, row in backend_record["per_backend"].items():
-        backend_table.add_row(label, f"{row['seconds']:.4f}", f"{row['keys_per_s']:.0f}")
-    print(backend_table.render())
-    print(
-        f"process vs thread at N={backend_record['shards']}: "
-        f"{backend_record['process_vs_thread']:.2f}x"
-        + (
-            f" (asserted >= {bench_sharded.PROCESS_SPEEDUP_BAR}x)"
-            if backend_record["asserted"]
-            else " (not asserted: needs enough cores)"
-        )
-    )
-    if backend_record["asserted"]:
-        assert backend_record["process_vs_thread"] >= bench_sharded.PROCESS_SPEEDUP_BAR
     apply_record = bench_sharded.measure_batch_apply(
         stream_length=4_000 if smoke else 20_000, repeats=1 if smoke else 3
     )
+    dashboard_record = bench_sharded.measure_dashboard_row()
+    print("dashboard Session.apply_batch (updates/s, reported, not asserted):")
+    bench_sharded.print_dashboard_row(dashboard_record)
     return {
         "batch_size": bench_sharded.BATCH_SIZE,
         "fold": fold_record,
-        "backends": backend_record,
         "apply_batch_seconds": apply_record,
+        "dashboard_updates_per_s": dashboard_record,
     }
 
 
@@ -370,7 +350,7 @@ def experiment_e13():
 
 
 def experiment_e14():
-    _header("E14 fused bare-count totals + cost-adaptive shard dispatch")
+    _header("E14 fused bare-count totals")
     import bench_batch_updates
 
     smoke = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -387,35 +367,10 @@ def experiment_e14():
     print("(reported, not asserted: batches reach the executors already grouped, "
           "so only the fused total is left to compare)")
 
-    # A small adaptive-dispatch sample rides along: fold a sharded stream with
-    # the cost model active and record where the dispatcher sent the batches.
-    from repro.compiler.partition.dispatch import AdaptiveDispatch
-    from repro.ivm.recursive import RecursiveIVM
-    from repro.workloads.streams import StreamGenerator
-
-    query, schema, domain = bench_batch_updates.DISPATCH_QUERY
-    policy = AdaptiveDispatch()
-    engine = RecursiveIVM(query, schema, backend="generated",
-                          shards=4, shard_backend="thread")
-    backend = engine.runtime.shard_backend
-    backend.dispatch = policy
-    backend.adaptive = policy.adaptive
-    try:
-        stream = StreamGenerator(schema, seed=1, default_domain_size=domain).generate(length)
-        bench_batch_updates.run_batched(
-            engine, stream, bench_batch_updates.DELTA_BATCH_SIZE
-        )
-        dispatch_snapshot = policy.snapshot()
-    finally:
-        engine.close()
-    decisions = dispatch_snapshot.get("decisions", {})
-    print("adaptive dispatch decisions (thread backend, 4 shards): "
-          + ", ".join(f"{mode}={count}" for mode, count in sorted(decisions.items())))
     return {
         "batch_size": bench_batch_updates.DELTA_BATCH_SIZE,
         "stream_length": length,
         "speedups": speedups,
-        "dispatch": dispatch_snapshot,
     }
 
 

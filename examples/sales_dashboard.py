@@ -13,12 +13,9 @@ compiled hierarchies *share* materialized maps, which the sharing report at
 the end quantifies.  A change subscription streams one consolidated
 per-nation revenue delta per batch.
 
-The map tables are hash-partitioned into four shards and folded on the
-partition tier's **process backend** (``shards=4, shard_backend="process"``):
-long-lived worker processes each own a warm mirror of their shard and fold
-only the delta part shipped to them — real parallelism even on GIL builds,
-with state and CDC identical to the unsharded session.  The session is used
-as a context manager so the workers shut down deterministically at the end.
+The map tables are hash-partitioned into four shards (``shards=4``): every
+fold splits its increments by key hash and folds them shard by shard, with
+state and CDC identical to the unsharded session.
 
 Run with:  python examples/sales_dashboard.py
 """
@@ -48,8 +45,7 @@ DASHBOARD_SQL = {
 
 
 def main() -> None:
-    with Session(SALES_SCHEMA, shards=4, shard_backend="process") as session:
-        run_dashboard(session)
+    run_dashboard(Session(SALES_SCHEMA, shards=4))
 
 
 def run_dashboard(session: Session) -> None:

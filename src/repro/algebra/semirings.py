@@ -204,8 +204,8 @@ class Semiring:
     def __reduce__(self):
         """Pickle by name: the operation lambdas are not picklable, and every
         structure used by the runtime is resolvable via
-        :func:`resolve_semiring` (built-ins and the ``top{k}`` family) — this
-        is what lets sharded process backends and snapshots ship a ring."""
+        :func:`resolve_semiring` (built-ins and the ``top{k}`` family), so a
+        pickled ring comes back as the same structure."""
         return (resolve_semiring, (self.name,))
 
     def __repr__(self) -> str:

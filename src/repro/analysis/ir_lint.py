@@ -18,9 +18,6 @@ compile error), this module *reports* on the quality of a compiled program:
 * **unnormalized right-hand sides** — statements that the ring normal form
   (:mod:`repro.compiler.normal_form`) would rewrite, i.e. programs compiled
   with ``normalize=False`` or hand-built IR with mergeable terms;
-* **serial-forced folds** — statements the shard-race detector routed onto
-  the serial fold path, shown so a surprising parallelism loss is traceable
-  to the pair of statements that caused it;
 * **generic bare counts** — bare-count batch statements whose event cannot
   take the fused-total hot path (sibling statements or recomputes force the
   delta table), so a shape the specializer exists for still pays the generic
@@ -183,18 +180,6 @@ def lint_program(
                     "unnormalized",
                     "right-hand side is not in ring normal form "
                     "(recompile with normalize=True to merge/cancel terms)",
-                    statement.describe(),
-                )
-            )
-
-    # -- serial-forced folds -------------------------------------------------
-    for statement in _statements(program):
-        if getattr(statement, "serial_fold", False):
-            findings.append(
-                LintFinding(
-                    "serial-fold",
-                    f"shard-race detector pinned the fold of "
-                    f"{statement.target!r} to the serial path",
                     statement.describe(),
                 )
             )
@@ -430,7 +415,6 @@ def _lint_targets():
 _FAIL_ON_KINDS = {
     "dead-maps": "dead-map",
     "duplicate-map": "duplicate-map",
-    "serial-folds": "serial-fold",
     "scan": "scan",
     "generic-bare-count": "generic-bare-count",
     "untracked-noninvertible": "untracked-noninvertible",
@@ -471,7 +455,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     lines: List[str] = []
     table = Table(
         headers=["query", "maps", "statements", "verified", "findings",
-                 "serial folds", "specialization", "emitted lines", "Δ scans"],
+                 "specialization", "emitted lines", "Δ scans"],
         title="Compiled-trigger IR: verification & lint report",
     )
     details: List[str] = []
@@ -481,17 +465,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             program = compile_query(aggregate, schema, name=name, ring=ring)
         except IRVerificationError as error:
             failed += 1
-            table.add_row(name, "-", "-", "FAIL", len(error.violations), "-", "-", "-", "-")
+            table.add_row(name, "-", "-", "FAIL", len(error.violations), "-", "-", "-")
             details.append(f"== {name}: VERIFICATION FAILED ==\n{error}")
             continue
         except Exception as error:  # compilation crash: report, keep linting
             failed += 1
-            table.add_row(name, "-", "-", "ERROR", "-", "-", "-", "-", "-")
+            table.add_row(name, "-", "-", "ERROR", "-", "-", "-", "-")
             details.append(f"== {name}: COMPILATION ERROR ==\n{error!r}")
             continue
         violations = iter_violations(program)
         findings = lint_program(program)
-        serial = sum(1 for finding in findings if finding.kind == "serial-fold")
         verified = "ok" if not violations else "FAIL"
         if violations:
             failed += 1
@@ -509,7 +492,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             program.statement_count(),
             verified,
             len(findings),
-            serial,
             specialization_summary(program),
             *emitted_size(program, ring),
         )

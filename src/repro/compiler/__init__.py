@@ -15,13 +15,12 @@
 * :mod:`repro.compiler.executor` — the host gluing a runtime to its generated module;
 * :mod:`repro.compiler.indexes` — secondary hash indexes for partially-bound
   map slices (keeps per-update cost proportional to matching entries);
-* :mod:`repro.compiler.partition` — hash-partitioned map tables and the
-  pluggable backends running the per-shard batch folds;
+* :mod:`repro.compiler.partition` — hash-partitioned map tables and their
+  serial per-shard fold;
 * :mod:`repro.compiler.cost` — operation counting for the constant-work claims;
 * :mod:`repro.compiler.normal_form` — ring normal form and AC-canonical
   identities for compiled statements and map definitions;
-* :mod:`repro.compiler.verify` — the static trigger-IR verifier and the
-  shard-race detector.
+* :mod:`repro.compiler.verify` — the static trigger-IR verifier.
 """
 
 from repro.compiler.compile import Compiler, compile_query
@@ -47,9 +46,7 @@ from repro.compiler.triggers import RecomputeStatement, TriggerProgram
 from repro.compiler.verify import (
     IRVerificationError,
     Violation,
-    detect_shard_races,
     iter_violations,
-    mark_serial_folds,
     verify_program,
 )
 
@@ -79,8 +76,6 @@ __all__ = [
     "normalizes_to_zero",
     "IRVerificationError",
     "Violation",
-    "detect_shard_races",
     "iter_violations",
-    "mark_serial_folds",
     "verify_program",
 ]

@@ -53,7 +53,7 @@ Three properties of the generated module matter for the paper's cost claims:
 * **Only the query-dependent part is generated.**  What is emitted is the
   statement bodies (``batch_on_*`` / ``total_batch_*``), printed from the
   lowered :class:`~repro.compiler.plan.BatchPlan`.  The query-independent
-  steps — the fold itself (change capture, tracked keys, sharded dispatch,
+  steps — the fold itself (change capture, tracked keys, the per-shard fold,
   slice-index upkeep), the recompute write-back, the compensated float total
   and the update loop over a ``Delta``'s events or one row — are
   the plain-Python :mod:`repro.compiler.kernels`, injected into the module
@@ -83,7 +83,6 @@ from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
 from repro.compiler.cost import whole_batch_fold
 from repro.compiler.indexes import IndexedMaps, IndexSpecs, SliceIndexes
 from repro.compiler.kernels import FoldKernels, make_apply_batch, recompute_pairs
-from repro.compiler.partition.backends import generated_rmap_groups
 from repro.compiler.plan import BatchPlan, RowReads, lower_batch_plan, ordered_monomials
 from repro.gmr.database import Delta
 from repro.compiler.triggers import BatchStatement, BatchTrigger, TriggerProgram
@@ -364,10 +363,6 @@ class GeneratedTriggers:
             "_rwrite": kernels.write_back,
             "_rpairs": recompute_pairs,
             "_fold_total": kernels.fold_total,
-            # Recompute fan-out over the partition tier: tracked
-            # nested-aggregate groups are re-evaluated through the target
-            # table's shard backend when one is attached (serially otherwise).
-            "_rmap_groups": generated_rmap_groups,
         }
         namespace = self._namespace
         exec(compile(source, f"<generated triggers for {program.result_map}>", "exec"), namespace)
@@ -823,11 +818,10 @@ def _generate_trigger_body(
             )
         else:
             trk = f", _TRK[{statement.target!r}]" if statement.target in tracked_maps else ""
-            serial = ", serial=True" if statement.serial_fold else ""
             writer.emit(
                 f"_ent += {context.fold_name(statement.target)}("
                 f"{frame.table(statement.target)}, {accumulator}, {statement.target!r}, "
-                f"{_spec_literal(context, statement.target)}, _IDX, _CH, _J{trk}{serial})"
+                f"{_spec_literal(context, statement.target)}, _IDX, _CH, _J{trk})"
             )
 
 
@@ -866,11 +860,9 @@ def _generate_recomputes(
             body = f"_rbody{rindex}"
             names.reserve(group_key)
             names.reserve(body)
-            # The per-group re-evaluation as a nested function: evaluation is
-            # read-only (the body never consults its own target), so
-            # _rmap_groups may fan the calls out over the target table's shard
-            # backend; the _rwrite kernel applies every diff serially
-            # afterwards — identical state and CDC at any backend.
+            # The per-group re-evaluation as a nested function, called once
+            # per affected group; the _rwrite kernel applies every diff
+            # afterwards.
             writer.emit(f"def {body}({group_key}):")
             writer.block()
             key_locals = [names(key) for key in recompute.target_keys]
@@ -884,7 +876,7 @@ def _generate_recomputes(
             )
             writer.emit(f"return {accumulator}")
             writer.dedent()
-            new_values = f"_rmap_groups({target_table}, {affected}, {body})"
+            new_values = f"[({group_key}, {body}({group_key})) for {group_key} in {affected}]"
         else:
             writer.emit(f"{accumulator} = {{}}")
             _generate_statement(

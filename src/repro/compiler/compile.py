@@ -91,7 +91,7 @@ from repro.compiler.triggers import (
     RecomputeStatement,
     TriggerProgram,
 )
-from repro.compiler.verify import mark_serial_folds, verify_program
+from repro.compiler.verify import verify_program
 
 
 class Compiler:
@@ -183,7 +183,6 @@ class Compiler:
             schema=dict(self.schema),
             maintenance=maintenance,
         )
-        mark_serial_folds(program)
         if verify:
             verify_program(program)
         return program

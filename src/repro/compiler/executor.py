@@ -157,8 +157,3 @@ class CompiledExecutor:
         runtime.restore_tables(tables)  # clears the compensation store
         runtime.maps.compensation.update(compensation)
         self._restore_work_counters(counters)
-
-    def close(self) -> None:
-        """Shut the partition-tier backend down (stops process workers)."""
-        if self.runtime.shard_backend is not None:
-            self.runtime.shard_backend.close()

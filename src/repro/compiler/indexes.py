@@ -125,26 +125,6 @@ def compute_index_specs(program: TriggerProgram) -> IndexSpecs:
     return {name: tuple(sorted(positions)) for name, positions in sorted(specs.items())}
 
 
-def journal_to_wire(
-    added: Iterable[Tuple[Any, ...]], removed: Iterable[Tuple[Any, ...]]
-) -> Tuple[list, list]:
-    """Encode a shard fold's index journal for the worker→coordinator wire.
-
-    The partition tier's process workers (:mod:`repro.compiler.partition`)
-    journal the keys they inserted/removed exactly like the thread workers,
-    but the journal crosses a process boundary — so it travels as plain
-    lists-of-lists, the shape any serializer (pickle today, msgpack/JSON on a
-    socket tomorrow) round-trips without custom hooks.
-    """
-    return [list(key) for key in added], [list(key) for key in removed]
-
-
-def journal_from_wire(payload: Tuple[list, list]):
-    """Decode a wire journal back into the tuple keys the indexes store."""
-    added, removed = payload
-    return [tuple(key) for key in added], [tuple(key) for key in removed]
-
-
 def _prefixes(keys, positions: Positions) -> list:
     """The bound prefix of every key, built without a generator per key."""
     if len(positions) == 1:
@@ -160,9 +140,9 @@ def apply_index_journal(index_data, specs, name: str, added, removed) -> None:
     :class:`SliceIndexes` (``.data``), which generated trigger modules address
     directly; ``specs`` are the map's bound-position signatures.  Every fold
     kernel (:mod:`repro.compiler.kernels`) journals the keys it inserted into
-    / removed from its table and replays them here — serially, after any
-    shard workers joined: buckets are keyed by bound *prefix*, so two shards'
-    keys can share one and must not be mutated concurrently.  ``added`` and
+    / removed from its table and replays them here — per shard on a sharded
+    table: buckets are keyed by bound *prefix*, so two shards' keys can share
+    one.  ``added`` and
     ``removed`` are walked twice (sequences or dicts, not iterators).
     """
     for positions in specs:

@@ -3,7 +3,7 @@
 A compiled trigger is a list of statements ``foreach k: m[k] += rhs``
 (Equation (1) of the paper).  Only the right-hand side depends on the query;
 everything around it — the ``+=`` itself, change capture, tracked-key
-collection, slice-index upkeep, sharded dispatch, the recompute write-back,
+collection, slice-index upkeep, the per-shard fold, the recompute write-back,
 the compensated float total, running a batch's events — is the same for
 every program.  This module holds those steps as plain Python functions,
 specialized once per coefficient ring by :class:`FoldKernels`.
@@ -36,8 +36,7 @@ from typing import Any, Callable, Dict, Iterable, Tuple
 
 from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
 from repro.compiler.indexes import apply_index_journal
-from repro.compiler.partition.backends import fold_on_coordinator
-from repro.compiler.partition.tables import MIN_PARALLEL_KEYS, ShardedMapTable
+from repro.compiler.partition.tables import ShardedMapTable, fold_shards
 from repro.core.ast import COMPARATORS, Add, Compare, Const, Expr, MapRef, Mul, Neg, Var
 from repro.gmr.database import Delta, Update
 
@@ -75,9 +74,7 @@ class UndoJournal:
         saw.  The inverse slice-index journal is derived from membership — a
         key present now but absent before leaves its buckets, and the reverse
         — and goes through the same :func:`apply_index_journal` the forward
-        path uses.  Sharded tables are restored through the facade, whose
-        writes bump the shard versions, so process-worker mirrors reload
-        before their next fold.
+        path uses.  Sharded tables are restored through the facade.
         """
         undone = 0
         for table, name, specs, keys, priors in reversed(self.records):
@@ -108,8 +105,8 @@ def make_shard_fold(ring: Semiring) -> Callable:
     the key-hash partition, so the caller applies the journal serially.  A
     key is mutated strictly after the arithmetic that can fail, so the
     journal matches the dict's contents even when the fold raises.  This is
-    the per-shard job of the partition tier (threads and process workers) and
-    the tail of :func:`make_fold` on an unsharded table.
+    the per-shard loop of the partition tier and the tail of
+    :func:`make_fold` on an unsharded table.
     """
     native = ring is INTEGER_RING or ring is FLOAT_FIELD
     add, zero, is_zero = ring.add, ring.zero, ring.is_zero
@@ -139,9 +136,9 @@ def make_shard_fold(ring: Semiring) -> Callable:
     return fold_shard
 
 
-def make_fold(ring: Semiring, post_values: bool = False, local: bool = False) -> Callable:
+def make_fold(ring: Semiring, post_values: bool = False) -> Callable:
     """The fold step of one statement: ``fold(table, acc, name, specs, index_data,
-    changes=None, journal=None, touched=None, serial=False) -> entries``.
+    changes=None, journal=None, touched=None) -> entries``.
 
     Folds the statement's accumulated increments ``acc`` into ``table`` (map
     ``name``) — one read-modify-write ``table[k] += acc[k]`` per key
@@ -149,18 +146,15 @@ def make_fold(ring: Semiring, post_values: bool = False, local: bool = False) ->
     capture into ``changes[name]`` when the map is watched, non-zero keys
     into ``touched`` when a recompute of the same event tracks the map, and
     slice-index upkeep for the signatures ``specs`` in the raw index storage
-    ``index_data``.  A :class:`ShardedMapTable` dispatches one job per shard
-    through its shard backend (pinned to the calling thread by ``serial``,
-    the shard-race detector's verdict); capture and tracking depend only on
-    ``acc`` and the pre-fold table, so they run serially up front and every
-    shard configuration emits identical payloads.  With a ``journal`` the
-    prior values of *all* of ``acc``'s keys are recorded up front, so a fold
-    that raises midway is covered (restoring an unmodified key is a no-op).
+    ``index_data``.  A :class:`ShardedMapTable` folds shard by shard
+    (:func:`~repro.compiler.partition.tables.fold_shards`); capture and
+    tracking depend only on ``acc`` and the pre-fold table, so they run up
+    front and every shard count emits identical payloads.  With a
+    ``journal`` the prior values of *all* of ``acc``'s keys are recorded up
+    front, so a fold that raises midway is covered (restoring an unmodified
+    key is a no-op).
 
-    ``post_values`` selects semiring change capture; ``local`` keeps sharded
-    folds on coordinator shards whatever backend the table carries (the
-    ℤ-valued counter maps of a semiring plan: process workers fold with the
-    session ring, so these maps never gain a worker mirror).
+    ``post_values`` selects semiring change capture.
     """
     native = ring is INTEGER_RING or ring is FLOAT_FIELD
     add, zero, is_zero = ring.add, ring.zero, ring.is_zero
@@ -168,7 +162,7 @@ def make_fold(ring: Semiring, post_values: bool = False, local: bool = False) ->
 
     def fold(
         table, acc, name, specs=None, index_data=None, changes=None, journal=None,
-        touched=None, serial=False,
+        touched=None,
     ):
         if not acc:
             return 0
@@ -198,14 +192,7 @@ def make_fold(ring: Semiring, post_values: bool = False, local: bool = False) ->
             # (A partial, not a nested def: closing over this frame's arguments
             # would turn them into cells, allocated on *every* fold call.)
             sink = partial(apply_index_journal, index_data, specs, name) if indexed else None
-            backend = table.backend
-            if local or backend is None:
-                parallel = not serial and len(acc) >= MIN_PARALLEL_KEYS
-                fold_on_coordinator(table, acc, indexed, fold_shard, sink, parallel)
-            else:
-                backend.fold_table(
-                    table, acc, indexed, fold_shard, sink, force_inline=serial, name=name
-                )
+            fold_shards(table, acc, indexed, fold_shard, sink)
         elif indexed:
             added: list = []
             removed: list = []
@@ -322,7 +309,7 @@ class FoldKernels:
         #: The fold of a semiring plan's ℤ-valued counter maps (``None`` over
         #: a ring, which has none).
         self.fold_int = (
-            make_fold(INTEGER_RING, post_values=True, local=True) if semiring else None
+            make_fold(INTEGER_RING, post_values=True) if semiring else None
         )
         self.write_back = make_write_back(ring, post_values=semiring)
         self.fold_total = fold_total if ring is FLOAT_FIELD else None

@@ -1,10 +1,9 @@
-"""The one place the library reads process-wide defaults from the environment.
+"""The one place the library reads a process-wide default from the environment.
 
-Three knobs survive, all defaults for arguments callers may pass explicitly
-(CI uses them to run the tier-1 suite under other configurations):
-``REPRO_SHARDS`` (``shards=``), ``REPRO_SHARD_BACKEND`` (``shard_backend=``)
-and ``REPRO_SHARD_DISPATCH`` (``dispatch=``).  No other module under
-``src/repro`` touches ``os.environ``.
+One knob survives: ``REPRO_SHARDS``, the default for the ``shards=``
+argument callers may pass explicitly (CI sets it to run the partition
+contract's suites sharded).  No other module under ``src/repro`` touches
+``os.environ``.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ import os
 
 _DEFAULTS = {
     "REPRO_SHARDS": "1",
-    "REPRO_SHARD_BACKEND": "thread",
-    "REPRO_SHARD_DISPATCH": "static",
 }
 
 

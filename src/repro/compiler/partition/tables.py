@@ -1,51 +1,48 @@
-"""Hash-partitioned map tables and the coordinator's thread pool.
+"""Hash-partitioned map tables and their per-shard fold.
 
 Koch's compiled triggers make every batch update a set of per-key folds, and
 two folds into *different* keys never read each other's state.  The partition
-tier exploits that independence: map tables are hash-partitioned by key into
+tier rests on that independence: map tables are hash-partitioned by key into
 ``N`` shards, a pre-aggregated increment map is split by target-key hash, and
-the per-shard folds run wherever the table's
-:class:`~repro.compiler.partition.backends.ShardBackend` places them — each
-job owns its shard's dict outright (write isolation is structural: a key's
-shard is a pure function of its hash).
+each shard's part folds into that shard's dict alone (a key's shard is a pure
+function of its hash).
 
 * :class:`ShardedMapTable` — a ``MutableMapping`` over ``N`` plain per-shard
   dicts.  Reads route through one extra hash; the fold path bypasses the
   facade and works on the shard dicts directly.  ``shards=1`` sessions never
   construct one.
-* :class:`ShardExecutor` — a lazily created thread pool shared per worker
-  count.  On free-threaded builds the per-shard folds run truly in parallel;
-  on GIL builds they interleave but stay correct.
+* :func:`fold_shards` — the fold of one increment map, shard by shard, on the
+  calling thread.
 
-The fold itself (the per-key loop, CDC, tracked keys, index journalling) is
-:mod:`repro.compiler.kernels`; slice indexes bucket keys by bound *prefix*,
-which does not respect the key-hash partition, so shard jobs journal their
-inserted/removed keys and the coordinator replays the journals after the join.
+The per-key loop itself is :mod:`repro.compiler.kernels`; slice indexes
+bucket keys by bound *prefix*, which does not respect the key-hash partition,
+so each shard's fold journals its inserted/removed keys and the caller's sink
+applies them to the indexes.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.compiler.partition.env import env_default
 
 MapTable = Dict[Tuple[Any, ...], Any]
 
-#: Increment maps smaller than this fold serially on the calling thread
-#: instead of being dispatched to the pool — job overhead would dominate.
-MIN_PARALLEL_KEYS = 64
-
 
 def default_shard_count() -> int:
-    """The process-wide default shard count (the ``REPRO_SHARDS`` knob)."""
+    """The process-wide default shard count (the ``REPRO_SHARDS`` knob).
+
+    The variable is outside input: anything but a positive integer raises a
+    ``ValueError`` naming it, rather than silently running unsharded.
+    """
+    value = env_default("REPRO_SHARDS")
     try:
-        return max(1, int(env_default("REPRO_SHARDS")))
+        shards = int(value)
     except ValueError:
-        return 1
+        shards = 0
+    if shards < 1:
+        raise ValueError(f"REPRO_SHARDS must be a positive integer, got {value!r}")
+    return shards
 
 
 def resolve_shard_count(shards: Optional[int]) -> int:
@@ -86,7 +83,7 @@ class ShardedMapTable:
     partitions its increments once and works on ``self.shards`` directly.
     """
 
-    __slots__ = ("shards", "shard_count", "versions", "backend")
+    __slots__ = ("shards", "shard_count")
 
     def __init__(
         self,
@@ -97,16 +94,6 @@ class ShardedMapTable:
             raise ValueError(f"shard count must be a positive integer, got {shard_count}")
         self.shard_count = shard_count
         self.shards: List[MapTable] = [{} for _ in range(shard_count)]
-        #: Per-shard mutation counters, bumped by every *facade* write.  The
-        #: process shard backend uses them to detect that a worker's mirror of
-        #: a shard went stale (recompute applies, restores, scalar folds all
-        #: write through the facade); the fold path mutates the shard dicts
-        #: directly and keeps both sides in lockstep without bumps.
-        self.versions: List[int] = [0] * shard_count
-        #: The owning :class:`~repro.compiler.partition.backends.ShardBackend`
-        #: (set by the runtime's ``make_table``); ``None`` folds on the
-        #: coordinator's thread pool.
-        self.backend = None
         if contents:
             shards = self.shards
             for key, value in contents.items():
@@ -118,14 +105,10 @@ class ShardedMapTable:
         return self.shards[hash(key) % self.shard_count][key]
 
     def __setitem__(self, key: Tuple[Any, ...], value: Any) -> None:
-        index = hash(key) % self.shard_count
-        self.versions[index] += 1
-        self.shards[index][key] = value
+        self.shards[hash(key) % self.shard_count][key] = value
 
     def __delitem__(self, key: Tuple[Any, ...]) -> None:
-        index = hash(key) % self.shard_count
-        self.versions[index] += 1
-        del self.shards[index][key]
+        del self.shards[hash(key) % self.shard_count][key]
 
     def __contains__(self, key: object) -> bool:
         return key in self.shards[hash(key) % self.shard_count]
@@ -153,18 +136,13 @@ class ShardedMapTable:
     _MISSING = object()
 
     def pop(self, key: Tuple[Any, ...], default: Any = _MISSING) -> Any:
-        index = hash(key) % self.shard_count
-        shard = self.shards[index]
-        if key in shard:
-            self.versions[index] += 1
+        shard = self.shards[hash(key) % self.shard_count]
         if default is ShardedMapTable._MISSING:
             return shard.pop(key)
         return shard.pop(key, default)
 
     def setdefault(self, key: Tuple[Any, ...], default: Any = None) -> Any:
-        index = hash(key) % self.shard_count
-        self.versions[index] += 1
-        return self.shards[index].setdefault(key, default)
+        return self.shards[hash(key) % self.shard_count].setdefault(key, default)
 
     def items(self) -> "_ShardView":
         return _ShardView(self.shards, dict.items)
@@ -183,10 +161,8 @@ class ShardedMapTable:
             self[key] = value
 
     def clear(self) -> None:
-        for index, shard in enumerate(self.shards):
-            if shard:
-                self.versions[index] += 1
-                shard.clear()
+        for shard in self.shards:
+            shard.clear()
 
     def copy(self) -> MapTable:
         """A merged plain-dict copy of the whole table (snapshot/backup path)."""
@@ -230,67 +206,34 @@ class _ShardView:
         return any(item in self._select(shard) for shard in self._shards)
 
 
-# ---------------------------------------------------------------------------
-# The parallel executor
-# ---------------------------------------------------------------------------
+def fold_shards(
+    table: ShardedMapTable,
+    acc: Mapping[Tuple[Any, ...], Any],
+    journal: bool,
+    fold: Callable,
+    sink: Optional[Callable],
+) -> None:
+    """Fold ``acc`` into ``table``, one shard at a time on the calling thread.
 
-
-def gil_disabled() -> bool:
-    """True on free-threaded builds, where shard folds run truly in parallel."""
-    checker = getattr(sys, "_is_gil_enabled", None)
-    return checker is not None and not checker()
-
-
-def parallel_fold_capable(workers: int) -> bool:
-    """Whether this interpreter/host can *speed up* folds with ``workers`` threads.
-
-    Correctness never depends on this — it only gates throughput assertions:
-    per-shard dict folds are pure Python, so they need a free-threaded build
-    and at least ``workers`` cores to scale.
+    ``acc`` is split by key hash and each part goes through ``fold`` (the
+    ring's per-shard loop, :func:`repro.compiler.kernels.make_shard_fold`).
+    With ``journal`` every shard's inserted/removed keys are handed to
+    ``sink`` (slice-index upkeep) even when its fold raised, and the first
+    error is re-raised only after every shard was folded — so a failed fold
+    leaves the indexes consistent with whatever the shards actually contain.
     """
-    return gil_disabled() and (os.cpu_count() or 1) >= workers
-
-
-class ShardExecutor:
-    """Runs per-shard fold jobs, in parallel when it can pay off.
-
-    The thread pool is created lazily (lock-guarded) on the first multi-job
-    run and reused for the life of the process; a single job runs in line on
-    the calling thread.  Jobs must not raise — fold jobs return their error
-    as part of the result — so ``run`` always waits for every job's result.
-    """
-
-    __slots__ = ("workers", "_pool", "_lock")
-
-    def __init__(self, workers: int):
-        self.workers = max(1, workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._lock = threading.Lock()
-
-    def run(self, fn: Callable, jobs: Iterable[tuple]) -> List[Any]:
-        jobs = list(jobs)
-        if len(jobs) <= 1:
-            return [fn(*job) for job in jobs]
-        if self._pool is None:
-            with self._lock:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.workers, thread_name_prefix="repro-shard"
-                    )
-        futures = [self._pool.submit(fn, *job) for job in jobs]
-        return [future.result() for future in futures]
-
-
-_EXECUTORS: Dict[int, ShardExecutor] = {}
-_EXECUTORS_LOCK = threading.Lock()
-
-
-def get_executor(workers: int) -> ShardExecutor:
-    """The process-wide executor for a given worker count (shared across runtimes)."""
-    executor = _EXECUTORS.get(workers)
-    if executor is None:
-        with _EXECUTORS_LOCK:
-            executor = _EXECUTORS.get(workers)
-            if executor is None:
-                executor = _EXECUTORS[workers] = ShardExecutor(workers)
-    return executor
+    error: Optional[BaseException] = None
+    for shard, part in zip(table.shards, table.partition(acc)):
+        if not part:
+            continue
+        added: Optional[list] = [] if journal else None
+        removed: Optional[list] = [] if journal else None
+        try:
+            fold(shard, part, added, removed)
+        except Exception as exc:
+            if error is None:
+                error = exc
+        if added or removed:
+            sink(added, removed)
+    if error is not None:
+        raise error

@@ -38,10 +38,10 @@ shared :mod:`repro.compiler.kernels`.
 
 With ``shards=N`` (N > 1) the map tables are hash-partitioned
 (:class:`~repro.compiler.partition.tables.ShardedMapTable`) and every batch
-fold splits its increments by target-key hash, folding the shards through the
-partition tier's backend — folds into different keys are independent, so the
-partition gives each worker a disjoint slice of the table.  ``shards=1`` (the
-default) keeps plain dict tables and exactly the unsharded code path.
+fold splits its increments by target-key hash and folds them shard by shard —
+folds into different keys are independent, so each shard's part touches a
+disjoint slice of the table.  ``shards=1`` (the default) keeps plain dict
+tables and exactly the unsharded code path.
 
 Both entry points accept an optional ``changes`` argument — a mapping from
 *watched* map names to accumulator dicts — used for change-data-capture: every
@@ -74,7 +74,6 @@ from repro.compiler.kernels import (
     semiring_order,
 )
 from repro.compiler.maps import dependency_depths
-from repro.compiler.partition.backends import ShardBackend, make_shard_backend
 from repro.compiler.partition.tables import ShardedMapTable, resolve_shard_count
 from repro.compiler.plan import BatchPlan, lower_batch_plan
 from repro.compiler.triggers import BatchTrigger, RecomputeStatement, TriggerProgram
@@ -140,7 +139,6 @@ class TriggerRuntime:
         program: TriggerProgram,
         ring: Semiring = INTEGER_RING,
         shards: Optional[int] = None,
-        shard_backend=None,
         specialize: bool = True,
     ):
         self.program = program
@@ -174,15 +172,6 @@ class TriggerRuntime:
         #: Hash-partition count of the map tables; 1 (the default) keeps the
         #: plain-dict tables and exactly the pre-sharding code path.
         self.shards = resolve_shard_count(shards)
-        #: The partition tier's execution backend (``None`` when unsharded):
-        #: either a ready :class:`~repro.compiler.partition.backends.ShardBackend`
-        #: handed in by the owner (a :class:`~repro.session.Session` shares one
-        #: backend — and its worker processes — across runtime rebuilds) or
-        #: built here from a backend name / the ``REPRO_SHARD_BACKEND`` env.
-        if isinstance(shard_backend, ShardBackend):
-            self.shard_backend: Optional[ShardBackend] = shard_backend
-        else:
-            self.shard_backend = make_shard_backend(shard_backend, self.shards, ring)
         self.index_specs = self.plan.index_specs
         self.indexes = SliceIndexes(self.index_specs)
         #: The tables, their slice indexes and the Kahan compensation store
@@ -246,9 +235,7 @@ class TriggerRuntime:
         """
         if self.shards == 1:
             return dict(contents) if contents else {}
-        table = ShardedMapTable(self.shards, contents)
-        table.backend = self.shard_backend
-        return table
+        return ShardedMapTable(self.shards, contents)
 
     def backup_tables(self) -> Dict[str, MapTable]:
         """Plain-dict copies of every map table (sharded tables merged).
@@ -402,10 +389,7 @@ class TriggerRuntime:
                 fold_total(self.maps, statement.target, increment, changes, journal)
                 self.statistics.entries_updated += 1
             else:
-                self._fold_increments(
-                    statement.target, {(): increment}, changes, None, statement.serial_fold,
-                    journal,
-                )
+                self._fold_increments(statement.target, {(): increment}, changes, None, journal)
 
     # -- support-structure maintenance ------------------------------------------------
 
@@ -587,10 +571,7 @@ class TriggerRuntime:
         finally:
             self.maps.pop(trigger.delta_map, None)
         for statement, increments in pending:
-            self._fold_increments(
-                statement.target, increments, changes, tracked_sources, statement.serial_fold,
-                journal,
-            )
+            self._fold_increments(statement.target, increments, changes, tracked_sources, journal)
         for recompute in trigger.recomputes:
             self._run_recompute(recompute, changes, tracked_sources, journal)
 
@@ -600,15 +581,10 @@ class TriggerRuntime:
         increments: MapTable,
         changes: Optional[Dict[str, MapTable]],
         tracked_sources: Optional[Dict[str, set]],
-        serial: bool = False,
         journal: Optional[UndoJournal] = None,
     ) -> None:
-        """Fold per-key increments into one map through the shared fold kernel.
-
-        Counter maps of a semiring plan fold in ℤ; ``serial`` is the
-        shard-race detector's verdict
-        (:attr:`~repro.compiler.triggers.BatchStatement.serial_fold`).
-        """
+        """Fold per-key increments into one map through the shared fold kernel
+        (counter maps of a semiring plan fold in ℤ)."""
         kernels = self._kernels
         fold = kernels.fold_int if target in self._counter_maps else kernels.fold
         self.statistics.entries_updated += fold(
@@ -620,7 +596,6 @@ class TriggerRuntime:
             changes,
             journal,
             None if tracked_sources is None else tracked_sources.get(target),
-            serial,
         )
 
     def _run_recompute(
@@ -642,7 +617,7 @@ class TriggerRuntime:
                     groups.add(tuple(key[position] for position in positions))
         pointwise = self._pointwise.get(id(recompute))
         if pointwise is not None:
-            # O(1) per group — lookups at the group key: nothing to fan out.
+            # O(1) per group — lookups at the group key.
             new_values = [(group, pointwise(maps, group)) for group in groups]
         elif recompute.tracked:
 
@@ -656,18 +631,8 @@ class TriggerRuntime:
                     value = ring.add(value, part)
                 return value
 
-            # Affected groups are per-group independent (they only read source
-            # maps, never the target), so large sets fan out over the shard
-            # backend — the same tier the batch folds dispatch through.  All
-            # values are computed before any diff is written back either way,
-            # so the write-back sees identical state at every backend.
-            group_list = list(groups)
-            backend = self.shard_backend
-            if backend is not None and backend.wants_groups(len(group_list)):
-                values = backend.map_groups(evaluate_group, group_list)
-            else:
-                values = [evaluate_group(group) for group in group_list]
-            new_values = list(zip(group_list, values))
+            # Every value is computed before any diff is written back.
+            new_values = [(group, evaluate_group(group)) for group in groups]
         else:
             accumulator: Dict[Tuple[Any, ...], Any] = {}
             result = evaluate(recompute.as_aggregate(), self._environment, maps=maps)

@@ -61,10 +61,6 @@ class BatchStatement:
     #: Key-tuple arity of the delta map (the relation's arity); lets the
     #: executors recognize an identity projection without re-walking the rhs.
     delta_arity: Optional[int] = None
-    #: Set by the shard-race detector (:mod:`repro.compiler.verify`): this
-    #: statement's fold writes a map another statement of the same trigger
-    #: reads, so it must never run on the parallel per-shard fold path.
-    serial_fold: bool = False
 
     def as_aggregate(self) -> AggSum:
         return AggSum(self.target_keys, self.rhs)
@@ -99,8 +95,7 @@ class BatchStatement:
         mode = ""
         if self.projection is not None:
             mode = f" [project:{self.projection_class()} {self.projection}]"
-        serial = " [serial fold]" if self.serial_fold else ""
-        return f"{self.target}[{keys}] += fold(Δ={self.delta_map}){mode}{serial} {self.rhs}"
+        return f"{self.target}[{keys}] += fold(Δ={self.delta_map}){mode} {self.rhs}"
 
     def __repr__(self) -> str:
         return f"BatchStatement({self.describe()})"

@@ -14,24 +14,12 @@ by a slice index signature so the constant-work claim holds.
 ``describe()`` text of the offending statement — compiler bugs and hand-built
 IR mistakes surface at compile time, not as a wrong aggregate three updates
 later.
-
-The module also hosts the **shard-race detector**
-(:func:`mark_serial_folds`): within one event dispatch, a statement whose
-fold writes a map that *another* statement of the same dispatch reads (or
-that another statement also writes) may not use the parallel per-shard fold
-path of :mod:`repro.compiler.partition` — an executor overlapping that fold
-with its neighbour's evaluation would observe half-written state.  Both
-runtimes execute folds behind a join barrier today, which makes such pairs
-safe *dynamically*; the detector makes the guarantee static by forcing the
-hazardous statements onto the serial (inline) fold path, so the invariant
-survives executor changes.  Recomputes are excluded on purpose: they are
-ordered after the fold barrier precisely so that they read post-fold values.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.ast import MapRef, walk
 from repro.core.delta import delta_map_name, is_delta_map
@@ -44,7 +32,6 @@ __all__ = [
     "Violation",
     "iter_violations",
     "verify_program",
-    "mark_serial_folds",
 ]
 
 
@@ -374,71 +361,3 @@ def verify_program(
         raise IRVerificationError(violations)
     return program
 
-
-# ---------------------------------------------------------------------------
-# Shard-race detection
-# ---------------------------------------------------------------------------
-
-
-def detect_shard_races(program: TriggerProgram) -> Dict[Tuple[str, int], Tuple[str, ...]]:
-    """Per event, the targets whose folds are hazardous under parallel dispatch.
-
-    A statement's fold is hazardous when, within the same dispatch, another
-    statement *reads* the map it writes (write-read: overlapping the fold
-    with the reader's evaluation would leak post-update state into a snapshot
-    read) or another statement *writes* the same map (write-write: two
-    parallel shard folds over one table).
-    """
-    races: Dict[Tuple[str, int], Tuple[str, ...]] = {}
-    for event, trigger in program.triggers.items():
-        hazardous = _hazardous_targets(trigger.statements)
-        if hazardous:
-            races[event] = tuple(sorted(hazardous))
-    return races
-
-
-def _hazardous_targets(statements: Sequence) -> Set[str]:
-    writes: Dict[str, int] = {}
-    for statement in statements:
-        writes[statement.target] = writes.get(statement.target, 0) + 1
-    hazardous: Set[str] = set()
-    for statement in statements:
-        if writes[statement.target] > 1:
-            hazardous.add(statement.target)
-        if any(
-            statement.target in other.maps_read()
-            for other in statements
-            if other is not statement
-        ):
-            hazardous.add(statement.target)
-    return hazardous
-
-
-def mark_serial_folds(program: TriggerProgram) -> TriggerProgram:
-    """Force every shard-race-hazardous statement onto the serial fold path.
-
-    Rewrites the program's triggers in place (statements are frozen, so
-    flagged ones are rebuilt with ``serial_fold=True``; stale flags from a
-    previous marking are cleared).  Idempotent — the flag is recomputed from
-    scratch on every call, which is how the multi-view catalog re-marks after
-    merging statement lists across views.
-    """
-    for event, trigger in list(program.triggers.items()):
-        rebuilt = _mark_statements(trigger.statements)
-        if rebuilt is not None:
-            program.triggers[event] = dataclasses.replace(trigger, statements=rebuilt)
-    return program
-
-
-def _mark_statements(statements: Sequence) -> Optional[Tuple]:
-    """The statement tuple with recomputed flags, or ``None`` when unchanged."""
-    hazardous = _hazardous_targets(statements)
-    rebuilt = []
-    changed = False
-    for statement in statements:
-        flag = statement.target in hazardous
-        if statement.serial_fold != flag:
-            statement = dataclasses.replace(statement, serial_fold=flag)
-            changed = True
-        rebuilt.append(statement)
-    return tuple(rebuilt) if changed else None

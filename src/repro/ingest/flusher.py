@@ -235,9 +235,6 @@ class IngestPipeline:
             backpressure = BackpressurePolicy(high_water=4 * max_pending)
         self.backpressure = backpressure
         self.stats = IngestStats()
-        # The partition-tier dispatch report, read when a snapshot is taken
-        # (engine-level targets do not expose dispatch_statistics).
-        self.stats.dispatch_source = getattr(session, "dispatch_statistics", None)
         self._wake = threading.Event()
         self._queue = IngestQueue(
             backpressure=backpressure,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 #: How many recent flush latency / staleness samples the percentile window
 #: keeps.  A bounded window makes the percentiles reflect *current* behavior
@@ -78,11 +78,6 @@ class IngestStats:
         self.max_flush_staleness_ms = 0.0
         self._flush_latency_ms = deque(maxlen=LATENCY_WINDOW)
         self._flush_staleness_ms = deque(maxlen=LATENCY_WINDOW)
-        #: Where :meth:`snapshot` reads the partition-tier dispatch report
-        #: (``Session.dispatch_statistics`` shape: group -> policy snapshot;
-        #: the policies' tallies are cumulative, so reading on demand shows
-        #: every flush so far).  ``None``: no report.
-        self.dispatch_source: Optional[Callable[[], Dict[str, Any]]] = None
 
     # -- recording hooks (called by the queue / flusher / windows) -------------
 
@@ -149,8 +144,6 @@ class IngestStats:
 
     def snapshot(self, queue_depth: Optional[int] = None) -> Dict[str, Any]:
         """All counters plus latency percentiles as one plain (JSON-able) dict."""
-        source = self.dispatch_source
-        dispatch = source() if source is not None else {}
         with self._lock:
             latency = list(self._flush_latency_ms)
             staleness = list(self._flush_staleness_ms)
@@ -169,7 +162,6 @@ class IngestStats:
                 "cdc_windows_emitted": self.cdc_windows_emitted,
                 "cdc_flushes_coalesced": self.cdc_flushes_coalesced,
                 "max_flush_staleness_ms": self.max_flush_staleness_ms,
-                "shard_dispatch": dispatch,
             }
         record["flush_latency"] = {
             "p50_ms": percentile(latency, 0.50),

@@ -42,7 +42,6 @@ class RecursiveIVM(IVMEngine):
         backend: str = "interpreted",
         map_name: str = "q",
         shards: Optional[int] = None,
-        shard_backend: Optional[str] = None,
         normalize: Optional[bool] = None,
         verify: bool = True,
         specialize: bool = True,
@@ -66,14 +65,11 @@ class RecursiveIVM(IVMEngine):
         # shards > 1 hash-partitions the map tables so batch folds run per
         # shard (repro.compiler.partition); the default (None -> REPRO_SHARDS
         # -> 1) keeps plain dict tables and the pre-sharding code path.
-        # shard_backend picks the partition tier's execution backend
-        # ("inline"/"thread"/"process", None -> REPRO_SHARD_BACKEND).
         # specialize=False runs every event's batch trigger on its delta map;
         # otherwise the lowered batch plan (repro.compiler.plan) fuses the
         # all-bare-count events to one folded tuple count where the ring allows.
         self.runtime = TriggerRuntime(
-            self.program, ring=ring, shards=shards, shard_backend=shard_backend,
-            specialize=specialize,
+            self.program, ring=ring, shards=shards, specialize=specialize
         )
         self._generated: Optional[GeneratedTriggers] = None
         if backend == "generated":
@@ -102,8 +98,8 @@ class RecursiveIVM(IVMEngine):
         self._pending_changes = None
 
     def close(self) -> None:
-        """Shut the partition-tier backend down (stops process workers)."""
-        self._executor.close()
+        """A no-op: the engine holds no resources beyond its tables.  Kept so
+        callers can close every engine (and session) the same way."""
 
     # -- engine interface -----------------------------------------------------------------
 

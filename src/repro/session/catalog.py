@@ -36,7 +36,6 @@ from typing import Dict, List, Mapping, Tuple
 from repro.compiler.compile import assemble_triggers
 from repro.compiler.maps import MapDefinition, dependency_depths
 from repro.compiler.normal_form import read_positions, sharing_key
-from repro.compiler.verify import mark_serial_folds
 from repro.compiler.triggers import (
     BatchStatement,
     MaintenancePlan,
@@ -316,16 +315,13 @@ class MapCatalog:
         if not self.result_maps:
             raise ValueError("the catalog has no registered views")
         anchor = next(iter(self.result_maps.values()))
-        combined = TriggerProgram(
+        return TriggerProgram(
             result_map=anchor,
             maps=dict(self.maps),
             triggers=assemble_triggers(self._statements, self._recomputes, self.maps),
             schema=dict(self.schema),
             maintenance=self.maintenance.renamed({}) if self.maintenance is not None else None,
         )
-        # Merging statement lists across views can create write-read pairs no
-        # single view had, so the shard-race analysis re-runs on the union.
-        return mark_serial_folds(combined)
 
     # -- introspection ---------------------------------------------------------
 

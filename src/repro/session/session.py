@@ -36,11 +36,7 @@ from repro.compiler.codegen import GeneratedTriggers, generate_python
 from repro.compiler.compile import compile_query
 from repro.compiler.cost import RuntimeStatistics
 from repro.compiler.executor import CompiledExecutor
-from repro.compiler.partition import (
-    make_shard_backend,
-    resolve_shard_backend,
-    resolve_shard_count,
-)
+from repro.compiler.partition import resolve_shard_count
 from repro.compiler.runtime import TriggerRuntime
 from repro.core.ast import AggSum, Expr
 from repro.core.errors import SchemaError
@@ -118,17 +114,10 @@ class _CompiledGroup:
         ring: Semiring,
         backend: str,
         shards: int = 1,
-        shard_backend: Optional[str] = None,
     ):
         self.backend = backend
         self.ring = ring
         self.shards = shards
-        #: The partition tier's execution backend, constructed once per group
-        #: and shared across runtime rebuilds — a late view registration must
-        #: not respawn the process backend's workers (their mirrors are keyed
-        #: by map name and table identity, both of which rebuilds preserve).
-        self.shard_backend_name = resolve_shard_backend(shard_backend)
-        self.shard_backend = make_shard_backend(self.shard_backend_name, shards, ring)
         # AC canonicalization reorders products, which is only an equivalence
         # over commutative coefficient structures.
         self.catalog = MapCatalog(schema, ac_dedup=ring.commutative)
@@ -198,9 +187,7 @@ class _CompiledGroup:
         """
         combined = self.catalog.program()
         previous = self.runtime.maps if self.runtime is not None else {}
-        runtime = TriggerRuntime(
-            combined, ring=self.ring, shards=self.shards, shard_backend=self.shard_backend
-        )
+        runtime = TriggerRuntime(combined, ring=self.ring, shards=self.shards)
         runtime.statistics = self.statistics
         for name in combined.maps:
             if name in previous:
@@ -236,13 +223,6 @@ class _CompiledGroup:
     def map_sizes(self) -> Dict[str, int]:
         return self.runtime.map_sizes()
 
-    # -- lifecycle ----------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut the partition-tier backend down (stops process workers)."""
-        if self.shard_backend is not None:
-            self.shard_backend.close()
-
 
 class Session:
     """One update stream, many materialized views, shared maps.
@@ -263,22 +243,12 @@ class Session:
         the submitted updates, without the cancelled churn.
     shards:
         Hash-partition count of the compiled views' map tables
-        (:mod:`repro.compiler.partition`).  With ``shards=N`` (N > 1) the
-        batch folds split per shard and run on the shard backend; ``None``
-        defers to the ``REPRO_SHARDS`` environment variable, and the
-        default of 1 keeps plain dict tables and exactly the unsharded
-        code path.  Results and ``on_change`` payloads are identical for
-        every shard count.
-    shard_backend:
-        Execution backend of the partition tier
-        (:mod:`repro.compiler.partition`): ``"inline"``, ``"thread"`` or
-        ``"process"``.  ``None`` defers to ``REPRO_SHARD_BACKEND`` (default
-        ``"thread"``).  Only meaningful with ``shards > 1``; the
-        ``"process"`` backend spawns one long-lived worker per shard that
-        keeps a warm mirror of its shard's tables, so folds run with real
-        parallelism even on GIL builds.  State and CDC are identical across
-        backends.  Call :meth:`close` (or use the session as a context
-        manager) to shut process workers down deterministically.
+        (:mod:`repro.compiler.partition`).  With ``shards=N`` (N > 1) every
+        batch fold splits its increments by key hash and folds them shard by
+        shard; ``None`` defers to the ``REPRO_SHARDS`` environment variable,
+        and the default of 1 keeps plain dict tables and exactly the
+        unsharded code path.  Results and ``on_change`` payloads are
+        identical for every shard count.
     """
 
     def __init__(
@@ -287,7 +257,6 @@ class Session:
         ring: Semiring = INTEGER_RING,
         track_history: bool = True,
         shards: Optional[int] = None,
-        shard_backend: Optional[str] = None,
     ):
         self.schema: Dict[str, Tuple[str, ...]] = {
             name: tuple(columns) for name, columns in schema.items()
@@ -296,7 +265,6 @@ class Session:
         self._arities: Dict[str, int] = {name: len(columns) for name, columns in self.schema.items()}
         self.ring = ring
         self.shards = resolve_shard_count(shards)
-        self.shard_backend = resolve_shard_backend(shard_backend)
         self.statistics = EngineStatistics()
         self._views: Dict[str, MaterializedView] = {}
         self._groups: Dict[str, _CompiledGroup] = {}
@@ -351,13 +319,7 @@ class Session:
             if group is None:
                 # Commit the new group only after a successful registration, so
                 # a failed first view does not leave an empty group behind.
-                group = _CompiledGroup(
-                    self.schema,
-                    self.ring,
-                    backend,
-                    shards=self.shards,
-                    shard_backend=self.shard_backend,
-                )
+                group = _CompiledGroup(self.schema, self.ring, backend, shards=self.shards)
             view._group = group
             if rebuild:
                 view._map_name = group.register(name, query_expr, bootstrap_source)
@@ -681,25 +643,6 @@ class Session:
             sizes.update(group.map_sizes())
         return sizes
 
-    def dispatch_statistics(self) -> Dict[str, Dict[str, Any]]:
-        """Per-compiled-group partition-tier dispatch decisions and cost models.
-
-        One entry per compiled group with a live shard backend, keyed by the
-        group's executor flavor; each value is the backend policy's
-        :meth:`~repro.compiler.partition.dispatch.DispatchPolicy.snapshot`
-        (policy name, decision tallies, and — for the adaptive policy — the
-        learned per-(statement group, mode) cost predictions).  Also mirrored
-        into ``self.statistics.extra["shard_dispatch"]`` so engine-level
-        consumers see it without a separate call.
-        """
-        report: Dict[str, Dict[str, Any]] = {}
-        for backend_name, group in self._groups.items():
-            shard_backend = group.shard_backend
-            if shard_backend is not None:
-                report[backend_name] = shard_backend.dispatch.snapshot()
-        self.statistics.extra["shard_dispatch"] = report
-        return report
-
     def sharing_report(self) -> Dict[str, int]:
         """Aggregated :meth:`MapCatalog.sharing_report` over all compiled groups."""
         totals = dict.fromkeys(
@@ -761,7 +704,6 @@ class Session:
             "schema": {relation: list(columns) for relation, columns in self.schema.items()},
             "updates_applied": self._updates_applied,
             "shards": self.shards,
-            "shard_backend": self.shard_backend,
             "views": views,
             "maps": groups,
             "engine_databases": engines,
@@ -776,7 +718,6 @@ class Session:
         snapshot: Mapping[str, Any],
         ring: Optional[Semiring] = None,
         shards: Optional[int] = None,
-        shard_backend: Optional[str] = None,
     ) -> "Session":
         """Revive a session from :meth:`snapshot` output.
 
@@ -785,11 +726,9 @@ class Session:
         snapshot only records the name).  ``shards`` overrides the recorded
         shard count — the restored tables are re-partitioned by key hash, so
         a snapshot taken at one shard count can be revived at any other
-        (including back to the unsharded plain-dict layout at 1).  Likewise
-        ``shard_backend`` overrides the recorded partition-tier backend: a
-        snapshot taken under ``"thread"`` can be revived under ``"process"``
-        (and vice versa) — the state travels in the same backend-agnostic
-        serialization either way.
+        (including back to the unsharded plain-dict layout at 1).  Entries
+        older versions wrote and this one does not read (the partition
+        tier's placement) are ignored.
         """
         if snapshot.get("format") not in _ACCEPTED_SNAPSHOT_FORMATS:
             raise ValueError(f"unsupported session snapshot format: {snapshot.get('format')!r}")
@@ -805,36 +744,20 @@ class Session:
                 ) from None
         if shards is None:
             shards = snapshot.get("shards", 1)
-        if shard_backend is None:
-            shard_backend = snapshot.get("shard_backend")
         schema = {relation: tuple(columns) for relation, columns in snapshot["schema"].items()}
-        session = cls(
-            schema,
-            ring=ring,
-            track_history="history" in snapshot,
-            shards=shards,
-            shard_backend=shard_backend,
-        )
-        try:
-            # Every view joins its group's catalog first; each group then
-            # builds its program, runtime and module once, not once per view.
-            for spec in snapshot["views"]:
-                session._add_view(
-                    spec["name"], parse(spec["query"]), spec["backend"], rebuild=False
-                )
-            for group in session._groups.values():
-                group.rebuild(None)
-            # The views were just recompiled by *this* compiler: a snapshot
-            # whose hierarchy another version laid out differently must not be
-            # poured into it (restore_tables would keep unknown names as orphan
-            # tables and leave missing ones empty).
-            for backend, tables in snapshot["maps"].items():
-                _check_snapshot_maps(
-                    backend, session._groups[backend].runtime.program.maps, tables
-                )
-        except BaseException:
-            session.close()
-            raise
+        session = cls(schema, ring=ring, track_history="history" in snapshot, shards=shards)
+        # Every view joins its group's catalog first; each group then builds
+        # its program, runtime and module once, not once per view.
+        for spec in snapshot["views"]:
+            session._add_view(spec["name"], parse(spec["query"]), spec["backend"], rebuild=False)
+        for group in session._groups.values():
+            group.rebuild(None)
+        # The views were just recompiled by *this* compiler: a snapshot whose
+        # hierarchy another version laid out differently must not be poured
+        # into it (restore_tables would keep unknown names as orphan tables
+        # and leave missing ones empty).
+        for backend, tables in snapshot["maps"].items():
+            _check_snapshot_maps(backend, session._groups[backend].runtime.program.maps, tables)
         for backend, tables in snapshot["maps"].items():
             # Re-partitions under the session's shard count, rebuilds the slice
             # indexes and re-derives the support sidecars from the counter maps.
@@ -867,13 +790,9 @@ class Session:
     # -- lifecycle -----------------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release partition-tier resources (process-backend workers).
-
-        Idempotent; the session remains usable afterwards — the next batch
-        that needs workers respawns them lazily from the current state.
-        """
-        for group in self._groups.values():
-            group.close()
+        """A no-op: the session holds no resources beyond its tables.  Kept,
+        with the context-manager protocol, so callers can close a session the
+        same way whatever it holds."""
 
     def __enter__(self) -> "Session":
         return self

@@ -617,7 +617,6 @@ def test_every_batch_form_matches_the_per_tuple_session(ring_name, shards, trace
     def build(track_history=False, with_late=False):
         session = Session(
             DELTA_SCHEMA, ring=ring, track_history=track_history, shards=shards,
-            shard_backend="inline",
         )
         shadows = {}
         for name, text in views.items():

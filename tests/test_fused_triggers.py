@@ -5,7 +5,7 @@ scan of the delta map, reading what the row alone addresses once for all
 statements (``repro.compiler.plan.RowReads``).  Each test drives one shape
 fusion touches through three executions that must agree after every batch —
 generated batches, interpreted batches, and per-tuple application (the
-reference semantics) — unsharded and over two inline shards, state and CDC.
+reference semantics) — unsharded and over two shards, state and CDC.
 """
 
 import random
@@ -45,7 +45,7 @@ class Trio:
         self.shadows = {}
         for key, backend in (("generated", "generated"), ("interpreted", "interpreted"),
                              ("per_tuple", "generated")):
-            session = Session(schema, ring=ring, shards=shards, shard_backend="inline")
+            session = Session(schema, ring=ring, shards=shards)
             for name, query in views:
                 view = session.view(name, query, backend=backend)
                 shadow = self.shadows[(key, name)] = {}
@@ -157,7 +157,7 @@ PARENT_FLOAT_RESULTS = {
 
 @pytest.mark.parametrize("shards", [1, 2])
 def test_float_sums_are_bit_identical_to_the_per_statement_loops(shards):
-    session = Session(SALES, ring=FLOAT_FIELD, shards=shards, shard_backend="inline")
+    session = Session(SALES, ring=FLOAT_FIELD, shards=shards)
     try:
         for name, query in SALES_VIEWS:
             session.view(name, query)

@@ -867,28 +867,6 @@ def test_poisoned_delta_flush_quarantines_round_trips_and_retries():
         pipe.close()
 
 
-def test_dispatch_report_is_read_with_the_snapshot_not_per_flush():
-    session = make_session()
-    calls = []
-    report = session.dispatch_statistics
-
-    def counted():
-        calls.append(1)
-        return report()
-
-    session.dispatch_statistics = counted
-    pipe = manual_pipeline(session)
-    try:
-        for value in range(5):
-            pipe.insert("R", value, 1)
-            pipe.flush()
-        assert calls == []
-        assert pipe.stats_snapshot()["shard_dispatch"] == report()
-        assert len(calls) == 1
-    finally:
-        pipe.close()
-
-
 def test_drain_swap_survives_producers_stalled_mid_chunk():
     """Stress: more producer threads than cores, a tiny high-water mark and a
     shortened switch interval, so ``drain()`` swaps the accumulator out from

@@ -31,8 +31,8 @@ from repro.session import Session
 from repro.sql.frontend import sql_to_agca
 
 BACKENDS = ("generated", "interpreted")
-#: (shards, shard backend); the unsharded path has no tier to choose.
-LAYOUTS = ((1, None), (4, "inline"), (4, "thread"), (4, "process"))
+#: Shard counts: plain dict tables, and four hash partitions.
+LAYOUTS = (1, 4)
 
 
 class InjectedFault(RuntimeError):
@@ -74,8 +74,8 @@ class Injector:
 def _poison_fold(injector: Injector, real: Callable) -> Callable:
     """The poisoned call folds a copy of ``acc`` whose middle increment cannot
     be added: the fold raises *inside* the kernel — in change capture when the
-    map is watched, otherwise midway through ``fold_shard`` (on a process
-    backend: in the worker), with the keys before it already written."""
+    map is watched, otherwise midway through ``fold_shard``, with the keys
+    before it already written."""
 
     def fold(table, acc, *rest, **keywords):
         if acc and injector.fires():
@@ -171,16 +171,6 @@ def internal_state(session: Session) -> Dict[str, Any]:
     return state
 
 
-def force_dispatch(session: Session) -> Session:
-    """Lower the partition tier's thresholds so small batches reach the
-    thread pool / the worker processes."""
-    for group in session._groups.values():
-        if group.shard_backend is not None:
-            group.shard_backend.min_parallel_keys = 2
-            group.shard_backend.min_parallel_groups = 2
-    return session
-
-
 # ---------------------------------------------------------------------------
 # The matrix: one scenario per write site
 # ---------------------------------------------------------------------------
@@ -238,11 +228,11 @@ class Scenario:
     def arm(self, session: Session, monkeypatch, dry_run: Callable[[], Session]) -> None:
         raise NotImplementedError
 
-    def build(self, shards: int, shard_backend: Optional[str], views=None) -> Session:
-        session = Session(self.schema, ring=self.ring, shards=shards, shard_backend=shard_backend)
+    def build(self, shards: int, views=None) -> Session:
+        session = Session(self.schema, ring=self.ring, shards=shards)
         for name, (query, backend) in (views or self.views()).items():
             session.view(name, query, backend=backend)
-        return force_dispatch(session)
+        return session
 
 
 class FoldFault(Scenario):
@@ -414,13 +404,13 @@ SITES = {
 }
 
 
-@pytest.mark.parametrize("layout", LAYOUTS, ids=lambda layout: f"{layout[0]}-{layout[1]}")
+@pytest.mark.parametrize("layout", LAYOUTS, ids=lambda shards: f"shards{shards}")
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("site", SITES)
 def test_poisoned_batch_restores_internal_state(site, backend, layout, monkeypatch, apply_per_tuple):
     scenario = SITES[site](backend)
     setup, poisoned, followup = scenario.batches()
-    session = scenario.build(*layout)
+    session = scenario.build(layout)
     payloads: List[Any] = []
     for view in session.views.values():
         view.on_change(payloads.append)
@@ -434,12 +424,11 @@ def test_poisoned_batch_restores_internal_state(site, backend, layout, monkeypat
                 session.apply_batch(poisoned)
             assert internal_state(session) == before
             assert payloads == []  # no CDC for a rolled-back batch
-        # The poisoned call number is behind us: the session keeps working
-        # (process workers resynced), and lands where the per-tuple reference
-        # semantics does.
+        # The poisoned call number is behind us: the session keeps working,
+        # and lands where the per-tuple reference semantics does.
         session.apply_batch(followup)
         reference = scenario.build(
-            1, None, {name: (query, "interpreted") for name, (query, _) in scenario.views().items()}
+            1, {name: (query, "interpreted") for name, (query, _) in scenario.views().items()}
         )
         if scenario.per_tuple_oracle:
             runtime = reference._groups["interpreted"].runtime
@@ -455,7 +444,7 @@ def test_poisoned_batch_restores_internal_state(site, backend, layout, monkeypat
 
 
 def _replay(scenario: Scenario, layout, setup) -> Session:
-    session = scenario.build(*layout)
+    session = scenario.build(layout)
     session.apply_batch(setup)
     return session
 
@@ -463,7 +452,7 @@ def _replay(scenario: Scenario, layout, setup) -> Session:
 def test_rollback_logs_one_warning(caplog):
     scenario = FoldFault("generated")
     setup, poisoned, _followup = scenario.batches()
-    session = scenario.build(1, None)
+    session = scenario.build(1)
     session.apply_batch(setup)
     poison_folds(session._groups["generated"], at_call=3)
     with caplog.at_level(logging.WARNING, logger="repro.session"):

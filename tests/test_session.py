@@ -509,21 +509,16 @@ def test_restore_rejects_a_snapshot_of_another_map_hierarchy(doctor, named):
         Session.restore(snapshot)
 
 
-@pytest.mark.parametrize("layout", [(1, None), (4, "inline"), (3, "process")])
-def test_having_session_round_trips_across_shard_layouts(layout):
-    shards, shard_backend = layout
-    origin = busy_stores_session(seed=6, shards=4, shard_backend="thread")
-    revived = Session.restore(origin.snapshot(), shards=shards, shard_backend=shard_backend)
-    try:
-        assert revived["busy_stores"].result() == origin["busy_stores"].result()
-        more = [insert("Sales", 6, 3), insert("Sales", 6, 4), insert("Sales", 6, 5)]
-        origin.apply_batch(more)
-        revived.apply_batch(more)
-        assert revived["busy_stores"].result() == origin["busy_stores"].result()
-        assert (6,) in revived["busy_stores"].result()
-    finally:
-        origin.close()
-        revived.close()
+@pytest.mark.parametrize("shards", [1, 4, 3])
+def test_having_session_round_trips_across_shard_layouts(shards):
+    origin = busy_stores_session(seed=6, shards=4)
+    revived = Session.restore(origin.snapshot(), shards=shards)
+    assert revived["busy_stores"].result() == origin["busy_stores"].result()
+    more = [insert("Sales", 6, 3), insert("Sales", 6, 4), insert("Sales", 6, 5)]
+    origin.apply_batch(more)
+    revived.apply_batch(more)
+    assert revived["busy_stores"].result() == origin["busy_stores"].result()
+    assert (6,) in revived["busy_stores"].result()
 
 
 def test_snapshot_plus_replayed_deltas_reproduce_final_result():

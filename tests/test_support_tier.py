@@ -201,15 +201,14 @@ def count_recovery_reads(runtime):
     return reads
 
 
-@pytest.mark.parametrize("layout", [(1, None), (4, "inline")], ids=["unsharded", "4-inline"])
+@pytest.mark.parametrize("shards", [1, 4], ids=["unsharded", "4-shards"])
 @pytest.mark.parametrize("backend", ["interpreted", "generated"])
 @pytest.mark.parametrize("ring_name", ["min-plus", "top3"])
 def test_exhaustion_recovery_reads_the_group_whatever_the_relation_holds(
-    ring_name, backend, layout
+    ring_name, backend, shards
 ):
     ring = resolve_semiring(ring_name)
-    shards, shard_backend = layout
-    with Session(POSTS_SCHEMA, ring=ring, shards=shards, shard_backend=shard_backend) as session:
+    with Session(POSTS_SCHEMA, ring=ring, shards=shards) as session:
         view = session.view("best", VIEWS[ring_name], backend=backend)
         runtime = session._groups[backend].runtime
         assert runtime.plan.index_specs == {"best_m1": ((0,),)}

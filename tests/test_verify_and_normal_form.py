@@ -1,16 +1,15 @@
-"""Static trigger-IR verifier, ring normal form, and shard-race detector.
+"""Static trigger-IR verifier, ring normal form, and the IR lint.
 
 The verifier tests corrupt hand-built programs one invariant at a time and
 assert the typed error carries the offending statement's context; the normal
 form tests pin down AC merging, ±ΔR cancellation, and the AC-canonical map
-identity; the shard-race tests cover both the detector's hazard rule on
-hand-built programs and the end-to-end routing of a compiled self-join onto
-the serial fold path.
+identity.
 """
 
 import pytest
 
-from repro.analysis.ir_lint import lint_program, main as lint_main
+from repro.analysis import ir_lint
+from repro.analysis.ir_lint import LintFinding, lint_program, main as lint_main
 from repro.compiler.compile import compile_query
 from repro.compiler.cost import statement_cost_class
 from repro.compiler.indexes import compute_index_specs
@@ -26,9 +25,7 @@ from repro.compiler.normal_form import (
 from repro.compiler.triggers import BatchStatement, BatchTrigger, TriggerProgram
 from repro.compiler.verify import (
     IRVerificationError,
-    detect_shard_races,
     iter_violations,
-    mark_serial_folds,
     verify_program,
 )
 from repro.core.ast import MapRef, Mul, Rel, Var
@@ -58,13 +55,12 @@ def _delta(*keys):
     return MapRef(delta_map_name("R"), keys)
 
 
-def _statement(target, keys, rhs, serial_fold=False):
+def _statement(target, keys, rhs):
     return BatchStatement(
         target=target,
         target_keys=tuple(keys),
         rhs=rhs,
         delta_map=delta_map_name("R"),
-        serial_fold=serial_fold,
     )
 
 
@@ -181,67 +177,6 @@ class TestNormalForm:
         assert ac_canonical_map_key(diagonal)[0] != ab_identity
 
 
-class TestShardRaceDetector:
-    def _aux_maps(self):
-        return {
-            "q": _map("q", (), MapRef("aux", ("x",))),
-            "aux": _map("aux", ("k0",), Rel("R", ("k0",)), level=1),
-        }
-
-    def test_write_read_pair_marks_writer_serial(self):
-        read = _statement("q", (), Mul((_delta("x"), MapRef("aux", ("x",)))))
-        write = _statement("aux", ("k0",), _delta("k0"))
-        program = _program(self._aux_maps(), {("R", 1): _trigger("R", [read, write])})
-        races = detect_shard_races(program)
-        assert races[("R", 1)] == ("aux",)
-        marked = mark_serial_folds(program)
-        statements = marked.triggers[("R", 1)].statements
-        assert [s.serial_fold for s in statements] == [False, True]
-
-    def test_write_write_pair_marks_both_serial(self):
-        first = _statement("aux", ("k0",), _delta("k0"))
-        second = _statement("aux", ("k0",), _delta("k0"))
-        program = _program(self._aux_maps(), {("R", 1): _trigger("R", [first, second])})
-        marked = mark_serial_folds(program)
-        assert all(s.serial_fold for s in marked.triggers[("R", 1)].statements)
-
-    def test_independent_statements_stay_parallel(self):
-        maps = {
-            "q": _map("q", (), MapRef("other", ("x",))),
-            "aux": _map("aux", ("k0",), Rel("R", ("k0",)), level=1),
-            "other": _map("other", ("k0",), Rel("S", ("k0",)), level=1),
-        }
-        write = _statement("aux", ("k0",), _delta("k0"))
-        read_other = _statement("q", (), Mul((_delta("x"), MapRef("other", ("x",)))))
-        program = _program(maps, {("R", 1): _trigger("R", [write, read_other])})
-        assert detect_shard_races(program) == {}
-        marked = mark_serial_folds(program)
-        assert not any(s.serial_fold for s in marked.triggers[("R", 1)].statements)
-
-    def test_mark_serial_folds_clears_stale_flags(self):
-        write = _statement("aux", ("k0",), _delta("k0"), serial_fold=True)
-        maps = {
-            "q": _map("q", (), MapRef("other", ("x",))),
-            "aux": _map("aux", ("k0",), Rel("R", ("k0",)), level=1),
-            "other": _map("other", ("k0",), Rel("S", ("k0",)), level=1),
-        }
-        program = _program(maps, {("R", 1): _trigger("R", [write])})
-        marked = mark_serial_folds(program)
-        assert not marked.triggers[("R", 1)].statements[0].serial_fold
-
-    def test_compiled_selfjoin_routes_hazardous_folds_serial(self):
-        program = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), {"R": ("A",)}, name="q")
-        races = detect_shard_races(program)
-        assert any("q_m1" in targets for targets in races.values())
-        explained = program.explain()
-        assert "[serial fold]" in explained
-        # The result map itself reads q_m1 but nothing reads q in the same
-        # dispatch, so only the aux writer is forced serial.
-        for trigger in program.triggers.values():
-            for statement in trigger.statements:
-                assert statement.serial_fold == (statement.target == "q_m1")
-
-
 class TestCatalogACDedup:
     VIEWS = [
         ("fwd", "Sum(R(x) * S(x))"),
@@ -278,11 +213,6 @@ class TestLint:
     def test_result_map_is_not_dead(self):
         program = compile_query(parse("Sum(R(x) * x)"), {"R": ("A",)}, name="q")
         assert not any(f.kind == "dead-map" for f in lint_program(program))
-
-    def test_serial_folds_surface_as_findings(self):
-        program = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), {"R": ("A",)}, name="q")
-        findings = lint_program(program)
-        assert any(f.kind == "serial-fold" for f in findings)
 
     def test_statement_cost_classes_on_selfjoin(self):
         program = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), {"R": ("A",)}, name="q")
@@ -325,14 +255,21 @@ class TestLint:
         assert "Compiled-trigger IR: verification & lint report" in out
         assert report_path.read_text().strip() == out.strip()
 
-    def test_lint_fail_on_promotes_findings(self, capsys):
-        # serial-fold findings exist by design (self-joins race), so gating
-        # them must flip the exit status; dead-maps and scan are clean after
-        # the cost-aware safety order, so gating those stays green.
-        assert lint_main(["--fail-on", "serial-folds"]) == 1
-        out = capsys.readouterr().out
-        assert "FATAL (--fail-on)" in out
+    def test_lint_fail_on_promotes_findings(self, capsys, monkeypatch):
+        # dead-maps and scan are clean after the cost-aware safety order, so
+        # gating those stays green; an injected dead map flips the gated exit
+        # status and leaves the ungated run advisory.
         assert lint_main(["--fail-on", "dead-maps", "--fail-on", "scan"]) == 0
+        capsys.readouterr()
+        real = ir_lint.lint_program
+        monkeypatch.setattr(
+            ir_lint,
+            "lint_program",
+            lambda program: real(program) + [LintFinding("dead-map", "injected", "")],
+        )
+        assert lint_main(["--fail-on", "dead-maps"]) == 1
+        assert "FATAL (--fail-on)" in capsys.readouterr().out
+        assert lint_main([]) == 0
         capsys.readouterr()
 
     def test_scanning_recompute_is_reported_with_the_component_that_kept_it(self):
