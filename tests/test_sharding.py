@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.algebra.semirings import resolve_semiring
 from repro.compiler.partition import (
     ShardedMapTable,
     partition_map,
@@ -42,20 +43,22 @@ def test_shard_of_is_stable_and_in_range():
             assert shard == shard_of(key, count)  # pure function of the key
 
 
-def test_partition_map_is_a_disjoint_cover():
+@pytest.mark.parametrize("count", (1, 4, 7))
+def test_partition_map_is_a_disjoint_cover(count):
     mapping = {(i, i % 3): i for i in range(100)}
-    parts = partition_map(mapping, 4)
-    assert len(parts) == 4
+    parts = partition_map(mapping, count)
+    assert len(parts) == count
     merged = {}
     for index, part in enumerate(parts):
         for key in part:
-            assert shard_of(key, 4) == index
+            assert shard_of(key, count) == index
         merged.update(part)
     assert merged == mapping
 
 
-def test_sharded_map_table_mapping_protocol():
-    table = ShardedMapTable(3, {(i,): i * 10 for i in range(20)})
+@pytest.mark.parametrize("count", (1, 3, 8))
+def test_sharded_map_table_mapping_protocol(count):
+    table = ShardedMapTable(count, {(i,): i * 10 for i in range(20)})
     assert len(table) == 20
     assert table[(4,)] == 40
     assert table.get((4,)) == 40
@@ -74,9 +77,10 @@ def test_sharded_map_table_mapping_protocol():
     assert table == ShardedMapTable(5, dict(table.items()))  # layout-independent
     assert table.copy() == dict(table.items())
     # The shards really partition the key space.
+    assert len(table.shards) == count
     for index, shard in enumerate(table.shards):
         for key in shard:
-            assert shard_of(key, 3) == index
+            assert shard_of(key, count) == index
     table.clear()
     assert len(table) == 0 and not table
 
@@ -91,7 +95,10 @@ def test_resolve_shard_count_env_default(monkeypatch):
         resolve_shard_count(0)
 
 
-@pytest.mark.parametrize("value, shards", [("abc", None), ("0", None), ("-3", None), (" 3 ", 3)])
+@pytest.mark.parametrize(
+    "value, shards",
+    [("abc", None), ("0", None), ("-3", None), ("1.5", None), (" 3 ", 3), ("8", 8)],
+)
 def test_repro_shards_is_checked_outside_input(monkeypatch, value, shards):
     """A value that is not a positive integer raises, naming the variable and
     the value, rather than silently running unsharded."""
@@ -165,16 +172,17 @@ def test_sharded_engine_matches_unsharded(backend, shards):
     assert sharded.result() == base.result()
 
 
+@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
 @pytest.mark.parametrize("shards", (2, 4))
-def test_sharded_bootstrap_matches_unsharded(shards):
+def test_sharded_bootstrap_matches_unsharded(shards, backend):
     from repro.core.parser import parse
     from repro.gmr.database import Database
 
     query = parse("Sum(R(x) * R(y) * (x = y))")
     db = Database(schema=UNARY_SCHEMA)
     db.load("R", [(value % 7,) for value in range(50)])
-    base = RecursiveIVM(query, UNARY_SCHEMA, backend="generated")
-    sharded = RecursiveIVM(query, UNARY_SCHEMA, backend="generated", shards=shards)
+    base = RecursiveIVM(query, UNARY_SCHEMA, backend=backend)
+    sharded = RecursiveIVM(query, UNARY_SCHEMA, backend=backend, shards=shards)
     base.bootstrap(db)
     sharded.bootstrap(db)
     assert sharded.result() == base.result()
@@ -250,20 +258,77 @@ def test_sharded_session_state_and_cdc_equivalent(backend, shards):
         assert sharded_cdc == base_cdc, (backend, shards, step)
 
 
+#: Per non-integer ring, the values of ``P``'s second column and the views.
+#: Floats take the native fold and the Kahan total; the semirings take the
+#: generic fold, post-value change capture and the support tier.
+RING_SCHEMA = {"P": ("G", "S")}
+RING_VIEWS = {
+    "R-float": (
+        [0.5, 1.25, 2.5, 1e16],
+        {"sum": "AggSum([g], P(g, s) * s)", "total": "Sum(P(g, s) * s)"},
+    ),
+    "min-plus": ([1.0, 2.0, 3.0, 5.0], {"best": "AggSum([g], P(g, s) * s)"}),
+    "top3": ([1.0, 2.0, 3.0, 5.0], {"best": "AggSum([g], P(g, s) * s)"}),
+}
+
+
+def _build_ring_session(ring, views, shards, backend):
+    session = Session(RING_SCHEMA, ring=ring, shards=shards)
+    cdc = {name: [] for name in views}
+    for name, query in views.items():
+        session.view(name, query, backend=backend).on_change(
+            lambda changes, _name=name: cdc[_name].append(sorted(changes.items()))
+        )
+    return session, cdc
+
+
 @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-def test_snapshot_restore_across_shard_counts(backend):
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+@pytest.mark.parametrize("ring_name", list(RING_VIEWS))
+def test_every_ring_matches_unsharded_state_and_cdc(ring_name, shards, backend):
+    """The partition contract beyond ℤ: under a float field and under the
+    MIN / TOP-3 semirings (deletes only of live rows), a sharded session's
+    results and ``on_change`` payloads equal the unsharded session's."""
+    ring = resolve_semiring(ring_name)
+    pool, views = RING_VIEWS[ring_name]
+    base, base_cdc = _build_ring_session(ring, views, 1, backend)
+    sharded, sharded_cdc = _build_ring_session(ring, views, shards, backend)
+    rng = random.Random(shards * 101 + len(ring_name) + len(backend))
+    live = []
+    for step in range(10):
+        batch = []
+        for _ in range(rng.choice([1, 12, 90])):
+            if live and rng.random() < 0.35:
+                batch.append(Update(-1, "P", live.pop(rng.randrange(len(live)))))
+            else:
+                row = (rng.randrange(20), rng.choice(pool))
+                live.append(row)
+                batch.append(Update(1, "P", row))
+        if len(batch) == 1:
+            base.apply(batch[0])
+            sharded.apply(batch[0])
+        else:
+            base.apply_batch(batch)
+            sharded.apply_batch(batch)
+        assert sharded.results() == base.results(), (ring_name, shards, backend, step)
+        assert sharded_cdc == base_cdc, (ring_name, shards, backend, step)
+
+
+@pytest.mark.parametrize("origin", (1, 3, 8))
+@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+def test_snapshot_restore_across_shard_counts(backend, origin):
     """snapshot() at one shard count restores at any other, mid-trace, and the
     restored session keeps producing unsharded-identical results."""
-    rng = random.Random(42)
+    rng = random.Random(42 + origin)
     base, _ = _build_session(1, backend)
-    sharded, _ = _build_session(3, backend)
+    sharded, _ = _build_session(origin, backend)
     for _ in range(4):
         batch = _random_batch(rng, 50, 30)
         base.apply_batch(batch)
         sharded.apply_batch(batch)
     snapshot = sharded.snapshot()
-    assert snapshot["shards"] == 3
-    for new_count in (1, 2, 8):
+    assert snapshot["shards"] == origin
+    for new_count in (1, 2, 3, 8):
         restored = Session.restore(snapshot, shards=new_count)
         assert restored.shards == new_count
         assert restored.results() == base.results()
@@ -276,26 +341,113 @@ def test_snapshot_restore_across_shard_counts(backend):
         continued.apply_batch(tail)
         assert restored.results() == continued.results()
     # Without an override the recorded count is used.
-    assert Session.restore(snapshot).shards == 3
+    assert Session.restore(snapshot).shards == origin
 
 
-def test_late_view_registration_on_sharded_session():
+@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_late_view_registration_on_sharded_session(shards, backend):
     """A view registered after updates flowed bootstraps from the replayed
-    history into sharded tables and is immediately consistent."""
-    session = Session(GROUPED_SCHEMA, shards=4)
-    session.view("count", "Sum(S(a, b))", backend="generated")
+    history into sharded tables, is immediately consistent, and stays so."""
+    session = Session(GROUPED_SCHEMA, shards=shards)
+    session.view("count", "Sum(S(a, b))", backend=backend)
     session.apply_batch(
         [Update(1, "S", (value % 11, value % 5)) for value in range(150)]
     )
-    late = session.view("gsum", "AggSum([a], S(a, b) * b)", backend="generated")
+    late = session.view("gsum", "AggSum([a], S(a, b) * b)", backend=backend)
     reference = Session(GROUPED_SCHEMA, shards=1)
-    ref_view = reference.view("gsum", "AggSum([a], S(a, b) * b)", backend="generated")
+    ref_view = reference.view("gsum", "AggSum([a], S(a, b) * b)", backend=backend)
     reference.apply_batch(
         [Update(1, "S", (value % 11, value % 5)) for value in range(150)]
     )
     assert late.result() == ref_view.result()
-    for table in session._groups["generated"].runtime.maps.values():
+    for table in session._groups[backend].runtime.maps.values():
         assert type(table) is ShardedMapTable
+    tail = _random_batch(random.Random(shards), 60, 11)
+    session.apply_batch(tail)
+    reference.apply_batch(tail)
+    assert late.result() == ref_view.result()
+
+
+# ---------------------------------------------------------------------------
+# Transactions and ingestion on sharded tables
+# ---------------------------------------------------------------------------
+
+
+def _grouped_rows(count, offset=0):
+    return [Update(1, "S", ((value + offset) % 9, value % 5)) for value in range(count)]
+
+
+def _poison_next_fold(group):
+    """Make the group's next fold call raise midway through its per-shard
+    loop: the middle increment cannot be added, so the keys and shards folded
+    before it are already written.  Later calls fold normally."""
+    calls = []
+
+    def wrap(real):
+        def fold(table, acc, *rest, **keywords):
+            if acc:
+                calls.append(1)
+                if len(calls) == 1:
+                    acc = dict(acc)
+                    acc[list(acc)[len(acc) // 2]] = "boom"
+            return real(table, acc, *rest, **keywords)
+
+        return fold
+
+    kernels = group.runtime._kernels
+    for attribute, alias in (("fold", "_fold"), ("fold_int", "_fold_int")):
+        real = getattr(kernels, attribute)
+        if real is not None:
+            setattr(kernels, attribute, wrap(real))
+            if group.generated is not None:
+                group.generated._namespace[alias] = getattr(kernels, attribute)
+
+
+@pytest.mark.parametrize("executor", COMPILED_BACKENDS)
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_poisoned_batch_on_sharded_tables_rolls_back(shards, executor):
+    """A batch whose fold fails partway through the shards leaves a sharded
+    session as it was — tables, results, history, no CDC — and the session
+    keeps folding exactly like the unsharded one afterwards."""
+    base, base_cdc = _build_session(1, executor)
+    sharded, sharded_cdc = _build_session(shards, executor)
+    for session in (base, sharded):
+        session.apply_batch(_grouped_rows(120))
+    group = sharded._groups[executor]
+    runtime = group.runtime
+    tables = {name: dict(table.items()) for name, table in runtime.maps.items()}
+    history = list(sharded._history)
+    results = sharded.results()
+    _poison_next_fold(group)
+    with pytest.raises(TypeError):
+        sharded.apply_batch(_grouped_rows(40, offset=3))
+    assert {name: dict(table.items()) for name, table in runtime.maps.items()} == tables
+    assert sharded.results() == results == base.results()
+    assert sharded._history == history
+    assert sharded_cdc == base_cdc
+    for session in (base, sharded):
+        session.apply_batch(_grouped_rows(80, offset=5))
+    assert sharded.results() == base.results()
+    assert sharded_cdc == base_cdc
+
+
+@pytest.mark.parametrize("executor", COMPILED_BACKENDS)
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_ingest_pipeline_on_sharded_session(shards, executor):
+    """The streaming flusher's batches fold into sharded tables as the same
+    batches applied to the unsharded session do, results and CDC alike."""
+    base, base_cdc = _build_session(1, executor)
+    sharded, sharded_cdc = _build_session(shards, executor)
+    rng = random.Random(5 + shards)
+    with sharded.ingest(max_pending=1_000_000, max_staleness_ms=None) as pipe:
+        for size in (150, 1, 40, 150):
+            chunk = _random_batch(rng, size, 25)
+            pipe.submit_many(chunk)
+            pipe.flush()
+            base.apply_batch(chunk)
+            assert sharded.results() == base.results(), (shards, executor, size)
+            assert sharded_cdc == base_cdc, (shards, executor, size)
 
 
 #: A nested-aggregate view whose S-trigger carries a *tracked* recompute.
@@ -304,13 +456,14 @@ NESTED_QUERY = "AggSum([g], R(g, x) * (x < Sum(S(g, y) * y)) * x)"
 
 
 @pytest.mark.parametrize("executor", COMPILED_BACKENDS)
-def test_tracked_recomputes_on_sharded_tables(executor):
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_tracked_recomputes_on_sharded_tables(shards, executor):
     """Nested-aggregate maintenance (tracked recomputes re-evaluating their
-    affected groups) agrees with the unsharded session at shards=4."""
-    rng = random.Random(31 + len(executor))
+    affected groups) agrees with the unsharded session at every shard count."""
+    rng = random.Random(31 + shards + len(executor))
     base = Session(NESTED_SCHEMA, shards=1)
     base.view("nested", NESTED_QUERY, backend=executor)
-    sharded = Session(NESTED_SCHEMA, shards=4)
+    sharded = Session(NESTED_SCHEMA, shards=shards)
     sharded.view("nested", NESTED_QUERY, backend=executor)
     # The query must keep a tracked *scan* recompute (its R atom stays
     # correlated with the nested map), or this test would go vacuous.
@@ -334,7 +487,7 @@ def test_tracked_recomputes_on_sharded_tables(executor):
             )
         base.apply_batch(batch)
         sharded.apply_batch(batch)
-        assert sharded.results() == base.results(), (executor, step)
+        assert sharded.results() == base.results(), (shards, executor, step)
 
 
 #: A snapshot an older version wrote of a session on four process-backed
@@ -366,7 +519,7 @@ OLDER_LAYOUT_UPDATES = [Update(1, "S", (a % 5, a % 3)) for a in range(12)] + [
 ]
 
 
-@pytest.mark.parametrize("shards", [None, 1, 3])
+@pytest.mark.parametrize("shards", [None, 1, 2, 3, 8])
 def test_older_layout_snapshot_restores(shards):
     """The older snapshot restores (at its recorded four shards or any other
     count) with the results and CDC of a session fed the same updates."""
@@ -413,7 +566,7 @@ class _FragileRing:
         return value == 0
 
 
-@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("shards", [1, 2, 4, 8])
 @pytest.mark.parametrize("size", [10, 256])
 def test_failed_fold_applies_completed_journals(size, shards):
     """Every shard's fold hands its journal back even when one raises: after
@@ -437,3 +590,52 @@ def test_failed_fold_applies_completed_journals(size, shards):
         for keys in bucket.values():
             indexed.update(keys)
     assert indexed == set(table), "slice indexes diverged from table contents"
+
+
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+@pytest.mark.parametrize("ring_name", ["Z", "Q", "R-float", "min-plus", "max-plus"])
+def test_sharded_fold_matches_the_dict_fold(ring_name, shards):
+    """The kernel half of the contract: the same folds into a plain dict and
+    into a ShardedMapTable leave equal tables and slice-index buckets and
+    report equal entries, change payloads and touched keys; each undo
+    journal's rollback restores its table and indexes."""
+    from repro.compiler.indexes import SliceIndexes
+    from repro.compiler.kernels import UndoJournal, make_fold
+
+    ring = resolve_semiring(ring_name)
+    fold = make_fold(ring, post_values=not ring.is_ring)
+    rng = random.Random(10 * len(ring_name) + shards)
+    keys = [(a, b) for a in range(8) for b in range(8)]
+    initial = {key: ring.coerce(rng.randint(1, 6)) for key in keys if rng.random() < 0.4}
+    tables = {"plain": dict(initial), "sharded": ShardedMapTable(shards, initial)}
+    indexes, journals, reports = {}, {}, {}
+    for layout, table in tables.items():
+        indexes[layout] = SliceIndexes({"m": [(0,)]})
+        indexes[layout].rebuild({"m": table})
+        journals[layout] = UndoJournal()
+        reports[layout] = []
+    for _ in range(4):
+        acc = {}
+        for key in rng.sample(keys, 20):
+            stored = tables["plain"].get(key)
+            if ring.is_ring and stored is not None and rng.random() < 0.4:
+                acc[key] = ring.neg(stored)  # annihilates the entry
+            else:
+                acc[key] = ring.coerce(rng.randint(1, 6))
+        for layout, table in tables.items():
+            changes, touched = {"m": {}}, set()
+            index = indexes[layout]
+            entries = fold(
+                table, dict(acc), "m", index.specs["m"], index.data, changes,
+                journals[layout], touched,
+            )
+            reports[layout].append((entries, changes, touched))
+    assert tables["sharded"] == tables["plain"] != initial
+    assert reports["sharded"] == reports["plain"]
+    assert indexes["sharded"].data == indexes["plain"].data
+    for layout, table in tables.items():
+        assert journals[layout].rollback(indexes[layout].data) > 0
+        assert table == initial, layout
+        fresh = SliceIndexes({"m": [(0,)]})
+        fresh.rebuild({"m": table})
+        assert indexes[layout].data == fresh.data, layout
