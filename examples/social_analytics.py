@@ -14,6 +14,7 @@ Run with:  python examples/social_analytics.py
 import random
 
 from repro import (
+    NaiveReevaluation,
     Session,
     UpdateEvent,
     degree,
@@ -50,12 +51,12 @@ def show_symbolic_deltas() -> None:
 
 
 def run_churn_stream(members: int = 40, steps: int = 300, seed: int = 3) -> None:
-    # One session, two views of the same query on different backends: the
-    # paper's recursive scheme serves the analytics, naive re-evaluation
-    # cross-checks it on every update.
+    # The session's compiled view (the paper's recursive scheme) serves the
+    # analytics; a standalone naive re-evaluation engine fed the same stream
+    # cross-checks it.
     session = Session(SCHEMA)
     incremental = session.view("same_nation", QUERY_TEXT)
-    reference = session.view("same_nation_check", QUERY_TEXT, backend="naive")
+    reference = NaiveReevaluation(parse(QUERY_TEXT), SCHEMA)
 
     rng = random.Random(seed)
     population = {}
@@ -70,6 +71,7 @@ def run_churn_stream(members: int = 40, steps: int = 300, seed: int = 3) -> None
             update = insert("C", next_cid, nation)
             next_cid += 1
         session.apply(update)
+        reference.apply(update)
 
     assert incremental.result() == reference.result()
     by_nation = {}
@@ -86,8 +88,8 @@ def run_churn_stream(members: int = 40, steps: int = 300, seed: int = 3) -> None
     spent = session.statistics.seconds_per_update() * 1e6
     spent_reference = reference.statistics.seconds_per_update() * 1e6
     print(
-        f"\nPer-update time: the whole session (incl. the naive check) {spent:.1f} µs, "
-        f"of which naive re-evaluation alone {spent_reference:.1f} µs on this stream."
+        f"\nPer-update time: the compiled session {spent:.1f} µs, "
+        f"naive re-evaluation {spent_reference:.1f} µs on this stream."
     )
 
 

@@ -258,16 +258,6 @@ class SupportStructure:
             "threshold": self.threshold,
         }
 
-    @classmethod
-    def restore(cls, data: Dict[str, Any], ring: Semiring) -> "SupportStructure":
-        support = cls(ring)
-        for value, count in data["entries"]:
-            coerced = ring.coerce(value)
-            insort(support.entries, [support._key(coerced), coerced, int(count)])
-        support.truncated = bool(data["truncated"])
-        support.threshold = data["threshold"]
-        return support
-
 
 # ---------------------------------------------------------------------------
 # Support plans: which maps qualify, and how rows map to contributions
@@ -550,21 +540,13 @@ class SupportTier:
             changes.setdefault(name, {})[group] = value
         return changes
 
-    # -- state copy (RecursiveIVM.state_backup) --------------------------------
+    # -- state comparison ------------------------------------------------------
 
     def serialize(self) -> Dict[str, Any]:
+        """Every group's support as plain data: what two tiers compare by."""
         return {
             name: {
                 "groups": [[list(group), support.serialize()] for group, support in table.items()]
             }
             for name, table in self.groups.items()
         }
-
-    def restore(self, data: Dict[str, Any]) -> None:
-        for name in self.groups:
-            payload = data.get(name)
-            table: Dict[Tuple[Any, ...], SupportStructure] = {}
-            if payload:
-                for group, serialized in payload["groups"]:
-                    table[tuple(group)] = SupportStructure.restore(serialized, self.ring)
-            self.groups[name] = table

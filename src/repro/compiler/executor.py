@@ -7,15 +7,13 @@ the support tier, the work counters — and, on the ``generated`` backend, a
 triggers over that same state.  :class:`CompiledExecutor` is the glue between
 the two, spelled out once: which of them applies an update, feeding the
 support sidecars after a generated apply, folding the module's work counters
-into the runtime's statistics, and the two ways of getting state back.
+into the runtime's statistics, and the transaction.
 :meth:`~CompiledExecutor.begin` / :meth:`~CompiledExecutor.commit` /
 :meth:`~CompiledExecutor.rollback` is the transaction ``Session.apply_batch``
 wraps every batch in: while one is open the kernels append the prior value of
 every entry they write to an undo journal (:mod:`repro.compiler.kernels`) —
 O(keys the batch touches) to keep, to drop and to replay, whatever the tables
-hold.  :meth:`~CompiledExecutor.backup` / :meth:`~CompiledExecutor.restore`
-are the wholesale O(stored entries) copy behind ``RecursiveIVM.state_backup``;
-nothing on the batch path calls them.
+hold.
 """
 
 from __future__ import annotations
@@ -140,20 +138,3 @@ class CompiledExecutor:
         ) = counters
         if self.generated is not None:
             self.generated.drain_statistics()
-
-    # -- wholesale state copy ------------------------------------------------------
-
-    def backup(self):
-        """Copies of every map table (O(stored entries)), the work counters
-        and the Kahan compensation store."""
-        runtime = self.runtime
-        return runtime.backup_tables(), self._work_counters(), dict(runtime.maps.compensation)
-
-    def restore(self, backup) -> None:
-        """Reinstall a :meth:`backup`: tables (and with them the slice indexes
-        and support sidecars), the compensation store, then the work counters."""
-        tables, counters, compensation = backup
-        runtime = self.runtime
-        runtime.restore_tables(tables)  # clears the compensation store
-        runtime.maps.compensation.update(compensation)
-        self._restore_work_counters(counters)

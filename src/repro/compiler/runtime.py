@@ -238,47 +238,33 @@ class TriggerRuntime:
         return ShardedMapTable(self.shards, contents)
 
     def backup_tables(self) -> Dict[str, MapTable]:
-        """Plain-dict copies of every map table (sharded tables merged).
+        """Plain-dict copies of every map table (sharded tables merged);
+        O(stored entries).
 
-        The wholesale state copy behind :meth:`RecursiveIVM.state_backup
-        <repro.ivm.recursive.RecursiveIVM.state_backup>`; cost is O(stored
-        entries).  The transactional batch path does not come here — it keeps
-        an undo journal of the keys it touches instead.
+        No library code calls it: the transactional batch path keeps an undo
+        journal of the keys it touches instead.  It stays because the
+        end-to-end benchmark's tracer wraps it by name and CI's zero-copy
+        guard counts the entries copied through it (the guard asserts 0);
+        its retirement comes with that metric's.
         """
-        backup = {
+        return {
             name: table.copy() if type(table) is ShardedMapTable else dict(table)
             for name, table in self.maps.items()
         }
-        if self._support_tier is not None:
-            # The support sidecars ride the table backup under a reserved key
-            # (map names never collide with it — they are identifiers).
-            backup["__supports__"] = self._support_tier.serialize()
-        return backup
 
-    def restore_tables(self, backup: Dict[str, MapTable]) -> None:
-        """Reinstall backed-up table contents and rebuild the slice indexes.
+    def restore_tables(self, tables: Dict[str, MapTable]) -> None:
+        """Reinstall table contents, rebuild the slice indexes and re-derive
+        the support sidecars from the restored counters.
 
-        Only the maps present in ``backup`` are replaced.
+        Only the maps present in ``tables`` are replaced.
         """
-        supports = None
-        for name, contents in backup.items():
-            if name == "__supports__":
-                supports = contents
-                continue
+        for name, contents in tables.items():
             self.maps[name] = self.make_table(contents)
         self.indexes.rebuild(self.maps)
         self._ring_view = None
-        if self._support_tier is not None:
-            if supports is not None:
-                self._support_tier.restore(supports)
-            else:
-                # A backup taken before the tier existed (or from another
-                # backend): rebuild the sidecars from the restored counters.
-                self.rebuild_supports()
-        # Compensation terms refer to the replaced table values.  Dropping
-        # them is always sound (it only forgoes accumulated accuracy); a
-        # state restore, which knows the terms that belong to the backup,
-        # puts them back (CompiledExecutor.restore).
+        self.rebuild_supports()
+        # Compensation terms refer to the replaced table values; dropping
+        # them is always sound (it only forgoes accumulated accuracy).
         self.maps.compensation.clear()
 
     # -- initialization -----------------------------------------------------------

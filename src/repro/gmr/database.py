@@ -76,14 +76,9 @@ def serialize_update(update: Update) -> list:
 
 
 def deserialize_update(row: Sequence[Any]) -> Update:
-    """Revive an update from :func:`serialize_update` output.
-
-    Accepts the three-element version-1 snapshot rows (no ``count``) as well
-    as the current four-element form.
-    """
-    sign, relation, values = row[0], row[1], tuple(row[2])
-    count = row[3] if len(row) > 3 else 1
-    return Update(sign, relation, values, count=count)
+    """Revive an update from :func:`serialize_update` output."""
+    sign, relation, values, count = row
+    return Update(sign, relation, tuple(values), count=count)
 
 
 def insert(relation: str, *values: Any) -> Update:
@@ -133,8 +128,8 @@ class Delta:
     builds it, and both compiled executors run their batch triggers on its
     delta maps as they are.  ``len()`` is the number of compact updates it
     denotes; :meth:`updates` materializes them, for the readers that want
-    :class:`Update` objects (the history log, engine-backed views, dead
-    letters).  Consumers read the maps and never mutate them.
+    :class:`Update` objects (the session's history log, dead letters).
+    Consumers read the maps and never mutate them.
     """
 
     __slots__ = ("events",)

@@ -12,7 +12,9 @@ Three engines implement it:
 
 All engines expose the same ``apply`` / ``result`` interface and comparable
 timing/operation statistics, which is what the benchmarks and the
-cross-validation tests rely on.
+cross-validation tests rely on.  The two baselines run only standalone: a
+:class:`repro.session.Session` hosts compiled views alone, and the tests
+check its views against these engines fed the same stream.
 """
 
 from __future__ import annotations
@@ -138,24 +140,6 @@ class IVMEngine(ABC):
     @abstractmethod
     def result(self) -> Any:
         """The current query result: a scalar for ungrouped queries, else a dict."""
-
-    # -- transactional support -----------------------------------------------------
-
-    def state_backup(self) -> Any:
-        """An opaque, cheap copy of the engine's materialized state.
-
-        :meth:`repro.session.Session.apply_batch` captures one per
-        engine-backed (``classical``/``naive``) view before driving a batch
-        and calls :meth:`state_restore` if any view's trigger raises
-        mid-batch, so a poisoned batch cannot leave some views advanced and
-        others not.  (Compiled views do not come here: their batches run
-        inside an undo-journal transaction.)
-        """
-        raise NotImplementedError(f"{type(self).__name__} does not support state backup")
-
-    def state_restore(self, backup: Any) -> None:
-        """Restore the state captured by :meth:`state_backup`."""
-        raise NotImplementedError(f"{type(self).__name__} does not support state restore")
 
     # -- shared driver --------------------------------------------------------------
 

@@ -60,16 +60,6 @@ class ClassicalIVM(IVMEngine):
         self.db = db.copy()
         self._materialized = self._evaluate_full()
 
-    def state_backup(self):
-        # Database.copy is shallow-but-safe (gmrs are immutable).
-        return self.db.copy(), dict(self._materialized)
-
-    def state_restore(self, backup) -> None:
-        db, materialized = backup
-        self.db = db.copy()
-        self._materialized = dict(materialized)
-        self._pending_changes = None
-
     # -- engine interface ---------------------------------------------------------------
 
     def _apply(self, update: Update) -> None:

@@ -32,15 +32,6 @@ class NaiveReevaluation(IVMEngine):
         self.db = db.copy()
         self._result = self._evaluate_full()
 
-    def state_backup(self):
-        return self.db.copy(), dict(self._result)
-
-    def state_restore(self, backup) -> None:
-        db, result = backup
-        self.db = db.copy()
-        self._result = dict(result)
-        self._pending_changes = None
-
     def _apply(self, update: Update) -> None:
         self.db.apply(update)
         previous = self._result

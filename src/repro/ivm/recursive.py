@@ -78,7 +78,7 @@ class RecursiveIVM(IVMEngine):
             # ring.add/ring.mul/ring.zero otherwise); proper semirings
             # compile through their maintenance plan.  It executes the
             # triggers over the runtime's state; the executor pair host
-            # does the gluing (support feeds, statistics, restore).
+            # does the gluing (support feeds, statistics).
             self._generated = generate_python(self.program, ring=ring, specialize=specialize)
         self._executor = CompiledExecutor(self.runtime, self._generated)
 
@@ -87,15 +87,6 @@ class RecursiveIVM(IVMEngine):
     def bootstrap(self, db: Database) -> None:
         """Compute initial values of every map from an already-populated database."""
         self.runtime.bootstrap(db)
-
-    def state_backup(self):
-        """Plain-dict copies of every map table (sharded tables are merged),
-        plus the work counters and the Kahan compensation store."""
-        return self._executor.backup()
-
-    def state_restore(self, backup) -> None:
-        self._executor.restore(backup)
-        self._pending_changes = None
 
     def close(self) -> None:
         """A no-op: the engine holds no resources beyond its tables.  Kept so

@@ -18,12 +18,7 @@ Compiled views share materialized maps through the :class:`MapCatalog`;
 
 from repro.session.catalog import MapCatalog, rename_map_references
 from repro.session.session import SNAPSHOT_FORMAT, Session
-from repro.session.views import (
-    ALL_BACKENDS,
-    COMPILED_BACKENDS,
-    ENGINE_BACKENDS,
-    MaterializedView,
-)
+from repro.session.views import COMPILED_BACKENDS, MaterializedView
 
 __all__ = [
     "Session",
@@ -31,7 +26,5 @@ __all__ = [
     "MapCatalog",
     "rename_map_references",
     "SNAPSHOT_FORMAT",
-    "ALL_BACKENDS",
     "COMPILED_BACKENDS",
-    "ENGINE_BACKENDS",
 ]

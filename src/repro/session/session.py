@@ -11,13 +11,11 @@ aggregate views.
 * :meth:`Session.insert` / :meth:`Session.delete` / :meth:`Session.apply_batch`
   drive *all* registered views at once.
 
-Views on the compiled backends (``"generated"``, the default, and
-``"interpreted"``) share one map hierarchy per backend through a
+Every view is compiled.  The views of one backend (``"generated"``, the
+default, or ``"interpreted"``) share one map hierarchy through a
 :class:`~repro.session.catalog.MapCatalog`: structurally identical map
 definitions produced by different views are maintained once per update, not
-once per view.  Views on the baseline backends (``"classical"``, ``"naive"``)
-get a standalone engine each — useful for cross-checking and measurement,
-exactly like the engines' standalone APIs.
+once per view.
 
 Sessions also support change-data-capture (``view.on_change(callback)``
 delivers per-update result deltas) and persistence
@@ -49,24 +47,14 @@ from repro.gmr.database import (
     deserialize_update,
     serialize_update,
 )
-from repro.gmr.records import Record
-from repro.gmr.relation import GMR
 from repro.ivm.base import EngineStatistics
-from repro.ivm.classical import ClassicalIVM
-from repro.ivm.naive import NaiveReevaluation
 from repro.session.catalog import MapCatalog
-from repro.session.views import (
-    ALL_BACKENDS,
-    COMPILED_BACKENDS,
-    MaterializedView,
-)
+from repro.session.views import COMPILED_BACKENDS, MaterializedView
 from repro.sql.frontend import is_sql, parse_sql, required_ring_name, translate
 
-#: Snapshot format tag; bump when the layout changes.  Version 2 adds the
-#: shard count and per-update net multiplicities in the history log;
-#: :meth:`Session.restore` still accepts version-1 snapshots.
+#: Snapshot format tag; bump when the layout changes.  :meth:`Session.restore`
+#: reads this format only.
 SNAPSHOT_FORMAT = "repro-session/2"
-_ACCEPTED_SNAPSHOT_FORMATS = ("repro-session/1", SNAPSHOT_FORMAT)
 
 _LOG = logging.getLogger("repro.session")
 
@@ -268,7 +256,6 @@ class Session:
         self.statistics = EngineStatistics()
         self._views: Dict[str, MaterializedView] = {}
         self._groups: Dict[str, _CompiledGroup] = {}
-        self._engine_views: List[MaterializedView] = []
         self._history: Optional[List[Update]] = [] if track_history else None
         self._updates_applied = 0
 
@@ -285,11 +272,10 @@ class Session:
 
         ``query`` may be SQL text (the subset of :mod:`repro.sql`), AGCA text
         (``"Sum(R(x) * x)"`` / ``"AggSum([a], ...)"``) or an AGCA ``Expr``.
-        ``backend`` selects where maintenance runs: ``"generated"`` (default)
-        and ``"interpreted"`` share maps with the session's other compiled
-        views; ``"classical"`` and ``"naive"`` get a standalone baseline
-        engine.  Registering after updates have been applied requires
-        ``track_history=True`` — the new view is bootstrapped from the
+        ``backend`` selects the compiled executor, ``"generated"`` (default)
+        or ``"interpreted"``; the view shares maps with the session's other
+        views on that backend.  Registering after updates have been applied
+        requires ``track_history=True`` — the new view is bootstrapped from the
         replayed history.
         """
         return self._add_view(name, query, backend, group_vars)
@@ -302,37 +288,28 @@ class Session:
         group_vars: Optional[Sequence[str]] = None,
         rebuild: bool = True,
     ) -> MaterializedView:
-        """:meth:`view`; ``rebuild=False`` only absorbs a compiled view into its
+        """:meth:`view`; ``rebuild=False`` only absorbs the view into its
         group's catalog, for a caller that rebuilds every group afterwards."""
         if not isinstance(name, str) or not name:
             raise ValueError("view name must be a non-empty string")
         if name in self._views:
             raise ValueError(f"view {name!r} is already registered")
-        if backend not in ALL_BACKENDS:
-            raise ValueError(f"backend must be one of {ALL_BACKENDS}, got {backend!r}")
+        if backend not in COMPILED_BACKENDS:
+            raise ValueError(f"backend must be one of {COMPILED_BACKENDS}, got {backend!r}")
         query_expr = self._as_query(query, group_vars)
 
-        view = MaterializedView(self, name, query_expr, backend)
-        bootstrap_source = self._replayed_database if self._updates_applied else None
-        if backend in COMPILED_BACKENDS:
-            group = self._groups.get(backend)
-            if group is None:
-                # Commit the new group only after a successful registration, so
-                # a failed first view does not leave an empty group behind.
-                group = _CompiledGroup(self.schema, self.ring, backend, shards=self.shards)
-            view._group = group
-            if rebuild:
-                view._map_name = group.register(name, query_expr, bootstrap_source)
-            else:
-                view._map_name = group.absorb(name, query_expr)
-            self._groups[backend] = group
+        group = self._groups.get(backend)
+        if group is None:
+            # Commit the new group only after a successful registration, so
+            # a failed first view does not leave an empty group behind.
+            group = _CompiledGroup(self.schema, self.ring, backend, shards=self.shards)
+        view = MaterializedView(self, name, query_expr, backend, group)
+        if rebuild:
+            bootstrap_source = self._replayed_database if self._updates_applied else None
+            view._map_name = group.register(name, query_expr, bootstrap_source)
         else:
-            engine_class = ClassicalIVM if backend == "classical" else NaiveReevaluation
-            engine = engine_class(query_expr, self.schema, ring=self.ring)
-            if bootstrap_source is not None:
-                engine.bootstrap(bootstrap_source())
-            view._engine = engine
-            self._engine_views.append(view)
+            view._map_name = group.absorb(name, query_expr)
+        self._groups[backend] = group
         self._views[name] = view
         return view
 
@@ -470,8 +447,6 @@ class Session:
             group.executor.apply(update, changes)
             if changes:
                 notifications.append((group, changes))
-        for view in self._engine_views:
-            view._engine.apply(update)
         self._note_applied([update], 1, started)
         self._dispatch(notifications)
 
@@ -526,13 +501,8 @@ class Session:
             # nothing else (no history entry, no snapshot delta, no CDC).
             self._note_applied((), submitted, started)
             return
-        # The compact Update form, only for the readers that want it.
-        effective = (
-            delta.updates() if self._engine_views or self._history is not None else ()
-        )
         notifications = []
         groups = list(self._groups.values())
-        engine_states = [(view._engine, view._engine.state_backup()) for view in self._engine_views]
         for group in groups:
             group.executor.begin()
         try:
@@ -541,12 +511,8 @@ class Session:
                 group.executor.apply_batch(delta, changes)
                 if changes:
                     notifications.append((group, changes))
-            for view in self._engine_views:
-                view._engine.apply_batch(effective)
         except BaseException as error:
             undone = sum([group.executor.rollback() for group in groups])
-            for engine, state in engine_states:
-                engine.state_restore(state)
             _LOG.warning(
                 "rolled back a batch of %d updates after %s: %d journalled entries restored "
                 "across groups %s",
@@ -558,7 +524,10 @@ class Session:
             raise
         for group in groups:
             group.executor.commit()
-        self._note_applied(effective, submitted, started)
+        # The compact Update form, only for the history.
+        self._note_applied(
+            delta.updates() if self._history is not None else (), submitted, started
+        )
         self._dispatch(notifications)
 
     def apply_all(self, updates: Iterable[Update]) -> None:
@@ -633,7 +602,7 @@ class Session:
         return self._updates_applied
 
     def total_map_entries(self) -> int:
-        """Stored entries across all compiled views' shared hierarchies."""
+        """Stored entries across all views' shared hierarchies."""
         return sum(group.total_map_entries() for group in self._groups.values())
 
     def map_sizes(self) -> Dict[str, int]:
@@ -652,16 +621,14 @@ class Session:
         for group in self._groups.values():
             for key, value in group.catalog.sharing_report().items():
                 totals[key] += value
-        totals["views"] += len(self._engine_views)
         return totals
 
     def explain(self) -> str:
         """The combined map hierarchies and triggers of the compiled groups."""
-        sections = []
-        for backend, group in self._groups.items():
-            sections.append(f"== backend {backend!r} ==\n{group.catalog.program().explain()}")
-        for view in self._engine_views:
-            sections.append(f"== view {view.name!r} on engine backend {view.backend!r} ==")
+        sections = [
+            f"== backend {backend!r} ==\n{group.catalog.program().explain()}"
+            for backend, group in self._groups.items()
+        ]
         return "\n".join(sections) if sections else "(no views registered)"
 
     # -- persistence -----------------------------------------------------------------------
@@ -670,10 +637,9 @@ class Session:
         """Serialize the whole materializer state as plain Python data.
 
         The snapshot contains the schema, the ring *name*, every view's query
-        (as AGCA text), the shared map tables of the compiled groups, the
-        base databases of the engine-backed views, and (when history tracking
-        is on) the update log.  It is JSON-serializable whenever the data
-        values and ring values are.  Subscriptions (``on_change`` callbacks)
+        (as AGCA text), the shared map tables of the compiled groups, and
+        (when history tracking is on) the update log.  It is
+        JSON-serializable whenever the data values and ring values are.  Subscriptions (``on_change`` callbacks)
         are not part of the state and must be re-attached after
         :meth:`restore`.
         """
@@ -688,16 +654,6 @@ class Session:
             }
             for backend, group in self._groups.items()
         }
-        engines: Dict[str, Dict[str, list]] = {}
-        for view in self._engine_views:
-            db = view._engine.db
-            engines[view.name] = {
-                relation: [
-                    [list(record.values_for(db.columns(relation))), multiplicity]
-                    for record, multiplicity in gmr.items()
-                ]
-                for relation, gmr in db
-            }
         snapshot: Dict[str, Any] = {
             "format": SNAPSHOT_FORMAT,
             "ring": self.ring.name,
@@ -706,7 +662,6 @@ class Session:
             "shards": self.shards,
             "views": views,
             "maps": groups,
-            "engine_databases": engines,
         }
         if self._history is not None:
             snapshot["history"] = [serialize_update(update) for update in self._history]
@@ -728,10 +683,17 @@ class Session:
         a snapshot taken at one shard count can be revived at any other
         (including back to the unsharded plain-dict layout at 1).  Entries
         older versions wrote and this one does not read (the partition
-        tier's placement) are ignored.
+        tier's placement, an empty ``engine_databases``) are ignored.  A
+        malformed snapshot raises :class:`ValueError` naming what is wrong.
         """
-        if snapshot.get("format") not in _ACCEPTED_SNAPSHOT_FORMATS:
+        if snapshot.get("format") != SNAPSHOT_FORMAT:
             raise ValueError(f"unsupported session snapshot format: {snapshot.get('format')!r}")
+        missing = [
+            key for key in ("ring", "schema", "updates_applied", "views", "maps")
+            if key not in snapshot
+        ]
+        if missing:
+            raise ValueError(f"session snapshot lacks {missing}")
         if ring is None:
             try:
                 # resolve_semiring also reconstructs parameterized structures
@@ -756,9 +718,18 @@ class Session:
         # hierarchy another version laid out differently must not be poured
         # into it (restore_tables would keep unknown names as orphan tables
         # and leave missing ones empty).
-        for backend, tables in snapshot["maps"].items():
-            _check_snapshot_maps(backend, session._groups[backend].runtime.program.maps, tables)
-        for backend, tables in snapshot["maps"].items():
+        maps = snapshot["maps"]
+        for backend in sorted(set(maps) | set(session._groups)):
+            group = session._groups.get(backend)
+            if group is None:
+                raise ValueError(
+                    f"session snapshot holds maps of backend {backend!r}, "
+                    f"which none of its views uses"
+                )
+            if backend not in maps:
+                raise ValueError(f"session snapshot lacks the maps of its {backend!r} views")
+            _check_snapshot_maps(backend, group.runtime.program.maps, maps[backend])
+        for backend, tables in maps.items():
             # Re-partitions under the session's shard count, rebuilds the slice
             # indexes and re-derives the support sidecars from the counter maps.
             session._groups[backend].runtime.restore_tables(
@@ -767,23 +738,10 @@ class Session:
                     for name, entries in tables.items()
                 }
             )
-        for view_name, relations in snapshot["engine_databases"].items():
-            engine = session._views[view_name]._engine
-            db = Database(schema=schema, ring=ring)
-            for relation, rows in relations.items():
-                columns = db.columns(relation)
-                contents = {
-                    Record.from_values(columns, tuple(values)): multiplicity
-                    for values, multiplicity in rows
-                }
-                db.set_relation(relation, GMR(contents, ring=ring))
-            engine.bootstrap(db)
-
         session._updates_applied = snapshot["updates_applied"]
         session.statistics.updates_processed = snapshot["updates_applied"]
         if "history" in snapshot:
-            # Version-1 rows are [sign, relation, values]; version 2 appends
-            # the net multiplicity (deserialize_update accepts both).
+            # Rows are [sign, relation, values, net multiplicity].
             session._history = [deserialize_update(row) for row in snapshot["history"]]
         return session
 

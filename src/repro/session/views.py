@@ -1,10 +1,10 @@
 """Materialized-view handles returned by :meth:`repro.session.Session.view`.
 
-A :class:`MaterializedView` is a thin, stable facade over wherever the view's
-state actually lives: a shared map inside the session's compiled trigger
-runtime (``backend="generated"`` / ``"interpreted"``) or a standalone baseline
-engine (``backend="classical"`` / ``"naive"``).  Callers read results and
-subscribe to change-data-capture without knowing which.
+A :class:`MaterializedView` is a thin, stable facade over the view's state: a
+shared map inside the trigger runtime of the session's compiled group for the
+view's backend (``"generated"`` or ``"interpreted"``).  Callers read results
+and subscribe to change-data-capture without knowing which map holds them or
+which other views share it.
 """
 
 from __future__ import annotations
@@ -12,14 +12,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.ast import AggSum
-from repro.ivm.base import ChangeCallback, EngineStatistics, IVMEngine, result_as_mapping
+from repro.ivm.base import ChangeCallback, EngineStatistics, result_as_mapping
 
-#: Backends whose views are compiled into the session's shared map catalog.
+#: The backends :meth:`Session.view` accepts: the two compiled executors,
+#: each with its own shared map catalog.
 COMPILED_BACKENDS = ("generated", "interpreted")
-#: Backends backed by a standalone per-view engine.
-ENGINE_BACKENDS = ("classical", "naive")
-#: Everything :meth:`Session.view` accepts.
-ALL_BACKENDS = COMPILED_BACKENDS + ENGINE_BACKENDS
 
 
 class MaterializedView:
@@ -32,17 +29,16 @@ class MaterializedView:
     query:
         The AGCA ``AggSum`` the view maintains.
     backend:
-        One of :data:`ALL_BACKENDS`.
+        One of :data:`COMPILED_BACKENDS`.
     """
 
-    def __init__(self, session, name: str, query: AggSum, backend: str):
+    def __init__(self, session, name: str, query: AggSum, backend: str, group):
         self._session = session
         self.name = name
         self.query = query
         self.backend = backend
-        # Exactly one of the two storage bindings is set by the session:
-        self._engine: Optional[IVMEngine] = None
-        self._group = None  # _CompiledGroup
+        self._group = group  # _CompiledGroup
+        #: Set by the session once the group has absorbed the view.
         self._map_name: Optional[str] = None
         self._callbacks: List[ChangeCallback] = []
 
@@ -54,8 +50,6 @@ class MaterializedView:
 
     def result(self) -> Any:
         """The current result: a scalar for ungrouped queries, else a dict."""
-        if self._engine is not None:
-            return self._engine.result()
         table = self._group.runtime.maps[self._map_name]
         if not self.group_vars:
             return table.get((), self._session.ring.zero)
@@ -76,26 +70,21 @@ class MaterializedView:
     def statistics(self) -> EngineStatistics:
         """Update counters for this view.
 
-        Views on an engine backend report their own engine's statistics;
-        compiled views are driven together through the shared runtime, so they
-        report the session-level statistics (their individual cost is not
-        separable — that inseparability is the point of map sharing).
+        Views are driven together through the shared runtime, so they report
+        the session-level statistics (their individual cost is not separable
+        — that inseparability is the point of map sharing).
         """
-        if self._engine is not None:
-            return self._engine.statistics
         return self._session.statistics
 
     @property
     def definition(self):
-        """The map definition holding this view's result (compiled backends only)."""
-        if self._group is None:
-            return None
+        """The map definition holding this view's result."""
         return self._group.catalog.maps[self._map_name]
 
     @property
     def shares_storage(self) -> bool:
         """True when this view's result map is an alias of another view's map."""
-        return self._map_name is not None and self._map_name != self.name
+        return self._map_name != self.name
 
     # -- change-data-capture -------------------------------------------------------
 
@@ -113,8 +102,6 @@ class MaterializedView:
         means overwriting (or dropping) the key.  Returns the callback, so
         the method can be used as a decorator.
         """
-        if self._engine is not None:
-            return self._engine.on_change(callback)
         if not self._callbacks:
             self._group.watched.setdefault(self._map_name, []).append(self)
         self._callbacks.append(callback)
@@ -122,9 +109,6 @@ class MaterializedView:
 
     def remove_on_change(self, callback: ChangeCallback) -> None:
         """Unsubscribe a previously registered callback."""
-        if self._engine is not None:
-            self._engine.remove_on_change(callback)
-            return
         self._callbacks.remove(callback)
         if not self._callbacks:
             watchers = self._group.watched.get(self._map_name, [])

@@ -39,13 +39,15 @@ from repro.core.delta import BatchUpdateEvent, delta, delta_map_name, is_delta_m
 from repro.core.parser import parse
 from repro.gmr.database import Delta, Update, coalesce_updates, delete, group_updates, insert
 from repro.ivm.base import result_as_mapping
+from repro.ivm.classical import ClassicalIVM
+from repro.ivm.naive import NaiveReevaluation
 from repro.session import Session
 from repro.workloads.streams import StreamGenerator
 
 UNARY_SCHEMA = {"R": ("A",)}
 GROUPED_SCHEMA = {"R": ("A", "B"), "S": ("C", "D")}
 
-ALL_BACKENDS = ("generated", "interpreted", "classical", "naive")
+COMPILED_BACKENDS = ("generated", "interpreted")
 
 #: Queries exercised by the batch-vs-sequential property test: a grouped
 #: join, a self-join (second-order batch delta), and a nested aggregate
@@ -236,9 +238,10 @@ def _random_trace(schemas, length, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_session_batch_vs_sequential_all_backends(seed):
     """The same random trace, applied tuple-at-a-time vs in batches, yields
-    identical view results on every backend — including a nested-aggregate
-    view — with a snapshot/restore round-trip in the middle of the batched
-    trace."""
+    identical view results on both compiled backends — including a
+    nested-aggregate view — with a snapshot/restore round-trip in the middle
+    of the batched trace, and both equal the classical and naive baselines
+    fed the same batches standalone."""
     schema = {"R": ("A", "B"), "S": ("C", "D")}
     views = {
         "join": "AggSum([a], R(a, b) * S(b, d) * d)",
@@ -248,7 +251,7 @@ def test_session_batch_vs_sequential_all_backends(seed):
     def build():
         session = Session(schema)
         for view_name, text in views.items():
-            for backend in ALL_BACKENDS:
+            for backend in COMPILED_BACKENDS:
                 session.view(f"{view_name}_{backend}", text, backend=backend)
         return session
 
@@ -271,11 +274,15 @@ def test_session_batch_vs_sequential_all_backends(seed):
     observed = batched.results()
     for view_name in expected:
         assert observed[view_name] == expected[view_name], view_name
-    # All backends agree with each other too.
-    for view_name in views:
+    # Both backends agree with each other and with the baselines too.
+    for view_name, text in views.items():
         reference = expected[f"{view_name}_generated"]
-        for backend in ALL_BACKENDS[1:]:
-            assert expected[f"{view_name}_{backend}"] == reference, (view_name, backend)
+        assert expected[f"{view_name}_interpreted"] == reference, view_name
+        for baseline in (ClassicalIVM, NaiveReevaluation):
+            engine = baseline(parse(text), schema)
+            for start in range(0, len(trace), 30):
+                engine.apply_batch(trace[start : start + 30])
+            assert engine.result() == reference, (view_name, baseline.name)
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +615,10 @@ def test_executors_on_a_delta_match_the_per_tuple_oracle(ring_name, trace, apply
 def test_every_batch_form_matches_the_per_tuple_session(ring_name, shards, trace):
     """Session level: ``apply_batch(list)`` ≡ ``apply_batch(coalesce_updates
     (list))`` ≡ a pipeline flush ≡ one ``apply`` per logical tuple — on the
-    generated and interpreted groups and a ``classical`` engine view, every
-    CDC shadow equal to its view, a late view bootstrapped from the history
-    equal to the same view registered up front."""
+    generated and interpreted groups, every CDC shadow equal to its view, a
+    late view bootstrapped from the history equal to the same view
+    registered up front, and a standalone ``classical`` engine fed the same
+    batches (its CDC shadow included) equal to the first view."""
     ring = _ring(ring_name)
     pool, views, late = RING_CASES[ring_name]
 
@@ -622,8 +630,6 @@ def test_every_batch_form_matches_the_per_tuple_session(ring_name, shards, trace
         for name, text in views.items():
             for backend in ("generated", "interpreted"):
                 _subscribe(session.view(f"{name}_{backend}", text, backend=backend), ring, shadows)
-        _subscribe(session.view("engine", views[next(iter(views))], backend="classical"),
-                   ring, shadows)
         if with_late:
             _subscribe(session.view("late", late), ring, shadows)
         return session, shadows
@@ -633,9 +639,14 @@ def test_every_batch_form_matches_the_per_tuple_session(ring_name, shards, trace
     listed, listed_shadows = build(track_history=True)
     coalesced, coalesced_shadows = build()
     flushed, flushed_shadows = build()
+    first = next(iter(views))
+    engine = ClassicalIVM(parse(views[first]), DELTA_SCHEMA, ring=ring)
+    engine_shadow = {}
+    engine.on_change(lambda payload: _absorb(engine_shadow, ring, payload))
     pipe = flushed.ingest(max_pending=1_000_000, max_staleness_ms=None)
     try:
         for index, batch in enumerate(batches):
+            engine.apply_batch(batch)
             for update in batch:
                 for _ in range(update.count):
                     oracle.apply(Update(update.sign, update.relation, update.values))
@@ -652,6 +663,8 @@ def test_every_batch_form_matches_the_per_tuple_session(ring_name, shards, trace
             name: result_as_mapping(result, ring) for name, result in oracle.results().items()
         }
         assert oracle_shadows == expected
+        assert result_as_mapping(engine.result(), ring) == engine_shadow
+        assert engine_shadow == expected[f"{first}_generated"]
         for session, shadows in (
             (listed, listed_shadows), (coalesced, coalesced_shadows), (flushed, flushed_shadows)
         ):

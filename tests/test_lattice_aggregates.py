@@ -176,16 +176,25 @@ def _shadow_callback(ring, shadow):
 
 @pytest.mark.parametrize("ring_name", ["min-plus", "max-plus", "top3"])
 def test_session_cdc_shadows_reconstruct_every_backend(ring_name):
-    """One session, one view per backend, a shadow per view: after a full
-    from-empty trace every shadow equals its view's result mapping — the CDC
-    payloads carry post-update values with ``ring.zero`` marking removal."""
+    """One session with a view per compiled backend, and the classical and
+    naive engines standalone beside it, a shadow each: after a full
+    from-empty trace every shadow equals its view's (engine's) result
+    mapping — the CDC payloads carry post-update values with ``ring.zero``
+    marking removal."""
     ring = resolve_semiring(ring_name)
     session = Session(SCHEMA, ring=ring)
-    shadows = {}
-    for backend in ("generated", "interpreted", "classical", "naive"):
-        view = session.view(f"v_{backend}", QUERY, backend=backend)
-        shadows[backend] = ({}, view)
-        view.on_change(_shadow_callback(ring, shadows[backend][0]))
+    subjects = {
+        backend: session.view(f"v_{backend}", QUERY, backend=backend)
+        for backend in ("generated", "interpreted")
+    }
+    engines = {
+        "classical": ClassicalIVM(parse(QUERY), SCHEMA, ring=ring),
+        "naive": NaiveReevaluation(parse(QUERY), SCHEMA, ring=ring),
+    }
+    subjects.update(engines)
+    shadows = {name: {} for name in subjects}
+    for name, subject in subjects.items():
+        subject.on_change(_shadow_callback(ring, shadows[name]))
     generator = StreamGenerator(
         SCHEMA, domains={"S": SCORES}, seed=91, default_domain_size=5, delete_fraction=0.35
     )
@@ -193,10 +202,12 @@ def test_session_cdc_shadows_reconstruct_every_backend(ring_name):
     assert stream.delete_count() > 0
     for update in stream:
         session.apply(update)
+        for engine in engines.values():
+            engine.apply(update)
     expected = direct_single(ring, generator.live_tuples("P"))
-    for backend, (shadow, view) in shadows.items():
-        assert view.result_mapping() == expected, backend
-        assert shadow == expected, f"{ring_name}/{backend} CDC shadow diverged"
+    for name, subject in subjects.items():
+        assert result_as_mapping(subject.result(), ring) == expected, name
+        assert shadows[name] == expected, f"{ring_name}/{name} CDC shadow diverged"
 
 
 @pytest.mark.parametrize("shards", [1, 3])

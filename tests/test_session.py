@@ -1,7 +1,8 @@
 """Tests of the multi-view Session facade.
 
 Covers: agreement of a multi-view session with standalone single-query
-engines on randomized mixed insert/delete streams (for every backend), map
+engines on randomized mixed insert/delete streams (the session's compiled
+views against every engine, the classical and naive baselines included), map
 sharing across views, change-data-capture subscriptions (replaying deltas
 reconstructs results), snapshot/restore, late view registration, and the
 query-input conveniences (SQL text, AGCA text, expressions).
@@ -18,7 +19,7 @@ from repro.ivm.base import result_as_mapping
 from repro.ivm.classical import ClassicalIVM
 from repro.ivm.naive import NaiveReevaluation
 from repro.ivm.recursive import RecursiveIVM
-from repro.session import ALL_BACKENDS, MapCatalog, Session
+from repro.session import COMPILED_BACKENDS, MapCatalog, Session
 from repro.workloads.streams import StreamGenerator
 
 RS_SCHEMA = {"R": ("A", "B"), "S": ("C", "D")}
@@ -90,6 +91,10 @@ def test_view_registration_errors():
         session.view("q", "Sum(R(x))")  # duplicate name
     with pytest.raises(ValueError):
         session.view("other", "Sum(R(x))", backend="vectorized")  # unknown backend
+    for backend in ("naive", "classical"):  # the baselines run standalone only
+        with pytest.raises(ValueError, match=f"got '{backend}'") as raised:
+            session.view("other", "Sum(R(x))", backend=backend)
+        assert "('generated', 'interpreted')" in str(raised.value)
     with pytest.raises(ValueError):
         session.view("", "Sum(R(x))")  # empty name
     with pytest.raises(TypeError):
@@ -104,7 +109,7 @@ def test_view_registration_errors():
 def test_results_and_views_accessors():
     session = Session(RS_SCHEMA)
     session.view("a", "Sum(R(a, b) * b)")
-    session.view("b", "Sum(S(c, d) * d)", backend="naive")
+    session.view("b", "Sum(S(c, d) * d)", backend="interpreted")
     session.insert("R", 1, 10)
     session.insert("S", 2, 5)
     assert session.results() == {"a": 10, "b": 5}
@@ -113,15 +118,16 @@ def test_results_and_views_accessors():
 
 
 # ---------------------------------------------------------------------------
-# The satellite property test: session vs standalone engines, every backend
+# The satellite property test: session vs standalone engines, every engine
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_multiview_session_agrees_with_standalone_engines(seed):
-    """One Session carrying a view per backend (plus shared compiled views)
-    must agree with standalone single-query engines fed the same randomized
-    mixed insert/delete stream, at every checkpoint."""
+    """One Session carrying a view per compiled backend (plus shared views)
+    must agree with every standalone single-query engine — both recursive
+    backends, classical IVM and naive re-evaluation — fed the same
+    randomized mixed insert/delete stream, at every checkpoint."""
     rng = random.Random(seed)
     queries = {name: parse(text) for name, text in MULTIVIEW_QUERIES.items()}
 
@@ -129,22 +135,27 @@ def test_multiview_session_agrees_with_standalone_engines(seed):
     views = {}
     references = {}
     for query_name, query in queries.items():
-        for backend in ALL_BACKENDS:
-            view_name = f"{query_name}_{backend}"
-            views[view_name] = session.view(view_name, query, backend=backend)
-            references[view_name] = STANDALONE_ENGINES[backend](query, RS_SCHEMA)
+        references[query_name] = {
+            engine: factory(query, RS_SCHEMA) for engine, factory in STANDALONE_ENGINES.items()
+        }
+        for backend in COMPILED_BACKENDS:
+            views[(query_name, backend)] = session.view(
+                f"{query_name}_{backend}", query, backend=backend
+            )
 
     stream = make_stream(length=150, seed=seed * 31 + 1)
     checkpoint = rng.randrange(10, 60)
     for position, update in enumerate(stream, start=1):
         session.apply(update)
-        for reference in references.values():
-            reference.apply(update)
+        for engines in references.values():
+            for reference in engines.values():
+                reference.apply(update)
         if position % checkpoint == 0 or position == len(stream):
-            for view_name, view in views.items():
-                assert result_as_mapping(view.result()) == result_as_mapping(
-                    references[view_name].result()
-                ), f"{view_name} diverged after {position} updates"
+            for (query_name, backend), view in views.items():
+                for engine, reference in references[query_name].items():
+                    assert result_as_mapping(view.result()) == result_as_mapping(
+                        reference.result()
+                    ), f"{query_name}_{backend} diverged from {engine} after {position} updates"
 
 
 def test_multiview_session_batch_path_agrees(seed=3):
@@ -152,7 +163,7 @@ def test_multiview_session_batch_path_agrees(seed=3):
     session = Session(RS_SCHEMA)
     batched = Session(RS_SCHEMA)
     for query_name, query in queries.items():
-        for backend in ALL_BACKENDS:
+        for backend in COMPILED_BACKENDS:
             session.view(f"{query_name}_{backend}", query, backend=backend)
             batched.view(f"{query_name}_{backend}", query, backend=backend)
     stream = make_stream(length=160, seed=seed)
@@ -285,23 +296,23 @@ def test_naive_change_capture_carries_post_update_values_for_semirings():
     ``ring.zero`` marking a removed group (replaying means overwrite-or-drop
     rather than ring-adding deltas)."""
     from repro.algebra.semirings import MIN_PLUS
+    from repro.gmr.database import delete
 
-    session = Session({"P": ("G", "S")}, ring=MIN_PLUS)
-    view = session.view("a", "AggSum([g], P(g, s) * s)", backend="naive")
+    engine = NaiveReevaluation(parse("AggSum([g], P(g, s) * s)"), {"P": ("G", "S")}, ring=MIN_PLUS)
     seen = []
-    view.on_change(lambda changes: seen.append(dict(changes)))
-    session.insert("P", 1, 5.0)
-    session.insert("P", 1, 3.0)
-    session.delete("P", 1, 3.0)  # the minimum climbs back up — no inverse used
-    session.delete("P", 1, 5.0)
+    engine.on_change(lambda changes: seen.append(dict(changes)))
+    engine.apply(insert("P", 1, 5.0))
+    engine.apply(insert("P", 1, 3.0))
+    engine.apply(delete("P", 1, 3.0))  # the minimum climbs back up — no inverse used
+    engine.apply(delete("P", 1, 5.0))
     assert seen == [
         {(1,): 5.0},
         {(1,): 3.0},
         {(1,): 5.0},
         {(1,): MIN_PLUS.zero},
     ]
-    assert view.result_mapping() == {}
-    assert session.updates_applied == 4
+    assert result_as_mapping(engine.result(), MIN_PLUS) == {}
+    assert engine.statistics.updates_processed == 4
 
 
 def test_map_catalog_reports_and_rejects_duplicates():
@@ -330,7 +341,7 @@ def replay(changes_log, ring_zero=0):
     return {key: value for key, value in accumulated.items() if value != ring_zero}
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
 def test_on_change_deltas_replay_to_result(backend):
     session = Session(RS_SCHEMA)
     view = session.view("q", "AggSum([a], R(a, b) * S(b, d) * d)", backend=backend)
@@ -344,7 +355,7 @@ def test_on_change_deltas_replay_to_result(backend):
         assert all(value != 0 for value in changes.values()), "deltas must be non-zero"
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
 def test_on_change_batch_delivers_one_consolidated_event(backend):
     session = Session(RS_SCHEMA)
     view = session.view("q", "Sum(R(a, b) * S(b, d) * d)", backend=backend)
@@ -401,16 +412,29 @@ def test_each_subscriber_gets_an_independent_changes_payload():
 
 
 def test_engine_level_on_change_matches_session_level():
-    """The low-level engines expose the same subscription API."""
-    query = parse("AggSum([a], R(a, b) * b)")
-    schema = {"R": ("A", "B")}
-    stream = make_stream(length=80, seed=9, schema=schema)
+    """The low-level engines expose the same subscription API: per-update
+    deltas are non-zero and replay to the result, and a batch delivers one
+    consolidated event."""
+    cases = (
+        ("AggSum([a], R(a, b) * b)", {"R": ("A", "B")}, 80, 9),
+        ("AggSum([a], R(a, b) * S(b, d) * d)", RS_SCHEMA, 120, 23),
+    )
+    for text, schema, length, seed in cases:
+        stream = make_stream(length=length, seed=seed, schema=schema)
+        for factory in STANDALONE_ENGINES.values():
+            engine = factory(parse(text), schema)
+            log = []
+            engine.on_change(lambda changes, log=log: log.append(dict(changes)))
+            engine.apply_all(stream)
+            assert log and replay(log) == result_as_mapping(engine.result()), engine.name
+            for changes in log:
+                assert all(value != 0 for value in changes.values()), engine.name
     for factory in STANDALONE_ENGINES.values():
-        engine = factory(query, schema)
-        log = []
-        engine.on_change(lambda changes, log=log: log.append(dict(changes)))
-        engine.apply_all(stream)
-        assert replay(log) == result_as_mapping(engine.result()), engine.name
+        engine = factory(parse("Sum(R(a, b) * S(b, d) * d)"), RS_SCHEMA)
+        events = []
+        engine.on_change(lambda changes, events=events: events.append(dict(changes)))
+        engine.apply_batch([insert("R", 1, 2), insert("S", 2, 10), insert("R", 3, 2)])
+        assert events == [{(): 20}] and engine.result() == 20, engine.name
 
 
 # ---------------------------------------------------------------------------
@@ -420,21 +444,21 @@ def test_engine_level_on_change_matches_session_level():
 
 def test_snapshot_restore_round_trip_all_backends():
     session = Session(RS_SCHEMA)
-    for backend in ALL_BACKENDS:
+    for backend in COMPILED_BACKENDS:
         session.view(backend, "AggSum([a], R(a, b) * S(b, d) * d)", backend=backend)
     stream = make_stream(length=100, seed=17)
     session.apply_all(stream)
 
     snapshot = session.snapshot()
     restored = Session.restore(snapshot)
-    for backend in ALL_BACKENDS:
+    for backend in COMPILED_BACKENDS:
         assert restored[backend].result() == session[backend].result(), backend
 
     # The restored session keeps maintaining correctly.
     more = make_stream(length=60, seed=18)
     session.apply_all(more)
     restored.apply_all(more)
-    for backend in ALL_BACKENDS:
+    for backend in COMPILED_BACKENDS:
         assert restored[backend].result() == session[backend].result(), backend
 
 
@@ -443,7 +467,7 @@ def test_snapshot_is_json_serializable_for_integer_ring():
 
     session = Session({"R": ("A",)})
     session.view("q", "Sum(R(x) * R(y) * (x = y))")
-    session.view("qn", "Sum(R(x))", backend="naive")
+    session.view("qn", "Sum(R(x))", backend="interpreted")
     for update in make_stream(length=50, seed=3, schema={"R": ("A",)}):
         session.apply(update)
     decoded = json.loads(json.dumps(session.snapshot()))
@@ -458,8 +482,65 @@ def test_restore_rejects_unknown_format_and_ring():
     snapshot = session.snapshot()
     with pytest.raises(ValueError):
         Session.restore({**snapshot, "format": "bogus/9"})
+    with pytest.raises(ValueError, match="unsupported session snapshot format"):
+        Session.restore({**snapshot, "format": "repro-session/1"})
     with pytest.raises(ValueError):
         Session.restore({**snapshot, "ring": "martian"})
+
+
+def _two_backend_snapshot():
+    session = Session({"R": ("A",)})
+    session.view("q", "Sum(R(x))")
+    session.view("qi", "Sum(R(x) * x)", backend="interpreted")
+    session.apply_batch([insert("R", 1), insert("R", 2)])
+    return session.snapshot()
+
+
+def _without(key):
+    return lambda snapshot: {name: value for name, value in snapshot.items() if name != key}
+
+
+def _with_baseline_view(backend):
+    # What an older version wrote for a session holding a baseline view.
+    def doctor(snapshot):
+        view = {"name": "reference", "backend": backend, "query": "Sum(R(x))"}
+        return {
+            **snapshot,
+            "views": snapshot["views"] + [view],
+            "engine_databases": {"reference": {"R": [[[1], 1], [[2], 1]]}},
+        }
+
+    return doctor
+
+
+@pytest.mark.parametrize(
+    "doctor,named",
+    [pytest.param(_without(key), key, id=f"no-{key}")
+     for key in ("maps", "views", "schema", "ring", "updates_applied")]
+    + [
+        pytest.param(
+            lambda snapshot: {**snapshot, "views": snapshot["views"][:1]},
+            "'interpreted'", id="maps-no-view-owns",
+        ),
+        pytest.param(
+            lambda snapshot: {**snapshot, "maps": {"generated": snapshot["maps"]["generated"]}},
+            "'interpreted'", id="views-without-maps",
+        ),
+        pytest.param(_with_baseline_view("classical"), "'classical'", id="classical-view"),
+        pytest.param(_with_baseline_view("naive"), "'naive'", id="naive-view"),
+        pytest.param(
+            lambda snapshot: {**snapshot, "history": [row[:3] for row in snapshot["history"]]},
+            None, id="countless-history-rows",
+        ),
+    ],
+)
+def test_restore_rejects_a_malformed_snapshot(doctor, named):
+    """A truncated or inconsistent snapshot raises a ValueError naming the
+    key or backend — not a KeyError, and never a view restored empty."""
+    snapshot = _two_backend_snapshot()
+    assert Session.restore(snapshot).results() == {"q": 2, "qi": 3}  # intact: accepted
+    with pytest.raises(ValueError, match=named):
+        Session.restore(doctor(snapshot))
 
 
 SALES_SCHEMA = {"Sales": ("store", "amount")}
@@ -550,7 +631,7 @@ def test_snapshot_plus_replayed_deltas_reproduce_final_result():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
 def test_view_registered_mid_stream_is_bootstrapped(backend):
     stream = list(make_stream(length=120, seed=37))
     session = Session(RS_SCHEMA)
@@ -674,14 +755,12 @@ def parse_sql_query(sql, schema):
 
 
 def _poisonable_session(shards=1):
-    """Views across compiled and engine backends; 'weighted' chokes on strings."""
+    """Views across both compiled backends; 'weighted' chokes on strings."""
     schema = {"R": ("A",), "W": ("K", "V")}
     session = Session(schema, shards=shards)
     session.view("count", "Sum(R(x))", backend="generated")
     session.view("weighted", "AggSum([k], W(k, v) * v)", backend="generated")
     session.view("count_i", "Sum(R(x))", backend="interpreted")
-    session.view("count_c", "Sum(R(x))", backend="classical")
-    session.view("count_n", "Sum(R(x))", backend="naive")
     return session
 
 
@@ -776,19 +855,6 @@ def test_rolled_back_batch_does_not_leave_stale_float_compensation():
     assert poisoned["total"].result() == 1.0000000000000002e16
 
 
-def test_poisoned_single_update_on_engine_is_isolated():
-    """Engine-backend state restores byte-for-byte after a failed batch."""
-    schema = {"W": ("K", "V")}
-    session = Session(schema)
-    view = session.view("w", "AggSum([k], W(k, v) * v)", backend="classical")
-    session.apply_batch([insert("W", "a", 1), insert("W", "b", 2)])
-    before = view.result()
-    with pytest.raises((TypeError, ValueError)):
-        session.apply_batch([insert("W", "a", 1), insert("W", "c", "boom")])
-    assert view.result() == before
-    assert session._views["w"]._engine.db.size("W") == 2
-
-
 # ---------------------------------------------------------------------------
 # History stores the effective (coalesced) batch (PR 5)
 # ---------------------------------------------------------------------------
@@ -812,10 +878,11 @@ def test_history_stores_effective_batch_not_churn():
     assert late.result() == 100
 
 
-@pytest.mark.parametrize("backend", ["generated", "interpreted", "classical", "naive"])
+@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
 def test_replay_equivalence_after_coalesced_history(backend):
     """snapshot -> restore (which replays nothing but trusts the maps) and a
-    history-driven rebuild both agree with the live session."""
+    history-driven rebuild both agree with the live session, and so does
+    naive re-evaluation fed the stored history."""
     from repro.gmr.database import Update
 
     rng = random.Random(11)
@@ -834,5 +901,8 @@ def test_replay_equivalence_after_coalesced_history(backend):
     replayed_view = replayed.view("q", "AggSum([a], R(a, b) * b)", backend=backend)
     replayed.apply_batch(session._history)
     assert result_as_mapping(replayed_view.result()) == result_as_mapping(view.result())
+    reference = NaiveReevaluation(parse("AggSum([a], R(a, b) * b)"), {"R": ("A", "B")})
+    reference.apply_batch(session._history)
+    assert result_as_mapping(reference.result()) == result_as_mapping(view.result())
     # And the restored session's own history replays to the same state.
     assert restored._history == session._history

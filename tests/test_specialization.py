@@ -57,6 +57,10 @@ def _random_trace(rng, schema, length, domain=9):
     return updates
 
 
+def _table_copies(engine):
+    return {name: dict(table) for name, table in engine.runtime.maps.items()}
+
+
 def _engines(name, backend, specialize):
     text, schema, _ = QUERIES[name]
     engine = RecursiveIVM(parse(text), schema, backend=backend, specialize=specialize)
@@ -76,7 +80,7 @@ def test_fused_matches_unfused_state_and_cdc(name, backend):
     _, schema, _ = QUERIES[name]
     plain, plain_cdc = _engines(name, backend, specialize=False)
     fused, fused_cdc = _engines(name, backend, specialize=True)
-    snapshots = None
+    copies = None
     for step in range(10):
         if rng.random() < 0.3:
             update = _random_trace(rng, schema, 1)[0]
@@ -90,9 +94,10 @@ def test_fused_matches_unfused_state_and_cdc(name, backend):
         assert fused_cdc == plain_cdc, (name, backend, step)
         assert fused.runtime.maps == plain.runtime.maps, (name, backend, step)
         if step == 4:
-            snapshots = (plain.state_backup(), fused.state_backup())
-    plain.state_restore(snapshots[0])
-    fused.state_restore(snapshots[1])
+            copies = (_table_copies(plain), _table_copies(fused))
+    # Reinstall the mid-trace tables the way a session restore does.
+    plain.runtime.restore_tables(copies[0])
+    fused.runtime.restore_tables(copies[1])
     tail = _random_trace(random.Random(7), schema, 120)
     plain.apply_batch(tail)
     fused.apply_batch(tail)
@@ -192,10 +197,10 @@ def test_arity_error_parity(backend):
     for specialize in (False, True):
         engine = RecursiveIVM(parse(text), schema, backend=backend, specialize=specialize)
         engine.apply_batch(good)
-        before = engine.state_backup()
+        before = _table_copies(engine)
         with pytest.raises(ValueError, match="arity") as raised:
             engine.apply_batch(poisoned)
-        assert engine.state_backup() == before, specialize
+        assert _table_copies(engine) == before, specialize
         outcomes[specialize] = str(raised.value)
     assert outcomes[False] == outcomes[True]
     assert "+R(1, 2, 3)" in outcomes[True]
