@@ -13,6 +13,8 @@ relation after compilation.
 Run with:  python examples/quickstart.py
 """
 
+import json
+
 from repro import (
     ClassicalIVM,
     Database,
@@ -42,10 +44,13 @@ def session_walkthrough() -> None:
         session.apply(update)
         print(f"  results: {session.results()}")
 
-    snapshot = session.snapshot()
-    restored = Session.restore(snapshot)
+    # A snapshot is plain data: persist it as JSON, revive it from the text.
+    persisted = json.dumps(session.snapshot())
+    restored = Session.restore(json.loads(persisted))
+    assert restored.results() == session.results()
     print(
-        f"snapshot/restore round-trip: selfjoin={restored['selfjoin'].result()}, "
+        f"snapshot/restore round-trip through {len(persisted)} bytes of JSON: "
+        f"selfjoin={restored['selfjoin'].result()}, "
         f"count={restored['count'].result()}\n"
     )
 

@@ -22,6 +22,7 @@ applies them to the indexes.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.compiler.partition.env import env_default
@@ -195,9 +196,8 @@ class _ShardView:
         self._shards = shards
         self._select = select
 
-    def __iter__(self):
-        for shard in self._shards:
-            yield from self._select(shard)
+    def __iter__(self) -> Iterator[Any]:
+        return chain.from_iterable(map(self._select, self._shards))
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self._shards)

@@ -227,15 +227,24 @@ class TriggerRuntime:
         self._ring_view: Optional[IndexedMaps] = None
 
     def make_table(self, contents: Optional[MapTable] = None) -> MapTable:
-        """A fresh map table honoring the runtime's shard configuration.
+        """A map table holding ``contents`` under the runtime's shard configuration.
 
-        Plain dict at ``shards=1``; a :class:`ShardedMapTable` otherwise
-        (``contents``, when given, are re-partitioned by key hash — this is
-        how snapshot restore re-shards under a different shard count).
+        At ``shards=1`` a plain dict ``contents`` is adopted as the table
+        itself, not copied (any other mapping is copied into a dict);
+        otherwise the contents are re-partitioned by key hash into a
+        :class:`ShardedMapTable` — this is how snapshot restore re-shards
+        under a different shard count.
         """
         if self.shards == 1:
-            return dict(contents) if contents else {}
+            if contents is None:
+                return {}
+            return contents if type(contents) is dict else dict(contents)
         return ShardedMapTable(self.shards, contents)
+
+    def zero_of(self, name: str) -> Any:
+        """The value map ``name`` never stores: ``0`` for a counter map (its
+        multiplicities are exact ℤ counts), the ring's zero otherwise."""
+        return 0 if name in self._counter_maps else self.ring.zero
 
     def backup_tables(self) -> Dict[str, MapTable]:
         """Plain-dict copies of every map table (sharded tables merged);
@@ -256,7 +265,9 @@ class TriggerRuntime:
         """Reinstall table contents, rebuild the slice indexes and re-derive
         the support sidecars from the restored counters.
 
-        Only the maps present in ``tables`` are replaced.
+        Only the maps present in ``tables`` are replaced.  Each table goes
+        through :meth:`make_table`: at ``shards=1`` a plain dict is adopted,
+        so the caller hands it over and must not keep mutating it.
         """
         for name, contents in tables.items():
             self.maps[name] = self.make_table(contents)
@@ -307,7 +318,7 @@ class TriggerRuntime:
                     if not self.ring.is_zero(value):
                         table[key] = value
             plain[name] = table
-            self.maps[name] = self.make_table(table) if self.shards > 1 else table
+            self.maps[name] = self.make_table(table)
         self.indexes.rebuild(self.maps)
         self._ring_view = None
         self.rebuild_supports()

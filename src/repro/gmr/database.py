@@ -64,19 +64,22 @@ class Update:
         return f"{sign}{self.relation}({inner}){suffix}"
 
 
-def serialize_update(update: Update) -> list:
-    """The plain-data row form of one update: ``[sign, relation, values, count]``.
+def serialize_update(update: Update) -> tuple:
+    """The plain-data row form of one update: ``(sign, relation, values, count)``.
 
     This is the session snapshot's history-row format (JSON-serializable
     whenever the values are), reused verbatim by the ingestion tier's durable
     dead letters so a failed batch survives the process and can be retried
-    after a restore.
+    after a restore.  The row is a tuple sharing the update's ``values``
+    tuple, so it holds no fresh container the collector must keep tracking;
+    JSON writes it as the list ``[sign, relation, [values…], count]``.
     """
-    return [update.sign, update.relation, list(update.values), update.count]
+    return (update.sign, update.relation, update.values, update.count)
 
 
 def deserialize_update(row: Sequence[Any]) -> Update:
-    """Revive an update from :func:`serialize_update` output."""
+    """Revive an update from :func:`serialize_update` output — the tuple row
+    or its JSON-decoded list form."""
     sign, relation, values, count = row
     return Update(sign, relation, tuple(values), count=count)
 

@@ -59,8 +59,23 @@ SNAPSHOT_FORMAT = "repro-session/2"
 _LOG = logging.getLogger("repro.session")
 
 
-def _check_snapshot_maps(backend: str, definitions: Mapping[str, Any], tables) -> None:
-    """Reject snapshot tables that do not fit the recompiled map hierarchy."""
+def _check_snapshot_maps(
+    backend: str, runtime: TriggerRuntime, tables: Mapping[str, Any]
+) -> Dict[str, Dict[Tuple[Any, ...], Any]]:
+    """Decode a backend's snapshot tables into the dicts the runtime adopts,
+    rejecting any that do not fit the recompiled map hierarchy.
+
+    Each table is a sequence of ``(key, value)`` pairs — tuples when the
+    snapshot is the live :meth:`Session.snapshot` output, lists once it went
+    through JSON — and is decoded exactly once (``tuple(key)`` is free for a
+    tuple key).  The checks then run on the decoded dict without a
+    per-entry Python loop: the map set against the program's, every key's
+    arity (``set(map(len, table))``), no key given twice (the dict is as
+    long as the sequence) and no stored zero (a membership test; stored
+    tables never hold their map's zero).  Every violation is collected into
+    one :class:`ValueError` naming the maps.
+    """
+    definitions = runtime.program.maps
     problems = []
     unknown = sorted(set(tables) - set(definitions))
     if unknown:
@@ -68,20 +83,36 @@ def _check_snapshot_maps(backend: str, definitions: Mapping[str, Any], tables) -
     missing = sorted(set(definitions) - set(tables))
     if missing:
         problems.append(f"maps the snapshot lacks: {missing}")
-    misshapen = []
-    for name, entries in tables.items():
-        if name in definitions:
-            arity = definitions[name].arity
-            if any(len(key) != arity for key, _value in entries):
-                misshapen.append(name)
-    misshapen.sort()
+    decoded: Dict[str, Dict[Tuple[Any, ...], Any]] = {}
+    malformed, misshapen, duplicated, zeroed = [], [], [], []
+    for name in sorted(set(tables) & set(definitions)):
+        entries = tables[name]
+        try:
+            table = {tuple(key): value for key, value in entries}
+        except (TypeError, ValueError):
+            malformed.append(name)
+            continue
+        if len(table) != len(entries):
+            duplicated.append(name)
+        if table and set(map(len, table)) != {definitions[name].arity}:
+            misshapen.append(name)
+        if runtime.zero_of(name) in table.values():
+            zeroed.append(name)
+        decoded[name] = table
+    if malformed:
+        problems.append(f"maps with an entry that is not a (key sequence, value) pair: {malformed}")
     if misshapen:
         problems.append(f"maps whose keys do not match the defined arity: {misshapen}")
+    if duplicated:
+        problems.append(f"maps that list a key more than once: {duplicated}")
+    if zeroed:
+        problems.append(f"maps that store a zero value: {zeroed}")
     if problems:
         raise ValueError(
             f"session snapshot does not match the compiled {backend!r} views "
             f"(taken by another version of the compiler?) — " + "; ".join(problems)
         )
+    return decoded
 
 
 class _CompiledGroup:
@@ -642,16 +673,22 @@ class Session:
         JSON-serializable whenever the data values and ring values are.  Subscriptions (``on_change`` callbacks)
         are not part of the state and must be re-attached after
         :meth:`restore`.
+
+        Each map table is ``list(table.items())``: immutable ``(key, value)``
+        pairs sharing their key tuples with the live tables, and each history
+        row is a :func:`~repro.gmr.database.serialize_update` tuple.  None of
+        them is a container the garbage collector keeps tracking, so a
+        snapshot costs the copy of its entries and never a full-heap
+        collection.  JSON writes tuples as lists: the serialized bytes are
+        those of the ``[[key…], value]`` layout, which :meth:`restore` reads
+        through the same decoder.
         """
         views = [
             {"name": view.name, "backend": view.backend, "query": to_string(view.query)}
             for view in self._views.values()
         ]
         groups = {
-            backend: {
-                name: [[list(key), value] for key, value in table.items()]
-                for name, table in group.runtime.maps.items()
-            }
+            backend: {name: list(table.items()) for name, table in group.runtime.maps.items()}
             for backend, group in self._groups.items()
         }
         snapshot: Dict[str, Any] = {
@@ -694,6 +731,12 @@ class Session:
         ]
         if missing:
             raise ValueError(f"session snapshot lacks {missing}")
+        updates_applied = snapshot["updates_applied"]
+        if type(updates_applied) is not int or updates_applied < 0:
+            raise ValueError(
+                f"session snapshot's updates_applied must be a non-negative integer, "
+                f"got {updates_applied!r}"
+            )
         if ring is None:
             try:
                 # resolve_semiring also reconstructs parameterized structures
@@ -719,6 +762,7 @@ class Session:
         # into it (restore_tables would keep unknown names as orphan tables
         # and leave missing ones empty).
         maps = snapshot["maps"]
+        decoded = {}
         for backend in sorted(set(maps) | set(session._groups)):
             group = session._groups.get(backend)
             if group is None:
@@ -728,20 +772,17 @@ class Session:
                 )
             if backend not in maps:
                 raise ValueError(f"session snapshot lacks the maps of its {backend!r} views")
-            _check_snapshot_maps(backend, group.runtime.program.maps, maps[backend])
-        for backend, tables in maps.items():
-            # Re-partitions under the session's shard count, rebuilds the slice
-            # indexes and re-derives the support sidecars from the counter maps.
-            session._groups[backend].runtime.restore_tables(
-                {
-                    name: {tuple(key): value for key, value in entries}
-                    for name, entries in tables.items()
-                }
-            )
-        session._updates_applied = snapshot["updates_applied"]
-        session.statistics.updates_processed = snapshot["updates_applied"]
+            decoded[backend] = _check_snapshot_maps(backend, group.runtime, maps[backend])
+        for backend, tables in decoded.items():
+            # Adopts the decoded dicts (re-partitioned under any shard count
+            # but 1), rebuilds the slice indexes and re-derives the support
+            # sidecars from the counter maps.
+            session._groups[backend].runtime.restore_tables(tables)
+        session._updates_applied = updates_applied
+        session.statistics.updates_processed = updates_applied
         if "history" in snapshot:
-            # Rows are [sign, relation, values, net multiplicity].
+            # Rows are (sign, relation, values, net multiplicity) — tuples, or
+            # lists once the snapshot went through JSON.
             session._history = [deserialize_update(row) for row in snapshot["history"]]
         return session
 

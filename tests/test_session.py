@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.errors import ParseError
 from repro.core.parser import parse
-from repro.gmr.database import insert
+from repro.gmr.database import Update, insert
 from repro.ivm.base import result_as_mapping
 from repro.ivm.classical import ClassicalIVM
 from repro.ivm.naive import NaiveReevaluation
@@ -566,7 +566,8 @@ def _without_a_map(tables):
 
 
 def _with_a_misshapen_key(tables):
-    tables["busy_stores_m1"][0][0].append(7)
+    key, value = tables["busy_stores_m1"][0]
+    tables["busy_stores_m1"][0] = ((*key, 7), value)
 
 
 @pytest.mark.parametrize(
@@ -600,6 +601,226 @@ def test_having_session_round_trips_across_shard_layouts(shards):
     revived.apply_batch(more)
     assert revived["busy_stores"].result() == origin["busy_stores"].result()
     assert (6,) in revived["busy_stores"].result()
+
+
+# A snapshot's tables are the live tables' own (key, value) pairs: no
+# container per entry on either side, the JSON bytes of the list layout, and a decode
+# that rejects every table that is not a well-formed function.
+
+ORDERS_SCHEMA = {
+    "Customer": ("ck", "nation"),
+    "Orders": ("ok", "ck"),
+    "Lineitem": ("ok2", "price", "qty"),
+}
+_ORDERS_JOIN = "FROM Customer c, Orders o, Lineitem l WHERE c.ck = o.ck AND o.ok = l.ok2"
+ORDERS_DASHBOARD = {
+    "revenue": f"SELECT c.nation, SUM(l.price * l.qty) {_ORDERS_JOIN} GROUP BY c.nation",
+    "revenue_by_customer": f"SELECT c.ck, SUM(l.price * l.qty) {_ORDERS_JOIN} GROUP BY c.ck",
+    "orders": "SELECT c.ck, SUM(1) FROM Customer c, Orders o WHERE c.ck = o.ck GROUP BY c.ck",
+    "total_revenue": f"SELECT SUM(l.price * l.qty) {_ORDERS_JOIN}",
+}
+
+
+def orders_dashboard(orders, **layout):
+    session = Session(ORDERS_SCHEMA, **layout)
+    for name, sql in ORDERS_DASHBOARD.items():
+        session.view(name, sql)
+    session.apply_batch([insert("Customer", ck, ck % 7) for ck in range(200)])
+    session.apply_batch([insert("Orders", ok, ok % 200) for ok in range(orders)])
+    session.apply_batch([insert("Lineitem", ok, ok % 13 + 1, 2) for ok in range(0, orders, 5)])
+    return session
+
+
+def test_a_kept_snapshot_adds_no_collected_object_per_entry():
+    """Keeping a snapshot alive grows the collector's tracked set by O(maps):
+    every entry is an untracked (key, value) pair sharing the live key tuple,
+    so taking or holding a snapshot never prices in a full-heap collection."""
+    import gc
+
+    session = orders_dashboard(32_000)
+    entries = session.total_map_entries()
+    maps = len(session.map_sizes())
+    assert entries >= 32_000
+    gc.collect()
+    before = len(gc.get_objects())
+    snapshot = session.snapshot()
+    gc.collect()
+    growth = len(gc.get_objects()) - before
+    assert growth <= 2 * maps + 32, (growth, maps, entries)
+    assert sum(len(table) for table in snapshot["maps"]["generated"].values()) == entries
+
+
+def _list_layout(session):
+    """The list layout earlier versions wrote, rebuilt from the live tables:
+    ``[[list(key), value] …]`` per map, ``[sign, relation, [values…], count]``
+    per history row."""
+    return {
+        **session.snapshot(),
+        "maps": {
+            backend: {
+                name: [[list(key), value] for key, value in table.items()]
+                for name, table in group.runtime.maps.items()
+            }
+            for backend, group in session._groups.items()
+        },
+        "history": [
+            [update.sign, update.relation, list(update.values), update.count]
+            for update in session._history
+        ],
+    }
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_snapshot_json_bytes_equal_the_list_layout(shards):
+    import json
+
+    session = orders_dashboard(600, shards=shards)
+    session.view("busy", "SELECT o.ck, SUM(1) FROM Orders o GROUP BY o.ck", backend="interpreted")
+    session.apply_batch([insert("Orders", 10_000 + ok, ok % 3) for ok in range(50)])
+    snapshot = session.snapshot()
+    assert snapshot["format"] == "repro-session/2"
+    assert snapshot["history"]
+    assert json.dumps(snapshot) == json.dumps(_list_layout(session))
+
+
+SALES_VIEWS = {
+    "Z": {
+        "per_store": "SELECT store, SUM(amount) FROM Sales GROUP BY store",
+        "total": "SELECT SUM(amount) FROM Sales",
+        "busy_stores": BUSY_STORES,
+    },
+    "R-float": {
+        "per_store": "SELECT store, SUM(amount) FROM Sales GROUP BY store",
+        "total": "SELECT SUM(amount) FROM Sales",
+    },
+    "min-plus": {"lowest": "SELECT store, MIN(amount) FROM Sales GROUP BY store"},
+    "top3": {"best": "SELECT store, TOPK(3, amount) FROM Sales GROUP BY store"},
+}
+
+
+def _sales_batch(rng, live, ring_name, size):
+    """A random batch over ``Sales``: inserts, and deletes of live rows only.
+    Float amounts are multiples of 1/4, so every sum is exact in any order."""
+    batch = []
+    for _ in range(size):
+        if live and rng.random() < 0.35:
+            row = live.pop(rng.randrange(len(live)))
+            batch.append(Update(-1, "Sales", row))
+        else:
+            amount = rng.randrange(1, 40)
+            row = (rng.randrange(8), amount / 4 if ring_name == "R-float" else amount)
+            live.append(row)
+            batch.append(Update(1, "Sales", row))
+    return batch
+
+
+def _sales_session(ring_name, shards, rng, live):
+    from repro.algebra.semirings import resolve_semiring
+
+    session = Session(SALES_SCHEMA, ring=resolve_semiring(ring_name), shards=shards)
+    for name, sql in SALES_VIEWS[ring_name].items():
+        for backend in COMPILED_BACKENDS:
+            session.view(f"{name}_{backend}", sql, backend=backend)
+    for _ in range(3):
+        session.apply_batch(_sales_batch(rng, live, ring_name, 60))
+    return session
+
+
+def _cdc_log(session):
+    log = []
+    for name in session.views:
+        session[name].on_change(
+            lambda changes, _name=name: log.append((_name, sorted(changes.items())))
+        )
+    return log
+
+
+@pytest.mark.parametrize("restored_shards", [1, 2, 3])
+@pytest.mark.parametrize(
+    "ring_name,through_json",
+    [("Z", True), ("R-float", True), ("min-plus", False), ("top3", False)],
+)
+def test_a_restored_snapshot_matches_the_live_session(ring_name, through_json, restored_shards):
+    """Restored at 1, 2 or 3 shards — from the JSON form for ℤ and float, from
+    the live snapshot for min-plus and top-3 — the session equals the live one
+    in results, and in CDC over a further random batch."""
+    import json
+
+    rng = random.Random(41)
+    live = []
+    session = _sales_session(ring_name, 1 + restored_shards % 2, rng, live)
+    snapshot = session.snapshot()
+    if through_json:
+        snapshot = json.loads(json.dumps(snapshot))
+    restored = Session.restore(snapshot, shards=restored_shards)
+    assert restored.shards == restored_shards
+    assert restored.results() == session.results()
+    assert restored.total_map_entries() == session.total_map_entries()
+    assert restored.updates_applied == session.updates_applied
+    logs = _cdc_log(session), _cdc_log(restored)
+    batch = _sales_batch(rng, live, ring_name, 80)
+    session.apply_batch(batch)
+    restored.apply_batch(batch)
+    assert restored.results() == session.results()
+    assert logs[0] == logs[1] != []
+
+
+def _sales_snapshot(**layout):
+    import json
+
+    return json.loads(json.dumps(busy_stores_session(seed=5, **layout).snapshot()))
+
+
+def test_restore_rejects_a_duplicated_key():
+    snapshot = _sales_snapshot()
+    entries = snapshot["maps"]["generated"]["busy_stores_m2"]
+    key, _value = entries[0]
+    entries.append([key, 99])
+    with pytest.raises(ValueError, match=r"list a key more than once: \['busy_stores_m2'\]"):
+        Session.restore(snapshot)
+
+
+@pytest.mark.parametrize("ring_name,zero", [("Z", 0), ("R-float", 0.0), ("R-float", -0.0)])
+def test_restore_rejects_a_stored_zero(ring_name, zero):
+    """Before the check, a stored zero restored as a live entry and was counted."""
+    import json
+
+    session = _sales_session(ring_name, 1, random.Random(3), [])
+    snapshot = json.loads(json.dumps(session.snapshot()))
+    snapshot["maps"]["generated"]["per_store_generated"].append([[99], zero])
+    with pytest.raises(ValueError, match=r"store a zero value: \['per_store_generated'\]"):
+        Session.restore(snapshot)
+
+
+def test_restore_rejects_a_stored_zero_counter():
+    """A min-plus counter map holds ℤ multiplicities: its zero is 0, not ∞."""
+    session = _sales_session("min-plus", 1, random.Random(3), [])
+    [counter] = session._groups["generated"].runtime.program.maintenance.counter_maps
+    snapshot = session.snapshot()
+    snapshot["maps"]["generated"][counter].append(((99, 1), 0))
+    with pytest.raises(ValueError, match=f"store a zero value: \\['{counter}'\\]"):
+        Session.restore(snapshot)
+
+
+def test_restore_rejects_an_entry_without_a_value():
+    snapshot = _sales_snapshot()
+    snapshot["maps"]["generated"]["busy_stores_m1"].append([[1, 2]])
+    with pytest.raises(ValueError, match=r"not a \(key sequence, value\) pair: \['busy_stores_m1'\]"):
+        Session.restore(snapshot)
+
+
+def test_restore_rejects_a_scalar_key():
+    snapshot = _sales_snapshot()
+    snapshot["maps"]["generated"]["busy_stores_m1"].append([5, 3])
+    with pytest.raises(ValueError, match=r"not a \(key sequence, value\) pair: \['busy_stores_m1'\]"):
+        Session.restore(snapshot)
+
+
+@pytest.mark.parametrize("count", ["x", 1.5, -1, True, None])
+def test_restore_rejects_a_non_integer_updates_applied(count):
+    snapshot = _sales_snapshot()
+    with pytest.raises(ValueError, match="updates_applied"):
+        Session.restore({**snapshot, "updates_applied": count})
 
 
 def test_snapshot_plus_replayed_deltas_reproduce_final_result():
