@@ -17,7 +17,9 @@ compile error), this module *reports* on the quality of a compiled program:
   constant-work-per-update claim;
 * **unnormalized right-hand sides** — statements that the ring normal form
   (:mod:`repro.compiler.normal_form`) would rewrite, i.e. programs compiled
-  with ``normalize=False`` or hand-built IR with mergeable terms;
+  with ``normalize=False`` or hand-built IR with mergeable terms; a stored
+  batch right-hand side must already be in its decoded order
+  (``BatchStatement.monomials``), so CI gates ``--fail-on unnormalized``;
 * **generic bare counts** — bare-count batch statements whose event cannot
   take the fused-total hot path (sibling statements or recomputes force the
   delta table), so a shape the specializer exists for still pays the generic
@@ -64,7 +66,6 @@ from repro.compiler.codegen import generate_python
 from repro.compiler.compile import compile_query
 from repro.compiler.cost import recompute_scan_reason, statement_cost_class
 from repro.compiler.plan import lower_batch_plan
-from repro.compiler.indexes import compute_index_specs, iter_partial_reads
 from repro.compiler.normal_form import is_normalized, sharing_key
 from repro.compiler.triggers import TriggerProgram
 from repro.compiler.verify import IRVerificationError, iter_violations
@@ -134,14 +135,11 @@ def lint_program(
                 )
             )
 
-    # -- scan-class statements ---------------------------------------------
-    try:
-        specs = compute_index_specs(program)
-    except TypeError:
-        specs = {}
+    # -- scan-class statements, graded against the lowered plan's specs -----
+    plan = lower_batch_plan(program)
     for statement in _statements(program):
         try:
-            cost = statement_cost_class(statement, specs)
+            cost = statement_cost_class(statement, plan.index_specs)
         except TypeError:
             continue
         if cost in _SCAN_CLASSES:
@@ -153,21 +151,6 @@ def lint_program(
                     statement.describe(),
                 )
             )
-
-    # -- unindexed slice reads (when handed a runtime's actual specs) -------
-    try:
-        for statement, name, positions in iter_partial_reads(program):
-            if tuple(positions) not in tuple(map(tuple, specs.get(name, ()))):
-                findings.append(
-                    LintFinding(
-                        "unindexed-slice",
-                        f"partially-bound read of {name!r} at positions "
-                        f"{tuple(positions)} is not index-backed",
-                        statement.describe(),
-                    )
-                )
-    except TypeError:
-        pass
 
     # -- unnormalized right-hand sides --------------------------------------
     for statement in _statements(program):
@@ -185,7 +168,6 @@ def lint_program(
             )
 
     # -- recomputes that still walk a slice (or every group) per event --------
-    plan = lower_batch_plan(program)
     scanning: Dict[str, LintFinding] = {}
     for event in plan.events:
         for recompute, kind in zip(event.recomputes, event.recompute_kinds):
@@ -419,6 +401,7 @@ _FAIL_ON_KINDS = {
     "generic-bare-count": "generic-bare-count",
     "untracked-noninvertible": "untracked-noninvertible",
     "recompute-scan": "recompute-scan",
+    "unnormalized": "unnormalized",
 }
 
 

@@ -83,7 +83,7 @@ from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
 from repro.compiler.cost import whole_batch_fold
 from repro.compiler.indexes import IndexedMaps, IndexSpecs, SliceIndexes
 from repro.compiler.kernels import FoldKernels, make_apply_batch, recompute_pairs
-from repro.compiler.plan import BatchPlan, RowReads, lower_batch_plan, ordered_monomials
+from repro.compiler.plan import BatchPlan, RowReads, lower_batch_plan
 from repro.gmr.database import Delta
 from repro.compiler.triggers import BatchStatement, BatchTrigger, TriggerProgram
 from repro.core.ast import (
@@ -781,8 +781,8 @@ def _generate_trigger_body(
         else:
             writer.emit(f"{accumulator} = {statement_context.zero_literal() if scalar else '{}'}")
             split = ([], [])  # monomials evaluated once / once per row of ∆R
-            for monomial in reads.monomials[index]:
-                atoms = [f for f in monomial[1] if isinstance(f, MapRef) and f.name == delta_map]
+            for monomial in statement.monomials:
+                atoms = [f for f in monomial.factors if isinstance(f, MapRef) and f.name == delta_map]
                 split[bool(atoms)].append(monomial)
                 if atoms:
                     arity = len(atoms[0].key_vars)
@@ -870,8 +870,7 @@ def _generate_recomputes(
             writer.emit(f"{unpack} = {group_key}")
             writer.emit(f"{accumulator} = {zero}")
             _generate_statement(
-                context, recompute.target_keys,
-                ordered_monomials(recompute.body, recompute.target_keys), accumulator, names,
+                context, recompute.target_keys, recompute.monomials, accumulator, names,
                 counter, frame, scalar=True, bound=recompute.target_keys,
             )
             writer.emit(f"return {accumulator}")
@@ -880,7 +879,7 @@ def _generate_recomputes(
         else:
             writer.emit(f"{accumulator} = {{}}")
             _generate_statement(
-                context, recompute.target_keys, ordered_monomials(recompute.body), accumulator,
+                context, recompute.target_keys, recompute.monomials, accumulator,
                 names, counter, frame, scalar=False,
             )
             new_values = f"_rpairs({accumulator}, {target_table}, {zero})"
@@ -931,12 +930,14 @@ def _generate_statement(
     bound: Tuple[str, ...] = (),
     projection: Optional[Tuple[int, ...]] = None,
 ) -> None:
-    """Emit the evaluation of ``monomials`` (:func:`ordered_monomials`, the
-    variables ``bound`` already bound to same-named locals) into
-    ``accumulator``, keyed by ``target_keys``.  Inside a trigger's row loop
-    each monomial's first ``∆R`` atom is the row in hand: no scan — its free
-    key variables name the column locals (a bound one must equal its column),
-    its value is ``_v``."""
+    """Emit the evaluation of ``monomials`` (a statement's decoded
+    :attr:`~repro.compiler.triggers.BatchStatement.monomials`, the variables
+    ``bound`` already bound to same-named locals) into ``accumulator``, keyed
+    by ``target_keys``.  Factors are emitted in the decoded order, and a map
+    read slices or looks up at the key positions its annotation says are
+    bound.  Inside a trigger's row loop each monomial's first ``∆R`` atom is
+    the row in hand: no scan — its free key variables name the column locals
+    (a bound one must equal its column), its value is ``_v``."""
     writer = context.writer
     row = frame.row
     in_loop = row.row_key is not None
@@ -945,12 +946,12 @@ def _generate_statement(
     distinct = (
         in_loop and projection is not None and sorted(projection) == list(range(len(row.columns)))
     )
-    for coefficient, factors in monomials:
+    for coefficient, factors, annotation in monomials:
         base_indent = writer.indent
         environment = {variable: names(variable) for variable in bound}
         value_terms: List[str] = []
         row_pending = in_loop
-        for factor in factors:
+        for factor, bound_positions in zip(factors, annotation):
             if row_pending and isinstance(factor, MapRef) and factor.name == frame.delta_map:
                 row_pending = False
                 for position, key in enumerate(factor.key_vars):
@@ -964,7 +965,8 @@ def _generate_statement(
                 value_terms.append(row.local("_c", "_from_int(_v)") if ring_read else "_v")
                 continue
             coefficient = _generate_factor(
-                context, factor, environment, value_terms, coefficient, counter, names, frame
+                context, factor, bound_positions, environment, value_terms, coefficient,
+                counter, names, frame,
             )
             if coefficient is None:
                 break
@@ -992,6 +994,7 @@ def _generate_statement(
 def _generate_factor(
     context: _EmitContext,
     factor: Expr,
+    bound_positions: Optional[Tuple[int, ...]],
     environment: Dict[str, str],
     value_terms: List[str],
     coefficient: Any,
@@ -1001,8 +1004,9 @@ def _generate_factor(
 ):
     """Emit code for one monomial factor; returns the (possibly folded) coefficient.
 
-    Returning ``None`` means the monomial is statically zero and should be
-    dropped.
+    ``bound_positions`` is the factor's annotation: for a map read, the key
+    positions bound when it runs.  Returning ``None`` means the monomial is
+    statically zero and should be dropped.
     """
     writer = context.writer
     if isinstance(factor, Const):
@@ -1054,9 +1058,6 @@ def _generate_factor(
         # An integer-valued source (counter map / batch delta) read from a
         # ring statement: test the raw count, then map it into the ring.
         int_source = not context.native and factor.name in context.int_sources
-        bound_positions = tuple(
-            position for position, key in enumerate(keys) if key in environment
-        )
         if len(bound_positions) == len(keys):
             # Fully bound: one hash lookup (once per row when the plan shares it).
             zero = "0" if int_source else context.zero_literal()

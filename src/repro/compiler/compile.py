@@ -467,18 +467,20 @@ class Compiler:
         rhs = self._normal_form(rhs)
         if is_zero_literal(rhs):
             return
-        projection, coefficient = _delta_projection(rhs, event.delta_map, definition.key_vars)
-        self._statements[(relation, sign)].append(
-            BatchStatement(
-                target=definition.name,
-                target_keys=definition.key_vars,
-                rhs=rhs,
-                delta_map=event.delta_map,
-                projection=projection,
-                coefficient=coefficient,
-                delta_arity=arity,
-            )
+        statement = BatchStatement(
+            target=definition.name,
+            target_keys=definition.key_vars,
+            rhs=rhs,
+            delta_map=event.delta_map,
+            delta_arity=arity,
         )
+        projection, coefficient = _delta_projection(statement)
+        if projection is not None:
+            decoded = statement.monomials
+            statement = dataclasses.replace(statement, projection=projection, coefficient=coefficient)
+            # The same right-hand side: the cached decode carries over.
+            vars(statement)["monomials"] = decoded
+        self._statements[(relation, sign)].append(statement)
 
     def _compile_monomial(
         self,
@@ -951,48 +953,49 @@ def _canonicalize_free_variables(expr: Expr, fixed: "set[str] | frozenset") -> E
     return rename_variables(expr, renaming)
 
 
-def _delta_projection(
-    rhs: Expr, delta_map: str, target_keys: Tuple[str, ...]
-) -> Tuple[Optional[Tuple[int, ...]], Any]:
+def _delta_projection(statement: BatchStatement) -> Tuple[Optional[Tuple[int, ...]], Any]:
     """The key-projection analysis behind the pre-aggregated fast fold.
 
-    Returns ``(positions, coefficient)`` when ``rhs`` is exactly one monomial
-    ``coefficient · ∆R(k…)`` over the delta map with pairwise-distinct key
-    variables and every target key among them — the statement is then a pure
-    projection of the pre-aggregated batch onto the target map, executable
-    without evaluating any expression.  ``(None, 1)`` otherwise.
+    Returns ``(positions, coefficient)`` when the statement's right-hand side
+    is exactly one monomial ``coefficient · ∆R(k…)`` over its delta map with
+    pairwise-distinct key variables and every target key among them — the
+    statement is then a pure projection of the pre-aggregated batch onto the
+    target map, executable without evaluating any expression.  ``(None, 1)``
+    otherwise.  Reads the decoded monomial: the delta reference leads it, and
+    a trailing assignment that binds (nothing bound at its position) renames
+    a delta key.
     """
-    monomials = to_polynomial(rhs)
-    if len(monomials) != 1:
+    if len(statement.monomials) != 1:
         return None, 1
-    monomial = monomials[0]
-    if not monomial.factors or not isinstance(monomial.coefficient, (int, float)):
-        return None, 1
-    reference = monomial.factors[0]
-    if not isinstance(reference, MapRef) or reference.name != delta_map:
-        return None, 1
-    if len(set(reference.key_vars)) != len(reference.key_vars):
+    coefficient, factors, bound = statement.monomials[0]
+    reference = factors[0] if factors else None
+    if not (
+        isinstance(coefficient, (int, float))
+        and isinstance(reference, MapRef)
+        and reference.name == statement.delta_map
+        and len(set(reference.key_vars)) == len(reference.key_vars)
+    ):
         return None, 1
     # Delta key positions by variable, extended through pure-rename assignments
     # (``k0 := v0`` with ``v0`` a delta key variable — the base-copy shape).
     positions_by_variable: Dict[str, int] = {
         key_var: position for position, key_var in enumerate(reference.key_vars)
     }
-    for factor in monomial.factors[1:]:
+    for factor, positions in zip(factors[1:], bound[1:]):
         if (
             isinstance(factor, Assign)
+            and not positions
             and isinstance(factor.expr, Var)
             and factor.expr.name in positions_by_variable
-            and factor.var not in positions_by_variable
         ):
             positions_by_variable[factor.var] = positions_by_variable[factor.expr.name]
             continue
         return None, 1
     try:
-        positions = tuple(positions_by_variable[key] for key in target_keys)
+        positions = tuple(positions_by_variable[key] for key in statement.target_keys)
     except KeyError:
         return None, 1
-    return positions, monomial.coefficient
+    return positions, coefficient
 
 
 def _contains_negation(expr: Expr) -> bool:

@@ -12,13 +12,11 @@ entry updates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 from repro.algebra.semirings import INTEGER_RING, Semiring
-from repro.core.ast import AggSum, Assign, Expr, MapRef, Rel, Var, walk
+from repro.core.ast import AggSum, Assign, MapRef, Rel, Var, walk
 from repro.core.delta import is_delta_map
-from repro.core.normalization import to_polynomial
-from repro.core.simplify import order_for_safety
 
 
 @dataclass
@@ -99,35 +97,30 @@ class CountingSemiring(Semiring):
 # ---------------------------------------------------------------------------
 
 #: Read classes, worst one wins: full-key lookups only, an index-backed
-#: partial slice, or an unindexed scan of a whole map.
-_LOOKUP, _SLICE, _SCAN = 0, 1, 2
+#: partial slice, a second ``∆R`` read that rescans the delta per row, or an
+#: unindexed scan of a whole map.
+_LOOKUP, _SLICE, _DELTA_SQUARED, _SCAN = 0, 1, 2, 3
+_READ_CLASSES = ("O(|Δ| keys)", "O(|Δ| × indexed slice)", "O(|Δ|²)", "O(|Δ| × map scan)")
 
 
-def _monomial_read_class(
-    factors: Iterable[Expr], specs: Mapping[str, Tuple[Tuple[int, ...], ...]]
-) -> int:
-    """Replay one monomial's binding discipline and grade its map reads."""
-    bound = set()
+def _monomial_read_class(monomial, specs: Mapping[str, Tuple[Tuple[int, ...], ...]]) -> int:
+    """Grade one decoded monomial's map reads by their annotated bound positions."""
     worst = _LOOKUP
-    for factor in factors:
-        if isinstance(factor, Assign):
-            bound.add(factor.var)
-        elif isinstance(factor, MapRef):
-            if is_delta_map(factor.name):
-                # The delta map is the iteration driver, already priced into
-                # the |Δ| factor of the batch cost classes.
-                bound.update(factor.key_vars)
-                continue
-            positions = tuple(
-                index for index, key_var in enumerate(factor.key_vars) if key_var in bound
-            )
-            if len(positions) == len(factor.key_vars):
-                pass  # full-key lookup, O(1)
-            elif positions and positions in specs.get(factor.name, ()):
-                worst = max(worst, _SLICE)
-            else:
-                worst = max(worst, _SCAN)
-            bound.update(factor.key_vars)
+    driven = False
+    for reference, positions in monomial.reads():
+        delta = is_delta_map(reference.name)
+        if len(positions) == len(reference.key_vars):
+            pass  # full-key lookup, O(1)
+        elif delta:
+            # The first ∆R read drives the iteration, already priced into the
+            # |Δ| factor; a later one not fully bound scans ∆R once per row.
+            if driven:
+                worst = max(worst, _DELTA_SQUARED)
+        elif positions and positions in specs.get(reference.name, ()):
+            worst = max(worst, _SLICE)
+        else:
+            worst = max(worst, _SCAN)
+        driven = driven or delta
     return worst
 
 
@@ -140,7 +133,10 @@ def statement_cost_class(
     ``specs`` are the program's slice-index signatures
     (:func:`repro.compiler.indexes.compute_index_specs`) — a partially-bound
     read covered by a signature costs one indexed slice, an uncovered one a
-    whole-map scan.  The kind of statement is recognized structurally so the
+    whole-map scan, and a second ``∆R`` read not fully bound (a within-batch
+    self-join on a key subset) rescans the delta per row, ``O(|Δ|²)``.  Each
+    read's bound positions come from the statement's decoded monomials.
+    The kind of statement is recognized structurally so the
     function prices :class:`~repro.compiler.triggers.BatchStatement` and
     ``RecomputeStatement`` alike.  ``|Δ|`` is the number of rows in the delta
     map: 1 for a single-tuple update.
@@ -154,11 +150,8 @@ def statement_cost_class(
         return "O(changed groups × indexed slice)"
     if statement.projection is not None:
         return "O(|Δ| keys)"
-    worst = _LOOKUP
-    for monomial in to_polynomial(statement.rhs):
-        ordered = order_for_safety(monomial.factors, bound_vars=(), eager_assignments=True)
-        worst = max(worst, _monomial_read_class(ordered, specs))
-    return ("O(|Δ| keys)", "O(|Δ| × indexed slice)", "O(|Δ| × map scan)")[worst]
+    worst = max((_monomial_read_class(m, specs) for m in statement.monomials), default=_LOOKUP)
+    return _READ_CLASSES[worst]
 
 
 def recompute_scan_reason(recompute) -> Optional[str]:

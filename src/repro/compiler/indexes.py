@@ -30,10 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.compiler.triggers import TriggerProgram
-from repro.core.ast import Assign, MapRef
 from repro.core.delta import is_delta_map
-from repro.core.normalization import to_polynomial
-from repro.core.simplify import order_for_safety
 
 #: A bound-position signature: the key positions bound at lookup time, sorted.
 Positions = Tuple[int, ...]
@@ -44,13 +41,13 @@ IndexSpecs = Dict[str, Tuple[Positions, ...]]
 def iter_partial_reads(program: TriggerProgram):
     """Yield ``(statement, map_name, positions)`` for every partially-bound read.
 
-    The analysis replays exactly the binding discipline of the code generator
-    (and of the interpreted evaluator, which evaluates the same
-    safety-ordered monomials left to right): a delta-map reference binds the
-    update's keys, assignments bind their target, and a map reference binds
-    its free key variables for the factors to its right.  A map reference
-    whose key variables are *partially* bound at that point is reported once
-    per occurrence, tagged with the statement (or recompute) performing it.  A
+    One pass over the statements' decoded monomials
+    (:attr:`~repro.compiler.triggers.BatchStatement.monomials`), which carry
+    the key positions every map read has bound when it runs — the order both
+    executors evaluate.  A map reference whose key variables are *partially*
+    bound there is reported once per occurrence, tagged with the statement
+    (or recompute) performing it; delta maps are transient per-update tables
+    that bind their keys by iteration and are never worth indexing.  A
     semiring program's support plans read too: an exhausted group reloads
     from its relation's base counter map, bound at the plan's key positions
     (tagged with the :class:`~repro.algebra.lattices.SupportPlan`).
@@ -60,51 +57,16 @@ def iter_partial_reads(program: TriggerProgram):
     (:mod:`repro.compiler.verify`, which checks that a runtime's specs cover
     every read).
     """
-
-    def replay(statement, factors, initially_bound):
-        bound = set(initially_bound)
-        for factor in factors:
-            if isinstance(factor, Assign):
-                bound.add(factor.var)
-            elif isinstance(factor, MapRef):
-                positions = tuple(
-                    index
-                    for index, key_var in enumerate(factor.key_vars)
-                    if key_var in bound
-                )
-                # Delta maps are transient per-update tables: they bind their
-                # key variables by iteration but are never worth indexing.
-                if (
-                    positions
-                    and len(positions) < len(factor.key_vars)
-                    and not is_delta_map(factor.name)
-                ):
-                    yield statement, factor.name, positions
-                bound.update(factor.key_vars)
-
     for trigger in program.triggers.values():
-        # Statements start from no bound variables — the delta-map references
-        # bind the update's keys by iteration.  A tracked recompute
-        # re-evaluates its body per affected group, so its target keys are
-        # bound; a full recompute starts from nothing.  Every body is replayed
-        # both in its stored order (the interpreted evaluator's) and in the
-        # generator's safety reordering (eager assignments), so both backends
-        # find their slices.
-        bodies = [(statement, statement.rhs, ()) for statement in trigger.statements]
-        bodies += [
-            (recompute, recompute.body, recompute.target_keys if recompute.tracked else ())
-            for recompute in trigger.recomputes
-        ]
-        for statement, body, initially_bound in bodies:
-            for monomial in to_polynomial(body):
-                yield from replay(statement, monomial.factors, initially_bound)
-                yield from replay(
-                    statement,
-                    order_for_safety(
-                        monomial.factors, bound_vars=initially_bound, eager_assignments=True
-                    ),
-                    initially_bound,
-                )
+        for statement in trigger.statements + trigger.recomputes:
+            for monomial in statement.monomials:
+                for reference, positions in monomial.reads():
+                    if (
+                        positions
+                        and len(positions) < len(reference.key_vars)
+                        and not is_delta_map(reference.name)
+                    ):
+                        yield statement, reference.name, positions
     maintenance = program.maintenance
     if maintenance is not None:
         for plan in maintenance.supports.values():
@@ -113,16 +75,18 @@ def iter_partial_reads(program: TriggerProgram):
                 yield plan, counter, plan.slice_positions
 
 
-def compute_index_specs(program: TriggerProgram) -> IndexSpecs:
-    """The bound-position signatures every trigger statement slices each map with.
-
-    One ``(map, positions)`` signature per distinct partially-bound read shape
-    reported by :func:`iter_partial_reads`.
-    """
+def index_specs_of(reads: Iterable[Tuple[Any, str, Positions]]) -> IndexSpecs:
+    """One ``(map, positions)`` signature per distinct read shape of ``reads``."""
     specs: Dict[str, Set[Positions]] = {}
-    for _statement, name, positions in iter_partial_reads(program):
+    for _statement, name, positions in reads:
         specs.setdefault(name, set()).add(positions)
     return {name: tuple(sorted(positions)) for name, positions in sorted(specs.items())}
+
+
+def compute_index_specs(program: TriggerProgram) -> IndexSpecs:
+    """The bound-position signatures every trigger statement slices each map with
+    (:func:`index_specs_of` the reads of :func:`iter_partial_reads`)."""
+    return index_specs_of(iter_partial_reads(program))
 
 
 def _prefixes(keys, positions: Positions) -> list:

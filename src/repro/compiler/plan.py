@@ -44,8 +44,6 @@ from repro.compiler.cost import (
 from repro.compiler.indexes import IndexSpecs, Positions, compute_index_specs
 from repro.compiler.triggers import BatchTrigger, RecomputeStatement, TriggerProgram
 from repro.core.ast import Assign, MapRef, Var
-from repro.core.normalization import to_polynomial
-from repro.core.simplify import order_for_safety
 
 
 @dataclass(frozen=True)
@@ -64,9 +62,6 @@ class RowReads:
     #: Python-level passes over ``∆R``: the fused statement loop (none if every
     #: statement is a ``whole_batch_fold``) plus each nested second-order scan.
     scans: int = 0
-    #: Per statement, its :func:`ordered_monomials` (``None``: a whole-batch
-    #: fold) — kept so the generator does not order them a second time.
-    monomials: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def shared(self) -> frozenset:
@@ -77,59 +72,45 @@ class RowReads:
         return f"-- {scans}, {len(self.reads)} reads, {len(self.shared)} shared"
 
 
-def ordered_monomials(expr, bound_vars=()) -> list:
-    """``(coefficient, factors)`` per monomial of ``expr``, the factors in the
-    generator's binding order (safety-ordered, eager assignments)."""
-    return [
-        (m.coefficient, order_for_safety(m.factors, bound_vars=bound_vars, eager_assignments=True))
-        for m in to_polynomial(expr)
-    ]
-
-
 def analyze_row_reads(trigger: BatchTrigger, specs: IndexSpecs, native: Optional[frozenset]) -> RowReads:
     """The :class:`RowReads` of one trigger.
 
-    Replays the generator's binding discipline (safety-ordered monomials, left
-    to right) tracking which variables name a *row column*: the keys of a
-    monomial's first ``∆R`` atom (the row in hand) and plain
-    ``(v := column)`` aliases.  ``native``: see :class:`EventPlan`.
+    Walks each statement's decoded monomials (the generator's order, left to
+    right, every read annotated with its bound key positions) tracking which
+    variables name a *row column*: the keys of a monomial's first ``∆R`` atom
+    (the row in hand) and plain ``(v := column)`` aliases.  ``native``: see
+    :class:`EventPlan`.
     """
     delta_map = trigger.delta_map
     uses: Dict[tuple, int] = {}
-    monomials = []
     looped = nested = 0
     for statement in trigger.statements:
-        whole = whole_batch_fold(statement, native is None or statement.target in native)
-        monomials.append(None if whole else ordered_monomials(statement.rhs))
-        for _coefficient, factors in monomials[-1] or ():
-            if not any(isinstance(f, MapRef) and f.name == delta_map for f in factors):
+        if whole_batch_fold(statement, native is None or statement.target in native):
+            continue
+        for monomial in statement.monomials:
+            if not any(isinstance(f, MapRef) and f.name == delta_map for f in monomial.factors):
                 continue  # evaluated once, before the loop
             row = delta_map  # the first ∆R atom, still to come
             column: Dict[str, int] = {}
-            bound = set()
-            for factor in factors:
+            for factor, positions in zip(monomial.factors, monomial.bound):
                 if isinstance(factor, Assign):
                     source = factor.expr
-                    if factor.var not in bound and isinstance(source, Var) and source.name in column:
+                    if not positions and isinstance(source, Var) and source.name in column:
                         column[factor.var] = column[source.name]
-                    bound.add(factor.var)
                 elif isinstance(factor, MapRef) and factor.name == row:
                     row, looped = None, 1
                     for index, key in enumerate(factor.key_vars):
-                        if key not in bound:
-                            column[key] = index
-                            bound.add(key)
+                        if index not in positions:
+                            column.setdefault(key, index)
                 elif isinstance(factor, MapRef):
                     keys = factor.key_vars
-                    positions = tuple(i for i, key in enumerate(keys) if key in bound)
                     if factor.name == delta_map and len(positions) < len(keys):
                         nested += 1
                     served = len(positions) == len(keys) or positions in specs.get(factor.name, ())
                     if positions and served and all(keys[i] in column for i in positions):
                         read = (factor.name, positions, tuple(column[keys[i]] for i in positions))
                         uses[read] = uses.get(read, 0) + 1
-                    bound.update(keys)
-    return RowReads(tuple(uses.items()), looped + nested, tuple(monomials))
+    return RowReads(tuple(uses.items()), looped + nested)
 
 
 @dataclass(frozen=True)

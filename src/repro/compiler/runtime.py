@@ -617,12 +617,13 @@ class TriggerRuntime:
             # O(1) per group — lookups at the group key.
             new_values = [(group, pointwise(maps, group)) for group in groups]
         elif recompute.tracked:
+            # The decoded order, with the group keys bound — what the
+            # generated executor evaluates too.
+            aggregate = recompute.as_aggregate()
 
             def evaluate_group(group):
                 group_bindings = Record.from_values(recompute.target_keys, group)
-                result = evaluate(
-                    recompute.as_aggregate(), self._environment, group_bindings, maps=maps
-                )
+                result = evaluate(aggregate, self._environment, group_bindings, maps=maps)
                 value = ring.zero
                 for _record, part in result.items():
                     value = ring.add(value, part)

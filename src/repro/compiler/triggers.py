@@ -10,15 +10,68 @@ per-value maintenance work constant.  A single-tuple update ``±R(t)`` is the
 one-row delta ``{t: 1}``: in the ring of databases it is just a small ``∆D``,
 and the relation-valued delta rule covers it exactly, the ``∆R·∆R`` term of a
 self-join included.
+
+Every statement decodes its right-hand side once into :attr:`monomials`
+(:func:`decode_monomials`): the monomials in the one left-to-right binding
+order both executors evaluate, each map read annotated with the key positions
+bound when it runs.  Index specs, row reads, cost classes, the verifier and
+the code generator read that annotation instead of re-deriving the order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from functools import cached_property
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
-from repro.core.ast import AggSum, Expr, MapRef, walk
+from repro.core.ast import AggSum, Assign, Expr, MapRef, walk
+from repro.core.normalization import Monomial, from_polynomial, to_polynomial
+from repro.core.simplify import order_for_safety
 from repro.compiler.maps import MapDefinition
+
+
+class DecodedMonomial(NamedTuple):
+    """One monomial of a statement body, in the order it is evaluated."""
+
+    coefficient: Any
+    factors: Tuple[Expr, ...]
+    #: Per factor, the positions of the variables it binds — a map
+    #: reference's keys, an assignment's target — that are already bound
+    #: when it runs; ``None`` for a factor that binds nothing.
+    bound: Tuple[Optional[Tuple[int, ...]], ...]
+
+    def reads(self):
+        """``(map reference, bound key positions)`` per map read, in order."""
+        return [(f, p) for f, p in zip(self.factors, self.bound) if isinstance(f, MapRef)]
+
+
+def decode_monomials(body: Expr, bound_vars: Tuple[str, ...] = ()) -> Tuple[DecodedMonomial, ...]:
+    """``body``'s monomials in their one left-to-right binding order.
+
+    The order is the eager safety order (:func:`~repro.core.simplify.order_for_safety`
+    with ``eager_assignments``) under ``bound_vars``, the variables bound
+    before the statement runs; each factor is annotated as
+    :class:`DecodedMonomial` describes.  A stored batch right-hand side is
+    already in this order (the ring normal form stores it so), so its decode
+    only adds the annotation.
+    """
+    decoded = []
+    for monomial in to_polynomial(body):
+        factors = order_for_safety(monomial.factors, bound_vars=bound_vars, eager_assignments=True)
+        bound = set(bound_vars)
+        annotation = []
+        for factor in factors:
+            if isinstance(factor, MapRef):
+                variables = factor.key_vars
+            elif isinstance(factor, Assign):
+                variables = (factor.var,)
+            else:
+                annotation.append(None)
+                continue
+            annotation.append(tuple(i for i, name in enumerate(variables) if name in bound))
+            bound.update(variables)
+        decoded.append(DecodedMonomial(monomial.coefficient, factors, tuple(annotation)))
+    return tuple(decoded)
 
 
 def _suffix(annotate, statement) -> str:
@@ -61,6 +114,12 @@ class BatchStatement:
     #: Key-tuple arity of the delta map (the relation's arity); lets the
     #: executors recognize an identity projection without re-walking the rhs.
     delta_arity: Optional[int] = None
+
+    @cached_property
+    def monomials(self) -> Tuple[DecodedMonomial, ...]:
+        """The right-hand side, decoded once: nothing is bound before a batch
+        statement runs — its ``∆R`` reads bind the row."""
+        return decode_monomials(self.rhs)
 
     def as_aggregate(self) -> AggSum:
         return AggSum(self.target_keys, self.rhs)
@@ -127,6 +186,10 @@ class RecomputeStatement:
     scalar global aggregate feeding every group) and the target is re-derived
     over all its groups from the source maps (still never from base data).
     ``depth`` orders recomputes within one event: inner hierarchies first.
+
+    Both executors evaluate the decoded order (:attr:`monomials`), not the
+    stored ``body`` spelling: a tracked recompute starts with its target keys
+    bound, a full one with nothing.
     """
 
     target: str
@@ -135,8 +198,15 @@ class RecomputeStatement:
     depth: int = 0
     source_projections: Optional[Tuple[Tuple[str, Tuple[int, ...]], ...]] = None
 
+    @cached_property
+    def monomials(self) -> Tuple[DecodedMonomial, ...]:
+        """The body, decoded once under the bindings the re-evaluation starts with."""
+        return decode_monomials(self.body, self.target_keys if self.tracked else ())
+
     def as_aggregate(self) -> AggSum:
-        return AggSum(self.target_keys, self.body)
+        """The re-evaluation as one aggregate, its body in the decoded order."""
+        body = from_polynomial([Monomial(m.coefficient, m.factors) for m in self.monomials])
+        return AggSum(self.target_keys, body)
 
     def maps_read(self) -> Tuple[str, ...]:
         """Names of the source maps the re-evaluation body reads."""

@@ -247,11 +247,11 @@ def iter_violations(
 
     With ``index_specs`` (a runtime's actual slice-index signatures), the
     coverage check verifies every partially-bound read against *those*
-    signatures; without, against the program's own
-    :func:`~repro.compiler.indexes.compute_index_specs` (which then checks
-    the analysis is at least self-consistent).
+    signatures; without, against the program's own specs, derived
+    (:func:`~repro.compiler.indexes.index_specs_of`) from the same one
+    collection of reads.
     """
-    from repro.compiler.indexes import compute_index_specs, iter_partial_reads
+    from repro.compiler.indexes import index_specs_of, iter_partial_reads
 
     violations: List[Violation] = []
 
@@ -329,24 +329,23 @@ def iter_violations(
         violations.extend(_check_recomputes(event, trigger.recomputes, program))
 
     # -- slice-index coverage ---------------------------------------------
-    specs = dict(index_specs) if index_specs is not None else None
     try:
-        if specs is None:
-            specs = compute_index_specs(program)
-        for statement, name, positions in iter_partial_reads(program):
-            if tuple(positions) not in tuple(map(tuple, specs.get(name, ()))):
-                violations.append(
-                    Violation(
-                        "uncovered-slice",
-                        f"partially-bound read of {name!r} at key positions "
-                        f"{tuple(positions)} has no slice-index signature",
-                        statement.describe(),
-                    )
-                )
+        reads = list(iter_partial_reads(program))
     except TypeError:
         # Exotic hand-built RHS nodes outside the polynomial IR; the
         # malformed-rhs check above already reports them.
-        pass
+        reads = []
+    specs = index_specs if index_specs is not None else index_specs_of(reads)
+    for statement, name, positions in reads:
+        if tuple(positions) not in tuple(map(tuple, specs.get(name, ()))):
+            violations.append(
+                Violation(
+                    "uncovered-slice",
+                    f"partially-bound read of {name!r} at key positions "
+                    f"{tuple(positions)} has no slice-index signature",
+                    statement.describe(),
+                )
+            )
 
     return violations
 

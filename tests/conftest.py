@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import random
+import runpy
+from contextlib import redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
@@ -121,6 +126,40 @@ def apply_per_tuple():
     """The one-at-a-time reference helper (a fixture: ``benchmarks/`` has a
     ``conftest`` module of its own, so importing this one by name is fragile)."""
     return _PerTupleOracle()
+
+
+# ---------------------------------------------------------------------------
+# The example scripts, each run once per test session
+# ---------------------------------------------------------------------------
+
+EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+
+
+@pytest.fixture(scope="session")
+def run_example():
+    """``run(script_name) -> (stdout, sessions)``: the ``examples/`` script's
+    output and every :class:`~repro.session.Session` it created, in order.
+    Each script runs once per test session, however many tests read it."""
+    from repro.session import Session
+
+    runs = {}
+
+    def run(script_name):
+        if script_name not in runs:
+            created = []
+            original = Session.__init__
+
+            def recording(self, *args, **kwargs):
+                original(self, *args, **kwargs)
+                created.append(self)
+
+            captured = io.StringIO()
+            with mock.patch.object(Session, "__init__", recording), redirect_stdout(captured):
+                runpy.run_path(str(EXAMPLES_DIR / script_name), run_name="__main__")
+            runs[script_name] = (captured.getvalue(), tuple(created))
+        return runs[script_name]
+
+    return run
 
 
 # ---------------------------------------------------------------------------

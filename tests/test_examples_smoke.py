@@ -1,8 +1,5 @@
 """Smoke tests: every example script runs end to end and prints sensible output."""
 
-import io
-import runpy
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -30,13 +27,10 @@ EXPECTED_SNIPPETS = {
 
 
 @pytest.mark.parametrize("script_name", sorted(EXPECTED_SNIPPETS))
-def test_example_runs_and_prints(script_name):
+def test_example_runs_and_prints(script_name, run_example):
     script_path = EXAMPLES_DIR / script_name
     assert script_path.exists(), script_path
-    captured = io.StringIO()
-    with redirect_stdout(captured):
-        runpy.run_path(str(script_path), run_name="__main__")
-    output = captured.getvalue()
+    output, _sessions = run_example(script_name)
     for snippet in EXPECTED_SNIPPETS[script_name]:
         assert snippet in output, f"{script_name} did not print {snippet!r}"
 
