@@ -36,7 +36,9 @@ Three properties of the generated module matter for the paper's cost claims:
   hash index (``repro.compiler.indexes``) instead of an O(|map|) scan of
   ``.items()``, keeping the per-update work proportional to the number of
   matching entries.  The generated apply loop maintains those indexes as
-  entries are inserted and removed.
+  entries are inserted and removed; the emitted slice loop's header is the
+  index module's :data:`~repro.compiler.indexes.SLICE_LOOP`, which walks a
+  bucket of either shape (a lone key, or a ``{key: None}`` dict).
 
 * **One trigger form.**  ``apply_batch`` takes a batch as a
   :class:`~repro.gmr.database.Delta` — one delta map
@@ -81,7 +83,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
 from repro.compiler.cost import whole_batch_fold
-from repro.compiler.indexes import IndexedMaps, IndexSpecs, SliceIndexes
+from repro.compiler.indexes import SLICE_LOOP, IndexedMaps, IndexSpecs, SliceIndexes
 from repro.compiler.kernels import FoldKernels, make_apply_batch, recompute_pairs
 from repro.compiler.plan import BatchPlan, RowReads, lower_batch_plan
 from repro.gmr.database import Delta
@@ -106,7 +108,7 @@ _PYTHON_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="
 #: Internal identifiers the name allocator must never hand out to AGCA variables.
 _RESERVED_NAMES = (
     "maps", "_new", "_fkey", "_chm", "_CH", "_J", "_IDX", "_TRK", "_sk",
-    "_delta", "_k", "_v", "_total", "_ent",
+    "_delta", "_k", "_v", "_total", "_ent", "type", "dict",
 )
 
 
@@ -570,7 +572,7 @@ def generate_python(
     writer.emit('"""Generated trigger code — see repro.compiler.codegen."""')
     writer.emit("")
     writer.emit('_STATS = {"statements": 0, "entries": 0}')
-    writer.emit("_NO_KEYS = ()")
+    writer.emit("_NO_KEYS = {}")
     if not native:
         writer.emit("_ZERO = _RING.zero")
         writer.emit("_ONE = _RING.one")
@@ -1006,7 +1008,10 @@ def _generate_factor(
 
     ``bound_positions`` is the factor's annotation: for a map read, the key
     positions bound when it runs.  Returning ``None`` means the monomial is
-    statically zero and should be dropped.
+    statically zero and should be dropped.  A partially-bound read with a
+    slice index emits :data:`~repro.compiler.indexes.SLICE_LOOP` over its
+    bucket: the header alone knows a bucket's two shapes, so the loop body
+    sees full keys either way.
     """
     writer = context.writer
     if isinstance(factor, Const):
@@ -1079,12 +1084,17 @@ def _generate_factor(
         key_name = f"_k{index}"
         indexed = bool(bound_positions) and bound_positions in context.specs.get(factor.name, ())
         if indexed:
-            # Partially bound: iterate only the matching keys via the slice index.
+            # Partially bound: iterate only the matching keys via the slice
+            # index — one bucket lookup (or the row's shared read of it),
+            # walked by the index module's loop header whatever its shape.
             prefix = frame.row.key([keys[position] for position in bound_positions], environment)
             handle = frame.prologue.local("_idx", f"_IDX[({factor.name!r}, {bound_positions!r})]")
-            bucket = f"{handle}.get({prefix}, _NO_KEYS)"
-            shared = frame.row.read(factor.name, bound_positions, keys, environment, bucket)
-            writer.emit(f"for {key_name} in {shared or bucket}:")
+            lookup = f"{handle}.get({prefix}, _NO_KEYS)"
+            shared = frame.row.read(factor.name, bound_positions, keys, environment, lookup)
+            bucket = shared or f"_b{index}"
+            writer.emit(SLICE_LOOP.format(
+                key=key_name, bucket=bucket, lookup=shared or f"{bucket} := {lookup}"
+            ))
             writer.block()
             writer.emit(f"{value_name} = {table}[{key_name}]")
         else:

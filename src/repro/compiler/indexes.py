@@ -13,8 +13,14 @@ This module restores the per-update cost bound:
   which *bound-position signatures* its triggers will query it with (e.g.
   "``q_m1`` is sliced with key position 0 bound and position 1 free");
 * :class:`SliceIndexes` maintains, for each ``(map, positions)`` signature, a
-  hash index from the bound-prefix tuple to the set of full keys currently
-  stored — one O(1) dict operation per signature per entry inserted/removed;
+  hash index from the bound-prefix tuple to the full keys currently stored
+  under it — one O(1) dict operation per signature per entry inserted/removed.
+  A prefix with one key maps to that key tuple itself, a prefix with several
+  to an insertion-ordered ``{key: None}`` dict, so the common one-key bucket
+  costs no container (nothing for a restore to allocate or for the cyclic
+  collector to walk).  Only this module knows the two shapes: interpreted
+  readers go through :func:`slice_keys`, emitted code through
+  :data:`SLICE_LOOP`;
 * :class:`IndexedMaps` is a plain ``dict`` of map tables that additionally
   carries its :class:`SliceIndexes`, so the AGCA evaluator and the generated
   trigger code can discover the indexes without any API changes.
@@ -27,7 +33,7 @@ two can even be mixed over one runtime.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Set, Tuple, Union
 
 from repro.compiler.triggers import TriggerProgram
 from repro.core.delta import is_delta_map
@@ -36,6 +42,27 @@ from repro.core.delta import is_delta_map
 Positions = Tuple[int, ...]
 #: Per-map signatures needed by a program.
 IndexSpecs = Dict[str, Tuple[Positions, ...]]
+#: What one prefix maps to: its lone key bare, or two or more keys as
+#: ``{key: None}`` in insertion order.  Keys are tuples, never dicts.
+Bucket = Union[Tuple[Any, ...], Dict[Tuple[Any, ...], None]]
+
+#: The emitted slice loop's header, binding ``{key}`` to each full key of
+#: one bucket.  ``{lookup}`` is the bucket expression
+#: ``_idx.get(prefix, _NO_KEYS)`` — an absent prefix reads the empty dict
+#: ``_NO_KEYS = {}`` — assigned to ``{bucket}`` by a walrus, or, for a read
+#: the row shares, the shared local itself.  It tells the shapes apart by the
+#: container the index creates, never by the key's type.
+SLICE_LOOP = "for {key} in ({bucket} if type({lookup}) is dict else ({bucket},)):"
+
+
+def slice_keys(index: Mapping[Tuple[Any, ...], Bucket], prefix) -> Iterable[Tuple[Any, ...]]:
+    """The full keys one signature's raw storage ``index`` holds under
+    ``prefix`` (``()`` when none) — the interpreted readers' one view of a
+    bucket's shape."""
+    entry = index.get(prefix)
+    if type(entry) is dict:
+        return entry
+    return () if entry is None else (entry,)
 
 
 def iter_partial_reads(program: TriggerProgram):
@@ -100,33 +127,44 @@ def _prefixes(keys, positions: Positions) -> list:
 def apply_index_journal(index_data, specs, name: str, added, removed) -> None:
     """Insert/remove keys in raw slice-index storage — the one bucket upkeep.
 
-    ``index_data`` is the ``(map, positions) -> {prefix -> keys}`` dict of
+    ``index_data`` is the ``(map, positions) -> {prefix -> bucket}`` dict of
     :class:`SliceIndexes` (``.data``), which generated trigger modules address
-    directly; ``specs`` are the map's bound-position signatures.  Every fold
-    kernel (:mod:`repro.compiler.kernels`) journals the keys it inserted into
-    / removed from its table and replays them here — per shard on a sharded
-    table: buckets are keyed by bound *prefix*, so two shards' keys can share
-    one.  ``added`` and
-    ``removed`` are walked twice (sequences or dicts, not iterators).
+    directly; ``specs`` are the map's bound-position signatures.  A prefix's
+    first key is stored bare; the second promotes the bucket to a
+    ``{key: None}`` dict, and a removal that leaves one key demotes it back
+    to that key, so no empty bucket survives and the shape always follows
+    the count.  Re-adding a present key or removing an absent one changes
+    nothing.  Every fold kernel (:mod:`repro.compiler.kernels`) journals the
+    keys it inserted into / removed from its table and replays them here —
+    per shard on a sharded table: buckets are keyed by bound *prefix*, so two
+    shards' keys can share one.  ``added`` and ``removed`` are walked twice
+    (sequences or dicts, not iterators).
     """
     for positions in specs:
         bucket = index_data[(name, positions)]
         for key, prefix in zip(added, _prefixes(added, positions)):
             entry = bucket.get(prefix)
             if entry is None:
-                bucket[prefix] = {key}
-            else:
-                entry.add(key)
+                bucket[prefix] = key
+            elif type(entry) is dict:
+                entry[key] = None
+            elif entry != key:
+                bucket[prefix] = {entry: None, key: None}
         for key, prefix in zip(removed, _prefixes(removed, positions)):
             entry = bucket.get(prefix)
-            if entry is not None:
-                entry.discard(key)
-                if not entry:
-                    del bucket[prefix]
+            if type(entry) is dict:
+                if entry.pop(key, entry) is None and len(entry) == 1:
+                    bucket[prefix] = next(iter(entry))
+            elif entry == key:
+                del bucket[prefix]
 
 
 class SliceIndexes:
-    """Secondary hash indexes: ``(map, positions) -> {bound prefix -> set of keys}``.
+    """Secondary hash indexes: ``(map, positions) -> {bound prefix -> bucket}``.
+
+    A bucket is the prefix's lone key, stored bare, or an insertion-ordered
+    ``{key: None}`` dict of its two or more keys (:func:`apply_index_journal`
+    keeps the shape; :func:`slice_keys` reads either).
 
     The index set is fixed at construction from an :data:`IndexSpecs`; maps or
     signatures outside the specs are ignored by :meth:`add`/:meth:`discard`,
@@ -142,7 +180,7 @@ class SliceIndexes:
             if positions
         }
         #: Raw storage, shared verbatim with the generated trigger code.
-        self.data: Dict[Tuple[str, Positions], Dict[Tuple[Any, ...], Set[Tuple[Any, ...]]]] = {
+        self.data: Dict[Tuple[str, Positions], Dict[Tuple[Any, ...], Bucket]] = {
             (name, positions): {}
             for name, all_positions in self.specs.items()
             for positions in all_positions
@@ -176,18 +214,19 @@ class SliceIndexes:
 
     def bucket(
         self, name: str, positions: Positions
-    ) -> Optional[Dict[Tuple[Any, ...], Set[Tuple[Any, ...]]]]:
-        """The prefix index for one signature, or ``None`` when not maintained."""
+    ) -> Optional[Dict[Tuple[Any, ...], Bucket]]:
+        """The prefix index for one signature (raw buckets: read them with
+        :func:`slice_keys`), or ``None`` when not maintained."""
         return self.data.get((name, tuple(positions)))
 
     def lookup(
         self, name: str, positions: Positions, prefix: Tuple[Any, ...]
     ) -> Iterable[Tuple[Any, ...]]:
         """All full keys of ``name`` matching the bound prefix (empty when absent)."""
-        bucket = self.data.get((name, tuple(positions)))
-        if bucket is None:
+        index = self.data.get((name, tuple(positions)))
+        if index is None:
             return ()
-        return bucket.get(tuple(prefix), ())
+        return slice_keys(index, tuple(prefix))
 
     # -- introspection -------------------------------------------------------
 
@@ -197,7 +236,7 @@ class SliceIndexes:
     def total_indexed_keys(self) -> int:
         """Total key registrations across all signatures (space measure)."""
         return sum(
-            len(entry) for bucket in self.data.values() for entry in bucket.values()
+            len(slice_keys(index, prefix)) for index in self.data.values() for prefix in index
         )
 
     def __repr__(self) -> str:

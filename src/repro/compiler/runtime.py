@@ -64,7 +64,7 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 from repro.algebra.lattices import SupportTier
 from repro.algebra.semirings import INTEGER_RING, Semiring
 from repro.compiler.cost import RuntimeStatistics
-from repro.compiler.indexes import IndexedMaps, SliceIndexes
+from repro.compiler.indexes import IndexedMaps, SliceIndexes, slice_keys
 from repro.compiler.kernels import (
     FoldKernels,
     UndoJournal,
@@ -404,7 +404,7 @@ class TriggerRuntime:
         if len(positions) == self.program.maps[name].arity:  # the whole row is bound
             count = table.get(prefix)
             return () if count is None else ((prefix, count),)
-        rows = self.indexes.data[(name, positions)].get(prefix, ())
+        rows = slice_keys(self.indexes.data[(name, positions)], prefix)
         return [(row, table[row]) for row in rows]
 
     @property

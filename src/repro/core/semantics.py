@@ -270,12 +270,10 @@ def _evaluate_map_reference(
         # indexes (an IndexedMaps from repro.compiler.indexes), iterate only
         # the keys matching the bound prefix instead of scanning the table.
         indexes = getattr(maps, "indexes", None)
-        if indexes is not None:
-            bucket = indexes.bucket(expr.name, bound_positions)
-            if bucket is not None:
-                prefix = tuple(bindings[expr.key_vars[position]] for position in bound_positions)
-                keys = bucket.get(prefix, ())
-                candidates = ((key, table[key]) for key in keys if key in table)
+        if indexes is not None and indexes.bucket(expr.name, bound_positions) is not None:
+            prefix = tuple(bindings[expr.key_vars[position]] for position in bound_positions)
+            keys = indexes.lookup(expr.name, bound_positions, prefix)
+            candidates = ((key, table[key]) for key in keys if key in table)
     accumulator: Dict[Record, Any] = {}
     for key, value in candidates:
         if ring.is_zero(value):

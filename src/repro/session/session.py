@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import time
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.algebra.semirings import INTEGER_RING, Semiring, resolve_semiring
@@ -58,6 +59,9 @@ SNAPSHOT_FORMAT = "repro-session/2"
 
 _LOG = logging.getLogger("repro.session")
 
+#: The key types a snapshot table may carry: live tuples, or lists after JSON.
+_KEY_SEQUENCES = frozenset((tuple, list))
+
 
 def _check_snapshot_maps(
     backend: str, runtime: TriggerRuntime, tables: Mapping[str, Any]
@@ -68,9 +72,10 @@ def _check_snapshot_maps(
     Each table is a sequence of ``(key, value)`` pairs — tuples when the
     snapshot is the live :meth:`Session.snapshot` output, lists once it went
     through JSON — and is decoded exactly once (``tuple(key)`` is free for a
-    tuple key).  The checks then run on the decoded dict without a
-    per-entry Python loop: the map set against the program's, every key's
-    arity (``set(map(len, table))``), no key given twice (the dict is as
+    tuple key).  The checks then run without a per-entry Python loop: the map
+    set against the program's, every key a tuple or a list (one
+    ``map(type, …)`` pass over the entries), every key's arity
+    (``set(map(len, table))``), no key given twice (the dict is as
     long as the sequence) and no stored zero (a membership test; stored
     tables never hold their map's zero).  Every violation is collected into
     one :class:`ValueError` naming the maps.
@@ -89,7 +94,12 @@ def _check_snapshot_maps(
         entries = tables[name]
         try:
             table = {tuple(key): value for key, value in entries}
-        except (TypeError, ValueError):
+            # tuple() accepts any iterable: a string key would restore as
+            # its characters.
+            pairs = _KEY_SEQUENCES.issuperset(map(type, map(itemgetter(0), entries)))
+        except (TypeError, ValueError, LookupError):
+            pairs = False
+        if not pairs:
             malformed.append(name)
             continue
         if len(table) != len(entries):

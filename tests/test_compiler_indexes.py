@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.algebra.semirings import INTEGER_RING
 from repro.compiler.codegen import generate_python
 from repro.compiler.compile import compile_query
-from repro.compiler.indexes import IndexedMaps, SliceIndexes, compute_index_specs
+from repro.compiler.indexes import IndexedMaps, SliceIndexes, compute_index_specs, slice_keys
 from repro.compiler.runtime import TriggerRuntime
 from repro.core.parser import parse
 from repro.gmr.database import Database, group_updates, insert
@@ -53,53 +54,88 @@ def test_slice_indexes_rebuild():
     assert set(indexes.lookup("m", (0,), (3,))) == {(3, "z")}
 
 
+def _assert_storage_is_a_rebuild(indexes, specs, table):
+    """Raw storage equals ``rebuild`` of ``table`` — same prefixes, same
+    bucket shapes (a lone key bare, several in a key dict), no empty bucket."""
+    fresh = SliceIndexes({"m": specs})
+    fresh.rebuild({"m": table})
+    assert indexes.data == fresh.data
+    for index in indexes.data.values():
+        for prefix, entry in index.items():
+            keys = list(slice_keys(index, prefix))
+            assert len(keys) == len(set(keys)) >= 1
+            assert (type(entry) is dict) == (len(keys) > 1), (prefix, entry)
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
 @pytest.mark.parametrize(
     "specs", [((0,),), ((1, 2),), ((0,), (0, 2), (1,))], ids=["one-position", "multi", "mixed"]
 )
-def test_apply_index_journal_matches_a_rebuild(specs):
-    """The one bucket upkeep — adds, removes, the last key of a bucket, and
-    the inverse journal a rollback derives — against ``rebuild`` of the table
-    each step leaves behind."""
+def test_apply_index_journal_matches_a_rebuild(specs, shards):
+    """The one bucket upkeep — adds, removes, the last key of a bucket, the
+    one-key/two-key boundary both ways, idempotent re-adds and removes, the
+    inverse journal a rollback derives, and per-shard journals of a sharded
+    fold — against ``rebuild`` of the table each step leaves behind."""
     from repro.compiler.indexes import apply_index_journal
-    from repro.compiler.kernels import UndoJournal
+    from repro.compiler.kernels import UndoJournal, make_fold
+    from repro.compiler.partition import ShardedMapTable
 
-    def rebuilt(table):
-        fresh = SliceIndexes({"m": specs})
-        fresh.rebuild({"m": table})
-        return fresh.data
+    def check():
+        _assert_storage_is_a_rebuild(indexes, specs, dict(table.items()))
 
     indexes = SliceIndexes({"m": specs})
-    table = {}
+    table = ShardedMapTable(shards) if shards > 1 else {}
     keys = [(a, b, c) for a in (1, 2) for b in ("x", "y") for c in (True, None)]
     apply_index_journal(indexes.data, specs, "m", keys, [])
     table.update(dict.fromkeys(keys, 1))
-    assert indexes.data == rebuilt(table)
+    check()
     removed = keys[:3] + keys[5:6]
     added = [(3, "x", True), (1, "z", None)]
     apply_index_journal(indexes.data, specs, "m", added, removed)
     for key in removed:
         del table[key]
     table.update(dict.fromkeys(added, 1))
-    assert indexes.data == rebuilt(table)
+    check()
     # Removing every key sharing a prefix deletes the bucket, not just empties it.
     gone = [key for key in table if key[0] == 2]
     apply_index_journal(indexes.data, specs, "m", (), gone)
     for key in gone:
         del table[key]
-    assert indexes.data == rebuilt(table)
-    assert all(bucket for buckets in indexes.data.values() for bucket in buckets.values())
+    check()
+    # Re-adding present keys and removing absent ones change nothing, on
+    # either side of the boundary.
+    present, absent = list(table)[:2], [(9, "w", None), (1, "y", True)]
+    apply_index_journal(indexes.data, specs, "m", present + present[:1], absent)
+    check()
+    # Promote (a second key under each prefix), demote, re-promote.
+    fresh = [(5, "p", True)]
+    for step in range(3):
+        twin = [(5, "p", None)] if step % 2 == 0 else []
+        gone = [] if step % 2 == 0 else [(5, "p", None)]
+        apply_index_journal(indexes.data, specs, "m", fresh + twin, gone)
+        table.update(dict.fromkeys(fresh + twin, 1))
+        for key in gone:
+            del table[key]
+        check()
+    # A fold through the kernels, one journal per shard: keys promoted and
+    # demoted under one prefix by different shards' journals.
+    fold = make_fold(INTEGER_RING)
+    spread = {(6, "q", c): 1 for c in range(8)}
+    fold(table, spread, "m", specs, indexes.data)
+    check()
+    fold(table, {key: -1 for key in list(spread)[1:]}, "m", specs, indexes.data)
+    check()
     # A rollback's inverse journal: the recorded priors say which keys the
-    # transaction inserted (absent before) and which it removed.
-    before = dict(table)
+    # transaction inserted (absent before) and which it removed — here
+    # across the boundary, promoting one prefix and demoting another.
+    before = dict(table.items())
     journal = UndoJournal()
-    touched = [(1, "y", None), (7, "q", True), (1, "z", None)]
-    journal.record(table, "m", specs, touched)
-    apply_index_journal(indexes.data, specs, "m", [(7, "q", True)], [(1, "y", None), (1, "z", None)])
-    del table[(1, "y", None)], table[(1, "z", None)]
-    table[(7, "q", True)] = 1
-    assert indexes.data == rebuilt(table)
-    assert journal.rollback(indexes.data) == 3
-    assert table == before and indexes.data == rebuilt(before)
+    acc = {(6, "q", 1): 1, (6, "q", 2): 1, (1, "z", None): -1, (7, "q", True): 1}
+    fold(table, acc, "m", specs, indexes.data, journal=journal)
+    check()
+    assert journal.rollback(indexes.data) == len(acc)
+    assert dict(table.items()) == before
+    check()
 
 
 def test_indexed_maps_is_a_dict_with_indexes():
@@ -143,6 +179,22 @@ def test_generated_code_uses_index_lookups_for_partial_references():
     assert "_IDX[(" in generated.source, "partially-bound references should use the index"
 
 
+def test_slice_loop_survives_variables_named_like_its_builtins():
+    """The emitted slice loop calls ``type`` and names ``dict``: query
+    variables spelled so must not shadow them inside a trigger."""
+    program = compile_query(
+        parse("AggSum([type], R(type, b) * S(b, dict) * dict)"),
+        {"R": ("A", "B"), "S": ("C", "D")}, name="q",
+    )
+    generated = generate_python(program)
+    interpreter = TriggerRuntime(program)
+    maps = {name: {} for name in program.maps}
+    for update in [insert("R", 1, 2), insert("R", 3, 2), insert("S", 2, 5), insert("S", 2, 7)]:
+        interpreter.apply(update)
+        generated.apply(maps, update.relation, update.sign, update.values)
+    assert maps["q"] == dict(interpreter.maps["q"]) == {(1,): 12, (3,): 12}
+
+
 # ---------------------------------------------------------------------------
 # Runtime integration: indexes stay in sync in both backends
 # ---------------------------------------------------------------------------
@@ -154,7 +206,9 @@ def _assert_indexes_consistent(maps, indexes):
         for key in maps[name]:
             prefix = tuple(key[index] for index in positions)
             expected.setdefault(prefix, set()).add(key)
-        assert bucket == expected, (name, positions)
+        assert {prefix: set(slice_keys(bucket, prefix)) for prefix in bucket} == expected, (
+            name, positions,
+        )
 
 
 def test_interpreted_runtime_maintains_indexes():

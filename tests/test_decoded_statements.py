@@ -55,11 +55,11 @@ SESSIONS = {
     )),
 }
 
-#: ``(sha256, lines)`` of the emitted modules, recorded before the consumers
-#: read the annotation (stable across ``PYTHONHASHSEED``).
+#: ``(sha256, lines)`` of the emitted modules (stable across
+#: ``PYTHONHASHSEED``).
 MODULE_GOLDENS = {
-    "dashboard": ("bf771375167dba8a9161de434f7110e6069325e1ca2e186a5b764bc23a3fea7f", 468),
-    "hotkey": ("ae928a6154eca849e81d7fcd8f73af3cb91f4494479b8798dea4ffe747329d18", 89),
+    "dashboard": ("ead539aa289936d2390f041a3eaac0f8680fe09d3f10b6b055fbeb9984384342", 468),
+    "hotkey": ("990f684cd42b837a43c045901b4d571d9478ec24378fd59498061e4cac1af54e", 89),
 }
 
 #: Index specs of every program, recorded before the consumers read the

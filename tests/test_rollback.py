@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.algebra.lattices import SupportStructure, SupportTier
 from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, resolve_semiring
 from repro.compiler.executor import CompiledExecutor
-from repro.compiler.indexes import SliceIndexes
+from repro.compiler.indexes import SliceIndexes, slice_keys
 from repro.compiler.runtime import TriggerRuntime
 from repro.gmr.database import Update, delete, insert
 from repro.ivm.base import results_agree
@@ -161,7 +161,7 @@ def internal_state(session: Session) -> Dict[str, Any]:
         state[backend] = {
             "tables": {name: dict(table.items()) for name, table in runtime.maps.items()},
             "indexes": {
-                signature: {prefix: set(keys) for prefix, keys in bucket.items()}
+                signature: {prefix: set(slice_keys(bucket, prefix)) for prefix in bucket}
                 for signature, bucket in runtime.indexes.data.items()
             },
             "compensation": dict(runtime.maps.compensation),

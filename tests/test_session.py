@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.compiler.indexes import slice_keys
 from repro.core.errors import ParseError
 from repro.core.parser import parse
 from repro.gmr.database import Update, insert
@@ -650,6 +651,36 @@ def test_a_kept_snapshot_adds_no_collected_object_per_entry():
     assert sum(len(table) for table in snapshot["maps"]["generated"].values()) == entries
 
 
+def test_warm_state_adds_no_collected_object_per_entry():
+    """A session's tracked heap does not grow with its state: keys, values
+    and one-key slice-index buckets are untracked tuples, so a 4x larger warm
+    dashboard adds the same collector objects (a set per indexed prefix did
+    grow it by one object per order)."""
+    import gc
+
+    def warmed(orders):
+        gc.collect()
+        before = len(gc.get_objects())
+        session = orders_dashboard(orders, track_history=False)
+        gc.collect()
+        return session, len(gc.get_objects()) - before
+
+    orders_dashboard(100, track_history=False)  # compile-time caches, once
+    small, small_growth = warmed(1_000)
+    large, large_growth = warmed(4_000)
+    assert large.total_map_entries() > 3 * small.total_map_entries()
+    assert abs(large_growth - small_growth) <= 16, (small_growth, large_growth)
+    indexes = large._groups["generated"].runtime.indexes
+    singles = 0
+    for index in indexes.data.values():
+        for prefix, entry in index.items():
+            keys = list(slice_keys(index, prefix))
+            if len(keys) == 1:
+                singles += 1
+                assert type(entry) is tuple and entry == keys[0], (prefix, entry)
+    assert singles >= 4_000
+
+
 def _list_layout(session):
     """The list layout earlier versions wrote, rebuilt from the live tables:
     ``[[list(key), value] …]`` per map, ``[sign, relation, [values…], count]``
@@ -813,6 +844,22 @@ def test_restore_rejects_a_scalar_key():
     snapshot = _sales_snapshot()
     snapshot["maps"]["generated"]["busy_stores_m1"].append([5, 3])
     with pytest.raises(ValueError, match=r"not a \(key sequence, value\) pair: \['busy_stores_m1'\]"):
+        Session.restore(snapshot)
+
+
+@pytest.mark.parametrize("arity,key", [(1, "x"), (2, "ok")])
+def test_restore_rejects_a_string_key(arity, key):
+    """``tuple()`` takes any iterable: before the check, an entry ``["ok", 5]``
+    restored into an arity-2 map as key ``('o', 'k')``, and ``["x", 5]``
+    into an arity-1 map as ``('x',)``."""
+    import json
+
+    session = orders_dashboard(50)
+    snapshot = json.loads(json.dumps(session.snapshot()))
+    definitions = session._groups["generated"].runtime.program.maps
+    name = min(name for name, definition in definitions.items() if definition.arity == arity)
+    snapshot["maps"]["generated"][name].append([key, 5])
+    with pytest.raises(ValueError, match=rf"not a \(key sequence, value\) pair: \['{name}'\]"):
         Session.restore(snapshot)
 
 

@@ -572,7 +572,7 @@ def test_failed_fold_applies_completed_journals(size, shards):
     """Every shard's fold hands its journal back even when one raises: after
     a failed fold (unsharded or sharded), the slice indexes must exactly
     match the tables' actual contents."""
-    from repro.compiler.indexes import SliceIndexes
+    from repro.compiler.indexes import SliceIndexes, slice_keys
     from repro.compiler.kernels import make_fold
 
     ring = _FragileRing()
@@ -587,8 +587,8 @@ def test_failed_fold_applies_completed_journals(size, shards):
         make_fold(ring)(table, acc, "m", indexes.specs["m"], indexes.data)
     indexed = set()
     for bucket in indexes.data.values():
-        for keys in bucket.values():
-            indexed.update(keys)
+        for prefix in bucket:
+            indexed.update(slice_keys(bucket, prefix))
     assert indexed == set(table), "slice indexes diverged from table contents"
 
 
