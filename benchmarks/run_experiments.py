@@ -280,34 +280,6 @@ def experiment_e9():
     }
 
 
-def experiment_e12():
-    _header("E12 partition tier: sharded folds and the dashboard shards row")
-    import bench_sharded
-
-    smoke = bool(os.environ.get("REPRO_BENCH_SMOKE"))
-    fold_record = bench_sharded.measure_fold_throughput(batches=8 if smoke else 60)
-    table = Table(["shards", "fold (s)", "keys/s", "vs N=1"])
-    base = fold_record["per_shards"][1]["seconds"]
-    for shards, row in fold_record["per_shards"].items():
-        table.add_row(
-            shards, f"{row['seconds']:.4f}", f"{row['keys_per_s']:.0f}",
-            f"{base / row['seconds']:.2f}x",
-        )
-    print(table.render())
-    apply_record = bench_sharded.measure_batch_apply(
-        stream_length=4_000 if smoke else 20_000, repeats=1 if smoke else 3
-    )
-    dashboard_record = bench_sharded.measure_dashboard_row()
-    print("dashboard Session.apply_batch (updates/s, reported, not asserted):")
-    bench_sharded.print_dashboard_row(dashboard_record)
-    return {
-        "batch_size": bench_sharded.BATCH_SIZE,
-        "fold": fold_record,
-        "apply_batch_seconds": apply_record,
-        "dashboard_updates_per_s": dashboard_record,
-    }
-
-
 def experiment_e11() -> None:
     _header("E11 nested aggregates: materialization hierarchy vs re-evaluation")
     import bench_nested_aggregates
@@ -429,7 +401,6 @@ EXPERIMENTS = {
     "E8": experiment_e8,
     "E9": experiment_e9,
     "E11": experiment_e11,
-    "E12": experiment_e12,
     "E13": experiment_e13,
     "E14": experiment_e14,
     "E15": experiment_e15,

@@ -13,10 +13,6 @@ compiled hierarchies *share* materialized maps, which the sharing report at
 the end quantifies.  A change subscription streams one consolidated
 per-nation revenue delta per batch.
 
-The map tables are hash-partitioned into four shards (``shards=4``): every
-fold splits its increments by key hash and folds them shard by shard, with
-state and CDC identical to the unsharded session.
-
 Run with:  python examples/sales_dashboard.py
 """
 
@@ -45,7 +41,7 @@ DASHBOARD_SQL = {
 
 
 def main() -> None:
-    run_dashboard(Session(SALES_SCHEMA, shards=4))
+    run_dashboard(Session(SALES_SCHEMA))
 
 
 def run_dashboard(session: Session) -> None:

@@ -46,7 +46,6 @@ from repro.ingest import (
 )
 from repro.compiler import (
     Compiler,
-    ShardedMapTable,
     TriggerRuntime,
     compile_query,
     generate_python,
@@ -104,7 +103,6 @@ __all__ = [
     "simplify",
     "to_string",
     "Compiler",
-    "ShardedMapTable",
     "TriggerRuntime",
     "compile_query",
     "generate_python",

@@ -15,8 +15,6 @@
 * :mod:`repro.compiler.executor` — the host gluing a runtime to its generated module;
 * :mod:`repro.compiler.indexes` — secondary hash indexes for partially-bound
   map slices (keeps per-update cost proportional to matching entries);
-* :mod:`repro.compiler.partition` — hash-partitioned map tables and their
-  serial per-shard fold;
 * :mod:`repro.compiler.cost` — operation counting for the constant-work claims;
 * :mod:`repro.compiler.normal_form` — ring normal form and AC-canonical
   identities for compiled statements and map definitions;
@@ -41,7 +39,6 @@ from repro.compiler.normal_form import (
     normalizes_to_zero,
 )
 from repro.compiler.runtime import TriggerRuntime
-from repro.compiler.partition import ShardedMapTable, partition_map, shard_of
 from repro.compiler.triggers import RecomputeStatement, TriggerProgram
 from repro.compiler.verify import (
     IRVerificationError,
@@ -51,9 +48,6 @@ from repro.compiler.verify import (
 )
 
 __all__ = [
-    "ShardedMapTable",
-    "partition_map",
-    "shard_of",
     "Compiler",
     "compile_query",
     "RecomputeStatement",

@@ -55,10 +55,10 @@ Three properties of the generated module matter for the paper's cost claims:
 * **Only the query-dependent part is generated.**  What is emitted is the
   statement bodies (``batch_on_*`` / ``total_batch_*``), printed from the
   lowered :class:`~repro.compiler.plan.BatchPlan`.  The query-independent
-  steps — the fold itself (change capture, tracked keys, the per-shard fold,
-  slice-index upkeep), the recompute write-back, the compensated float total
-  and the update loop over a ``Delta``'s events or one row — are
-  the plain-Python :mod:`repro.compiler.kernels`, injected into the module
+  steps — the fold itself (change capture, tracked keys, slice-index
+  upkeep), the recompute write-back, the compensated float total and the
+  update loop over a ``Delta``'s events or one row — are the plain-Python
+  :mod:`repro.compiler.kernels`, injected into the module
   namespace (``_fold``, ``_rwrite``, ``_fold_total``, …) exactly as the
   interpreted runtime calls them.
 

@@ -135,10 +135,11 @@ def apply_index_journal(index_data, specs, name: str, added, removed) -> None:
     to that key, so no empty bucket survives and the shape always follows
     the count.  Re-adding a present key or removing an absent one changes
     nothing.  Every fold kernel (:mod:`repro.compiler.kernels`) journals the
-    keys it inserted into / removed from its table and replays them here —
-    per shard on a sharded table: buckets are keyed by bound *prefix*, so two
-    shards' keys can share one.  ``added`` and ``removed`` are walked twice
-    (sequences or dicts, not iterators).
+    keys it inserted into / removed from its table and replays them here once
+    its loop ends, also when the loop raised, so a failed fold leaves the
+    indexes matching what the table holds; the undo journal's rollback
+    replays its inverse through here too.  ``added`` and ``removed`` are
+    walked twice (sequences or dicts, not iterators).
     """
     for positions in specs:
         bucket = index_data[(name, positions)]

@@ -3,10 +3,10 @@
 A compiled trigger is a list of statements ``foreach k: m[k] += rhs``
 (Equation (1) of the paper).  Only the right-hand side depends on the query;
 everything around it — the ``+=`` itself, change capture, tracked-key
-collection, slice-index upkeep, the per-shard fold, the recompute write-back,
-the compensated float total, running a batch's events — is the same for
-every program.  This module holds those steps as plain Python functions,
-specialized once per coefficient ring by :class:`FoldKernels`.
+collection, slice-index upkeep, the recompute write-back, the compensated
+float total, running a batch's events — is the same for every program.
+This module holds those steps as plain Python functions, specialized once
+per coefficient ring by :class:`FoldKernels`.
 :class:`~repro.compiler.runtime.TriggerRuntime` calls them directly; generated
 trigger modules (:mod:`repro.compiler.codegen`) receive the same functions
 through their namespace, so the two executors cannot drift apart.
@@ -31,12 +31,10 @@ costs O(keys the batch touches), whatever the tables hold.
 from __future__ import annotations
 
 import operator
-from functools import partial
 from typing import Any, Callable, Dict, Iterable, Tuple
 
 from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
 from repro.compiler.indexes import apply_index_journal
-from repro.compiler.partition.tables import ShardedMapTable, fold_shards
 from repro.core.ast import COMPARATORS, Add, Compare, Const, Expr, MapRef, Mul, Neg, Var
 from repro.gmr.database import Delta, Update
 
@@ -74,7 +72,7 @@ class UndoJournal:
         saw.  The inverse slice-index journal is derived from membership — a
         key present now but absent before leaves its buckets, and the reverse
         — and goes through the same :func:`apply_index_journal` the forward
-        path uses.  Sharded tables are restored through the facade.
+        path uses.
         """
         undone = 0
         for table, name, specs, keys, priors in reversed(self.records):
@@ -94,71 +92,31 @@ class UndoJournal:
         return undone
 
 
-def make_shard_fold(ring: Semiring) -> Callable:
-    """The read-modify-write loop of a fold over one plain dict:
-    ``fold_shard(shard, part, added, removed)``.
-
-    ``shard[k] += part[k]`` per key, annihilated entries removed.  The keys
-    it inserts / removes are *journalled* into the ``added`` / ``removed``
-    lists (``None``: no slice index watches the map) rather than applied to
-    the indexes — buckets are keyed by bound prefix, which does not respect
-    the key-hash partition, so the caller applies the journal serially.  A
-    key is mutated strictly after the arithmetic that can fail, so the
-    journal matches the dict's contents even when the fold raises.  This is
-    the per-shard loop of the partition tier and the tail of
-    :func:`make_fold` on an unsharded table.
-    """
-    native = ring is INTEGER_RING or ring is FLOAT_FIELD
-    add, zero, is_zero = ring.add, ring.zero, ring.is_zero
-
-    def fold_shard(shard, part, added=None, removed=None):
-        if native:
-            for key, delta in part.items():
-                new = shard.get(key, 0) + delta
-                if new == 0:
-                    if shard.pop(key, None) is not None and removed is not None:
-                        removed.append(key)
-                else:
-                    if added is not None and key not in shard:
-                        added.append(key)
-                    shard[key] = new
-        else:
-            for key, delta in part.items():
-                new = add(shard.get(key, zero), delta)
-                if is_zero(new):
-                    if shard.pop(key, None) is not None and removed is not None:
-                        removed.append(key)
-                else:
-                    if added is not None and key not in shard:
-                        added.append(key)
-                    shard[key] = new
-
-    return fold_shard
-
-
 def make_fold(ring: Semiring, post_values: bool = False) -> Callable:
     """The fold step of one statement: ``fold(table, acc, name, specs, index_data,
     changes=None, journal=None, touched=None) -> entries``.
 
     Folds the statement's accumulated increments ``acc`` into ``table`` (map
-    ``name``) — one read-modify-write ``table[k] += acc[k]`` per key
-    (:func:`make_shard_fold`) — with everything that rides on it: change
+    ``name``) — one read-modify-write ``table[k] += acc[k]`` per key,
+    annihilated entries removed — with everything that rides on it: change
     capture into ``changes[name]`` when the map is watched, non-zero keys
     into ``touched`` when a recompute of the same event tracks the map, and
     slice-index upkeep for the signatures ``specs`` in the raw index storage
-    ``index_data``.  A :class:`ShardedMapTable` folds shard by shard
-    (:func:`~repro.compiler.partition.tables.fold_shards`); capture and
-    tracking depend only on ``acc`` and the pre-fold table, so they run up
-    front and every shard count emits identical payloads.  With a
-    ``journal`` the prior values of *all* of ``acc``'s keys are recorded up
-    front, so a fold that raises midway is covered (restoring an unmodified
-    key is a no-op).
+    ``index_data``.  With a ``journal`` the prior values of *all* of
+    ``acc``'s keys are recorded up front, so a fold that raises midway is
+    covered (restoring an unmodified key is a no-op).
+
+    The keys the loop inserts / removes are journalled into two lists and
+    handed to :func:`~repro.compiler.indexes.apply_index_journal` when the
+    loop ends — also when it raised.  A key is mutated strictly after the
+    arithmetic that can fail, so the slice indexes match what the table
+    holds even after a failed fold, and the undo journal's rollback starts
+    from a consistent table and index pair.
 
     ``post_values`` selects semiring change capture.
     """
     native = ring is INTEGER_RING or ring is FLOAT_FIELD
     add, zero, is_zero = ring.add, ring.zero, ring.is_zero
-    fold_shard = make_shard_fold(ring)
 
     def fold(
         table, acc, name, specs=None, index_data=None, changes=None, journal=None,
@@ -187,22 +145,35 @@ def make_fold(ring: Semiring, post_values: bool = False) -> Callable:
                 touched.update([key for key, delta in acc.items() if delta != 0])
             else:
                 touched.update([key for key, delta in acc.items() if not is_zero(delta)])
-        indexed = specs is not None and index_data is not None
-        if type(table) is ShardedMapTable:
-            # (A partial, not a nested def: closing over this frame's arguments
-            # would turn them into cells, allocated on *every* fold call.)
-            sink = partial(apply_index_journal, index_data, specs, name) if indexed else None
-            fold_shards(table, acc, indexed, fold_shard, sink)
-        elif indexed:
-            added: list = []
-            removed: list = []
-            try:
-                fold_shard(table, acc, added, removed)
-            finally:
-                if added or removed:
-                    apply_index_journal(index_data, specs, name, added, removed)
+        if specs is None or index_data is None:
+            added = removed = None
         else:
-            fold_shard(table, acc)
+            added = []
+            removed = []
+        try:
+            if native:
+                for key, delta in acc.items():
+                    new = table.get(key, 0) + delta
+                    if new == 0:
+                        if table.pop(key, None) is not None and removed is not None:
+                            removed.append(key)
+                    else:
+                        if added is not None and key not in table:
+                            added.append(key)
+                        table[key] = new
+            else:
+                for key, delta in acc.items():
+                    new = add(table.get(key, zero), delta)
+                    if is_zero(new):
+                        if table.pop(key, None) is not None and removed is not None:
+                            removed.append(key)
+                    else:
+                        if added is not None and key not in table:
+                            added.append(key)
+                        table[key] = new
+        finally:
+            if added or removed:
+                apply_index_journal(index_data, specs, name, added, removed)
         return len(acc)
 
     return fold

@@ -36,12 +36,7 @@ generated modules are printed from); the update loop, the fold itself,
 change capture, slice-index upkeep and the recompute write-back are the
 shared :mod:`repro.compiler.kernels`.
 
-With ``shards=N`` (N > 1) the map tables are hash-partitioned
-(:class:`~repro.compiler.partition.tables.ShardedMapTable`) and every batch
-fold splits its increments by target-key hash and folds them shard by shard —
-folds into different keys are independent, so each shard's part touches a
-disjoint slice of the table.  ``shards=1`` (the default) keeps plain dict
-tables and exactly the unsharded code path.
+Every map table is a plain dict ``key tuple → value``.
 
 Both entry points accept an optional ``changes`` argument — a mapping from
 *watched* map names to accumulator dicts — used for change-data-capture: every
@@ -74,7 +69,6 @@ from repro.compiler.kernels import (
     semiring_order,
 )
 from repro.compiler.maps import dependency_depths
-from repro.compiler.partition.tables import ShardedMapTable, resolve_shard_count
 from repro.compiler.plan import BatchPlan, lower_batch_plan
 from repro.compiler.triggers import BatchTrigger, RecomputeStatement, TriggerProgram
 from repro.core.ast import AggSum
@@ -138,7 +132,6 @@ class TriggerRuntime:
         self,
         program: TriggerProgram,
         ring: Semiring = INTEGER_RING,
-        shards: Optional[int] = None,
         specialize: bool = True,
     ):
         self.program = program
@@ -169,9 +162,6 @@ class TriggerRuntime:
         #: generated module for this program is printed from (specialization
         #: kinds, Kahan flag, arities, tracked sources, index signatures).
         self.plan: BatchPlan = lower_batch_plan(program, ring, specialize)
-        #: Hash-partition count of the map tables; 1 (the default) keeps the
-        #: plain-dict tables and exactly the pre-sharding code path.
-        self.shards = resolve_shard_count(shards)
         self.index_specs = self.plan.index_specs
         self.indexes = SliceIndexes(self.index_specs)
         #: The tables, their slice indexes and the Kahan compensation store
@@ -227,19 +217,12 @@ class TriggerRuntime:
         self._ring_view: Optional[IndexedMaps] = None
 
     def make_table(self, contents: Optional[MapTable] = None) -> MapTable:
-        """A map table holding ``contents`` under the runtime's shard configuration.
-
-        At ``shards=1`` a plain dict ``contents`` is adopted as the table
-        itself, not copied (any other mapping is copied into a dict);
-        otherwise the contents are re-partitioned by key hash into a
-        :class:`ShardedMapTable` — this is how snapshot restore re-shards
-        under a different shard count.
-        """
-        if self.shards == 1:
-            if contents is None:
-                return {}
-            return contents if type(contents) is dict else dict(contents)
-        return ShardedMapTable(self.shards, contents)
+        """A map table holding ``contents``: a plain dict ``contents`` is
+        adopted as the table itself, not copied; any other mapping is copied
+        into a dict."""
+        if contents is None:
+            return {}
+        return contents if type(contents) is dict else dict(contents)
 
     def zero_of(self, name: str) -> Any:
         """The value map ``name`` never stores: ``0`` for a counter map (its
@@ -247,8 +230,7 @@ class TriggerRuntime:
         return 0 if name in self._counter_maps else self.ring.zero
 
     def backup_tables(self) -> Dict[str, MapTable]:
-        """Plain-dict copies of every map table (sharded tables merged);
-        O(stored entries).
+        """Plain-dict copies of every map table; O(stored entries).
 
         No library code calls it: the transactional batch path keeps an undo
         journal of the keys it touches instead.  It stays because the
@@ -256,18 +238,15 @@ class TriggerRuntime:
         guard counts the entries copied through it (the guard asserts 0);
         its retirement comes with that metric's.
         """
-        return {
-            name: table.copy() if type(table) is ShardedMapTable else dict(table)
-            for name, table in self.maps.items()
-        }
+        return {name: dict(table) for name, table in self.maps.items()}
 
     def restore_tables(self, tables: Dict[str, MapTable]) -> None:
         """Reinstall table contents, rebuild the slice indexes and re-derive
         the support sidecars from the restored counters.
 
         Only the maps present in ``tables`` are replaced.  Each table goes
-        through :meth:`make_table`: at ``shards=1`` a plain dict is adopted,
-        so the caller hands it over and must not keep mutating it.
+        through :meth:`make_table`: a plain dict is adopted, so the caller
+        hands it over and must not keep mutating it.
         """
         for name, contents in tables.items():
             self.maps[name] = self.make_table(contents)

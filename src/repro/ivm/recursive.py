@@ -41,7 +41,6 @@ class RecursiveIVM(IVMEngine):
         ring: Semiring = INTEGER_RING,
         backend: str = "interpreted",
         map_name: str = "q",
-        shards: Optional[int] = None,
         normalize: Optional[bool] = None,
         verify: bool = True,
         specialize: bool = True,
@@ -62,15 +61,10 @@ class RecursiveIVM(IVMEngine):
             self.query, self.schema, name=map_name, verify=verify, normalize=normalize,
             ring=ring,
         )
-        # shards > 1 hash-partitions the map tables so batch folds run per
-        # shard (repro.compiler.partition); the default (None -> REPRO_SHARDS
-        # -> 1) keeps plain dict tables and the pre-sharding code path.
         # specialize=False runs every event's batch trigger on its delta map;
         # otherwise the lowered batch plan (repro.compiler.plan) fuses the
         # all-bare-count events to one folded tuple count where the ring allows.
-        self.runtime = TriggerRuntime(
-            self.program, ring=ring, shards=shards, specialize=specialize
-        )
+        self.runtime = TriggerRuntime(self.program, ring=ring, specialize=specialize)
         self._generated: Optional[GeneratedTriggers] = None
         if backend == "generated":
             # The generated module's arithmetic is specialized to the ring
@@ -87,10 +81,6 @@ class RecursiveIVM(IVMEngine):
     def bootstrap(self, db: Database) -> None:
         """Compute initial values of every map from an already-populated database."""
         self.runtime.bootstrap(db)
-
-    def close(self) -> None:
-        """A no-op: the engine holds no resources beyond its tables.  Kept so
-        callers can close every engine (and session) the same way."""
 
     # -- engine interface -----------------------------------------------------------------
 

@@ -35,7 +35,6 @@ from repro.compiler.codegen import GeneratedTriggers, generate_python
 from repro.compiler.compile import compile_query
 from repro.compiler.cost import RuntimeStatistics
 from repro.compiler.executor import CompiledExecutor
-from repro.compiler.partition import resolve_shard_count
 from repro.compiler.runtime import TriggerRuntime
 from repro.core.ast import AggSum, Expr
 from repro.core.errors import SchemaError
@@ -137,16 +136,9 @@ class _CompiledGroup:
     view never disturbs already-maintained state.
     """
 
-    def __init__(
-        self,
-        schema: Mapping[str, Sequence[str]],
-        ring: Semiring,
-        backend: str,
-        shards: int = 1,
-    ):
+    def __init__(self, schema: Mapping[str, Sequence[str]], ring: Semiring, backend: str):
         self.backend = backend
         self.ring = ring
-        self.shards = shards
         # AC canonicalization reorders products, which is only an equivalence
         # over commutative coefficient structures.
         self.catalog = MapCatalog(schema, ac_dedup=ring.commutative)
@@ -216,7 +208,7 @@ class _CompiledGroup:
         """
         combined = self.catalog.program()
         previous = self.runtime.maps if self.runtime is not None else {}
-        runtime = TriggerRuntime(combined, ring=self.ring, shards=self.shards)
+        runtime = TriggerRuntime(combined, ring=self.ring)
         runtime.statistics = self.statistics
         for name in combined.maps:
             if name in previous:
@@ -271,13 +263,9 @@ class Session:
         stores the *effective* (coalesced) batches — replay-equivalent to
         the submitted updates, without the cancelled churn.
     shards:
-        Hash-partition count of the compiled views' map tables
-        (:mod:`repro.compiler.partition`).  With ``shards=N`` (N > 1) every
-        batch fold splits its increments by key hash and folds them shard by
-        shard; ``None`` defers to the ``REPRO_SHARDS`` environment variable,
-        and the default of 1 keeps plain dict tables and exactly the
-        unsharded code path.  Results and ``on_change`` payloads are
-        identical for every shard count.
+        Accepted for compatibility only, and only as ``1``: every map table
+        is a plain dict.  Any other value raises :class:`ValueError`, because
+        the partition tier that used it was removed.
     """
 
     def __init__(
@@ -285,15 +273,19 @@ class Session:
         schema: Mapping[str, Sequence[str]],
         ring: Semiring = INTEGER_RING,
         track_history: bool = True,
-        shards: Optional[int] = None,
+        shards: int = 1,
     ):
+        if shards != 1:
+            raise ValueError(
+                f"shards={shards!r}: the partition tier was removed, every map "
+                f"table is a plain dict; omit shards= (only shards=1 is accepted)"
+            )
         self.schema: Dict[str, Tuple[str, ...]] = {
             name: tuple(columns) for name, columns in schema.items()
         }
         #: Relation -> arity: what update validation checks.
         self._arities: Dict[str, int] = {name: len(columns) for name, columns in self.schema.items()}
         self.ring = ring
-        self.shards = resolve_shard_count(shards)
         self.statistics = EngineStatistics()
         self._views: Dict[str, MaterializedView] = {}
         self._groups: Dict[str, _CompiledGroup] = {}
@@ -343,7 +335,7 @@ class Session:
         if group is None:
             # Commit the new group only after a successful registration, so
             # a failed first view does not leave an empty group behind.
-            group = _CompiledGroup(self.schema, self.ring, backend, shards=self.shards)
+            group = _CompiledGroup(self.schema, self.ring, backend)
         view = MaterializedView(self, name, query_expr, backend, group)
         if rebuild:
             bootstrap_source = self._replayed_database if self._updates_applied else None
@@ -706,7 +698,6 @@ class Session:
             "ring": self.ring.name,
             "schema": {relation: list(columns) for relation, columns in self.schema.items()},
             "updates_applied": self._updates_applied,
-            "shards": self.shards,
             "views": views,
             "maps": groups,
         }
@@ -719,18 +710,14 @@ class Session:
         cls,
         snapshot: Mapping[str, Any],
         ring: Optional[Semiring] = None,
-        shards: Optional[int] = None,
     ) -> "Session":
         """Revive a session from :meth:`snapshot` output.
 
         The coefficient ring is looked up by name among the built-in
         structures; pass ``ring=`` explicitly for custom structures (the
-        snapshot only records the name).  ``shards`` overrides the recorded
-        shard count — the restored tables are re-partitioned by key hash, so
-        a snapshot taken at one shard count can be revived at any other
-        (including back to the unsharded plain-dict layout at 1).  Entries
-        older versions wrote and this one does not read (the partition
-        tier's placement, an empty ``engine_databases``) are ignored.  A
+        snapshot only records the name).  Entries older versions wrote and
+        this one does not read (the removed partition tier's ``"shards"`` and
+        ``"shard_backend"``, an empty ``engine_databases``) are ignored.  A
         malformed snapshot raises :class:`ValueError` naming what is wrong.
         """
         if snapshot.get("format") != SNAPSHOT_FORMAT:
@@ -757,10 +744,8 @@ class Session:
                     f"snapshot uses non-built-in ring {snapshot['ring']!r}; "
                     f"pass the ring instance explicitly"
                 ) from None
-        if shards is None:
-            shards = snapshot.get("shards", 1)
         schema = {relation: tuple(columns) for relation, columns in snapshot["schema"].items()}
-        session = cls(schema, ring=ring, track_history="history" in snapshot, shards=shards)
+        session = cls(schema, ring=ring, track_history="history" in snapshot)
         # Every view joins its group's catalog first; each group then builds
         # its program, runtime and module once, not once per view.
         for spec in snapshot["views"]:
@@ -784,9 +769,8 @@ class Session:
                 raise ValueError(f"session snapshot lacks the maps of its {backend!r} views")
             decoded[backend] = _check_snapshot_maps(backend, group.runtime, maps[backend])
         for backend, tables in decoded.items():
-            # Adopts the decoded dicts (re-partitioned under any shard count
-            # but 1), rebuilds the slice indexes and re-derives the support
-            # sidecars from the counter maps.
+            # Adopts the decoded dicts, rebuilds the slice indexes and
+            # re-derives the support sidecars from the counter maps.
             session._groups[backend].runtime.restore_tables(tables)
         session._updates_applied = updates_applied
         session.statistics.updates_processed = updates_applied

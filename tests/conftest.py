@@ -65,7 +65,7 @@ def rst_db() -> Database:
 
 
 def plain_tables(maps):
-    """Every map table of an environment as a plain dict (shards merged)."""
+    """A plain-dict copy of every map table of an environment."""
     return {name: dict(table.items()) for name, table in maps.items()}
 
 
@@ -126,6 +126,45 @@ def apply_per_tuple():
     """The one-at-a-time reference helper (a fixture: ``benchmarks/`` has a
     ``conftest`` module of its own, so importing this one by name is fragile)."""
     return _PerTupleOracle()
+
+
+# ---------------------------------------------------------------------------
+# A three-view session over a grouped schema, and random batches for it
+# ---------------------------------------------------------------------------
+
+GROUPED_SCHEMA = {"R": ("A",), "S": ("A", "B")}
+GROUPED_VIEWS = {
+    "selfjoin": "Sum(R(x) * R(y) * (x = y))",
+    "gsum": "AggSum([a], S(a, b) * b)",
+    "count": "Sum(S(a, b))",
+}
+
+
+def grouped_session(backend):
+    """``(session, cdc)``: the three views on ``backend``, each logging its
+    sorted ``on_change`` payloads into ``cdc[view name]``."""
+    from repro.session import Session
+
+    session = Session(GROUPED_SCHEMA)
+    cdc = {name: [] for name in GROUPED_VIEWS}
+    for name, query in GROUPED_VIEWS.items():
+        session.view(name, query, backend=backend).on_change(
+            lambda changes, _name=name: cdc[_name].append(sorted(changes.items()))
+        )
+    return session, cdc
+
+
+def grouped_batch(rng, size, domain):
+    """``size`` random inserts (70 %) and deletes over ``R`` and ``S``."""
+    batch = []
+    for _ in range(size):
+        on_r = rng.random() < 0.4
+        sign = 1 if rng.random() < 0.7 else -1
+        if on_r:
+            batch.append(Update(sign, "R", (rng.randint(0, domain),)))
+        else:
+            batch.append(Update(sign, "S", (rng.randint(0, domain), rng.randint(0, 9))))
+    return batch
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ scan of the delta map, reading what the row alone addresses once for all
 statements (``repro.compiler.plan.RowReads``).  Each test drives one shape
 fusion touches through three executions that must agree after every batch —
 generated batches, interpreted batches, and per-tuple application (the
-reference semantics) — unsharded and over two shards, state and CDC.
+reference semantics) — state and CDC.
 """
 
 import random
@@ -84,7 +84,7 @@ def _accumulate(shadow, delta, ring):
             shadow[key] = value
 
 
-@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("shards", [1])
 def test_shared_read_survives_another_statements_zero_guard(shards):
     """``±Orders`` reads ``revenue_m4[ok]`` and ``revenue_by_customer_m2[ck]``
     once per row for four statements each.  An order without line items
@@ -155,7 +155,7 @@ PARENT_FLOAT_RESULTS = {
 }
 
 
-@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("shards", [1])
 def test_float_sums_are_bit_identical_to_the_per_statement_loops(shards):
     session = Session(SALES, ring=FLOAT_FIELD, shards=shards)
     try:
@@ -169,7 +169,7 @@ def test_float_sums_are_bit_identical_to_the_per_statement_loops(shards):
         session.close()
 
 
-@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("shards", [1])
 def test_min_plus_shared_read_goes_through_from_int(shards):
     """Both ring statements of ``+S`` read the ℤ-valued counter map
     ``total_m3[b]`` (rows of ``R`` per ``b``): one shared raw read, tested as a
@@ -204,7 +204,7 @@ def test_min_plus_shared_read_goes_through_from_int(shards):
         trio.close()
 
 
-@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("shards", [1])
 def test_tracked_recompute_runs_after_the_fused_folds(shards):
     """HAVING: the event's folds collect ``_TRK`` keys inside/after the fused
     loop and the recompute reads the post-fold sums."""

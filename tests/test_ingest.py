@@ -33,6 +33,7 @@ from repro.ingest import (
 )
 from repro.session import Session
 from repro.workloads.streams import producer_streams
+from tests.conftest import grouped_batch, grouped_session
 
 SCHEMA = {"R": ("a", "b")}
 
@@ -599,6 +600,23 @@ def test_window_payloads_equivalent_at_every_window_size():
             reference = net
         else:
             assert net == reference, f"window={window}"
+
+
+@pytest.mark.parametrize("executor", ["generated", "interpreted"])
+def test_flushed_batches_match_the_same_batches_applied(executor):
+    """The flusher's batches fold as the same batches handed to
+    ``apply_batch`` do, results and CDC alike."""
+    base, base_cdc = grouped_session(executor)
+    flushed, flushed_cdc = grouped_session(executor)
+    rng = random.Random(6)
+    with manual_pipeline(flushed) as pipe:
+        for size in (150, 1, 40, 150):
+            chunk = grouped_batch(rng, size, 25)
+            pipe.submit_many(chunk)
+            pipe.flush()
+            base.apply_batch(chunk)
+            assert flushed.results() == base.results(), (executor, size)
+            assert flushed_cdc == base_cdc, (executor, size)
 
 
 # ---------------------------------------------------------------------------

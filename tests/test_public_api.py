@@ -107,3 +107,26 @@ def test_compile_and_explain_through_top_level_namespace():
     assert runtime.result() == 2
     generated = repro.generate_python(program)
     assert "def batch_on_insert_R" in generated.source and "def on_" not in generated.source
+
+
+def test_the_library_reads_no_environment_variable():
+    """No module under ``src/repro`` touches ``os.environ`` / ``os.getenv``:
+    the library's behaviour is chosen by its arguments alone."""
+    import ast
+    from pathlib import Path
+
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    offenders = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                name = next((alias.name for alias in node.names if alias.name in readers), None)
+            else:
+                continue
+            if name in readers:
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []

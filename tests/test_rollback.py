@@ -29,10 +29,11 @@ from repro.ivm.base import results_agree
 from repro.ivm.naive import NaiveReevaluation
 from repro.session import Session
 from repro.sql.frontend import sql_to_agca
+from tests.conftest import grouped_session
 
 BACKENDS = ("generated", "interpreted")
-#: Shard counts: plain dict tables, and four hash partitions.
-LAYOUTS = (1, 4)
+#: Table layouts: plain dicts, the only one.
+LAYOUTS = (1,)
 
 
 class InjectedFault(RuntimeError):
@@ -74,7 +75,7 @@ class Injector:
 def _poison_fold(injector: Injector, real: Callable) -> Callable:
     """The poisoned call folds a copy of ``acc`` whose middle increment cannot
     be added: the fold raises *inside* the kernel — in change capture when the
-    map is watched, otherwise midway through ``fold_shard``, with the keys
+    map is watched, otherwise midway through the fold loop, with the keys
     before it already written."""
 
     def fold(table, acc, *rest, **keywords):
@@ -236,7 +237,7 @@ class Scenario:
 
 
 class FoldFault(Scenario):
-    """Mid-``fold_shard``: the third fold of the batch dies halfway."""
+    """Mid-fold: the third fold of the batch dies halfway through its loop."""
 
     schema = SALES_SCHEMA
 
@@ -616,3 +617,33 @@ def test_fault_at_any_fold_call_never_half_applies(backend, batches, at_call):
         for batch in applied:
             oracle.apply_batch(batch)
         assert results_agree(session[name].result(), oracle.result()), name
+
+
+def grouped_rows(count, offset=0):
+    return [Update(1, "S", ((value + offset) % 9, value % 5)) for value in range(count)]
+
+
+@pytest.mark.parametrize("executor", BACKENDS)
+def test_poisoned_batch_leaves_the_session_as_its_untouched_twin(executor):
+    """A batch whose fold fails partway leaves the session as it was —
+    tables, results, history, no CDC — and the session keeps folding exactly
+    like a twin that never saw the batch."""
+    base, base_cdc = grouped_session(executor)
+    poisoned, poisoned_cdc = grouped_session(executor)
+    for session in (base, poisoned):
+        session.apply_batch(grouped_rows(120))
+    runtime = poisoned._groups[executor].runtime
+    tables = {name: dict(table) for name, table in runtime.maps.items()}
+    history = list(poisoned._history)
+    results = poisoned.results()
+    poison_folds(poisoned._groups[executor], at_call=1)
+    with pytest.raises(TypeError):
+        poisoned.apply_batch(grouped_rows(40, offset=3))
+    assert {name: dict(table) for name, table in runtime.maps.items()} == tables
+    assert poisoned.results() == results == base.results()
+    assert poisoned._history == history
+    assert poisoned_cdc == base_cdc
+    for session in (base, poisoned):
+        session.apply_batch(grouped_rows(80, offset=5))
+    assert poisoned.results() == base.results()
+    assert poisoned_cdc == base_cdc

@@ -22,6 +22,7 @@ from repro.ivm.naive import NaiveReevaluation
 from repro.ivm.recursive import RecursiveIVM
 from repro.session import COMPILED_BACKENDS, MapCatalog, Session
 from repro.workloads.streams import StreamGenerator
+from tests.conftest import GROUPED_SCHEMA, GROUPED_VIEWS, grouped_batch
 
 RS_SCHEMA = {"R": ("A", "B"), "S": ("C", "D")}
 
@@ -548,8 +549,8 @@ SALES_SCHEMA = {"Sales": ("store", "amount")}
 BUSY_STORES = "SELECT store, SUM(amount) FROM Sales GROUP BY store HAVING COUNT(*) > 2"
 
 
-def busy_stores_session(seed, **layout):
-    session = Session(SALES_SCHEMA, **layout)
+def busy_stores_session(seed):
+    session = Session(SALES_SCHEMA)
     session.view("busy_stores", BUSY_STORES)
     rng = random.Random(seed)
     session.apply_batch([insert("Sales", rng.randrange(6), rng.randrange(1, 30)) for _ in range(40)])
@@ -592,10 +593,9 @@ def test_restore_rejects_a_snapshot_of_another_map_hierarchy(doctor, named):
         Session.restore(snapshot)
 
 
-@pytest.mark.parametrize("shards", [1, 4, 3])
-def test_having_session_round_trips_across_shard_layouts(shards):
-    origin = busy_stores_session(seed=6, shards=4)
-    revived = Session.restore(origin.snapshot(), shards=shards)
+def test_having_session_round_trips():
+    origin = busy_stores_session(seed=6)
+    revived = Session.restore(origin.snapshot())
     assert revived["busy_stores"].result() == origin["busy_stores"].result()
     more = [insert("Sales", 6, 3), insert("Sales", 6, 4), insert("Sales", 6, 5)]
     origin.apply_batch(more)
@@ -622,8 +622,8 @@ ORDERS_DASHBOARD = {
 }
 
 
-def orders_dashboard(orders, **layout):
-    session = Session(ORDERS_SCHEMA, **layout)
+def orders_dashboard(orders, **options):
+    session = Session(ORDERS_SCHEMA, **options)
     for name, sql in ORDERS_DASHBOARD.items():
         session.view(name, sql)
     session.apply_batch([insert("Customer", ck, ck % 7) for ck in range(200)])
@@ -701,7 +701,7 @@ def _list_layout(session):
     }
 
 
-@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("shards", [1])
 def test_snapshot_json_bytes_equal_the_list_layout(shards):
     import json
 
@@ -745,14 +745,14 @@ def _sales_batch(rng, live, ring_name, size):
     return batch
 
 
-def _sales_session(ring_name, shards, rng, live):
+def _sales_session(ring_name, rng, live, batches=3):
     from repro.algebra.semirings import resolve_semiring
 
-    session = Session(SALES_SCHEMA, ring=resolve_semiring(ring_name), shards=shards)
+    session = Session(SALES_SCHEMA, ring=resolve_semiring(ring_name))
     for name, sql in SALES_VIEWS[ring_name].items():
         for backend in COMPILED_BACKENDS:
             session.view(f"{name}_{backend}", sql, backend=backend)
-    for _ in range(3):
+    for _ in range(batches):
         session.apply_batch(_sales_batch(rng, live, ring_name, 60))
     return session
 
@@ -766,25 +766,25 @@ def _cdc_log(session):
     return log
 
 
-@pytest.mark.parametrize("restored_shards", [1, 2, 3])
+@pytest.mark.parametrize("batches", [0, 1, 3])
 @pytest.mark.parametrize(
     "ring_name,through_json",
     [("Z", True), ("R-float", True), ("min-plus", False), ("top3", False)],
 )
-def test_a_restored_snapshot_matches_the_live_session(ring_name, through_json, restored_shards):
-    """Restored at 1, 2 or 3 shards — from the JSON form for ℤ and float, from
-    the live snapshot for min-plus and top-3 — the session equals the live one
-    in results, and in CDC over a further random batch."""
+def test_a_restored_snapshot_matches_the_live_session(ring_name, through_json, batches):
+    """Restored from the JSON form for ℤ and float, from the live snapshot for
+    min-plus and top-3, the session equals the live one in results, and in
+    CDC over a further random batch — whether the snapshot was taken of an
+    empty session, after one batch, or after several."""
     import json
 
     rng = random.Random(41)
     live = []
-    session = _sales_session(ring_name, 1 + restored_shards % 2, rng, live)
+    session = _sales_session(ring_name, rng, live, batches)
     snapshot = session.snapshot()
     if through_json:
         snapshot = json.loads(json.dumps(snapshot))
-    restored = Session.restore(snapshot, shards=restored_shards)
-    assert restored.shards == restored_shards
+    restored = Session.restore(snapshot)
     assert restored.results() == session.results()
     assert restored.total_map_entries() == session.total_map_entries()
     assert restored.updates_applied == session.updates_applied
@@ -796,10 +796,108 @@ def test_a_restored_snapshot_matches_the_live_session(ring_name, through_json, r
     assert logs[0] == logs[1] != []
 
 
-def _sales_snapshot(**layout):
+#: A snapshot an older version wrote of a session on four process-backed
+#: shards, kept verbatim: it names the partition tier's shard count and
+#: placement (``"shards"``, ``"shard_backend"``), which this version no longer
+#: has, and restores all the same.
+OLDER_LAYOUT_SNAPSHOT = {
+    "format": "repro-session/2",
+    "ring": "Z",
+    "schema": {"R": ["A"], "S": ["A", "B"]},
+    "updates_applied": 16,
+    "shards": 4,
+    "shard_backend": "process",
+    "views": [
+        {"name": "gsum", "backend": "generated", "query": "AggSum([a], S(a, b) * b)"},
+        {"name": "selfjoin", "backend": "interpreted", "query": "Sum(R(x) * R(y) * (x = y))"},
+    ],
+    "maps": {
+        "generated": {"gsum": [[[3], 2], [[0], 3], [[1], 3], [[4], 1], [[2], 3]]},
+        "interpreted": {"selfjoin": [[[], 5]], "selfjoin_m1": [[[1], 2], [[2], 1]]},
+    },
+    "engine_databases": {},
+}
+#: The updates that snapshot's session had applied.
+OLDER_LAYOUT_UPDATES = [Update(1, "S", (a % 5, a % 3)) for a in range(12)] + [
+    Update(1, "R", (1,)),
+    Update(1, "R", (1,)),
+    Update(1, "R", (2,)),
+    Update(-1, "S", (0, 0)),
+]
+
+
+def test_older_layout_snapshot_restores():
+    """The older snapshot restores with the results and CDC of a session fed
+    the same updates."""
+    restored = Session.restore(OLDER_LAYOUT_SNAPSHOT)
+    reference = Session(GROUPED_SCHEMA, track_history=False)
+    reference.view("gsum", "AggSum([a], S(a, b) * b)", backend="generated")
+    reference.view("selfjoin", "Sum(R(x) * R(y) * (x = y))", backend="interpreted")
+    reference.apply_batch(OLDER_LAYOUT_UPDATES)
+    assert restored.results() == reference.results()
+    cdc = {id(restored): [], id(reference): []}
+    for session in (restored, reference):
+        for name in ("gsum", "selfjoin"):
+            session[name].on_change(
+                lambda changes, _log=cdc[id(session)], _name=name: _log.append(
+                    (_name, sorted(changes.items()))
+                )
+            )
+    tail = grouped_batch(random.Random(8), 60, 6)
+    restored.apply_batch(tail)
+    reference.apply_batch(tail)
+    assert restored.results() == reference.results()
+    assert cdc[id(restored)] == cdc[id(reference)] != []
+
+
+def test_a_snapshot_carries_no_shard_count_and_round_trips_through_json():
     import json
 
-    return json.loads(json.dumps(busy_stores_session(seed=5, **layout).snapshot()))
+    session = busy_stores_session(seed=5)
+    snapshot = session.snapshot()
+    assert "shards" not in snapshot
+    text = json.dumps(snapshot)
+    restored = Session.restore(json.loads(text))
+    assert restored.results() == session.results()
+    assert json.dumps(restored.snapshot()) == text
+
+
+def test_shards_is_accepted_only_as_one():
+    """``shards=1`` builds an ordinary session; any other count names the
+    removed partition tier."""
+    session = Session(GROUPED_SCHEMA, shards=1)
+    session.view("count", "Sum(S(a, b))")
+    session.apply_batch([insert("S", 1, 2), insert("S", 2, 3)])
+    assert session["count"].result() == 2
+    for shards in (2, 0, None):
+        with pytest.raises(ValueError, match="partition tier was removed"):
+            Session(GROUPED_SCHEMA, shards=shards)
+
+
+def test_tables_are_plain_dicts_whatever_the_environment(monkeypatch):
+    monkeypatch.setenv("REPRO_SHARDS", "3")
+    session = Session(GROUPED_SCHEMA)
+    for name, query in GROUPED_VIEWS.items():
+        for backend in COMPILED_BACKENDS:
+            session.view(f"{name}_{backend}", query, backend=backend)
+    session.apply_batch(grouped_batch(random.Random(2), 50, 8))
+    for group in session._groups.values():
+        assert group.runtime.maps
+        assert all(type(table) is dict for table in group.runtime.maps.values())
+
+
+def test_removed_shard_arguments_are_type_errors():
+    snapshot = busy_stores_session(seed=5).snapshot()
+    with pytest.raises(TypeError):
+        Session.restore(snapshot, shards=3)
+    with pytest.raises(TypeError):
+        RecursiveIVM(parse("Sum(R(x))"), {"R": ("A",)}, shards=2)
+
+
+def _sales_snapshot():
+    import json
+
+    return json.loads(json.dumps(busy_stores_session(seed=5).snapshot()))
 
 
 def test_restore_rejects_a_duplicated_key():
@@ -816,7 +914,7 @@ def test_restore_rejects_a_stored_zero(ring_name, zero):
     """Before the check, a stored zero restored as a live entry and was counted."""
     import json
 
-    session = _sales_session(ring_name, 1, random.Random(3), [])
+    session = _sales_session(ring_name, random.Random(3), [])
     snapshot = json.loads(json.dumps(session.snapshot()))
     snapshot["maps"]["generated"]["per_store_generated"].append([[99], zero])
     with pytest.raises(ValueError, match=r"store a zero value: \['per_store_generated'\]"):
@@ -825,7 +923,7 @@ def test_restore_rejects_a_stored_zero(ring_name, zero):
 
 def test_restore_rejects_a_stored_zero_counter():
     """A min-plus counter map holds ℤ multiplicities: its zero is 0, not ∞."""
-    session = _sales_session("min-plus", 1, random.Random(3), [])
+    session = _sales_session("min-plus", random.Random(3), [])
     [counter] = session._groups["generated"].runtime.program.maintenance.counter_maps
     snapshot = session.snapshot()
     snapshot["maps"]["generated"][counter].append(((99, 1), 0))
@@ -1032,7 +1130,7 @@ def _poisonable_session(shards=1):
     return session
 
 
-@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("shards", [1])
 def test_poisoned_batch_leaves_all_views_unchanged(shards):
     """Regression: an exception mid-batch (ring arithmetic on one view) used to
     leave already-advanced groups inconsistent with the rest."""
