@@ -106,9 +106,9 @@ def run_independent(stream):
 def catalog_dedup_comparison():
     """Dashboard map/statement counts: AC-canonical vs alpha-renaming dedup.
 
-    Absorbs every dashboard view into two fresh :class:`MapCatalog`\\ s — one
-    with the AC-canonical identity the Session uses (``ac_dedup=True``) and
-    one restricted to alpha-renaming — and returns
+    Compiles every dashboard view against two fresh :class:`MapCatalog`\\ s —
+    one with the AC-canonical identity the Session uses (``ac_dedup=True``)
+    and one restricted to alpha-renaming — and returns
     ``{"ac" | "alpha": (maps, statements)}``.
     """
     from repro.compiler.compile import compile_query
@@ -118,7 +118,7 @@ def catalog_dedup_comparison():
     for label, ac_dedup in (("alpha", False), ("ac", True)):
         catalog = MapCatalog(SALES_SCHEMA, ac_dedup=ac_dedup)
         for name, query in dashboard_queries().items():
-            program = compile_query(query, SALES_SCHEMA, name=name)
+            program = compile_query(query, SALES_SCHEMA, name=name, catalog=catalog)
             catalog.absorb(name, program)
         counts[label] = (len(catalog.maps), catalog.program().statement_count())
     return counts

@@ -9,7 +9,7 @@ compile error), this module *reports* on the quality of a compiled program:
 * **duplicate maps** — two maps storing one function, equal modulo key
   order, binding spelling and factor order
   (:func:`repro.compiler.normal_form.sharing_key`), where one could be read
-  in place of the other: the sharing registries exist so that this never
+  in place of the other: the sharing registry exists so that this never
   happens, so CI promotes it with ``--fail-on duplicate-map``;
 * **scan-class statements** — statements whose static cost class
   (:func:`repro.compiler.cost.statement_cost_class`) degenerates to a whole
@@ -66,7 +66,7 @@ from repro.compiler.codegen import generate_python
 from repro.compiler.compile import compile_query
 from repro.compiler.cost import recompute_scan_reason, statement_cost_class
 from repro.compiler.plan import lower_batch_plan
-from repro.compiler.normal_form import is_normalized, sharing_key
+from repro.compiler.normal_form import functions_stored, is_normalized
 from repro.compiler.triggers import TriggerProgram
 from repro.compiler.verify import IRVerificationError, iter_violations
 from repro.core.ast import MapRef, walk
@@ -206,14 +206,10 @@ def _duplicate_map_findings(program: TriggerProgram, results: Iterable[str]) -> 
     legitimate (each view keeps its user's key order) and not reported.
     """
     results = set(results)
-    semiring = program.maintenance is not None
-    groups: Dict[object, List[str]] = {}
-    for name in sorted(program.maps):
-        definition = program.maps[name]
-        identity, _order = sharing_key(
-            definition.definition, definition.key_vars, semiring=semiring
-        )
-        groups.setdefault(identity, []).append(name)
+    groups = functions_stored(
+        (program.maps[name] for name in sorted(program.maps)),
+        semiring=program.maintenance is not None,
+    )
     return [
         LintFinding(
             "duplicate-map",
@@ -221,7 +217,7 @@ def _duplicate_map_findings(program: TriggerProgram, results: Iterable[str]) -> 
             "spelling and factor order); one of them could be read in place of the others",
             "; ".join(program.maps[name].describe() for name in names),
         )
-        for names in groups.values()
+        for names in groups
         if len(names) > 1 and not set(names) <= results
     ]
 

@@ -47,8 +47,9 @@ references never appear in user queries.
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from collections import ChainMap, defaultdict
+from types import SimpleNamespace
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.ast import (
     Add,
@@ -89,9 +90,13 @@ from repro.compiler.triggers import (
     BatchTrigger,
     MaintenancePlan,
     RecomputeStatement,
+    Registration,
     TriggerProgram,
 )
 from repro.compiler.verify import verify_program
+
+#: What a compile without a catalog is seeded with.
+_NO_CATALOG = SimpleNamespace(maps={}, registry={}, requests={}, statement_counts={}, state=None)
 
 
 class Compiler:
@@ -112,6 +117,7 @@ class Compiler:
         verify: bool = True,
         normalize: bool = True,
         ring: Optional[Semiring] = None,
+        catalog=None,
     ) -> TriggerProgram:
         """Compile a query into a trigger program.
 
@@ -137,6 +143,16 @@ class Compiler:
         support tier, and everything else re-derives affected groups via
         tracked :class:`RecomputeStatement`\\ s.  The resulting program
         carries a :class:`~repro.compiler.triggers.MaintenancePlan`.
+
+        ``catalog`` (a :class:`repro.session.MapCatalog`) seeds the map
+        registry with the maps other views materialized: a function it stores
+        is read under its shared name (keys permuted when stored transposed)
+        and its statements are never compiled, so the program holds only what
+        this view adds, plus the ``registration`` :meth:`MapCatalog.absorb`
+        commits.  An added map is numbered as in an isolated compile.  Under
+        a semiring a catalog map keeps the strategy it was materialized with.
+        The catalog's ``commutative`` flag, not ``normalize``, then decides
+        whether the identity sees through factor order.
         """
         body, keys = self._normalize_query(query, group_vars)
         self._validate(body, keys)
@@ -146,13 +162,25 @@ class Compiler:
             )
 
         semiring_mode = ring is not None and not ring.is_ring
+        self._commutative = normalize if catalog is None else catalog.commutative
+        self._catalog = catalog = _NO_CATALOG if catalog is None else catalog
+        #: The maps this compile reads or adds, in the order an isolated
+        #: compile would register them; :attr:`_shared` marks the catalog's.
         self._maps: Dict[str, MapDefinition] = {}
+        self._shared: set = set()
+        #: Every map a definition may read: this compile's, then the catalog's.
+        self._known = ChainMap(self._maps, catalog.maps)
         #: Sharing key -> (map name, its key order); see :meth:`_shared_map`.
         self._registry: Dict[object, Tuple[str, Tuple[int, ...]]] = {}
+        #: Added map -> the requests compiling its statements made (see
+        #: :meth:`_lookup`); ``_log`` is the one being recorded.
+        self._requests: Dict[str, Dict[object, Tuple[int, ...]]] = {}
+        self._log: Optional[Dict[object, Tuple[int, ...]]] = None
+        self._transposed = 0
         self._statements: Dict[Tuple[str, int], List[BatchStatement]] = defaultdict(list)
         self._recomputes: Dict[Tuple[str, int], List[RecomputeStatement]] = defaultdict(list)
-        #: Relation -> its base-copy map, read at the columns ``k0, k1, ...``.
-        self._base_copies: Dict[str, MapRef] = {}
+        #: Relation -> the name of its base-copy map.
+        self._base_copies: Dict[str, str] = {}
         self._trigger_relations_cache: Dict[str, frozenset] = {}
         self._counter = 0
         self._base_name = name
@@ -165,9 +193,16 @@ class Compiler:
         result_body = make_safe(
             simplify(extracted, needed_vars=set(keys) | all_variables(extracted))
         )
+        if semiring_mode and isinstance(result_body, Rel):
+            # A bare relation count is integer-valued by construction; there
+            # is no ring-valued fold to maintain, and it would share the
+            # relation's counter map.
+            raise CompilationError(
+                "the result of a semiring query must aggregate a value "
+                f"expression; a bare relation count cannot be maintained in {ring.name}"
+            )
         result_map = MapDefinition(name=name, key_vars=tuple(keys), definition=result_body, level=0)
-        self._maps[name] = result_map
-        worklist.append(result_map)
+        result_name, result_entry = self._register_result(result_map, worklist)
 
         while worklist:
             self._process_map(worklist.pop(0), worklist)
@@ -176,15 +211,31 @@ class Compiler:
         if semiring_mode:
             maintenance = self._apply_semiring_maintenance(ring)
 
+        added = {name: d for name, d in self._maps.items() if name not in self._shared}
+        entries = {
+            identity: entry
+            for identity, entry in self._registry.items()
+            if entry[0] not in self._shared
+        }
+        entries.update(result_entry)
         program = TriggerProgram(
-            result_map=name,
-            maps=dict(self._maps),
-            triggers=assemble_triggers(self._statements, self._recomputes, self._maps),
+            result_map=result_name,
+            maps=added,
+            triggers=assemble_triggers(self._statements, self._recomputes, added),
             schema=dict(self.schema),
             maintenance=maintenance,
+            registration=Registration(
+                base=catalog.state,
+                entries=entries,
+                requests={name: tuple(log.items()) for name, log in self._requests.items()},
+                maps_deduplicated=len(self._shared),
+                statements_deduplicated=sum(catalog.statement_counts[name] for name in self._shared),
+                maps_transposed=self._transposed,
+            ),
         )
         if verify:
-            verify_program(program)
+            # The added statements, against every map they may read.
+            verify_program(dataclasses.replace(program, maps={**catalog.maps, **added}))
         return program
 
     # -- query validation ----------------------------------------------------------
@@ -348,6 +399,17 @@ class Compiler:
     # -- per-map trigger generation ---------------------------------------------------
 
     def _process_map(self, definition: MapDefinition, worklist: List[MapDefinition]) -> None:
+        if definition.name in self._shared:
+            # Its statements exist: replay the requests compiling them made,
+            # which numbers this view's maps as compiling them would.
+            for identity, order in self._catalog.requests[definition.name]:
+                self._lookup(identity, order, worklist)
+            return
+        self._log = self._requests[definition.name] = {}
+        self._compile_map(definition, worklist)
+        self._log = None
+
+    def _compile_map(self, definition: MapDefinition, worklist: List[MapDefinition]) -> None:
         source_maps = tuple(
             dict.fromkeys(ref.name for ref in map_references(definition.definition))
         )
@@ -406,11 +468,10 @@ class Compiler:
         definition keeps its safety-ordered spelling either way.
         """
         identity, order = sharing_key(
-            canonical_expr, canonical_keys, self._normalize, self._semiring_mode
+            canonical_expr, canonical_keys, self._commutative, self._semiring_mode
         )
-        entry = self._registry.get(identity)
+        entry = self._lookup(identity, order, worklist)
         if entry is None:
-            self._counter += 1
             name = f"{self._base_name}_m{self._counter}"
             definition = MapDefinition(
                 name=name, key_vars=canonical_keys, definition=canonical_expr, level=level
@@ -422,6 +483,57 @@ class Compiler:
         name, registered = entry
         positions = read_positions(registered, order)
         return MapRef(name, tuple(original_keys[position] for position in positions))
+
+    def _lookup(
+        self, identity: object, order: Tuple[int, ...], worklist: List[MapDefinition]
+    ) -> Optional[Tuple[str, Tuple[int, ...]]]:
+        """The registered ``(name, key order)`` of a function, or ``None`` when new.
+
+        A function this compile has not met takes the next map number whether
+        the catalog stores it or not, as in an isolated compile; a catalog map
+        joins the worklist where that compile would process its own copy.
+        The request is logged for the map whose statements are compiling.
+        """
+        if self._log is not None:
+            self._log.setdefault(identity, order)
+        entry = self._registry.get(identity)
+        if entry is None:
+            self._counter += 1
+            entry = self._catalog.registry.get(identity)
+            if entry is not None:
+                self._registry[identity] = entry
+                self._share(entry[0], worklist)
+                if read_positions(entry[1], order) != tuple(range(len(order))):
+                    self._transposed += 1
+        return entry
+
+    def _share(self, name: str, worklist: List[MapDefinition]) -> None:
+        """Read the catalog map ``name`` in this compile."""
+        definition = self._catalog.maps[name]
+        self._shared.add(name)
+        self._maps[name] = definition
+        worklist.append(definition)
+
+    def _register_result(
+        self, definition: MapDefinition, worklist: List[MapDefinition]
+    ) -> Tuple[str, Dict[object, Tuple[str, Tuple[int, ...]]]]:
+        """The view's result map and its registry entry (none when shared).
+
+        A query the catalog stores in the same key order is read from that
+        map; a transposed one gets its own, a view result keeping the user's
+        key order.  No map below the result can equal it, so it stays out of
+        this compile's own registry.
+        """
+        identity, order = sharing_key(
+            definition.definition, definition.key_vars, self._commutative, self._semiring_mode
+        )
+        entry = self._catalog.registry.get(identity)
+        if entry is not None and read_positions(entry[1], order) == tuple(range(len(order))):
+            self._share(entry[0], worklist)
+            return entry[0], {}
+        self._maps[definition.name] = definition
+        worklist.append(definition)
+        return definition.name, ({identity: (definition.name, order)} if entry is None else {})
 
     # -- trigger statements (relation-valued deltas) ----------------------------------
 
@@ -558,15 +670,6 @@ class Compiler:
         strategies: Dict[str, str] = {}
         supports: Dict[str, object] = {}
         worklist: List[MapDefinition] = []
-        result = self._maps.get(self._base_name)
-        if result is not None and isinstance(result.definition, Rel):
-            # A bare relation count is integer-valued by construction; there
-            # is no ring-valued fold to maintain, and the base-copy registry
-            # would alias the result map itself.
-            raise CompilationError(
-                "the result of a semiring query must aggregate a value "
-                f"expression; a bare relation count cannot be maintained in {ring.name}"
-            )
         ring_maps = [
             name
             for name, definition in self._maps.items()
@@ -574,6 +677,13 @@ class Compiler:
         ]
         for name in ring_maps:
             definition = self._maps[name]
+            if name in self._shared:
+                # It keeps the strategy it was materialized with; request the
+                # base copies that strategy reads, as compiling it did.
+                for node in walk(definition.definition):
+                    if isinstance(node, Rel):
+                        self._base_copy(node.name, definition, worklist)
+                continue
             plan = None
             if (
                 ring.maintenance == SUPPORT_STRUCTURE
@@ -601,7 +711,7 @@ class Compiler:
         counter_maps = tuple(
             name
             for name, definition in self._maps.items()
-            if isinstance(definition.definition, Rel)
+            if isinstance(definition.definition, Rel) and name not in self._shared
         )
         for name in counter_maps:
             strategies[name] = "counter"
@@ -610,7 +720,7 @@ class Compiler:
             strategies=strategies,
             counter_maps=counter_maps,
             supports=supports,
-            relation_counters={relation: copy.name for relation, copy in self._base_copies.items()},
+            relation_counters=dict(self._base_copies),
         )
 
     def _maps_read_elsewhere(self) -> frozenset:
@@ -676,7 +786,7 @@ class Compiler:
         """All base relations whose updates can change the contents of map ``name``."""
         cached = self._trigger_relations_cache.get(name)
         if cached is None:
-            definition = self._maps[name]
+            definition = self._known[name]
             relations = set(definition.relations)
             for ref in map_references(definition.definition):
                 relations |= self._map_trigger_relations(ref.name)
@@ -746,7 +856,8 @@ class Compiler:
             target=definition.name,
             target_keys=definition.key_vars,
             body=body,
-            depth=self._recompute_depth(definition.name),
+            # Nesting depth of the sources: orders recomputes within one event.
+            depth=dependency_depths(self._known)[definition.name],
             source_projections=self._source_projections(body, definition.key_vars),
         )
 
@@ -794,15 +905,9 @@ class Compiler:
         another map reads them permuted).
         """
         keys = tuple(f"k{index}" for index in range(len(self.schema[relation])))
-        copy = self._base_copies.get(relation)
-        if copy is None:
-            copy = self._shared_map(Rel(relation, keys), keys, keys, parent.level + 1, worklist)
-            self._base_copies[relation] = copy
+        copy = self._shared_map(Rel(relation, keys), keys, keys, parent.level + 1, worklist)
+        self._base_copies[relation] = copy.name
         return rename_variables(copy, dict(zip(keys, columns)))
-
-    def _recompute_depth(self, name: str) -> int:
-        """Nesting depth of a map's sources; orders recomputes within one event."""
-        return dependency_depths(self._maps)[name]
 
     @staticmethod
     def _source_projections(
@@ -917,9 +1022,9 @@ def assemble_triggers(
     reads use the pre-update state, so this ordering is presentational — it
     mirrors Equation (1)'s increasing-j order.  Recomputes run after the
     fold, inner hierarchies first, so each one reads post-update sources and
-    pre-update target values.  Shared between the single-query compiler and
-    the multi-view :class:`repro.session.MapCatalog` so both build identical
-    triggers for the same statement set.
+    pre-update target values.  Shared between the compiler (a view's added
+    statements) and the multi-view :class:`repro.session.MapCatalog` (the
+    union of every view's) so both order one statement set identically.
     """
     triggers: Dict[Tuple[str, int], BatchTrigger] = {}
     for event in sorted(set(statements) | set(recomputes)):
@@ -1038,6 +1143,7 @@ def compile_query(
     verify: bool = True,
     normalize: bool = True,
     ring: Optional[Semiring] = None,
+    catalog=None,
 ) -> TriggerProgram:
     """Convenience wrapper around :class:`Compiler`."""
     return Compiler(schema).compile(
@@ -1047,6 +1153,7 @@ def compile_query(
         verify=verify,
         normalize=normalize,
         ring=ring,
+        catalog=catalog,
     )
 
 

@@ -202,14 +202,20 @@ class SliceIndexes:
         """Register ``added`` and forget ``removed`` keys of map ``name``."""
         apply_index_journal(self.data, self.specs.get(name, ()), name, added, removed)
 
-    def rebuild(self, maps: Mapping[str, Mapping[Tuple[Any, ...], Any]]) -> None:
-        """Re-derive every index from the current map contents (post-bootstrap)."""
-        for bucket in self.data.values():
-            bucket.clear()
-        for name in self.specs:
+    def rebuild(
+        self,
+        maps: Mapping[str, Mapping[Tuple[Any, ...], Any]],
+        signatures: Optional[Iterable[Tuple[str, Positions]]] = None,
+    ) -> None:
+        """Re-derive indexes from the current map contents (post-bootstrap):
+        every signature, or only ``signatures`` (``(map, positions)`` pairs
+        of the specs)."""
+        for signature in tuple(self.data) if signatures is None else signatures:
+            name, positions = signature
+            self.data[signature].clear()
             table = maps.get(name)
             if table:
-                self.apply_journal(name, table, ())
+                apply_index_journal(self.data, (positions,), name, table, ())
 
     # -- lookups -------------------------------------------------------------
 

@@ -72,7 +72,7 @@ def dependency_depths(maps: Mapping[str, "MapDefinition"]) -> Dict[str, int]:
     A map whose definition reads no other map has depth 0; otherwise its depth
     is one more than its deepest source.  This is the single ordering notion
     shared by the runtime's bootstrap (sources evaluated first), the map
-    catalog's absorb (sources renamed before their readers), and the
+    catalog's absorb (a view's maps listed sources first), and the
     compiler's recompute ordering (inner hierarchies refreshed first).
 
     Map references outside ``maps`` (delta maps, hand-built IR mistakes — the

@@ -20,10 +20,10 @@ Two distinct services are built on that order:
   position the key-projection analysis expects.
 
 * :func:`ac_canonical_identity` — the *identity* of a map as a function of
-  its keys, the one key both sharing registries use (the compiler's
-  component registry and the multi-view
-  :class:`~repro.session.catalog.MapCatalog`).  A map is a function, so its
-  identity sees through everything that does not change the function:
+  its keys, the key of the one sharing registry (the compiler's, which a
+  multi-view :class:`~repro.session.catalog.MapCatalog` seeds with the maps
+  other views materialized).  A map is a function, so its identity sees
+  through everything that does not change the function:
 
   - *binding spelling*: ``(a := b)`` between two variables is the indicator
     ``a = b``, so it is substituted away first (``Customer(v0, v1) * (k0 :=
@@ -385,7 +385,7 @@ def sharing_key(
 ):
     """The registry key of a map definition, and its key order.
 
-    Both sharing registries key on this.  Over a ring it is the
+    The sharing registry keys on this.  Over a ring it is the
     :func:`ac_canonical_identity`.  Under a semiring maintenance plan the
     key also carries the key order — support plans and tracked recomputes
     read a counter map at fixed positions, so transposes are not shared — and
@@ -396,6 +396,15 @@ def sharing_key(
     if semiring:
         return (identity, order, isinstance(expr, Rel)), order
     return identity, order
+
+
+def functions_stored(definitions: Iterable, semiring: bool = False) -> List[List[str]]:
+    """Names of map ``definitions`` grouped by :func:`sharing_key`, in first-name order."""
+    groups: dict = {}
+    for definition in definitions:
+        identity = sharing_key(definition.definition, definition.key_vars, semiring=semiring)[0]
+        groups.setdefault(identity, []).append(definition.name)
+    return list(groups.values())
 
 
 def read_positions(registered: Tuple[int, ...], order: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -417,6 +426,7 @@ __all__ = [
     "ac_canonical_identity",
     "ac_canonical_map_key",
     "sharing_key",
+    "functions_stored",
     "read_positions",
     "order_for_safety",
 ]

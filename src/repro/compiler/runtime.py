@@ -268,7 +268,8 @@ class TriggerRuntime:
         shared hierarchy); by default every map is (re)computed.  Maps are
         evaluated sources-first: a definition that reads other maps (an
         extracted nested aggregate, a base-relation copy) sees their freshly
-        computed contents.
+        computed contents.  The slice indexes of the computed maps are
+        rebuilt; the others are left as they are.
         """
         targets = tuple(names) if names is not None else tuple(self.program.maps)
         depths = dependency_depths(self.program.maps)
@@ -298,7 +299,11 @@ class TriggerRuntime:
                         table[key] = value
             plain[name] = table
             self.maps[name] = self.make_table(table)
-        self.indexes.rebuild(self.maps)
+        computed = set(targets)
+        self.indexes.rebuild(
+            self.maps,
+            None if names is None else [sig for sig in self.indexes.data if sig[0] in computed],
+        )
         self._ring_view = None
         self.rebuild_supports()
         self.maps.compensation.clear()

@@ -300,39 +300,48 @@ class MaintenancePlan:
     def strategy_for(self, name: str) -> Optional[str]:
         return self.strategies.get(name)
 
-    def renamed(self, renaming: Dict[str, str]) -> "MaintenancePlan":
-        """The plan under a map renaming (used by the multi-view catalog)."""
-        import dataclasses as _dataclasses
-
-        def new(name: str) -> str:
-            return renaming.get(name, name)
-
-        return MaintenancePlan(
-            ring_name=self.ring_name,
-            strategies={new(name): strategy for name, strategy in self.strategies.items()},
-            counter_maps=tuple(new(name) for name in self.counter_maps),
-            supports={
-                new(name): _dataclasses.replace(plan, map_name=new(name))
-                for name, plan in self.supports.items()
-            },
-            relation_counters={
-                relation: new(name) for relation, name in self.relation_counters.items()
-            },
-        )
-
-    def merge(self, other: "MaintenancePlan") -> None:
-        """Fold another program's plan into this one (same ring required)."""
+    def merged(self, other: "MaintenancePlan") -> "MaintenancePlan":
+        """A new plan: this one plus another program's (same ring required).
+        A map both cover keeps this plan's strategy, the first materializer's."""
         if other.ring_name != self.ring_name:
             raise ValueError(
                 f"cannot merge maintenance plans over different rings "
                 f"({self.ring_name!r} vs {other.ring_name!r})"
             )
-        self.strategies.update(other.strategies)
-        merged = dict.fromkeys(self.counter_maps)
-        merged.update(dict.fromkeys(other.counter_maps))
-        self.counter_maps = tuple(merged)
-        self.supports.update(other.supports)
-        self.relation_counters.update(other.relation_counters)
+        return MaintenancePlan(
+            ring_name=self.ring_name,
+            strategies=_extended(self.strategies, other.strategies),
+            counter_maps=tuple(dict.fromkeys(self.counter_maps + other.counter_maps)),
+            supports=_extended(self.supports, other.supports),
+            relation_counters=_extended(self.relation_counters, other.relation_counters),
+        )
+
+
+def _extended(mine: Dict[str, Any], theirs: Dict[str, Any]) -> Dict[str, Any]:
+    """``mine`` plus the entries of ``theirs`` for keys it lacks, in that order."""
+    extended = dict(mine)
+    for key, value in theirs.items():
+        extended.setdefault(key, value)
+    return extended
+
+
+@dataclass(frozen=True)
+class Registration:
+    """What compiling one view against a map catalog (``compile_query(...,
+    catalog=)``) adds to its sharing registry; ``MapCatalog.absorb`` commits
+    it.  ``base`` is the catalog state it was compiled against."""
+
+    base: object
+    #: Sharing key -> ``(map name, key order)`` of every map the view adds.
+    entries: Dict[object, Tuple[str, Tuple[int, ...]]]
+    #: Added map -> the ``(sharing key, key order)`` requests compiling its
+    #: statements made, in order.
+    requests: Dict[str, Tuple[Tuple[object, Tuple[int, ...]], ...]]
+    #: The catalog maps read where an isolated compile would build its own
+    #: copy, the statements of those copies, and how many read transposed.
+    maps_deduplicated: int = 0
+    statements_deduplicated: int = 0
+    maps_transposed: int = 0
 
 
 @dataclass
@@ -350,6 +359,8 @@ class TriggerProgram:
     schema: Dict[str, Tuple[str, ...]]
     #: Semiring maintenance contract; ``None`` for ring-compiled programs.
     maintenance: Optional[MaintenancePlan] = None
+    #: The sharing-registry additions of the compile (see :class:`Registration`).
+    registration: Optional[Registration] = field(default=None, compare=False, repr=False)
 
     def trigger_for(self, relation: str, sign: int) -> Optional[BatchTrigger]:
         return self.triggers.get((relation, sign))

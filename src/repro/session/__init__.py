@@ -16,7 +16,7 @@ Compiled views share materialized maps through the :class:`MapCatalog`;
 ``Session.restore`` persist and revive the whole materializer state.
 """
 
-from repro.session.catalog import MapCatalog, rename_map_references
+from repro.session.catalog import MapCatalog
 from repro.session.session import SNAPSHOT_FORMAT, Session
 from repro.session.views import COMPILED_BACKENDS, MaterializedView
 
@@ -24,7 +24,6 @@ __all__ = [
     "Session",
     "MaterializedView",
     "MapCatalog",
-    "rename_map_references",
     "SNAPSHOT_FORMAT",
     "COMPILED_BACKENDS",
 ]

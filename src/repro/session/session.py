@@ -13,9 +13,10 @@ aggregate views.
 
 Every view is compiled.  The views of one backend (``"generated"``, the
 default, or ``"interpreted"``) share one map hierarchy through a
-:class:`~repro.session.catalog.MapCatalog`: structurally identical map
-definitions produced by different views are maintained once per update, not
-once per view.
+:class:`~repro.session.catalog.MapCatalog`: each view is compiled against it,
+so a map equal to one an earlier view materialized is read, not compiled
+again — maintained once per update, not once per view — and registering the
+view adds only its own maps and statements.
 
 Sessions also support change-data-capture (``view.on_change(callback)``
 delivers per-update result deltas) and persistence
@@ -173,15 +174,14 @@ class _CompiledGroup:
 
         Registration is transactional: if rebuilding the execution artifacts
         fails (code generation rejecting the ring, a bootstrap error), the
-        catalog and the runtime are restored to their pre-registration state
-        and the view name stays available.
+        catalog's append is undone, the runtime is left as it was, and the
+        view name stays available.
         """
-        state = self.catalog.checkpoint()
         result_map = self.absorb(view_name, query)
         try:
             self.rebuild(bootstrap_source)
         except BaseException:
-            self.catalog.rollback(state)
+            self.catalog.rollback()
             raise
         return result_map
 
@@ -194,30 +194,38 @@ class _CompiledGroup:
         # Passing the ring attaches the semiring maintenance plan (counter
         # maps, tracked recomputes, support structures) that both compiled
         # executors dispatch on; rings with inverses compile exactly as before.
+        # Compiled against the catalog, the program holds what the view adds.
         program = compile_query(
             query, self.catalog.schema, name=view_name, normalize=self.ring.commutative,
-            ring=self.ring,
+            ring=self.ring, catalog=self.catalog,
         )
         return self.catalog.absorb(view_name, program)[0]
 
     def rebuild(self, bootstrap_source: Optional[Callable[[], Database]]) -> None:
         """Rebuild the execution artifacts from the catalog's current program.
 
-        Map contents carry over by name; the maps new to the program are
+        Map contents carry over by name, with the slice-index buckets of
+        every signature the previous runtime kept for them: only signatures
+        new to the program are built.  The maps new to the program are
         bootstrapped from ``bootstrap_source`` (when given).
         """
         combined = self.catalog.program()
-        previous = self.runtime.maps if self.runtime is not None else {}
+        previous = self.runtime
+        carried, buckets = (previous.maps, previous.indexes.data) if previous is not None else ({}, {})
         runtime = TriggerRuntime(combined, ring=self.ring)
         runtime.statistics = self.statistics
         for name in combined.maps:
-            if name in previous:
-                runtime.maps[name] = previous[name]
-        fresh = tuple(name for name in combined.maps if name not in previous)
+            if name in carried:
+                runtime.maps[name] = carried[name]
+        fresh = tuple(name for name in combined.maps if name not in carried)
+        data = runtime.indexes.data
+        data.update((signature, buckets[signature]) for signature in data.keys() & buckets.keys())
+        runtime.indexes.rebuild(
+            runtime.maps, [sig for sig in data if sig[0] in carried and sig not in buckets]
+        )
         if bootstrap_source is not None and fresh:
             runtime.bootstrap(bootstrap_source(), names=fresh)
         else:
-            runtime.indexes.rebuild(runtime.maps)
             # A rebuild replaces the runtime object (and with it the support
             # tier); re-derive the sidecars from the carried-over counters.
             runtime.rebuild_supports()

@@ -271,8 +271,6 @@ def test_generated_backend_reports_work_counters():
 def test_reserved_runtime_identifiers_survive_as_query_variables():
     """AGCA variables named like generated-code internals (_CH, _IDX, maps, ...)
     must be renamed by the allocator, not shadow the runtime parameters."""
-    from repro.gmr.database import insert
-
     schema = {"R": ("A", "B"), "S": ("C", "D")}
     for variable in ("_CH", "_IDX", "maps", "values"):
         query = parse(f"AggSum([{variable}], R({variable}, y) * S({variable}, z) * y * z)")

@@ -3,7 +3,6 @@
 from repro.core.ast import Compare, Rel
 from repro.core.delta import UpdateEvent, delta
 from repro.core.factorization import (
-    Component,
     connected_components,
     factorization_width,
     factorize_monomial,

@@ -174,7 +174,7 @@ def test_simplified_deltas_preserve_semantics(query, updates):
 def test_repeated_assignment_to_eliminated_variable_keeps_equality():
     """Regression: ``(x := u0) * (x := u1)`` with ``x`` eliminated must keep the
     ``u0 = u1`` filter — it is the delta of a repeated-column atom ``R(x, x)``."""
-    from repro.core.ast import Assign, Compare, Mul, Var
+    from repro.core.ast import Assign, Compare, Var
     from repro.core.normalization import Monomial
     from repro.core.simplify import simplify_monomial
 

@@ -10,11 +10,15 @@ artifacts that must not move when the consumers switch to it: index specs
 and the emitted dashboard and hotkey modules, byte for byte.
 """
 
+import ast
 import hashlib
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro.session
+from repro.algebra.semirings import resolve_semiring
 from repro.analysis.ir_lint import _lint_targets
 from repro.compiler.codegen import generate_python
 from repro.compiler.compile import compile_query
@@ -332,3 +336,158 @@ def test_the_verifier_walks_the_reads_once(monkeypatch):
     # A runtime's own specs are still checked read by read.
     uncovered = [v for v in iter_violations(program, index_specs={}) if v.kind == "uncovered-slice"]
     assert len(uncovered) == len(list(original(program))) > 0
+
+
+# ---------------------------------------------------------------------------
+# What must not move: map names and sharing (one registry, names at birth)
+# ---------------------------------------------------------------------------
+
+#: A min-plus pair: the second view shares the first one's counter maps
+#: (``cheapest_m7``..``m9``) and reads its Orders copy keyed ``(ck, ok)``,
+#: ``cheapest_m6`` (under a semiring a transpose is stored apart).
+MINPLUS_PAIR = (
+    ("cheapest", f"SELECT c.nation, MIN(l.price) {_JOIN} GROUP BY c.nation"),
+    ("cheapest_by_customer", f"SELECT c.ck, MIN(l.price) {_JOIN} GROUP BY c.ck"),
+)
+
+
+def _report(views, deduplicated, statements, transposed):
+    return {
+        "views": views, "maps_deduplicated": deduplicated,
+        "statements_deduplicated": statements, "maps_transposed": transposed,
+    }
+
+
+#: Per session and example session: the catalog's map names in order, its
+#: ``sharing_report()`` (``maps`` is the name count) and the sha256 of
+#: ``catalog.program().explain()`` — recorded while the catalog still renamed
+#: each isolated compile into its names.
+CATALOG_GOLDENS = {
+    "dashboard": (
+        ("revenue", "revenue_m1", "revenue_m2", "revenue_m3", "revenue_m4", "revenue_m5",
+         "revenue_by_customer", "revenue_by_customer_m2", "orders", "orders_m1", "total_revenue",
+         "total_revenue_m2", "probe_seen"),
+        _report(5, 8, 20, 1),
+        "bdd0aa8b516dcfebf5d48ffcb7325c6220ce9dfffccaf78c66a4ee87eef4c2ff",
+    ),
+    "hotkey": (
+        ("total", "by_a", "probe_seen"),
+        _report(3, 0, 0, 0),
+        "2aeb6be7c0bb164676f9afd636c72eb9acfaccfaea911e69bbd611d16e6aed3a",
+    ),
+    ("quickstart.py", 0): (
+        ("selfjoin", "selfjoin_m1", "count"),
+        _report(2, 0, 0, 0),
+        "c32e75205a07206f9807869e81aa5f0e73593f8a5bb0892fbf330ce29e95b05b",
+    ),
+    ("quickstart.py", 1): (
+        ("selfjoin", "selfjoin_m1", "count"),
+        _report(2, 0, 0, 0),
+        "c32e75205a07206f9807869e81aa5f0e73593f8a5bb0892fbf330ce29e95b05b",
+    ),
+    ("sales_dashboard.py", 0): (
+        ("revenue", "revenue_m1", "revenue_m2", "revenue_m3", "revenue_m4", "revenue_m5",
+         "revenue_by_customer", "revenue_by_customer_m2", "orders", "orders_m1", "total_revenue",
+         "total_revenue_m2"),
+        _report(4, 8, 20, 1),
+        "11a1c19a906df01bfe00b15ca573ee9e121eee762ba3579bf68b9ed205ded48c",
+    ),
+    ("social_analytics.py", 0): (
+        ("top_posts", "top_posts_m1"),
+        _report(1, 0, 0, 0),
+        "f86d6bb6fc95c935ef432312065d331cfdc16cfbae874e9e07188ca2d5d55138",
+    ),
+    ("social_analytics.py", 1): (
+        ("lowest_score", "lowest_score_m1"),
+        _report(1, 0, 0, 0),
+        "2b0a9b8af5f9805103b5a1ce2d008e9da36a02bfa223c3a20fa80ae50a6078d6",
+    ),
+    ("social_analytics.py", 2): (
+        ("highest_score", "highest_score_m1"),
+        _report(1, 0, 0, 0),
+        "3e5d12e1310aa7db051a9110f9a2d22a8eb6f5947a35d30117497a576e15cf77",
+    ),
+    ("social_analytics.py", 3): (
+        ("same_nation", "same_nation_m1", "same_nation_m2"),
+        _report(1, 0, 0, 0),
+        "0a9b7687cfe06a5a0374f5805dff0255c9f2a860eb73509d1e0b1df42777a0b6",
+    ),
+    ("streaming_ingest.py", 0): (
+        ("revenue", "order_count"),
+        _report(2, 0, 0, 0),
+        "85ddf49aa940703bf5596c25d1b76626f5656f3e832171cb97653c2db32860d7",
+    ),
+    ("streaming_ingest.py", 1): (
+        ("w_sum",),
+        _report(1, 0, 0, 0),
+        "40e60e16894ea333e4c0498d5e2ab0f1ee7363304d7a7b6ce56d789e9dc0fbfb",
+    ),
+    "minplus_pair": (
+        ("cheapest", "cheapest_m1", "cheapest_m2", "cheapest_m3", "cheapest_m4", "cheapest_m7",
+         "cheapest_m8", "cheapest_m9", "cheapest_m5", "cheapest_m6", "cheapest_by_customer",
+         "cheapest_by_customer_m2"),
+        _report(2, 7, 16, 0),
+        "73407403d78b4138c44c041a6e59f11aca08fd486cf4438539e8f8814bc76587",
+    ),
+}
+
+
+def _catalogs(run_example):
+    """``(key, catalog)`` for every session, example session and the min-plus pair."""
+    for name in SESSIONS:
+        yield name, _session(name)._groups["generated"].catalog
+    for script in EXAMPLE_SCRIPTS:
+        for index, session in enumerate(run_example(script)[1]):
+            for group in session._groups.values():
+                yield (script, index), group.catalog
+    session = Session(SALES, ring=resolve_semiring("min-plus"))
+    for view, sql in MINPLUS_PAIR:
+        session.view(view, sql)
+    yield "minplus_pair", session._groups["generated"].catalog
+
+
+def test_map_names_and_sharing_equal_the_recorded_goldens(run_example):
+    keys = []
+    for key, catalog in _catalogs(run_example):
+        names, report, digest = CATALOG_GOLDENS[key]
+        assert tuple(catalog.maps) == names, key
+        assert catalog.sharing_report() == {**report, "maps": len(names)}, key
+        explain = catalog.program().explain()
+        assert hashlib.sha256(explain.encode()).hexdigest() == digest, key
+        keys.append(key)
+    assert sorted(map(str, keys)) == sorted(map(str, CATALOG_GOLDENS))
+
+
+def test_the_min_plus_pair_shares_counters_and_reads_a_transposed_copy():
+    session = Session(SALES, ring=resolve_semiring("min-plus"))
+    for view, sql in MINPLUS_PAIR:
+        session.view(view, sql)
+    program = session._groups["generated"].catalog.program()
+    assert sorted(program.maintenance.counter_maps) == [
+        "cheapest_by_customer_m2", "cheapest_m7", "cheapest_m8", "cheapest_m9",
+    ]
+    reads = {
+        (reference.name, positions)
+        for trigger in program.triggers.values()
+        for statement in trigger.statements
+        if statement.target == "cheapest_by_customer"
+        for monomial in statement.monomials
+        for reference, positions in monomial.reads()
+    }
+    # The second view reads the first view's (ck, ok) copy, bound at ok.
+    assert ("cheapest_m6", (1,)) in reads
+
+
+def test_the_session_package_does_not_key_maps_itself():
+    """One identity in one place: ``repro.session`` hands the compiler its
+    catalog and never computes a sharing key or a read permutation."""
+    package = Path(repro.session.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (
+                [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                else [node.attr] if isinstance(node, ast.Attribute)
+                else [node.id] if isinstance(node, ast.Name)
+                else []
+            )
+            assert not {"sharing_key", "read_positions"} & set(names), path.name

@@ -321,12 +321,21 @@ def test_map_catalog_reports_and_rejects_duplicates():
     from repro.compiler.compile import compile_query
 
     catalog = MapCatalog(RS_SCHEMA)
-    program = compile_query(parse("Sum(R(a, b) * S(b, d) * d)"), RS_SCHEMA, name="v")
+    query = parse("Sum(R(a, b) * S(b, d) * d)")
+    program = compile_query(query, RS_SCHEMA, name="v", catalog=catalog)
     result_map, new_maps = catalog.absorb("v", program)
     assert result_map == "v" and "v" in new_maps
     with pytest.raises(ValueError):
         catalog.absorb("v", program)
-    assert catalog.sharing_report()["views"] == 1
+    # A program compiled against another state of the catalog (or none)
+    # could re-add a map it holds: it is rejected.
+    with pytest.raises(ValueError, match="not compiled against"):
+        catalog.absorb("w", program)
+    with pytest.raises(ValueError, match="not compiled against"):
+        catalog.absorb("w", compile_query(query, RS_SCHEMA, name="w"))
+    duplicate = compile_query(query, RS_SCHEMA, name="w", catalog=catalog)
+    assert catalog.absorb("w", duplicate) == ("v", ())
+    assert catalog.sharing_report()["views"] == 2
     assert catalog.program().result_map == "v"
 
 

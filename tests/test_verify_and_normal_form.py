@@ -188,7 +188,7 @@ class TestCatalogACDedup:
         for name, text in self.VIEWS:
             # normalize=False keeps each view's own factor spelling, so the
             # only unification mechanism under test is the catalog's identity.
-            program = compile_query(parse(text), SCHEMA, name=name, normalize=False)
+            program = compile_query(parse(text), SCHEMA, name=name, normalize=False, catalog=catalog)
             catalog.absorb(name, program)
         return catalog
 
