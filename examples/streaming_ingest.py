@@ -1,11 +1,11 @@
-"""Streaming ingestion: producer threads, watermark flushes, and windowed CDC.
+"""Streaming ingestion: producer threads, watermark flushes, and per-flush CDC.
 
 A small order-events dashboard fed by four concurrent producers.  The script
 walks the full ingestion surface in order:
 
 1. producers on separate threads submitting a duplicate-heavy stream while a
    latency watermark keeps the views fresh;
-2. a CDC subscriber windowed over several flushes, receiving net payloads;
+2. a view's ``on_change`` subscriber receiving one net payload per flush;
 3. a poisoned update quarantined to the dead-letter list while the pipeline
    keeps running;
 4. the stats snapshot summarizing what the queue absorbed.
@@ -18,7 +18,7 @@ Run with::
 import random
 import threading
 
-from repro import BackpressurePolicy, Session
+from repro import Session
 
 SCHEMA = {"Orders": ("region", "amount")}
 REGIONS = ("north", "south", "east", "west")
@@ -43,13 +43,9 @@ def main():
     session.view("order_count", "Sum(Orders(region, amount))")
 
     print("== Concurrent producers through the ingestion pipeline ==")
-    window_payloads = []
-    pipe = session.ingest(
-        max_pending=256,
-        max_staleness_ms=10.0,
-        backpressure=BackpressurePolicy(high_water=2_048, mode="block"),
-    )
-    pipe.subscribe("revenue", window_payloads.append, every_flushes=4)
+    revenue_payloads = []
+    revenue.on_change(revenue_payloads.append)
+    pipe = session.ingest(max_pending=256, max_staleness_ms=10.0)
     threads = [
         threading.Thread(target=produce, args=(pipe, seed), daemon=True)
         for seed in range(PRODUCERS)
@@ -63,8 +59,8 @@ def main():
     print(f"revenue per region after {PRODUCERS * EVENTS_PER_PRODUCER} submitted events:")
     for (region,), total in sorted(revenue.result_mapping().items()):
         print(f"  {region:6s} {total:>10,}")
-    print(f"windowed CDC delivered {len(window_payloads)} payloads "
-          f"(one per {4} flushes, net deltas only)")
+    print(f"CDC delivered {len(revenue_payloads)} revenue payloads "
+          "(one per flush that changed it, net deltas only)")
 
     stats = pipe.stats_snapshot()
     print("\n== What the queue absorbed ==")

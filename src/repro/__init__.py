@@ -36,8 +36,6 @@ from repro.core import (
 
 from repro.algebra.semirings import Semiring, resolve_semiring
 from repro.ingest import (
-    BackpressureError,
-    BackpressurePolicy,
     DeadLetterBatch,
     IngestClosedError,
     IngestPipeline,
@@ -79,8 +77,6 @@ __all__ = [
     "IngestPipeline",
     "IngestQueue",
     "IngestStats",
-    "BackpressurePolicy",
-    "BackpressureError",
     "IngestClosedError",
     "DeadLetterBatch",
     "AggSum",

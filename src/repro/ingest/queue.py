@@ -9,6 +9,11 @@ O(distinct keys), not O(submitted updates): ten million upserts of one hot
 row occupy one entry, and an insert/delete pair annihilates on arrival
 without ever reaching a trigger.
 
+Backpressure is key-based: when the number of distinct pending keys reaches
+``high_water``, a producer submitting a *new* key blocks until a drain.
+Updates that merge into an already-pending key pass even at the mark — they
+cannot grow the queue.
+
 The queue knows nothing about sessions or flush scheduling.  A drainer (the
 :class:`~repro.ingest.flusher.IngestPipeline`) calls :meth:`drain` to take
 the pending state as the batch's ``∆D`` (a
@@ -16,7 +21,7 @@ the pending state as the batch's ``∆D`` (a
 ``wake`` event handed to the constructor is set when the queue becomes
 non-empty (starting the staleness clock) and when it crosses
 ``watermark_keys`` (the size watermark) — the two transitions that wake the
-flusher thread, never once per key.
+flusher thread, never once per key — and when a producer stalls.
 """
 
 from __future__ import annotations
@@ -25,9 +30,14 @@ import threading
 import time
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.gmr.database import Delta, NetAccumulator, Update, accumulate_update
-from repro.ingest.backpressure import BackpressureError, BackpressurePolicy, IngestClosedError
+from repro.gmr.database import Delta, NetAccumulator, Update
 from repro.ingest.stats import IngestStats
+
+
+class IngestClosedError(RuntimeError):
+    """Raised by ``submit`` once the pipeline (or queue) has been closed —
+    including for producers that were blocked on backpressure when the
+    close happened."""
 
 
 class IngestQueue:
@@ -35,8 +45,9 @@ class IngestQueue:
 
     Parameters
     ----------
-    backpressure:
-        Optional :class:`BackpressurePolicy`; ``None`` never stalls.
+    high_water:
+        Distinct-pending-key count at which submits of new keys block until
+        the next :meth:`drain`; ``None`` never stalls.
     watermark_keys:
         Pending-key count at which ``wake`` is set (the flusher's size
         watermark).  ``None`` sets ``wake`` only on the empty→non-empty
@@ -54,13 +65,15 @@ class IngestQueue:
 
     def __init__(
         self,
-        backpressure: Optional[BackpressurePolicy] = None,
+        high_water: Optional[int] = None,
         watermark_keys: Optional[int] = None,
         wake: Optional[threading.Event] = None,
         stats: Optional[IngestStats] = None,
         validate: Optional[Callable[[Sequence[Update]], None]] = None,
     ):
-        self.backpressure = backpressure
+        if high_water is not None and (not isinstance(high_water, int) or high_water < 1):
+            raise ValueError(f"high_water must be a positive integer, got {high_water!r}")
+        self.high_water = high_water
         self.watermark_keys = watermark_keys
         self.stats = stats if stats is not None else IngestStats()
         self._validate = validate
@@ -75,29 +88,18 @@ class IngestQueue:
 
     # -- producer side ---------------------------------------------------------
 
-    def submit(self, update: Update, nowait: bool = False) -> int:
-        """Coalesce one update into the pending state; returns the new depth.
+    def submit(self, update: Update) -> int:
+        """Coalesce one update into the pending state; returns the new depth."""
+        return self.submit_many((update,))
 
-        Blocks (or raises :class:`BackpressureError` under ``nowait=True`` /
-        an ``"error"``-mode policy) when the update would add a new key past
-        the high-water mark.  Raises :class:`IngestClosedError` after
-        :meth:`close` — including for producers that were blocked when the
-        close happened.
-        """
-        if self._validate is not None:
-            self._validate((update,))
-        with self._lock:
-            return self._submit_locked(update, nowait)
+    def submit_many(self, updates: Iterable[Update]) -> int:
+        """Coalesce a sequence under one lock acquisition; returns the new depth.
 
-    def submit_many(self, updates: Iterable[Update], nowait: bool = False) -> int:
-        """Submit a sequence under one lock acquisition; returns the new depth.
-
-        The per-update semantics (validation, coalescing, backpressure)
-        match :meth:`submit` exactly, but validation runs once over the
-        chunk (a bad update anywhere rejects all of it), the coalescing loop
-        is inlined and the stats are recorded once for the whole chunk —
-        this is the producer hot path, and per-update lock traffic is what it
-        exists to avoid.
+        Validation runs once over the chunk (a bad update anywhere rejects
+        all of it) and the stats are recorded once for the whole chunk.
+        Blocks while an update would add a new key at the high-water mark.
+        Raises :class:`IngestClosedError` after :meth:`close` — including for
+        producers that were blocked when the close happened.
         """
         updates = updates if isinstance(updates, (list, tuple)) else list(updates)
         if self._validate is not None:
@@ -107,15 +109,14 @@ class IngestQueue:
             if self._closed:
                 raise IngestClosedError("ingestion queue is closed")
             net = self._net
-            policy = self.backpressure
-            high_water = None if policy is None else policy.high_water
+            high_water = self.high_water
             watermark = self.watermark_keys
             try:
                 for update in updates:
                     key = (update.relation, update.values)
                     existing = net.get(key)
                     if existing is None and high_water is not None and len(net) >= high_water:
-                        self._stall(policy, nowait)
+                        self._stall()
                         net = self._net  # the flusher drained meanwhile
                         existing = net.get(key)
                     count = update.count
@@ -142,55 +143,19 @@ class IngestQueue:
                 self.stats.record_submit_many(len(updates), tuples, coalesced_tuples, cancelled)
             return len(net)
 
-    def _submit_locked(self, update: Update, nowait: bool) -> int:
-        if self._closed:
-            raise IngestClosedError("ingestion queue is closed")
-        key = (update.relation, update.values)
-        policy = self.backpressure
-        if key not in self._net and policy is not None and len(self._net) >= policy.high_water:
-            self._stall(policy, nowait)
-        net = self._net  # (re-read: the flusher may have drained while we waited)
-        before = len(net)
-        accumulate_update(net, update)
-        depth = len(net)
-        if depth < before:
-            self.stats.record_cancelled_key()
-            if depth == 0:
-                self._since = None
-        self.stats.record_submit(update.count, new_key=depth > before)
-        if depth > before:
-            if before == 0:
-                self._since = time.perf_counter()
-                self._wake_drainer()
-            elif depth == self.watermark_keys:
-                self._wake_drainer()
-        return depth
-
     def _wake_drainer(self) -> None:
         """Set ``wake`` unless it is already set: one wake per transition."""
         wake = self._wake
         if wake is not None and not wake.is_set():
             wake.set()
 
-    def _stall(self, policy: BackpressurePolicy, nowait: bool) -> None:
-        """Wait at the high-water mark (or raise, per mode/nowait/timeout)."""
-        if nowait or not policy.blocks:
-            raise BackpressureError(
-                f"ingestion queue is at its high-water mark "
-                f"({len(self._net)} >= {policy.high_water} pending keys)"
-            )
+    def _stall(self) -> None:
+        """Wait (lock held by the caller) until a drain frees the high-water mark."""
         self._wake_drainer()  # make sure the flusher is coming
-        deadline = None if policy.timeout_s is None else time.monotonic() + policy.timeout_s
         started = time.perf_counter()
         try:
-            while len(self._net) >= policy.high_water and not self._closed:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise BackpressureError(
-                        f"blocked submit exceeded timeout_s={policy.timeout_s} at the "
-                        f"high-water mark ({policy.high_water} pending keys)"
-                    )
-                self._not_full.wait(remaining)
+            while len(self._net) >= self.high_water and not self._closed:
+                self._not_full.wait()
             if self._closed:
                 raise IngestClosedError("ingestion queue closed while a submit was blocked")
         finally:

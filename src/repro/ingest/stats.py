@@ -1,7 +1,7 @@
 """Observability surface of the streaming ingestion subsystem.
 
-One :class:`IngestStats` instance is shared by a pipeline's queue, flusher,
-and CDC windows; every counter is maintained under an internal lock so
+One :class:`IngestStats` instance is shared by a pipeline's queue and
+flusher; every counter is maintained under an internal lock so
 producer threads, the flusher thread, and a monitoring thread can all touch
 it concurrently.  :meth:`IngestStats.snapshot` returns a plain dict — the
 stable, JSON-able monitoring contract the README documents and the soak
@@ -54,10 +54,6 @@ class IngestStats:
     ``backpressure_stalls`` / ``backpressure_wait_s``
         Producer stalls at the high-water mark and the total time spent
         blocked in them.
-    ``cdc_windows_emitted`` / ``cdc_flushes_coalesced``
-        Windowed change-data-capture: callbacks actually delivered, and
-        per-flush deltas that were ring-added into a window instead of
-        being delivered individually (the callbacks *saved*).
     """
 
     def __init__(self) -> None:
@@ -73,31 +69,17 @@ class IngestStats:
         self.quarantined_updates = 0
         self.backpressure_stalls = 0
         self.backpressure_wait_s = 0.0
-        self.cdc_windows_emitted = 0
-        self.cdc_flushes_coalesced = 0
         self.max_flush_staleness_ms = 0.0
         self._flush_latency_ms = deque(maxlen=LATENCY_WINDOW)
         self._flush_staleness_ms = deque(maxlen=LATENCY_WINDOW)
 
-    # -- recording hooks (called by the queue / flusher / windows) -------------
-
-    def record_submit(self, tuples: int, new_key: bool) -> None:
-        with self._lock:
-            self.submit_calls += 1
-            self.submitted_updates += tuples
-            if not new_key:
-                self.coalesced_updates += tuples
-
-    def record_cancelled_key(self) -> None:
-        with self._lock:
-            self.cancelled_keys += 1
+    # -- recording hooks (called by the queue / flusher) ------------------------
 
     def record_submit_many(
         self, calls: int, tuples: int, coalesced_tuples: int, cancelled: int
     ) -> None:
-        """Bulk form of :meth:`record_submit`/:meth:`record_cancelled_key` —
-        one lock acquisition for a whole ``submit_many`` chunk, which is what
-        keeps the producer hot loop off this lock."""
+        """One lock acquisition for a whole ``submit_many`` chunk, which is
+        what keeps the producer hot loop off this lock."""
         with self._lock:
             self.submit_calls += calls
             self.submitted_updates += tuples
@@ -124,23 +106,7 @@ class IngestStats:
             self.backpressure_stalls += 1
             self.backpressure_wait_s += waited_s
 
-    def record_window_emit(self, flushes_in_window: int) -> None:
-        with self._lock:
-            self.cdc_windows_emitted += 1
-            self.cdc_flushes_coalesced += max(0, flushes_in_window - 1)
-
     # -- reading ---------------------------------------------------------------
-
-    def flush_latency_percentiles(self) -> Dict[str, float]:
-        """p50/p90/p99/max of recent flush latencies, in milliseconds."""
-        with self._lock:
-            samples = list(self._flush_latency_ms)
-        return {
-            "p50_ms": percentile(samples, 0.50),
-            "p90_ms": percentile(samples, 0.90),
-            "p99_ms": percentile(samples, 0.99),
-            "max_ms": max(samples) if samples else 0.0,
-        }
 
     def snapshot(self, queue_depth: Optional[int] = None) -> Dict[str, Any]:
         """All counters plus latency percentiles as one plain (JSON-able) dict."""
@@ -159,8 +125,6 @@ class IngestStats:
                 "quarantined_updates": self.quarantined_updates,
                 "backpressure_stalls": self.backpressure_stalls,
                 "backpressure_wait_s": self.backpressure_wait_s,
-                "cdc_windows_emitted": self.cdc_windows_emitted,
-                "cdc_flushes_coalesced": self.cdc_flushes_coalesced,
                 "max_flush_staleness_ms": self.max_flush_staleness_ms,
             }
         record["flush_latency"] = {

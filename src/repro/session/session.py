@@ -576,25 +576,25 @@ class Session:
         for update in updates:
             self.apply(update)
 
-    def ingest(self, **kwargs) -> "Any":
+    def ingest(self, max_pending: int = 4096, max_staleness_ms: Optional[float] = 50.0) -> "Any":
         """A streaming :class:`~repro.ingest.IngestPipeline` over this session.
 
         Producers on any thread ``submit()`` updates; the pipeline coalesces
         them online and flushes pre-aggregated batches through
-        :meth:`apply_batch` on a size/latency watermark, with backpressure and
-        per-flush dead-letter quarantine.  Keyword arguments are forwarded to
-        :class:`~repro.ingest.IngestPipeline` (``max_pending``,
-        ``max_staleness_ms``, ``backpressure``, ...).  While a pipeline is
-        running it owns the session's write path — do not call ``insert`` /
-        ``apply_batch`` directly until it is closed.  Use as a context
-        manager for a final flush on exit::
+        :meth:`apply_batch` once ``max_pending`` distinct keys are pending or
+        the oldest is ``max_staleness_ms`` old (``None``: no timer).
+        Producers block at four times ``max_pending`` pending keys, and a
+        flush that raises is rolled back and parked on ``dead_letters``.
+        While a pipeline is running it owns the session's write path — do
+        not call ``insert`` / ``apply_batch`` directly until it is closed.
+        Use as a context manager for a final flush on exit::
 
             with session.ingest(max_staleness_ms=20) as pipe:
                 pipe.insert("R", 1)
         """
         from repro.ingest import IngestPipeline
 
-        return IngestPipeline(self, **kwargs)
+        return IngestPipeline(self, max_pending=max_pending, max_staleness_ms=max_staleness_ms)
 
     def _note_applied(self, updates: Sequence[Update], submitted: int, started: float) -> None:
         """Record an applied batch: ``updates`` is the *effective* (coalesced) form.

@@ -608,11 +608,10 @@ def test_executors_on_a_delta_match_the_per_tuple_oracle(ring_name, trace, apply
         assert shadows[key] == result_as_mapping(executor.runtime.result(), ring), key
 
 
-@pytest.mark.parametrize("shards", [1])
 @pytest.mark.parametrize("ring_name", list(RING_CASES))
 @settings(max_examples=8, deadline=None)
 @given(trace=delta_traces(max_length=40))
-def test_every_batch_form_matches_the_per_tuple_session(ring_name, shards, trace):
+def test_every_batch_form_matches_the_per_tuple_session(ring_name, trace):
     """Session level: ``apply_batch(list)`` ≡ ``apply_batch(coalesce_updates
     (list))`` ≡ a pipeline flush ≡ one ``apply`` per logical tuple — on the
     generated and interpreted groups, every CDC shadow equal to its view, a
@@ -624,7 +623,7 @@ def test_every_batch_form_matches_the_per_tuple_session(ring_name, shards, trace
 
     def build(track_history=False, with_late=False):
         session = Session(
-            DELTA_SCHEMA, ring=ring, track_history=track_history, shards=shards,
+            DELTA_SCHEMA, ring=ring, track_history=track_history,
         )
         shadows = {}
         for name, text in views.items():

@@ -67,11 +67,10 @@ def _assert_storage_is_a_rebuild(indexes, specs, table):
             assert (type(entry) is dict) == (len(keys) > 1), (prefix, entry)
 
 
-@pytest.mark.parametrize("shards", [1])
 @pytest.mark.parametrize(
     "specs", [((0,),), ((1, 2),), ((0,), (0, 2), (1,))], ids=["one-position", "multi", "mixed"]
 )
-def test_apply_index_journal_matches_a_rebuild(specs, shards):
+def test_apply_index_journal_matches_a_rebuild(specs):
     """The one bucket upkeep — adds, removes, the last key of a bucket, the
     one-key/two-key boundary both ways, idempotent re-adds and removes, the
     journals of a fold through the kernels and the inverse journal a

@@ -10,8 +10,6 @@ reference semantics) — state and CDC.
 
 import random
 
-import pytest
-
 from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, resolve_semiring
 from repro.gmr.database import Update
 from repro.session import Session
@@ -40,12 +38,12 @@ class Trio:
     """Generated batches, interpreted batches and per-tuple application of the
     same views, each with a CDC shadow per view."""
 
-    def __init__(self, schema, views, ring=INTEGER_RING, shards=1):
+    def __init__(self, schema, views, ring=INTEGER_RING):
         self.sessions = {}
         self.shadows = {}
         for key, backend in (("generated", "generated"), ("interpreted", "interpreted"),
                              ("per_tuple", "generated")):
-            session = Session(schema, ring=ring, shards=shards)
+            session = Session(schema, ring=ring)
             for name, query in views:
                 view = session.view(name, query, backend=backend)
                 shadow = self.shadows[(key, name)] = {}
@@ -84,13 +82,12 @@ def _accumulate(shadow, delta, ring):
             shadow[key] = value
 
 
-@pytest.mark.parametrize("shards", [1])
-def test_shared_read_survives_another_statements_zero_guard(shards):
+def test_shared_read_survives_another_statements_zero_guard():
     """``±Orders`` reads ``revenue_m4[ok]`` and ``revenue_by_customer_m2[ck]``
     once per row for four statements each.  An order without line items
     zeroes the first, an order of an unknown customer the second: the
     statements that do not multiply by the zero must still accumulate."""
-    trio = Trio(SALES, SALES_VIEWS, shards=shards)
+    trio = Trio(SALES, SALES_VIEWS)
     try:
         explain = trio.sessions["generated"].explain()
         assert "ON BATCH +Orders AS __delta__Orders:  -- 1 scan of Δ, 3 reads, 3 shared" in explain
@@ -155,9 +152,8 @@ PARENT_FLOAT_RESULTS = {
 }
 
 
-@pytest.mark.parametrize("shards", [1])
-def test_float_sums_are_bit_identical_to_the_per_statement_loops(shards):
-    session = Session(SALES, ring=FLOAT_FIELD, shards=shards)
+def test_float_sums_are_bit_identical_to_the_per_statement_loops():
+    session = Session(SALES, ring=FLOAT_FIELD)
     try:
         for name, query in SALES_VIEWS:
             session.view(name, query)
@@ -169,15 +165,14 @@ def test_float_sums_are_bit_identical_to_the_per_statement_loops(shards):
         session.close()
 
 
-@pytest.mark.parametrize("shards", [1])
-def test_min_plus_shared_read_goes_through_from_int(shards):
+def test_min_plus_shared_read_goes_through_from_int():
     """Both ring statements of ``+S`` read the ℤ-valued counter map
     ``total_m3[b]`` (rows of ``R`` per ``b``): one shared raw read, tested as a
     count, converted with ``from_int`` at each use."""
     ring = resolve_semiring("min-plus")
     views = (("total", "AggSum([], R(a, b) * S(b, c) * c)"),
              ("per_c", "AggSum([c], R(a, b) * S(b, c) * b)"))
-    trio = Trio({"R": ("a", "b"), "S": ("b2", "c")}, views, ring=ring, shards=shards)
+    trio = Trio({"R": ("a", "b"), "S": ("b2", "c")}, views, ring=ring)
     try:
         group = trio.sessions["generated"]._groups["generated"]
         assert "ON BATCH +S AS __delta__S:  -- 1 scan of Δ, 1 reads, 1 shared" in (
@@ -204,14 +199,13 @@ def test_min_plus_shared_read_goes_through_from_int(shards):
         trio.close()
 
 
-@pytest.mark.parametrize("shards", [1])
-def test_tracked_recompute_runs_after_the_fused_folds(shards):
+def test_tracked_recompute_runs_after_the_fused_folds():
     """HAVING: the event's folds collect ``_TRK`` keys inside/after the fused
     loop and the recompute reads the post-fold sums."""
     views = (("hot", "SELECT p.community, SUM(p.score) FROM P p GROUP BY p.community "
                      "HAVING SUM(p.score) > 100"),
              ("posts", "SELECT p.community, SUM(1) FROM P p GROUP BY p.community"))
-    trio = Trio({"P": ("community", "post", "score")}, views, shards=shards)
+    trio = Trio({"P": ("community", "post", "score")}, views)
     try:
         assert "_TRK" in trio.sessions["generated"]._groups["generated"].generated.source
         rng = random.Random(11)

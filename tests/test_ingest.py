@@ -2,13 +2,14 @@
 
 Covers: online coalescing in the queue (duplicates, cancellation, compact
 count-carrying updates), watermark flushing (size and latency, plus the
-deterministic inline ``flush()``), backpressure (block / error / nowait /
-timeout / close-while-blocked, and the merge-at-high-water exemption),
-dead-letter quarantine with transactional rollback, cross-batch CDC windows
-(payload equivalence at every window size), stats accounting, the
-``Session.ingest`` entry point, and a randomized multi-threaded equivalence
-property: concurrent producers through the pipeline leave the views in
-exactly the state of applying the stream serially.
+deterministic inline ``flush()``), the blocking high-water mark (drain,
+close-while-blocked, the merge-at-high-water exemption, and a mark derived
+from ``max_pending`` so a producer never waits on a flush that is not due),
+dead-letter quarantine with transactional rollback, per-flush CDC equal to
+``apply_batch``'s, stats accounting, the ``Session.ingest`` entry point and
+its two options, and a randomized multi-threaded equivalence property:
+concurrent producers through the pipeline leave the views in exactly the
+state of applying the stream serially.
 """
 
 import random
@@ -21,21 +22,18 @@ from repro.gmr.database import (
     Delta,
     Update,
     accumulate_update,
+    coalesce_updates,
     delete,
     insert,
 )
-from repro.ingest import (
-    BackpressureError,
-    BackpressurePolicy,
-    IngestClosedError,
-    IngestPipeline,
-    IngestQueue,
-)
+from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, resolve_semiring
+from repro.ingest import IngestClosedError, IngestPipeline, IngestQueue
 from repro.session import Session
 from repro.workloads.streams import producer_streams
 from tests.conftest import grouped_batch, grouped_session
 
 SCHEMA = {"R": ("a", "b")}
+EXECUTORS = ("generated", "interpreted")
 
 
 def make_session(schema=SCHEMA, **kwargs):
@@ -133,33 +131,27 @@ def test_queue_staleness_clock():
 # ---------------------------------------------------------------------------
 
 
-def test_backpressure_error_mode_and_nowait():
-    queue = IngestQueue(backpressure=BackpressurePolicy(high_water=2, mode="error"))
-    queue.submit(insert("R", 1, 1))
-    queue.submit(insert("R", 2, 2))
-    with pytest.raises(BackpressureError):
-        queue.submit(insert("R", 3, 3))
-    blocking = IngestQueue(backpressure=BackpressurePolicy(high_water=2, mode="block"))
-    blocking.submit(insert("R", 1, 1))
-    blocking.submit(insert("R", 2, 2))
-    with pytest.raises(BackpressureError):
-        blocking.submit(insert("R", 3, 3), nowait=True)
-
-
 def test_backpressure_allows_merging_into_pending_keys_at_high_water():
-    queue = IngestQueue(backpressure=BackpressurePolicy(high_water=2, mode="error"))
+    queue = IngestQueue(high_water=2)
     queue.submit(insert("R", 1, 1))
     queue.submit(insert("R", 2, 2))
-    # Same key: merges without growing the queue, so it must pass.
-    queue.submit(insert("R", 1, 1))
-    queue.submit(delete("R", 2, 2))  # cancels — frees a slot
-    queue.submit(insert("R", 4, 4))
+
+    def producer():
+        # Same key: merges without growing the queue, so it must pass.
+        queue.submit(insert("R", 1, 1))
+        queue.submit(delete("R", 2, 2))  # cancels — frees a slot
+        queue.submit(insert("R", 4, 4))
+
+    thread = threading.Thread(target=producer, daemon=True)
+    thread.start()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive(), "a merging submit at the mark must not block"
     assert queue.pending_keys == 2
     assert queue.stats.backpressure_stalls == 0
 
 
-def test_backpressure_block_mode_unblocks_on_drain():
-    queue = IngestQueue(backpressure=BackpressurePolicy(high_water=2, mode="block"))
+def test_backpressure_unblocks_on_drain():
+    queue = IngestQueue(high_water=2)
     queue.submit(insert("R", 1, 1))
     queue.submit(insert("R", 2, 2))
     unblocked = threading.Event()
@@ -179,19 +171,8 @@ def test_backpressure_block_mode_unblocks_on_drain():
     assert queue.stats.backpressure_wait_s > 0
 
 
-def test_backpressure_block_mode_times_out():
-    queue = IngestQueue(
-        backpressure=BackpressurePolicy(high_water=1, mode="block", timeout_s=0.05)
-    )
-    queue.submit(insert("R", 1, 1))
-    started = time.perf_counter()
-    with pytest.raises(BackpressureError):
-        queue.submit(insert("R", 2, 2))
-    assert time.perf_counter() - started >= 0.04
-
-
 def test_close_wakes_blocked_producer_with_closed_error():
-    queue = IngestQueue(backpressure=BackpressurePolicy(high_water=1, mode="block"))
+    queue = IngestQueue(high_water=1)
     queue.submit(insert("R", 1, 1))
     outcome = []
 
@@ -213,13 +194,58 @@ def test_close_wakes_blocked_producer_with_closed_error():
         queue.submit(insert("R", 9, 9))
 
 
-def test_backpressure_policy_validation():
-    with pytest.raises(ValueError):
-        BackpressurePolicy(high_water=0)
-    with pytest.raises(ValueError):
-        BackpressurePolicy(high_water=10, mode="drop")
-    with pytest.raises(ValueError):
-        BackpressurePolicy(high_water=10, timeout_s=0.0)
+def test_high_water_validation():
+    for high_water in (0, -1, 2.5, "8"):
+        with pytest.raises(ValueError, match="high_water"):
+            IngestQueue(high_water=high_water)
+    assert IngestQueue(high_water=1).high_water == 1
+    assert IngestQueue().high_water is None
+
+
+def test_producer_past_max_pending_finishes_without_a_manual_flush():
+    """Regression: a high-water mark below ``max_pending`` stalled a producer
+    at a depth the size watermark never reached, with no timer to flush it.
+    The mark is now derived from ``max_pending``, so the flusher is always
+    due by the time a producer stalls."""
+    updates = [insert("R", a, a % 7) for a in range(50)]
+    session = make_session()
+    pipe = session.ingest(max_pending=2, max_staleness_ms=None)
+    try:
+        producer = threading.Thread(target=lambda: pipe.submit_many(updates), daemon=True)
+        producer.start()
+        producer.join(timeout=10.0)
+        assert not producer.is_alive(), "producer stalled at the high-water mark"
+    finally:
+        pipe.close()
+    serial = make_session()
+    serial.apply_batch(updates)
+    assert session.results() == serial.results()
+
+
+@pytest.mark.parametrize(
+    "option, call",
+    [
+        pytest.param("backpressure", lambda session, pipe: session.ingest(backpressure=None),
+                     id="ingest-backpressure"),
+        pytest.param("quarantine_limit", lambda session, pipe: session.ingest(quarantine_limit=2),
+                     id="ingest-quarantine_limit"),
+        pytest.param("high_water", lambda session, pipe: session.ingest(high_water=8),
+                     id="ingest-high_water"),
+        pytest.param("nowait", lambda session, pipe: pipe.submit(insert("R", 1, 1), nowait=True),
+                     id="submit-nowait"),
+        pytest.param("nowait", lambda session, pipe: pipe.submit_many([], nowait=True),
+                     id="submit_many-nowait"),
+        pytest.param("nowait", lambda session, pipe: pipe.insert("R", 1, 1, nowait=True),
+                     id="insert-nowait"),
+    ],
+)
+def test_a_removed_option_is_a_type_error_naming_it(option, call):
+    """``max_pending`` and ``max_staleness_ms`` are the pipeline's only options."""
+    session = make_session()
+    with manual_pipeline(session) as pipe:
+        with pytest.raises(TypeError, match=option):
+            call(session, pipe)
+        assert pipe.queue_depth == 0
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +369,12 @@ def test_poisoned_flush_is_quarantined_and_pipeline_survives():
         pipe.close()
 
 
-def test_quarantine_limit_keeps_most_recent():
+def test_quarantine_limit_keeps_most_recent(monkeypatch):
+    from repro.ingest import flusher
+
+    monkeypatch.setattr(flusher, "QUARANTINE_LIMIT", 2)
     session = make_poisonable_session()
-    pipe = manual_pipeline(session, quarantine_limit=2)
+    pipe = manual_pipeline(session)
     try:
         for index in range(4):
             pipe.insert("W", f"k{index}", "poison")
@@ -358,248 +387,76 @@ def test_quarantine_limit_keeps_most_recent():
         pipe.close()
 
 
-def test_dead_letter_snapshot_round_trip():
-    from repro.ingest import DeadLetterBatch, QuarantinedError
-
-    session = make_poisonable_session()
-    pipe = manual_pipeline(session)
-    try:
-        pipe.insert("W", "k1", "poison")
-        pipe.insert("W", "k2", 7, count=3)
-        pipe.flush()
-        [dead] = pipe.dead_letters
-        payload = dead.to_snapshot()
-        # The payload is plain data in the session snapshot's update-row
-        # format — JSON round-trippable for durable persistence.
-        import json
-
-        revived = DeadLetterBatch.from_snapshot(json.loads(json.dumps(payload)))
-        assert [
-            (u.sign, u.relation, u.values, u.count) for u in revived.updates
-        ] == [(u.sign, u.relation, u.values, u.count) for u in dead.updates]
-        assert isinstance(revived.error, QuarantinedError)
-        assert "TypeError" in str(revived.error)
-        assert revived.flush_index == dead.flush_index
-    finally:
-        pipe.close()
-
-
-def test_retry_applies_a_healed_dead_letter_and_drops_it():
-    session = make_poisonable_session()
-    pipe = manual_pipeline(session)
-    try:
-        # Poison via a delete of a non-numeric value: retrying after the
-        # offending tuple is compensated heals the batch.
-        pipe.insert("W", "k1", "poison")
-        pipe.insert("W", "k2", 5)
-        pipe.flush()
-        [dead] = pipe.dead_letters
-        assert session["w_sum"].result_mapping() == {}
-        # Heal: remove the poison from the batch by retrying a repaired copy.
-        from repro.ingest import DeadLetterBatch
-
-        healed = DeadLetterBatch(
-            updates=tuple(u for u in dead.updates if u.values[1] != "poison"),
-            error=dead.error,
-            flush_index=dead.flush_index,
-            timestamp=dead.timestamp,
-        )
-        applied = pipe.retry(healed)
-        assert applied == 1
-        assert session["w_sum"].result_mapping() == {("k2",): 5}
-        # The original quarantine entry (equal except for updates) stays —
-        # retry() only drops the exact entry it was handed.
-        assert len(pipe.dead_letters) == 1
-        assert pipe.retry(dead) == 0  # still poisoned: re-quarantined
-        assert len(pipe.dead_letters) == 1
-        assert session["w_sum"].result_mapping() == {("k2",): 5}
-    finally:
-        pipe.close()
-
-
-def test_retry_after_snapshot_restore_round_trip():
-    from repro.ingest import DeadLetterBatch
-    from repro.session import Session as _Session
-
-    session = make_poisonable_session()
-    pipe = manual_pipeline(session)
-    pipe.insert("W", "k1", 10)
-    pipe.flush()
-    pipe.insert("W", "k2", 4)
-    pipe.insert("W", "k3", "poison")
-    pipe.flush()
-    [dead] = pipe.dead_letters
-    dead_payload = dead.to_snapshot()
-    state = session.snapshot()
-    pipe.close()
-
-    # A later process revives the session and the dead letter together.
-    revived_session = _Session.restore(state)
-    revived_pipe = manual_pipeline(revived_session)
-    try:
-        revived = DeadLetterBatch.from_snapshot(dead_payload)
-        healed = DeadLetterBatch(
-            updates=tuple(u for u in revived.updates if u.values[1] != "poison"),
-            error=revived.error,
-            flush_index=revived.flush_index,
-            timestamp=revived.timestamp,
-        )
-        assert revived_pipe.retry(healed) == 1
-        assert revived_session["w_sum"].result_mapping() == {("k1",): 10, ("k2",): 4}
-    finally:
-        revived_pipe.close()
-
-
-def test_retry_on_closed_pipeline_raises():
-    session = make_poisonable_session()
-    pipe = manual_pipeline(session)
-    pipe.insert("W", "k1", "poison")
-    pipe.flush()
-    [dead] = pipe.dead_letters
-    pipe.close()
-    with pytest.raises(IngestClosedError):
-        pipe.retry(dead)
-
-
-def test_quarantined_flush_produces_no_cdc():
-    session = make_poisonable_session()
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_quarantined_flush_leaves_views_and_cdc_unchanged(executor):
+    session = Session({"W": ("k", "v")})
+    view = session.view("w_sum", "AggSum([k], W(k, v) * v)", backend=executor)
     payloads = []
-    session["w_sum"].on_change(payloads.append)
-    pipe = manual_pipeline(session)
-    try:
-        pipe.insert("W", "k1", "poison")
+    view.on_change(payloads.append)
+    with manual_pipeline(session) as pipe:
+        pipe.submit_many([insert("W", "k1", 3), insert("W", "k2", 4)])
         pipe.flush()
-        assert payloads == []
-        pipe.insert("W", "k2", 2)
+        before, cdc_before = session.results(), list(payloads)
+        pipe.submit_many([insert("W", "k1", 5), insert("W", "k3", "poison"), delete("W", "k2", 4)])
+        assert pipe.flush() == 3
+        assert len(pipe.dead_letters) == 1
+        assert session.results() == before
+        assert payloads == cdc_before
+        pipe.insert("W", "k4", 1)
         pipe.flush()
-        assert payloads == [{("k2",): 2}]
-    finally:
-        pipe.close()
+    assert view.result_mapping() == {("k1",): 3, ("k2",): 4, ("k4",): 1}
+    assert payloads == cdc_before + [{("k4",): 1}]
 
 
 # ---------------------------------------------------------------------------
-# Cross-batch CDC windows
+# Per-flush CDC
 # ---------------------------------------------------------------------------
 
+#: ``(ring, values)``: the float values are dyadic, so every sum is exact
+#: whatever order a flush folds it in.
+CDC_RINGS = {
+    "Z": (INTEGER_RING, [1, 2, 3, 5]),
+    "dyadic-float": (FLOAT_FIELD, [0.5, 1.25, 2.0, 3.75]),
+    "min-plus": (resolve_semiring("min-plus"), [1.0, 2.0, 3.0, 5.0]),
+}
 
-def test_window_emits_net_delta_every_n_flushes():
-    session = make_session()
-    pipe = manual_pipeline(session)
-    try:
+
+@pytest.mark.parametrize("ring_name", list(CDC_RINGS))
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_flush_payloads_equal_apply_batch_payloads(executor, ring_name):
+    """Each flush's ``on_change`` payloads equal those of the same ``Delta``
+    handed to ``Session.apply_batch``: the pipeline adds no CDC of its own."""
+    ring, values = CDC_RINGS[ring_name]
+    views = {"total": "AggSum([], R(a, b) * b)", "by_a": "AggSum([a], R(a, b) * b)"}
+
+    def build():
+        session = Session(SCHEMA, ring=ring)
         payloads = []
-        pipe.subscribe("by_a", payloads.append, every_flushes=3)
-        pipe.insert("R", 1, 10)
-        pipe.flush()
-        pipe.insert("R", 1, 5)
-        pipe.flush()
-        assert payloads == []  # window still open after two flushes
-        pipe.insert("R", 2, 7)
-        pipe.flush()
-        assert payloads == [{(1,): 15, (2,): 7}]
-        # Changes cancelling *across* flushes inside a window never surface.
-        pipe.insert("R", 3, 1)
-        pipe.flush()
-        pipe.delete("R", 3, 1)
-        pipe.flush()
-        pipe.insert("R", 1, 1)
-        pipe.flush()
-        assert payloads[-1] == {(1,): 1}
-        assert pipe.stats.cdc_windows_emitted == 2
-        assert pipe.stats.cdc_flushes_coalesced == 4
-    finally:
-        pipe.close()
+        for name, query in views.items():
+            session.view(name, query, backend=executor).on_change(
+                lambda payload, name=name: payloads.append((name, sorted(payload.items())))
+            )
+        return session, payloads
 
-
-def test_window_counts_only_flushes_that_touched_the_view():
-    session = make_session()
-    session.view("only_a5", "AggSum([], R(a, b) * (a = 5) * b)")
-    pipe = manual_pipeline(session)
-    try:
-        payloads = []
-        pipe.subscribe("only_a5", payloads.append, every_flushes=2)
-        pipe.insert("R", 1, 1)  # does not change only_a5
-        pipe.flush()
-        pipe.insert("R", 5, 10)
-        pipe.flush()
-        assert payloads == []  # only one flush delivered a delta so far
-        pipe.insert("R", 5, 10)
-        pipe.flush()
-        assert payloads == [{(): 20}]
-    finally:
-        pipe.close()
-
-
-def test_window_time_bound_emits_without_more_flushes():
-    session = make_session()
-    pipe = session.ingest(max_pending=1_000_000, max_staleness_ms=None)
-    try:
-        payloads = []
-        pipe.subscribe("total", payloads.append, every_flushes=100, every_ms=30.0)
-        pipe.insert("R", 1, 2)
-        pipe.flush()
-        assert payloads == []
-        assert wait_until(lambda: payloads == [{(): 2}])
-    finally:
-        pipe.close()
-
-
-def test_close_force_emits_residual_window():
-    session = make_session()
-    pipe = manual_pipeline(session)
-    payloads = []
-    pipe.subscribe("total", payloads.append, every_flushes=10)
-    pipe.insert("R", 1, 2)
-    pipe.flush()
-    assert payloads == []
-    pipe.close(flush=True)
-    assert payloads == [{(): 2}]
-
-
-def test_subscription_cancel_stops_delivery():
-    session = make_session()
-    pipe = manual_pipeline(session)
-    try:
-        payloads = []
-        subscription = pipe.subscribe("total", payloads.append)
-        pipe.insert("R", 1, 2)
-        pipe.flush()
-        assert payloads == [{(): 2}]
-        subscription.cancel()
-        pipe.insert("R", 1, 2)
-        pipe.flush()
-        assert payloads == [{(): 2}]
-        subscription.cancel()  # idempotent
-    finally:
-        pipe.close()
-
-
-def test_window_payloads_equivalent_at_every_window_size():
-    """The net view change over a run is invariant under the window size."""
-    streams = producer_streams(SCHEMA, producers=1, length=400, seed=3, domain_size=6)
-    [stream] = streams
-    reference = None
-    for window in (1, 2, 3, 5):
-        session = make_session()
-        ring = session.ring
-        net = {}
-
-        def absorb(payload, net=net, ring=ring):
-            for key, value in payload.items():
-                existing = net.get(key)
-                net[key] = value if existing is None else ring.add(existing, value)
-
-        pipe = manual_pipeline(session)
-        pipe.subscribe("by_a", absorb, every_flushes=window)
-        for batch in stream.batches(40):
+    base, base_payloads = build()
+    flushed, flushed_payloads = build()
+    rng = random.Random(41)
+    live = []
+    with manual_pipeline(flushed) as pipe:
+        for _ in range(12):
+            batch = []
+            for _ in range(rng.choice([1, 9, 30])):
+                if live and rng.random() < 0.35:
+                    batch.append(delete("R", *live.pop(rng.randrange(len(live)))))
+                else:
+                    row = (rng.randrange(5), rng.choice(values))
+                    live.append(row)
+                    batch.append(insert("R", *row))
             pipe.submit_many(batch)
             pipe.flush()
-        pipe.close(flush=True)
-        net = {key: value for key, value in net.items() if not ring.is_zero(value)}
-        assert net == session["by_a"].result_mapping(), f"window={window}"
-        if reference is None:
-            reference = net
-        else:
-            assert net == reference, f"window={window}"
+            base.apply_batch(coalesce_updates(batch))
+            assert flushed_payloads == base_payloads, (executor, ring_name)
+            assert flushed.results() == base.results(), (executor, ring_name)
 
 
 @pytest.mark.parametrize("executor", ["generated", "interpreted"])
@@ -667,11 +524,7 @@ def test_threaded_producers_match_serial_application():
 
 def test_producers_blocked_by_backpressure_still_complete():
     session = make_session()
-    pipe = session.ingest(
-        max_pending=4,
-        max_staleness_ms=5.0,
-        backpressure=BackpressurePolicy(high_water=8, mode="block"),
-    )
+    pipe = session.ingest(max_pending=2, max_staleness_ms=5.0)
     partitions = producer_streams(SCHEMA, producers=3, length=600, seed=11, domain_size=64)
     threads = [
         threading.Thread(
@@ -690,6 +543,52 @@ def test_producers_blocked_by_backpressure_still_complete():
     for partition in partitions:
         serial.apply_batch(list(partition))
     assert session.results() == serial.results()
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_close_wakes_producers_blocked_behind_a_busy_flush(executor):
+    """Producers stalled at the high-water mark while the flusher is inside
+    ``apply_batch`` get ``IngestClosedError`` from ``close()``; the keys
+    already pending are flushed on the way out."""
+    session = Session(SCHEMA)
+    view = session.view("by_a", "AggSum([a], R(a, b) * b)", backend=executor)
+    inside, release = threading.Event(), threading.Event()
+
+    def busy(_payload):
+        inside.set()
+        release.wait(10.0)
+
+    view.on_change(busy)
+    pipe = session.ingest(max_pending=2, max_staleness_ms=None)
+    outcomes = []
+
+    def producer(offset):
+        try:
+            pipe.submit_many([insert("R", offset + a, 1) for a in range(50)])
+            outcomes.append("submitted")
+        except IngestClosedError:
+            outcomes.append("closed")
+
+    producers = [threading.Thread(target=producer, args=(offset,), daemon=True)
+                 for offset in (0, 100)]
+    closer = threading.Thread(target=pipe.close, daemon=True)
+    try:
+        for thread in producers:
+            thread.start()
+        assert inside.wait(5.0), "the flusher should be inside apply_batch"
+        assert wait_until(lambda: pipe.queue_depth == 8), "producers should fill to 4 * max_pending"
+        closer.start()
+        for thread in producers:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert outcomes == ["closed", "closed"]
+    finally:
+        release.set()
+        pipe.close()
+    closer.join(timeout=10.0)
+    assert not closer.is_alive() and pipe.closed
+    assert pipe.queue_depth == 0
+    assert sum(view.result_mapping().values()) == pipe.stats.flushed_tuples
 
 
 # ---------------------------------------------------------------------------
@@ -852,14 +751,10 @@ def test_submit_many_validates_the_chunk_atomically():
     assert session["total"].result() == 3
 
 
-def test_poisoned_delta_flush_quarantines_round_trips_and_retries():
+def test_poisoned_delta_flush_quarantines_compact_updates():
     """A poisoned flush hands its Delta to ``apply_batch``, is rolled back and
-    parked with its compact updates; the dead letter survives a JSON round
-    trip, and once healed ``retry`` applies it as a regular flush."""
-    import json
-
-    from repro.ingest import DeadLetterBatch
-
+    parked with its compact updates; once the pipeline is closed, the healed
+    updates apply with ``apply_batch``."""
     session = make_poisonable_session()
     pipe = manual_pipeline(session)
     try:
@@ -872,17 +767,10 @@ def test_poisoned_delta_flush_quarantines_round_trips_and_retries():
         )
         assert pipe.stats.quarantined_updates == 3
         assert session["w_sum"].result_mapping() == {}
-        revived = DeadLetterBatch.from_snapshot(json.loads(json.dumps(dead.to_snapshot())))
-        assert revived.updates == dead.updates
-        healed = DeadLetterBatch(
-            updates=tuple(u for u in revived.updates if u.values[1] != "poison"),
-            error=revived.error, flush_index=revived.flush_index, timestamp=revived.timestamp,
-        )
-        assert pipe.retry(healed) == 1
-        assert session["w_sum"].result_mapping() == {("k1",): 6}
-        assert pipe.stats.flushed_tuples == 2
     finally:
         pipe.close()
+    session.apply_batch([u for u in dead.updates if u.values[1] != "poison"])
+    assert session["w_sum"].result_mapping() == {("k1",): 6}
 
 
 def test_drain_swap_survives_producers_stalled_mid_chunk():
@@ -897,10 +785,7 @@ def test_drain_swap_survives_producers_stalled_mid_chunk():
     for partition in partitions:
         serial.apply_batch(list(partition))
     session = make_session()
-    pipe = session.ingest(
-        max_pending=4, max_staleness_ms=1.0,
-        backpressure=BackpressurePolicy(high_water=6, mode="block"),
-    )
+    pipe = session.ingest(max_pending=1, max_staleness_ms=1.0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

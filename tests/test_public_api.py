@@ -9,6 +9,13 @@ def test_version_and_all_exports_resolve():
         assert hasattr(repro, name), name
 
 
+def test_ingest_all_exports_resolve():
+    import repro.ingest
+
+    for name in repro.ingest.__all__:
+        assert hasattr(repro.ingest, name), name
+
+
 def test_readme_session_quickstart_flow():
     """The exact flow shown in the README "Session API" quickstart."""
     session = repro.Session({"R": ("A", "B")})

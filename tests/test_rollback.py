@@ -32,8 +32,6 @@ from repro.sql.frontend import sql_to_agca
 from tests.conftest import grouped_session
 
 BACKENDS = ("generated", "interpreted")
-#: Table layouts: plain dicts, the only one.
-LAYOUTS = (1,)
 
 
 class InjectedFault(RuntimeError):
@@ -229,8 +227,8 @@ class Scenario:
     def arm(self, session: Session, monkeypatch, dry_run: Callable[[], Session]) -> None:
         raise NotImplementedError
 
-    def build(self, shards: int, views=None) -> Session:
-        session = Session(self.schema, ring=self.ring, shards=shards)
+    def build(self, views=None) -> Session:
+        session = Session(self.schema, ring=self.ring)
         for name, (query, backend) in (views or self.views()).items():
             session.view(name, query, backend=backend)
         return session
@@ -405,13 +403,12 @@ SITES = {
 }
 
 
-@pytest.mark.parametrize("layout", LAYOUTS, ids=lambda shards: f"shards{shards}")
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("site", SITES)
-def test_poisoned_batch_restores_internal_state(site, backend, layout, monkeypatch, apply_per_tuple):
+def test_poisoned_batch_restores_internal_state(site, backend, monkeypatch, apply_per_tuple):
     scenario = SITES[site](backend)
     setup, poisoned, followup = scenario.batches()
-    session = scenario.build(layout)
+    session = scenario.build()
     payloads: List[Any] = []
     for view in session.views.values():
         view.on_change(payloads.append)
@@ -420,7 +417,7 @@ def test_poisoned_batch_restores_internal_state(site, backend, layout, monkeypat
         before = internal_state(session)
         del payloads[:]
         with monkeypatch.context() as patch:
-            scenario.arm(session, patch, lambda: _replay(scenario, layout, setup))
+            scenario.arm(session, patch, lambda: _replay(scenario, setup))
             with pytest.raises((InjectedFault, TypeError)):
                 session.apply_batch(poisoned)
             assert internal_state(session) == before
@@ -429,7 +426,7 @@ def test_poisoned_batch_restores_internal_state(site, backend, layout, monkeypat
         # and lands where the per-tuple reference semantics does.
         session.apply_batch(followup)
         reference = scenario.build(
-            1, {name: (query, "interpreted") for name, (query, _) in scenario.views().items()}
+            {name: (query, "interpreted") for name, (query, _) in scenario.views().items()}
         )
         if scenario.per_tuple_oracle:
             runtime = reference._groups["interpreted"].runtime
@@ -444,8 +441,8 @@ def test_poisoned_batch_restores_internal_state(site, backend, layout, monkeypat
         session.close()
 
 
-def _replay(scenario: Scenario, layout, setup) -> Session:
-    session = scenario.build(layout)
+def _replay(scenario: Scenario, setup) -> Session:
+    session = scenario.build()
     session.apply_batch(setup)
     return session
 
@@ -453,7 +450,7 @@ def _replay(scenario: Scenario, layout, setup) -> Session:
 def test_rollback_logs_one_warning(caplog):
     scenario = FoldFault("generated")
     setup, poisoned, _followup = scenario.batches()
-    session = scenario.build(1)
+    session = scenario.build()
     session.apply_batch(setup)
     poison_folds(session._groups["generated"], at_call=3)
     with caplog.at_level(logging.WARNING, logger="repro.session"):

@@ -710,11 +710,10 @@ def _list_layout(session):
     }
 
 
-@pytest.mark.parametrize("shards", [1])
-def test_snapshot_json_bytes_equal_the_list_layout(shards):
+def test_snapshot_json_bytes_equal_the_list_layout():
     import json
 
-    session = orders_dashboard(600, shards=shards)
+    session = orders_dashboard(600)
     session.view("busy", "SELECT o.ck, SUM(1) FROM Orders o GROUP BY o.ck", backend="interpreted")
     session.apply_batch([insert("Orders", 10_000 + ok, ok % 3) for ok in range(50)])
     snapshot = session.snapshot()
@@ -1129,23 +1128,22 @@ def parse_sql_query(sql, schema):
 # ---------------------------------------------------------------------------
 
 
-def _poisonable_session(shards=1):
+def _poisonable_session():
     """Views across both compiled backends; 'weighted' chokes on strings."""
     schema = {"R": ("A",), "W": ("K", "V")}
-    session = Session(schema, shards=shards)
+    session = Session(schema)
     session.view("count", "Sum(R(x))", backend="generated")
     session.view("weighted", "AggSum([k], W(k, v) * v)", backend="generated")
     session.view("count_i", "Sum(R(x))", backend="interpreted")
     return session
 
 
-@pytest.mark.parametrize("shards", [1])
-def test_poisoned_batch_leaves_all_views_unchanged(shards):
+def test_poisoned_batch_leaves_all_views_unchanged():
     """Regression: an exception mid-batch (ring arithmetic on one view) used to
     leave already-advanced groups inconsistent with the rest."""
     from repro.gmr.database import Update
 
-    session = _poisonable_session(shards)
+    session = _poisonable_session()
     good = [insert("R", value % 3) for value in range(10)] + [
         insert("W", "k1", 5),
         insert("W", "k2", 7),

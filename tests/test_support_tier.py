@@ -200,14 +200,11 @@ def count_recovery_reads(runtime):
     return reads
 
 
-@pytest.mark.parametrize("shards", [1], ids=["unsharded"])
 @pytest.mark.parametrize("backend", ["interpreted", "generated"])
 @pytest.mark.parametrize("ring_name", ["min-plus", "top3"])
-def test_exhaustion_recovery_reads_the_group_whatever_the_relation_holds(
-    ring_name, backend, shards
-):
+def test_exhaustion_recovery_reads_the_group_whatever_the_relation_holds(ring_name, backend):
     ring = resolve_semiring(ring_name)
-    with Session(POSTS_SCHEMA, ring=ring, shards=shards) as session:
+    with Session(POSTS_SCHEMA, ring=ring) as session:
         view = session.view("best", VIEWS[ring_name], backend=backend)
         runtime = session._groups[backend].runtime
         assert runtime.plan.index_specs == {"best_m1": ((0,),)}
