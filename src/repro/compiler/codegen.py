@@ -72,7 +72,7 @@ guard short-circuits.  The undo journal of the transactional batch path
 kernels, ``None`` outside a transaction.
 
 The generated module is also useful practically: it is considerably faster
-than interpreting trigger statements through the AGCA evaluator (see
+than interpreting the trigger statements' decoded monomials (see
 ``benchmarks/bench_update_cost_vs_size.py`` and
 ``benchmarks/bench_batch_updates.py`` for the comparisons).
 """

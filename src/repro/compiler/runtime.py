@@ -12,7 +12,7 @@ look up and add a constant number of map entries per maintained value.  To
 keep that bound honest for partially-bound map slices, the runtime maintains
 the secondary hash indexes of :mod:`repro.compiler.indexes` alongside the
 maps: the map environment is an :class:`~repro.compiler.indexes.IndexedMaps`,
-so the AGCA evaluator (and the generated backend, which shares the same
+so this runtime (and the generated backend, which shares the same
 environment inside :class:`~repro.ivm.recursive.RecursiveIVM`) slices maps by
 bound prefix instead of scanning them.
 
@@ -29,12 +29,17 @@ the delta's higher-order terms in ``∆R``, the final state equals
 one-at-a-time application exactly, the ``∆R·∆R`` term of a self-join
 included.
 
-What is interpreted here is only the right-hand sides (``evaluate`` over the
-statement bodies).  Which path an event takes is decided once, by the
-lowered :class:`~repro.compiler.plan.BatchPlan` this runtime walks (and
-generated modules are printed from); the update loop, the fold itself,
-change capture, slice-index upkeep and the recompute write-back are the
-shared :mod:`repro.compiler.kernels`.
+What is interpreted here is only the right-hand sides: each statement's
+decoded monomials (``statement.monomials``) run in one row loop of lookups,
+slice-index buckets, scans, tests and products, with the generated
+executor's semantics and without building a record or a relation
+(:meth:`TriggerRuntime._run_monomials`).  The AGCA evaluator
+(:func:`~repro.core.semantics.evaluate`) computes only the initial map
+values of :meth:`~TriggerRuntime.bootstrap`.  Which path an event takes is
+decided once, by the lowered :class:`~repro.compiler.plan.BatchPlan` this
+runtime walks (and generated modules are printed from); the update loop, the
+fold itself, change capture, slice-index upkeep and the recompute write-back
+are the shared :mod:`repro.compiler.kernels`.
 
 Every map table is a plain dict ``key tuple → value``.
 
@@ -54,10 +59,11 @@ and ``None`` everywhere else.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.algebra.lattices import SupportTier
-from repro.algebra.semirings import INTEGER_RING, Semiring
+from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
 from repro.compiler.cost import RuntimeStatistics
 from repro.compiler.indexes import IndexedMaps, SliceIndexes, slice_keys
 from repro.compiler.kernels import (
@@ -71,58 +77,35 @@ from repro.compiler.kernels import (
 from repro.compiler.maps import dependency_depths
 from repro.compiler.plan import BatchPlan, lower_batch_plan
 from repro.compiler.triggers import BatchTrigger, RecomputeStatement, TriggerProgram
-from repro.core.ast import AggSum
+from repro.core.ast import COMPARATORS, Add, AggSum, Assign, Compare, Const, Expr, MapRef, Mul, Neg, Var
 from repro.core.semantics import evaluate
 from repro.core.simplify import make_safe
 from repro.gmr.database import Database, Delta, Update, group_updates
-from repro.gmr.records import Record
 
 MapTable = Dict[Tuple[Any, ...], Any]
 
-_MISSING = object()
 
-
-class _FromIntView:
-    """A read-only mapping adapter exposing a ℤ-valued counter map as its
-    ``from_int`` image in the session ring.
-
-    Recompute bodies re-derive group folds from the base-relation counter
-    maps; the ring evaluator must see ring values there, while the counter
-    itself keeps exact integer multiplicities.  The view shares the
-    underlying table (and therefore the slice-index buckets built over its
-    keys), converting values lazily on access.
-    """
-
-    __slots__ = ("_table", "_from_int")
-
-    def __init__(self, table: MapTable, ring: Semiring):
-        self._table = table
-        self._from_int = ring.from_int
-
-    def get(self, key, default=None):
-        value = self._table.get(key, _MISSING)
-        if value is _MISSING:
-            return default
-        return self._from_int(value)
-
-    def __getitem__(self, key):
-        return self._from_int(self._table[key])
-
-    def __contains__(self, key):
-        return key in self._table
-
-    def __iter__(self):
-        return iter(self._table)
-
-    def __len__(self):
-        return len(self._table)
-
-    def keys(self):
-        return self._table.keys()
-
-    def items(self):
-        from_int = self._from_int
-        return ((key, from_int(value)) for key, value in self._table.items())
+def _data_value(expr: Expr, env: Dict[str, Any], maps, zero: Any) -> Any:
+    """A condition operand or assignment source as a native data value
+    (``codegen._value_expression``): a map read in value position is a
+    lookup at its bound key, ``zero`` when absent."""
+    kind = type(expr)
+    if kind is Var:
+        return env[expr.name]
+    if kind is Const:
+        return expr.value
+    if kind is MapRef:
+        return maps[expr.name].get(tuple([env[key] for key in expr.key_vars]), zero)
+    if kind is Neg:
+        return -_data_value(expr.expr, env, maps, zero)
+    if kind is Add or kind is Mul:
+        combine = operator.add if kind is Add else operator.mul
+        parts = expr.terms if kind is Add else expr.factors
+        value = _data_value(parts[0], env, maps, zero)
+        for part in parts[1:]:
+            value = combine(value, _data_value(part, env, maps, zero))
+        return value
+    raise TypeError(f"cannot compute a data value for {expr!r}")
 
 
 class TriggerRuntime:
@@ -178,8 +161,14 @@ class TriggerRuntime:
         self._pointwise: Dict[int, Any] = {}
         for event in self.plan.events:
             for recompute, kind in zip(event.recomputes, event.recompute_kinds):
-                # (One statement object serves both signs of a relation.)
-                if kind == "pointwise" and id(recompute) not in self._pointwise:
+                # (One statement object serves both signs of a relation.)  A
+                # body reading a ℤ counter map goes through the monomial loop,
+                # which lifts its counts.
+                if (
+                    kind == "pointwise"
+                    and id(recompute) not in self._pointwise
+                    and self._counter_maps.isdisjoint(recompute.maps_read())
+                ):
                     self._pointwise[id(recompute)] = lower_pointwise(
                         recompute.body, recompute.target_keys, ring
                     )
@@ -205,16 +194,8 @@ class TriggerRuntime:
                 if event.kind == "total"
             },
         )
-        # The evaluator needs a Database only for its coefficient structure and
-        # declared schema; compiled right-hand sides never read base relations.
-        self._environment = Database(schema=program.schema, ring=ring)
-        #: Counter statements (base-copy folds) evaluate in ℤ, not the ring.
-        self._count_env = (
-            Database(schema=program.schema, ring=INTEGER_RING) if self._semiring else None
-        )
-        #: Cached ring view of the map environment (counter tables wrapped in
-        #: :class:`_FromIntView`); invalidated whenever tables are replaced.
-        self._ring_view: Optional[IndexedMaps] = None
+        #: Right-hand sides over ℤ and ℝ run on Python's ``+`` and ``*``.
+        self._native = ring is INTEGER_RING or ring is FLOAT_FIELD
 
     def make_table(self, contents: Optional[MapTable] = None) -> MapTable:
         """A map table holding ``contents``: a plain dict ``contents`` is
@@ -251,7 +232,6 @@ class TriggerRuntime:
         for name, contents in tables.items():
             self.maps[name] = self.make_table(contents)
         self.indexes.rebuild(self.maps)
-        self._ring_view = None
         self.rebuild_supports()
         # Compensation terms refer to the replaced table values; dropping
         # them is always sound (it only forgoes accumulated accuracy).
@@ -304,7 +284,6 @@ class TriggerRuntime:
             self.maps,
             None if names is None else [sig for sig in self.indexes.data if sig[0] in computed],
         )
-        self._ring_view = None
         self.rebuild_supports()
         self.maps.compensation.clear()
 
@@ -494,29 +473,35 @@ class TriggerRuntime:
         """Run one batch trigger over a pre-aggregated delta map — a whole
         batch's, or the one row of a single update.
 
-        Statements are evaluated against the pre-update state with the delta
-        map temporarily overlaid into the map environment (under its reserved
-        name, so the evaluator reads it like any other map); a statement with
-        a key projection skips evaluation entirely and folds the delta map
-        straight onto the target's keys.  All increments are folded after all
-        evaluations — the batch form of the snapshot semantics — and the
-        recomputes re-derive once per group.
+        Every statement runs against the pre-update state with the delta map
+        overlaid into the map environment under its reserved name: a key
+        projection folds the delta map straight onto the target's keys, any
+        other right-hand side is one loop over its decoded monomials
+        (:meth:`_run_monomials`).  All increments are folded after all
+        statements ran — the batch form of the snapshot semantics — and the
+        recomputes re-derive once per group.  Under a semiring, counter
+        targets sum in ℤ and ring statements read ``∆R`` and the counter maps
+        through ``from_int``.
         """
         ring = self.ring
         semiring = self._semiring
         tracked_sources = {name: set() for name in tracked} if tracked else None
+        int_sources = self._counter_maps | {trigger.delta_map} if semiring else frozenset()
         pending = []
-        #: Lazily-built ring view for evaluate statements in semiring mode:
-        #: counter maps wrapped, plus the delta's ``from_int`` image under
-        #: the reserved delta name.
-        ring_view: Optional[IndexedMaps] = None
         self.maps[trigger.delta_map] = delta_table
         try:
             for statement in trigger.statements:
                 self.statistics.statements_executed += 1
-                increments: MapTable = {}
                 is_counter = semiring and statement.target in self._counter_maps
-                if statement.projection is not None:
+                if statement.projection is None:
+                    increments = self._run_monomials(
+                        statement.monomials,
+                        statement.target_keys,
+                        self._native or is_counter,
+                        frozenset() if is_counter else int_sources,
+                    )
+                else:
+                    increments = {}
                     projection = statement.projection
                     lift = self._projection_lift(statement, is_counter)
                     add = INTEGER_RING.add if is_counter else ring.add
@@ -527,27 +512,6 @@ class TriggerRuntime:
                         increments[target_key] = (
                             value if existing is None else add(existing, value)
                         )
-                else:
-                    environment = self._environment
-                    maps = self.maps
-                    if is_counter:
-                        environment = self._count_env
-                    elif semiring:
-                        if ring_view is None:
-                            from_int = ring.from_int
-                            ring_view = IndexedMaps(
-                                self._evaluation_maps(), indexes=self.indexes
-                            )
-                            ring_view[trigger.delta_map] = {
-                                key: from_int(multiplicity)
-                                for key, multiplicity in delta_table.items()
-                            }
-                        maps = ring_view
-                    result = evaluate(
-                        statement.as_aggregate(), environment, maps=maps
-                    )
-                    for record, value in result.items():
-                        increments[record.values_for(statement.target_keys)] = value
                 pending.append((statement, increments))
         finally:
             self.maps.pop(trigger.delta_map, None)
@@ -555,6 +519,144 @@ class TriggerRuntime:
             self._fold_increments(statement.target, increments, changes, tracked_sources, journal)
         for recompute in trigger.recomputes:
             self._run_recompute(recompute, changes, tracked_sources, journal)
+
+    def _run_monomials(
+        self,
+        monomials,
+        target_keys: Tuple[str, ...],
+        native: bool,
+        int_sources: frozenset,
+        bindings: Optional[Dict[str, Any]] = None,
+    ) -> MapTable:
+        """``Σ monomials`` per value of ``target_keys``, as ``{key: value}``.
+
+        One loop over each decoded monomial's factors, in the decoded order
+        and with the generated executor's semantics (``codegen._generate_factor``).
+        Its rows are ``(variable bindings, running product)`` pairs, widened
+        factor by factor:
+
+        * a map read is a lookup when its annotation binds every key, the
+          slice-index bucket of the bound positions when the plan indexes
+          them, a scan otherwise; free key positions bind, bound and repeated
+          ones test;
+        * a comparison tests native data values (a map read there is a
+          lookup, ``zero`` when absent); an assignment binds its variable, or
+          tests it when it is already bound;
+        * a variable is a value term (a decoded monomial holds no constant
+          factor: constants are its coefficient).
+
+        ``native`` products and sums are Python's ``*`` and ``+`` (ℤ and ℝ,
+        and a semiring plan's ℤ counters); otherwise they are the ring's,
+        variables are coerced and the coefficient is applied last, lifted
+        through ``from_int`` under a semiring.  Maps in ``int_sources`` hold
+        ℤ counts that read through ``from_int``.  ``bindings`` pre-binds
+        variables: a tracked recompute's group key.
+        """
+        ring, maps = self.ring, self.maps
+        index_data, specs = self.indexes.data, self.indexes.specs
+        semiring = self._semiring and not native
+        if native:
+            zero, add, times = 0, operator.add, operator.mul
+        else:
+            zero, add, mul, coerce, from_int = (
+                ring.zero, ring.add, ring.mul, ring.coerce, ring.from_int
+            )
+
+            def times(value, term):
+                return term if value is None else mul(value, term)
+
+        acc: MapTable = {}
+        for coefficient, factors, annotation in monomials:
+            rows = [(dict(bindings or ()), coefficient if native else None)]
+            for factor, positions in zip(factors, annotation):
+                kind = type(factor)
+                if kind is MapRef:
+                    name, keys = factor.name, factor.key_vars
+                    table = maps[name]
+                    lift = from_int if name in int_sources else None
+                    widened = []
+                    if len(positions) == len(keys):
+                        absent = 0 if lift else zero
+                        for env, value in rows:
+                            stored = table.get(tuple([env[key] for key in keys]), absent)
+                            if stored != absent:
+                                term = lift(stored) if lift else stored
+                                widened.append((env, times(value, term)))
+                        rows = widened
+                        continue
+                    indexed = bool(positions) and positions in specs.get(name, ())
+                    binds, tests = [], []
+                    for position, key in enumerate(keys):
+                        if position in positions:
+                            if not indexed:
+                                tests.append((position, key))
+                        elif key in (variable for _, variable in binds):
+                            tests.append((position, key))
+                        else:
+                            binds.append((position, key))
+                    bucket = index_data[(name, positions)] if indexed else None
+                    fresh = len(binds) == len(keys)  # every key binds, none tests
+                    for env, value in rows:
+                        if indexed:
+                            prefix = tuple([env[keys[position]] for position in positions])
+                            entries = [(key, table[key]) for key in slice_keys(bucket, prefix)]
+                        else:
+                            entries = table.items()
+                        for key, stored in entries:
+                            row = env.copy()
+                            if fresh:
+                                row.update(zip(keys, key))
+                            else:
+                                for position, variable in binds:
+                                    row[variable] = key[position]
+                                if not all(row[v] == key[p] for p, v in tests):
+                                    continue
+                            widened.append((row, times(value, lift(stored) if lift else stored)))
+                    rows = widened
+                elif kind is Var:
+                    name = factor.name
+                    if native:
+                        rows = [(env, value * env[name]) for env, value in rows]
+                    else:
+                        rows = [(env, times(value, coerce(env[name]))) for env, value in rows]
+                elif kind is Compare:
+                    holds, left, right = COMPARATORS[factor.op], factor.left, factor.right
+                    rows = [
+                        (env, value)
+                        for env, value in rows
+                        if holds(
+                            _data_value(left, env, maps, zero), _data_value(right, env, maps, zero)
+                        )
+                    ]
+                elif kind is Assign:
+                    variable, source = factor.var, factor.expr
+                    kept = []
+                    for env, value in rows:
+                        data = _data_value(source, env, maps, zero)
+                        if positions:
+                            if env[variable] != data:
+                                continue
+                        else:
+                            env[variable] = data  # each row owns its bindings
+                        kept.append((env, value))
+                    rows = kept
+                else:
+                    raise TypeError(f"cannot execute factor {factor!r} of a compiled statement")
+                if not rows:
+                    break
+            if rows and not native:
+                lifted = from_int(coefficient) if semiring else coerce(coefficient)
+            for env, value in rows:
+                if not native:
+                    if value is None:
+                        value = lifted
+                    elif coefficient == -1:
+                        value = ring.neg(value)
+                    elif coefficient != 1:
+                        value = mul(lifted, value)
+                key = tuple([env[variable] for variable in target_keys])
+                acc[key] = add(acc.get(key, zero), value)
+        return acc
 
     def _fold_increments(
         self,
@@ -586,11 +688,10 @@ class TriggerRuntime:
         tracked_sources: Optional[Dict[str, set]],
         journal: Optional[UndoJournal] = None,
     ) -> None:
-        """Execute one recompute statement: re-evaluate affected groups, write back."""
+        """Execute one recompute statement: re-derive the affected groups —
+        every group of a full recompute — and write the differences back."""
         self.statistics.statements_executed += 1
-        ring = self.ring
         table = self.maps[recompute.target]
-        maps = self._evaluation_maps()
         if recompute.tracked:
             groups = set()
             for source, positions in recompute.source_projections:
@@ -599,32 +700,23 @@ class TriggerRuntime:
         pointwise = self._pointwise.get(id(recompute))
         if pointwise is not None:
             # O(1) per group — lookups at the group key.
-            new_values = [(group, pointwise(maps, group)) for group in groups]
+            new_values = [(group, pointwise(self.maps, group)) for group in groups]
         elif recompute.tracked:
             # The decoded order, with the group keys bound — what the
-            # generated executor evaluates too.
-            aggregate = recompute.as_aggregate()
-
-            def evaluate_group(group):
-                group_bindings = Record.from_values(recompute.target_keys, group)
-                result = evaluate(aggregate, self._environment, group_bindings, maps=maps)
-                value = ring.zero
-                for _record, part in result.items():
-                    value = ring.add(value, part)
-                return value
-
-            # Every value is computed before any diff is written back.
-            new_values = [(group, evaluate_group(group)) for group in groups]
+            # generated executor evaluates too.  Every value is computed
+            # before any diff is written back.
+            new_values = []
+            for group in groups:
+                bindings = dict(zip(recompute.target_keys, group))
+                value = self._run_monomials(
+                    recompute.monomials, (), self._native, self._counter_maps, bindings
+                )
+                new_values.append((group, value.get((), self.ring.zero)))
         else:
-            accumulator: Dict[Tuple[Any, ...], Any] = {}
-            result = evaluate(recompute.as_aggregate(), self._environment, maps=maps)
-            for record, value in result.items():
-                key = record.values_for(recompute.target_keys)
-                if key in accumulator:
-                    accumulator[key] = ring.add(accumulator[key], value)
-                else:
-                    accumulator[key] = value
-            new_values = recompute_pairs(accumulator, table, ring.zero)
+            accumulator = self._run_monomials(
+                recompute.monomials, recompute.target_keys, self._native, self._counter_maps
+            )
+            new_values = recompute_pairs(accumulator, table, self.ring.zero)
         self.statistics.entries_updated += self._kernels.write_back(
             table,
             new_values,
@@ -635,28 +727,6 @@ class TriggerRuntime:
             journal,
             None if tracked_sources is None else tracked_sources.get(recompute.target),
         )
-
-    def _evaluation_maps(self):
-        """The ring evaluator's view of the map environment.
-
-        Counter maps hold exact ℤ multiplicities; ring-valued statements and
-        recompute bodies can join against them (base-relation copies), so
-        their counts must read back as ``from_int`` images.  The view shares
-        the underlying tables (and the attached slice indexes, whose buckets
-        hold the same keys), so index-backed partially-bound reads keep their
-        per-group cost; it is cached until a table object is replaced.
-        """
-        if not self._semiring or not self._counter_maps:
-            return self.maps
-        view = self._ring_view
-        if view is None:
-            view = IndexedMaps(self.maps, indexes=self.indexes)
-            for name in self._counter_maps:
-                counter = view.get(name)
-                if counter is not None:
-                    view[name] = _FromIntView(counter, self.ring)
-            self._ring_view = view
-        return view
 
     def apply_all(self, updates: Iterable[Update]) -> None:
         for update in updates:

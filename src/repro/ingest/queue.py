@@ -140,7 +140,7 @@ class IngestQueue:
                         else:
                             net[key] = remaining
             finally:
-                self.stats.record_submit_many(len(updates), tuples, coalesced_tuples, cancelled)
+                self.stats.record_submit_many(tuples, coalesced_tuples, cancelled)
             return len(net)
 
     def _wake_drainer(self) -> None:

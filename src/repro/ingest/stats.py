@@ -75,13 +75,12 @@ class IngestStats:
 
     # -- recording hooks (called by the queue / flusher) ------------------------
 
-    def record_submit_many(
-        self, calls: int, tuples: int, coalesced_tuples: int, cancelled: int
-    ) -> None:
-        """One lock acquisition for a whole ``submit_many`` chunk, which is
-        what keeps the producer hot loop off this lock."""
+    def record_submit_many(self, tuples: int, coalesced_tuples: int, cancelled: int) -> None:
+        """One ``submit``/``submit_many`` call, recorded under one lock
+        acquisition for its whole chunk, which is what keeps the producer hot
+        loop off this lock."""
         with self._lock:
-            self.submit_calls += calls
+            self.submit_calls += 1
             self.submitted_updates += tuples
             self.coalesced_updates += coalesced_tuples
             self.cancelled_keys += cancelled

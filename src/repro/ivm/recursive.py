@@ -7,8 +7,9 @@ relations themselves are never stored or consulted after initialization.
 
 Two execution back ends are available:
 
-* ``backend="interpreted"`` — trigger statements are evaluated through the
-  AGCA evaluator (reference semantics, easiest to inspect);
+* ``backend="interpreted"`` — each trigger statement's decoded monomials run
+  in one Python row loop (:class:`~repro.compiler.runtime.TriggerRuntime`,
+  the generated backend's semantics, easiest to inspect);
 * ``backend="generated"`` — trigger statements run as generated straight-line
   Python (:mod:`repro.compiler.codegen`), the analogue of the paper's NC⁰C
   output and considerably faster.

@@ -618,6 +618,16 @@ def test_stats_snapshot_accounts_for_the_run():
         pipe.close()
 
 
+def test_submit_calls_counts_calls_not_updates():
+    session = make_session()
+    with manual_pipeline(session) as pipe:
+        pipe.submit_many([insert("R", 1, 1), insert("R", 2, 2), insert("R", 3, 3)])
+        pipe.submit(insert("R", 4, 4))
+        snapshot = pipe.stats_snapshot()
+    assert snapshot["submit_calls"] == 2
+    assert snapshot["submitted_updates"] == 4
+
+
 def test_pipeline_validates_on_submit_not_at_flush():
     session = make_session()
     pipe = manual_pipeline(session)
@@ -694,7 +704,11 @@ def test_burst_wakes_the_flusher_at_most_twice_per_flush(monkeypatch):
     try:
         wake = pipe._wake
         assert isinstance(wake, CountingEvent)
-        pipe.submit_many([insert("R", value, 1) for value in range(4096)])
+        burst = [insert("R", value, 1) for value in range(4096)]
+        producer = threading.Thread(target=pipe.submit_many, args=(burst,), daemon=True)
+        producer.start()
+        producer.join(timeout=30.0)
+        assert not producer.is_alive(), "the burst stalled at the high-water mark"
         assert wait_until(lambda: pipe.queue_depth == 0 and pipe.stats.flushes >= 1)
         assert wake.sets <= 2 * pipe.stats.flushes
     finally:
