@@ -8,7 +8,10 @@ the maintenance-strategy contract needs beyond plain recomputation:
   algebra): carrier = sorted tuples of at most ``k`` scores, addition merges
   keeping the k best, multiplication keeps the k best pairwise sums.  MIN and
   MAX are the ``k = 1`` shadows of this family (``MIN_PLUS`` / ``MAX_PLUS``
-  in :mod:`repro.algebra.semirings`).
+  in :mod:`repro.algebra.semirings`).  Its operations rely on a carrier
+  invariant: every value is a best-first tuple of at most ``k`` floats, and
+  only ``coerce`` normalizes foreign input (lists, ints, unsorted tuples), so
+  ``add`` and ``mul`` never re-convert or re-sort what they are given.
 
 * :class:`SupportStructure` — a bounded best-first sidecar kept per group so
   that most deletions are O(log capacity): the support stores the best
@@ -33,7 +36,7 @@ worse than the prefix's last sort key is as irrelevant as an evicted one, so
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -67,6 +70,17 @@ def top_k(k: int, largest: bool = True) -> Semiring:
     standard k-shortest-paths algebra, hence a genuine semiring.  A base row
     with multiplicity ``c`` contributes ``from_int(c) * coerce(v) ==
     (v,) * min(c, k)``, so folding a group yields the exact multiset top-k.
+
+    The carrier invariant — best-first, at most ``k`` elements, every element
+    a ``float`` — is established by ``coerce`` alone; ``add`` and ``mul``
+    assume it of their operands and keep it.  ``add`` returns an operand
+    unchanged when the other is empty, and concatenates when the left one
+    already ends no worse than the right one starts (a best-first fold);
+    ``mul`` by a singleton shifts the other operand, which stays sorted.  Each
+    equals the normalizing definition (``normalize(a + b)``, ``normalize(x +
+    y for x in a for y in b)``) exactly, ties included
+    (``tests/test_top_k_ops.py``).  ``±inf`` scores are fine, except that a
+    product of ``inf`` and ``-inf`` is undefined (NaN) in both definitions.
     """
     if k < 1:
         raise ValueError("top_k needs k >= 1")
@@ -78,10 +92,25 @@ def top_k(k: int, largest: bool = True) -> Semiring:
         return tuple(sorted((float(v) for v in values), reverse=largest)[:k])
 
     def add_(a, b):
-        return normalize(a + b)
+        if not a:
+            return b
+        if not b:
+            return a
+        merged = a + b
+        if a[-1] >= b[0] if largest else a[-1] <= b[0]:
+            return merged[:k]  # already best-first: the stable sort's answer
+        return tuple(sorted(merged, reverse=largest)[:k])
 
     def mul_(a, b):
-        return normalize(x + y for x in a for y in b)
+        # Adding one score to a sorted tuple keeps it sorted (float addition
+        # is monotone), and it has at most k elements already.
+        if len(a) == 1:
+            x = a[0]
+            return tuple([x + y for y in b])
+        if len(b) == 1:
+            y = b[0]
+            return tuple([x + y for x in a])
+        return tuple(sorted([x + y for x in a for y in b], reverse=largest)[:k])
 
     def coerce(value):
         if isinstance(value, (tuple, list)):
@@ -116,12 +145,14 @@ def top_k(k: int, largest: bool = True) -> Semiring:
 class SupportStructure:
     """Bounded best-first multiset of per-row contributions for one group.
 
-    Entries are ``[sort_key, value, count]`` sorted best (smallest key)
-    first.  At most ``capacity`` distinct values are stored; overflow evicts
-    the worst entry and records its key in ``threshold``.  The *trusted*
-    entries — strictly better than ``threshold`` — are a prefix of the list;
-    ``value(ring)`` folds as much of it as covers ``needed``, which equals
-    the true group fold unless ``exhausted`` (see the module docstring).
+    Entries are immutable ``(sort_key, value, count)`` tuples sorted best
+    (smallest key) first; a changed count replaces its entry, so a list copy
+    is a snapshot.  At most ``capacity`` distinct values are stored; overflow
+    evicts the worst entry and records its key in ``threshold``.  The
+    *trusted* entries — strictly better than ``threshold`` — are a prefix of
+    the list; ``value(ring)`` folds as much of it as covers ``needed``, which
+    equals the true group fold unless ``exhausted`` (see the module
+    docstring).
     """
 
     __slots__ = ("_key", "capacity", "needed", "entries", "truncated", "threshold", "_dirty")
@@ -132,20 +163,18 @@ class SupportStructure:
         self._key: Callable[[Any], Any] = ring.sort_key
         self.capacity: int = max(int(ring.support_capacity), int(ring.support_needed))
         self.needed: int = int(ring.support_needed)
-        self.entries: List[List[Any]] = []  # [sort_key, value, count], best first
+        self.entries: List[Tuple[Any, Any, int]] = []  # (sort_key, value, count), best first
         self.truncated: bool = False
         self.threshold: Optional[Any] = None  # best sort key ever rejected
         self._dirty: bool = False  # inconsistency observed -> force rebuild
 
     # -- mutation ------------------------------------------------------------
 
-    def _find(self, key: Any, value: Any) -> Optional[List[Any]]:
-        for entry in self.entries:
-            if entry[0] == key and entry[1] == value:
-                return entry
-            if entry[0] > key:
-                break
-        return None
+    def _find(self, key: Any, value: Any) -> int:
+        """The position of the entry for ``value`` (sort key ``key``), or
+        where it would be inserted — a probe ``(key, value)`` sorts just
+        before ``(key, value, count)``."""
+        return bisect_left(self.entries, (key, value))
 
     def _note_rejection(self, key: Any) -> None:
         self.truncated = True
@@ -154,45 +183,52 @@ class SupportStructure:
 
     def insert(self, value: Any, count: int = 1) -> None:
         key = self._key(value)
-        entry = self._find(key, value)
-        if entry is not None:
-            entry[2] += count
-            return
-        if len(self.entries) >= self.capacity:
-            worst = self.entries[-1]
+        entries = self.entries
+        at = self._find(key, value)
+        if at < len(entries):
+            entry = entries[at]
+            if entry[0] == key and entry[1] == value:
+                entries[at] = (key, value, entry[2] + count)
+                return
+        if len(entries) >= self.capacity:
+            worst = entries[-1]
             if key >= worst[0]:
                 self._note_rejection(key)
                 return
-            self.entries.pop()
+            # A key better than the worst one sorts before it: ``at`` stays
+            # in range after the eviction.
+            entries.pop()
             self._note_rejection(worst[0])
-        insort(self.entries, [key, value, count])
+        entries.insert(at, (key, value, count))
 
     def remove(self, value: Any, count: int = 1) -> None:
         key = self._key(value)
-        entry = self._find(key, value)
-        if entry is None:
-            # The row lived in the evicted region; fine while truncated,
-            # otherwise the support drifted from the base -> force a rebuild.
-            if not self.truncated or (self.threshold is not None and key < self.threshold):
-                self._dirty = True
-            return
-        entry[2] -= count
-        if entry[2] <= 0:
-            if entry[2] < 0:
-                self._dirty = True
-            self.entries.remove(entry)
+        entries = self.entries
+        at = self._find(key, value)
+        if at < len(entries):
+            entry = entries[at]
+            if entry[0] == key and entry[1] == value:
+                remaining = entry[2] - count
+                if remaining > 0:
+                    entries[at] = (key, value, remaining)
+                else:
+                    if remaining < 0:
+                        self._dirty = True
+                    del entries[at]
+                return
+        # The row lived in the evicted region; fine while truncated,
+        # otherwise the support drifted from the base -> force a rebuild.
+        if not self.truncated or (self.threshold is not None and key < self.threshold):
+            self._dirty = True
 
     def reload(self, contributions) -> None:
         """Rebuild from ``(value, count)`` pairs of every base row in the group."""
-        grouped: Dict[Any, List[Any]] = {}
+        key_of = self._key
+        counts: Dict[Tuple[Any, Any], int] = {}
         for value, count in contributions:
-            key = self._key(value)
-            entry = grouped.get((key, value))
-            if entry is None:
-                grouped[(key, value)] = [key, value, count]
-            else:
-                entry[2] += count
-        ordered = sorted(grouped.values())
+            slot = (key_of(value), value)
+            counts[slot] = counts.get(slot, 0) + count
+        ordered = sorted([(key, value, count) for (key, value), count in counts.items()])
         self.entries = ordered[: self.capacity]
         dropped = ordered[self.capacity :]
         self.truncated = bool(dropped)
@@ -247,7 +283,7 @@ class SupportStructure:
         prior value of a group about to be fed)."""
         clone = object.__new__(SupportStructure)
         clone._key, clone.capacity, clone.needed = self._key, self.capacity, self.needed
-        clone.entries = [list(entry) for entry in self.entries]
+        clone.entries = self.entries.copy()  # the entries are immutable
         clone.truncated, clone.threshold, clone._dirty = self.truncated, self.threshold, self._dirty
         return clone
 

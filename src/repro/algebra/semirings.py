@@ -23,6 +23,9 @@ SUPPORT_STRUCTURE = "support-structure"
 
 MAINTENANCE_STRATEGIES = (INVERTIBLE, TRACKED_RECOMPUTE, SUPPORT_STRUCTURE)
 
+#: :meth:`Semiring.from_int` memoizes the images of ``0 <= n <`` this.
+SMALL_INT_MEMO = 256
+
 
 class Semiring:
     """A (semi)ring over plain Python values.
@@ -72,6 +75,7 @@ class Semiring:
         "sort_key",
         "support_capacity",
         "support_needed",
+        "_small_ints",
     )
 
     def __init__(
@@ -112,6 +116,7 @@ class Semiring:
         self.sort_key = sort_key
         self.support_capacity = support_capacity
         self.support_needed = support_needed
+        self._small_ints: dict = {}  # from_int's memo
 
     # -- ring interface ------------------------------------------------------
 
@@ -187,18 +192,28 @@ class Semiring:
 
         Computed by binary doubling — O(log n) additions — so net batch
         multiplicities (``Update.count``) map into the structure in constant
-        practical time even for very large counts.
+        practical time even for very large counts.  The images of
+        ``0 <= n < SMALL_INT_MEMO`` are memoized per structure (carrier
+        values are immutable, so callers may share them): the hot paths lift
+        the same small counts — mostly 1 — over and over.
         """
+        memo = self._small_ints
+        cached = memo.get(n)
+        if cached is not None:
+            return cached
         if n < 0:
             return self.neg(self.from_int(-n))
         result = self.zero
         addend = self.one
-        while n:
-            if n & 1:
+        remaining = n
+        while remaining:
+            if remaining & 1:
                 result = self.add(result, addend)
-            n >>= 1
-            if n:
+            remaining >>= 1
+            if remaining:
                 addend = self.add(addend, addend)
+        if n < SMALL_INT_MEMO:
+            memo[n] = result
         return result
 
     def __reduce__(self):

@@ -1143,8 +1143,10 @@ def _value_expression(
     in every coefficient structure — it mirrors ``evaluate_value`` in the
     interpreted semantics, which also computes data values natively.  A map
     reference in value position (an extracted nested aggregate consulted by a
-    condition) is a scalar lookup with the ring zero as the default — the
-    value its aggregate would have produced on an empty slice.
+    condition) is a scalar lookup with the map's zero as the default — the
+    value its aggregate would have produced on an empty slice: ``0`` for a
+    semiring plan's ℤ counter map (the counter context's literal), the ring
+    zero otherwise.
     """
     if isinstance(expr, Const):
         return repr(expr.value)
@@ -1158,7 +1160,8 @@ def _value_expression(
                 f"map reference {expr.name!r} in a value position without map access"
             )
         key = _key_tuple(expr.key_vars, environment)
-        return f"{table_ref(expr.name)}.get({key}, {context.zero_literal()})"
+        zero = context.for_target(expr.name).zero_literal()
+        return f"{table_ref(expr.name)}.get({key}, {zero})"
     if isinstance(expr, Neg):
         return f"-({_value_expression(expr.expr, environment, context, table_ref)})"
     if isinstance(expr, Add):

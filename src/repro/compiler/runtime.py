@@ -60,7 +60,7 @@ and ``None`` everywhere else.
 from __future__ import annotations
 
 import operator
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.algebra.lattices import SupportTier
 from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
@@ -85,25 +85,27 @@ from repro.gmr.database import Database, Delta, Update, group_updates
 MapTable = Dict[Tuple[Any, ...], Any]
 
 
-def _data_value(expr: Expr, env: Dict[str, Any], maps, zero: Any) -> Any:
+def _data_value(expr: Expr, env: Dict[str, Any], maps, zero_of: Callable[[str], Any]) -> Any:
     """A condition operand or assignment source as a native data value
     (``codegen._value_expression``): a map read in value position is a
-    lookup at its bound key, ``zero`` when absent."""
+    lookup at its bound key, ``zero_of(map)`` when absent — ``0`` for a ℤ
+    counter map, whatever the ring."""
     kind = type(expr)
     if kind is Var:
         return env[expr.name]
     if kind is Const:
         return expr.value
     if kind is MapRef:
-        return maps[expr.name].get(tuple([env[key] for key in expr.key_vars]), zero)
+        name = expr.name
+        return maps[name].get(tuple([env[key] for key in expr.key_vars]), zero_of(name))
     if kind is Neg:
-        return -_data_value(expr.expr, env, maps, zero)
+        return -_data_value(expr.expr, env, maps, zero_of)
     if kind is Add or kind is Mul:
         combine = operator.add if kind is Add else operator.mul
         parts = expr.terms if kind is Add else expr.factors
-        value = _data_value(parts[0], env, maps, zero)
+        value = _data_value(parts[0], env, maps, zero_of)
         for part in parts[1:]:
-            value = combine(value, _data_value(part, env, maps, zero))
+            value = combine(value, _data_value(part, env, maps, zero_of))
         return value
     raise TypeError(f"cannot compute a data value for {expr!r}")
 
@@ -540,8 +542,8 @@ class TriggerRuntime:
           them, a scan otherwise; free key positions bind, bound and repeated
           ones test;
         * a comparison tests native data values (a map read there is a
-          lookup, ``zero`` when absent); an assignment binds its variable, or
-          tests it when it is already bound;
+          lookup, its map's zero when absent: ``0`` for a ℤ counter map); an
+          assignment binds its variable, or tests it when it is already bound;
         * a variable is a value term (a decoded monomial holds no constant
           factor: constants are its coefficient).
 
@@ -557,10 +559,12 @@ class TriggerRuntime:
         semiring = self._semiring and not native
         if native:
             zero, add, times = 0, operator.add, operator.mul
+            zero_of = lambda _name: 0  # noqa: E731
         else:
             zero, add, mul, coerce, from_int = (
                 ring.zero, ring.add, ring.mul, ring.coerce, ring.from_int
             )
+            zero_of = self.zero_of
 
             def times(value, term):
                 return term if value is None else mul(value, term)
@@ -625,14 +629,15 @@ class TriggerRuntime:
                         (env, value)
                         for env, value in rows
                         if holds(
-                            _data_value(left, env, maps, zero), _data_value(right, env, maps, zero)
+                            _data_value(left, env, maps, zero_of),
+                            _data_value(right, env, maps, zero_of),
                         )
                     ]
                 elif kind is Assign:
                     variable, source = factor.var, factor.expr
                     kept = []
                     for env, value in rows:
-                        data = _data_value(source, env, maps, zero)
+                        data = _data_value(source, env, maps, zero_of)
                         if positions:
                             if env[variable] != data:
                                 continue

@@ -79,8 +79,16 @@ def _check_snapshot_maps(
     long as the sequence) and no stored zero (a membership test; stored
     tables never hold their map's zero).  Every violation is collected into
     one :class:`ValueError` naming the maps.
+
+    A semiring session's ring maps decode their values through
+    ``ring.coerce``, which restores the carrier a JSON round trip loses (a
+    top-k tuple comes back as a list); its ℤ counter maps, and every map of
+    a ring session, adopt the values as they are.  That is decided once per
+    map.
     """
     definitions = runtime.program.maps
+    ring = runtime.ring
+    counters = () if ring.is_ring else runtime.program.maintenance.counter_maps
     problems = []
     unknown = sorted(set(tables) - set(definitions))
     if unknown:
@@ -93,7 +101,11 @@ def _check_snapshot_maps(
     for name in sorted(set(tables) & set(definitions)):
         entries = tables[name]
         try:
-            table = {tuple(key): value for key, value in entries}
+            if ring.is_ring or name in counters:
+                table = {tuple(key): value for key, value in entries}
+            else:
+                coerce = ring.coerce
+                table = {tuple(key): coerce(value) for key, value in entries}
             # tuple() accepts any iterable: a string key would restore as
             # its characters.
             pairs = _KEY_SEQUENCES.issuperset(map(type, map(itemgetter(0), entries)))

@@ -310,7 +310,7 @@ def test_the_update_path_never_calls_evaluate(monkeypatch, ring_name, sql):
 #: A view grouped by every column compiles to a pointwise recompute that
 #: reads the ℤ counter map as a value term and in its guard.
 PER_ROW = (
-    "SELECT p.community, p.post, p.score, MIN(p.score) FROM P p "
+    "SELECT p.community, p.post, p.score, {} FROM P p "
     "GROUP BY p.community, p.post, p.score HAVING COUNT(*) > 0"
 )
 
@@ -320,16 +320,19 @@ PER_ROW = (
     [
         ("min-plus", dict(HAVING_VIEWS)["min-plus"]),
         ("top3", dict(HAVING_VIEWS)["top3"]),
-        ("min-plus", PER_ROW),
+        ("min-plus", PER_ROW.format("MIN(p.score)")),
+        ("top3", PER_ROW.format("TOPK(3, p.score)")),
     ],
-    ids=["min-plus", "top3", "min-plus-per-row"],
+    ids=["min-plus", "top3", "min-plus-per-row", "top3-per-row"],
 )
 def test_a_semiring_count_guard_compares_the_integer_count(ring_name, sql):
     """A semiring ``HAVING COUNT(*)`` guard reads the ℤ counter map in a
     comparison: both executors compare the count itself.  (Evaluated over
     the ring view, the interpreted executor once compared ``from_int(count)``
     — ``0.0`` under min-plus — and dropped every group, or raised on a
-    delete.)"""
+    delete.)  A deleted row's count is absent from the counter map, and the
+    guard reads it as ``0``, not as the ring zero (``()`` under top-3, which
+    ``> 0`` rejected with a ``TypeError``)."""
     rng = random.Random(3)
     live = _posts(rng, 0, 40)
     results = []
@@ -339,8 +342,9 @@ def test_a_semiring_count_guard_compares_the_integer_count(ring_name, sql):
         session.apply_batch([insert("P", *row) for row in live])
         session.apply_batch([delete("P", *row) for row in live[:10]])
         results.append(view.result())
-    if sql == PER_ROW:
-        expected = {row: float(row[2]) for row in live[10:]}
+    if "p.post" in sql:
+        ring = resolve_semiring(ring_name)
+        expected = {row: ring.coerce(row[2]) for row in live[10:]}
     else:
         expected = _expected_having(ring_name, live[10:])
     assert expected and results == [expected, expected]

@@ -777,13 +777,20 @@ def _cdc_log(session):
 @pytest.mark.parametrize("batches", [0, 1, 3])
 @pytest.mark.parametrize(
     "ring_name,through_json",
-    [("Z", True), ("R-float", True), ("min-plus", False), ("top3", False)],
+    [
+        ("Z", True),
+        ("R-float", True),
+        ("min-plus", False),
+        ("top3", False),
+        ("min-plus", True),
+        ("top3", True),
+    ],
 )
 def test_a_restored_snapshot_matches_the_live_session(ring_name, through_json, batches):
-    """Restored from the JSON form for ℤ and float, from the live snapshot for
-    min-plus and top-3, the session equals the live one in results, and in
-    CDC over a further random batch — whether the snapshot was taken of an
-    empty session, after one batch, or after several."""
+    """Restored from the JSON form or from the live snapshot, the session
+    equals the live one in results, and in CDC over a further random batch —
+    whether the snapshot was taken of an empty session, after one batch, or
+    after several."""
     import json
 
     rng = random.Random(41)
@@ -926,6 +933,49 @@ def test_restore_rejects_a_stored_zero(ring_name, zero):
     snapshot = json.loads(json.dumps(session.snapshot()))
     snapshot["maps"]["generated"]["per_store_generated"].append([[99], zero])
     with pytest.raises(ValueError, match=r"store a zero value: \['per_store_generated'\]"):
+        Session.restore(snapshot)
+
+
+@pytest.mark.parametrize("ring_name", ["min-plus", "top3"])
+def test_a_json_restored_semiring_session_keeps_streaming(ring_name):
+    """JSON turns a top-k tuple into a list; restore decodes ring-map values
+    through ``ring.coerce``, so a session restored mid-stream from JSON keeps
+    equal to one never restored — results and CDC — over per-tuple ``apply``
+    and ``apply_batch`` on both executors.  (Before, a restored top-3 group
+    held a list and its next insert raised ``TypeError``.)"""
+    import json
+
+    rng = random.Random(17)
+    live = []
+    session = _sales_session(ring_name, rng, live)
+    restored = Session.restore(json.loads(json.dumps(session.snapshot())))
+    assert restored.results() == session.results()
+    assert all(
+        type(value) is type(session[name].result()[key])
+        for name in session.views
+        for key, value in restored[name].result().items()
+    )
+    logs = _cdc_log(session), _cdc_log(restored)
+    for update in _sales_batch(rng, live, ring_name, 30):
+        session.apply(update)
+        restored.apply(update)
+    assert restored.results() == session.results()
+    for _ in range(3):
+        batch = _sales_batch(rng, live, ring_name, 60)
+        session.apply_batch(batch)
+        restored.apply_batch(batch)
+        assert restored.results() == session.results()
+    assert logs[0] == logs[1] != []
+
+
+def test_restore_rejects_a_stored_top_k_zero_from_json():
+    """The top-k zero ``()`` is ``[]`` in JSON; decoded, it is caught."""
+    import json
+
+    session = _sales_session("top3", random.Random(3), [])
+    snapshot = json.loads(json.dumps(session.snapshot()))
+    snapshot["maps"]["generated"]["best_generated"].append([[99], []])
+    with pytest.raises(ValueError, match=r"store a zero value: \['best_generated'\]"):
         Session.restore(snapshot)
 
 
