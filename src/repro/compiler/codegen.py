@@ -383,6 +383,10 @@ class GeneratedTriggers:
         self._own_indexes: Optional[SliceIndexes] = None
         self._own_maps: Optional[Dict[str, Dict[Tuple[Any, ...], Any]]] = None
         self._own_counts: Dict[str, int] = {}
+        #: ``(storage, data)``: the last supplied ``SliceIndexes.data`` found
+        #: to hold every signature the module reads (its keys are fixed at
+        #: construction), and what the triggers then get (it, or ``None``).
+        self._verified: Tuple[Any, Any] = (None, None)
         #: ``(plain dict, its IndexedMaps wrapper)`` — see :meth:`_compensated`.
         self._own_environment: Tuple[Any, Any] = (None, None)
 
@@ -405,11 +409,18 @@ class GeneratedTriggers:
         ``changes`` optionally maps watched map names to accumulators that
         receive the per-key deltas this update causes in those maps (the
         change-data-capture hook used by ``on_change`` subscriptions).
+
+        Handed the index storage it verified before (the runtime's own, on
+        every call of a session), the call goes straight to the trigger.
         """
-        data = self._index_data(maps, indexes)
+        verified, data = self._verified
+        unverified = indexes is None or indexes.data is not verified
+        if unverified:
+            data = self._index_data(maps, indexes)
         environment = self._compensated(maps) if self.plan.kahan else maps
         self._apply_row(environment, relation, sign, tuple(values), count, data, changes)
-        self._note_own_counts(maps, data)
+        if unverified:
+            self._note_own_counts(maps, data)
 
     def apply_batch(
         self,
@@ -456,10 +467,13 @@ class GeneratedTriggers:
     def _index_data(self, maps, indexes: Optional[SliceIndexes]):
         """The raw index storage to hand the generated code (``None`` if unneeded)."""
         if not self.index_specs:
+            if indexes is not None:
+                self._verified = (indexes.data, None)
             return None
         if indexes is None:
             indexes = getattr(maps, "indexes", None)
         if indexes is not None and self._required_signatures <= indexes.data.keys():
+            self._verified = (indexes.data, indexes.data)
             return indexes.data
         # No usable index supplied: maintain a private one per map environment.
         # The cache is invalidated when a different maps object shows up or

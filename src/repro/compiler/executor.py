@@ -38,63 +38,71 @@ class CompiledExecutor:
         #: work counters at its start.
         self._journal: Optional[UndoJournal] = None
         self._counters = (0, 0, 0)
+        #: Fixed for the pair's lifetime: whether the runtime keeps supports,
+        #: and the module's pending work counters (its ``_STATS`` dict).
+        self._supports = runtime.has_supports
+        self._module_counters = generated._stats if generated is not None else None
 
     # -- update processing ---------------------------------------------------------
 
     def apply(self, update: Update, changes: Changes = None) -> None:
         """Apply one update on whichever executor owns the triggers: its
-        event's trigger runs on the one-row delta map ``{values: count}``."""
+        event's trigger runs on the one-row delta map ``{values: count}``.
+
+        After a generated apply the support sidecars are fed (when the
+        runtime keeps any) and the module's work counters fold into the
+        runtime's statistics, inline: at one tuple per call the glue around
+        the trigger is what costs.
+        """
         runtime = self.runtime
-        if self.generated is None:
+        generated = self.generated
+        if generated is None:
             runtime.apply(update, changes=changes)
             return
-        self.generated.apply(
+        count = update.count
+        generated.apply(
             runtime.maps,
             update.relation,
             update.sign,
             update.values,
             indexes=runtime.indexes,
             changes=changes,
-            count=update.count,
+            count=count,
         )
-        self._after_generated(
-            group_updates((update,)) if runtime.has_supports else None, changes, update.count
-        )
+        if self._supports:
+            runtime.feed_supports(group_updates((update,)), changes)
+        counters = self._module_counters
+        statistics = runtime.statistics
+        statistics.updates_processed += count
+        statistics.statements_executed += counters["statements"]
+        statistics.entries_updated += counters["entries"]
+        counters["statements"] = counters["entries"] = 0
 
     def apply_batch(self, delta: Delta, changes: Changes = None) -> int:
-        """Apply a batch ``∆D``; returns its tuple count."""
+        """Apply a batch ``∆D``; returns its tuple count.
+
+        After a generated apply the support sidecars are fed ``delta`` (the
+        module owns the triggers, the runtime owns the tier; post-trigger, so
+        an exhausted support's rebuild sees the updated counters) and the
+        module's work counters fold into the runtime's statistics.
+        """
         runtime = self.runtime
         journal = self._journal
-        if self.generated is None:
+        generated = self.generated
+        if generated is None:
             return runtime.apply_batch(delta, changes=changes, journal=journal)
-        count = self.generated.apply_batch(
+        count = generated.apply_batch(
             runtime.maps, delta, indexes=runtime.indexes, changes=changes, journal=journal
         )
-        self._after_generated(delta, changes, count, journal)
-        return count
-
-    def _after_generated(
-        self,
-        delta: Optional[Delta],
-        changes: Changes,
-        count: int,
-        journal: Optional[UndoJournal] = None,
-    ) -> None:
-        """What the runtime's own entry points do after their triggers ran.
-
-        The support sidecars (semiring top-k/min/max) are fed ``delta`` here
-        (``None``: the runtime keeps no supports) — the module owns the
-        triggers, the runtime owns the tier; post-trigger, so an exhausted
-        support's rebuild sees the updated counters — and the module's work
-        counters fold into the runtime's statistics.
-        """
-        if delta is not None:
-            self.runtime.feed_supports(delta, changes, journal)
-        statements, entries = self.generated.drain_statistics()
-        statistics = self.runtime.statistics
+        # Called even without supports (it returns at once): the e2e
+        # benchmark's tracer meets the runtime's statistics at this boundary.
+        runtime.feed_supports(delta, changes, journal)
+        statements, entries = generated.drain_statistics()
+        statistics = runtime.statistics
         statistics.updates_processed += count
         statistics.statements_executed += statements
         statistics.entries_updated += entries
+        return count
 
     # -- transactions --------------------------------------------------------------
 

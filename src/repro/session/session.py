@@ -48,7 +48,7 @@ from repro.gmr.database import (
     deserialize_update,
     serialize_update,
 )
-from repro.ivm.base import EngineStatistics
+from repro.ivm.base import ChangeCallback, EngineStatistics
 from repro.session.catalog import MapCatalog
 from repro.session.views import COMPILED_BACKENDS, MaterializedView
 from repro.sql.frontend import is_sql, parse_sql, required_ring_name, translate
@@ -163,8 +163,10 @@ class _CompiledGroup:
         self.generated: Optional[GeneratedTriggers] = None
         #: Persistent across rebuilds (a rebuild replaces the runtime object).
         self.statistics = RuntimeStatistics()
-        #: Watched result-map name -> views with at least one subscriber.
-        self.watched: Dict[str, List[MaterializedView]] = {}
+        #: Result-map name -> the ``on_change`` callbacks of the views on it.
+        #: Replaced, never mutated (``MaterializedView._resubscribe``): an
+        #: update call reads it once and delivers to that snapshot.
+        self.subscribers: Dict[str, Tuple[ChangeCallback, ...]] = {}
 
     # -- registration -----------------------------------------------------------
 
@@ -247,14 +249,6 @@ class _CompiledGroup:
         # Installed last: a failed rebuild leaves the previous pair in place.
         self.executor = CompiledExecutor(runtime, generated)
         self.runtime, self.generated = runtime, generated
-
-    # -- update processing ---------------------------------------------------------
-
-    def changes_accumulator(self) -> Optional[Dict[str, Dict[Tuple[Any, ...], Any]]]:
-        """Fresh per-watched-map accumulators, or ``None`` when nobody subscribed."""
-        if not self.watched:
-            return None
-        return {name: {} for name in self.watched}
 
     # -- introspection ------------------------------------------------------------
 
@@ -474,16 +468,18 @@ class Session:
 
         Each compiled group runs the update's event trigger — the same batch
         trigger :meth:`apply_batch` runs — on the one-row delta map
-        ``{values: 1}``.  Unlike :meth:`apply_batch`, the single-update fast
-        path is *not* transactional across views: it skips the transaction
-        bookkeeping (opening an undo journal per group and recording the
-        prior value of every entry written — O(touched keys), a constant
-        that matters at one tuple per call; routing this method through the
-        journal measured ×0.70 on the e2e ``tuple_updates_per_s`` row of
-        ``small_batch_sync``), so an exception raised by one view's trigger
-        propagates with the earlier views already advanced.  Wrap risky
-        updates as ``apply_batch([update])``, the all-or-nothing form, when
-        that contract matters more than the per-update constant.
+        ``{values: 1}``, and ``on_change`` subscribers receive the call's
+        per-view delta.  Around the triggers a call costs an arity check, a
+        fresh accumulator per subscribed map, the work counters and the
+        delivery.
+
+        Unlike :meth:`apply_batch`, this path is *not* transactional across
+        views: it opens no undo journal and records no prior values (O(touched
+        keys), a constant that matters at one tuple per call), so an
+        exception raised by one view's trigger propagates with the earlier
+        views already advanced.  Wrap risky updates as
+        ``apply_batch([update])``, the all-or-nothing form, when that
+        contract matters more than the per-update constant.
         """
         if update.count != 1:
             # A net-multiplicity update (e.g. replayed from a coalesced
@@ -496,12 +492,14 @@ class Session:
         started = time.perf_counter()
         notifications = []
         for group in self._groups.values():
-            changes = group.changes_accumulator()
+            subscribers = group.subscribers
+            changes = {name: {} for name in subscribers} if subscribers else None
             group.executor.apply(update, changes)
             if changes:
-                notifications.append((group, changes))
-        self._note_applied([update], 1, started)
-        self._dispatch(notifications)
+                notifications.append((subscribers, changes))
+        self._note_applied((update,), 1, started)
+        if notifications:
+            self._dispatch(notifications)
 
     def apply_batch(self, updates: Union[Iterable[Update], Delta]) -> None:
         """Apply a batch of updates to all views as one unit.
@@ -560,10 +558,11 @@ class Session:
             group.executor.begin()
         try:
             for group in groups:
-                changes = group.changes_accumulator()
+                subscribers = group.subscribers
+                changes = {name: {} for name in subscribers} if subscribers else None
                 group.executor.apply_batch(delta, changes)
                 if changes:
-                    notifications.append((group, changes))
+                    notifications.append((subscribers, changes))
         except BaseException as error:
             undone = sum([group.executor.rollback() for group in groups])
             _LOG.warning(
@@ -623,30 +622,35 @@ class Session:
         self.statistics.seconds_in_updates += time.perf_counter() - started
 
     def _dispatch(self, notifications) -> None:
-        """Deliver collected per-map deltas to the subscribed views' callbacks.
+        """Deliver collected per-map deltas to the subscribed callbacks.
 
-        Over a proper semiring the payload carries post-update values and
-        ``ring.zero`` marks a removed group — those entries must be delivered,
-        not filtered (there are no deltas without additive inverses).
+        ``notifications`` pairs each group's subscriber table, as it stood
+        when the call began, with the accumulators filled for its maps, so a
+        callback that (un)subscribes during a delivery changes the *next*
+        call's deliveries, not this one's.  Over a ring, entries that
+        cancelled to zero are dropped (scanned for only when the payload
+        holds a zero); over a proper semiring ``ring.zero`` marks a removed
+        group and is delivered.
+
+        Ownership: the accumulators are fresh on every call and nothing reads
+        them afterwards, so the last subscriber of a map receives its
+        accumulator itself and every other one a copy of its own: a callback
+        that drains its payload cannot corrupt a sibling's.
         """
         ring = self.ring
-        for group, changes in notifications:
-            for map_name, accumulated in changes.items():
-                if ring.is_ring:
-                    filtered = {
-                        key: value
-                        for key, value in accumulated.items()
-                        if not ring.is_zero(value)
-                    }
-                else:
-                    filtered = accumulated
-                if not filtered:
+        drop_zeros, zero = ring.is_ring, ring.zero
+        for subscribers, changes in notifications:
+            for name, payload in changes.items():
+                if not payload:
                     continue
-                for view in group.watched.get(map_name, ()):
-                    for callback in view._callbacks:
-                        # Each subscriber gets its own copy: a callback that
-                        # drains its payload must not corrupt its siblings'.
-                        callback(dict(filtered))
+                if drop_zeros and zero in payload.values():
+                    payload = {key: value for key, value in payload.items() if not ring.is_zero(value)}
+                    if not payload:
+                        continue
+                callbacks = subscribers[name]
+                for callback in callbacks[:-1]:
+                    callback(dict(payload))
+                callbacks[-1](payload)
 
     # -- introspection -----------------------------------------------------------------
 

@@ -99,23 +99,42 @@ class MaterializedView:
         zero) reconstructs the current result exactly.  Over a proper
         semiring the payload instead carries the *post-update value* of each
         changed group, with ``ring.zero`` marking a removed group — replaying
-        means overwriting (or dropping) the key.  Returns the callback, so
+        means overwriting (or dropping) the key.  The payload is the
+        callback's own: it may keep or drain it.  Returns the callback, so
         the method can be used as a decorator.
+
+        A subscription takes effect from the next update call.  One made
+        inside a callback (say, seeding a new replica from
+        :meth:`result_mapping`) does not receive the delta being delivered,
+        which that result already includes; likewise, a callback removed
+        during a delivery still receives that call's delta if it had not yet.
         """
-        if not self._callbacks:
-            self._group.watched.setdefault(self._map_name, []).append(self)
         self._callbacks.append(callback)
+        self._resubscribe()
         return callback
 
     def remove_on_change(self, callback: ChangeCallback) -> None:
-        """Unsubscribe a previously registered callback."""
+        """Unsubscribe a previously registered callback (from the next update
+        call on, like :meth:`on_change`)."""
         self._callbacks.remove(callback)
-        if not self._callbacks:
-            watchers = self._group.watched.get(self._map_name, [])
-            if self in watchers:
-                watchers.remove(self)
-            if not watchers:
-                self._group.watched.pop(self._map_name, None)
+        self._resubscribe()
+
+    def _resubscribe(self) -> None:
+        """Replace the group's subscriber table, with this view's result map
+        mapped to the callbacks of every view on it (registration order)."""
+        group, name = self._group, self._map_name
+        callbacks = tuple(
+            callback
+            for view in self._session._views.values()
+            if view._group is group and view._map_name == name
+            for callback in view._callbacks
+        )
+        table = dict(group.subscribers)
+        if callbacks:
+            table[name] = callbacks
+        else:
+            table.pop(name, None)
+        group.subscribers = table
 
     # -- dunder ---------------------------------------------------------------------
 

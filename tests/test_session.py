@@ -422,6 +422,92 @@ def test_each_subscriber_gets_an_independent_changes_payload():
     assert log == [{(): 10}]
 
 
+@pytest.mark.parametrize("drainer_first", [True, False])
+@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+def test_kept_payloads_stay_as_delivered(backend, drainer_first):
+    """Whichever subscriber drains its payload, the others' payloads — kept
+    across later calls — stay what was delivered."""
+    session = Session(RS_SCHEMA)
+    view = session.view("q", "AggSum([a], R(a, b) * b)", backend=backend)
+    kept = []
+    subscribers = [lambda changes: changes.clear(), kept.append]
+    for callback in subscribers if drainer_first else subscribers[::-1]:
+        view.on_change(callback)
+    session.insert("R", 1, 10)
+    session.apply_batch([insert("R", 2, 5), insert("R", 1, 1)])
+    session.insert("R", 2, 3)
+    assert kept == [{(1,): 10}, {(1,): 1, (2,): 5}, {(2,): 3}]
+
+
+def replay_into(state):
+    """A CDC shadow over ℤ: ring-adds each payload into ``state``."""
+
+    def shadow(changes):
+        for key, delta in changes.items():
+            value = state.get(key, 0) + delta
+            if value:
+                state[key] = value
+            else:
+                del state[key]
+
+    return shadow
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+def test_a_callback_that_unsubscribes_itself_does_not_starve_its_sibling(backend, batched):
+    session = Session(RS_SCHEMA)
+    view = session.view("q", "AggSum([a], R(a, b) * b)", backend=backend)
+    calls = []
+
+    def once(changes):
+        calls.append(changes)
+        view.remove_on_change(once)
+
+    shadow = {}
+    view.on_change(once)
+    view.on_change(replay_into(shadow))
+    if batched:
+        session.apply_batch([insert("R", 1, 5)])
+    else:
+        session.insert("R", 1, 5)
+    assert calls == [{(1,): 5}]
+    assert shadow == view.result_mapping() == {(1,): 5}
+    session.insert("R", 2, 7)
+    session.delete("R", 1, 5)
+    assert len(calls) == 1
+    assert shadow == view.result_mapping() == {(2,): 7}
+
+
+@pytest.mark.parametrize("other_view", [False, True])
+@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+def test_a_subscription_made_during_a_delivery_starts_with_the_next_call(backend, other_view):
+    """A replica seeded from a view's result inside a delivery, then
+    subscribed, must not also receive the delta that result already holds —
+    on the delivering view or on another one being delivered the same call."""
+    session = Session(RS_SCHEMA)
+    view = session.view("q", "AggSum([a], R(a, b) * b)", backend=backend)
+    target = session.view("t", "AggSum([a], R(a, b))", backend=backend) if other_view else view
+    replica = {}
+
+    def seed(changes):
+        if not replica:
+            replica.update(target.result_mapping())
+            target.on_change(replay_into(replica))
+
+    view.on_change(seed)
+    target_log = []
+    # Delivered after ``seed`` in the same call, so the target's map is watched.
+    target.on_change(target_log.append)
+    session.insert("R", 1, 5)
+    assert replica == target.result_mapping()
+    session.insert("R", 1, 2)
+    session.insert("R", 3, 4)
+    session.delete("R", 1, 5)
+    assert replica == target.result_mapping()
+    assert len(target_log) == 4
+
+
 def test_engine_level_on_change_matches_session_level():
     """The low-level engines expose the same subscription API: per-update
     deltas are non-zero and replay to the result, and a batch delivers one
