@@ -290,8 +290,8 @@ def main(argv):
     soak_stats = soak["stats"]
     print(
         f"soak: {soak['duration_s']}s, {soak['producers']} producers — "
-        f"{soak_stats['submitted_updates']} submitted, {soak_stats['flushes']} flushes, "
-        f"0 quarantined, max staleness {soak_stats['max_flush_staleness_ms']:.1f}ms "
+        f"{soak_stats['submitted_updates']} submitted, {soak_stats['flushes']} flushes "
+        f"({soak_stats['idle_flushes']} idle), 0 quarantined, max staleness {soak_stats['max_flush_staleness_ms']:.1f}ms "
         f"(bound {soak['staleness_bound_ms']:.0f}ms)"
     )
     return 0

@@ -6,7 +6,9 @@ The subsystem decouples producers from trigger dispatch.  Many threads
 *online* into per-``(relation, values)`` net multiplicities — the ring's
 additive inverse at work: the pending state is O(distinct keys) and
 insert/delete churn annihilates before any trigger runs.  A flusher drains
-on a size or latency watermark and hands the batch's ``∆D`` — a
+on a size or latency watermark, or at once when the producers are quiet
+(the timer is on and one submit call, begun after a silence, arrived since
+the last drain), and hands the batch's ``∆D`` — a
 :class:`~repro.gmr.database.Delta`, coalesced once, at enqueue — to
 ``Session.apply_batch`` as it is; a poisoned flush is rolled back
 transactionally and quarantined on a dead-letter list while the pipeline

@@ -16,6 +16,17 @@ latency watermark
     waits longer than the staleness bound just because traffic is light.
     ``max_staleness_ms=None`` disables the timer (size-only / manual
     flushing — what deterministic tests use together with :meth:`flush`).
+quiet producers
+    While the latency watermark is on, a flusher that finds one
+    ``submit_many`` call since the last drain, begun after the producers had
+    stayed silent for as long as the previous flush took, flushes at once:
+    the producer gave up the interpreter without submitting again, so
+    waiting for the timer would coalesce nothing and only delay visibility.
+    Busy producers keep the two watermarks' batching: one producer makes
+    further calls before the flusher gets to run, and producers that were
+    only waiting for the interpreter (several threads contending for it)
+    submit the moment a flush ends, with no silence before the call
+    (``IngestStats.idle_flushes`` counts the flushes this rule triggers).
 
 Producers block once ``HIGH_WATER_FACTOR * max_pending`` distinct keys are
 pending.  The mark is never below the size watermark, so the flusher is
@@ -86,7 +97,10 @@ class IngestPipeline:
         are pending.  Producers block at ``HIGH_WATER_FACTOR`` times it.
     max_staleness_ms:
         Latency watermark: a flush is triggered once the oldest pending
-        update is this stale.  ``None`` disables the timer.
+        update is this stale.  ``None`` disables the timer.  While it is on,
+        a flush is also triggered as soon as the flusher sees the producers
+        quiet (one submit call since the last drain, begun after a silence
+        as long as the previous flush took).
     """
 
     def __init__(
@@ -118,6 +132,9 @@ class IngestPipeline:
         self._flush_lock = threading.Lock()
         self._dead_letters: "deque[DeadLetterBatch]" = deque(maxlen=QUARANTINE_LIMIT)
         self._flush_index = 0
+        #: ``time.perf_counter()`` before which a first submit after the last
+        #: flush does not count as quiet: that flush's end plus its duration.
+        self._quiet_after = 0.0
         self._stop = threading.Event()
         self._closed = False
         self._thread = threading.Thread(
@@ -153,23 +170,38 @@ class IngestPipeline:
         with self._flush_lock:
             return self._flush_once()
 
-    def _should_flush(self) -> bool:
-        if self._queue.pending_keys >= self.max_pending:
-            return True
-        if self.max_staleness_ms is None or self._queue.pending_keys == 0:
-            return False
-        return self._queue.oldest_age_s() * 1e3 >= self.max_staleness_ms
+    def _should_flush(self) -> Optional[str]:
+        """Which flush condition holds: ``"size"``, ``"staleness"``, ``"idle"``
+        (the producers are quiet) or ``None``."""
+        queue = self._queue
+        pending = queue.pending_keys
+        if pending >= self.max_pending:
+            return "size"
+        if self.max_staleness_ms is None or pending == 0:
+            return None
+        age_s = queue.oldest_age_s()
+        if age_s * 1e3 >= self.max_staleness_ms:
+            return "staleness"
+        # Quiet: one call since the drain, begun after a silence as long as
+        # the last flush took.  Producers that were only waiting for the
+        # interpreter submit the moment a flush ends.
+        if queue.calls_since_drain == 1 and time.perf_counter() - age_s >= self._quiet_after:
+            return "idle"
+        return None
 
-    def _flush_once(self) -> int:
+    def _flush_once(self, idle: bool = False) -> int:
+        started = time.perf_counter()
         staleness_ms = self._queue.oldest_age_s() * 1e3
         delta = self._queue.drain()
         if not delta:
             return 0
-        self._apply(delta, staleness_ms)
+        self._apply(delta, staleness_ms, idle)
         self._flush_index += 1
+        ended = time.perf_counter()
+        self._quiet_after = ended + (ended - started)
         return len(delta)
 
-    def _apply(self, delta: Delta, staleness_ms: float) -> None:
+    def _apply(self, delta: Delta, staleness_ms: float, idle: bool) -> None:
         """Hand one flush's ``∆D`` to the session; quarantine it if that raises."""
         started = time.perf_counter()
         try:
@@ -192,6 +224,7 @@ class IngestPipeline:
             tuples=delta.tuples,
             latency_s=time.perf_counter() - started,
             staleness_ms=staleness_ms,
+            idle=idle,
         )
 
     def _next_timeout_s(self) -> Optional[float]:
@@ -209,8 +242,9 @@ class IngestPipeline:
             with self._flush_lock:
                 if self._stop.is_set():
                     return
-                if self._should_flush():
-                    self._flush_once()
+                due = self._should_flush()
+                if due is not None:
+                    self._flush_once(idle=due == "idle")
 
     # -- lifecycle / introspection ---------------------------------------------
 

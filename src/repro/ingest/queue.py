@@ -21,7 +21,12 @@ the pending state as the batch's ``∆D`` (a
 ``wake`` event handed to the constructor is set when the queue becomes
 non-empty (starting the staleness clock) and when it crosses
 ``watermark_keys`` (the size watermark) — the two transitions that wake the
-flusher thread, never once per key — and when a producer stalls.
+flusher thread, never once per key — and when a producer stalls.  The queue
+also counts the ``submit_many`` calls begun since the last drain
+(:attr:`IngestQueue.calls_since_drain`): a flusher woken by the empty →
+non-empty transition that still sees one call, begun after a silence, knows
+the producer gave up the interpreter without submitting again, so waiting
+for the staleness timer would coalesce nothing.
 """
 
 from __future__ import annotations
@@ -84,6 +89,8 @@ class IngestQueue:
         #: ``time.perf_counter()`` of the empty→non-empty transition (the
         #: staleness clock); ``None`` while empty.
         self._since: Optional[float] = None
+        #: ``submit_many`` calls begun since the last :meth:`drain`.
+        self._calls = 0
         self._closed = False
 
     # -- producer side ---------------------------------------------------------
@@ -108,6 +115,7 @@ class IngestQueue:
         with self._lock:
             if self._closed:
                 raise IngestClosedError("ingestion queue is closed")
+            self._calls += 1
             net = self._net
             high_water = self.high_water
             watermark = self.watermark_keys
@@ -177,6 +185,7 @@ class IngestQueue:
         with self._lock:
             net, self._net = self._net, {}
             self._since = None
+            self._calls = 0
             self._not_full.notify_all()
         return Delta.from_net(net)
 
@@ -192,6 +201,11 @@ class IngestQueue:
     def pending_keys(self) -> int:
         """Distinct keys currently pending (the queue-depth gauge)."""
         return len(self._net)
+
+    @property
+    def calls_since_drain(self) -> int:
+        """``submit``/``submit_many`` calls begun since the last drain."""
+        return self._calls
 
     @property
     def closed(self) -> bool:

@@ -49,6 +49,10 @@ class IngestStats:
         Flush-side volume: watermark flushes executed, compact updates
         handed to ``Session.apply_batch`` (one per distinct surviving key),
         and the logical tuples those represented.
+    ``idle_flushes``
+        The flushes among ``flushes`` triggered because the producers were
+        quiet (one submit call since the last drain, begun after a silence)
+        before either watermark tripped.
     ``quarantined_batches`` / ``quarantined_updates``
         Poisoned flushes rolled back and parked on the dead-letter list.
     ``backpressure_stalls`` / ``backpressure_wait_s``
@@ -65,6 +69,7 @@ class IngestStats:
         self.flushes = 0
         self.flushed_updates = 0
         self.flushed_tuples = 0
+        self.idle_flushes = 0
         self.quarantined_batches = 0
         self.quarantined_updates = 0
         self.backpressure_stalls = 0
@@ -85,9 +90,12 @@ class IngestStats:
             self.coalesced_updates += coalesced_tuples
             self.cancelled_keys += cancelled
 
-    def record_flush(self, updates: int, tuples: int, latency_s: float, staleness_ms: float) -> None:
+    def record_flush(
+        self, updates: int, tuples: int, latency_s: float, staleness_ms: float, idle: bool = False
+    ) -> None:
         with self._lock:
             self.flushes += 1
+            self.idle_flushes += idle
             self.flushed_updates += updates
             self.flushed_tuples += tuples
             self._flush_latency_ms.append(latency_s * 1e3)
@@ -120,6 +128,7 @@ class IngestStats:
                 "flushes": self.flushes,
                 "flushed_updates": self.flushed_updates,
                 "flushed_tuples": self.flushed_tuples,
+                "idle_flushes": self.idle_flushes,
                 "quarantined_batches": self.quarantined_batches,
                 "quarantined_updates": self.quarantined_updates,
                 "backpressure_stalls": self.backpressure_stalls,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.semirings import INTEGER_RING
 from repro.core.ast import AggSum, Expr
@@ -61,7 +61,9 @@ class IVMEngine(ABC):
         self.query = query if isinstance(query, AggSum) else AggSum((), query)
         self.schema = {relation: tuple(columns) for relation, columns in schema.items()}
         self.statistics = EngineStatistics()
-        self._change_callbacks: List[ChangeCallback] = []
+        #: The subscribers, replaced (never mutated) by ``on_change`` /
+        #: ``remove_on_change``, so a delivery walks the tuple it started with.
+        self._change_callbacks: Tuple[ChangeCallback, ...] = ()
         #: Per-key result deltas collected during ``_apply``/``_apply_batch``
         #: when at least one subscriber is attached, ``None`` otherwise.
         self._pending_changes: Optional[Changes] = None
@@ -77,13 +79,21 @@ class IVMEngine(ABC):
         ungrouped queries the key is the empty tuple.  Callbacks run outside
         the timed section and must not mutate the engine.  Returns the
         callback so the method can be used as a decorator.
+
+        A subscription takes effect from the next update call: one made
+        inside a callback does not receive the delta being delivered, and a
+        callback removed during a delivery still receives that call's delta
+        if it had not yet.
         """
-        self._change_callbacks.append(callback)
+        self._change_callbacks = self._change_callbacks + (callback,)
         return callback
 
     def remove_on_change(self, callback: ChangeCallback) -> None:
-        """Unsubscribe a previously registered callback."""
-        self._change_callbacks.remove(callback)
+        """Unsubscribe a previously registered callback (from the next update
+        call on, like :meth:`on_change`)."""
+        callbacks = list(self._change_callbacks)
+        callbacks.remove(callback)
+        self._change_callbacks = tuple(callbacks)
 
     def _dispatch_changes(self) -> None:
         """Filter zero deltas out of the pending changes and notify subscribers.

@@ -593,7 +593,12 @@ class Session:
         Producers on any thread ``submit()`` updates; the pipeline coalesces
         them online and flushes pre-aggregated batches through
         :meth:`apply_batch` once ``max_pending`` distinct keys are pending or
-        the oldest is ``max_staleness_ms`` old (``None``: no timer).
+        the oldest is ``max_staleness_ms`` old (``None``: no timer).  While
+        the timer is on, a flush also runs as soon as the producers are
+        quiet (one submit call since the last drain, begun after a silence
+        as long as the previous flush took), so a lone or once-per-tick
+        update is visible after one flush; busy producers keep the
+        watermarks' batching.
         Producers block at four times ``max_pending`` pending keys, and a
         flush that raises is rolled back and parked on ``dead_letters``.
         While a pipeline is running it owns the session's write path — do

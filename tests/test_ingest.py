@@ -1,10 +1,11 @@
 """Tests of the streaming ingestion subsystem (src/repro/ingest/).
 
 Covers: online coalescing in the queue (duplicates, cancellation, compact
-count-carrying updates), watermark flushing (size and latency, plus the
-deterministic inline ``flush()``), the blocking high-water mark (drain,
-close-while-blocked, the merge-at-high-water exemption, and a mark derived
-from ``max_pending`` so a producer never waits on a flush that is not due),
+count-carrying updates), watermark flushing (size and latency, the
+quiet-producer flush beside them, plus the deterministic inline
+``flush()``), the blocking high-water mark (drain, close-while-blocked, the
+merge-at-high-water exemption, and a mark derived from ``max_pending`` so a
+producer never waits on a flush that is not due),
 dead-letter quarantine with transactional rollback, per-flush CDC equal to
 ``apply_batch``'s, stats accounting, the ``Session.ingest`` entry point and
 its two options, and a randomized multi-threaded equivalence property:
@@ -13,6 +14,7 @@ state of applying the stream serially.
 """
 
 import random
+import sys
 import threading
 import time
 
@@ -282,16 +284,64 @@ def test_size_watermark_triggers_background_flush():
         pipe.close()
 
 
-def test_latency_watermark_triggers_background_flush():
+def test_a_quiet_producer_is_flushed_without_waiting_for_the_timer():
+    """One submit and nothing after it: the flusher sees one call since the
+    last drain and flushes at once, long before the 10 s staleness bound."""
+    session = make_session()
+    pipe = session.ingest(max_pending=1_000_000, max_staleness_ms=10_000)
+    try:
+        pipe.insert("R", 1, 1)
+        assert wait_until(lambda: session["total"].result() == 1, timeout=2.0)
+        assert pipe.stats_snapshot()["idle_flushes"] == 1
+    finally:
+        pipe.close()
+
+
+def test_latency_watermark_bounds_a_busy_producer():
+    """Two submits before the flusher runs: the producer is busy, so the
+    flush waits for the staleness watermark, not for quiet."""
     session = make_session()
     pipe = session.ingest(max_pending=1_000_000, max_staleness_ms=15.0)
     try:
-        pipe.insert("R", 1, 1)
-        assert wait_until(lambda: session["total"].result() == 1)
-        # The flush happened because of staleness, not size.
-        assert pipe.stats.flushes >= 1
+        with pipe._flush_lock:
+            pipe.insert("R", 1, 1)
+            pipe.insert("R", 2, 1)
+        assert wait_until(lambda: session["total"].result() == 2)
         snapshot = pipe.stats_snapshot()
+        assert snapshot["flushes"] == 1 and snapshot["idle_flushes"] == 0
         assert snapshot["max_flush_staleness_ms"] >= 10.0
+    finally:
+        pipe.close()
+
+
+def test_a_submit_right_after_a_flush_is_not_quiet():
+    """Producers that were only waiting for the interpreter submit the moment
+    a flush ends: one call begun before the silence has lasted as long as the
+    last flush took does not count as quiet, so the timer decides."""
+    session = make_session()
+    pipe = session.ingest(max_pending=1_000_000, max_staleness_ms=10_000)
+    try:
+        with pipe._flush_lock:
+            pipe._quiet_after = time.perf_counter() + 3600.0  # a flush that just ended
+            pipe.insert("R", 1, 1)
+        time.sleep(0.05)
+        assert session["total"].result() == 0
+        assert pipe.stats.flushes == 0
+    finally:
+        pipe.close()
+    assert session["total"].result() == 1
+
+
+def test_without_a_timer_a_quiet_producer_is_not_flushed():
+    """``max_staleness_ms=None`` stays size-only / manual: quiet producers
+    trigger nothing."""
+    session = make_session()
+    pipe = session.ingest(max_pending=1_000_000, max_staleness_ms=None)
+    try:
+        pipe.insert("R", 1, 1)
+        time.sleep(0.05)
+        assert session["total"].result() == 0
+        assert pipe.stats.flushes == 0
     finally:
         pipe.close()
 
@@ -522,6 +572,45 @@ def test_threaded_producers_match_serial_application():
         assert snapshot["submitted_updates"] == sum(len(p) for p in partitions)
 
 
+def test_quiet_producer_flushes_under_a_short_switch_interval_lose_nothing():
+    """More producers than cores, a 10 µs switch interval and a pause after
+    each chunk, so the flusher often finds one call since the last drain:
+    idle flushes interleave with the producers and the views still end in
+    the serial state."""
+    partitions = producer_streams(SCHEMA, producers=4, length=800, seed=5, domain_size=12)
+    serial = make_session()
+    for partition in partitions:
+        serial.apply_batch(list(partition))
+    concurrent = make_session()
+    pipe = concurrent.ingest(max_pending=64, max_staleness_ms=5.0)
+
+    def produce(partition):
+        for batch in partition.batches(20):
+            pipe.submit_many(batch)
+            time.sleep(0.003)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=produce, args=(partition,), daemon=True)
+            for partition in partitions
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    pipe.close(flush=True)
+    snapshot = pipe.stats_snapshot()
+    assert not pipe.dead_letters
+    assert concurrent.results() == serial.results()
+    assert snapshot["submitted_updates"] == sum(len(p) for p in partitions)
+    assert 0 < snapshot["idle_flushes"] <= snapshot["flushes"]
+
+
 def test_producers_blocked_by_backpressure_still_complete():
     session = make_session()
     pipe = session.ingest(max_pending=2, max_staleness_ms=5.0)
@@ -692,6 +781,19 @@ def test_queue_sets_wake_on_the_two_transitions_only():
     for update in keys[1:1024]:
         queue.submit(update)
     assert wake.sets == 4
+
+
+def test_queue_counts_the_calls_since_the_last_drain():
+    """The quiet-producer rule's input: one per ``submit_many`` call, however
+    many updates it carries, including calls that only merge or cancel."""
+    queue = IngestQueue()
+    queue.submit_many([insert("R", 1, 1), insert("R", 2, 2)])
+    assert queue.calls_since_drain == 1
+    queue.submit(delete("R", 2, 2))
+    queue.submit(insert("R", 1, 1))
+    assert queue.calls_since_drain == 3
+    queue.drain()
+    assert queue.calls_since_drain == 0
 
 
 def test_burst_wakes_the_flusher_at_most_twice_per_flush(monkeypatch):

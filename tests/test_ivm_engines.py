@@ -108,3 +108,35 @@ def test_results_agree_normalization():
 def test_engine_repr_mentions_query():
     engine = NaiveReevaluation(SELFJOIN, UNARY_SCHEMA)
     assert "Sum" in repr(engine)
+
+
+BY_A = parse("AggSum([a], R(a, b) * b)")
+
+
+def test_a_callback_that_unsubscribes_itself_does_not_starve_its_sibling():
+    engine = RecursiveIVM(BY_A, {"R": ("a", "b")})
+    received = []
+
+    def first(changes):
+        engine.remove_on_change(first)
+
+    engine.on_change(first)
+    engine.on_change(received.append)
+    engine.apply(insert("R", 1, 5))
+    assert received == [{(1,): 5}]
+
+
+def test_a_subscription_made_during_a_delivery_starts_with_the_next_call():
+    engine = RecursiveIVM(BY_A, {"R": ("a", "b")})
+    late = []
+
+    def subscribe_late(changes):
+        if not late:
+            late.append("subscribed")
+            engine.on_change(late.append)
+
+    engine.on_change(subscribe_late)
+    engine.apply(insert("R", 1, 5))
+    assert late == ["subscribed"]  # the in-flight payload is not delivered to it
+    engine.apply(insert("R", 1, 2))
+    assert late == ["subscribed", {(1,): 2}]
