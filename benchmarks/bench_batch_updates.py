@@ -17,7 +17,7 @@ Two comparisons live here:
 
 * **Fused vs unfused bare counts** (what is left of batch specialization,
   reported, not asserted): a batch reaches both compiled executors already
-  grouped into one delta map per event (a ``repro.gmr.database.Delta``), so
+  grouped into one signed delta map per relation (a ``repro.gmr.database.Delta``), so
   the per-event slicing of an update list is gone and the one fast path left
   is the fused total — an all-bare-count event folds ``Σ∆R`` through
   ``total_batch_*`` (Kahan-compensated over the float field) instead of its

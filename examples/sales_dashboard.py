@@ -5,10 +5,10 @@ order count per customer and total revenue — are registered as views on one
 :class:`repro.Session` and maintained over a live stream of customers,
 orders, line items and order cancellations.  The dashboard never re-runs the
 joins, and the stream is fed in **batches** through ``Session.apply_batch``:
-each batch is pre-aggregated into per-relation delta maps and folded by the
-compiled batch triggers once per ``(relation, sign)`` group — with
-insert/delete pairs (an order placed and cancelled within one batch)
-cancelled before any trigger runs.  Because the views overlap, their
+each batch is pre-aggregated into one signed delta map per relation — a
+cancellation is a count of −1 — and folded by the relation's compiled batch
+trigger once, with insert/delete pairs (an order placed and cancelled within
+one batch) cancelled before any trigger runs.  Because the views overlap, their
 compiled hierarchies *share* materialized maps, which the sharing report at
 the end quantifies.  A change subscription streams one consolidated
 per-nation revenue delta per batch.

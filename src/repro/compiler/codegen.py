@@ -41,14 +41,16 @@ Three properties of the generated module matter for the paper's cost claims:
   bucket of either shape (a lone key, or a ``{key: None}`` dict).
 
 * **One trigger form.**  ``apply_batch`` takes a batch as a
-  :class:`~repro.gmr.database.Delta` — one delta map
-  ``∆R : values → multiplicity`` per ``(relation, sign)`` event — and hands
-  each map to the event's generated trigger, compiled from the
-  relation-valued delta of each map's definition
-  (``repro.core.delta.BatchUpdateEvent``); ``apply`` hands it the one-row map
-  of a single update.  A trigger scans ``∆R`` once: one loop unpacks each
-  row, reads what the row alone addresses once for all statements (the
-  plan's :class:`~repro.compiler.plan.RowReads`) and runs every statement's
+  :class:`~repro.gmr.database.Delta` — one signed delta map
+  ``∆R : values → multiplicity`` per relation — and hands each map to the
+  relation's generated trigger, compiled from the relation-valued delta of
+  each map's definition (``repro.core.delta.BatchUpdateEvent``); ``apply``
+  hands it the one-row map of a single update, a deletion's count negated.
+  Over a ring that is one trigger per relation; a proper semiring's module
+  keeps one per ``(relation, sign)`` and runs each sign's rows apart.  A
+  trigger scans ``∆R`` once: one loop unpacks each row, reads what the row
+  alone addresses once for all statements (the plan's
+  :class:`~repro.compiler.plan.RowReads`) and runs every statement's
   remaining factors; the folds follow, one read-modify-write per distinct
   target key, then recomputes, once per group.
 
@@ -57,7 +59,7 @@ Three properties of the generated module matter for the paper's cost claims:
   lowered :class:`~repro.compiler.plan.BatchPlan`.  The query-independent
   steps — the fold itself (change capture, tracked keys, slice-index
   upkeep), the recompute write-back, the compensated float total and the
-  update loop over a ``Delta``'s events or one row — are the plain-Python
+  update loop over a ``Delta``'s relations or one row — are the plain-Python
   :mod:`repro.compiler.kernels`, injected into the module
   namespace (``_fold``, ``_rwrite``, ``_fold_total``, …) exactly as the
   interpreted runtime calls them.
@@ -85,7 +87,7 @@ from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
 from repro.compiler.cost import whole_batch_fold
 from repro.compiler.indexes import SLICE_LOOP, IndexedMaps, IndexSpecs, SliceIndexes
 from repro.compiler.kernels import FoldKernels, make_apply_batch, recompute_pairs
-from repro.compiler.plan import BatchPlan, RowReads, lower_batch_plan
+from repro.compiler.plan import BatchPlan, EventPlan, lower_batch_plan
 from repro.gmr.database import Delta
 from repro.compiler.triggers import BatchStatement, BatchTrigger, TriggerProgram
 from repro.core.ast import (
@@ -375,7 +377,7 @@ class GeneratedTriggers:
             ring,
             namespace["BATCH_TRIGGERS"],
             {
-                event.event: namespace[f"total_batch_{event.trigger.event_name}"]
+                event.event: namespace[f"total_batch_{_function_stem(event)}"]
                 for event in plan.events
                 if event.kind == "total"
             },
@@ -403,8 +405,9 @@ class GeneratedTriggers:
         count: int = 1,
     ) -> None:
         """Apply one update ``±relation(values)`` with multiplicity ``count``:
-        the event's generated trigger runs on the one-row delta map
-        ``{values: count}``.
+        the relation's generated trigger runs on the one-row delta map
+        ``{values: ±count}`` (a semiring module's event trigger, on
+        ``{values: count}``).
 
         ``changes`` optionally maps watched map names to accumulators that
         receive the per-key deltas this update causes in those maps (the
@@ -432,7 +435,8 @@ class GeneratedTriggers:
     ) -> int:
         """Apply a batch ``∆D`` through the generated batch triggers.
 
-        Each event's delta map goes to its trigger, which folds it once —
+        Each relation's signed delta map goes to its trigger (a semiring
+        module's, split by sign, to each event's), which folds it once —
         one read-modify-write per distinct target key — or, for a fused
         event, its net tuple count to the ``total_batch_*`` function.
         Equivalent to applying the updates one at a time (the statements
@@ -601,11 +605,12 @@ def generate_python(
     table = []
     for event in plan.events:
         trigger = event.trigger
-        table.append((event.event, f"batch_{trigger.event_name}"))
-        _generate_trigger(context, trigger, event.tracked, event.reads)
+        stem = _function_stem(event)
+        table.append((event.event, f"batch_{stem}"))
+        _generate_trigger(context, event, stem)
         writer.emit("")
         if event.kind == "total":
-            _generate_total_trigger(context, trigger, kahan=plan.kahan)
+            _generate_total_trigger(context, trigger, stem, kahan=plan.kahan)
             writer.emit("")
     writer.emit("BATCH_TRIGGERS = {")
     for key, function in table:
@@ -620,6 +625,14 @@ def generate_python(
 # ---------------------------------------------------------------------------
 # Emitting triggers and statements
 # ---------------------------------------------------------------------------
+
+
+def _function_stem(event) -> str:
+    """The emitted functions' name stem for one event: ``on_insert_R`` /
+    ``on_delete_R`` after its ``BATCH_TRIGGERS`` key ``(relation, sign)``.  A
+    ring program's signed trigger is keyed ``(relation, +1)`` and so named
+    ``batch_on_insert_R``, although it folds deletions too."""
+    return f"on_{'insert' if event.sign == 1 else 'delete'}_{event.relation}"
 
 
 def _emit_work_counters(writer: _Writer, statements: int) -> None:
@@ -653,9 +666,7 @@ def _collect_table_locals(trigger, names: _NameAllocator) -> Tuple[Dict[str, str
     return table_locals, touched
 
 
-def _generate_trigger(
-    context: _EmitContext, trigger: BatchTrigger, tracked_maps: Tuple[str, ...], reads: RowReads
-) -> None:
+def _generate_trigger(context: _EmitContext, event: EventPlan, stem: str) -> None:
     """A relation-valued trigger: one scan of the delta map, then the folds.
 
     ``_delta`` is the pre-aggregated update ``values → multiplicity`` — a
@@ -666,11 +677,12 @@ def _generate_trigger(
     application would, including the interaction terms between rows.
     Recomputes run once per group after the folds.
     """
+    trigger, tracked_maps = event.trigger, event.tracked
     writer = context.writer
     names = _NameAllocator()
     counter = [0]
     table_locals, touched = _collect_table_locals(trigger, names)
-    writer.emit(f"def batch_{trigger.event_name}(maps, _delta, _IDX=None, _CH=None, _J=None):")
+    writer.emit(f"def batch_{stem}(maps, _delta, _IDX=None, _CH=None, _J=None):")
     writer.block()
     _emit_work_counters(writer, len(trigger.statements) + len(trigger.recomputes))
     for name in touched:
@@ -689,7 +701,7 @@ def _generate_trigger(
         # ring statements reading it must pass through _from_int.
         context.int_sources = saved_int_sources | {trigger.delta_map}
     try:
-        _generate_trigger_body(context, trigger, names, frame, reads, tracked_maps, counter)
+        _generate_trigger_body(context, event, names, frame, counter)
         _generate_recomputes(context, trigger, names, frame, tracked_maps, counter)
     finally:
         context.int_sources = saved_int_sources
@@ -699,7 +711,7 @@ def _generate_trigger(
 
 
 def _generate_total_trigger(
-    context: _EmitContext, trigger: BatchTrigger, kahan: bool = False
+    context: _EmitContext, trigger: BatchTrigger, stem: str, kahan: bool = False
 ) -> None:
     """The fused variant of an all-total trigger.
 
@@ -716,7 +728,7 @@ def _generate_total_trigger(
     """
     writer = context.writer
     writer.emit(
-        f"def total_batch_{trigger.event_name}(maps, _total, _IDX=None, _CH=None, _J=None):"
+        f"def total_batch_{stem}(maps, _total, _IDX=None, _CH=None, _J=None):"
     )
     writer.block()
     _emit_work_counters(writer, len(trigger.statements))
@@ -743,11 +755,9 @@ def _generate_total_trigger(
 
 def _generate_trigger_body(
     context: _EmitContext,
-    trigger: BatchTrigger,
+    event: EventPlan,
     names: _NameAllocator,
     frame: _Frame,
-    reads: RowReads,
-    tracked_maps: Tuple[str, ...],
     counter: List[int],
 ) -> None:
     """Emit the evaluation of every statement into accumulators, then the folds.
@@ -758,28 +768,20 @@ def _generate_trigger_body(
     ``∆R`` row and the same old state, and the trigger is one loop: a single
     ``for _k, _v in _delta.items()`` unpacks the row once and runs each
     statement's remaining factors against one per-row table (:class:`_Row`)
-    of key tuples, the reads ``reads`` marks shared and common coefficient
-    prefixes.  Only a statement folding the whole delta with one C-level call
-    (:func:`~repro.compiler.cost.whole_batch_fold`) stays outside.
+    of key tuples, the reads the plan marks shared (``event.reads``) and
+    common coefficient prefixes.  Only a statement folding the whole delta
+    with one C-level call (:func:`~repro.compiler.cost.whole_batch_fold`)
+    stays outside.
 
-    A statement with a nullary target produces exactly one key per event, so
-    its accumulator degenerates to a scalar and its fold inlines to a single
-    guarded table update (skipped when the target map carries slice indexes
-    or feeds a tracked recompute, where the ``_fold`` kernel handles
-    maintenance).
+    A statement the plan marks ``scalar`` produces exactly one key per
+    event, so its accumulator degenerates to a scalar and its fold inlines to
+    a single table update, skipped when the increment cancelled to zero.
     """
+    trigger, tracked_maps, reads, scalar_flags = (
+        event.trigger, event.tracked, event.reads, event.scalar
+    )
     writer = context.writer
     delta_map = frame.delta_map
-    # The scalar fast path is disabled wholesale in semiring mode: its inline
-    # fold emits delta-style change capture, and semiring CDC carries
-    # post-update values (the _fold/_fold_int kernels handle that uniformly).
-    scalar_flags = [
-        not statement.target_keys
-        and context.specs.get(statement.target) is None
-        and statement.target not in tracked_maps
-        and not context.semiring
-        for statement in trigger.statements
-    ]
     evaluated = []  # what still needs its right-hand side evaluated
     arity = None  # of ∆R, once a monomial holds a ∆R atom
     for index, statement in enumerate(trigger.statements):

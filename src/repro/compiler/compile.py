@@ -135,8 +135,9 @@ class Compiler:
         (:func:`repro.compiler.verify.verify_program`) before being returned.
 
         ``ring`` selects the maintenance contract: ``None`` or a true ring
-        (additive inverses) compiles the classic invertible program — delete
-        events fold negated deltas.  A proper *semiring* (MIN/MAX, top-k,
+        (additive inverses) compiles the classic invertible program — one
+        signed trigger per relation, whose delta map carries a deletion as
+        count −1.  A proper *semiring* (MIN/MAX, top-k,
         boolean, natural) instead routes deletions through the declared
         maintenance strategy: integer-valued base counter maps absorb both
         signs, support-structure maps are maintained by the executors'
@@ -221,7 +222,9 @@ class Compiler:
         program = TriggerProgram(
             result_map=result_name,
             maps=added,
-            triggers=assemble_triggers(self._statements, self._recomputes, added),
+            triggers=assemble_triggers(
+                self._statements, self._recomputes, added, signed=maintenance is None
+            ),
             schema=dict(self.schema),
             maintenance=maintenance,
             registration=Registration(
@@ -422,14 +425,17 @@ class Compiler:
             )
         closed_relations = set(definition.relations) - recompute_relations
 
+        # Over a ring the +∆R trigger runs on signed counts and serves
+        # deletions too; a semiring's deletions route through its own.
+        signs = (1, -1) if self._semiring_mode else (1,)
         if recompute_relations:
             recompute = self._build_recompute(definition, worklist)
             for relation in sorted(recompute_relations):
-                for sign in (1, -1):
+                for sign in signs:
                     self._recomputes[(relation, sign)].append(recompute)
 
         for relation in sorted(closed_relations):
-            for sign in (1, -1):
+            for sign in signs:
                 self._compile_statement(definition, relation, sign, worklist)
 
     #: Overridden per-compile; class default keeps hand-driven uses working.
@@ -1015,8 +1021,11 @@ def assemble_triggers(
     statements: Mapping[Tuple[str, int], Sequence[BatchStatement]],
     recomputes: Mapping[Tuple[str, int], Sequence[RecomputeStatement]],
     maps: Mapping[str, MapDefinition],
+    signed: bool = True,
 ) -> Dict[Tuple[str, int], BatchTrigger]:
-    """One :class:`BatchTrigger` per event with any work, in event order.
+    """One :class:`BatchTrigger` per event with any work, in event order;
+    ``signed`` (a ring program's) marks each one as the relation's signed
+    trigger.
 
     Statements are ordered parents-before-children: within one event all
     reads use the pre-update state, so this ordering is presentational — it
@@ -1042,6 +1051,7 @@ def assemble_triggers(
                 delta_map=delta_map_name(relation),
                 statements=ordered,
                 recomputes=inner_first,
+                signed=signed,
             )
     return triggers
 

@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.compiler.codegen import GeneratedTriggers
 from repro.compiler.kernels import UndoJournal
 from repro.compiler.runtime import TriggerRuntime
-from repro.gmr.database import Delta, Update, group_updates
+from repro.gmr.database import Delta, Update
 
 Changes = Optional[Dict[str, Dict[Tuple[Any, ...], Any]]]
 
@@ -47,7 +47,8 @@ class CompiledExecutor:
 
     def apply(self, update: Update, changes: Changes = None) -> None:
         """Apply one update on whichever executor owns the triggers: its
-        event's trigger runs on the one-row delta map ``{values: count}``.
+        relation's signed trigger runs on the one-row delta map
+        ``{values: ±count}`` (a semiring's event trigger, on ``{values: count}``).
 
         After a generated apply the support sidecars are fed (when the
         runtime keeps any) and the module's work counters fold into the
@@ -70,7 +71,9 @@ class CompiledExecutor:
             count=count,
         )
         if self._supports:
-            runtime.feed_supports(group_updates((update,)), changes)
+            runtime.feed_supports(
+                Delta({update.relation: {update.values: update.sign * update.count}}), changes
+            )
         counters = self._module_counters
         statistics = runtime.statistics
         statistics.updates_processed += count

@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, Iterable, Tuple
 from repro.algebra.semirings import FLOAT_FIELD, INTEGER_RING, Semiring
 from repro.compiler.indexes import apply_index_journal
 from repro.core.ast import COMPARATORS, Add, Compare, Const, Expr, MapRef, Mul, Neg, Var
-from repro.gmr.database import Delta, Update
+from repro.gmr.database import Update
 
 MapTable = Dict[Tuple[Any, ...], Any]
 
@@ -286,16 +286,6 @@ class FoldKernels:
         self.fold_total = fold_total if ring is FLOAT_FIELD else None
 
 
-def semiring_order(delta: Delta) -> list:
-    """``delta``'s ``(event, delta map)`` pairs, every insert event first.
-
-    The event order of a proper semiring's executors: a batch may delete a
-    row it also inserts, and delete-event recomputes read the ℤ counter maps
-    through ``from_int``, which has no image for transiently negative counts.
-    """
-    return sorted(delta.events.items(), key=lambda item: -item[0][1])
-
-
 def arity_error(update: Update) -> ValueError:
     """The error of an update whose values do not fit its relation's arity."""
     return ValueError(
@@ -308,45 +298,52 @@ def make_apply_batch(plan, ring: Semiring, triggers, totals) -> Tuple[Callable, 
 
     ``apply_batch(maps, delta, index_data=None, changes=None, journal=None)
     -> tuple count`` takes a :class:`~repro.gmr.database.Delta`, the batch
-    already grouped into one delta map ``∆R : values → count`` per
-    ``(relation, sign)`` event, and runs each event as the lowered ``plan``
-    says: a ``total`` event's fused trigger ``totals[event](maps, Σ∆R,
-    index_data, changes, journal)`` (no table at all), any other event's
-    trigger ``triggers[event](maps, ∆R, …)`` on the delta map itself.  Every
-    event's keys are checked against the plan's arity, one pass per event,
-    before any trigger runs.
+    already grouped into one signed delta map ``∆R : values → count`` per
+    relation, and runs each relation's event as the lowered ``plan`` says: a
+    ``total`` event's fused trigger ``totals[event](maps, Σ∆R, index_data,
+    changes, journal)`` (no table at all), any other event's trigger
+    ``triggers[event](maps, ∆R, …)`` on the delta map itself.  Every
+    relation's keys are checked against the plan's arity, one pass per
+    relation, before any trigger runs.
 
     ``apply_row(maps, relation, sign, values, count=1, index_data=None,
     changes=None, journal=None) -> count`` is a single update ``±R(values)``
     with multiplicity ``count``: the same tables, run on the one-row delta
-    map ``{values: count}`` — the paper's single-tuple delta is the
+    map ``{values: ±count}`` — the paper's single-tuple delta is the
     relation-valued one at ``|∆R| = 1``.
 
-    Over a ring the events run in first-seen order; under a proper semiring
-    in :func:`semiring_order`, their delta maps left as ℤ counts (ring
-    statements read them through ``from_int``).  Any other non-native ring's
-    triggers read each map's ``from_int`` image, zero images dropped (a finite
-    ring's ``from_int`` can wrap to zero).
+    Over a ring every event is a relation's one signed trigger, keyed
+    ``(relation, +1)`` in ``triggers`` / ``totals``, and the relations run in
+    first-seen order on their signed maps.  A proper semiring has no −1: its
+    events run as :meth:`~repro.gmr.database.Delta.by_sign` splits them,
+    their delta maps positive ℤ counts (ring statements read them through
+    ``from_int``).  Any other non-native ring's triggers read each map's
+    ``from_int`` image, zero images dropped (a finite ring's ``from_int`` can
+    wrap to zero).
     """
-    arities = {event.event: event.arity for event in plan.events if event.arity is not None}
     semiring = not ring.is_ring
     lifted = not semiring and ring is not INTEGER_RING and ring is not FLOAT_FIELD
     one, from_int, is_zero = ring.one, ring.from_int, ring.is_zero
+    if not semiring:
+        if any(sign != 1 for _relation, sign in triggers):
+            raise ValueError("over a ring a relation has one signed trigger, keyed (relation, +1)")
+        # A relation's one signed trigger, looked up by the relation alone.
+        triggers = {relation: trigger for (relation, _sign), trigger in triggers.items()}
+        totals = {relation: trigger for (relation, _sign), trigger in totals.items()}
+    arities = {event.relation: event.arity for event in plan.events if event.arity is not None}
 
     def apply_batch(maps, delta, index_data=None, changes=None, journal=None):
-        events = delta.events
-        for event, rows in events.items():
-            arity = arities.get(event)
+        relations = delta.relations
+        for relation, rows in relations.items():
+            arity = arities.get(relation)
             if arity is not None and not set(map(len, rows)) <= {arity}:
                 values = next(key for key in rows if len(key) != arity)
-                raise arity_error(Update(event[1], event[0], values, rows[values]))
-        tuples = 0
-        for event, rows in semiring_order(delta) if semiring else events.items():
-            count = sum(rows.values())
-            tuples += count
+                count = rows[values]
+                raise arity_error(Update(1 if count > 0 else -1, relation, values, abs(count)))
+        for event, rows in delta.by_sign() if semiring else relations.items():
             trigger = totals.get(event)
             if trigger is not None:
-                trigger(maps, count, index_data, changes, journal)
+                trigger(maps, sum(rows.values()), index_data, changes, journal)
                 continue
             trigger = triggers.get(event)
             if trigger is not None:
@@ -355,29 +352,32 @@ def make_apply_batch(plan, ring: Semiring, triggers, totals) -> Tuple[Callable, 
                     rows = {values: value for values, value in rows.items() if not is_zero(value)}
                 if rows:
                     trigger(maps, rows, index_data, changes, journal)
-        return tuples
+        return delta.tuples
 
     #: Per event, what a single row needs: one lookup instead of three.
     row_plan = {
-        event: (arities.get(event), totals.get(event), trigger)
+        event: (arities.get(event[0] if semiring else event), totals.get(event), trigger)
         for event, trigger in triggers.items()
     }
 
     def apply_row(
         maps, relation, sign, values, count=1, index_data=None, changes=None, journal=None
     ):
-        entry = row_plan.get((relation, sign))
+        if semiring:
+            entry, multiplicity = row_plan.get((relation, sign)), count
+        else:
+            entry, multiplicity = row_plan.get(relation), sign * count
         if entry is None:
             return count
         arity, total, trigger = entry
         if arity is not None and len(values) != arity:
             raise arity_error(Update(sign, relation, values, count))
         if total is not None:
-            total(maps, count, index_data, changes, journal)
+            total(maps, multiplicity, index_data, changes, journal)
         elif not lifted:
-            trigger(maps, {values: count}, index_data, changes, journal)
+            trigger(maps, {values: multiplicity}, index_data, changes, journal)
         else:
-            value = one if count == 1 else from_int(count)
+            value = from_int(multiplicity) if multiplicity != 1 else one
             if not is_zero(value):
                 trigger(maps, {values: value}, index_data, changes, journal)
         return count

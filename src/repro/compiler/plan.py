@@ -11,11 +11,13 @@ compiled executors agree on every fork of the batch path because they decode
 the same object, not because two copies of the rules are kept equal by hand.
 
 A batch reaches the executors already grouped — a
-:class:`~repro.gmr.database.Delta`, one delta map per event; a single update
-is one event's one-row map — so the one per-event choice left is whether an
-all-bare-count trigger (``total``) folds the event's net tuple count ``Σ∆R``
-through its fused ``total_batch_*`` function instead of running its trigger
-on the map.  The gates
+:class:`~repro.gmr.database.Delta`, one signed delta map per relation; a
+single update is one relation's one-row map — so the one per-event choice
+left is whether an all-bare-count trigger (``total``) folds the event's net
+tuple count ``Σ∆R`` through its fused ``total_batch_*`` function instead of
+running its trigger on the map.  Over a ring the events are the relations
+(each program trigger is signed); under a proper semiring they are the
+``(relation, sign)`` pairs its executors split a delta map into.  The gates
 evaluated here and nowhere else:
 
 * **ring** — the fused total is an int-multiplicity optimization, exact over
@@ -115,12 +117,13 @@ def analyze_row_reads(trigger: BatchTrigger, specs: IndexSpecs, native: Optional
 
 @dataclass(frozen=True)
 class EventPlan:
-    """Everything the executors need to know about one ``(relation, sign)`` event."""
+    """Everything the executors need to know about one event: a relation's
+    signed trigger over a ring, one ``(relation, sign)`` under a semiring."""
 
     relation: str
     sign: int
     #: ``"total"`` — every statement is a bare-count fold: the fused trigger
-    #: folds the event's net tuple count ``Σ∆R``.  ``"generic"`` — the
+    #: folds the event's net (signed) tuple count ``Σ∆R``.  ``"generic"`` — the
     #: trigger runs on the event's delta map.
     kind: str
     #: The arity check: length of every key of the event's delta map (the
@@ -132,6 +135,13 @@ class EventPlan:
     tracked: Tuple[str, ...] = ()
     #: Per statement, the ``[spec:…]`` class shown by ``explain()``.
     labels: Tuple[str, ...] = ()
+    #: Per statement, whether its fold is one inline update of a nullary
+    #: target: no slice index, no tracked recompute reading it, a ring (a
+    #: semiring's post-value change capture goes through the fold kernels).
+    #: Both executors skip such a fold when its increment cancelled to zero;
+    #: a kernel fold counts every key it is handed.  A fused total's
+    #: statements fold inline too.
+    scalar: Tuple[bool, ...] = ()
     #: Per entry of :attr:`recomputes`, ``"pointwise"`` — the interpreted
     #: executor runs the body as a lowered closure of lookups at the group
     #: key — or ``"scan"`` (:func:`~repro.compiler.cost.recompute_class`).
@@ -189,8 +199,9 @@ def lower_batch_plan(
 
     ``specialize=False`` keeps every event ``generic`` (A/B benchmarking);
     otherwise ``total`` events fuse wherever the gates in the module
-    docstring allow.  Events are listed ``(relation, -sign)``; the executors
-    run a batch's events in its own order (:func:`~repro.compiler.kernels.make_apply_batch`).
+    docstring allow.  One event per program trigger — per relation over a
+    ring — listed ``(relation, -sign)``; the executors run a batch's events
+    in its own order (:func:`~repro.compiler.kernels.make_apply_batch`).
     """
     specs = compute_index_specs(program)
     # Targets folding with Python arithmetic: all of a native ring's (None),
@@ -214,6 +225,7 @@ def lower_batch_plan(
         trigger = program.triggers[key]
         fused = key in totals
         columns = program.schema.get(key[0])
+        tracked = tracked_source_maps(trigger)
         events.append(
             EventPlan(
                 relation=key[0],
@@ -221,12 +233,19 @@ def lower_batch_plan(
                 kind="total" if fused else "generic",
                 arity=None if columns is None else len(columns),
                 trigger=trigger,
-                tracked=tracked_source_maps(trigger),
+                tracked=tracked,
                 labels=tuple(
                     batch_specialization_class(statement, trigger if fused else None)
                     for statement in trigger.statements
                 ),
                 recompute_kinds=tuple(recompute_class(r) for r in trigger.recomputes),
+                scalar=tuple(
+                    ring.is_ring
+                    and not statement.target_keys
+                    and specs.get(statement.target) is None
+                    and statement.target not in tracked
+                    for statement in trigger.statements
+                ),
                 specs=specs,
                 native=native,
             )

@@ -18,9 +18,9 @@ bound prefix instead of scanning them.
 
 Every update runs the program's triggers on delta maps.
 :meth:`TriggerRuntime.apply_batch` takes a :class:`~repro.gmr.database.Delta`
-— the batch as one delta map ``∆R : key → multiplicity`` per ``(relation,
-sign)`` event — and :meth:`TriggerRuntime.apply` a single update, which is
-the one-row map ``{values: count}`` of its event.  Every statement — the
+— the batch as one signed delta map ``∆R : key → multiplicity`` per
+relation — and :meth:`TriggerRuntime.apply` a single update, which is the
+one-row map ``{values: ±count}`` of its relation.  Every statement — the
 relation-valued delta of its target's definition — is evaluated once per
 event with the delta map bound in the environment, then folded with one
 read-modify-write per distinct target key.  Recompute statements run once
@@ -72,7 +72,6 @@ from repro.compiler.kernels import (
     lower_pointwise,
     make_apply_batch,
     recompute_pairs,
-    semiring_order,
 )
 from repro.compiler.maps import dependency_depths
 from repro.compiler.plan import BatchPlan, lower_batch_plan
@@ -80,7 +79,7 @@ from repro.compiler.triggers import BatchTrigger, RecomputeStatement, TriggerPro
 from repro.core.ast import COMPARATORS, Add, AggSum, Assign, Compare, Const, Expr, MapRef, Mul, Neg, Var
 from repro.core.semantics import evaluate
 from repro.core.simplify import make_safe
-from repro.gmr.database import Database, Delta, Update, group_updates
+from repro.gmr.database import Database, Delta, Update
 
 MapTable = Dict[Tuple[Any, ...], Any]
 
@@ -163,9 +162,9 @@ class TriggerRuntime:
         self._pointwise: Dict[int, Any] = {}
         for event in self.plan.events:
             for recompute, kind in zip(event.recomputes, event.recompute_kinds):
-                # (One statement object serves both signs of a relation.)  A
-                # body reading a ℤ counter map goes through the monomial loop,
-                # which lifts its counts.
+                # (Under a semiring one statement object serves both signs of
+                # a relation.)  A body reading a ℤ counter map goes through the
+                # monomial loop, which lifts its counts.
                 if (
                     kind == "pointwise"
                     and id(recompute) not in self._pointwise
@@ -174,6 +173,8 @@ class TriggerRuntime:
                     self._pointwise[id(recompute)] = lower_pointwise(
                         recompute.body, recompute.target_keys, ring
                     )
+        #: Per trigger (by identity, as above), the plan's inline-fold flags.
+        self._scalar_folds = {id(event.trigger): event.scalar for event in self.plan.events}
         # The update loop, shared with generated modules; here its per-event
         # callables interpret the triggers.
 
@@ -293,8 +294,9 @@ class TriggerRuntime:
 
     def apply(self, update: Update, changes: Optional[Dict[str, MapTable]] = None) -> None:
         """Apply one update ``±R(values)`` (multiplicity ``update.count``) to
-        the whole view hierarchy: its event's trigger runs on the one-row
-        delta map ``{values: count}``.
+        the whole view hierarchy: its relation's trigger runs on the one-row
+        delta map ``{values: ±count}`` (under a semiring, its event's on
+        ``{values: count}``).
 
         ``changes`` optionally maps watched map names to accumulators that
         receive the per-key deltas this update causes in those maps.
@@ -305,7 +307,9 @@ class TriggerRuntime:
         # Fed after the triggers: an exhausted support's rebuild must see the
         # post-update counter map.
         if self._support_tier is not None:
-            self.feed_supports(group_updates((update,)), changes)
+            self.feed_supports(
+                Delta({update.relation: {update.values: update.sign * update.count}}), changes
+            )
 
     def apply_batch(
         self,
@@ -315,12 +319,13 @@ class TriggerRuntime:
     ) -> int:
         """Apply a batch ``∆D`` through the compiled batch triggers.
 
-        Each event's batch trigger runs once on its delta map — every
-        statement evaluated against the pre-event state, increments folded
+        Each relation's batch trigger runs once on its signed delta map (a
+        semiring's once per sign, :meth:`~repro.gmr.database.Delta.by_sign`)
+        — every statement evaluated against the pre-event state, increments folded
         per distinct key, and recomputes re-derived once over the union of
         affected groups; a fused event folds its net tuple count instead.
         The final map state equals one-at-a-time application (the statements
-        carry the delta's higher-order interaction terms).  Every event's
+        carry the delta's higher-order interaction terms).  Every relation's
         keys are arity-checked before any map is touched, so a malformed
         batch cannot leave the hierarchy partially advanced.  Returns the
         batch's logical tuple count.
@@ -350,8 +355,10 @@ class TriggerRuntime:
             if fold_total is not None:
                 fold_total(self.maps, statement.target, increment, changes, journal)
                 self.statistics.entries_updated += 1
-            else:
-                self._fold_increments(statement.target, {(): increment}, changes, None, journal)
+            else:  # a fused total's statements fold inline (plan ``scalar``)
+                self._fold_increments(
+                    statement.target, {(): increment}, changes, None, journal, True
+                )
 
     # -- support-structure maintenance ------------------------------------------------
 
@@ -406,7 +413,7 @@ class TriggerRuntime:
         relations = self._support_relations
         feed = [
             (relation, values, sign, count)
-            for (relation, sign), rows in semiring_order(delta)
+            for (relation, sign), rows in delta.by_sign()
             if relation in relations
             for values, count in rows.items()
         ]
@@ -481,9 +488,11 @@ class TriggerRuntime:
         other right-hand side is one loop over its decoded monomials
         (:meth:`_run_monomials`).  All increments are folded after all
         statements ran — the batch form of the snapshot semantics — and the
-        recomputes re-derive once per group.  Under a semiring, counter
-        targets sum in ℤ and ring statements read ``∆R`` and the counter maps
-        through ``from_int``.
+        recomputes re-derive once per group; a statement the plan folds
+        inline (:attr:`~repro.compiler.plan.EventPlan.scalar`) whose
+        increment cancelled to zero folds nothing.  Under a semiring, counter targets
+        sum in ℤ and ring statements read ``∆R`` and the counter maps through
+        ``from_int``.
         """
         ring = self.ring
         semiring = self._semiring
@@ -517,8 +526,10 @@ class TriggerRuntime:
                 pending.append((statement, increments))
         finally:
             self.maps.pop(trigger.delta_map, None)
-        for statement, increments in pending:
-            self._fold_increments(statement.target, increments, changes, tracked_sources, journal)
+        for (statement, increments), inline in zip(pending, self._scalar_folds[id(trigger)]):
+            self._fold_increments(
+                statement.target, increments, changes, tracked_sources, journal, inline
+            )
         for recompute in trigger.recomputes:
             self._run_recompute(recompute, changes, tracked_sources, journal)
 
@@ -670,9 +681,14 @@ class TriggerRuntime:
         changes: Optional[Dict[str, MapTable]],
         tracked_sources: Optional[Dict[str, set]],
         journal: Optional[UndoJournal] = None,
+        inline: bool = False,
     ) -> None:
         """Fold per-key increments into one map through the shared fold kernel
-        (counter maps of a semiring plan fold in ℤ)."""
+        (counter maps of a semiring plan fold in ℤ).  An ``inline`` fold (a
+        statement the plan marks :attr:`~repro.compiler.plan.EventPlan.scalar`)
+        skips an increment that cancelled to zero, as the generated one does."""
+        if inline and self.ring.is_zero(increments.get((), self.ring.zero)):
+            return
         kernels = self._kernels
         fold = kernels.fold_int if target in self._counter_maps else kernels.fold
         self.statistics.entries_updated += fold(

@@ -1,8 +1,10 @@
 """The trigger intermediate representation (the paper's "NC⁰C" programs).
 
 A compiled query becomes a :class:`TriggerProgram`: a set of map definitions
-plus, for every base relation ``R`` and every sign, one :class:`BatchTrigger`
-— the increment statements executed when a delta ``±∆R`` reaches ``R``.  Each
+plus, for every base relation ``R``, one :class:`BatchTrigger` — the
+increment statements executed when a delta ``∆R`` reaches ``R``.  Over a ring
+a deletion is an insertion with multiplicity −1, so the one trigger runs on a
+signed ``∆R``; a proper semiring has no −1 and keeps a trigger per sign.  Each
 :class:`BatchStatement` increments one map by the value of a right-hand side
 that refers only to the delta map ``∆R : values → count``, constants,
 conditions and *other maps* (never to base relations), which is what makes
@@ -231,7 +233,7 @@ class RecomputeStatement:
 
 @dataclass(frozen=True)
 class BatchTrigger:
-    """All work for one update event ``±∆R``: statements folded once per delta.
+    """All work for one update event ``∆R``: statements folded once per delta.
 
     ``statements`` are evaluated against the pre-update map state with the
     pre-aggregated delta map bound under ``delta_map``, then folded — the
@@ -239,6 +241,13 @@ class BatchTrigger:
     run once per delta after the fold, over the union of affected groups,
     instead of once per tuple.  A single-tuple update runs the same trigger
     on a one-row delta map.
+
+    A ``signed`` trigger (every ring program's) is compiled for the event
+    ``+∆R`` and runs on a delta map with signed counts — a deletion is the
+    row's count −1 — so it is registered under ``(relation, +1)`` and serves
+    both signs.  Its ``∆α·∆β`` terms stay exact because (−D)(−D) = D·D.
+    Under a proper semiring each trigger serves the one ``sign`` it was
+    compiled for, on positive counts.
     """
 
     relation: str
@@ -246,16 +255,19 @@ class BatchTrigger:
     delta_map: str
     statements: Tuple[BatchStatement, ...]
     recomputes: Tuple[RecomputeStatement, ...] = ()
+    signed: bool = False
 
     @property
     def event_name(self) -> str:
+        if self.signed:
+            return f"on_update_{self.relation}"
         sign = "insert" if self.sign == 1 else "delete"
         return f"on_{sign}_{self.relation}"
 
     def describe(self, annotate=None, note: str = "") -> str:
         """The trigger as text; ``annotate`` maps a statement to a suffix
         string, ``note`` is appended to the header line."""
-        sign = "+" if self.sign == 1 else "-"
+        sign = "±" if self.signed else "+" if self.sign == 1 else "-"
         header = f"ON BATCH {sign}{self.relation} AS {self.delta_map}:" + (note and f"  {note}")
         lines = [
             f"  {statement.describe()}{_suffix(annotate, statement)}"
@@ -350,7 +362,9 @@ class TriggerProgram:
 
     ``triggers`` maps every ``(relation, sign)`` event to its
     :class:`BatchTrigger`, whose parameter is the event's delta map; a
-    single-tuple update runs it on a one-row map.
+    single-tuple update runs it on a one-row map.  A ring program has only
+    ``(relation, +1)`` keys, each a signed trigger; a semiring program (one
+    carrying ``maintenance``) has both signs.
     """
 
     result_map: str

@@ -5,8 +5,8 @@ column order (needed to interpret positional relation atoms ``R(x1, ..., xk)``
 in AGCA).  A :class:`Update` is the paper's single-tuple insertion/deletion
 event; applying it adds ``±{t}`` to the named relation — precisely the ``D + u``
 of the introduction.  A :class:`Delta` is a whole batch as one element of the
-ring of databases: per ``(relation, sign)`` event, the delta map ``∆R`` the
-batch triggers read.
+ring of databases: per relation, the signed delta map ``∆R`` the batch
+triggers read — a deletion is an insertion with multiplicity −1.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ def delete(relation: str, *values: Any) -> Update:
 #: state stays O(distinct keys) no matter how many updates were submitted.
 NetAccumulator = Dict[Tuple[str, Tuple[Any, ...]], int]
 
-#: One ``(relation, sign)`` update event.
-Event = Tuple[str, int]
-
-
 def accumulate_update(net: NetAccumulator, update: Update) -> int:
     """Ring-add one update into a net accumulator, dropping net-zero entries.
 
@@ -124,62 +120,91 @@ def accumulate_update(net: NetAccumulator, update: Update) -> int:
 class Delta:
     """A batch as one element of the ring of databases, ``∆D``.
 
-    ``events`` maps each ``(relation, sign)`` event to its delta map
-    ``∆R : values -> count`` (every count ``>= 1``), events and keys in
-    first-seen order.  This is the one form a batch takes below the public
-    entry points: the ingestion queue drains into it, :func:`coalesce_updates`
-    builds it, and both compiled executors run their batch triggers on its
-    delta maps as they are.  ``len()`` is the number of compact updates it
-    denotes; :meth:`updates` materializes them, for the readers that want
-    :class:`Update` objects (the session's history log, dead letters).
-    Consumers read the maps and never mutate them.
+    ``relations`` maps each relation to its delta map ``∆R : values -> count``
+    — the counts signed and never 0, a deletion being a negative count —
+    relations and keys in first-seen order.  This is the one form a batch
+    takes below the public entry points: the ingestion queue drains into it,
+    :func:`coalesce_updates` builds it, and both compiled executors run each
+    relation's signed batch trigger on its delta map as it is (a proper
+    semiring's split each map by sign first).  ``len()`` is the number of
+    compact updates it denotes; :meth:`updates` materializes them, for the
+    readers that want :class:`Update` objects (the session's history log,
+    dead letters).  Consumers read the maps and never mutate them.
     """
 
-    __slots__ = ("events",)
+    __slots__ = ("relations", "_tuples", "_by_sign")
 
-    def __init__(self, events: Dict[Event, Dict[Tuple[Any, ...], int]]):
-        self.events = events
+    def __init__(self, relations: Dict[str, Dict[Tuple[Any, ...], int]]):
+        self.relations = relations
+        self._tuples: Optional[int] = None
+        self._by_sign: Optional[list] = None
 
     @classmethod
     def from_net(cls, net: NetAccumulator) -> "Delta":
-        """Split a net accumulator by sign: one delta map per event, net-zero
-        entries dropped (the accumulator never holds them when built through
+        """Group a net accumulator by relation, net-zero entries dropped (the
+        accumulator never holds them when built through
         :func:`accumulate_update`; this is the second line of defense)."""
-        events: Dict[Event, Dict[Tuple[Any, ...], int]] = {}
+        relations: Dict[str, Dict[Tuple[Any, ...], int]] = {}
         for (relation, values), count in net.items():
-            if count > 0:
-                event = (relation, INSERT)
-            elif count < 0:
-                event, count = (relation, DELETE), -count
-            else:
-                continue
-            rows = events.get(event)
-            if rows is None:
-                rows = events[event] = {}
-            rows[values] = count
-        return cls(events)
+            if count:
+                rows = relations.get(relation)
+                if rows is None:
+                    rows = relations[relation] = {}
+                rows[values] = count
+        return cls(relations)
 
     @property
     def tuples(self) -> int:
-        """The logical tuples the batch carries (counts summed)."""
-        return sum([sum(rows.values()) for rows in self.events.values()])
+        """The logical tuples the batch carries: its counts' magnitudes summed,
+        unless its builder counted the tuples it was handed
+        (:func:`group_updates`)."""
+        if self._tuples is None:
+            self._tuples = sum([sum(map(abs, rows.values())) for rows in self.relations.values()])
+        return self._tuples
+
+    def by_sign(self) -> list:
+        """The batch split by sign: ``((relation, sign), delta map)`` pairs of
+        positive counts, every insert event first.
+
+        The event order of a proper semiring's executors, which have no −1 to
+        run a signed delta map with: a delete-event recompute reads the ℤ
+        counter maps through ``from_int``, which has no image for a
+        transiently negative count.  Split once, for the triggers and the
+        support tier alike.
+        """
+        if self._by_sign is None:
+            inserts, deletes = [], []
+            for relation, rows in self.relations.items():
+                added, removed = {}, {}
+                for values, count in rows.items():
+                    if count > 0:
+                        added[values] = count
+                    else:
+                        removed[values] = -count
+                if added:
+                    inserts.append(((relation, INSERT), added))
+                if removed:
+                    deletes.append(((relation, DELETE), removed))
+            self._by_sign = inserts + deletes
+        return self._by_sign
 
     def updates(self) -> List[Update]:
-        """The compact :class:`Update` form: one per ``(event, values)`` entry."""
+        """The compact :class:`Update` form: one per ``(relation, values)`` entry."""
         return [
-            Update(sign, relation, values, count)
-            for (relation, sign), rows in self.events.items()
+            Update(INSERT, relation, values, count) if count > 0
+            else Update(DELETE, relation, values, -count)
+            for relation, rows in self.relations.items()
             for values, count in rows.items()
         ]
 
     def __len__(self) -> int:
-        return sum(map(len, self.events.values()))
+        return sum(map(len, self.relations.values()))
 
     def __bool__(self) -> bool:
-        return any(self.events.values())
+        return any(self.relations.values())
 
     def __repr__(self) -> str:
-        return f"Delta({len(self)} updates in {len(self.events)} events)"
+        return f"Delta({len(self)} updates in {len(self.relations)} relations)"
 
 
 def coalesce_updates(updates: Iterable[Update]) -> Delta:
@@ -188,12 +213,12 @@ def coalesce_updates(updates: Iterable[Update]) -> Delta:
     One pass ring-adds every update into a net multiplicity per
     ``(relation, values)`` pair — an insert and a delete of the same tuple
     annihilate, and 10k inserts of one tuple become one entry with count
-    10000 — and the survivors split by sign into the :class:`Delta` the batch
-    triggers read.  Over a ring, applying the coalesced batch yields exactly
-    the state of applying the original one (``D + u - u = D``), so net-zero
-    churn (upserts, rollbacks, rapid add/remove cycles) costs no trigger work
-    at all.  Events and keys keep the first-seen order of the surviving
-    tuples.
+    10000 — and the survivors, signed, group by relation into the
+    :class:`Delta` the batch triggers read.  Over a ring, applying the
+    coalesced batch yields exactly the state of applying the original one
+    (``D + u - u = D``), so net-zero churn (upserts, rollbacks, rapid
+    add/remove cycles) costs no trigger work at all.  Relations and keys keep
+    the first-seen order of the surviving tuples.
 
     This is the one-shot form of :func:`accumulate_update`, which the
     streaming ingestion queue (:mod:`repro.ingest`) applies per enqueue.
@@ -210,22 +235,15 @@ def coalesce_updates(updates: Iterable[Update]) -> Delta:
 
 
 def group_updates(updates: Iterable[Update]) -> Delta:
-    """The batch grouped by event without netting across signs.
-
-    The engine-level ``apply_batch`` form: equivalent to applying the updates
-    one at a time, with duplicates of one event summed into its delta map and
-    an insert/delete pair of one tuple kept as two events — so an engine's
-    work counters still count every tuple it was handed.
+    """The engine-level ``apply_batch`` form: :func:`coalesce_updates`, but
+    counting every tuple it was handed — an insert/delete pair of one tuple
+    nets to nothing and still counts 2 — so an engine's
+    ``updates_processed`` matches applying the updates one at a time.
     """
-    events: Dict[Event, Dict[Tuple[Any, ...], int]] = {}
-    for update in updates:
-        event = (update.relation, update.sign)
-        rows = events.get(event)
-        if rows is None:
-            rows = events[event] = {}
-        values = update.values
-        rows[values] = rows.get(values, 0) + update.count
-    return Delta(events)
+    updates = updates if isinstance(updates, (list, tuple)) else list(updates)
+    delta = coalesce_updates(updates)
+    delta._tuples = sum([update.count for update in updates])
+    return delta
 
 
 class Database:

@@ -174,8 +174,8 @@ class IngestQueue:
     def drain(self) -> Delta:
         """Take the whole pending state as the batch's ``∆D`` and reset.
 
-        The net accumulator is swapped out under the lock and split by sign
-        after it: one delta map per ``(relation, sign)`` event, at most one
+        The net accumulator is swapped out under the lock and grouped by
+        relation after it: one signed delta map per relation, at most one
         entry per ``(relation, values)`` key, first-seen order, no net-zero
         entries — exactly what ``coalesce_updates`` would have built over
         everything submitted since the previous drain, so the flusher hands

@@ -6,7 +6,13 @@
 * :mod:`repro.ivm.comparison` — cross-validation and measurement helpers.
 """
 
-from repro.ivm.base import EngineStatistics, IVMEngine, result_as_mapping, results_agree
+from repro.ivm.base import (
+    EngineStatistics,
+    IVMEngine,
+    SubscriberError,
+    result_as_mapping,
+    results_agree,
+)
 from repro.ivm.classical import ClassicalIVM
 from repro.ivm.comparison import (
     DEFAULT_ENGINES,
@@ -21,6 +27,7 @@ from repro.ivm.recursive import RecursiveIVM
 __all__ = [
     "IVMEngine",
     "EngineStatistics",
+    "SubscriberError",
     "result_as_mapping",
     "results_agree",
     "RecursiveIVM",

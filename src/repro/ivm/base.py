@@ -34,6 +34,23 @@ Changes = Dict[Tuple[Any, ...], Any]
 ChangeCallback = Callable[[Changes], None]
 
 
+class SubscriberError(RuntimeError):
+    """``on_change`` subscribers raised while a write was delivered.
+
+    The write had committed: every view holds it and stays put.  Every
+    subscriber was called, the raising ones included, and this one error
+    follows the last call; ``errors`` holds each exception in call order.
+    """
+
+    def __init__(self, errors: Sequence[Exception]):
+        self.errors = tuple(errors)
+        details = "; ".join(f"{type(error).__name__}: {error}" for error in self.errors)
+        super().__init__(
+            f"the write committed, but {len(self.errors)} change subscriber call(s) "
+            f"raised: {details}"
+        )
+
+
 @dataclass
 class EngineStatistics:
     """Wall-clock and work counters shared by all engines."""
@@ -80,6 +97,10 @@ class IVMEngine(ABC):
         the timed section and must not mutate the engine.  Returns the
         callback so the method can be used as a decorator.
 
+        A raising callback does not starve the others: every subscriber is
+        called, then one :class:`SubscriberError` carrying each exception is
+        raised from the update call — whose update has been applied.
+
         A subscription takes effect from the next update call: one made
         inside a callback does not receive the delta being delivered, and a
         callback removed during a delivery still receives that call's delta
@@ -113,10 +134,16 @@ class IVMEngine(ABC):
             changes = pending
         if not changes:
             return
+        errors: list = []
         for callback in self._change_callbacks:
             # Each subscriber gets its own copy: a callback that drains its
             # payload must not corrupt what sibling subscribers receive.
-            callback(dict(changes))
+            try:
+                callback(dict(changes))
+            except Exception as error:
+                errors.append(error)
+        if errors:
+            raise SubscriberError(errors)
 
     def _record_change(self, key: Tuple[Any, ...], value: Any) -> None:
         """Ring-add one delta into the pending changes (collection enabled)."""
@@ -135,9 +162,9 @@ class IVMEngine(ABC):
         The default applies the batch one update at a time, expanding net
         multiplicities (``Update.count``, the compact coalesced form) back
         into repeated single-tuple applications; engines override this when
-        they can amortize work across the batch (the recursive engine's
-        generated backend dispatches once per ``(relation, sign)`` group,
-        naive re-evaluation recomputes the result once per batch).
+        they can amortize work across the batch (the recursive engine runs
+        one signed trigger per relation, naive re-evaluation recomputes the
+        result once per batch).
         """
         for update in updates:
             if update.count == 1:
@@ -173,7 +200,8 @@ class IVMEngine(ABC):
         """Apply a batch of single-tuple updates as one timed unit.
 
         Semantically equivalent to ``apply``-ing each update in turn (engines
-        may regroup the batch internally — single-tuple updates over a ring
+        may regroup the batch internally — the recursive engine nets it into
+        one signed delta map per relation; single-tuple updates over a ring
         commute, so the final result is unaffected), but the per-update fixed
         costs (timing, dispatch, map-table lookups) are paid once per batch or
         per group instead of once per tuple.  Intermediate results between the

@@ -103,10 +103,11 @@ class RecursiveIVM(IVMEngine):
         """Batched application through the compiled batch triggers.
 
         See :meth:`repro.ivm.base.IVMEngine.apply_batch` for the contract.
-        Each ``(relation, sign)`` group is pre-aggregated into a delta map
-        (:func:`~repro.gmr.database.group_updates`) and folded by the group's
-        batch trigger — per-batch cost scales with the number of distinct
-        keys touched, not the number of tuples.
+        Each relation's updates are netted into one signed delta map
+        (:func:`~repro.gmr.database.group_updates`) and folded by the
+        relation's batch trigger (under a semiring, split by sign) —
+        per-batch cost scales with the number of distinct keys touched, not
+        the number of tuples.
         """
         return self._executor.apply_batch(group_updates(updates), self._change_hook())
 

@@ -173,7 +173,9 @@ class MapCatalog:
         return TriggerProgram(
             result_map=anchor,
             maps=dict(self.maps),
-            triggers=assemble_triggers(self._statements, self._recomputes, self.maps),
+            triggers=assemble_triggers(
+                self._statements, self._recomputes, self.maps, signed=self.maintenance is None
+            ),
             schema=dict(self.schema),
             maintenance=self.maintenance,
         )

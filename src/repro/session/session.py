@@ -48,7 +48,7 @@ from repro.gmr.database import (
     deserialize_update,
     serialize_update,
 )
-from repro.ivm.base import ChangeCallback, EngineStatistics
+from repro.ivm.base import ChangeCallback, EngineStatistics, SubscriberError
 from repro.session.catalog import MapCatalog
 from repro.session.views import COMPILED_BACKENDS, MaterializedView
 from repro.sql.frontend import is_sql, parse_sql, required_ring_name, translate
@@ -466,9 +466,9 @@ class Session:
     def apply(self, update: Update) -> None:
         """Apply one single-tuple :class:`Update` to all views.
 
-        Each compiled group runs the update's event trigger — the same batch
-        trigger :meth:`apply_batch` runs — on the one-row delta map
-        ``{values: 1}``, and ``on_change`` subscribers receive the call's
+        Each compiled group runs the update's relation trigger — the same
+        batch trigger :meth:`apply_batch` runs — on the one-row delta map
+        ``{values: ±1}``, and ``on_change`` subscribers receive the call's
         per-view delta.  Around the triggers a call costs an arity check, a
         fresh accumulator per subscribed map, the work counters and the
         delivery.
@@ -516,9 +516,10 @@ class Session:
         nothing — into a :class:`~repro.gmr.database.Delta`.  A ``Delta``
         (what the streaming ingestion queue drains, already coalesced at
         enqueue) is applied as it is.  The compiled views then run their
-        batch triggers on its delta maps — one per ``(relation, sign)``
-        event, one fold per distinct key — shared across all views of a
-        backend.
+        batch triggers on its signed delta maps — one per relation over a
+        ring (a deletion is a count of −1), one per ``(relation, sign)``
+        under a proper semiring; one fold per distinct key — shared across
+        all views of a backend.
 
         An *empty or fully-cancelled* batch short-circuits here: no
         transaction is opened, no trigger runs, nothing is appended to the
@@ -641,9 +642,15 @@ class Session:
         them afterwards, so the last subscriber of a map receives its
         accumulator itself and every other one a copy of its own: a callback
         that drains its payload cannot corrupt a sibling's.
+
+        The write has committed before delivery starts, so a raising
+        callback neither undoes it nor starves the callbacks after it: every
+        subscriber is called, then one :class:`~repro.ivm.base.SubscriberError`
+        carries every exception.
         """
         ring = self.ring
         drop_zeros, zero = ring.is_ring, ring.zero
+        errors: list = []
         for subscribers, changes in notifications:
             for name, payload in changes.items():
                 if not payload:
@@ -654,8 +661,16 @@ class Session:
                         continue
                 callbacks = subscribers[name]
                 for callback in callbacks[:-1]:
-                    callback(dict(payload))
-                callbacks[-1](payload)
+                    try:
+                        callback(dict(payload))
+                    except Exception as error:
+                        errors.append(error)
+                try:
+                    callbacks[-1](payload)
+                except Exception as error:
+                    errors.append(error)
+        if errors:
+            raise SubscriberError(errors)
 
     # -- introspection -----------------------------------------------------------------
 

@@ -94,32 +94,52 @@ def test_batch_delta_of_non_matching_relation_is_zero():
 
 
 def test_compiled_program_has_one_batch_trigger_per_event():
-    program = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), UNARY_SCHEMA, name="q")
-    assert set(program.triggers) == {("R", 1), ("R", -1)}
+    """Over a ring the event is the relation: one signed trigger, keyed
+    ``(R, +1)``; a proper semiring keeps an event per sign."""
+    query = parse("Sum(R(x) * R(y) * (x = y))")
+    program = compile_query(query, UNARY_SCHEMA, name="q")
+    assert set(program.triggers) == {("R", 1)}
     trigger = program.trigger_for("R", 1)
+    assert trigger.signed and program.trigger_for("R", -1) is None
     assert trigger.delta_map == delta_map_name("R")
     assert trigger.statements  # q and the base component map
     explained = program.explain()
     assert explained.count("TRIGGERS:") == 1 and "BATCH TRIGGERS:" in explained
+    semiring = compile_query(query, UNARY_SCHEMA, name="q", ring=resolve_semiring("min-plus"))
+    assert set(semiring.triggers) == {("R", 1), ("R", -1)}
+    assert not any(trigger.signed for trigger in semiring.triggers.values())
 
 
 def test_key_projection_analysis_marks_base_copy_statements():
     """A statement whose rhs is exactly ``±∆R`` projected onto the target keys
     carries the projection — executors fold the pre-aggregated batch straight
     onto the map, one read-modify-write per distinct key."""
-    program = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), UNARY_SCHEMA, name="q")
-    by_target = {
-        (statement.target, trigger.sign): statement
-        for trigger in program.triggers.values()
-        for statement in trigger.statements
-    }
+    query = parse("Sum(R(x) * R(y) * (x = y))")
+
+    def by_target(program):
+        return {
+            (statement.target, trigger.sign): statement
+            for trigger in program.triggers.values()
+            for statement in trigger.statements
+        }
+
+    program = compile_query(query, UNARY_SCHEMA, name="q")
+    statements = by_target(program)
     [auxiliary] = [name for name in program.maps if name != "q"]
-    assert by_target[(auxiliary, 1)].projection == (0,)
-    assert by_target[(auxiliary, 1)].coefficient == 1
-    assert by_target[(auxiliary, -1)].projection == (0,)
-    assert by_target[(auxiliary, -1)].coefficient == -1
+    assert set(statements) == {(auxiliary, 1), ("q", 1)}
+    assert statements[(auxiliary, 1)].projection == (0,)
+    assert statements[(auxiliary, 1)].coefficient == 1
     # The result statement is second-order in ∆R: no pure projection.
-    assert by_target[("q", 1)].projection is None
+    assert statements[("q", 1)].projection is None
+    # A semiring's delete event folds ``-∆R`` into its ℤ counter map.
+    semiring = compile_query(query, UNARY_SCHEMA, name="q", ring=resolve_semiring("min-plus"))
+    statements = by_target(semiring)
+    [counter] = semiring.maintenance.counter_maps
+    assert statements[(counter, 1)].projection == (0,)
+    assert statements[(counter, 1)].coefficient == 1
+    assert statements[(counter, -1)].projection == (0,)
+    assert statements[(counter, -1)].coefficient == -1
+    assert statements[("q", 1)].projection is None
 
 
 def test_delta_maps_are_never_slice_indexed():
@@ -299,9 +319,11 @@ def test_coalesce_updates_cancels_pairs_and_keeps_net_multiplicity():
         delete("R", 3),
     ]
     coalesced = coalesce_updates(batch)
-    # One delta map per event, net multiplicity per surviving tuple.
-    assert coalesced.events == {("R", 1): {(2,): 2}, ("R", -1): {(3,): 1}}
+    # One signed delta map per relation, net multiplicity per surviving tuple.
+    assert coalesced.relations == {"R": {(2,): 2, (3,): -1}}
     assert coalesced.updates() == [Update(1, "R", (2,), count=2), delete("R", 3)]
+    # A semiring's executors split it by sign, inserts first.
+    assert coalesced.by_sign() == [(("R", 1), {(2,): 2}), (("R", -1), {(3,): 1})]
     assert not coalesce_updates([insert("R", 1), delete("R", 1)])
 
 
@@ -309,7 +331,7 @@ def test_coalesce_updates_compacts_duplicates_without_object_churn():
     """10k inserts of one tuple must become a single count-carrying entry."""
     batch = [insert("R", 7) for _ in range(10_000)]
     coalesced = coalesce_updates(batch)
-    assert coalesced.events == {("R", 1): {(7,): 10_000}}
+    assert coalesced.relations == {"R": {(7,): 10_000}}
     assert (len(coalesced), coalesced.tuples) == (1, 10_000)
     # Count-carrying inputs net correctly against singles.
     assert coalesce_updates(
@@ -421,10 +443,11 @@ def test_delta_cancels_and_keeps_compact_counts():
     delta = coalesce_updates(
         [insert("R", 1), Update(1, "R", (2,), 3), delete("R", 1), delete("R", 2), insert("S", 9)]
     )
-    assert delta.events == {("R", 1): {(2,): 2}, ("S", 1): {(9,): 1}}
+    assert delta.relations == {"R": {(2,): 2}, "S": {(9,): 1}}
     assert (len(delta), delta.tuples, bool(delta)) == (2, 3, True)
     empty = coalesce_updates([insert("R", 1), delete("R", 1)])
-    assert (empty.events, len(empty), empty.tuples, bool(empty)) == ({}, 0, 0, False)
+    assert (empty.relations, len(empty), empty.tuples, bool(empty)) == ({}, 0, 0, False)
+    assert empty.by_sign() == []
     assert empty.updates() == []
 
 
@@ -433,25 +456,39 @@ def test_delta_keeps_first_seen_event_and_key_order():
         [insert("S", 1), delete("R", 5), insert("R", 2), insert("S", 0), delete("S", 7),
          insert("R", 1)]
     )
-    assert list(delta.events) == [("S", 1), ("R", -1), ("R", 1), ("S", -1)]
-    assert list(delta.events[("S", 1)]) == [(1,), (0,)]
-    assert list(delta.events[("R", 1)]) == [(2,), (1,)]
-    # A key whose net sign flips lands in the event of its net sign, at the
-    # position of its first occurrence.
+    assert list(delta.relations) == ["S", "R"]
+    assert list(delta.relations["S"].items()) == [((1,), 1), ((0,), 1), ((7,), -1)]
+    assert list(delta.relations["R"].items()) == [((5,), -1), ((2,), 1), ((1,), 1)]
+    # A semiring's events: per relation in first-seen order, inserts first.
+    assert delta.by_sign() == [
+        (("S", 1), {(1,): 1, (0,): 1}),
+        (("R", 1), {(2,): 1, (1,): 1}),
+        (("S", -1), {(7,): 1}),
+        (("R", -1), {(5,): 1}),
+    ]
+    # A key whose net sign flips keeps the position of its first occurrence
+    # with its net count.
     flipped = coalesce_updates([insert("R", 1), insert("R", 2), Update(-1, "R", (1,), 3)])
-    assert flipped.events == {("R", -1): {(1,): 2}, ("R", 1): {(2,): 1}}
+    assert list(flipped.relations["R"].items()) == [((1,), -2), ((2,), 1)]
+    assert flipped.by_sign() == [(("R", 1), {(2,): 1}), (("R", -1), {(1,): 2})]
 
 
 def test_delta_from_net_drops_zero_entries():
     delta = Delta.from_net({("R", (1,)): 0, ("R", (2,)): -4, ("S", (3,)): 2})
-    assert delta.events == {("R", -1): {(2,): 4}, ("S", 1): {(3,): 2}}
-    assert all(count >= 1 for rows in delta.events.values() for count in rows.values())
+    assert delta.relations == {"R": {(2,): -4}, "S": {(3,): 2}}
+    assert all(count != 0 for rows in delta.relations.values() for count in rows.values())
+    assert delta.tuples == 6
+    assert delta.by_sign() == [(("S", 1), {(3,): 2}), (("R", -1), {(2,): 4})]
 
 
-def test_group_updates_keeps_both_signs_and_sums_duplicates():
+def test_group_updates_nets_signs_and_counts_every_tuple():
+    """The engine form nets like ``coalesce_updates`` — one signed map per
+    relation — but counts every tuple it was handed."""
     delta = group_updates([insert("R", 1), delete("R", 1), insert("R", 1), Update(1, "R", (2,), 4)])
-    assert delta.events == {("R", 1): {(1,): 2, (2,): 4}, ("R", -1): {(1,): 1}}
-    assert (len(delta), delta.tuples) == (3, 7)
+    assert delta.relations == {"R": {(1,): 1, (2,): 4}}
+    assert (len(delta), delta.tuples) == (2, 7)
+    cancelled = group_updates([insert("R", 1), delete("R", 1)])
+    assert (cancelled.relations, len(cancelled), cancelled.tuples) == ({}, 0, 2)
 
 
 def test_delta_updates_equal_the_compact_reference_as_a_multiset():

@@ -22,13 +22,24 @@ def fresh_maps(program):
 def test_generated_module_shape():
     program = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), UNARY_SCHEMA, name="q")
     generated = generate_python(program)
-    # One trigger per event, run on a whole batch's delta map or on a single
-    # update's one-row map; the loops over a Delta's events and the row entry
-    # are a shared kernel, not emitted text.
+    # One signed trigger per relation, run on a whole batch's delta map or on
+    # a single update's one-row map, a deletion's count negated; the loop
+    # over a Delta's relations and the row entry are a shared kernel, not
+    # emitted text.
     assert "def batch_on_insert_R(maps, _delta, _IDX=None, _CH=None, _J=None):" in generated.source
-    assert "def batch_on_delete_R(maps, _delta, _IDX=None, _CH=None, _J=None):" in generated.source
+    assert "BATCH_TRIGGERS = {\n    ('R', 1): batch_on_insert_R,\n}" in generated.source
     functions = [line for line in generated.source.splitlines() if line.startswith("def ")]
-    assert len(functions) == 2
+    assert len(functions) == 1
+    # A proper semiring has no -1: its module keeps one trigger per sign.
+    from repro.algebra.semirings import resolve_semiring
+
+    min_plus = resolve_semiring("min-plus")
+    semiring = generate_python(
+        compile_query(parse("Sum(R(x) * x)"), UNARY_SCHEMA, name="q", ring=min_plus), ring=min_plus
+    ).source
+    assert [line[4 : line.index("(")] for line in semiring.splitlines() if line.startswith("def ")] == [
+        "batch_on_insert_R", "batch_on_delete_R",
+    ]
     assert "def apply" not in generated.source
     # The generated code never mentions joins, relations or the evaluator.
     assert "evaluate" not in generated.source
@@ -363,7 +374,10 @@ def test_batch_trigger_scans_the_delta_once(name):
     source = generated.source
     assert generate_python(program).source == source == generate_python(program).source
     table_read = re.compile(r"(_tbl\d+|_idx\d+|_delta)\.get\((\([^)]*\)|\w+), ")
-    scans = {event.trigger.event_name: event.reads.scans for event in generated.plan.events}
+    # The plan's scan count per emitted trigger, through the module's own table.
+    table = generated._namespace["BATCH_TRIGGERS"]
+    scans = {table[event.event].__name__: event.reads.scans for event in generated.plan.events}
+    assert all(event.sign == 1 and event.trigger.signed for event in generated.plan.events)
     for function, lines in _functions(source).items():
         loops = _loop_bodies(lines)
         for header, body in loops:
@@ -376,7 +390,7 @@ def test_batch_trigger_scans_the_delta_once(name):
             text = "\n".join(lines)
             # One pass over ∆R, none at all when every statement folds the whole
             # batch with one C-level call — and the plan's count is the text's.
-            assert text.count("in _delta.items()") == scans[function[len("batch_"):]] <= 1
+            assert text.count("in _delta.items()") == scans[function] <= 1
             whole_batch = all("dict(_delta)" in line or "sum(_delta.values())" in line
                               for line in lines if re.match(r"\s+_acc\d+ = ", line))
             assert (text.count("in _delta.items()") == 0) == whole_batch, function
@@ -391,10 +405,15 @@ def test_batch_trigger_scans_the_delta_once(name):
 def test_dashboard_module_is_fused_and_smaller():
     program, generated = _fused("dashboard")
     source = generated.source
-    # One trigger per event: a single update runs the batch trigger on a
-    # one-row delta map, so no event is emitted twice.
-    assert len(source.splitlines()) <= 480
-    assert len(_fused("hotkey")[1].source.splitlines()) <= 100
+    # One signed trigger per relation: a single update runs the batch
+    # trigger on a one-row delta map and a deletion runs the insertion's, so
+    # no relation is emitted twice.
+    assert len(source.splitlines()) == 236
+    assert len(_fused("hotkey")[1].source.splitlines()) == 47
+    assert list(_functions(source)) == [
+        "batch_on_insert_Customer", "batch_on_insert_Lineitem", "batch_on_insert_Orders",
+        "batch_on_insert_Probe",
+    ]
     orders = "\n".join(_functions(source)["batch_on_insert_Orders"])
     # revenue_m4[ok] and revenue_by_customer_m2[ck] feed four statements each,
     # the revenue_m3 bucket two: read once, at the top of the loop, through a
@@ -404,19 +423,30 @@ def test_dashboard_module_is_fused_and_smaller():
     assert len(re.findall(r"        _r\d+ = (?:_tbl|_idx)\d+\.get\(_kt", orders)) == 3
     assert len(re.findall(r"(?:_tbl|_idx)\d+\.get\(_kt", orders)) == 3
     assert orders.count("_IDX[(") == 1 and orders.index("_IDX[(") < orders.index("for _k, _v")
-    # The Orders copy, now one map for both key orders, is the ninth statement.
+    # The Orders copy, now one map for both key orders, is the ninth
+    # statement; it folds the signed delta map as it is, deletions included.
     assert "_acc8 = dict(_delta)" in orders and "_acc8 = {}" not in orders
-    deletes = "\n".join(_functions(source)["batch_on_delete_Orders"])
-    assert "_acc8[_k] = -(_v)" in deletes
+    # A proper semiring keeps the delete event: its Orders counter folds -∆R.
+    from repro.algebra.semirings import resolve_semiring
+    from repro.session import Session
+
+    schema, views = FUSED_PROGRAMS["dashboard"]
+    with Session(schema, ring=resolve_semiring("min-plus")) as session:
+        for view, sql in views[:4]:  # probe_seen is a bare count: no semiring view
+            session.view(view, sql)
+        min_plus = _functions(session._groups["generated"].generated.source)
+    assert "batch_on_delete_Orders" in min_plus
+    assert "_acc0[_k] = -(_v)" in "\n".join(min_plus["batch_on_delete_Orders"])
     # The coefficient _v * price * qty of all five ±Lineitem statements is one product.
     lineitem = "\n".join(_functions(source)["batch_on_insert_Lineitem"])
     assert lineitem.count("_v * _d1 * _d2") == 1
     explain = program.explain()
     # revenue_by_customer and revenue_m1 read one revenue_m5 bucket (the
     # transpose they read separately before is gone).
-    assert "ON BATCH +Lineitem AS __delta__Lineitem:  -- 1 scan of Δ, 3 reads, 1 shared" in explain
-    assert "ON BATCH +Orders AS __delta__Orders:  -- 1 scan of Δ, 3 reads, 3 shared" in explain
-    assert "ON BATCH +Probe AS __delta__Probe:  -- 0 scans of Δ, 0 reads, 0 shared" in explain
+    assert explain.count("ON BATCH ") == 4
+    assert "ON BATCH ±Lineitem AS __delta__Lineitem:  -- 1 scan of Δ, 3 reads, 1 shared" in explain
+    assert "ON BATCH ±Orders AS __delta__Orders:  -- 1 scan of Δ, 3 reads, 3 shared" in explain
+    assert "ON BATCH ±Probe AS __delta__Probe:  -- 0 scans of Δ, 0 reads, 0 shared" in explain
 
 
 def test_lint_report_carries_emitted_size(capsys):
@@ -425,7 +455,7 @@ def test_lint_report_carries_emitted_size(capsys):
     program, generated = _fused("dashboard")
     lines, scans = emitted_size(program)
     assert lines == len(generated.source.splitlines())
-    assert scans == generated.source.count("in _delta.items()") == 7
+    assert scans == generated.source.count("in _delta.items()") == 3
     assert main([]) == 0
     header = capsys.readouterr().out.splitlines()[1]
     assert header.split()[-4:] == ["emitted", "lines", "Δ", "scans"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algebra.semirings import resolve_semiring
 from repro.compiler.compile import Compiler, compile_query
 from repro.core.ast import Rel, walk
 from repro.core.delta import delta_map_name, is_delta_map
@@ -27,17 +28,24 @@ def test_group_vars_can_be_passed_separately():
 
 
 def test_one_trigger_per_relation_and_sign():
-    program = compile_query(
-        parse("Sum(R(a, b) * S(c, d) * T(e, f) * (b = c) * (d = e) * a * f)"), RST_SCHEMA
-    )
-    assert set(program.triggers) == {
+    """Over a ring one signed trigger per relation, keyed ``(relation, +1)``;
+    a proper semiring keeps one trigger per relation and sign."""
+    query = parse("Sum(R(a, b) * S(c, d) * T(e, f) * (b = c) * (d = e) * a * f)")
+    program = compile_query(query, RST_SCHEMA)
+    assert set(program.triggers) == {("R", 1), ("S", 1), ("T", 1)}
+    assert [trigger.event_name for trigger in program.triggers.values()] == [
+        "on_update_R", "on_update_S", "on_update_T",
+    ]
+    semiring = compile_query(query, RST_SCHEMA, ring=resolve_semiring("min-plus"))
+    assert set(semiring.triggers) == {
         ("R", 1), ("R", -1), ("S", 1), ("S", -1), ("T", 1), ("T", -1),
     }
-    for (relation, _sign), trigger in program.triggers.items():
-        assert trigger.relation == relation
-        assert trigger.delta_map == delta_map_name(relation)
-        for statement in trigger.statements:
-            assert statement.delta_arity == len(RST_SCHEMA[relation])
+    for compiled, signed in ((program, True), (semiring, False)):
+        for (relation, sign), trigger in compiled.triggers.items():
+            assert (trigger.relation, trigger.sign, trigger.signed) == (relation, sign, signed)
+            assert trigger.delta_map == delta_map_name(relation)
+            for statement in trigger.statements:
+                assert statement.delta_arity == len(RST_SCHEMA[relation])
 
 
 def test_example_1_3_produces_factorized_maps():
@@ -159,9 +167,15 @@ def test_explain_lists_maps_and_triggers():
     program = compile_query(parse("Sum(R(x) * R(y) * (x = y))"), UNARY_SCHEMA, name="q")
     text = program.explain()
     assert "MAPS:" in text and text.count("TRIGGERS:") == 1
-    assert "ON BATCH +R AS __delta__R:" in text and "ON BATCH -R AS __delta__R:" in text
+    assert text.count("ON BATCH ") == 1 and "ON BATCH ±R AS __delta__R:" in text
     assert "q[]" in text
     assert repr(program).startswith("TriggerProgram(")
+    semiring = compile_query(
+        parse("Sum(R(x) * R(y) * (x = y) * x)"), UNARY_SCHEMA, name="q",
+        ring=resolve_semiring("min-plus"),
+    ).explain()
+    assert semiring.count("ON BATCH ") == 2
+    assert "ON BATCH +R AS __delta__R:" in semiring and "ON BATCH -R AS __delta__R:" in semiring
 
 
 def test_compiler_instance_is_reusable():

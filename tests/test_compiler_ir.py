@@ -1,9 +1,12 @@
 """Tests for the compiler IR objects (map definitions, statements, triggers, programs)."""
 
+import pytest
+
 from repro.compiler.compile import compile_query
 from repro.compiler.maps import MapDefinition
-from repro.compiler.triggers import BatchStatement, BatchTrigger
-from repro.core.ast import MapRef, Mul, Var
+from repro.compiler.runtime import TriggerRuntime
+from repro.compiler.triggers import BatchStatement, BatchTrigger, TriggerProgram
+from repro.core.ast import MapRef, Mul, Rel, Var
 from repro.core.parser import parse
 from repro.workloads.schemas import CUSTOMER_SCHEMA, UNARY_SCHEMA
 
@@ -43,6 +46,29 @@ def test_trigger_event_name_and_describe():
     assert "ON BATCH +R AS __delta__R:" in up.describe()
     assert "(no-op)" in down.describe()
     assert "on_insert_R" in repr(up)
+    # A ring program's one trigger per relation runs both signs.
+    signed = BatchTrigger(
+        relation="R", sign=1, delta_map="__delta__R", statements=(statement,), signed=True
+    )
+    assert signed.event_name == "on_update_R"
+    assert "ON BATCH ±R AS __delta__R:" in signed.describe()
+
+
+def test_a_ring_runtime_rejects_a_delete_trigger():
+    """Over a ring deletions run the relation's signed trigger: a program
+    handing a ring executor a ``(relation, -1)`` trigger is malformed."""
+    statement = BatchStatement("q", (), MapRef("__delta__R", ("x",)), "__delta__R")
+    program = TriggerProgram(
+        result_map="q",
+        maps={"q": MapDefinition("q", (), Rel("R", ("x",)), 0)},
+        triggers={
+            ("R", 1): BatchTrigger("R", 1, "__delta__R", (statement,), signed=True),
+            ("R", -1): BatchTrigger("R", -1, "__delta__R", (statement,)),
+        },
+        schema={"R": ("A",)},
+    )
+    with pytest.raises(ValueError, match="one signed trigger"):
+        TriggerRuntime(program)
 
 
 def test_program_accessors():

@@ -12,6 +12,7 @@ and the emitted dashboard and hotkey modules, byte for byte.
 
 import ast
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -62,8 +63,8 @@ SESSIONS = {
 #: ``(sha256, lines)`` of the emitted modules (stable across
 #: ``PYTHONHASHSEED``).
 MODULE_GOLDENS = {
-    "dashboard": ("ead539aa289936d2390f041a3eaac0f8680fe09d3f10b6b055fbeb9984384342", 468),
-    "hotkey": ("990f684cd42b837a43c045901b4d571d9478ec24378fd59498061e4cac1af54e", 89),
+    "dashboard": ("b6e585bede604fd634eab9586fd025ee915bd94ad3061189f9f42a1c26c92768", 236),
+    "hotkey": ("6a47160af47e10e6fde0cb12954e42372524e97e748197db44e8c700a6435a90", 47),
 }
 
 #: Index specs of every program, recorded before the consumers read the
@@ -162,9 +163,24 @@ def _initially_bound(statement):
     return statement.target_keys if statement.tracked else ()
 
 
+def _semiring_programs():
+    """``(key, program)`` of semiring sessions, which keep a trigger per sign:
+    the dashboard's four non-probe views under min-plus and top-3 (a bare
+    count has no semiring view) and the min-plus pair."""
+    for ring_name in ("min-plus", "top3"):
+        session = Session(SALES, ring=resolve_semiring(ring_name))
+        for view, sql in SESSIONS["dashboard"][1][:4]:
+            session.view(view, sql)
+        yield f"dashboard:{ring_name}", session._groups["generated"].catalog.program()
+    session = Session(SALES, ring=resolve_semiring("min-plus"))
+    for view, sql in MINPLUS_PAIR:
+        session.view(view, sql)
+    yield "minplus_pair", session._groups["generated"].catalog.program()
+
+
 def test_monomials_are_the_eager_safety_order_of_the_body(run_example):
     checked = 0
-    for key, program in _programs(run_example):
+    for key, program in itertools.chain(_programs(run_example), _semiring_programs()):
         for statement in _statements(program):
             body = statement.rhs if isinstance(statement, BatchStatement) else statement.body
             bound = _initially_bound(statement)
@@ -301,9 +317,11 @@ def test_a_partially_bound_second_delta_read_is_labelled_quadratic():
         )
         assert statement_cost_class(result, plan.index_specs) == "O(|Δ|²)"
         assert event.reads.scans == 2
+    # One signed trigger: one quadratic statement (a semiring's would be two).
+    assert [event.event for event in plan.events] == [("R", 1)]
     explain = program.explain()
-    assert explain.count("-- O(|Δ|²)") == 2
-    assert "-- 2 scans of Δ" in explain
+    assert explain.count("-- O(|Δ|²)") == 1
+    assert "ON BATCH ±R AS __delta__R:  -- 2 scans of Δ" in explain
 
 
 def test_the_quadratic_term_still_computes_the_pairs():
@@ -367,30 +385,30 @@ CATALOG_GOLDENS = {
         ("revenue", "revenue_m1", "revenue_m2", "revenue_m3", "revenue_m4", "revenue_m5",
          "revenue_by_customer", "revenue_by_customer_m2", "orders", "orders_m1", "total_revenue",
          "total_revenue_m2", "probe_seen"),
-        _report(5, 8, 20, 1),
-        "bdd0aa8b516dcfebf5d48ffcb7325c6220ce9dfffccaf78c66a4ee87eef4c2ff",
+        _report(5, 8, 10, 1),
+        "2bde8c39279eb35f6e9fd30b9a99bf76f5e8976e6ad297205f32aeee82578684",
     ),
     "hotkey": (
         ("total", "by_a", "probe_seen"),
         _report(3, 0, 0, 0),
-        "2aeb6be7c0bb164676f9afd636c72eb9acfaccfaea911e69bbd611d16e6aed3a",
+        "f4bd816bfd2f7a85eca2840982456eabe2b5bb38355c1b1e2344ff0ebbc72290",
     ),
     ("quickstart.py", 0): (
         ("selfjoin", "selfjoin_m1", "count"),
         _report(2, 0, 0, 0),
-        "c32e75205a07206f9807869e81aa5f0e73593f8a5bb0892fbf330ce29e95b05b",
+        "af11eb3c86ba89daf3939d4834bb1184dbc43ea75a5293c02743b523dc53e040",
     ),
     ("quickstart.py", 1): (
         ("selfjoin", "selfjoin_m1", "count"),
         _report(2, 0, 0, 0),
-        "c32e75205a07206f9807869e81aa5f0e73593f8a5bb0892fbf330ce29e95b05b",
+        "af11eb3c86ba89daf3939d4834bb1184dbc43ea75a5293c02743b523dc53e040",
     ),
     ("sales_dashboard.py", 0): (
         ("revenue", "revenue_m1", "revenue_m2", "revenue_m3", "revenue_m4", "revenue_m5",
          "revenue_by_customer", "revenue_by_customer_m2", "orders", "orders_m1", "total_revenue",
          "total_revenue_m2"),
-        _report(4, 8, 20, 1),
-        "11a1c19a906df01bfe00b15ca573ee9e121eee762ba3579bf68b9ed205ded48c",
+        _report(4, 8, 10, 1),
+        "735bd30b0f52b0c0e3753388a17457f94c9c4a4ec036c3dc17c897c9d3efdb36",
     ),
     ("social_analytics.py", 0): (
         ("top_posts", "top_posts_m1"),
@@ -410,17 +428,17 @@ CATALOG_GOLDENS = {
     ("social_analytics.py", 3): (
         ("same_nation", "same_nation_m1", "same_nation_m2"),
         _report(1, 0, 0, 0),
-        "0a9b7687cfe06a5a0374f5805dff0255c9f2a860eb73509d1e0b1df42777a0b6",
+        "7413b6bdb96b8f16ab393a847d413f0a8ab6a90b4cbc89cf7b9a01d3ddfc0815",
     ),
     ("streaming_ingest.py", 0): (
         ("revenue", "order_count"),
         _report(2, 0, 0, 0),
-        "85ddf49aa940703bf5596c25d1b76626f5656f3e832171cb97653c2db32860d7",
+        "f8278b0eb3f94a6eb21e54a1aed6269c9254470b1eb5e3e8f27cdb3f4872be56",
     ),
     ("streaming_ingest.py", 1): (
         ("w_sum",),
         _report(1, 0, 0, 0),
-        "40e60e16894ea333e4c0498d5e2ab0f1ee7363304d7a7b6ce56d789e9dc0fbfb",
+        "efb37e72bacf5fbf2f50d934c5eb368824816e96a41fd0d2b728718236035c48",
     ),
     "minplus_pair": (
         ("cheapest", "cheapest_m1", "cheapest_m2", "cheapest_m3", "cheapest_m4", "cheapest_m7",

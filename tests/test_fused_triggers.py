@@ -90,7 +90,7 @@ def test_shared_read_survives_another_statements_zero_guard():
     trio = Trio(SALES, SALES_VIEWS)
     try:
         explain = trio.sessions["generated"].explain()
-        assert "ON BATCH +Orders AS __delta__Orders:  -- 1 scan of Δ, 3 reads, 3 shared" in explain
+        assert "ON BATCH ±Orders AS __delta__Orders:  -- 1 scan of Δ, 3 reads, 3 shared" in explain
         trio.apply([Update(1, "Customer", (1, "FR")), Update(1, "Customer", (2, "DE")),
                     Update(1, "Lineitem", (10, 5, 2)), Update(1, "Lineitem", (12, 7, 1))])
         results = trio.apply([

@@ -111,7 +111,7 @@ def test_queue_submit_many_matches_one_at_a_time():
         one_at_a_time.submit(update)
     bulk = IngestQueue()
     bulk.submit_many(updates)
-    assert bulk.drain().events == one_at_a_time.drain().events
+    assert bulk.drain().relations == one_at_a_time.drain().relations
     assert bulk.stats.submitted_updates == one_at_a_time.stats.submitted_updates == 12
     assert bulk.stats.coalesced_updates == one_at_a_time.stats.coalesced_updates
     assert bulk.stats.cancelled_keys == one_at_a_time.stats.cancelled_keys == 1
@@ -747,15 +747,23 @@ class CountingEvent(threading.Event):
         super().set()
 
 
-def test_queue_drains_a_delta_split_by_sign():
+def test_queue_drains_one_signed_delta_per_relation():
     queue = IngestQueue()
     queue.submit_many(
         [insert("R", 1, 1), delete("R", 2, 2), Update(1, "R", (3, 3), count=4), insert("R", 2, 2),
          delete("R", 4, 4), delete("R", 2, 2)]
     )
     delta = queue.drain()
-    assert delta.events == {("R", 1): {(1, 1): 1, (3, 3): 4}, ("R", -1): {(2, 2): 1, (4, 4): 1}}
+    # (2, 2) cancelled to zero and came back: it takes its new, last place.
+    assert list(delta.relations["R"].items()) == [
+        ((1, 1), 1), ((3, 3), 4), ((4, 4), -1), ((2, 2), -1),
+    ]
+    assert list(delta.relations) == ["R"]
     assert (len(delta), delta.tuples) == (4, 7)
+    # A semiring's executors split the drained map by sign, inserts first.
+    assert delta.by_sign() == [
+        (("R", 1), {(1, 1): 1, (3, 3): 4}), (("R", -1), {(2, 2): 1, (4, 4): 1}),
+    ]
     assert queue.pending_keys == 0 and not queue.drain()
 
 

@@ -6,7 +6,7 @@ from repro.core.parser import parse
 from repro.core.semantics import evaluate
 from repro.gmr.database import Database, delete, insert
 from repro.gmr.records import EMPTY_RECORD
-from repro.ivm.base import result_as_mapping, results_agree
+from repro.ivm.base import SubscriberError, result_as_mapping, results_agree
 from repro.ivm.classical import ClassicalIVM
 from repro.ivm.naive import NaiveReevaluation
 from repro.ivm.recursive import RecursiveIVM
@@ -124,6 +124,31 @@ def test_a_callback_that_unsubscribes_itself_does_not_starve_its_sibling():
     engine.on_change(received.append)
     engine.apply(insert("R", 1, 5))
     assert received == [{(1,): 5}]
+
+
+@pytest.mark.parametrize("entry", ["apply", "apply_batch"])
+@pytest.mark.parametrize("backend", ["generated", "interpreted"])
+def test_a_raising_callback_does_not_starve_its_siblings(backend, entry):
+    """Every subscriber is called; one ``SubscriberError`` follows the last
+    call, after the update was applied."""
+    engine = RecursiveIVM(BY_A, {"R": ("a", "b")}, backend=backend)
+    received = []
+
+    def broken(changes):
+        raise KeyError("subscriber bug")
+
+    engine.on_change(broken)
+    engine.on_change(received.append)
+    engine.on_change(broken)
+    with pytest.raises(SubscriberError) as raised:
+        if entry == "apply":
+            engine.apply(insert("R", 1, 5))
+        else:
+            engine.apply_batch([insert("R", 1, 5), insert("R", 2, 1), delete("R", 2, 1)])
+    assert len(raised.value.errors) == 2
+    assert all(isinstance(error, KeyError) for error in raised.value.errors)
+    assert received == [{(1,): 5}]
+    assert engine.result() == {(1,): 5}
 
 
 def test_a_subscription_made_during_a_delivery_starts_with_the_next_call():

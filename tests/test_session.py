@@ -16,7 +16,7 @@ from repro.compiler.indexes import slice_keys
 from repro.core.errors import ParseError
 from repro.core.parser import parse
 from repro.gmr.database import Update, insert
-from repro.ivm.base import result_as_mapping
+from repro.ivm.base import SubscriberError, result_as_mapping
 from repro.ivm.classical import ClassicalIVM
 from repro.ivm.naive import NaiveReevaluation
 from repro.ivm.recursive import RecursiveIVM
@@ -506,6 +506,44 @@ def test_a_subscription_made_during_a_delivery_starts_with_the_next_call(backend
     session.delete("R", 1, 5)
     assert replica == target.result_mapping()
     assert len(target_log) == 4
+
+
+@pytest.mark.parametrize("entry", ["apply", "apply_batch"])
+@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+def test_a_raising_subscriber_does_not_starve_its_siblings(backend, entry):
+    """Delivery follows the commit: a callback that raises neither undoes
+    the write nor keeps the callbacks after it from their payloads.  Every
+    subscriber is called, then one ``SubscriberError`` carries each raise."""
+    session = Session(RS_SCHEMA)
+    a = session.view("a", "AggSum([a], R(a, b) * b)", backend=backend)
+    b = session.view("b", "AggSum([a], R(a, b))", backend=backend)
+    shadows = {"a": {}, "b": {}}
+
+    def broken(changes):
+        raise ValueError("subscriber bug")
+
+    a.on_change(broken)
+    a.on_change(replay_into(shadows["a"]))
+    b.on_change(broken)
+    b.on_change(replay_into(shadows["b"]))
+    writes = [
+        [insert("R", 1, 5), insert("R", 2, 3)],
+        [Update(-1, "R", (1, 5)), insert("R", 3, 2)],
+    ]
+    for batch in writes:
+        if entry == "apply":
+            calls = [lambda update=update: session.apply(update) for update in batch]
+        else:
+            calls = [lambda batch=batch: session.apply_batch(batch)]
+        for call in calls:
+            with pytest.raises(SubscriberError) as raised:
+                call()
+            # Both views' broken callbacks raised; both siblings got their payload.
+            assert [str(error) for error in raised.value.errors] == ["subscriber bug"] * 2
+            assert "committed" in str(raised.value)
+            assert shadows == {"a": a.result_mapping(), "b": b.result_mapping()}
+    assert a.result_mapping() == {(2,): 3, (3,): 2}
+    assert session.updates_applied == 4
 
 
 def test_engine_level_on_change_matches_session_level():
